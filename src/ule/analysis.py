@@ -28,11 +28,11 @@ from .bath import BathSpec, QuadratureSpec, f_table, jump_spectral
 from .dynamics import SteadyStateError, expectation, steady_state
 from .generator import (
     NoiseChannel,
+    _lamb_shift_from_fgrid,
     build_generator,
     build_jump_operator,
-    build_lamb_shift,
     build_liouvillian,
-    lamb_shift_pairs,
+    lamb_shift_fgrid,
 )
 from .operators import (
     BohrDecomposition,
@@ -151,14 +151,11 @@ def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:
 def lambshift_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
                                quad: QuadratureSpec, beta: float, rho_th) -> np.ndarray:
     """Bohr-sum form of the Lamb-shift commutator on the Gibbs state."""
+    return _lambshift_formula(bohr, lamb_shift_fgrid(bohr, bath, quad), beta, rho_th)
+
+
+def _lambshift_formula(bohr: BohrDecomposition, fgrid, beta: float, rho_th) -> np.ndarray:
     w = bohr.frequencies
-    nf = w.size
-    table = f_table(bath, lamb_shift_pairs(bohr), quad)
-    fgrid = np.zeros((nf, nf))
-    for (e1, e2), val in table.items():
-        i = int(np.searchsorted(w, e1))
-        j = int(np.searchsorted(w, e2))
-        fgrid[i, j] = val
     grid = fgrid * (1.0 - np.exp(beta * (w[:, None] + w[None, :])))
     xe = bohr.coupling_eigen
     coeff = _coeff3(grid, bohr, first_transposed=False)
@@ -225,9 +222,9 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     d_mismatch = frobenius(d_direct - d_formula)
 
     if include_lamb_shift and bath.coupling > 0:
-        lam = build_lamb_shift(eig, channel, quad, bohr=bohr)
-        l_direct = lambshift_on_gibbs_direct(lam, rho_th)
-        l_formula = lambshift_on_gibbs_formula(bohr, bath, quad, beta, rho_th)
+        fgrid = lamb_shift_fgrid(bohr, bath, quad)
+        l_direct = lambshift_on_gibbs_direct(_lamb_shift_from_fgrid(eig, bohr, fgrid), rho_th)
+        l_formula = _lambshift_formula(bohr, fgrid, beta, rho_th)
         l_mismatch = frobenius(l_direct - l_formula)
         l_direct_norm = frobenius(l_direct)
         l_formula_norm = frobenius(l_formula)

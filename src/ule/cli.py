@@ -30,14 +30,15 @@ from .analysis import (
 )
 from .bath import BathSpec, QuadratureSpec, QuadratureError, f_table, jump_spectral
 from .dynamics import PropagationError, SteadyStateError, steady_state
-from .generator import NoiseChannel, build_generator, build_liouvillian, channels_compose
 from .io import format_value, write_csv, write_json
 from .operators import eigendecompose
 from .spinchain import (
     SpinChainSpec,
     build_chain_hamiltonian,
+    build_chain_superop,
     chain_channels,
     magnetization,
+    relax_chain,
     run_relaxation,
 )
 
@@ -223,26 +224,18 @@ def cmd_spinchain(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
-    result = run_relaxation(spec, t_end=cfg.get("t_end"),
-                            samples=cfg["samples"], tol=cfg["tol"])
-    traj = result.trajectory
+    _, sop = build_chain_superop(spec)
+    traj = relax_chain(spec, sop, t_end=cfg.get("t_end"),
+                       samples=cfg["samples"], tol=cfg["tol"])
     write_csv(_out(args, "evolve.csv"), ["t", "M"],
               zip(traj.times.tolist(), traj.observables["M"].tolist()))
     return EXIT_OK
 
 
-def _chain_superop(spec: SpinChainSpec):
-    eig = eigendecompose(build_chain_hamiltonian(spec))
-    include_lamb = not spec.ignore_lamb_shift
-    gens = [build_generator(eig, ch, spec.quad, include_lamb_shift=include_lamb)
-            for ch in chain_channels(spec)]
-    return eig, build_liouvillian(channels_compose(gens), include_lamb_shift=include_lamb)
-
-
 def cmd_steady(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
-    eig, sop = _chain_superop(spec)
+    eig, sop = build_chain_superop(spec)
     report = steady_state(sop)
     dev = gibbs_deviation(report.state, eig, 1.0 / spec.T1,
                           observable=magnetization(spec.N))

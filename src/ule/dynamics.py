@@ -6,8 +6,8 @@ every accepted step; the trace is never renormalized, its drift is tracked
 as a correctness signal. Sample states between accepted steps come from
 cubic Hermite interpolation of (state, derivative) pairs.
 
-The steady state is the kernel of the dense d^2 x d^2 generator matrix,
-found by singular value decomposition with the threshold 1e-10 * sigma_max.
+The steady state is the kernel of the dense `Superoperator.matrix` (which
+propagation never builds), found by SVD with the threshold 1e-10 * sigma_max.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .generator import Superoperator, unvec, vec
-from .operators import hermitize, trace_distance
+from .operators import frobenius, hermitize, trace_distance
 
 
 class PropagationError(RuntimeError):
@@ -246,7 +246,7 @@ def steady_state(superop: Superoperator, sigma_rtol: float = 1e-10) -> SteadySta
             kernel_dimension=kdim)
     rho = hermitize(unvec(kernel[best], superop.dim))
     rho = rho / float(np.real(np.trace(rho)))
-    residual = float(np.linalg.norm(superop.apply_vec(vec(rho))))
+    residual = frobenius(superop.apply_matrix(rho))
     report = SteadyStateReport(state=rho, residual=residual,
                                kernel_dimension=kdim)
     if kdim > 1:

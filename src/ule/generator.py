@@ -9,12 +9,18 @@ with, per noise channel (coupling operator X, bath g and f),
     L_mn   = 2 pi sqrt(gamma) g(E_n - E_m) X_mn      (eigenbasis elements)
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
-Superoperators use column stacking: vec(A rho B) = (B^T kron A) vec(rho).
+A generator is held in one form, :class:`Superoperator`: the Hermitian
+H_eff = H + Lam and the nonzero jump operators. Time propagation applies it
+with d x d matrix products; the dense d^2 x d^2 matrix is built only when a
+dense solve first asks for it, using column stacking:
+vec(A rho B) = (B^T kron A) vec(rho).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,50 +69,76 @@ class UleGenerator:
     lamb_shift: np.ndarray
     jumps: list
 
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+
+# A dense build plus the gesdd SVD of `steady_state` raised peak RSS by 9.1x
+# (N = 4, mostly fixed allocations) and 6.7x (N = 5) the 16 d^4 bytes of the
+# matrix: the matrix, the copy gesdd factors, U, V^H and the real workspace.
+DENSE_SOLVE_MEMORY_FACTOR = 7
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix form of a generator on column-stacked states.
+    """Generator rho -> -i (K rho - rho K^dag) + sum_c L_c rho L_c^dag.
 
-    When the generator's operator factors are known they are kept alongside
-    the matrix so that time propagation can apply the generator with d x d
-    matrix products instead of a d^2 x d^2 matrix-vector product. Both
-    application paths represent the same linear map.
+    K = H_eff - (i/2) sum_c L_c^dag L_c. `apply_matrix` uses d x d products;
+    the dense d^2 x d^2 `matrix` on column-stacked states is built on first
+    access.
     """
 
-    dim: int
-    matrix: np.ndarray
-    hamiltonian: np.ndarray | None = None
-    jumps: list | None = None
-    _jump_squares: list | None = field(default=None, repr=False)
+    hamiltonian: np.ndarray
+    jumps: list
 
-    def __post_init__(self):
-        if self.jumps is not None and self._jump_squares is None:
-            object.__setattr__(self, "_jump_squares",
-                               [l.conj().T @ l for l in self.jumps])
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
+
+    @cached_property
+    def _factors(self):
+        """(K, K^dag, [L_c^dag]) for `apply_matrix`."""
+        k = np.array(self.hamiltonian, dtype=complex)
+        for l in self.jumps:
+            k -= 0.5j * (l.conj().T @ l)
+        return k, k.conj().T, [l.conj().T for l in self.jumps]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Generator action on a d x d matrix."""
-        if self.hamiltonian is not None:
-            h = self.hamiltonian
-            out = -1j * (h @ rho - rho @ h)
-            for l, ll in zip(self.jumps or [], self._jump_squares or []):
-                out += l @ rho @ l.conj().T
-                out -= 0.5 * (ll @ rho + rho @ ll)
-            return out
-        return unvec(self.matrix @ vec(rho), self.dim)
+        """Generator action on a d x d matrix (Hermitian or not)."""
+        k, k_dag, jumps_dag = self._factors
+        out = -1j * (k @ rho - rho @ k_dag)
+        for l, l_dag in zip(self.jumps, jumps_dag):
+            out += l @ rho @ l_dag
+        return out
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """-i (I kron K) + i (conj(K) kron I) + sum_c conj(L_c) kron L_c.
+
+        ValueError if it and its SVD workspace would not fit in physical
+        memory (raised before allocating) or if it is not trace preserving.
+        """
+        d = self.dim
+        need = DENSE_SOLVE_MEMORY_FACTOR * 16 * d ** 4
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"dense superoperator of size {d ** 2} x {d ** 2} needs about {need / 1e9:.3g} "
+                f"GB with its SVD workspace; physical memory is {have / 1e9:.3g} GB")
+        k = self._factors[0]
+        mat = np.kron(np.eye(d), -1j * k)
+        mat += np.kron(1j * k.conj(), np.eye(d))
+        for l in self.jumps:
+            mat += np.kron(l.conj(), l)
+        defect = _trace_defect(mat, d)
+        if defect > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
+            raise ValueError(f"Liouvillian is not trace preserving: defect {defect:.3e}")
+        return mat
 
     def trace_preservation_defect(self) -> float:
         """Max entry of <<I| applied to the matrix; zero for trace preservation."""
-        row = vec(np.eye(self.dim)).conj() @ self.matrix
-        return float(np.max(np.abs(row)))
+        return _trace_defect(self.matrix, self.dim)
+
+
+def _trace_defect(mat: np.ndarray, dim: int) -> float:
+    return float(np.max(np.abs(vec(np.eye(dim)).conj() @ mat)))
 
 
 def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.ndarray:
@@ -145,26 +177,32 @@ def lamb_shift_pairs(bohr: BohrDecomposition):
     return [(float(freqs[i // bohr.nfreq]), float(freqs[i % bohr.nfreq])) for i in flat]
 
 
+def lamb_shift_fgrid(bohr: BohrDecomposition, bath: BathSpec,
+                     quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """f(w_i, w_j) at the distinct pairs of the Lamb-shift sum; zero elsewhere."""
+    freqs = bohr.frequencies
+    fgrid = np.zeros((bohr.nfreq, bohr.nfreq))
+    for (e1, e2), val in f_table(bath, lamb_shift_pairs(bohr), quad).items():
+        fgrid[np.searchsorted(freqs, e1), np.searchsorted(freqs, e2)] = val
+    return fgrid
+
+
 def build_lamb_shift(eig: EigenDecomposition, channel: NoiseChannel,
                      quad: QuadratureSpec = QuadratureSpec(),
                      bohr: BohrDecomposition | None = None) -> np.ndarray:
     """Lamb-shift operator Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln.
 
-    f is evaluated once per distinct binned gap pair (memoized table) and
-    the triple sum is assembled from the cached values. Hermiticity follows
-    from the swap symmetry f(E1, E2) = f(-E2, -E1) and is asserted.
+    The triple sum is assembled from :func:`lamb_shift_fgrid`. Hermiticity
+    follows from the swap symmetry f(E1, E2) = f(-E2, -E1) and is asserted.
     """
     if bohr is None:
         bohr = bohr_decompose(channel.coupling_op, eig)
-    d = eig.dim
     if channel.bath.coupling == 0.0:
-        return np.zeros((d, d), dtype=complex)
-    table = f_table(channel.bath, lamb_shift_pairs(bohr), quad)
-    fgrid = np.zeros((bohr.nfreq, bohr.nfreq))
-    for (e1, e2), val in table.items():
-        i = int(np.searchsorted(bohr.frequencies, e1))
-        j = int(np.searchsorted(bohr.frequencies, e2))
-        fgrid[i, j] = val
+        return np.zeros((eig.dim, eig.dim), dtype=complex)
+    return _lamb_shift_from_fgrid(eig, bohr, lamb_shift_fgrid(bohr, channel.bath, quad))
+
+
+def _lamb_shift_from_fgrid(eig: EigenDecomposition, bohr: BohrDecomposition, fgrid) -> np.ndarray:
     coeff = fgrid[bohr.bin_index[:, :, None], bohr.bin_index[None, :, :]]
     xe = bohr.coupling_eigen
     lam_e = np.einsum("ml,ln,mln->mn", xe, xe, coeff)
@@ -239,42 +277,14 @@ def channels_compose(gens) -> UleGenerator:
     return UleGenerator(hamiltonian=h, lamb_shift=lam, jumps=jumps)
 
 
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i [h, rho] on column-stacked states."""
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-
-
-def dissipator_superop(jumps) -> np.ndarray:
-    """Matrix of the Lindblad dissipator for the given jump operators."""
-    d = jumps[0].shape[0] if jumps else 0
-    out = None
-    for l in jumps:
-        eye = np.eye(d, dtype=complex)
-        ll = l.conj().T @ l
-        term = np.kron(l.conj(), l) - 0.5 * np.kron(eye, ll) - 0.5 * np.kron(ll.T, eye)
-        out = term if out is None else out + term
-    return out
-
-
 def build_liouvillian(gen: UleGenerator, include_lamb_shift: bool = True) -> Superoperator:
-    """Full superoperator of the master equation.
+    """Superoperator of the master equation, without dense work.
 
-    `include_lamb_shift` selects H + Lam or the bare H as the coherent part;
-    the generator's jump operators always enter the dissipator.
+    `include_lamb_shift` selects H + Lam or the bare H as H_eff; all-zero
+    jump operators (channels with zero coupling) are dropped.
     """
     h_eff = gen.hamiltonian + gen.lamb_shift if include_lamb_shift else gen.hamiltonian
-    h_eff = hermitize(h_eff)
-    mat = hamiltonian_superop(h_eff)
-    if gen.jumps:
-        mat = mat + dissipator_superop(gen.jumps)
-    sop = Superoperator(dim=gen.dim, matrix=mat, hamiltonian=h_eff, jumps=list(gen.jumps))
-    defect = sop.trace_preservation_defect()
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if defect > 1e-10 * scale:
-        raise ValueError(f"Liouvillian is not trace preserving: defect {defect:.3e}")
-    return sop
+    return Superoperator(hermitize(h_eff), [l for l in gen.jumps if np.any(l)])
 
 
 def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
@@ -293,19 +303,11 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     g = jump_spectral(bath, bohr.frequencies)
     jumps = [2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.components[k]
              for k in range(bohr.nfreq)]
-    h_eff = bohr.eig.reconstruct()
+    lam = np.zeros((d, d), dtype=complex)
     if include_lamb_shift and bath.coupling > 0.0:
         pairs = [(float(w), float(-w)) for w in bohr.frequencies]
         table = f_table(bath, pairs, quad)
-        lam = np.zeros((d, d), dtype=complex)
         for k, w in enumerate(bohr.frequencies):
             lam += table[(float(w), float(-w))] * (
                 bohr.components[k] @ bohr.components[bohr.nfreq - 1 - k])
-        h_eff = h_eff + hermitize(lam)
-    mat = hamiltonian_superop(h_eff) + dissipator_superop(jumps)
-    sop = Superoperator(dim=d, matrix=mat, hamiltonian=h_eff, jumps=jumps)
-    defect = sop.trace_preservation_defect()
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if defect > 1e-10 * scale:
-        raise ValueError(f"secular generator is not trace preserving: defect {defect:.3e}")
-    return sop
+    return build_liouvillian(UleGenerator(bohr.eig.reconstruct(), lam, jumps))

@@ -159,6 +159,23 @@ def test_residual_report_fields_consistent():
     assert len(names) == 8
 
 
+def test_residual_report_evaluates_each_f_pair_once(monkeypatch):
+    # both Lamb-shift routes share one f grid; the secular restriction adds
+    # its own (w, -w) pairs
+    import ule.bath
+    eig, ch, bohr, _ = baseline_setup()
+    calls = []
+    real = ule.bath.f_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ule.bath, "f_integral", counting)
+    gibbs_residual_report(eig, ch)
+    assert len(calls) == len(lamb_shift_pairs(bohr)) + bohr.nfreq
+
+
 def test_residual_report_without_lamb_shift():
     eig, ch, _, _ = baseline_setup()
     rep = gibbs_residual_report(eig, ch, include_lamb_shift=False)

@@ -154,3 +154,30 @@ def test_invalid_parameter_exits_2(tmp_path, capsys):
     code = main(["spinchain", "--config", path, "--N", "40"])
     assert code == 2
     assert "N" in capsys.readouterr().err
+
+
+def test_evolve_builds_no_dense_matrix(tmp_path, monkeypatch):
+    from ule.generator import Superoperator
+    path = write_config(tmp_path)
+    chain_out, evolve_out = tmp_path / "chain", tmp_path / "evolve"
+    assert main(["spinchain", "--config", path, "--outdir", str(chain_out)]) == 0
+
+    def refuse(self):
+        raise AssertionError("evolve built the dense superoperator")
+
+    monkeypatch.setattr(Superoperator, "matrix", property(refuse))
+    assert main(["evolve", "--config", path, "--outdir", str(evolve_out)]) == 0
+    assert ((evolve_out / "evolve.csv").read_bytes()
+            == (chain_out / "fig1a.csv").read_bytes())
+
+
+def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys):
+    import time
+    path = write_config(tmp_path)
+    t0 = time.perf_counter()
+    code = main(["steady", "--config", path, "--N", "9", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert time.perf_counter() - t0 < 30.0
+    err = capsys.readouterr().err
+    assert "262144 x 262144" in err
+    assert "GB" in err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from ule import (
     BathSpec,
     NoiseChannel,
     SteadyStateError,
-    Superoperator,
     bohr_decompose,
     build_generator,
     build_liouvillian,
@@ -20,6 +21,8 @@ from ule import (
     steady_state,
     steady_state_consistency,
     trace_distance,
+    unvec,
+    vec,
 )
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -196,7 +199,7 @@ def test_positivity_violation_flags_generator_bug():
     commutator = build_liouvillian(
         build_generator(eig, [], include_lamb_shift=False)).matrix
     broken = commutator - (sop.matrix - commutator)
-    bad = Superoperator(dim=2, matrix=broken)
+    bad = SimpleNamespace(dim=2, apply_matrix=lambda rho: unvec(broken @ vec(rho), 2))
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     from ule import PropagationError
     with pytest.raises(PropagationError):

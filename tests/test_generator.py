@@ -134,6 +134,26 @@ def test_liouvillian_matches_matrix_free_action():
         assert np.allclose(via_terms, direct, atol=1e-12)
 
 
+def test_apply_matrix_matches_dense_matrix_on_non_hermitian_inputs():
+    rng = np.random.default_rng(29)
+    d = 4
+    eig = eigendecompose(random_hermitian(rng, d))
+    x1, x2 = random_hermitian(rng, d), random_hermitian(rng, d)
+    ch1 = NoiseChannel(coupling_op=x1, bath=BATH)
+    ch2 = NoiseChannel(coupling_op=x2,
+                       bath=BathSpec(temperature=1.0, coupling=0.05, cutoff=100.0))
+    full = build_liouvillian(build_generator(eig, ch1))
+    secular = build_secular_generator(bohr_decompose(x1, eig), ch1)
+    composed = build_liouvillian(channels_compose(
+        [build_generator(eig, ch, include_lamb_shift=False) for ch in (ch1, ch2)]))
+    assert len(composed.jumps) == 2
+    for sop in (full, secular, composed):
+        for _ in range(5):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            via_matrix = unvec(sop.matrix @ vec(a), d)
+            assert np.max(np.abs(sop.apply_matrix(a) - via_matrix)) <= 1e-12
+
+
 def test_liouvillian_trace_preservation():
     rng = np.random.default_rng(13)
     for _ in range(6):
@@ -213,6 +233,7 @@ def test_channels_compose_identity_and_zero_channel():
                            include_lamb_shift=False)
     double = build_liouvillian(channels_compose([gen, dead]), include_lamb_shift=False)
     assert np.max(np.abs(single.matrix - double.matrix)) <= 1e-14
+    assert len(double.jumps) == 1
 
 
 def test_channels_compose_two_equal_channels_double_dissipator():
