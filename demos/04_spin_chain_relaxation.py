@@ -10,7 +10,7 @@ average) while sparsely occupied levels sit far from their thermal values
 in relative terms.
 
 N = 4 keeps this demo around half a minute; N = 6 reproduces the full-size
-run (a few minutes, dominated by the dense null-space solve). The CLI runs
+run (over a minute, most of it propagation). The CLI runs
 the same experiment from a config file:
 
     ule spinchain --config demos/chain_n6.cfg --outdir out/

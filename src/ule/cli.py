@@ -204,6 +204,7 @@ def cmd_spinchain(args) -> int:
         "steady_residual": result.steady.residual,
         "kernel_dimension": result.steady.kernel_dimension,
         "steady_method": result.steady.method,
+        "steady_rcond": result.steady.rcond,
         "accepted_steps": result.runtime["n_accepted"],
         "rejected_steps": result.runtime["n_rejected"],
         "max_trace_drift": result.trajectory.stats["max_trace_drift"],
@@ -243,6 +244,7 @@ def cmd_steady(args) -> int:
               dev.rows())
     print(f"kernel_dimension = {report.kernel_dimension}")
     print(f"residual = {format_value(report.residual)}")
+    print(f"rcond = {format_value(report.rcond)}")
     print(f"trace_distance = {format_value(dev.trace_distance)}")
     print(f"max_abs_diag_deviation = {format_value(dev.max_abs_diag_deviation)}")
     print(f"rho11_gap = {format_value(dev.rho11_gap)}")

@@ -6,8 +6,13 @@ every accepted step; the trace is never renormalized, its drift is tracked
 as a correctness signal. Sample states between accepted steps come from
 cubic Hermite interpolation of (state, derivative) pairs.
 
-The steady state is the kernel of the dense `Superoperator.matrix` (which
-propagation never builds), found by SVD with the threshold 1e-10 * sigma_max.
+The steady state is the trace-one kernel vector of the dense
+`Superoperator.matrix` (which propagation never builds). One LU factorization
+solves the bordered system, the matrix with its first row replaced by the
+trace functional, and the LAPACK condition-number estimate from the same
+factors certifies that the kernel is one-dimensional. Only a generator that
+fails the certificate pays for an SVD, which counts the kernel singular
+values below 1e-10 * sigma_max.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .generator import Superoperator, unvec, vec
 from .operators import frobenius, hermitize, trace_distance
@@ -59,10 +65,19 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SteadyStateReport:
+    """Steady state with its diagnostics.
+
+    rcond is the conditioning the solve reached: the LAPACK reciprocal
+    1-norm condition estimate of the bordered matrix (method "bordered-lu"),
+    or the smallest non-kernel singular value over sigma_max (method
+    "null-space").
+    """
+
     state: np.ndarray
     residual: float
     kernel_dimension: int
-    method: str = "null-space"
+    rcond: float
+    method: str
 
 
 # Dormand-Prince 5(4) tableau (FSAL: the last stage is the next first stage).
@@ -220,6 +235,51 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
 
 def steady_state(superop: Superoperator, sigma_rtol: float = 1e-10) -> SteadyStateReport:
+    """Unique trace-one steady state of the generator.
+
+    Row 0 of the dense matrix is replaced by the trace functional vec(I)^H
+    and the bordered system is solved for the right-hand side e_0. For a
+    trace-preserving generator row 0 is minus the sum of the other rows at
+    diagonal positions, so the bordering drops no equation: the bordered
+    matrix is nonsingular exactly when the kernel is one-dimensional and
+    not traceless, and its solution is the kernel vector with trace 1. The
+    solution is Hermitized and its trace normalized.
+
+    The certificate is the LAPACK reciprocal condition estimate (1-norm)
+    from the LU factors; it must exceed sigma_rtol. A generator that fails
+    it (exactly singular factors included) goes to the SVD null-space
+    solve, which raises SteadyStateError on a zero-dimensional or
+    degenerate kernel (the degenerate case still reports a
+    trace-normalizable representative).
+    """
+    x, rcond = _bordered_lu_solve(superop.matrix, superop.dim)
+    if x is None or not rcond > sigma_rtol:
+        return _null_space_svd(superop, sigma_rtol)
+    rho = hermitize(unvec(x, superop.dim))
+    rho = rho / float(np.real(np.trace(rho)))
+    return SteadyStateReport(state=rho, residual=frobenius(superop.apply_matrix(rho)),
+                             kernel_dimension=1, rcond=rcond, method="bordered-lu")
+
+
+def _bordered_lu_solve(mat: np.ndarray, dim: int):
+    """(x, rcond) for mat with row 0 set to vec(I)^H and right-hand side e_0.
+
+    x is None and rcond 0 when the LU factors are exactly singular. The
+    factors are freed on return, before any SVD fallback allocates.
+    """
+    bordered = np.array(mat, order="F")
+    bordered[0] = vec(np.eye(dim))
+    anorm = lapack.zlange("1", bordered)
+    lu, piv, info = lapack.zgetrf(bordered, overwrite_a=True)
+    if info > 0:
+        return None, 0.0
+    rcond = float(lapack.zgecon(lu, anorm, norm="1")[0])
+    rhs = np.zeros(mat.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    return lapack.zgetrs(lu, piv, rhs)[0], rcond
+
+
+def _null_space_svd(superop: Superoperator, sigma_rtol: float) -> SteadyStateReport:
     """Null space of the generator matrix via SVD.
 
     Singular values below sigma_rtol * sigma_max count as the kernel. A
@@ -247,8 +307,9 @@ def steady_state(superop: Superoperator, sigma_rtol: float = 1e-10) -> SteadySta
     rho = hermitize(unvec(kernel[best], superop.dim))
     rho = rho / float(np.real(np.trace(rho)))
     residual = frobenius(superop.apply_matrix(rho))
-    report = SteadyStateReport(state=rho, residual=residual,
-                               kernel_dimension=kdim)
+    report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
+                               rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
+                               method="null-space")
     if kdim > 1:
         raise SteadyStateError(
             f"steady state is not unique: kernel dimension {kdim}",
@@ -270,8 +331,8 @@ def expectation(rho, op) -> float:
 
 def steady_state_consistency(superop: Superoperator, rho0, t_long: float,
                              tol: float = 1e-8) -> float:
-    """Trace distance between the long-time propagated state and the
-    null-space steady state.
+    """Trace distance between the long-time propagated state and
+    :func:`steady_state`.
 
     Expected below 1e-6 once t_long exceeds about twenty relaxation times
     (20 / spectral gap of the generator).

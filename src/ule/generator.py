@@ -70,7 +70,9 @@ class UleGenerator:
     jumps: list
 
 
-# A dense build plus the gesdd SVD of `steady_state` raised peak RSS by 9.1x
+# `steady_state` needs the matrix and one bordered copy to factor, but any
+# generator its certificate rejects falls back to the gesdd SVD, so the guard
+# is sized for the SVD. A dense build plus that SVD raised peak RSS by 9.1x
 # (N = 4, mostly fixed allocations) and 6.7x (N = 5) the 16 d^4 bytes of the
 # matrix: the matrix, the copy gesdd factors, U, V^H and the real workspace.
 DENSE_SOLVE_MEMORY_FACTOR = 7

@@ -10,8 +10,8 @@ coupling (Sx + Sz)/sqrt(2). The second reservoir usually has zero
 coupling, leaving a single active channel. The chain starts from the
 fully polarized product state opposing the field (all spins up, the
 highest Zeeman energy under the +B_z convention) and relaxes; the
-experiment records the z magnetization over time, the null-space steady
-state, and its deviation from the Gibbs state at the first bath's
+experiment records the z magnetization over time, the steady state of
+the generator, and its deviation from the Gibbs state at the first bath's
 temperature.
 """
 
@@ -180,7 +180,7 @@ def run_relaxation(spec: SpinChainSpec, t_end: float | None = None,
     """Relax the field-opposing product state and compare against Gibbs.
 
     t_end defaults to 50 relaxation scales, 50 / gamma1. The steady values
-    come from the null-space solve, never from the trajectory endpoint.
+    come from the steady-state solve, never from the trajectory endpoint.
     """
     t0 = time.perf_counter()
     eig, sop = build_chain_superop(spec)

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from ule.cli import ConfigError, main, parse_config_text
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMALL_CONFIG = """
 # small chain for fast end-to-end runs
@@ -91,6 +96,8 @@ def test_spinchain_outputs_and_determinism(tmp_path):
     assert len(fig1b) == 1 + 8
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["kernel_dimension"] == 1
+    assert summary["steady_method"] == "bordered-lu"
+    assert 0.0 < summary["steady_rcond"] < 1.0
     assert summary["config"]["N"] == 3
     assert summary["version"]
     assert abs(summary["M_gap"]) < 0.05
@@ -115,6 +122,7 @@ def test_steady_subcommand(tmp_path, capsys):
     assert main(["steady", "--config", path, "--outdir", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "kernel_dimension = 1" in printed
+    assert "rcond = " in printed
     assert "trace_distance" in printed
     lines = (out / "steady.csv").read_text().splitlines()
     assert lines[0] == "n,E_n,rho_nn,rho_nn_th"
@@ -181,3 +189,29 @@ def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "262144 x 262144" in err
     assert "GB" in err
+
+
+def test_uncertified_steady_state_falls_back_and_exits_3(capsys):
+    # no dissipation: the bordered matrix is singular and the SVD counts
+    # the commutant of the N = 3 chain Hamiltonian
+    code = main(["steady", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
+                 "--N", "3", "--gamma1", "0"])
+    assert code == 3
+    assert "kernel dimension 8" in capsys.readouterr().err
+
+
+def test_steady_state_across_blas_thread_counts(tmp_path):
+    path = write_config(tmp_path)
+    columns = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "ule.cli", "steady", "--config", path,
+                        "--N", "4", "--outdir", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        rows = (out / "steady.csv").read_text().splitlines()[1:]
+        columns.append(np.array([float(r.split(",")[2]) for r in rows]))
+    assert len(columns[0]) == 16
+    assert np.max(np.abs(columns[0] - columns[1])) <= 1e-12

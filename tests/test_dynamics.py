@@ -11,6 +11,7 @@ from ule import (
     bohr_decompose,
     build_generator,
     build_liouvillian,
+    build_secular_generator,
     eigendecompose,
     expectation,
     gibbs_populations,
@@ -24,6 +25,8 @@ from ule import (
     unvec,
     vec,
 )
+from ule.dynamics import _null_space_svd
+from ule.spinchain import SpinChainSpec, build_chain_superop
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 
@@ -36,10 +39,14 @@ def qubit_liouvillian(delta=1.0, include_lamb_shift=False):
     return eig, build_liouvillian(gen, include_lamb_shift=include_lamb_shift)
 
 
-def three_level_liouvillian():
+def three_level_channel():
     rng = np.random.default_rng(3)
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
-    ch = NoiseChannel(coupling_op=random_hermitian(rng, 3), bath=BATH)
+    return eig, NoiseChannel(coupling_op=random_hermitian(rng, 3), bath=BATH)
+
+
+def three_level_liouvillian():
+    eig, ch = three_level_channel()
     gen = build_generator(eig, ch, include_lamb_shift=False)
     return eig, build_liouvillian(gen, include_lamb_shift=False)
 
@@ -147,6 +154,35 @@ def test_steady_state_zero_dissipator_flags_multiplicity():
     rep = info.value.report
     assert rep is not None
     assert abs(np.trace(rep.state).real - 1.0) < 1e-10
+
+
+def three_level_secular_liouvillian():
+    eig, ch = three_level_channel()
+    return build_secular_generator(bohr_decompose(ch.coupling_op, eig), ch)
+
+
+def lamb_chain_liouvillian(n):
+    return build_chain_superop(SpinChainSpec(N=n, ignore_lamb_shift=False))[1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qubit_liouvillian(include_lamb_shift=True)[1],
+    lambda: three_level_liouvillian()[1],
+    three_level_secular_liouvillian,
+    lambda: lamb_chain_liouvillian(3),
+    lambda: lamb_chain_liouvillian(4),
+], ids=["qubit_lamb", "three_level", "three_level_secular", "chain3_lamb", "chain4_lamb"])
+def test_bordered_lu_matches_svd_null_space(build):
+    sop = build()
+    report = steady_state(sop)
+    oracle = _null_space_svd(sop, 1e-10)
+    assert report.method == "bordered-lu"
+    assert report.kernel_dimension == oracle.kernel_dimension == 1
+    assert trace_distance(report.state, oracle.state) <= 1e-12
+    sigma = np.linalg.svd(sop.matrix, compute_uv=False)
+    assert oracle.rcond == pytest.approx(sigma[-2] / sigma[0], rel=1e-8)
+    # the SVD residual can round to exactly 0 (qubit), hence the eps floor
+    assert report.residual <= 10 * max(oracle.residual, np.finfo(float).eps)
 
 
 def test_expectation_values():
