@@ -46,8 +46,6 @@ from .generator import (
     build_liouvillian,
     build_secular_generator,
     channels_compose,
-    jump_operator_bohr_sum,
-    lamb_shift_bohr_sum,
     unvec,
     vec,
 )
@@ -59,7 +57,6 @@ from .operators import (
     gibbs_populations,
     gibbs_state,
     hermitize,
-    require_density_matrix,
     require_hermitian,
     thermal_shift_residual,
     trace_distance,

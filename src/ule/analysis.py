@@ -16,16 +16,19 @@ pair of routes cross-validates the generator, the Bohr decomposition and
 the bath. Restricting the double sums to matched frequencies (w1 = w2,
 respectively w1 = -w2) kills both expressions identically, which is the
 conventional-Lindblad limit where the Gibbs state is stationary.
+
+Every double sum here is a coefficient grid c(w1, w2) handed to the one
+kernel `BohrDecomposition.double_sum`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, QuadratureSpec, f_table, jump_spectral
-from .dynamics import SteadyStateError, expectation, steady_state
+from .bath import BathSpec, QuadratureSpec, jump_spectral
+from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
     _lamb_shift_from_fgrid,
@@ -33,6 +36,7 @@ from .generator import (
     build_jump_operator,
     build_liouvillian,
     lamb_shift_fgrid,
+    matched_pair_fgrid,
 )
 from .operators import (
     BohrDecomposition,
@@ -113,34 +117,14 @@ def dissipator_on_gibbs_direct(jump_op, rho_th) -> np.ndarray:
     return jump_op @ rho_th @ ld - 0.5 * (ldl @ rho_th + rho_th @ ldl)
 
 
-def _coeff3(grid, bohr, first_transposed: bool):
-    """Level-resolved coefficient tensor for a Bohr-frequency double sum.
-
-    With first_transposed, entry [m, l, n] = grid[bin(E_m - E_l), bin(E_n - E_l)]
-    (the A^dag A product ordering); otherwise grid[bin(E_l - E_m), bin(E_n - E_l)]
-    (the A A ordering).
-    """
-    bi = bohr.bin_index
-    k1 = bi.T[:, :, None] if first_transposed else bi[:, :, None]
-    return grid[k1, bi[None, :, :]]
-
-
 def dissipator_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
                                 beta: float, rho_th) -> np.ndarray:
-    """Bohr-sum form of the dissipator applied to the Gibbs state.
-
-    The double frequency sum is evaluated levelwise: the (w1, w2) term
-    coefficient is looked up per eigenbasis element of A(w1)^dag A(w2).
-    """
+    """Bohr-sum form of the dissipator applied to the Gibbs state."""
     w = bohr.frequencies
     g = jump_spectral(bath, w)
     kms = np.exp(0.5 * beta * (w[None, :] - w[:, None]))
     grid = -2.0 * np.pi**2 * bath.coupling * (1.0 - kms) ** 2 * np.outer(g, g)
-    xe = bohr.coupling_eigen
-    coeff = _coeff3(grid, bohr, first_transposed=True)
-    s_e = np.einsum("lm,ln,mln->mn", xe.conj(), xe, coeff)
-    s = bohr.eig.from_eigenbasis(s_e)
-    return s @ rho_th
+    return bohr.double_sum(grid, adjoint_first=True) @ rho_th
 
 
 def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:
@@ -157,11 +141,7 @@ def lambshift_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
 def _lambshift_formula(bohr: BohrDecomposition, fgrid, beta: float, rho_th) -> np.ndarray:
     w = bohr.frequencies
     grid = fgrid * (1.0 - np.exp(beta * (w[:, None] + w[None, :])))
-    xe = bohr.coupling_eigen
-    coeff = _coeff3(grid, bohr, first_transposed=False)
-    s_e = np.einsum("ml,ln,mln->mn", xe, xe, coeff)
-    s = bohr.eig.from_eigenbasis(s_e)
-    return s @ rho_th
+    return bohr.double_sum(grid) @ rho_th
 
 
 def secular_residuals(bohr: BohrDecomposition, bath: BathSpec,
@@ -174,28 +154,24 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec,
     where the unmatched terms would grow exponentially. Returned as
     (dissipator_norm, lambshift_norm) for the numerical assertion.
     """
+    return _secular_norms(bohr, bath, beta, rho_th, matched_pair_fgrid(bohr, bath, quad))
+
+
+def _secular_norms(bohr: BohrDecomposition, bath: BathSpec, beta: float, rho_th, fgrid):
+    """:func:`secular_residuals` reading f(w, -w) from the anti-diagonal of
+    `fgrid`; only matched-frequency exponentials are computed.
+    """
     w = bohr.frequencies
-    nf = w.size
+    k = np.arange(w.size)
+    mirror = k[::-1]
     g = jump_spectral(bath, w)
-    xe = bohr.coupling_eigen
-
-    diag_grid = np.zeros((nf, nf))
-    idx = np.arange(nf)
-    diag_grid[idx, idx] = (-2.0 * np.pi**2 * bath.coupling
-                           * (1.0 - np.exp(0.5 * beta * (w - w))) ** 2 * g * g)
-    coeff = _coeff3(diag_grid, bohr, first_transposed=True)
-    r8 = bohr.eig.from_eigenbasis(
-        np.einsum("lm,ln,mln->mn", xe.conj(), xe, coeff)) @ rho_th
-
-    pairs = [(float(v), float(-v)) for v in w]
-    table = f_table(bath, pairs, quad) if bath.coupling > 0 else {p: 0.0 for p in pairs}
-    anti_grid = np.zeros((nf, nf))
-    for k, v in enumerate(w):
-        anti_grid[k, nf - 1 - k] = table[(float(v), float(-v))] * (
-            1.0 - np.exp(beta * (v + w[nf - 1 - k])))
-    coeff = _coeff3(anti_grid, bohr, first_transposed=False)
-    r9 = bohr.eig.from_eigenbasis(
-        np.einsum("ml,ln,mln->mn", xe, xe, coeff)) @ rho_th
+    diag_grid = np.zeros((w.size, w.size))
+    diag_grid[k, k] = (-2.0 * np.pi**2 * bath.coupling
+                       * (1.0 - np.exp(0.5 * beta * (w - w))) ** 2 * g * g)
+    anti_grid = np.zeros((w.size, w.size))
+    anti_grid[k, mirror] = fgrid[k, mirror] * (1.0 - np.exp(beta * (w + w[mirror])))
+    r8 = bohr.double_sum(diag_grid, adjoint_first=True) @ rho_th
+    r9 = bohr.double_sum(anti_grid) @ rho_th
     return frobenius(r8), frobenius(r9)
 
 
@@ -207,7 +183,8 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
 
     Norms are reported in units of gamma so baselines compare across
     couplings. With include_lamb_shift false the Lamb-shift entries are
-    zero and no quadrature runs for them.
+    zero and only the matched pairs f(w, -w) of the secular restriction are
+    evaluated; otherwise every f value comes from the one Lamb-shift grid.
     """
     bath = channel.bath
     beta = bath.beta
@@ -223,17 +200,18 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
 
     if include_lamb_shift and bath.coupling > 0:
         fgrid = lamb_shift_fgrid(bohr, bath, quad)
-        l_direct = lambshift_on_gibbs_direct(_lamb_shift_from_fgrid(eig, bohr, fgrid), rho_th)
+        l_direct = lambshift_on_gibbs_direct(_lamb_shift_from_fgrid(bohr, fgrid), rho_th)
         l_formula = _lambshift_formula(bohr, fgrid, beta, rho_th)
         l_mismatch = frobenius(l_direct - l_formula)
         l_direct_norm = frobenius(l_direct)
         l_formula_norm = frobenius(l_formula)
         l_tol = 1e-6 * max(l_direct_norm, 1e-300)
     else:
+        fgrid = matched_pair_fgrid(bohr, bath, quad)
         l_direct_norm = l_formula_norm = l_mismatch = 0.0
         l_tol = 0.0
 
-    r8, r9 = secular_residuals(bohr, bath, quad, beta, rho_th)
+    r8, r9 = _secular_norms(bohr, bath, beta, rho_th, fgrid)
 
     return ResidualReport(
         dissipator_direct_norm=frobenius(d_direct) / unit,
@@ -290,8 +268,6 @@ class TrendSystem:
     hamiltonian: np.ndarray
     coupling_op: np.ndarray
     cutoff: float = 100.0
-    include_lamb_shift: bool = False
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     observable: np.ndarray | None = None
 
 
@@ -334,13 +310,11 @@ def trend_sweep(system: TrendSystem, temperatures, couplings) -> SweepResult:
             bath = BathSpec(temperature=t, coupling=gam, cutoff=system.cutoff)
             channel = NoiseChannel(coupling_op=system.coupling_op, bath=bath)
             try:
-                gen = build_generator(eig, channel, system.quad,
-                                      include_lamb_shift=system.include_lamb_shift)
-                sop = build_liouvillian(gen, include_lamb_shift=system.include_lamb_shift)
+                sop = build_liouvillian(build_generator(eig, channel, include_lamb_shift=False))
                 rho_ss = steady_state(sop).state
                 cells[(t, gam)] = gibbs_deviation(rho_ss, eig, bath.beta,
                                                   observable=system.observable)
-            except (SteadyStateError, ValueError, RuntimeError) as exc:
+            except (ValueError, RuntimeError) as exc:
                 errors[(t, gam)] = str(exc)
     return SweepResult(temperatures=temperatures, couplings=couplings,
                        cells=cells, errors=errors)

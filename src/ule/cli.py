@@ -152,16 +152,19 @@ def load_config(args, required=CHAIN_KEYS) -> dict:
     return values
 
 
-def spec_from_config(cfg: dict) -> SpinChainSpec:
-    quad = QuadratureSpec(rtol=cfg["rtol"], atol=cfg["atol"],
+def quad_from_config(cfg: dict) -> QuadratureSpec:
+    return QuadratureSpec(rtol=cfg["rtol"], atol=cfg["atol"],
                           omega_max_pad=cfg["omega_max_pad"],
                           max_depth=cfg["max_depth"])
+
+
+def spec_from_config(cfg: dict) -> SpinChainSpec:
     try:
         return SpinChainSpec(
             N=cfg["N"], eta=cfg["eta"], B_z=cfg["B_z"], T1=cfg["T1"], T2=cfg["T2"],
             gamma1=cfg["gamma1"], gamma2=cfg["gamma2"], Lambda_c=cfg["Lambda_c"],
             omega0=cfg["omega0"], couple_sites=cfg.get("couple_sites"),
-            ignore_lamb_shift=cfg["ignore_lamb_shift"], quad=quad)
+            ignore_lamb_shift=cfg["ignore_lamb_shift"], quad=quad_from_config(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -269,9 +272,7 @@ def cmd_bath(args) -> int:
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
                     cutoff=cfg["Lambda_c"])
-    quad = QuadratureSpec(rtol=cfg["rtol"], atol=cfg["atol"],
-                          omega_max_pad=cfg["omega_max_pad"],
-                          max_depth=cfg["max_depth"])
+    quad = quad_from_config(cfg)
     omega = np.linspace(-args.omega_max, args.omega_max, args.omega_points)
     g = jump_spectral(bath, omega)
     write_csv(_out(args, "bath_g.csv"), ["omega", "g"],
@@ -285,7 +286,8 @@ def cmd_bath(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    load_config(args, required=frozenset())  # accept quadrature overrides
+    # the baseline sweep reads no config key; the config is only validated
+    load_config(args, required=frozenset())
     temps = [float(v) for v in args.T_list.split(",") if v.strip()]
     gammas = [float(v) for v in args.gamma_list.split(",") if v.strip()]
     system = three_level_baseline()

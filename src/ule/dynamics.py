@@ -234,7 +234,12 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                       observables=obs_series, stats=stats)
 
 
-def steady_state(superop: Superoperator, sigma_rtol: float = 1e-10) -> SteadyStateReport:
+# The LU certificate needs rcond above it; the SVD fallback counts singular
+# values below it times sigma_max as the kernel.
+KERNEL_RTOL = 1e-10
+
+
+def steady_state(superop: Superoperator) -> SteadyStateReport:
     """Unique trace-one steady state of the generator.
 
     Row 0 of the dense matrix is replaced by the trace functional vec(I)^H
@@ -246,15 +251,15 @@ def steady_state(superop: Superoperator, sigma_rtol: float = 1e-10) -> SteadySta
     solution is Hermitized and its trace normalized.
 
     The certificate is the LAPACK reciprocal condition estimate (1-norm)
-    from the LU factors; it must exceed sigma_rtol. A generator that fails
+    from the LU factors; it must exceed KERNEL_RTOL. A generator that fails
     it (exactly singular factors included) goes to the SVD null-space
     solve, which raises SteadyStateError on a zero-dimensional or
     degenerate kernel (the degenerate case still reports a
     trace-normalizable representative).
     """
     x, rcond = _bordered_lu_solve(superop.matrix, superop.dim)
-    if x is None or not rcond > sigma_rtol:
-        return _null_space_svd(superop, sigma_rtol)
+    if x is None or not rcond > KERNEL_RTOL:
+        return _null_space_svd(superop)
     rho = hermitize(unvec(x, superop.dim))
     rho = rho / float(np.real(np.trace(rho)))
     return SteadyStateReport(state=rho, residual=frobenius(superop.apply_matrix(rho)),
@@ -279,17 +284,17 @@ def _bordered_lu_solve(mat: np.ndarray, dim: int):
     return lapack.zgetrs(lu, piv, rhs)[0], rcond
 
 
-def _null_space_svd(superop: Superoperator, sigma_rtol: float) -> SteadyStateReport:
+def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
     """Null space of the generator matrix via SVD.
 
-    Singular values below sigma_rtol * sigma_max count as the kernel. A
+    Singular values below KERNEL_RTOL * sigma_max count as the kernel. A
     unique trace-normalizable kernel vector is Hermitized and normalized;
     a zero-dimensional or degenerate kernel raises SteadyStateError (the
     degenerate case still reports a trace-normalizable representative).
     """
     mat = superop.matrix
     sigma, vh = scipy.linalg.svd(mat, lapack_driver="gesdd")[1:]
-    threshold = sigma_rtol * sigma[0]
+    threshold = KERNEL_RTOL * sigma[0]
     kdim = int(np.sum(sigma < threshold))
     if kdim == 0:
         raise SteadyStateError(

@@ -9,6 +9,10 @@ with, per noise channel (coupling operator X, bath g and f),
     L_mn   = 2 pi sqrt(gamma) g(E_n - E_m) X_mn      (eigenbasis elements)
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
+Lam and the secular Lamb shift are Bohr double sums, evaluated by the one
+kernel `BohrDecomposition.double_sum` on an f grid from `lamb_shift_fgrid`
+or `matched_pair_fgrid`.
+
 A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. Time propagation applies it
 with d x d matrix products; the dense d^2 x d^2 matrix is built only when a
@@ -155,38 +159,42 @@ def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.nd
     return eig.from_eigenbasis(le)
 
 
-def jump_operator_bohr_sum(bohr: BohrDecomposition, bath: BathSpec) -> np.ndarray:
-    """Jump operator as the Bohr sum 2 pi sqrt(gamma) sum_w g(w) A(w).
-
-    Redundant second construction kept as a cross-check of
-    :func:`build_jump_operator`.
-    """
-    g = jump_spectral(bath, bohr.frequencies)
-    l = np.einsum("k,kmn->mn", g, bohr.components)
-    return 2.0 * np.pi * np.sqrt(bath.coupling) * l
-
-
-def lamb_shift_pairs(bohr: BohrDecomposition):
-    """Distinct (E1, E2) bin-representative pairs occurring in the Lamb-shift sum.
+def _lamb_shift_bins(bohr: BohrDecomposition):
+    """(i, j) frequency indices of the distinct (w_i, w_j) in the Lamb-shift sum.
 
     The triple sum over levels (m, l, n) only ever calls f at
     (E_l - E_m, E_n - E_l), i.e. at (bin[m, l], bin[l, n]).
     """
-    k1 = bohr.bin_index[:, :, None]           # bin of E_l - E_m at [m, l, n]
-    k2 = bohr.bin_index[None, :, :]           # bin of E_n - E_l at [m, l, n]
-    flat = np.unique(k1 * bohr.nfreq + k2)
+    bins = bohr.bin_index
+    return np.divmod(np.unique(bins[:, :, None] * bohr.nfreq + bins[None, :, :]), bohr.nfreq)
+
+
+def lamb_shift_pairs(bohr: BohrDecomposition):
+    """Distinct (E1, E2) bin-representative pairs occurring in the Lamb-shift sum."""
+    i, j = _lamb_shift_bins(bohr)
+    return list(zip(bohr.frequencies[i].tolist(), bohr.frequencies[j].tolist()))
+
+
+def _fgrid(bohr: BohrDecomposition, bath: BathSpec, quad: QuadratureSpec, rows, cols):
+    """f(w_i, w_j) at the distinct frequency-index pairs (rows, cols); zero elsewhere."""
     freqs = bohr.frequencies
-    return [(float(freqs[i // bohr.nfreq]), float(freqs[i % bohr.nfreq])) for i in flat]
+    table = f_table(bath, zip(freqs[rows].tolist(), freqs[cols].tolist()), quad)
+    grid = np.zeros((bohr.nfreq, bohr.nfreq))
+    grid[rows, cols] = list(table.values())  # distinct pairs keep their order
+    return grid
 
 
 def lamb_shift_fgrid(bohr: BohrDecomposition, bath: BathSpec,
                      quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """f(w_i, w_j) at the distinct pairs of the Lamb-shift sum; zero elsewhere."""
-    freqs = bohr.frequencies
-    fgrid = np.zeros((bohr.nfreq, bohr.nfreq))
-    for (e1, e2), val in f_table(bath, lamb_shift_pairs(bohr), quad).items():
-        fgrid[np.searchsorted(freqs, e1), np.searchsorted(freqs, e2)] = val
-    return fgrid
+    return _fgrid(bohr, bath, quad, *_lamb_shift_bins(bohr))
+
+
+def matched_pair_fgrid(bohr: BohrDecomposition, bath: BathSpec,
+                       quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """f(w, -w) at [k, nfreq - 1 - k], the anti-diagonal of `lamb_shift_fgrid`."""
+    k = np.arange(bohr.nfreq)
+    return _fgrid(bohr, bath, quad, k, k[::-1])
 
 
 def build_lamb_shift(eig: EigenDecomposition, channel: NoiseChannel,
@@ -194,49 +202,23 @@ def build_lamb_shift(eig: EigenDecomposition, channel: NoiseChannel,
                      bohr: BohrDecomposition | None = None) -> np.ndarray:
     """Lamb-shift operator Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln.
 
-    The triple sum is assembled from :func:`lamb_shift_fgrid`. Hermiticity
-    follows from the swap symmetry f(E1, E2) = f(-E2, -E1) and is asserted.
+    The triple sum is the double Bohr sum of :func:`lamb_shift_fgrid`.
+    Hermiticity follows from the swap symmetry f(E1, E2) = f(-E2, -E1) and
+    is asserted.
     """
     if bohr is None:
         bohr = bohr_decompose(channel.coupling_op, eig)
     if channel.bath.coupling == 0.0:
         return np.zeros((eig.dim, eig.dim), dtype=complex)
-    return _lamb_shift_from_fgrid(eig, bohr, lamb_shift_fgrid(bohr, channel.bath, quad))
+    return _lamb_shift_from_fgrid(bohr, lamb_shift_fgrid(bohr, channel.bath, quad))
 
 
-def _lamb_shift_from_fgrid(eig: EigenDecomposition, bohr: BohrDecomposition, fgrid) -> np.ndarray:
-    coeff = fgrid[bohr.bin_index[:, :, None], bohr.bin_index[None, :, :]]
-    xe = bohr.coupling_eigen
-    lam_e = np.einsum("ml,ln,mln->mn", xe, xe, coeff)
-    lam = eig.from_eigenbasis(lam_e)
+def _lamb_shift_from_fgrid(bohr: BohrDecomposition, fgrid) -> np.ndarray:
+    lam = bohr.double_sum(fgrid)
     defect = frobenius(lam - lam.conj().T)
     if defect > 1e-8 * max(frobenius(lam), 1e-300):
         raise ValueError(f"Lamb shift failed Hermiticity check: {defect:.3e}")
     return hermitize(lam)
-
-
-def lamb_shift_bohr_sum(bohr: BohrDecomposition, bath: BathSpec,
-                        quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Lamb shift as the double Bohr sum sum_{w1,w2} f(w1, w2) A(w1) A(w2).
-
-    Independent construction used to cross-check :func:`build_lamb_shift`.
-    """
-    d = bohr.dim
-    if bath.coupling == 0.0:
-        return np.zeros((d, d), dtype=complex)
-    table = f_table(bath, lamb_shift_pairs(bohr), quad)
-    lam_e = np.zeros((d, d), dtype=complex)
-    freqs = bohr.frequencies
-    for i in range(bohr.nfreq):
-        a_i = bohr.component_eigen(i)
-        for j in range(bohr.nfreq):
-            # eigenbasis components keep structural zeros exact, so every
-            # surviving product pair is covered by the level triple sum
-            prod = a_i @ bohr.component_eigen(j)
-            if not np.any(prod):
-                continue
-            lam_e += table[(float(freqs[i]), float(freqs[j]))] * prod
-    return bohr.eig.from_eigenbasis(lam_e)
 
 
 def build_generator(eig: EigenDecomposition, channels,
@@ -279,14 +261,14 @@ def channels_compose(gens) -> UleGenerator:
     return UleGenerator(hamiltonian=h, lamb_shift=lam, jumps=jumps)
 
 
-def build_liouvillian(gen: UleGenerator, include_lamb_shift: bool = True) -> Superoperator:
+def build_liouvillian(gen: UleGenerator) -> Superoperator:
     """Superoperator of the master equation, without dense work.
 
-    `include_lamb_shift` selects H + Lam or the bare H as H_eff; all-zero
-    jump operators (channels with zero coupling) are dropped.
+    H_eff = H + Lam; all-zero jump operators (channels with zero coupling)
+    are dropped.
     """
-    h_eff = gen.hamiltonian + gen.lamb_shift if include_lamb_shift else gen.hamiltonian
-    return Superoperator(hermitize(h_eff), [l for l in gen.jumps if np.any(l)])
+    return Superoperator(hermitize(gen.hamiltonian + gen.lamb_shift),
+                         [l for l in gen.jumps if np.any(l)])
 
 
 def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
@@ -301,15 +283,9 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     this generator.
     """
     bath = channel.bath
-    d = bohr.dim
     g = jump_spectral(bath, bohr.frequencies)
     jumps = [2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.components[k]
              for k in range(bohr.nfreq)]
-    lam = np.zeros((d, d), dtype=complex)
-    if include_lamb_shift and bath.coupling > 0.0:
-        pairs = [(float(w), float(-w)) for w in bohr.frequencies]
-        table = f_table(bath, pairs, quad)
-        for k, w in enumerate(bohr.frequencies):
-            lam += table[(float(w), float(-w))] * (
-                bohr.components[k] @ bohr.components[bohr.nfreq - 1 - k])
+    lam = (bohr.double_sum(matched_pair_fgrid(bohr, bath, quad)) if include_lamb_shift
+           else np.zeros((bohr.dim, bohr.dim), dtype=complex))
     return build_liouvillian(UleGenerator(bohr.eig.reconstruct(), lam, jumps))

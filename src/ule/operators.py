@@ -9,7 +9,7 @@ Conventions: hbar = k_B = 1, energies in units of the global exchange scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,19 +46,6 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "operator") -> np.ndarr
             f"exceeds {tol:.1e} * max|entry| = {tol * max(scale, 1.0):.3e}"
         )
     return a
-
-
-def require_density_matrix(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-10,
-                           eig_floor: float = -1e-10, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positive semidefiniteness of a state."""
-    rho = require_hermitian(rho, tol=herm_tol, name=name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"{name} has trace {tr}, expected 1 within {trace_tol:.1e}")
-    wmin = float(np.linalg.eigvalsh(hermitize(rho))[0])
-    if wmin < eig_floor:
-        raise ValueError(f"{name} has minimum eigenvalue {wmin:.3e} below {eig_floor:.1e}")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -169,9 +156,19 @@ class BohrDecomposition:
             raise KeyError(f"{w} is not a Bohr frequency of this decomposition")
         return self.components[k]
 
-    def component_eigen(self, k: int) -> np.ndarray:
-        """A(frequencies[k]) expressed in the eigenbasis (masked X)."""
-        return np.where(self.bin_index == k, self.coupling_eigen, 0.0)
+    def double_sum(self, grid: np.ndarray, adjoint_first: bool = False) -> np.ndarray:
+        """sum_ij grid[i, j] A(w_i)^(dag) A(w_j) in the input basis.
+
+        The adjoint applies to the first factor when `adjoint_first` is set.
+        Eigenbasis element [m, n] is sum_l grid[bin_index[m, l], bin_index[l, n]]
+        X_ml X_ln; the adjoint reads bin_index[l, m] in the first lookup, which
+        is exact because `coupling_eigen` is exactly Hermitian.
+        """
+        bins = self.bin_index
+        first = bins.T if adjoint_first else bins
+        coeff = grid[first[:, :, None], bins[None, :, :]]
+        xe = self.coupling_eigen
+        return self.eig.from_eigenbasis(np.einsum("ml,ln,mln->mn", xe, xe, coeff))
 
     def frequency_sum(self) -> np.ndarray:
         return self.components.sum(axis=0)

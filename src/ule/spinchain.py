@@ -158,10 +158,9 @@ def all_up_state(n_sites: int) -> np.ndarray:
 def build_chain_superop(spec: SpinChainSpec):
     """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator."""
     eig = eigendecompose(build_chain_hamiltonian(spec))
-    include_lamb = not spec.ignore_lamb_shift
-    gens = [build_generator(eig, ch, spec.quad, include_lamb_shift=include_lamb)
+    gens = [build_generator(eig, ch, spec.quad, include_lamb_shift=not spec.ignore_lamb_shift)
             for ch in chain_channels(spec)]
-    return eig, build_liouvillian(channels_compose(gens), include_lamb_shift=include_lamb)
+    return eig, build_liouvillian(channels_compose(gens))
 
 
 def relax_chain(spec: SpinChainSpec, sop, t_end: float | None = None,

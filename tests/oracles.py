@@ -2,8 +2,9 @@
 
 Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
-dense symmetric trapezoid sum, and the Bohr-sum oracles are naive double
-loops over decomposition components.
+dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
+decomposition components that never call `BohrDecomposition.double_sum`.
+Bath functions and f values come in as arguments.
 """
 
 import numpy as np
@@ -84,6 +85,42 @@ def lambshift_on_gibbs_loop(bohr, bath, beta, rho_th, f_values):
             coeff = f_values[(float(w1), float(w2))] * (1.0 - np.exp(beta * (w1 + w2)))
             out = out + coeff * (prod @ rho_th)
     return out
+
+
+def bohr_double_sum_loop(bohr, grid, adjoint_first=False):
+    """sum_ij grid[i, j] A(w_i)^(dag) A(w_j) as a loop over components."""
+    out = np.zeros((bohr.dim, bohr.dim), dtype=complex)
+    for i, a_i in enumerate(bohr.components):
+        first = a_i.conj().T if adjoint_first else a_i
+        for j, a_j in enumerate(bohr.components):
+            out = out + grid[i, j] * (first @ a_j)
+    return out
+
+
+def jump_operator_bohr_sum(bohr, bath, jump_spectral):
+    """Jump operator as the Bohr sum 2 pi sqrt(gamma) sum_w g(w) A(w)."""
+    g = jump_spectral(bath, bohr.frequencies)
+    return 2.0 * np.pi * np.sqrt(bath.coupling) * np.einsum("k,kmn->mn", g, bohr.components)
+
+
+def lamb_shift_bohr_sum(bohr, f_values):
+    """Lamb shift as the double Bohr sum sum_{w1,w2} f(w1, w2) A(w1) A(w2).
+
+    f_values maps (w1, w2) float pairs to f(w1, w2); only pairs whose
+    component product is nonzero are looked up.
+    """
+    freqs = bohr.frequencies
+    # eigenbasis components keep structural zeros exact, so every surviving
+    # product pair is one the level triple sum covers
+    comps = [np.where(bohr.bin_index == k, bohr.coupling_eigen, 0.0)
+             for k in range(bohr.nfreq)]
+    lam_e = np.zeros((bohr.dim, bohr.dim), dtype=complex)
+    for i, a_i in enumerate(comps):
+        for j, a_j in enumerate(comps):
+            prod = a_i @ a_j
+            if np.any(prod):
+                lam_e += f_values[(float(freqs[i]), float(freqs[j]))] * prod
+    return bohr.eig.from_eigenbasis(lam_e)
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -6,6 +6,7 @@ suite stays within its runtime budgets.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import random_hermitian
+from oracles import jump_operator_bohr_sum, lamb_shift_bohr_sum, random_hermitian
 from ule import (
     BathSpec,
     NoiseChannel,
@@ -27,9 +28,9 @@ from ule import (
     dissipator_on_gibbs_direct,
     dissipator_on_gibbs_formula,
     eigendecompose,
+    f_table,
     gibbs_state,
-    jump_operator_bohr_sum,
-    lamb_shift_bohr_sum,
+    jump_spectral,
     lambshift_on_gibbs_direct,
     lambshift_on_gibbs_formula,
     liouvillian_gap,
@@ -42,7 +43,9 @@ from ule import (
     trace_distance,
     trend_sweep,
 )
+from ule.generator import lamb_shift_pairs
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GAMMA = 0.1
 CUTOFF = 100.0
 QUAD = QuadratureSpec()
@@ -96,6 +99,8 @@ def chain_cli_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("chain")
     config = base / "chain_n6.cfg"
     config.write_text(REFERENCE_CONFIG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     runs = []
     for label in ("run1", "run2"):
         outdir = base / label
@@ -103,7 +108,7 @@ def chain_cli_runs(tmp_path_factory):
         proc = subprocess.run(
             [sys.executable, "-m", "ule.cli", "spinchain",
              "--config", str(config), "--outdir", str(outdir)],
-            capture_output=True, text=True)
+            env=env, capture_output=True, text=True)
         wall = time.perf_counter() - t0
         assert proc.returncode == 0, proc.stderr
         runs.append(dict(outdir=outdir, wall=wall))
@@ -162,8 +167,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th = gibbs_state(eig, bath.beta)
     jump = build_jump_operator(eig, ch)
     baseline_norm = np.linalg.norm(dissipator_on_gibbs_direct(jump, rho_th))
-    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False),
-                            include_lamb_shift=False)
+    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
     baseline_dist = trace_distance(steady_state(sop).state, rho_th)
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
@@ -171,7 +175,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th_q = gibbs_state(eig_q, bath.beta)
     control_norm = np.linalg.norm(
         dissipator_on_gibbs_direct(build_jump_operator(eig_q, ch_q), rho_th_q))
-    sop_q = build_liouvillian(build_generator(eig_q, ch_q), include_lamb_shift=True)
+    sop_q = build_liouvillian(build_generator(eig_q, ch_q))
     control_dist = trace_distance(steady_state(sop_q).state, rho_th_q)
 
     ok = (baseline_norm > 1e-6 * GAMMA and baseline_dist > 1e-4
@@ -185,11 +189,12 @@ def test_criterion_5_generator_cross_checks(ensemble):
     worst_l = worst_lam = worst_herm = 0.0
     for sys_ in ensemble:
         l_elem = build_jump_operator(sys_["eig"], sys_["channel"])
-        l_bohr = jump_operator_bohr_sum(sys_["bohr"], sys_["bath"])
+        l_bohr = jump_operator_bohr_sum(sys_["bohr"], sys_["bath"], jump_spectral)
         worst_l = max(worst_l, np.linalg.norm(l_elem - l_bohr)
                       / max(np.linalg.norm(l_elem), 1.0))
         lam3 = build_lamb_shift(sys_["eig"], sys_["channel"], QUAD, bohr=sys_["bohr"])
-        lam7 = lamb_shift_bohr_sum(sys_["bohr"], sys_["bath"], QUAD)
+        lam7 = lamb_shift_bohr_sum(
+            sys_["bohr"], f_table(sys_["bath"], lamb_shift_pairs(sys_["bohr"]), QUAD))
         norm = np.linalg.norm(lam3)
         worst_lam = max(worst_lam, np.linalg.norm(lam3 - lam7) / norm)
         worst_herm = max(worst_herm,
@@ -207,12 +212,10 @@ def test_criterion_6_dynamics_contracts():
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch_q = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
-    sop_q = build_liouvillian(build_generator(eig_q, ch_q, include_lamb_shift=False),
-                              include_lamb_shift=False)
+    sop_q = build_liouvillian(build_generator(eig_q, ch_q, include_lamb_shift=False))
     eig_3 = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     ch_3 = NoiseChannel(coupling_op=random_hermitian(rng, 3), bath=bath)
-    sop_3 = build_liouvillian(build_generator(eig_3, ch_3, include_lamb_shift=False),
-                              include_lamb_shift=False)
+    sop_3 = build_liouvillian(build_generator(eig_3, ch_3, include_lamb_shift=False))
 
     from ule import propagate
     worst_drift = worst_eig = 0.0

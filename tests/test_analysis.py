@@ -19,7 +19,6 @@ from ule import (
     gibbs_residual_report,
     gibbs_state,
     jump_spectral,
-    lamb_shift_bohr_sum,
     lambshift_on_gibbs_direct,
     lambshift_on_gibbs_formula,
     secular_residuals,
@@ -160,8 +159,7 @@ def test_residual_report_fields_consistent():
 
 
 def test_residual_report_evaluates_each_f_pair_once(monkeypatch):
-    # both Lamb-shift routes share one f grid; the secular restriction adds
-    # its own (w, -w) pairs
+    # both Lamb-shift routes and the secular restriction share one f grid
     import ule.bath
     eig, ch, bohr, _ = baseline_setup()
     calls = []
@@ -173,7 +171,7 @@ def test_residual_report_evaluates_each_f_pair_once(monkeypatch):
 
     monkeypatch.setattr(ule.bath, "f_integral", counting)
     gibbs_residual_report(eig, ch)
-    assert len(calls) == len(lamb_shift_pairs(bohr)) + bohr.nfreq
+    assert len(calls) == len(lamb_shift_pairs(bohr))
 
 
 def test_residual_report_without_lamb_shift():
@@ -195,8 +193,7 @@ def test_gibbs_deviation_identity():
 def test_gibbs_deviation_qubit_steady_state():
     eig = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=BATH)
-    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False),
-                            include_lamb_shift=False)
+    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
     rho_ss = steady_state(sop).state
     dev = gibbs_deviation(rho_ss, eig, BATH.beta)
     assert dev.trace_distance <= 1e-9
@@ -204,8 +201,7 @@ def test_gibbs_deviation_qubit_steady_state():
 
 def test_gibbs_deviation_observable_gap_and_rows():
     eig, ch, _, rho_th = baseline_setup()
-    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False),
-                            include_lamb_shift=False)
+    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
     rho_ss = steady_state(sop).state
     obs = np.diag([1.0, 0.0, -1.0]).astype(complex)
     dev = gibbs_deviation(rho_ss, eig, BATH.beta, observable=obs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_hermitian
+from oracles import jump_operator_bohr_sum, lamb_shift_bohr_sum, random_hermitian
 from ule import (
     BathSpec,
     NoiseChannel,
@@ -14,13 +14,13 @@ from ule import (
     build_secular_generator,
     channels_compose,
     eigendecompose,
+    f_table,
     gibbs_state,
-    jump_operator_bohr_sum,
     jump_spectral,
-    lamb_shift_bohr_sum,
     unvec,
     vec,
 )
+from ule.generator import lamb_shift_pairs
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 
@@ -66,7 +66,7 @@ def test_jump_operator_matches_bohr_sum_random_systems():
         ch = NoiseChannel(coupling_op=x, bath=BATH)
         bohr = bohr_decompose(x, eig)
         l_elem = build_jump_operator(eig, ch)
-        l_bohr = jump_operator_bohr_sum(bohr, BATH)
+        l_bohr = jump_operator_bohr_sum(bohr, BATH, jump_spectral)
         scale = max(np.linalg.norm(l_elem), 1.0)
         assert np.linalg.norm(l_elem - l_bohr) <= 1e-12 * scale
         # adjoint form: L^dag = 2 pi sqrt(gamma) sum_w g(w) A(w)^dag
@@ -93,7 +93,8 @@ def test_lamb_shift_level_sum_vs_bohr_sum():
     ch = NoiseChannel(coupling_op=x, bath=BATH)
     quad = QuadratureSpec()
     lam3 = build_lamb_shift(eig, ch, quad)
-    lam7 = lamb_shift_bohr_sum(bohr_decompose(x, eig), BATH, quad)
+    bohr = bohr_decompose(x, eig)
+    lam7 = lamb_shift_bohr_sum(bohr, f_table(BATH, lamb_shift_pairs(bohr), quad))
     assert np.linalg.norm(lam3 - lam7) <= 1e-10 * np.linalg.norm(lam3)
 
 
@@ -167,8 +168,8 @@ def test_liouvillian_trace_preservation():
 def test_lamb_shift_flag_switches_coherent_part():
     eig, ch = qubit_system()
     gen = build_generator(eig, ch, include_lamb_shift=True)
-    with_lamb = build_liouvillian(gen, include_lamb_shift=True)
-    without = build_liouvillian(gen, include_lamb_shift=False)
+    with_lamb = build_liouvillian(gen)
+    without = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
     diff = with_lamb.matrix - without.matrix
     lam_only = -1j * (np.kron(np.eye(2), gen.lamb_shift)
                       - np.kron(gen.lamb_shift.T, np.eye(2)))
@@ -191,7 +192,7 @@ def test_secular_matches_full_for_qubit_sigma_x_population_sector():
     # L(d) rho L(-d)^dag, which population states never feed.
     eig, ch = qubit_system()
     bohr = bohr_decompose(ch.coupling_op, eig)
-    full = build_liouvillian(build_generator(eig, ch), include_lamb_shift=True)
+    full = build_liouvillian(build_generator(eig, ch))
     secular = build_secular_generator(bohr, ch, include_lamb_shift=True)
     for pops in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7)):
         rho = eig.basis @ np.diag(pops).astype(complex) @ eig.basis.conj().T
@@ -227,11 +228,11 @@ def test_channels_compose_identity_and_zero_channel():
     eig, ch = qubit_system()
     gen = build_generator(eig, ch, include_lamb_shift=False)
     assert channels_compose([gen]) is not None
-    single = build_liouvillian(channels_compose([gen]), include_lamb_shift=False)
+    single = build_liouvillian(channels_compose([gen]))
     dead_bath = BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0)
     dead = build_generator(eig, NoiseChannel(coupling_op=ch.coupling_op, bath=dead_bath),
                            include_lamb_shift=False)
-    double = build_liouvillian(channels_compose([gen, dead]), include_lamb_shift=False)
+    double = build_liouvillian(channels_compose([gen, dead]))
     assert np.max(np.abs(single.matrix - double.matrix)) <= 1e-14
     assert len(double.jumps) == 1
 
@@ -239,8 +240,8 @@ def test_channels_compose_identity_and_zero_channel():
 def test_channels_compose_two_equal_channels_double_dissipator():
     eig, ch = qubit_system()
     gen = build_generator(eig, ch, include_lamb_shift=False)
-    one = build_liouvillian(gen, include_lamb_shift=False)
-    two = build_liouvillian(channels_compose([gen, gen]), include_lamb_shift=False)
+    one = build_liouvillian(gen)
+    two = build_liouvillian(channels_compose([gen, gen]))
     commutator = build_liouvillian(build_generator(eig, [], include_lamb_shift=False))
     assert np.allclose(two.matrix - commutator.matrix,
                        2.0 * (one.matrix - commutator.matrix), atol=1e-13)

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigenvalues, random_hermitian
+from oracles import bohr_double_sum_loop, jacobi_eigenvalues, random_hermitian
 from ule import (
+    SpinChainSpec,
     bohr_decompose,
+    build_chain_hamiltonian,
     eigendecompose,
     gibbs_populations,
     gibbs_state,
     thermal_shift_residual,
     trace_distance,
 )
+from ule.spinchain import bath_coupling_operator
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -145,6 +148,32 @@ def test_bohr_rejects_ambiguous_binning():
     # tolerance above the smallest distinct-gap separation (0.5) chains bins
     with pytest.raises(ValueError, match="ambiguous"):
         bohr_decompose(x, eig, gap_tolerance=0.6)
+
+
+def double_sum_systems():
+    """Random (H, X) for d = 2..6, and the N = 3 chain, whose degenerate
+    Bohr gaps share bins and whose coupling leaves some gap bins empty."""
+    rng = np.random.default_rng(43)
+    systems = [bohr_decompose(random_hermitian(rng, d), eigendecompose(random_hermitian(rng, d)))
+               for d in range(2, 7)]
+    eig = eigendecompose(build_chain_hamiltonian(SpinChainSpec(N=3)))
+    systems.append(bohr_decompose(bath_coupling_operator(1, 3), eig))
+    return systems
+
+
+@pytest.mark.parametrize("adjoint_first", [False, True])
+def test_double_sum_matches_component_loop(adjoint_first):
+    rng = np.random.default_rng(7)
+    systems = double_sum_systems()
+    chain = systems[-1]
+    gaps = chain.eig.energies[None, :] - chain.eig.energies[:, None]
+    assert chain.nfreq < np.unique(np.round(gaps, 9)).size  # dropped zero bins
+    for bohr in systems:
+        nf = bohr.nfreq
+        grid = rng.standard_normal((nf, nf)) + 1j * rng.standard_normal((nf, nf))
+        got = bohr.double_sum(grid, adjoint_first=adjoint_first)
+        want = bohr_double_sum_loop(bohr, grid, adjoint_first=adjoint_first)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_gibbs_infinite_temperature_is_maximally_mixed():
