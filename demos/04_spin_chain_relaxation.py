@@ -9,8 +9,9 @@ Gibbs state: the ground population matches closely (it dominates every
 average) while sparsely occupied levels sit far from their thermal values
 in relative terms.
 
-N = 4 keeps this demo around half a minute; N = 6 reproduces the full-size
-run (over a minute, most of it propagation). The CLI runs
+N = 4 keeps this demo to a few seconds; N = 6 reproduces the full-size
+run (about 15 s on one core, half of it propagation and half the
+steady-state solve). The CLI runs
 the same experiment from a config file:
 
     ule spinchain --config demos/chain_n6.cfg --outdir out/

@@ -1,10 +1,16 @@
 """Time evolution under a generator and steady-state extraction.
 
-Propagation uses an adaptive Dormand-Prince 5(4) step (fifth-order advance
-with embedded fourth-order error control). The state is re-Hermitized after
-every accepted step; the trace is never renormalized, its drift is tracked
-as a correctness signal. Sample states between accepted steps come from
-cubic Hermite interpolation of (state, derivative) pairs.
+Propagation is a Lawson (integrating-factor) Runge-Kutta method: the state
+is held in the eigenbasis of H_eff, where the commutator is exact
+elementwise phase rotation, and an adaptive Dormand-Prince 5(4) step
+(fifth-order advance with embedded fourth-order error control) integrates
+only the dissipator in the interaction frame of each step. The step size is
+then set by the dissipation and not by the largest Bohr frequency. The
+state is re-Hermitized after every accepted step; the trace is never
+renormalized, its drift is tracked as a correctness signal. Sample states
+between accepted steps come from cubic Hermite interpolation of (state,
+derivative) pairs in the step's rotating frame, rotated back to the sample
+time and to the input basis.
 
 The steady state is the trace-one kernel vector of the dense
 `Superoperator.matrix` (which propagation never builds). One LU factorization
@@ -96,8 +102,28 @@ _DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                              -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _resymmetrized(y, dim):
-    return vec(hermitize(unvec(y, dim)))
+def _dissipator(frame, y):
+    """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y.
+
+    frame is `Superoperator._eigenframe`: (E, V, G, [L_c], [L_c^dag]).
+    """
+    _, _, g, jumps, jumps_dag = frame
+    out = g @ y + y @ g
+    for l, l_dag in zip(jumps, jumps_dag):
+        out += l @ y @ l_dag
+    return out
+
+
+def _phases(energies, tau):
+    """exp(-i (E_m - E_n) tau), the coherent evolution of element (m, n) over tau.
+
+    The diagonal is set to exactly 1: |exp(-i E tau)|^2 rounds off 1, and
+    that rounding would otherwise scale the populations at every step.
+    """
+    p = np.exp(-1j * tau * energies)
+    out = p[:, None] * p.conj()[None, :]
+    np.fill_diagonal(out, 1.0)
+    return out
 
 
 def _hermite_eval(t, t0, y0, f0, t1, y1, f1):
@@ -115,20 +141,27 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
               tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
     """Integrate drho/dt = generator(rho) from t = 0 to t_end.
 
+    The state y is held in the eigenbasis of H_eff, where the commutator
+    multiplies element (m, n) by -i (E_m - E_n). The Lawson step integrates
+    the interaction-frame state v(t) = exp(+i (E_m - E_n)(t - t_n)) y_mn(t)
+    with the DP5(4) tableau, so each stage applies only the dissipator,
+    between phase factors, and the coherent part is exact at any step size.
+
     sample_times must lie in [0, t_end]; the returned trajectory holds the
-    Hermitized states at exactly those times. The per-step error norm is
-    scaled by tol * (1 + |component|), so tol acts as a relative tolerance
-    at unit scale.
+    Hermitized states, in the input basis, at exactly those times. The
+    per-step error norm is taken in the interaction frame and scaled by
+    tol * (1 + |component|), so tol acts as a relative tolerance at unit
+    scale.
 
     Raises PropagationError on step-size underflow or when any state
     eigenvalue falls below -1e-6 (a generator bug, not an integration
-    artifact).
+    artifact); between samples the eigenbasis diagonal is checked at every
+    accepted step.
     """
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    dim = superop.dim
     rho0 = np.asarray(rho0, dtype=complex)
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size and (sample_times.min() < 0 or sample_times.max() > t_end):
@@ -136,12 +169,15 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     if np.any(np.diff(sample_times) < 0):
         raise ValueError("sample times must be non-decreasing")
 
-    def rhs(y):
-        return vec(superop.apply_matrix(unvec(y, dim)))
+    frame = superop._eigenframe
+    energies, basis = frame[:2]
+    basis_dag = basis.conj().T
+    stages = np.empty((_DP_C.size,) + basis.shape, dtype=complex)
+    flat_stages = stages.reshape(_DP_C.size, -1)  # view: tableau rows combine stages by one matmul
 
-    y = vec(rho0)
+    y = basis_dag @ rho0 @ basis
     t = 0.0
-    f = rhs(y)
+    f = _dissipator(frame, y)
     # initial step from the derivative scale, capped by the span
     fnorm = float(np.max(np.abs(f)))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
@@ -163,8 +199,11 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             elif ts >= t1:
                 ys = y1
             else:
-                ys = _hermite_eval(ts, t0, y0, f0, t1, y1, f1)
-            rho = hermitize(unvec(ys, dim))
+                # interpolate v in the frame rotating from t0, then rotate to ts
+                back = _phases(energies, t1 - t0).conj()
+                vs = _hermite_eval(ts, t0, y0, f0, t1, back * y1, back * f1)
+                ys = _phases(energies, ts - t0) * vs
+            rho = hermitize(basis @ ys @ basis_dag)
             wmin = float(np.linalg.eigvalsh(rho)[0])
             if wmin < -1e-6:
                 raise PropagationError(
@@ -184,23 +223,26 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         if h < min_step:
             raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
         h_step = min(h, remaining)
-        k = [f]
-        for i in range(1, 7):
-            yi = y + h_step * sum(aij * kj for aij, kj in zip(_DP_A[i], k))
-            k.append(rhs(yi))
-        y5 = y + h_step * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
-        err_vec = h_step * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
-        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
+        phases = {c: _phases(energies, c * h_step) for c in _DP_C[1:]}
+        stages[0] = f
+        for i in range(1, _DP_C.size):
+            v = y + h_step * (_DP_A[i] @ flat_stages[:i]).reshape(y.shape)
+            p = phases[_DP_C[i]]
+            stages[i] = p.conj() * _dissipator(frame, p * v)
+        # the last stage evaluates at the fifth-order solution (_DP_A[6] == _DP_B5)
+        y5 = phases[1.0] * v
+        err_vec = h_step * (_DP_ERR @ flat_stages).reshape(y.shape)
+        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(v)))
         err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
 
         if err <= 1.0:
-            y_new = _resymmetrized(y5, dim)
-            f_new = rhs(y_new)  # FSAL stage recomputed after resymmetrization
+            y_new = hermitize(y5)
+            f_new = _dissipator(frame, y_new)  # FSAL stage recomputed after Hermitization
             t_new = t + h_step
             take_samples(t, y, f, t_new, y_new, f_new)
-            drift = abs(float(np.real(np.trace(unvec(y_new, dim)))) - 1.0)
+            drift = abs(float(np.real(np.trace(y_new))) - 1.0)
             max_drift = max(max_drift, drift)
-            diag = np.real(unvec(y_new, dim).diagonal())
+            diag = np.real(y_new.diagonal())
             if diag.min() < -1e-6:
                 raise PropagationError(
                     f"positivity violation {diag.min():.3e} at t = {t_new}; "
@@ -216,7 +258,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     # flush any samples the float residue at t_end left unconsumed
     if next_sample < sample_times.size:
-        rho = hermitize(unvec(y, dim))
+        rho = hermitize(basis @ y @ basis_dag)
         wmin = float(np.linalg.eigvalsh(rho)[0])
         min_sample_eig = min(min_sample_eig, wmin)
         while next_sample < sample_times.size:

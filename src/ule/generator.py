@@ -14,9 +14,11 @@ kernel `BohrDecomposition.double_sum` on an f grid from `lamb_shift_fgrid`
 or `matched_pair_fgrid`.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
-H_eff = H + Lam and the nonzero jump operators. Time propagation applies it
-with d x d matrix products; the dense d^2 x d^2 matrix is built only when a
-dense solve first asks for it, using column stacking:
+H_eff = H + Lam and the nonzero jump operators. `apply_matrix` applies it
+with d x d matrix products; time propagation uses the same products on the
+dissipator rotated into the eigenbasis of H_eff (`_eigenframe`, one eigh per
+generator). The dense d^2 x d^2 matrix is built only when a dense solve
+first asks for it, using column stacking:
 vec(A rho B) = (B^T kron A) vec(rho).
 """
 
@@ -105,6 +107,20 @@ class Superoperator:
         for l in self.jumps:
             k -= 0.5j * (l.conj().T @ l)
         return k, k.conj().T, [l.conj().T for l in self.jumps]
+
+    @cached_property
+    def _eigenframe(self):
+        """(E, V, G, [L_c], [L_c^dag]) for `propagate`, from one eigh of H_eff.
+
+        H_eff = V diag(E) V^dag; G = -(1/2) sum_c L_c^dag L_c (Hermitized)
+        and the jumps are rotated into that eigenbasis, where the dissipator
+        reads G y + y G + sum_c L_c y L_c^dag.
+        """
+        energies, basis = np.linalg.eigh(self.hamiltonian)
+        basis_dag = basis.conj().T
+        jumps = [basis_dag @ l @ basis for l in self.jumps]
+        g = -0.5 * sum((l.conj().T @ l for l in jumps), start=np.zeros((self.dim, self.dim)))
+        return energies, basis, hermitize(g), jumps, [l.conj().T for l in jumps]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Generator action on a d x d matrix (Hermitian or not)."""

@@ -4,10 +4,15 @@ Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
 dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
 decomposition components that never call `BohrDecomposition.double_sum`.
-Bath functions and f values come in as arguments.
+Bath functions and f values come in as arguments. `dp5_propagate` is the
+explicit Dormand-Prince 5(4) propagator on the full generator
+`Superoperator.apply_matrix`, with none of the eigenbasis or
+integrating-factor machinery of `ule.propagate`.
 """
 
 import numpy as np
+
+from ule import PropagationError, Trajectory, hermitize, unvec, vec
 
 
 def jacobi_eigenvalues(h, sweeps=100, tol=1e-14):
@@ -126,3 +131,161 @@ def lamb_shift_bohr_sum(bohr, f_values):
 def random_hermitian(rng, dim, scale=1.0):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (a + a.conj().T) / 2.0
+
+
+# Dormand-Prince 5(4) tableau (FSAL: the last stage is the next first stage).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                             -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _resymmetrized(y, dim):
+    return vec(hermitize(unvec(y, dim)))
+
+
+def _hermite_eval(t, t0, y0, f0, t1, y1, f1):
+    """Cubic Hermite interpolant through (t0, y0, f0) and (t1, y1, f1)."""
+    h = t1 - t0
+    s = (t - t0) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def dp5_propagate(superop, rho0, t_end: float, sample_times,
+                  tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
+    """Integrate drho/dt = generator(rho) from t = 0 to t_end by explicit DP5(4).
+
+    The reference for `ule.propagate`: same tableau, FSAL, error norm,
+    Hermitization and guards, applied to the full generator in the input
+    basis.
+
+    sample_times must lie in [0, t_end]; the returned trajectory holds the
+    Hermitized states at exactly those times. The per-step error norm is
+    scaled by tol * (1 + |component|), so tol acts as a relative tolerance
+    at unit scale.
+
+    Raises PropagationError on step-size underflow or when any state
+    eigenvalue falls below -1e-6 (a generator bug, not an integration
+    artifact).
+    """
+    if not (t_end > 0 and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    dim = superop.dim
+    rho0 = np.asarray(rho0, dtype=complex)
+    sample_times = np.asarray(sample_times, dtype=float)
+    if sample_times.size and (sample_times.min() < 0 or sample_times.max() > t_end):
+        raise ValueError("sample times must lie within [0, t_end]")
+    if np.any(np.diff(sample_times) < 0):
+        raise ValueError("sample times must be non-decreasing")
+
+    def rhs(y):
+        return vec(superop.apply_matrix(unvec(y, dim)))
+
+    y = vec(rho0)
+    t = 0.0
+    f = rhs(y)
+    # initial step from the derivative scale, capped by the span
+    fnorm = float(np.max(np.abs(f)))
+    h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
+    min_step = 1e-14 * t_end
+
+    sample_vals: list = [None] * sample_times.size
+    next_sample = 0
+    max_drift = 0.0
+    min_sample_eig = np.inf
+    n_accepted = 0
+    n_rejected = 0
+
+    def take_samples(t0, y0, f0, t1, y1, f1):
+        nonlocal next_sample, min_sample_eig
+        while next_sample < sample_times.size and sample_times[next_sample] <= t1 + 1e-15 * t_end:
+            ts = sample_times[next_sample]
+            if ts <= t0:
+                ys = y0
+            elif ts >= t1:
+                ys = y1
+            else:
+                ys = _hermite_eval(ts, t0, y0, f0, t1, y1, f1)
+            rho = hermitize(unvec(ys, dim))
+            wmin = float(np.linalg.eigvalsh(rho)[0])
+            if wmin < -1e-6:
+                raise PropagationError(
+                    f"positivity violation {wmin:.3e} at sample t = {ts}; "
+                    "the generator is not completely positive",
+                    t_reached=ts)
+            min_sample_eig = min(min_sample_eig, wmin)
+            sample_vals[next_sample] = rho
+            next_sample += 1
+
+    take_samples(0.0, y, f, 0.0, y, f)
+
+    while True:
+        remaining = t_end - t
+        if remaining <= 1e-13 * t_end:
+            break
+        if h < min_step:
+            raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
+        h_step = min(h, remaining)
+        k = [f]
+        for i in range(1, 7):
+            yi = y + h_step * sum(aij * kj for aij, kj in zip(_DP_A[i], k))
+            k.append(rhs(yi))
+        y5 = y + h_step * sum(b * kj for b, kj in zip(_DP_B5, k) if b != 0.0)
+        err_vec = h_step * sum(e * kj for e, kj in zip(_DP_ERR, k) if e != 0.0)
+        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
+        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+
+        if err <= 1.0:
+            y_new = _resymmetrized(y5, dim)
+            f_new = rhs(y_new)  # FSAL stage recomputed after resymmetrization
+            t_new = t + h_step
+            take_samples(t, y, f, t_new, y_new, f_new)
+            drift = abs(float(np.real(np.trace(unvec(y_new, dim)))) - 1.0)
+            max_drift = max(max_drift, drift)
+            diag = np.real(unvec(y_new, dim).diagonal())
+            if diag.min() < -1e-6:
+                raise PropagationError(
+                    f"positivity violation {diag.min():.3e} at t = {t_new}; "
+                    "the generator is not completely positive",
+                    t_reached=t_new)
+            t, y, f = t_new, y_new, f_new
+            n_accepted += 1
+            factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        else:
+            n_rejected += 1
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h = h_step * min(5.0, max(0.2, factor))
+
+    # flush any samples the float residue at t_end left unconsumed
+    if next_sample < sample_times.size:
+        rho = hermitize(unvec(y, dim))
+        wmin = float(np.linalg.eigvalsh(rho)[0])
+        min_sample_eig = min(min_sample_eig, wmin)
+        while next_sample < sample_times.size:
+            sample_vals[next_sample] = rho
+            next_sample += 1
+
+    obs_series: dict = {}
+    if observables:
+        for name, op in observables.items():
+            obs_series[name] = np.array(
+                [float(np.real(np.trace(s @ op))) for s in sample_vals])
+    stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
+                 max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
+    return Trajectory(times=sample_times, states=sample_vals,
+                      observables=obs_series, stats=stats)

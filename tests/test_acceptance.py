@@ -25,6 +25,7 @@ from ule import (
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,
+    build_secular_generator,
     dissipator_on_gibbs_direct,
     dissipator_on_gibbs_formula,
     eigendecompose,
@@ -44,6 +45,7 @@ from ule import (
     trend_sweep,
 )
 from ule.generator import lamb_shift_pairs
+from ule.spinchain import build_chain_hamiltonian, chain_channels
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GAMMA = 0.1
@@ -157,6 +159,31 @@ def test_criterion_3_secular_vanishing(ensemble):
     report("criterion 3 (secular restrictions vanish)",
            worst8 <= 1e-12 and worst9 <= 1e-12,
            f"max dissipator residual {worst8:.3e}, Lamb residual {worst9:.3e}")
+
+
+def test_criterion_3_secular_generator_keeps_gibbs(ensemble):
+    # The restrictions above multiply exactly vanishing coefficients, so
+    # criterion 3 cannot fail. This companion applies the secular generator
+    # itself to the Gibbs state; the Gibbs state at 1.1 beta must not pass.
+    def stationarity(bohr, channel, rho):
+        sop = build_secular_generator(bohr, channel)
+        return (np.linalg.norm(sop.apply_matrix(rho))
+                / sum(np.linalg.norm(l) ** 2 for l in sop.jumps))
+
+    spec = SpinChainSpec(N=3)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    channel = chain_channels(spec)[0]
+    systems = [(s["eig"], s["bohr"], s["channel"]) for s in ensemble]
+    systems.append((eig, bohr_decompose(channel.coupling_op, eig), channel))
+    worst, control = 0.0, np.inf
+    for eig, bohr, channel in systems:
+        beta = channel.bath.beta
+        worst = max(worst, stationarity(bohr, channel, gibbs_state(eig, beta)))
+        control = min(control, stationarity(bohr, channel, gibbs_state(eig, 1.1 * beta)))
+    report("criterion 3 companion (secular generator keeps Gibbs)",
+           worst <= 1e-12 and control >= 1e-5,
+           f"max |L_sec(rho_th)| / sum |L|^2 {worst:.3e} over 50 systems and the "
+           f"N = 3 chain; at 1.1 beta the smallest is {control:.3e}")
 
 
 def test_criterion_4_gibbs_non_stationarity():

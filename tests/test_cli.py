@@ -215,3 +215,21 @@ def test_steady_state_across_blas_thread_counts(tmp_path):
         columns.append(np.array([float(r.split(",")[2]) for r in rows]))
     assert len(columns[0]) == 16
     assert np.max(np.abs(columns[0] - columns[1])) <= 1e-12
+
+
+def test_evolve_across_blas_thread_counts(tmp_path):
+    # propagation runs one eigh of H_eff and d x d products in that eigenbasis
+    path = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    series = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "ule.cli", "evolve", "--config", path,
+                        "--N", "4", "--outdir", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        rows = (out / "evolve.csv").read_text().splitlines()[1:]
+        series.append(np.array([float(r.split(",")[1]) for r in rows]))
+    assert len(series[0]) == 200
+    assert np.max(np.abs(series[0] - series[1])) <= 1e-10

@@ -3,10 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import random_hermitian
+from oracles import dp5_propagate, random_hermitian
 from ule import (
     BathSpec,
     NoiseChannel,
+    PropagationError,
     SteadyStateError,
     bohr_decompose,
     build_generator,
@@ -22,11 +23,15 @@ from ule import (
     steady_state,
     steady_state_consistency,
     trace_distance,
-    unvec,
-    vec,
 )
-from ule.dynamics import _null_space_svd
-from ule.spinchain import SpinChainSpec, build_chain_superop
+from ule.dynamics import _dissipator, _null_space_svd
+from ule.spinchain import (
+    SpinChainSpec,
+    all_up_state,
+    build_chain_superop,
+    magnetization,
+    relax_chain,
+)
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 
@@ -226,17 +231,45 @@ def test_steady_state_consistency_zero_time_from_steady():
 
 
 def test_positivity_violation_flags_generator_bug():
-    # a non-Lindblad (trace-preserving but not completely positive) map:
-    # transposition-like generator built by negating a sandwich term
-    eig, sop = qubit_liouvillian()
-    broken = sop.matrix.copy()
-    # flip the sign of the dissipator while keeping trace preservation:
-    # L rho L^dag -> -L rho L^dag, compensated in the anticommutator
-    commutator = build_liouvillian(
-        build_generator(eig, [], include_lamb_shift=False)).matrix
-    broken = commutator - (sop.matrix - commutator)
-    bad = SimpleNamespace(dim=2, apply_matrix=lambda rho: unvec(broken @ vec(rho), 2))
+    # a trace-preserving but not completely positive map: the dissipator
+    # with its sign flipped, L rho L^dag -> -L rho L^dag compensated in the
+    # anticommutator, given in the eigenframe form the propagator reads
+    _, sop = qubit_liouvillian()
+    energies, basis, g, jumps, jumps_dag = sop._eigenframe
+    broken = (energies, basis, -g, jumps, [-l_dag for l_dag in jumps_dag])
+    rng = np.random.default_rng(5)
+    y = random_hermitian(rng, 2)
+    assert abs(np.trace(_dissipator(broken, y))) <= 1e-13
+    assert np.linalg.norm(_dissipator(broken, y) + _dissipator(sop._eigenframe, y)) <= 1e-13
+    bad = SimpleNamespace(_eigenframe=broken)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    from ule import PropagationError
     with pytest.raises(PropagationError):
         propagate(bad, rho0, 50.0, np.linspace(0, 50, 11), tol=1e-8)
+
+
+@pytest.mark.parametrize("n, lamb", [(3, False), (3, True), (4, False)],
+                         ids=["chain3", "chain3_lamb", "chain4"])
+def test_propagate_matches_dp5_oracle_on_chain(n, lamb):
+    spec = SpinChainSpec(N=n, ignore_lamb_shift=not lamb)
+    _, sop = build_chain_superop(spec)
+    got = relax_chain(spec, sop, samples=200, tol=1e-8)
+    ref = dp5_propagate(sop, all_up_state(n), got.times[-1], got.times, tol=1e-8,
+                        observables={"M": magnetization(n)})
+    assert np.max(np.abs(got.observables["M"] - ref.observables["M"])) <= 1e-6
+    # coherences rotate at up to ~50 per unit time and M does not see them;
+    # both integrators carry a tol-level phase error there
+    assert max(trace_distance(a, b) for a, b in zip(got.states, ref.states)) <= 1e-4
+    assert got.stats["max_trace_drift"] <= 1e-10
+    assert got.stats["min_sample_eig"] >= -1e-8
+
+
+def test_tightening_tolerance_approaches_dp5_oracle_on_chain():
+    _, sop = build_chain_superop(SpinChainSpec(N=3))
+    rho0 = all_up_state(3)
+    ref = dp5_propagate(sop, rho0, 20.0, [20.0], tol=1e-12).final_state
+    errors = [np.linalg.norm(propagate(sop, rho0, 20.0, [20.0], tol=tol).final_state - ref)
+              for tol in (1e-6, 5e-7, 1e-7)]
+    # the endpoint error does not grow as tol is tightened
+    assert errors[1] <= max(errors[0], 1e-13)
+    assert errors[2] <= max(errors[1], 1e-13)
+    assert errors[2] <= 1e-5
