@@ -45,7 +45,6 @@ from .generator import (
     build_lamb_shift,
     build_liouvillian,
     build_secular_generator,
-    channels_compose,
     unvec,
     vec,
 )

@@ -13,9 +13,10 @@ derived from the thermal shift identity rho_th A(w) = e^(beta w) A(w) rho_th
 and the detailed-balance relation g(-w) = e^(-beta w/2) g(w). Both are
 evaluated here independently of the direct generator application, so the
 pair of routes cross-validates the generator, the Bohr decomposition and
-the bath. Restricting the double sums to matched frequencies (w1 = w2,
-respectively w1 = -w2) kills both expressions identically, which is the
-conventional-Lindblad limit where the Gibbs state is stationary.
+the bath. The conventional (secular) generator keeps only matched
+frequencies (w1 = w2 in the dissipator, w1 = -w2 in the Lamb shift); its
+jumps and Lamb shift, the ones `build_secular_generator` uses, are applied
+to the Gibbs state directly, where they must vanish at rounding scale.
 
 Every double sum here is a coefficient grid c(w1, w2) handed to the one
 kernel `BohrDecomposition.double_sum`.
@@ -32,11 +33,11 @@ from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
     _lamb_shift_from_fgrid,
+    _secular_parts,
     build_generator,
     build_jump_operator,
     build_liouvillian,
     lamb_shift_fgrid,
-    matched_pair_fgrid,
 )
 from .operators import (
     BohrDecomposition,
@@ -54,8 +55,10 @@ from .operators import (
 class ResidualReport:
     """Frobenius norms of the Gibbs-state residuals, in units of gamma.
 
-    The direct/formula pairs must agree within the recorded tolerances; the
-    secular norms must vanish at rounding scale.
+    The direct/formula pairs must agree within the recorded tolerances. The
+    secular norms are the conventional (secular) generator's dissipator and
+    Lamb commutator applied to the Gibbs state; they must vanish at rounding
+    scale.
     """
 
     dissipator_direct_norm: float
@@ -144,35 +147,23 @@ def _lambshift_formula(bohr: BohrDecomposition, fgrid, beta: float, rho_th) -> n
     return bohr.double_sum(grid) @ rho_th
 
 
-def secular_residuals(bohr: BohrDecomposition, bath: BathSpec,
-                      quad: QuadratureSpec, beta: float, rho_th):
-    """Norms of the matched-frequency restrictions of both residual sums.
+def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fgrid=None):
+    """Norms of the secular generator's two parts applied to the Gibbs state.
 
-    The w1 = w2 restriction of the dissipator sum carries the factor
-    (1 - e^0)^2 and the w1 = -w2 restriction of the Lamb-shift sum the
-    factor (1 - e^0); both vanish identically, including at large beta
-    where the unmatched terms would grow exponentially. Returned as
-    (dissipator_norm, lambshift_norm) for the numerical assertion.
+    Returns (||sum_w D[L(w)](rho_th)||, ||[Lam_sec, rho_th]||) for the jumps
+    L(w) = 2 pi sqrt(gamma) g(w) A(w) and the Lamb shift
+    Lam_sec = sum_w f(w, -w) A(w) A(-w) of `build_secular_generator`, with f
+    read from the anti-diagonal of `fgrid` (`matched_pair_fgrid` or
+    `lamb_shift_fgrid`); with `fgrid` None the Lamb part is zero. The Gibbs
+    state of H is stationary under the secular generator, so both vanish at
+    rounding scale; a Gibbs state of another temperature or Hamiltonian does
+    not.
     """
-    return _secular_norms(bohr, bath, beta, rho_th, matched_pair_fgrid(bohr, bath, quad))
-
-
-def _secular_norms(bohr: BohrDecomposition, bath: BathSpec, beta: float, rho_th, fgrid):
-    """:func:`secular_residuals` reading f(w, -w) from the anti-diagonal of
-    `fgrid`; only matched-frequency exponentials are computed.
-    """
-    w = bohr.frequencies
-    k = np.arange(w.size)
-    mirror = k[::-1]
-    g = jump_spectral(bath, w)
-    diag_grid = np.zeros((w.size, w.size))
-    diag_grid[k, k] = (-2.0 * np.pi**2 * bath.coupling
-                       * (1.0 - np.exp(0.5 * beta * (w - w))) ** 2 * g * g)
-    anti_grid = np.zeros((w.size, w.size))
-    anti_grid[k, mirror] = fgrid[k, mirror] * (1.0 - np.exp(beta * (w + w[mirror])))
-    r8 = bohr.double_sum(diag_grid, adjoint_first=True) @ rho_th
-    r9 = bohr.double_sum(anti_grid) @ rho_th
-    return frobenius(r8), frobenius(r9)
+    jumps, lam = _secular_parts(bohr, bath, fgrid)
+    dissipator = np.zeros(rho_th.shape, dtype=complex)
+    for jump in jumps:
+        dissipator += dissipator_on_gibbs_direct(jump, rho_th)
+    return frobenius(dissipator), frobenius(lambshift_on_gibbs_direct(lam, rho_th))
 
 
 def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
@@ -182,9 +173,10 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     """Evaluate all Gibbs residuals for one channel by both routes.
 
     Norms are reported in units of gamma so baselines compare across
-    couplings. With include_lamb_shift false the Lamb-shift entries are
-    zero and only the matched pairs f(w, -w) of the secular restriction are
-    evaluated; otherwise every f value comes from the one Lamb-shift grid.
+    couplings. With include_lamb_shift false every Lamb-shift entry,
+    including the secular one, is zero and no quadrature runs; otherwise
+    every f value comes from the one Lamb-shift grid, whose anti-diagonal
+    holds the matched pairs f(w, -w) of the secular Lamb shift.
     """
     bath = channel.bath
     beta = bath.beta
@@ -207,11 +199,11 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
         l_formula_norm = frobenius(l_formula)
         l_tol = 1e-6 * max(l_direct_norm, 1e-300)
     else:
-        fgrid = matched_pair_fgrid(bohr, bath, quad)
+        fgrid = None
         l_direct_norm = l_formula_norm = l_mismatch = 0.0
         l_tol = 0.0
 
-    r8, r9 = _secular_norms(bohr, bath, beta, rho_th, fgrid)
+    r8, r9 = secular_residuals(bohr, bath, rho_th, fgrid)
 
     return ResidualReport(
         dissipator_direct_norm=frobenius(d_direct) / unit,

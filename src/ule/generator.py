@@ -11,7 +11,9 @@ with, per noise channel (coupling operator X, bath g and f),
 
 Lam and the secular Lamb shift are Bohr double sums, evaluated by the one
 kernel `BohrDecomposition.double_sum` on an f grid from `lamb_shift_fgrid`
-or `matched_pair_fgrid`.
+or `matched_pair_fgrid`. The secular generator's jumps A(w) and Lamb shift
+sum_w f(w, -w) A(w) A(-w) come from one construction, `_secular_parts`,
+which `analysis.secular_residuals` also applies to the Gibbs state.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. `apply_matrix` applies it
@@ -258,25 +260,6 @@ def build_generator(eig: EigenDecomposition, channels,
     return UleGenerator(hamiltonian=h, lamb_shift=lam, jumps=jumps)
 
 
-def channels_compose(gens) -> UleGenerator:
-    """Merge per-channel generators sharing a Hamiltonian.
-
-    Jump lists concatenate and Lamb shifts add. Mismatched Hamiltonians are
-    rejected.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    h = gens[0].hamiltonian
-    scale = max(frobenius(h), 1.0)
-    for g in gens[1:]:
-        if g.hamiltonian.shape != h.shape or frobenius(g.hamiltonian - h) > 1e-12 * scale:
-            raise ValueError("generators do not share the same Hamiltonian")
-    lam = sum((g.lamb_shift for g in gens[1:]), start=gens[0].lamb_shift)
-    jumps = [l for g in gens for l in g.jumps]
-    return UleGenerator(hamiltonian=h, lamb_shift=lam, jumps=jumps)
-
-
 def build_liouvillian(gen: UleGenerator) -> Superoperator:
     """Superoperator of the master equation, without dense work.
 
@@ -285,6 +268,26 @@ def build_liouvillian(gen: UleGenerator) -> Superoperator:
     """
     return Superoperator(hermitize(gen.hamiltonian + gen.lamb_shift),
                          [l for l in gen.jumps if np.any(l)])
+
+
+def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
+    """(jumps, Lam) of the secular generator of one channel.
+
+    The jumps 2 pi sqrt(gamma) g(w_k) A(w_k) come one at a time from an
+    iterator, so a caller that only sums over them never holds all nfreq.
+    Lam = sum_w f(w, -w) A(w) A(-w) reads f from the anti-diagonal of
+    `fgrid`, which `matched_pair_fgrid` and `lamb_shift_fgrid` both fill.
+    With `fgrid` None, Lam is zero.
+    """
+    g = jump_spectral(bath, bohr.frequencies)
+    jumps = (2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.components[k]
+             for k in range(bohr.nfreq))
+    if fgrid is None:
+        return jumps, np.zeros((bohr.dim, bohr.dim), dtype=complex)
+    k = np.arange(bohr.nfreq)
+    matched = np.zeros_like(fgrid)
+    matched[k, k[::-1]] = fgrid[k, k[::-1]]
+    return jumps, bohr.double_sum(matched)
 
 
 def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
@@ -298,10 +301,6 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     shift sum_w f(w, -w) A(w) A(-w). The Gibbs state of H is stationary for
     this generator.
     """
-    bath = channel.bath
-    g = jump_spectral(bath, bohr.frequencies)
-    jumps = [2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.components[k]
-             for k in range(bohr.nfreq)]
-    lam = (bohr.double_sum(matched_pair_fgrid(bohr, bath, quad)) if include_lamb_shift
-           else np.zeros((bohr.dim, bohr.dim), dtype=complex))
-    return build_liouvillian(UleGenerator(bohr.eig.reconstruct(), lam, jumps))
+    fgrid = matched_pair_fgrid(bohr, channel.bath, quad) if include_lamb_shift else None
+    jumps, lam = _secular_parts(bohr, channel.bath, fgrid)
+    return build_liouvillian(UleGenerator(bohr.eig.reconstruct(), lam, list(jumps)))

@@ -6,7 +6,9 @@ from ule import (
     BathSpec,
     NoiseChannel,
     QuadratureSpec,
+    SpinChainSpec,
     bohr_decompose,
+    build_chain_hamiltonian,
     build_generator,
     build_jump_operator,
     build_lamb_shift,
@@ -27,14 +29,19 @@ from ule import (
     three_level_baseline,
     trend_sweep,
 )
-from ule.generator import lamb_shift_pairs
+from ule.generator import lamb_shift_pairs, matched_pair_fgrid
+from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
+# Equal small gaps: A(w) A(w) != 0, so the secular Lamb shift's pairing
+# f(w, -w) matters beyond w = 0, and beta w = 2.5 at beta = 50 keeps the
+# Gibbs populations apart.
+LADDER = np.diag([0.0, 0.05, 0.1]).astype(complex)
 
 
-def baseline_setup(bath=BATH):
+def baseline_setup(bath=BATH, hamiltonian=None):
     system = three_level_baseline()
-    eig = eigendecompose(system.hamiltonian)
+    eig = eigendecompose(system.hamiltonian if hamiltonian is None else hamiltonian)
     ch = NoiseChannel(coupling_op=system.coupling_op, bath=bath)
     bohr = bohr_decompose(system.coupling_op, eig)
     rho_th = gibbs_state(eig, bath.beta)
@@ -106,20 +113,21 @@ def test_lambshift_trivial_cases():
 
 
 def test_secular_residuals_vanish_identically():
-    eig, ch, bohr, rho_th = baseline_setup()
-    r8, r9 = secular_residuals(bohr, BATH, QuadratureSpec(), BATH.beta, rho_th)
-    assert r8 <= 1e-14
-    assert r9 <= 1e-14
+    for h in (None, LADDER):
+        eig, ch, bohr, rho_th = baseline_setup(hamiltonian=h)
+        r8, r9 = secular_residuals(bohr, BATH, rho_th, matched_pair_fgrid(bohr, BATH))
+        assert r8 <= 1e-14
+        assert r9 <= 1e-14
 
 
 def test_secular_residuals_no_blowup_at_large_beta():
     cold = BathSpec(temperature=0.02, coupling=0.1, cutoff=100.0)  # beta = 50
-    eig, ch, bohr, _ = baseline_setup(cold)
-    rho_th = gibbs_state(eig, cold.beta)
-    r8, r9 = secular_residuals(bohr, cold, QuadratureSpec(), cold.beta, rho_th)
-    assert np.isfinite(r8) and np.isfinite(r9)
-    assert r8 <= 1e-12
-    assert r9 <= 1e-12
+    for h in (None, LADDER):
+        eig, ch, bohr, rho_th = baseline_setup(cold, h)
+        r8, r9 = secular_residuals(bohr, cold, rho_th, matched_pair_fgrid(bohr, cold))
+        assert np.isfinite(r8) and np.isfinite(r9)
+        assert r8 <= 1e-12
+        assert r9 <= 1e-12
 
 
 def test_two_route_equality_random_ensemble():
@@ -158,10 +166,10 @@ def test_residual_report_fields_consistent():
     assert len(names) == 8
 
 
-def test_residual_report_evaluates_each_f_pair_once(monkeypatch):
-    # both Lamb-shift routes and the secular restriction share one f grid
+@pytest.fixture
+def f_calls(monkeypatch):
+    """Arguments of every `f_integral` call the test makes."""
     import ule.bath
-    eig, ch, bohr, _ = baseline_setup()
     calls = []
     real = ule.bath.f_integral
 
@@ -170,16 +178,35 @@ def test_residual_report_evaluates_each_f_pair_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ule.bath, "f_integral", counting)
+    return calls
+
+
+def test_residual_report_evaluates_each_f_pair_once(f_calls):
+    # both Lamb-shift routes and the secular Lamb shift share one f grid
+    eig, ch, bohr, _ = baseline_setup()
     gibbs_residual_report(eig, ch)
-    assert len(calls) == len(lamb_shift_pairs(bohr))
+    assert len(f_calls) == len(lamb_shift_pairs(bohr))
 
 
-def test_residual_report_without_lamb_shift():
+def test_residual_report_without_lamb_shift(f_calls):
     eig, ch, _, _ = baseline_setup()
     rep = gibbs_residual_report(eig, ch, include_lamb_shift=False)
     assert rep.lambshift_direct_norm == 0.0
     assert rep.lambshift_formula_norm == 0.0
+    assert rep.secular_lambshift_norm == 0.0
     assert rep.dissipator_direct_norm > 0.0
+    assert len(f_calls) == 0
+
+
+def test_residual_report_on_chain_with_lamb_shift():
+    spec = SpinChainSpec(N=4)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    rep = gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
+    assert rep.lambshift_direct_norm > 0.0
+    assert rep.dissipator_mismatch <= rep.dissipator_mismatch_tol
+    assert rep.lambshift_mismatch <= rep.lambshift_mismatch_tol
+    assert rep.secular_dissipator_norm <= 1e-12
+    assert rep.secular_lambshift_norm <= 1e-12
 
 
 def test_gibbs_deviation_identity():

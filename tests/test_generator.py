@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from oracles import jump_operator_bohr_sum, lamb_shift_bohr_sum, random_hermitian
 from ule import (
@@ -12,7 +11,6 @@ from ule import (
     build_lamb_shift,
     build_liouvillian,
     build_secular_generator,
-    channels_compose,
     eigendecompose,
     f_table,
     gibbs_state,
@@ -145,8 +143,7 @@ def test_apply_matrix_matches_dense_matrix_on_non_hermitian_inputs():
                        bath=BathSpec(temperature=1.0, coupling=0.05, cutoff=100.0))
     full = build_liouvillian(build_generator(eig, ch1))
     secular = build_secular_generator(bohr_decompose(x1, eig), ch1)
-    composed = build_liouvillian(channels_compose(
-        [build_generator(eig, ch, include_lamb_shift=False) for ch in (ch1, ch2)]))
+    composed = build_liouvillian(build_generator(eig, [ch1, ch2], include_lamb_shift=False))
     assert len(composed.jumps) == 2
     for sop in (full, secular, composed):
         for _ in range(5):
@@ -226,31 +223,18 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
 
 def test_channels_compose_identity_and_zero_channel():
     eig, ch = qubit_system()
-    gen = build_generator(eig, ch, include_lamb_shift=False)
-    assert channels_compose([gen]) is not None
-    single = build_liouvillian(channels_compose([gen]))
-    dead_bath = BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0)
-    dead = build_generator(eig, NoiseChannel(coupling_op=ch.coupling_op, bath=dead_bath),
-                           include_lamb_shift=False)
-    double = build_liouvillian(channels_compose([gen, dead]))
+    single = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    dead = NoiseChannel(coupling_op=ch.coupling_op,
+                        bath=BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0))
+    double = build_liouvillian(build_generator(eig, [ch, dead], include_lamb_shift=False))
     assert np.max(np.abs(single.matrix - double.matrix)) <= 1e-14
     assert len(double.jumps) == 1
 
 
 def test_channels_compose_two_equal_channels_double_dissipator():
     eig, ch = qubit_system()
-    gen = build_generator(eig, ch, include_lamb_shift=False)
-    one = build_liouvillian(gen)
-    two = build_liouvillian(channels_compose([gen, gen]))
+    one = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    two = build_liouvillian(build_generator(eig, [ch, ch], include_lamb_shift=False))
     commutator = build_liouvillian(build_generator(eig, [], include_lamb_shift=False))
     assert np.allclose(two.matrix - commutator.matrix,
                        2.0 * (one.matrix - commutator.matrix), atol=1e-13)
-
-
-def test_channels_compose_rejects_mismatched_hamiltonians():
-    eig_a, ch = qubit_system(delta=1.0)
-    eig_b, _ = qubit_system(delta=2.0)
-    gen_a = build_generator(eig_a, ch, include_lamb_shift=False)
-    gen_b = build_generator(eig_b, ch, include_lamb_shift=False)
-    with pytest.raises(ValueError, match="Hamiltonian"):
-        channels_compose([gen_a, gen_b])
