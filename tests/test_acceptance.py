@@ -182,6 +182,30 @@ def test_criterion_3_secular_vanishing(ensemble):
            f"{control9:.3e} (H + 0.1 X)")
 
 
+def test_criterion_3_secular_generator_keeps_gibbs(ensemble):
+    # The whole secular generator, dissipator and Lamb commutator together,
+    # applied to the Gibbs state; the Gibbs state at 1.1 beta must not pass.
+    def stationarity(bohr, channel, rho):
+        sop = build_secular_generator(bohr, channel)
+        return (np.linalg.norm(sop.apply_matrix(rho))
+                / sum(np.linalg.norm(l) ** 2 for l in sop.jumps))
+
+    spec = SpinChainSpec(N=3)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    channel = chain_channels(spec)[0]
+    systems = [(s["eig"], s["bohr"], s["channel"]) for s in ensemble]
+    systems.append((eig, bohr_decompose(channel.coupling_op, eig), channel))
+    worst, control = 0.0, np.inf
+    for eig, bohr, channel in systems:
+        beta = channel.bath.beta
+        worst = max(worst, stationarity(bohr, channel, gibbs_state(eig, beta)))
+        control = min(control, stationarity(bohr, channel, gibbs_state(eig, 1.1 * beta)))
+    report("criterion 3 companion (secular generator keeps Gibbs)",
+           worst <= 1e-12 and control >= 1e-5,
+           f"max |L_sec(rho_th)| / sum |L|^2 {worst:.3e} over 50 systems and the "
+           f"N = 3 chain; at 1.1 beta the smallest is {control:.3e}")
+
+
 def test_criterion_4_gibbs_non_stationarity():
     system = three_level_baseline()
     eig = eigendecompose(system.hamiltonian)
