@@ -50,6 +50,9 @@ from .operators import (
     trace_distance,
 )
 
+# Floor under the thermal populations that `gibbs_deviation` divides by.
+REL_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -135,13 +138,9 @@ def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:
     return lamb_shift @ rho_th - rho_th @ lamb_shift
 
 
-def lambshift_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
-                               quad: QuadratureSpec, beta: float, rho_th) -> np.ndarray:
-    """Bohr-sum form of the Lamb-shift commutator on the Gibbs state."""
-    return _lambshift_formula(bohr, lamb_shift_fgrid(bohr, bath, quad), beta, rho_th)
-
-
-def _lambshift_formula(bohr: BohrDecomposition, fgrid, beta: float, rho_th) -> np.ndarray:
+def lambshift_on_gibbs_formula(bohr: BohrDecomposition, fgrid, beta: float, rho_th) -> np.ndarray:
+    """Bohr-sum form of the Lamb-shift commutator on the Gibbs state, with f
+    read from the `lamb_shift_fgrid` grid `fgrid`."""
     w = bohr.frequencies
     grid = fgrid * (1.0 - np.exp(beta * (w[:, None] + w[None, :])))
     return bohr.double_sum(grid) @ rho_th
@@ -193,7 +192,7 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     if include_lamb_shift and bath.coupling > 0:
         fgrid = lamb_shift_fgrid(bohr, bath, quad)
         l_direct = lambshift_on_gibbs_direct(_lamb_shift_from_fgrid(bohr, fgrid), rho_th)
-        l_formula = _lambshift_formula(bohr, fgrid, beta, rho_th)
+        l_formula = lambshift_on_gibbs_formula(bohr, fgrid, beta, rho_th)
         l_mismatch = frobenius(l_direct - l_formula)
         l_direct_norm = frobenius(l_direct)
         l_formula_norm = frobenius(l_formula)
@@ -221,7 +220,7 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
 
 
 def gibbs_deviation(rho_ss, eig: EigenDecomposition, beta: float,
-                    observable=None, rel_floor: float = 1e-300) -> DeviationReport:
+                    observable=None) -> DeviationReport:
     """Compare a steady state against the Gibbs state of the eigensystem.
 
     Diagonals are taken in the energy eigenbasis. rho11 refers to the
@@ -235,7 +234,7 @@ def gibbs_deviation(rho_ss, eig: EigenDecomposition, beta: float,
         if abs(vals.sum() - 1.0) > 1e-10:
             raise ValueError(f"{name} diagonals sum to {vals.sum()}, not 1")
     dev = np.abs(diag - p_th)
-    rel = dev / np.maximum(p_th, rel_floor)
+    rel = dev / np.maximum(p_th, REL_FLOOR)
     rho_th = gibbs_state(eig, beta)
     obs_gap = None
     if observable is not None:

@@ -181,10 +181,14 @@ def _lamb_shift_bins(bohr: BohrDecomposition):
     """(i, j) frequency indices of the distinct (w_i, w_j) in the Lamb-shift sum.
 
     The triple sum over levels (m, l, n) only ever calls f at
-    (E_l - E_m, E_n - E_l), i.e. at (bin[m, l], bin[l, n]).
+    (E_l - E_m, E_n - E_l), i.e. at (bin[m, l], bin[l, n]), and only the
+    triples with X_ml and X_ln both nonzero contribute. Every anti-diagonal
+    pair (w, -w) of a kept frequency is among them (take n = m).
     """
     bins = bohr.bin_index
-    return np.divmod(np.unique(bins[:, :, None] * bohr.nfreq + bins[None, :, :]), bohr.nfreq)
+    live = bohr.coupling_eigen != 0
+    pairs = bins[:, :, None] * bohr.nfreq + bins[None, :, :]
+    return np.divmod(np.unique(pairs[live[:, :, None] & live[None, :, :]]), bohr.nfreq)
 
 
 def lamb_shift_pairs(bohr: BohrDecomposition):
@@ -280,7 +284,7 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
     With `fgrid` None, Lam is zero.
     """
     g = jump_spectral(bath, bohr.frequencies)
-    jumps = (2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.components[k]
+    jumps = (2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.component(k)
              for k in range(bohr.nfreq))
     if fgrid is None:
         return jumps, np.zeros((bohr.dim, bohr.dim), dtype=complex)

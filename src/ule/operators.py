@@ -115,13 +115,11 @@ class BohrDecomposition:
 
     The operator X is split as X = sum_w A(w) where A(w) collects the
     matrix elements <m|X|n> between eigenstates separated by E_n - E_m = w,
-    after binning the d^2 raw gaps with tolerance `gap_tolerance`.
+    after binning the d^2 raw gaps. A(w_k) is not stored: `component(k)`
+    builds it from the bin labels.
 
     frequencies     : (K,) sorted bin representatives, exactly symmetric
                       under negation
-    components      : (K, d, d) stack, components[k] = A(frequencies[k]) in
-                      the original basis
-    gap_tolerance   : the binning width used
     eig             : the eigensystem the decomposition refers to
     coupling_eigen  : X in the eigenbasis (Hermitized)
     bin_index       : (d, d) int array, bin_index[m, n] = bin k such that
@@ -135,8 +133,6 @@ class BohrDecomposition:
     """
 
     frequencies: np.ndarray
-    components: np.ndarray
-    gap_tolerance: float
     eig: EigenDecomposition
     coupling_eigen: np.ndarray
     bin_index: np.ndarray
@@ -149,12 +145,9 @@ class BohrDecomposition:
     def nfreq(self) -> int:
         return self.frequencies.size
 
-    def component(self, w: float) -> np.ndarray:
-        """A(w) for a frequency that is exactly one of the representatives."""
-        k = int(np.searchsorted(self.frequencies, w))
-        if k >= self.nfreq or self.frequencies[k] != w:
-            raise KeyError(f"{w} is not a Bohr frequency of this decomposition")
-        return self.components[k]
+    def component(self, k: int) -> np.ndarray:
+        """A(frequencies[k]) in the input basis."""
+        return self.eig.from_eigenbasis(np.where(self.bin_index == k, self.coupling_eigen, 0))
 
     def double_sum(self, grid: np.ndarray, adjoint_first: bool = False) -> np.ndarray:
         """sum_ij grid[i, j] A(w_i)^(dag) A(w_j) in the input basis.
@@ -169,9 +162,6 @@ class BohrDecomposition:
         coeff = grid[first[:, :, None], bins[None, :, :]]
         xe = self.coupling_eigen
         return self.eig.from_eigenbasis(np.einsum("ml,ln,mln->mn", xe, xe, coeff))
-
-    def frequency_sum(self) -> np.ndarray:
-        return self.components.sum(axis=0)
 
 
 def _cluster_gaps(values: np.ndarray, eps: float):
@@ -206,7 +196,10 @@ def bohr_decompose(x, eig: EigenDecomposition, gap_tolerance: float | None = Non
     Gaps are binned by single-linkage clustering with width `gap_tolerance`
     (default 1e-9 * max(1, |H| scale)); the representative frequency of each
     bin is the mean of its members, symmetrized so that the frequency list
-    is exactly closed under negation and A(-w) = A(w)^dagger to rounding.
+    is exactly closed under negation and A(-w) = A(w)^dagger exactly.
+
+    ValueError for ambiguous binning, for A(w) that do not sum back to X
+    (relative 1e-12) and for gap bins that do not mirror under negation.
     """
     x = require_hermitian(x, name="X")
     d = eig.dim
@@ -228,7 +221,8 @@ def bohr_decompose(x, eig: EigenDecomposition, gap_tolerance: float | None = Non
     reps = 0.5 * (reps - reps[::-1])
 
     xe = hermitize(eig.to_eigenbasis(x))
-    keep = np.array([np.any(np.where(bin_index == k, xe, 0.0)) for k in range(reps.size)])
+    live = xe != 0
+    keep = np.bincount(bin_index[live], minlength=reps.size) > 0
     if not keep.any():
         keep[int(np.argmin(np.abs(reps)))] = True  # X = 0: keep the zero bin
     new_of_old = np.zeros(reps.size, dtype=np.intp)  # dropped bins park at new index 0
@@ -236,28 +230,14 @@ def bohr_decompose(x, eig: EigenDecomposition, gap_tolerance: float | None = Non
     bin_index = new_of_old[bin_index]
     reps = reps[keep]
 
-    comps = np.zeros((reps.size, d, d), dtype=complex)
-    for k in range(reps.size):
-        # entries inherited from dropped bins are exactly zero in xe
-        masked = np.where(bin_index == k, xe, 0.0)
-        comps[k] = eig.from_eigenbasis(masked)
-
-    dec = BohrDecomposition(
-        frequencies=reps,
-        components=comps,
-        gap_tolerance=float(gap_tolerance),
-        eig=eig,
-        coupling_eigen=xe,
-        bin_index=bin_index,
-    )
-
-    xnorm = max(frobenius(x), 1.0)
-    if frobenius(dec.frequency_sum() - x) > 1e-12 * xnorm:
-        raise ValueError("Bohr components do not sum back to X")
-    for k in range(reps.size):
-        if frobenius(comps[reps.size - 1 - k] - comps[k].conj().T) > 1e-12 * xnorm:
-            raise ValueError("A(-w) != A(w)^dagger beyond tolerance")
-    return dec
+    # every entry of xe lies in exactly one bin, so the A(w) sum back to
+    # from_eigenbasis(xe); xe is exactly Hermitian, so A(-w) = A(w)^dagger
+    # holds exactly when the bins of (m, n) and (n, m) mirror
+    if frobenius(eig.from_eigenbasis(xe) - x) > 1e-12 * max(frobenius(x), 1.0):
+        raise ValueError("the Bohr parts A(w) do not sum back to X")
+    if np.any((bin_index.T + bin_index)[live] != reps.size - 1):
+        raise ValueError("A(-w) != A(w)^dagger: the gap bins do not mirror")
+    return BohrDecomposition(frequencies=reps, eig=eig, coupling_eigen=xe, bin_index=bin_index)
 
 
 def gibbs_state(eig: EigenDecomposition, beta: float) -> np.ndarray:

@@ -3,7 +3,8 @@
 Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
 dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
-decomposition components that never call `BohrDecomposition.double_sum`.
+A(w) built here from projector sandwiches of X, never from the bin labels
+or `BohrDecomposition.double_sum`.
 Bath functions and f values come in as arguments. `dp5_propagate` is the
 explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
@@ -61,71 +62,97 @@ def trapezoid_pv(integrand, singularity_width, omega_max, points=1_000_000):
     return np.trapezoid(vals, w)
 
 
-def dissipator_on_gibbs_loop(bohr, bath, beta, rho_th, jump_spectral):
-    """Naive component-loop evaluation of the dissipator Bohr sum."""
+def bohr_parts(bohr, x):
+    """(K, d, d) stack of A(w_k) in the eigenbasis of `bohr.eig`.
+
+    Built from the projector sandwiches P_m X P_n = <m|X|n> |m><n|: each
+    level pair (m, n) joins the entry of `bohr.frequencies` nearest to
+    E_n - E_m. Neither `bin_index` nor `coupling_eigen` is read.
+    """
+    eig = bohr.eig
+    parts = np.zeros((bohr.nfreq, eig.dim, eig.dim), dtype=complex)
+    for m in range(eig.dim):
+        for n in range(eig.dim):
+            k = int(np.argmin(np.abs(bohr.frequencies - (eig.energies[n] - eig.energies[m]))))
+            parts[k, m, n] = eig.basis[:, m].conj() @ x @ eig.basis[:, n]
+    return parts
+
+
+def _from_eigenbasis(bohr, a):
+    v = bohr.eig.basis
+    return v @ a @ v.conj().T
+
+
+def bohr_double_sum_loop(bohr, x, grid, adjoint_first=False):
+    """sum_ij grid[i, j] A(w_i)^(dag) A(w_j) as a loop over the A(w)."""
+    parts = bohr_parts(bohr, x)
+    out = np.zeros((bohr.dim, bohr.dim), dtype=complex)
+    for i, a_i in enumerate(parts):
+        first = a_i.conj().T if adjoint_first else a_i
+        for j, a_j in enumerate(parts):
+            out = out + grid[i, j] * (first @ a_j)
+    return _from_eigenbasis(bohr, out)
+
+
+def dissipator_on_gibbs_loop(bohr, x, bath, beta, rho_th, jump_spectral):
+    """Naive loop evaluation of the dissipator Bohr sum."""
     w = bohr.frequencies
     g = jump_spectral(bath, w)
-    out = np.zeros_like(rho_th)
-    for i, w1 in enumerate(w):
-        for j, w2 in enumerate(w):
-            coeff = (-2.0 * np.pi**2 * bath.coupling
-                     * (1.0 - np.exp(0.5 * beta * (w2 - w1))) ** 2 * g[i] * g[j])
-            out = out + coeff * (bohr.components[i].conj().T
-                                 @ bohr.components[j] @ rho_th)
-    return out
+    coeff = (-2.0 * np.pi**2 * bath.coupling
+             * (1.0 - np.exp(0.5 * beta * (w[None, :] - w[:, None]))) ** 2 * np.outer(g, g))
+    return bohr_double_sum_loop(bohr, x, coeff, adjoint_first=True) @ rho_th
 
 
-def lambshift_on_gibbs_loop(bohr, bath, beta, rho_th, f_values):
-    """Naive component-loop evaluation of the Lamb-shift Bohr sum.
+def lamb_shift_live_pairs(bohr, x):
+    """{(w1, w2): A(w1) A(w2) in the eigenbasis} over the pairs whose product
+    is nonzero; disjoint eigenvector supports give exact zeros."""
+    freqs = bohr.frequencies
+    parts = bohr_parts(bohr, x)
+    live = {}
+    for i, a_i in enumerate(parts):
+        for j, a_j in enumerate(parts):
+            prod = a_i @ a_j
+            if np.any(prod):
+                live[(float(freqs[i]), float(freqs[j]))] = prod
+    return live
+
+
+def lambshift_on_gibbs_loop(bohr, x, beta, rho_th, f_values):
+    """Naive loop evaluation of the Lamb-shift Bohr sum on the Gibbs state.
 
     f_values maps (w1, w2) float pairs to f(w1, w2).
     """
-    w = bohr.frequencies
-    out = np.zeros_like(rho_th)
-    for i, w1 in enumerate(w):
-        for j, w2 in enumerate(w):
-            prod = bohr.components[i] @ bohr.components[j]
-            if not np.any(prod):
-                continue
-            coeff = f_values[(float(w1), float(w2))] * (1.0 - np.exp(beta * (w1 + w2)))
-            out = out + coeff * (prod @ rho_th)
-    return out
-
-
-def bohr_double_sum_loop(bohr, grid, adjoint_first=False):
-    """sum_ij grid[i, j] A(w_i)^(dag) A(w_j) as a loop over components."""
     out = np.zeros((bohr.dim, bohr.dim), dtype=complex)
-    for i, a_i in enumerate(bohr.components):
-        first = a_i.conj().T if adjoint_first else a_i
-        for j, a_j in enumerate(bohr.components):
-            out = out + grid[i, j] * (first @ a_j)
-    return out
+    for (w1, w2), prod in lamb_shift_live_pairs(bohr, x).items():
+        out = out + f_values[(w1, w2)] * (1.0 - np.exp(beta * (w1 + w2))) * prod
+    return _from_eigenbasis(bohr, out) @ rho_th
 
 
-def jump_operator_bohr_sum(bohr, bath, jump_spectral):
+def jump_operator_bohr_sum(bohr, x, bath, jump_spectral):
     """Jump operator as the Bohr sum 2 pi sqrt(gamma) sum_w g(w) A(w)."""
     g = jump_spectral(bath, bohr.frequencies)
-    return 2.0 * np.pi * np.sqrt(bath.coupling) * np.einsum("k,kmn->mn", g, bohr.components)
+    le = np.einsum("k,kmn->mn", g, bohr_parts(bohr, x))
+    return 2.0 * np.pi * np.sqrt(bath.coupling) * _from_eigenbasis(bohr, le)
 
 
-def lamb_shift_bohr_sum(bohr, f_values):
+def lamb_shift_bohr_sum(bohr, x, f_values):
     """Lamb shift as the double Bohr sum sum_{w1,w2} f(w1, w2) A(w1) A(w2).
 
     f_values maps (w1, w2) float pairs to f(w1, w2); only pairs whose
-    component product is nonzero are looked up.
+    product is nonzero are looked up.
     """
-    freqs = bohr.frequencies
-    # eigenbasis components keep structural zeros exact, so every surviving
-    # product pair is one the level triple sum covers
-    comps = [np.where(bohr.bin_index == k, bohr.coupling_eigen, 0.0)
-             for k in range(bohr.nfreq)]
     lam_e = np.zeros((bohr.dim, bohr.dim), dtype=complex)
-    for i, a_i in enumerate(comps):
-        for j, a_j in enumerate(comps):
-            prod = a_i @ a_j
-            if np.any(prod):
-                lam_e += f_values[(float(freqs[i]), float(freqs[j]))] * prod
-    return bohr.eig.from_eigenbasis(lam_e)
+    for pair, prod in lamb_shift_live_pairs(bohr, x).items():
+        lam_e += f_values[pair] * prod
+    return _from_eigenbasis(bohr, lam_e)
+
+
+def secular_lamb_shift_loop(bohr, x, grid):
+    """Secular Lamb shift sum_k grid[k, K - 1 - k] A(w_k) A(-w_k)."""
+    parts = bohr_parts(bohr, x)
+    last = bohr.nfreq - 1
+    lam_e = sum(grid[k, last - k] * (parts[k] @ parts[last - k]) for k in range(bohr.nfreq))
+    return _from_eigenbasis(bohr, lam_e)
 
 
 def random_hermitian(rng, dim, scale=1.0):

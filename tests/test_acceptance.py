@@ -44,7 +44,7 @@ from ule import (
     trace_distance,
     trend_sweep,
 )
-from ule.generator import lamb_shift_pairs, matched_pair_fgrid
+from ule.generator import lamb_shift_fgrid, lamb_shift_pairs, matched_pair_fgrid
 from ule.spinchain import build_chain_hamiltonian, chain_channels
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -140,7 +140,8 @@ def test_criterion_2_lambshift_identity(ensemble):
         lam = build_lamb_shift(sys_["eig"], sys_["channel"], QUAD, bohr=sys_["bohr"])
         direct = lambshift_on_gibbs_direct(lam, sys_["rho_th"])
         formula = lambshift_on_gibbs_formula(
-            sys_["bohr"], sys_["bath"], QUAD, sys_["bath"].beta, sys_["rho_th"])
+            sys_["bohr"], lamb_shift_fgrid(sys_["bohr"], sys_["bath"], QUAD),
+            sys_["bath"].beta, sys_["rho_th"])
         rel = np.linalg.norm(direct - formula) / np.linalg.norm(direct)
         worst = max(worst, rel)
     wall = time.perf_counter() - t0
@@ -236,12 +237,13 @@ def test_criterion_5_generator_cross_checks(ensemble):
     worst_l = worst_lam = worst_herm = 0.0
     for sys_ in ensemble:
         l_elem = build_jump_operator(sys_["eig"], sys_["channel"])
-        l_bohr = jump_operator_bohr_sum(sys_["bohr"], sys_["bath"], jump_spectral)
+        x = sys_["channel"].coupling_op
+        l_bohr = jump_operator_bohr_sum(sys_["bohr"], x, sys_["bath"], jump_spectral)
         worst_l = max(worst_l, np.linalg.norm(l_elem - l_bohr)
                       / max(np.linalg.norm(l_elem), 1.0))
         lam3 = build_lamb_shift(sys_["eig"], sys_["channel"], QUAD, bohr=sys_["bohr"])
         lam7 = lamb_shift_bohr_sum(
-            sys_["bohr"], f_table(sys_["bath"], lamb_shift_pairs(sys_["bohr"]), QUAD))
+            sys_["bohr"], x, f_table(sys_["bath"], lamb_shift_pairs(sys_["bohr"]), QUAD))
         norm = np.linalg.norm(lam3)
         worst_lam = max(worst_lam, np.linalg.norm(lam3 - lam7) / norm)
         worst_herm = max(worst_herm,

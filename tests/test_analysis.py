@@ -29,7 +29,7 @@ from ule import (
     three_level_baseline,
     trend_sweep,
 )
-from ule.generator import lamb_shift_pairs, matched_pair_fgrid
+from ule.generator import lamb_shift_fgrid, lamb_shift_pairs, matched_pair_fgrid
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -70,7 +70,7 @@ def test_dissipator_two_routes_and_loop_oracle_on_baseline():
     jump = build_jump_operator(eig, ch)
     direct = dissipator_on_gibbs_direct(jump, rho_th)
     formula = dissipator_on_gibbs_formula(bohr, BATH, BATH.beta, rho_th)
-    loop = dissipator_on_gibbs_loop(bohr, BATH, BATH.beta, rho_th, jump_spectral)
+    loop = dissipator_on_gibbs_loop(bohr, ch.coupling_op, BATH, BATH.beta, rho_th, jump_spectral)
     norm = np.linalg.norm(direct)
     assert norm > 1e-6 * BATH.coupling  # the Gibbs state is not stationary
     assert np.linalg.norm(direct - formula) <= 1e-10 * norm
@@ -92,12 +92,13 @@ def test_lambshift_commutator_routes_on_baseline():
     quad = QuadratureSpec()
     lam = build_lamb_shift(eig, ch, quad, bohr=bohr)
     direct = lambshift_on_gibbs_direct(lam, rho_th)
-    formula = lambshift_on_gibbs_formula(bohr, BATH, quad, BATH.beta, rho_th)
+    fgrid = lamb_shift_fgrid(bohr, BATH, quad)
+    formula = lambshift_on_gibbs_formula(bohr, fgrid, BATH.beta, rho_th)
     norm = np.linalg.norm(direct)
     assert norm > 1e-6 * BATH.coupling
     assert np.linalg.norm(direct - formula) <= 1e-6 * norm
     table = f_table(BATH, lamb_shift_pairs(bohr), quad)
-    loop = lambshift_on_gibbs_loop(bohr, BATH, BATH.beta, rho_th, table)
+    loop = lambshift_on_gibbs_loop(bohr, ch.coupling_op, BATH.beta, rho_th, table)
     assert np.linalg.norm(formula - loop) <= 1e-10 * max(norm, 1e-300)
 
 
@@ -108,7 +109,7 @@ def test_lambshift_trivial_cases():
     # diagonal in the eigenbasis commutes with the thermal state
     assert np.linalg.norm(lambshift_on_gibbs_direct(lam_diag, rho_th)) <= 1e-15
     free = BathSpec(temperature=2.0, coupling=0.0, cutoff=100.0)
-    formula = lambshift_on_gibbs_formula(bohr, free, QuadratureSpec(), free.beta, rho_th)
+    formula = lambshift_on_gibbs_formula(bohr, lamb_shift_fgrid(bohr, free), free.beta, rho_th)
     assert np.linalg.norm(formula) == 0.0
 
 

@@ -1,11 +1,19 @@
 import numpy as np
 
-from oracles import jump_operator_bohr_sum, lamb_shift_bohr_sum, random_hermitian
+from oracles import (
+    jump_operator_bohr_sum,
+    lamb_shift_bohr_sum,
+    lamb_shift_live_pairs,
+    random_hermitian,
+    secular_lamb_shift_loop,
+)
 from ule import (
     BathSpec,
     NoiseChannel,
     QuadratureSpec,
+    SpinChainSpec,
     bohr_decompose,
+    build_chain_hamiltonian,
     build_generator,
     build_jump_operator,
     build_lamb_shift,
@@ -15,10 +23,12 @@ from ule import (
     f_table,
     gibbs_state,
     jump_spectral,
+    three_level_baseline,
     unvec,
     vec,
 )
-from ule.generator import lamb_shift_pairs
+from ule.generator import _secular_parts, lamb_shift_pairs
+from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 
@@ -64,11 +74,11 @@ def test_jump_operator_matches_bohr_sum_random_systems():
         ch = NoiseChannel(coupling_op=x, bath=BATH)
         bohr = bohr_decompose(x, eig)
         l_elem = build_jump_operator(eig, ch)
-        l_bohr = jump_operator_bohr_sum(bohr, BATH, jump_spectral)
+        l_bohr = jump_operator_bohr_sum(bohr, x, BATH, jump_spectral)
         scale = max(np.linalg.norm(l_elem), 1.0)
         assert np.linalg.norm(l_elem - l_bohr) <= 1e-12 * scale
         # adjoint form: L^dag = 2 pi sqrt(gamma) sum_w g(w) A(w)^dag
-        adj = sum(jump_spectral(BATH, w) * bohr.components[k].conj().T
+        adj = sum(jump_spectral(BATH, w) * bohr.component(k).conj().T
                   for k, w in enumerate(bohr.frequencies))
         adj = 2.0 * np.pi * np.sqrt(BATH.coupling) * adj
         assert np.linalg.norm(l_elem.conj().T - adj) <= 1e-12 * scale
@@ -92,8 +102,46 @@ def test_lamb_shift_level_sum_vs_bohr_sum():
     quad = QuadratureSpec()
     lam3 = build_lamb_shift(eig, ch, quad)
     bohr = bohr_decompose(x, eig)
-    lam7 = lamb_shift_bohr_sum(bohr, f_table(BATH, lamb_shift_pairs(bohr), quad))
+    lam7 = lamb_shift_bohr_sum(bohr, x, f_table(BATH, lamb_shift_pairs(bohr), quad))
     assert np.linalg.norm(lam3 - lam7) <= 1e-10 * np.linalg.norm(lam3)
+
+
+def chain_and_random_systems():
+    """(bohr, X) for the N = 3 chain, whose coupling has exact zeros in the
+    eigenbasis, and for random (H, X) with d = 2, 3, 5."""
+    spec = SpinChainSpec(N=3)
+    x = chain_channels(spec)[0].coupling_op
+    systems = [(bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec))), x)]
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 5):
+        x = random_hermitian(rng, d)
+        systems.append((bohr_decompose(x, eigendecompose(random_hermitian(rng, d))), x))
+    return systems
+
+
+def test_lamb_shift_pairs_are_the_live_pairs():
+    # f is evaluated exactly at the (w1, w2) whose product A(w1) A(w2) is
+    # nonzero: the pairs the Bohr-sum oracle looks up
+    for bohr, x in chain_and_random_systems():
+        pairs = lamb_shift_pairs(bohr)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == set(lamb_shift_live_pairs(bohr, x))
+
+
+def test_secular_parts_match_loop_oracle():
+    # a grid with distinct values in every cell: Lam_sec may read only the
+    # anti-diagonal f(w_k, -w_k) = grid[k, K - 1 - k]
+    rng = np.random.default_rng(67)
+    baseline = three_level_baseline()
+    systems = [(bohr_decompose(baseline.coupling_op, eigendecompose(baseline.hamiltonian)),
+                baseline.coupling_op)] + chain_and_random_systems()[:1]
+    for bohr, x in systems:
+        grid = rng.standard_normal((bohr.nfreq, bohr.nfreq))
+        jumps, lam = _secular_parts(bohr, BATH, grid)
+        want = secular_lamb_shift_loop(bohr, x, grid)
+        assert np.linalg.norm(lam - want) <= 1e-12 * np.linalg.norm(want)
+        jump_sum = jump_operator_bohr_sum(bohr, x, BATH, jump_spectral)
+        assert np.linalg.norm(sum(jumps) - jump_sum) <= 1e-12 * np.linalg.norm(jump_sum)
 
 
 def test_lamb_shift_hermitian_random_systems():

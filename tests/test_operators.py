@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import bohr_double_sum_loop, jacobi_eigenvalues, random_hermitian
 from ule import (
+    EigenDecomposition,
     SpinChainSpec,
     bohr_decompose,
     build_chain_hamiltonian,
@@ -14,7 +16,7 @@ from ule import (
     thermal_shift_residual,
     trace_distance,
 )
-from ule.spinchain import bath_coupling_operator
+from ule.spinchain import bath_coupling_operator, chain_channels
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -82,8 +84,8 @@ def test_bohr_qubit_lowering_component():
     assert np.allclose(bohr.frequencies, [-delta, delta])
     # direct projector sandwich: A(delta) = P_g X P_e = |g><e|
     pg, pe = eig.projector(0), eig.projector(1)
-    assert np.allclose(bohr.component(delta), pg @ PAULI_X @ pe)
-    assert np.allclose(bohr.component(delta), [[0, 1], [0, 0]])
+    assert np.allclose(bohr.component(1), pg @ PAULI_X @ pe)
+    assert np.allclose(bohr.component(1), [[0, 1], [0, 0]])
 
 
 def test_bohr_diagonal_coupling_single_frequency():
@@ -91,7 +93,7 @@ def test_bohr_diagonal_coupling_single_frequency():
     x = np.diag([0.7, -0.1]).astype(complex)
     bohr = bohr_decompose(x, eig)
     assert np.allclose(bohr.frequencies, [0.0])
-    assert np.allclose(bohr.component(0.0), x)
+    assert np.allclose(bohr.component(0), x)
 
 
 def test_bohr_three_level_all_ones():
@@ -99,8 +101,8 @@ def test_bohr_three_level_all_ones():
     x = np.ones((3, 3), dtype=complex)
     bohr = bohr_decompose(x, eig)
     assert np.allclose(bohr.frequencies, [-3, -2, -1, 0, 1, 2, 3])
-    assert bohr.components.shape[0] == 7
-    assert np.allclose(bohr.frequency_sum(), x, atol=1e-13)
+    assert bohr.nfreq == 7
+    assert np.allclose(sum(bohr.component(k) for k in range(7)), x, atol=1e-13)
     # enumerate all (m, n) pairs directly
     for k, w in enumerate(bohr.frequencies):
         expected = np.zeros((3, 3), dtype=complex)
@@ -108,7 +110,7 @@ def test_bohr_three_level_all_ones():
             for n in range(3):
                 if abs((eig.energies[n] - eig.energies[m]) - w) < 1e-9:
                     expected += eig.projector(m) @ x @ eig.projector(n)
-        assert np.allclose(bohr.components[k], expected, atol=1e-13)
+        assert np.allclose(bohr.component(k), expected, atol=1e-13)
 
 
 def test_bohr_symmetry_and_adjoint_invariants():
@@ -121,10 +123,11 @@ def test_bohr_symmetry_and_adjoint_invariants():
         freqs = bohr.frequencies
         assert np.array_equal(freqs, -freqs[::-1])
         xnorm = np.linalg.norm(x)
-        assert np.linalg.norm(bohr.frequency_sum() - x) <= 1e-12 * xnorm
+        parts = [bohr.component(k) for k in range(freqs.size)]
+        assert np.linalg.norm(sum(parts) - x) <= 1e-12 * xnorm
         for k in range(freqs.size):
-            adj = bohr.components[freqs.size - 1 - k].conj().T
-            assert np.linalg.norm(adj - bohr.components[k]) <= 1e-12 * xnorm
+            adj = parts[freqs.size - 1 - k].conj().T
+            assert np.linalg.norm(adj - parts[k]) <= 1e-12 * xnorm
 
 
 def test_bohr_linearity_in_coupling():
@@ -138,8 +141,8 @@ def test_bohr_linearity_in_coupling():
     b2 = bohr_decompose(x2, eig)
     assert np.array_equal(combined.frequencies, b1.frequencies)
     for k in range(combined.nfreq):
-        assert np.allclose(combined.components[k],
-                           a * b1.components[k] + b * b2.components[k], atol=1e-12)
+        assert np.allclose(combined.component(k),
+                           a * b1.component(k) + b * b2.component(k), atol=1e-12)
 
 
 def test_bohr_rejects_ambiguous_binning():
@@ -150,14 +153,56 @@ def test_bohr_rejects_ambiguous_binning():
         bohr_decompose(x, eig, gap_tolerance=0.6)
 
 
+def test_bohr_rejects_parts_not_summing_back():
+    # a non-unitary "eigenbasis" maps X to 16 X on the way back
+    eig = EigenDecomposition(energies=np.array([-0.5, 0.5]), basis=2.0 * np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="sum back"):
+        bohr_decompose(PAULI_X, eig)
+
+
+def test_bohr_rejects_unmirrored_bins(monkeypatch):
+    import ule.operators
+    real = ule.operators._cluster_gaps
+
+    def skewed(values, eps):
+        labels, reps = real(values, eps)
+        labels = labels.copy()
+        labels[1] = labels[5]  # [0, 1] (gap 1) joins the bin of [1, 2] (gap 2)
+        return labels, reps
+
+    monkeypatch.setattr(ule.operators, "_cluster_gaps", skewed)
+    eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
+    with pytest.raises(ValueError, match=r"A\(-w\) != A\(w\)\^dagger"):
+        bohr_decompose(np.ones((3, 3), dtype=complex), eig)
+
+
+def test_bohr_decompose_memory_on_n6_chain():
+    # d = 64: one complex d x d array is 64 KiB; a stack of all 1,855 A(w)
+    # would take 122 MB
+    spec = SpinChainSpec(N=6)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    x = chain_channels(spec)[0].coupling_op
+    tracemalloc.start()
+    try:
+        bohr = bohr_decompose(x, eig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bohr.nfreq == 1855
+    assert peak < 5e6, f"bohr_decompose peak {peak / 1e6:.1f} MB"
+
+
 def double_sum_systems():
     """Random (H, X) for d = 2..6, and the N = 3 chain, whose degenerate
     Bohr gaps share bins and whose coupling leaves some gap bins empty."""
     rng = np.random.default_rng(43)
-    systems = [bohr_decompose(random_hermitian(rng, d), eigendecompose(random_hermitian(rng, d)))
-               for d in range(2, 7)]
+    systems = []
+    for d in range(2, 7):
+        x = random_hermitian(rng, d)
+        systems.append((bohr_decompose(x, eigendecompose(random_hermitian(rng, d))), x))
     eig = eigendecompose(build_chain_hamiltonian(SpinChainSpec(N=3)))
-    systems.append(bohr_decompose(bath_coupling_operator(1, 3), eig))
+    x = bath_coupling_operator(1, 3)
+    systems.append((bohr_decompose(x, eig), x))
     return systems
 
 
@@ -165,14 +210,14 @@ def double_sum_systems():
 def test_double_sum_matches_component_loop(adjoint_first):
     rng = np.random.default_rng(7)
     systems = double_sum_systems()
-    chain = systems[-1]
+    chain = systems[-1][0]
     gaps = chain.eig.energies[None, :] - chain.eig.energies[:, None]
     assert chain.nfreq < np.unique(np.round(gaps, 9)).size  # dropped zero bins
-    for bohr in systems:
+    for bohr, x in systems:
         nf = bohr.nfreq
         grid = rng.standard_normal((nf, nf)) + 1j * rng.standard_normal((nf, nf))
         got = bohr.double_sum(grid, adjoint_first=adjoint_first)
-        want = bohr_double_sum_loop(bohr, grid, adjoint_first=adjoint_first)
+        want = bohr_double_sum_loop(bohr, x, grid, adjoint_first=adjoint_first)
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
@@ -215,8 +260,9 @@ def test_thermal_shift_identity_on_components():
         bohr = bohr_decompose(x, eig)
         rho_th = gibbs_state(eig, beta)
         for k, w in enumerate(bohr.frequencies):
-            res = thermal_shift_residual(rho_th, bohr.components[k], w, beta)
-            assert res <= 1e-10 * max(np.linalg.norm(bohr.components[k]), 1e-300)
+            a = bohr.component(k)
+            res = thermal_shift_residual(rho_th, a, w, beta)
+            assert res <= 1e-10 * max(np.linalg.norm(a), 1e-300)
 
 
 def test_thermal_shift_zero_frequency_commutes():
@@ -224,7 +270,8 @@ def test_thermal_shift_zero_frequency_commutes():
     x = np.diag([0.2, -0.4, 1.0]).astype(complex)
     bohr = bohr_decompose(x, eig)
     rho_th = gibbs_state(eig, 1.0)
-    assert thermal_shift_residual(rho_th, bohr.component(0.0), 0.0, 1.0) < 1e-14
+    assert bohr.nfreq == 1
+    assert thermal_shift_residual(rho_th, bohr.component(0), 0.0, 1.0) < 1e-14
 
 
 def test_thermal_shift_mismatched_frequency_is_positive():
@@ -232,8 +279,8 @@ def test_thermal_shift_mismatched_frequency_is_positive():
     eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
     bohr = bohr_decompose(PAULI_X, eig)
     rho_th = gibbs_state(eig, 1.0)
-    good = thermal_shift_residual(rho_th, bohr.component(delta), delta, 1.0)
-    bad = thermal_shift_residual(rho_th, bohr.component(delta), -delta, 1.0)
+    good = thermal_shift_residual(rho_th, bohr.component(1), delta, 1.0)
+    bad = thermal_shift_residual(rho_th, bohr.component(1), -delta, 1.0)
     assert good < 1e-12
     assert bad > 1e-3
 
