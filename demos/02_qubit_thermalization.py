@@ -12,7 +12,8 @@ import numpy as np
 from ule import (
     BathSpec,
     NoiseChannel,
-    build_generator,
+    bohr_decompose,
+    build_lamb_shift,
     build_liouvillian,
     eigendecompose,
     gibbs_state,
@@ -20,17 +21,18 @@ from ule import (
     steady_state,
     trace_distance,
 )
+from ule.generator import lamb_shift_fgrid
 
 delta = 1.0
 eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
 bath = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 channel = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
 
-gen = build_generator(eig, channel, include_lamb_shift=True)
+bohr = bohr_decompose(channel.coupling_op, eig)
 print("Lamb shift (diagonal in the energy basis, so it cannot move the steady state):")
-print(np.round(gen.lamb_shift.real, 6))
+print(np.round(build_lamb_shift(bohr, lamb_shift_fgrid(bohr, bath)).real, 6))
 
-sop = build_liouvillian(gen)
+sop = build_liouvillian(eig, channel, include_lamb_shift=True)
 
 # relax from the excited state and watch the population decay
 rho0 = eig.projector(1)

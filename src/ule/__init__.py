@@ -39,8 +39,6 @@ from .dynamics import (
 from .generator import (
     NoiseChannel,
     Superoperator,
-    UleGenerator,
-    build_generator,
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,

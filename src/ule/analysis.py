@@ -32,10 +32,9 @@ from .bath import BathSpec, QuadratureSpec, jump_spectral
 from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
-    _lamb_shift_from_fgrid,
     _secular_parts,
-    build_generator,
     build_jump_operator,
+    build_lamb_shift,
     build_liouvillian,
     lamb_shift_fgrid,
 )
@@ -167,8 +166,7 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fgrid=Non
 
 def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
                           quad: QuadratureSpec = QuadratureSpec(),
-                          include_lamb_shift: bool = True,
-                          bohr: BohrDecomposition | None = None) -> ResidualReport:
+                          include_lamb_shift: bool = True) -> ResidualReport:
     """Evaluate all Gibbs residuals for one channel by both routes.
 
     Norms are reported in units of gamma so baselines compare across
@@ -179,8 +177,7 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     """
     bath = channel.bath
     beta = bath.beta
-    if bohr is None:
-        bohr = bohr_decompose(channel.coupling_op, eig)
+    bohr = bohr_decompose(channel.coupling_op, eig)
     rho_th = gibbs_state(eig, beta)
     unit = bath.coupling if bath.coupling > 0 else 1.0
 
@@ -191,7 +188,7 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
 
     if include_lamb_shift and bath.coupling > 0:
         fgrid = lamb_shift_fgrid(bohr, bath, quad)
-        l_direct = lambshift_on_gibbs_direct(_lamb_shift_from_fgrid(bohr, fgrid), rho_th)
+        l_direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, fgrid), rho_th)
         l_formula = lambshift_on_gibbs_formula(bohr, fgrid, beta, rho_th)
         l_mismatch = frobenius(l_direct - l_formula)
         l_direct_norm = frobenius(l_direct)
@@ -301,7 +298,7 @@ def trend_sweep(system: TrendSystem, temperatures, couplings) -> SweepResult:
             bath = BathSpec(temperature=t, coupling=gam, cutoff=system.cutoff)
             channel = NoiseChannel(coupling_op=system.coupling_op, bath=bath)
             try:
-                sop = build_liouvillian(build_generator(eig, channel, include_lamb_shift=False))
+                sop = build_liouvillian(eig, channel, include_lamb_shift=False)
                 rho_ss = steady_state(sop).state
                 cells[(t, gam)] = gibbs_deviation(rho_ss, eig, bath.beta,
                                                   observable=system.observable)

@@ -16,11 +16,14 @@ sum_w f(w, -w) A(w) A(-w) come from one construction, `_secular_parts`,
 which `analysis.secular_residuals` also applies to the Gibbs state.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
-H_eff = H + Lam and the nonzero jump operators. `apply_matrix` applies it
-with d x d matrix products; time propagation uses the same products on the
-dissipator rotated into the eigenbasis of H_eff (`_eigenframe`, one eigh per
-generator). The dense d^2 x d^2 matrix is built only when a dense solve
-first asks for it, using column stacking:
+H_eff = H + Lam and the nonzero jump operators. `build_liouvillian` (the
+full generator) and `build_secular_generator` both hand H + Lam and the
+jumps to its constructor, the one place that hermitizes H_eff and drops
+all-zero jumps. `apply_matrix` applies it with d x d matrix products; time
+propagation uses the same products on the dissipator rotated into the
+eigenbasis of H_eff (`_eigenframe`, one eigh per generator). The dense
+d^2 x d^2 matrix is built only when a dense solve first asks for it, using
+column stacking:
 vec(A rho B) = (B^T kron A) vec(rho).
 """
 
@@ -65,19 +68,6 @@ class NoiseChannel:
                            require_hermitian(self.coupling_op, name="X"))
 
 
-@dataclass(frozen=True)
-class UleGenerator:
-    """Hamiltonian, Lamb shift and jump operators of the master equation.
-
-    `lamb_shift` is the zero matrix when the generator was built with the
-    Lamb shift disabled.
-    """
-
-    hamiltonian: np.ndarray
-    lamb_shift: np.ndarray
-    jumps: list
-
-
 # `steady_state` needs the matrix and one bordered copy to factor, but any
 # generator its certificate rejects falls back to the gesdd SVD, so the guard
 # is sized for the SVD. A dense build plus that SVD raised peak RSS by 9.1x
@@ -93,10 +83,18 @@ class Superoperator:
     K = H_eff - (i/2) sum_c L_c^dag L_c. `apply_matrix` uses d x d products;
     the dense d^2 x d^2 `matrix` on column-stacked states is built on first
     access.
+
+    Construction normalises: `hamiltonian` is stored as the Hermitian part
+    of the H_eff passed in, and `jumps` (any iterable) keeps only the
+    operators that are not all zero, e.g. those of zero-coupling channels.
     """
 
     hamiltonian: np.ndarray
     jumps: list
+
+    def __post_init__(self):
+        object.__setattr__(self, "hamiltonian", hermitize(self.hamiltonian))
+        object.__setattr__(self, "jumps", [l for l in self.jumps if np.any(l)])
 
     @property
     def dim(self) -> int:
@@ -219,23 +217,13 @@ def matched_pair_fgrid(bohr: BohrDecomposition, bath: BathSpec,
     return _fgrid(bohr, bath, quad, k, k[::-1])
 
 
-def build_lamb_shift(eig: EigenDecomposition, channel: NoiseChannel,
-                     quad: QuadratureSpec = QuadratureSpec(),
-                     bohr: BohrDecomposition | None = None) -> np.ndarray:
+def build_lamb_shift(bohr: BohrDecomposition, fgrid) -> np.ndarray:
     """Lamb-shift operator Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln.
 
-    The triple sum is the double Bohr sum of :func:`lamb_shift_fgrid`.
-    Hermiticity follows from the swap symmetry f(E1, E2) = f(-E2, -E1) and
-    is asserted.
+    The triple sum is the double Bohr sum over `fgrid`, the f values of
+    :func:`lamb_shift_fgrid`. Hermiticity follows from the swap symmetry
+    f(E1, E2) = f(-E2, -E1) and is asserted.
     """
-    if bohr is None:
-        bohr = bohr_decompose(channel.coupling_op, eig)
-    if channel.bath.coupling == 0.0:
-        return np.zeros((eig.dim, eig.dim), dtype=complex)
-    return _lamb_shift_from_fgrid(bohr, lamb_shift_fgrid(bohr, channel.bath, quad))
-
-
-def _lamb_shift_from_fgrid(bohr: BohrDecomposition, fgrid) -> np.ndarray:
     lam = bohr.double_sum(fgrid)
     defect = frobenius(lam - lam.conj().T)
     if defect > 1e-8 * max(frobenius(lam), 1e-300):
@@ -243,35 +231,26 @@ def _lamb_shift_from_fgrid(bohr: BohrDecomposition, fgrid) -> np.ndarray:
     return hermitize(lam)
 
 
-def build_generator(eig: EigenDecomposition, channels,
-                    quad: QuadratureSpec = QuadratureSpec(),
-                    include_lamb_shift: bool = True) -> UleGenerator:
-    """Assemble jump operators (and optionally the Lamb shift) for channels.
+def build_liouvillian(eig: EigenDecomposition, channels,
+                      quad: QuadratureSpec = QuadratureSpec(),
+                      include_lamb_shift: bool = True) -> Superoperator:
+    """Generator of the master equation for one channel or a list of them.
 
-    With `include_lamb_shift` false the Lamb shift is the zero matrix and no
+    H_eff = H + sum_c Lam_c and one jump operator per channel, without dense
+    work. With `include_lamb_shift` false, or for a channel with zero
+    coupling (where f vanishes), that channel's Lamb shift is skipped and no
     quadrature runs.
     """
     if isinstance(channels, NoiseChannel):
         channels = [channels]
-    h = eig.reconstruct()
-    d = eig.dim
-    lam = np.zeros((d, d), dtype=complex)
+    lam = np.zeros((eig.dim, eig.dim), dtype=complex)
     jumps = []
     for ch in channels:
         jumps.append(build_jump_operator(eig, ch))
-        if include_lamb_shift:
-            lam = lam + build_lamb_shift(eig, ch, quad)
-    return UleGenerator(hamiltonian=h, lamb_shift=lam, jumps=jumps)
-
-
-def build_liouvillian(gen: UleGenerator) -> Superoperator:
-    """Superoperator of the master equation, without dense work.
-
-    H_eff = H + Lam; all-zero jump operators (channels with zero coupling)
-    are dropped.
-    """
-    return Superoperator(hermitize(gen.hamiltonian + gen.lamb_shift),
-                         [l for l in gen.jumps if np.any(l)])
+        if include_lamb_shift and ch.bath.coupling > 0:
+            bohr = bohr_decompose(ch.coupling_op, eig)
+            lam = lam + build_lamb_shift(bohr, lamb_shift_fgrid(bohr, ch.bath, quad))
+    return Superoperator(eig.reconstruct() + lam, jumps)
 
 
 def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
@@ -307,4 +286,4 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     """
     fgrid = matched_pair_fgrid(bohr, channel.bath, quad) if include_lamb_shift else None
     jumps, lam = _secular_parts(bohr, channel.bath, fgrid)
-    return build_liouvillian(UleGenerator(bohr.eig.reconstruct(), lam, list(jumps)))
+    return Superoperator(bohr.eig.reconstruct() + lam, jumps)

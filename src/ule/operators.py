@@ -240,26 +240,23 @@ def bohr_decompose(x, eig: EigenDecomposition, gap_tolerance: float | None = Non
     return BohrDecomposition(frequencies=reps, eig=eig, coupling_eigen=xe, bin_index=bin_index)
 
 
-def gibbs_state(eig: EigenDecomposition, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta H)/Z of the eigensystem's operator.
+def gibbs_populations(eig: EigenDecomposition, beta: float) -> np.ndarray:
+    """Eigenbasis populations exp(-beta E_n)/Z of the Gibbs state.
 
-    Populations are computed from energies shifted by the ground energy, so
-    arbitrarily large beta is safe (the state limits to the ground
-    projector).
+    The exponentials use energies shifted by the ground energy, so
+    arbitrarily large beta is safe (the populations limit to the ground
+    level).
     """
     if not (beta >= 0 and np.isfinite(beta)):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
     w = np.exp(-beta * (eig.energies - eig.energies[0]))
-    p = w / w.sum()
-    return (eig.basis * p) @ eig.basis.conj().T
-
-
-def gibbs_populations(eig: EigenDecomposition, beta: float) -> np.ndarray:
-    """Eigenbasis populations of the Gibbs state (same shift convention)."""
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    w = np.exp(-beta * (eig.energies - eig.energies[0]))
     return w / w.sum()
+
+
+def gibbs_state(eig: EigenDecomposition, beta: float) -> np.ndarray:
+    """Thermal state exp(-beta H)/Z of the eigensystem's operator, built from
+    :func:`gibbs_populations`."""
+    return (eig.basis * gibbs_populations(eig, beta)) @ eig.basis.conj().T
 
 
 def thermal_shift_residual(rho_th: np.ndarray, a: np.ndarray, w: float, beta: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import DeviationReport, gibbs_deviation
 from .bath import BathSpec, QuadratureSpec
 from .dynamics import SteadyStateReport, Trajectory, expectation, propagate, steady_state
-from .generator import NoiseChannel, build_generator, build_liouvillian
+from .generator import NoiseChannel, build_liouvillian
 from .operators import EigenDecomposition, eigendecompose, gibbs_state
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,9 +158,8 @@ def all_up_state(n_sites: int) -> np.ndarray:
 def build_chain_superop(spec: SpinChainSpec):
     """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator."""
     eig = eigendecompose(build_chain_hamiltonian(spec))
-    gen = build_generator(eig, chain_channels(spec), spec.quad,
-                          include_lamb_shift=not spec.ignore_lamb_shift)
-    return eig, build_liouvillian(gen)
+    return eig, build_liouvillian(eig, chain_channels(spec), spec.quad,
+                                  include_lamb_shift=not spec.ignore_lamb_shift)
 
 
 def relax_chain(spec: SpinChainSpec, sop, t_end: float | None = None,

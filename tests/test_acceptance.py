@@ -21,7 +21,6 @@ from ule import (
     QuadratureSpec,
     SpinChainSpec,
     bohr_decompose,
-    build_generator,
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,
@@ -29,7 +28,6 @@ from ule import (
     dissipator_on_gibbs_direct,
     dissipator_on_gibbs_formula,
     eigendecompose,
-    f_table,
     gibbs_state,
     jump_spectral,
     lambshift_on_gibbs_direct,
@@ -44,7 +42,7 @@ from ule import (
     trace_distance,
     trend_sweep,
 )
-from ule.generator import lamb_shift_fgrid, lamb_shift_pairs, matched_pair_fgrid
+from ule.generator import _lamb_shift_bins, lamb_shift_fgrid, matched_pair_fgrid
 from ule.spinchain import build_chain_hamiltonian, chain_channels
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -75,7 +73,11 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def ensemble():
-    """50 seeded random systems: d cycles 3..6, T uniform in [0.5, 8]."""
+    """50 seeded random systems: d cycles 3..6, T uniform in [0.5, 8].
+
+    Each carries its Lamb-shift f grid, evaluated once for every test that
+    reads f.
+    """
     rng = np.random.default_rng(2024)
     systems = []
     for trial in range(50):
@@ -85,12 +87,14 @@ def ensemble():
         x = random_hermitian(rng, d)
         bath = BathSpec(temperature=t, coupling=GAMMA, cutoff=CUTOFF)
         eig = eigendecompose(h)
+        bohr = bohr_decompose(x, eig)
         systems.append(dict(
             eig=eig,
-            bohr=bohr_decompose(x, eig),
+            bohr=bohr,
             channel=NoiseChannel(coupling_op=x, bath=bath),
             bath=bath,
             rho_th=gibbs_state(eig, bath.beta),
+            fgrid=lamb_shift_fgrid(bohr, bath, QUAD),
         ))
     return systems
 
@@ -137,11 +141,10 @@ def test_criterion_2_lambshift_identity(ensemble):
     t0 = time.perf_counter()
     worst = 0.0
     for sys_ in ensemble:
-        lam = build_lamb_shift(sys_["eig"], sys_["channel"], QUAD, bohr=sys_["bohr"])
+        lam = build_lamb_shift(sys_["bohr"], sys_["fgrid"])
         direct = lambshift_on_gibbs_direct(lam, sys_["rho_th"])
         formula = lambshift_on_gibbs_formula(
-            sys_["bohr"], lamb_shift_fgrid(sys_["bohr"], sys_["bath"], QUAD),
-            sys_["bath"].beta, sys_["rho_th"])
+            sys_["bohr"], sys_["fgrid"], sys_["bath"].beta, sys_["rho_th"])
         rel = np.linalg.norm(direct - formula) / np.linalg.norm(direct)
         worst = max(worst, rel)
     wall = time.perf_counter() - t0
@@ -215,7 +218,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th = gibbs_state(eig, bath.beta)
     jump = build_jump_operator(eig, ch)
     baseline_norm = np.linalg.norm(dissipator_on_gibbs_direct(jump, rho_th))
-    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    sop = build_liouvillian(eig, ch, include_lamb_shift=False)
     baseline_dist = trace_distance(steady_state(sop).state, rho_th)
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
@@ -223,7 +226,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th_q = gibbs_state(eig_q, bath.beta)
     control_norm = np.linalg.norm(
         dissipator_on_gibbs_direct(build_jump_operator(eig_q, ch_q), rho_th_q))
-    sop_q = build_liouvillian(build_generator(eig_q, ch_q))
+    sop_q = build_liouvillian(eig_q, ch_q)
     control_dist = trace_distance(steady_state(sop_q).state, rho_th_q)
 
     ok = (baseline_norm > 1e-6 * GAMMA and baseline_dist > 1e-4
@@ -241,9 +244,13 @@ def test_criterion_5_generator_cross_checks(ensemble):
         l_bohr = jump_operator_bohr_sum(sys_["bohr"], x, sys_["bath"], jump_spectral)
         worst_l = max(worst_l, np.linalg.norm(l_elem - l_bohr)
                       / max(np.linalg.norm(l_elem), 1.0))
-        lam3 = build_lamb_shift(sys_["eig"], sys_["channel"], QUAD, bohr=sys_["bohr"])
-        lam7 = lamb_shift_bohr_sum(
-            sys_["bohr"], x, f_table(sys_["bath"], lamb_shift_pairs(sys_["bohr"]), QUAD))
+        bohr, fgrid = sys_["bohr"], sys_["fgrid"]
+        lam3 = build_lamb_shift(bohr, fgrid)
+        # the oracle looks f up by (w1, w2); the grid cells hold the same
+        # f_table values, computed once in the fixture
+        w = bohr.frequencies
+        f_values = {(w[i], w[j]): fgrid[i, j] for i, j in zip(*_lamb_shift_bins(bohr))}
+        lam7 = lamb_shift_bohr_sum(bohr, x, f_values)
         norm = np.linalg.norm(lam3)
         worst_lam = max(worst_lam, np.linalg.norm(lam3 - lam7) / norm)
         worst_herm = max(worst_herm,
@@ -261,10 +268,10 @@ def test_criterion_6_dynamics_contracts():
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch_q = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
-    sop_q = build_liouvillian(build_generator(eig_q, ch_q, include_lamb_shift=False))
+    sop_q = build_liouvillian(eig_q, ch_q, include_lamb_shift=False)
     eig_3 = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     ch_3 = NoiseChannel(coupling_op=random_hermitian(rng, 3), bath=bath)
-    sop_3 = build_liouvillian(build_generator(eig_3, ch_3, include_lamb_shift=False))
+    sop_3 = build_liouvillian(eig_3, ch_3, include_lamb_shift=False)
 
     from ule import propagate
     worst_drift = worst_eig = 0.0

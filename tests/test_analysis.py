@@ -9,7 +9,6 @@ from ule import (
     SpinChainSpec,
     bohr_decompose,
     build_chain_hamiltonian,
-    build_generator,
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,
@@ -90,9 +89,8 @@ def test_dissipator_formula_single_frequency_is_zero():
 def test_lambshift_commutator_routes_on_baseline():
     eig, ch, bohr, rho_th = baseline_setup()
     quad = QuadratureSpec()
-    lam = build_lamb_shift(eig, ch, quad, bohr=bohr)
-    direct = lambshift_on_gibbs_direct(lam, rho_th)
     fgrid = lamb_shift_fgrid(bohr, BATH, quad)
+    direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, fgrid), rho_th)
     formula = lambshift_on_gibbs_formula(bohr, fgrid, BATH.beta, rho_th)
     norm = np.linalg.norm(direct)
     assert norm > 1e-6 * BATH.coupling
@@ -221,7 +219,7 @@ def test_gibbs_deviation_identity():
 def test_gibbs_deviation_qubit_steady_state():
     eig = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=BATH)
-    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    sop = build_liouvillian(eig, ch, include_lamb_shift=False)
     rho_ss = steady_state(sop).state
     dev = gibbs_deviation(rho_ss, eig, BATH.beta)
     assert dev.trace_distance <= 1e-9
@@ -229,7 +227,7 @@ def test_gibbs_deviation_qubit_steady_state():
 
 def test_gibbs_deviation_observable_gap_and_rows():
     eig, ch, _, rho_th = baseline_setup()
-    sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    sop = build_liouvillian(eig, ch, include_lamb_shift=False)
     rho_ss = steady_state(sop).state
     obs = np.diag([1.0, 0.0, -1.0]).astype(complex)
     dev = gibbs_deviation(rho_ss, eig, BATH.beta, observable=obs)

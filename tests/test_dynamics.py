@@ -10,7 +10,6 @@ from ule import (
     PropagationError,
     SteadyStateError,
     bohr_decompose,
-    build_generator,
     build_liouvillian,
     build_secular_generator,
     eigendecompose,
@@ -40,8 +39,7 @@ def qubit_liouvillian(delta=1.0, include_lamb_shift=False):
     eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = NoiseChannel(coupling_op=x, bath=BATH)
-    gen = build_generator(eig, ch, include_lamb_shift=include_lamb_shift)
-    return eig, build_liouvillian(gen)
+    return eig, build_liouvillian(eig, ch, include_lamb_shift=include_lamb_shift)
 
 
 def three_level_channel():
@@ -52,13 +50,12 @@ def three_level_channel():
 
 def three_level_liouvillian():
     eig, ch = three_level_channel()
-    gen = build_generator(eig, ch, include_lamb_shift=False)
-    return eig, build_liouvillian(gen)
+    return eig, build_liouvillian(eig, ch, include_lamb_shift=False)
 
 
 def test_eigenprojector_stationary_under_pure_commutator():
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
-    sop = build_liouvillian(build_generator(eig, [], include_lamb_shift=False))
+    sop = build_liouvillian(eig, [], include_lamb_shift=False)
     rho0 = eig.projector(1)
     traj = propagate(sop, rho0, 5.0, np.linspace(0, 5.0, 11), tol=1e-10)
     for state in traj.states:
@@ -152,7 +149,7 @@ def test_steady_state_three_level_differs_from_gibbs():
 
 def test_steady_state_zero_dissipator_flags_multiplicity():
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
-    sop = build_liouvillian(build_generator(eig, [], include_lamb_shift=False))
+    sop = build_liouvillian(eig, [], include_lamb_shift=False)
     with pytest.raises(SteadyStateError) as info:
         steady_state(sop)
     assert info.value.kernel_dimension == 3

@@ -12,9 +12,9 @@ from ule import (
     NoiseChannel,
     QuadratureSpec,
     SpinChainSpec,
+    Superoperator,
     bohr_decompose,
     build_chain_hamiltonian,
-    build_generator,
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,
@@ -22,12 +22,13 @@ from ule import (
     eigendecompose,
     f_table,
     gibbs_state,
+    hermitize,
     jump_spectral,
     three_level_baseline,
     unvec,
     vec,
 )
-from ule.generator import _secular_parts, lamb_shift_pairs
+from ule.generator import _secular_parts, lamb_shift_fgrid, lamb_shift_pairs
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -84,13 +85,18 @@ def test_jump_operator_matches_bohr_sum_random_systems():
         assert np.linalg.norm(l_elem.conj().T - adj) <= 1e-12 * scale
 
 
+def lamb_shift(eig, channel, quad=QuadratureSpec()):
+    bohr = bohr_decompose(channel.coupling_op, eig)
+    return build_lamb_shift(bohr, lamb_shift_fgrid(bohr, channel.bath, quad))
+
+
 def test_lamb_shift_trivial_cases():
     eig, _ = qubit_system()
     zero_x = NoiseChannel(coupling_op=np.zeros((2, 2)), bath=BATH)
-    assert np.all(build_lamb_shift(eig, zero_x) == 0)
+    assert np.all(lamb_shift(eig, zero_x) == 0)
     free = BathSpec(temperature=2.0, coupling=0.0, cutoff=100.0)
     ch = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=free)
-    assert np.all(build_lamb_shift(eig, ch) == 0)
+    assert np.all(lamb_shift(eig, ch) == 0)
 
 
 def test_lamb_shift_level_sum_vs_bohr_sum():
@@ -100,7 +106,7 @@ def test_lamb_shift_level_sum_vs_bohr_sum():
     x = random_hermitian(rng, 3).real.astype(complex)  # real symmetric
     ch = NoiseChannel(coupling_op=x, bath=BATH)
     quad = QuadratureSpec()
-    lam3 = build_lamb_shift(eig, ch, quad)
+    lam3 = lamb_shift(eig, ch, quad)
     bohr = bohr_decompose(x, eig)
     lam7 = lamb_shift_bohr_sum(bohr, x, f_table(BATH, lamb_shift_pairs(bohr), quad))
     assert np.linalg.norm(lam3 - lam7) <= 1e-10 * np.linalg.norm(lam3)
@@ -150,14 +156,26 @@ def test_lamb_shift_hermitian_random_systems():
         d = int(rng.integers(2, 6))
         eig = eigendecompose(random_hermitian(rng, d))
         x = random_hermitian(rng, d)
-        lam = build_lamb_shift(eig, NoiseChannel(coupling_op=x, bath=BATH))
+        lam = lamb_shift(eig, NoiseChannel(coupling_op=x, bath=BATH))
         assert np.linalg.norm(lam - lam.conj().T) <= 1e-8 * max(np.linalg.norm(lam), 1e-300)
+
+
+def test_superoperator_constructor_hermitizes_and_drops_zero_jumps():
+    # the invariant holds for a Superoperator built directly, not only for
+    # the generators the builders return
+    rng = np.random.default_rng(37)
+    d = 3
+    h = random_hermitian(rng, d) + 1e-9 * rng.standard_normal((d, d))
+    l = random_hermitian(rng, d)
+    sop = Superoperator(h, [l, np.zeros((d, d), dtype=complex)])
+    assert np.array_equal(sop.hamiltonian, sop.hamiltonian.conj().T)
+    assert np.array_equal(sop.hamiltonian, hermitize(h))
+    assert len(sop.jumps) == 1 and sop.jumps[0] is l
 
 
 def test_liouvillian_pure_commutator_spectrum():
     eig, _ = qubit_system(delta=2.0)
-    gen = build_generator(eig, [], include_lamb_shift=False)
-    sop = build_liouvillian(gen)
+    sop = build_liouvillian(eig, [], include_lamb_shift=False)
     ev = np.sort_complex(np.linalg.eigvals(sop.matrix))
     assert np.allclose(ev.real, 0.0, atol=1e-12)
     assert np.allclose(np.sort(ev.imag), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
@@ -165,11 +183,10 @@ def test_liouvillian_pure_commutator_spectrum():
 
 def test_liouvillian_matches_matrix_free_action():
     eig, ch = qubit_system()
-    gen = build_generator(eig, ch)
-    sop = build_liouvillian(gen)
+    sop = build_liouvillian(eig, ch)
     rng = np.random.default_rng(5)
-    h_eff = gen.hamiltonian + gen.lamb_shift
-    l = gen.jumps[0]
+    h_eff = eig.reconstruct() + lamb_shift(eig, ch)
+    l = build_jump_operator(eig, ch)
     for _ in range(20):
         rho = random_hermitian(rng, 2)
         direct = (-1j * (h_eff @ rho - rho @ h_eff)
@@ -189,9 +206,9 @@ def test_apply_matrix_matches_dense_matrix_on_non_hermitian_inputs():
     ch1 = NoiseChannel(coupling_op=x1, bath=BATH)
     ch2 = NoiseChannel(coupling_op=x2,
                        bath=BathSpec(temperature=1.0, coupling=0.05, cutoff=100.0))
-    full = build_liouvillian(build_generator(eig, ch1))
+    full = build_liouvillian(eig, ch1)
     secular = build_secular_generator(bohr_decompose(x1, eig), ch1)
-    composed = build_liouvillian(build_generator(eig, [ch1, ch2], include_lamb_shift=False))
+    composed = build_liouvillian(eig, [ch1, ch2], include_lamb_shift=False)
     assert len(composed.jumps) == 2
     for sop in (full, secular, composed):
         for _ in range(5):
@@ -206,18 +223,17 @@ def test_liouvillian_trace_preservation():
         d = int(rng.integers(2, 7))
         eig = eigendecompose(random_hermitian(rng, d))
         ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=BATH)
-        sop = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+        sop = build_liouvillian(eig, ch, include_lamb_shift=False)
         assert sop.trace_preservation_defect() <= 1e-10 * max(1.0, np.max(np.abs(sop.matrix)))
 
 
 def test_lamb_shift_flag_switches_coherent_part():
     eig, ch = qubit_system()
-    gen = build_generator(eig, ch, include_lamb_shift=True)
-    with_lamb = build_liouvillian(gen)
-    without = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    with_lamb = build_liouvillian(eig, ch, include_lamb_shift=True)
+    without = build_liouvillian(eig, ch, include_lamb_shift=False)
     diff = with_lamb.matrix - without.matrix
-    lam_only = -1j * (np.kron(np.eye(2), gen.lamb_shift)
-                      - np.kron(gen.lamb_shift.T, np.eye(2)))
+    lam = lamb_shift(eig, ch)
+    lam_only = -1j * (np.kron(np.eye(2), lam) - np.kron(lam.T, np.eye(2)))
     assert np.allclose(diff, lam_only, atol=1e-12)
 
 
@@ -226,7 +242,7 @@ def test_secular_zero_coupling_operator():
     bohr = bohr_decompose(np.zeros((2, 2)), eig)
     ch = NoiseChannel(coupling_op=np.zeros((2, 2)), bath=BATH)
     sop = build_secular_generator(bohr, ch)
-    commutator_only = build_liouvillian(build_generator(eig, [], include_lamb_shift=False))
+    commutator_only = build_liouvillian(eig, [], include_lamb_shift=False)
     assert np.allclose(sop.matrix, commutator_only.matrix, atol=1e-14)
 
 
@@ -237,7 +253,7 @@ def test_secular_matches_full_for_qubit_sigma_x_population_sector():
     # L(d) rho L(-d)^dag, which population states never feed.
     eig, ch = qubit_system()
     bohr = bohr_decompose(ch.coupling_op, eig)
-    full = build_liouvillian(build_generator(eig, ch))
+    full = build_liouvillian(eig, ch)
     secular = build_secular_generator(bohr, ch, include_lamb_shift=True)
     for pops in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7)):
         rho = eig.basis @ np.diag(pops).astype(complex) @ eig.basis.conj().T
@@ -263,7 +279,7 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
     rho_th = gibbs_state(eig, BATH.beta)
     secular = build_secular_generator(bohr, ch)
     resid_sec = np.linalg.norm(secular.matrix @ vec(rho_th))
-    full = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    full = build_liouvillian(eig, ch, include_lamb_shift=False)
     resid_full = np.linalg.norm(full.matrix @ vec(rho_th))
     assert resid_sec <= 1e-10
     assert resid_full > 1e-4
@@ -271,18 +287,18 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
 
 def test_channels_compose_identity_and_zero_channel():
     eig, ch = qubit_system()
-    single = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
+    single = build_liouvillian(eig, ch, include_lamb_shift=False)
     dead = NoiseChannel(coupling_op=ch.coupling_op,
                         bath=BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0))
-    double = build_liouvillian(build_generator(eig, [ch, dead], include_lamb_shift=False))
+    double = build_liouvillian(eig, [ch, dead], include_lamb_shift=False)
     assert np.max(np.abs(single.matrix - double.matrix)) <= 1e-14
     assert len(double.jumps) == 1
 
 
 def test_channels_compose_two_equal_channels_double_dissipator():
     eig, ch = qubit_system()
-    one = build_liouvillian(build_generator(eig, ch, include_lamb_shift=False))
-    two = build_liouvillian(build_generator(eig, [ch, ch], include_lamb_shift=False))
-    commutator = build_liouvillian(build_generator(eig, [], include_lamb_shift=False))
+    one = build_liouvillian(eig, ch, include_lamb_shift=False)
+    two = build_liouvillian(eig, [ch, ch], include_lamb_shift=False)
+    commutator = build_liouvillian(eig, [], include_lamb_shift=False)
     assert np.allclose(two.matrix - commutator.matrix,
                        2.0 * (one.matrix - commutator.matrix), atol=1e-13)
