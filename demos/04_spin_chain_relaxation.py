@@ -11,10 +11,14 @@ in relative terms.
 
 N = 4 keeps this demo to a few seconds; N = 6 reproduces the full-size
 run (about 15 s on one core, half of it propagation and half the
-steady-state solve). The CLI runs
-the same experiment from a config file:
+steady-state solve). The steady and thermal <M> are read from the Gibbs
+deviation report of the one steady stage, `spinchain.chain_steady_state`,
+never from the trajectory endpoint. The CLI runs the same experiment from
+a config file, and `ule steady` runs only its steady stage (its steady.csv
+equals fig1b.csv):
 
     ule spinchain --config demos/chain_n6.cfg --outdir out/
+    ule steady    --config demos/chain_n6.cfg --outdir out/
 """
 
 from ule import SpinChainSpec, run_relaxation
@@ -39,9 +43,9 @@ for k in range(0, len(m), len(m) // 10):
     print(f"{traj.times[k]:8.1f} {m[k]:+.6f}")
 
 dev = result.deviation
-print(f"\nsteady <M>          = {result.magnetization_steady:+.8f}")
-print(f"thermal <M>         = {result.magnetization_thermal:+.8f}")
-print(f"difference          = {abs(result.magnetization_steady - result.magnetization_thermal):.2e}")
+print(f"\nsteady <M>          = {dev.observable_steady:+.8f}")
+print(f"thermal <M>         = {dev.observable_thermal:+.8f}")
+print(f"difference          = {dev.observable_gap:.2e}")
 print(f"trace distance      = {dev.trace_distance:.4e}")
 print(f"ground level gap    = {dev.rho11_gap:.2e} absolute, {dev.rho11_rel_gap:.2e} relative")
 print(f"worst level gap     = {dev.max_abs_diag_deviation:.2e} absolute, "

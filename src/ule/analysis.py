@@ -107,7 +107,15 @@ class DeviationReport:
     trace_distance: float
     rho11_gap: float
     rho11_rel_gap: float
-    observable_gap: float | None = None
+    observable_steady: float | None = None
+    observable_thermal: float | None = None
+
+    @property
+    def observable_gap(self) -> float | None:
+        """|<O>_ss - <O>_th|, or None when the report has no observable."""
+        if self.observable_steady is None:
+            return None
+        return abs(self.observable_steady - self.observable_thermal)
 
     def rows(self):
         """(n, E_n, rho_nn, rho_nn_th) rows, n starting at 1."""
@@ -221,8 +229,8 @@ def gibbs_deviation(rho_ss, eig: EigenDecomposition, beta: float,
     """Compare a steady state against the Gibbs state of the eigensystem.
 
     Diagonals are taken in the energy eigenbasis. rho11 refers to the
-    lowest-energy level. When `observable` is given the report includes
-    |<O>_ss - <O>_th|.
+    lowest-energy level. When `observable` is given the report carries
+    <O>_ss and <O>_th.
     """
     p_th = gibbs_populations(eig, beta)
     rho_e = eig.to_eigenbasis(rho_ss)
@@ -233,9 +241,10 @@ def gibbs_deviation(rho_ss, eig: EigenDecomposition, beta: float,
     dev = np.abs(diag - p_th)
     rel = dev / np.maximum(p_th, REL_FLOOR)
     rho_th = gibbs_state(eig, beta)
-    obs_gap = None
+    obs_ss = obs_th = None
     if observable is not None:
-        obs_gap = abs(expectation(rho_ss, observable) - expectation(rho_th, observable))
+        obs_ss = expectation(rho_ss, observable)
+        obs_th = expectation(rho_th, observable)
     return DeviationReport(
         energies=eig.energies.copy(),
         diag_steady=diag,
@@ -245,7 +254,8 @@ def gibbs_deviation(rho_ss, eig: EigenDecomposition, beta: float,
         trace_distance=trace_distance(rho_ss, rho_th),
         rho11_gap=float(dev[0]),
         rho11_rel_gap=float(rel[0]),
-        observable_gap=obs_gap,
+        observable_steady=obs_ss,
+        observable_thermal=obs_th,
     )
 
 

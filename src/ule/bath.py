@@ -255,8 +255,9 @@ def f_table(bath: BathSpec, gap_pairs, quad: QuadratureSpec = QuadratureSpec()) 
     """Evaluate f once per distinct (E1, E2) pair and return the lookup map.
 
     Keys are the exact float pairs supplied (bin representatives from a
-    Bohr decomposition), so memoization is exact. QuadratureError from a
-    failing pair is re-raised tagged with that pair.
+    Bohr decomposition), so memoization is exact. A failing pair's
+    QuadratureError propagates uncaught; `f_integral` has already set its
+    `.pair`.
     """
     table: dict = {}
     for pair in gap_pairs:

@@ -22,14 +22,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    gibbs_deviation,
     gibbs_residual_report,
     sweep_monotonicity,
     three_level_baseline,
     trend_sweep,
 )
 from .bath import BathSpec, QuadratureSpec, QuadratureError, f_table, jump_spectral
-from .dynamics import PropagationError, SteadyStateError, steady_state
+from .dynamics import PropagationError, SteadyStateError
 from .io import format_value, write_csv, write_json
 from .operators import eigendecompose
 from .spinchain import (
@@ -37,7 +36,7 @@ from .spinchain import (
     build_chain_hamiltonian,
     build_chain_superop,
     chain_channels,
-    magnetization,
+    chain_steady_state,
     relax_chain,
     run_relaxation,
 )
@@ -49,11 +48,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
-
-
-# key -> (parser, default); REQUIRED means the key must come from the
-# config file or a command-line override
-_REQUIRED = object()
 
 
 def _parse_bool(text: str) -> bool:
@@ -72,26 +66,39 @@ def _parse_sites(text: str):
     return (int(parts[0]), int(parts[1]))
 
 
+# key -> (parser, default). A key whose default is None stays absent unless
+# the config file or a command-line override sets it; `load_config` requires
+# the keys of the command's `required` set.
 CONFIG_SCHEMA = {
-    "N": (int, _REQUIRED),
-    "eta": (float, 1.0),
-    "B_z": (float, _REQUIRED),
-    "T1": (float, _REQUIRED),
-    "T2": (float, 1.0),
-    "gamma1": (float, _REQUIRED),
-    "gamma2": (float, 0.0),
-    "Lambda_c": (float, 100.0),
-    "omega0": (float, 2.0),
-    "couple_sites": (_parse_sites, None),
-    "ignore_lamb_shift": (_parse_bool, True),
-    "rtol": (float, 1e-8),
-    "atol": (float, 1e-12),
-    "omega_max_pad": (float, 8.0),
-    "max_depth": (int, 50),
+    "N": (int, None),
+    "eta": (float, SpinChainSpec.eta),
+    "B_z": (float, None),
+    "T1": (float, None),
+    "T2": (float, SpinChainSpec.T2),
+    "gamma1": (float, None),
+    "gamma2": (float, SpinChainSpec.gamma2),
+    "Lambda_c": (float, SpinChainSpec.Lambda_c),
+    "omega0": (float, SpinChainSpec.omega0),
+    "couple_sites": (_parse_sites, SpinChainSpec.couple_sites),
+    "ignore_lamb_shift": (_parse_bool, SpinChainSpec.ignore_lamb_shift),
+    "rtol": (float, QuadratureSpec.rtol),
+    "atol": (float, QuadratureSpec.atol),
+    "omega_max_pad": (float, QuadratureSpec.omega_max_pad),
+    "max_depth": (int, QuadratureSpec.max_depth),
     "t_end": (float, None),
     "samples": (int, 200),
     "tol": (float, 1e-8),
 }
+
+
+def _parse_value(key: str, text: str, where: str):
+    """Parse one value with its schema parser; `where` prefixes the error."""
+    try:
+        return CONFIG_SCHEMA[key][0](text)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> dict:
@@ -107,13 +114,7 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser = CONFIG_SCHEMA[key][0]
-        try:
-            values[key] = parser(val.strip())
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        values[key] = _parse_value(key, val.strip(), f"line {lineno}: bad value for {key}")
     return values
 
 
@@ -133,20 +134,12 @@ def load_config(args, required=CHAIN_KEYS) -> dict:
     for key in CONFIG_SCHEMA:
         override = getattr(args, f"opt_{key}", None)
         if override is not None:
-            parser = CONFIG_SCHEMA[key][0]
-            try:
-                values[key] = parser(override)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for --{key}: {exc}") from exc
+            values[key] = _parse_value(key, override, f"bad value for --{key}")
     for key, (_, default) in CONFIG_SCHEMA.items():
         if key in values:
             continue
-        if default is _REQUIRED:
-            if key in required:
-                raise ConfigError(f"missing config key {key!r}")
-            continue
+        if key in required:
+            raise ConfigError(f"missing config key {key!r}")
         if default is not None:
             values[key] = default
     return values
@@ -169,15 +162,6 @@ def spec_from_config(cfg: dict) -> SpinChainSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def config_echo(cfg: dict) -> dict:
-    echo = {}
-    for key in sorted(CONFIG_SCHEMA):
-        if key in cfg:
-            val = cfg[key]
-            echo[key] = list(val) if isinstance(val, tuple) else val
-    return echo
-
-
 def _out(args, name: str) -> str:
     import os
     os.makedirs(args.outdir, exist_ok=True)
@@ -189,16 +173,14 @@ def cmd_spinchain(args) -> int:
     spec = spec_from_config(cfg)
     result = run_relaxation(spec, t_end=cfg.get("t_end"),
                             samples=cfg["samples"], tol=cfg["tol"])
-    traj = result.trajectory
+    traj, dev = result.trajectory, result.deviation
     write_csv(_out(args, "fig1a.csv"), ["t", "M"],
               zip(traj.times.tolist(), traj.observables["M"].tolist()))
-    write_csv(_out(args, "fig1b.csv"), ["n", "E_n", "rho_nn", "rho_nn_th"],
-              result.deviation.rows())
-    dev = result.deviation
+    write_csv(_out(args, "fig1b.csv"), ["n", "E_n", "rho_nn", "rho_nn_th"], dev.rows())
     summary = {
-        "M_ss": result.magnetization_steady,
-        "M_ss_th": result.magnetization_thermal,
-        "M_gap": abs(result.magnetization_steady - result.magnetization_thermal),
+        "M_ss": dev.observable_steady,
+        "M_ss_th": dev.observable_thermal,
+        "M_gap": dev.observable_gap,
         "trace_distance": dev.trace_distance,
         "max_abs_diag_deviation": dev.max_abs_diag_deviation,
         "max_rel_diag_deviation": dev.max_rel_diag_deviation,
@@ -208,16 +190,16 @@ def cmd_spinchain(args) -> int:
         "kernel_dimension": result.steady.kernel_dimension,
         "steady_method": result.steady.method,
         "steady_rcond": result.steady.rcond,
-        "accepted_steps": result.runtime["n_accepted"],
-        "rejected_steps": result.runtime["n_rejected"],
-        "max_trace_drift": result.trajectory.stats["max_trace_drift"],
-        "min_sample_eig": result.trajectory.stats["min_sample_eig"],
-        "config": config_echo(cfg),
+        "accepted_steps": traj.stats["n_accepted"],
+        "rejected_steps": traj.stats["n_rejected"],
+        "max_trace_drift": traj.stats["max_trace_drift"],
+        "min_sample_eig": traj.stats["min_sample_eig"],
+        "config": dict(sorted(cfg.items())),
         "version": __version__,
     }
     write_json(_out(args, "summary.json"), summary)
-    print(f"M_ss = {format_value(result.magnetization_steady)}")
-    print(f"M_ss_th = {format_value(result.magnetization_thermal)}")
+    print(f"M_ss = {format_value(dev.observable_steady)}")
+    print(f"M_ss_th = {format_value(dev.observable_thermal)}")
     print(f"trace_distance = {format_value(dev.trace_distance)}")
     print(f"wall seconds: build {result.runtime['build_seconds']:.1f}, "
           f"propagate {result.runtime['propagate_seconds']:.1f}, "
@@ -239,10 +221,7 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
-    eig, sop = build_chain_superop(spec)
-    report = steady_state(sop)
-    dev = gibbs_deviation(report.state, eig, 1.0 / spec.T1,
-                          observable=magnetization(spec.N))
+    report, dev = chain_steady_state(spec, *build_chain_superop(spec))
     write_csv(_out(args, "steady.csv"), ["n", "E_n", "rho_nn", "rho_nn_th"],
               dev.rows())
     print(f"kernel_dimension = {report.kernel_dimension}")

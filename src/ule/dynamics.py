@@ -156,7 +156,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     Raises PropagationError on step-size underflow or when any state
     eigenvalue falls below -1e-6 (a generator bug, not an integration
     artifact); between samples the eigenbasis diagonal is checked at every
-    accepted step.
+    accepted step. Observables are sampled with `expectation`, which raises
+    ValueError on a non-negligible imaginary part.
     """
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -265,11 +266,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             sample_vals[next_sample] = rho
             next_sample += 1
 
-    obs_series: dict = {}
-    if observables:
-        for name, op in observables.items():
-            obs_series[name] = np.array(
-                [float(np.real(np.trace(s @ op))) for s in sample_vals])
+    obs_series = {name: np.array([expectation(s, op) for s in sample_vals])
+                  for name, op in (observables or {}).items()}
     stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
                  max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
     return Trajectory(times=sample_times, states=sample_vals,

@@ -304,7 +304,7 @@ def test_criterion_7_chain_structural_reproduction(chain_cli_runs):
 
     result4 = run_relaxation(SpinChainSpec(N=4), samples=100, tol=1e-8)
     dev4 = result4.deviation
-    ok_n4 = (abs(result4.magnetization_steady - result4.magnetization_thermal) < 0.05
+    ok_n4 = (abs(dev4.observable_steady - dev4.observable_thermal) < 0.05
              and dev4.max_rel_diag_deviation > 10.0 * dev4.rho11_rel_gap
              and dev4.trace_distance > 1e-3)
     report("criterion 7 (chain structural reproduction)", ok_n6 and ok_n4,

@@ -15,6 +15,7 @@ from ule import (
     dissipator_on_gibbs_direct,
     dissipator_on_gibbs_formula,
     eigendecompose,
+    expectation,
     f_table,
     gibbs_deviation,
     gibbs_residual_report,
@@ -232,6 +233,11 @@ def test_gibbs_deviation_observable_gap_and_rows():
     obs = np.diag([1.0, 0.0, -1.0]).astype(complex)
     dev = gibbs_deviation(rho_ss, eig, BATH.beta, observable=obs)
     assert dev.observable_gap is not None and dev.observable_gap > 0
+    assert dev.observable_steady == expectation(rho_ss, obs)
+    assert dev.observable_thermal == expectation(gibbs_state(eig, BATH.beta), obs)
+    assert dev.observable_gap == abs(dev.observable_steady - dev.observable_thermal)
+    bare = gibbs_deviation(rho_ss, eig, BATH.beta)
+    assert bare.observable_steady is bare.observable_thermal is bare.observable_gap is None
     rows = dev.rows()
     assert rows[0][0] == 1
     assert rows[0][1] == pytest.approx(0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ule.cli import ConfigError, main, parse_config_text
+from ule.io import format_value
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -177,6 +178,21 @@ def test_evolve_builds_no_dense_matrix(tmp_path, monkeypatch):
     assert main(["evolve", "--config", path, "--outdir", str(evolve_out)]) == 0
     assert ((evolve_out / "evolve.csv").read_bytes()
             == (chain_out / "fig1a.csv").read_bytes())
+
+
+def test_steady_shares_the_spinchain_steady_stage(tmp_path, capsys):
+    path = write_config(tmp_path)
+    chain_out, steady_out = tmp_path / "chain", tmp_path / "steady"
+    assert main(["spinchain", "--config", path, "--outdir", str(chain_out)]) == 0
+    capsys.readouterr()
+    assert main(["steady", "--config", path, "--outdir", str(steady_out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert ((steady_out / "steady.csv").read_bytes()
+            == (chain_out / "fig1b.csv").read_bytes())
+    summary = json.loads((chain_out / "summary.json").read_text())
+    for name, key in (("residual", "steady_residual"), ("rcond", "steady_rcond"),
+                      ("trace_distance", "trace_distance"), ("observable_gap", "M_gap")):
+        assert f"{name} = {format_value(summary[key])}" in printed
 
 
 def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys):

@@ -116,6 +116,14 @@ def test_propagate_observable_series():
     assert traj.observables["sz"][0] == pytest.approx(direct, abs=1e-12)
 
 
+def test_propagate_rejects_complex_observable():
+    eig, sop = qubit_liouvillian()
+    plus = np.full((2, 2), 0.5, dtype=complex)  # coherent: tr(rho i sigma_x) = i
+    with pytest.raises(ValueError, match="imaginary part"):
+        propagate(sop, plus, 1.0, [0.0, 1.0],
+                  observables={"bad": 1j * np.array([[0, 1], [1, 0]], dtype=complex)})
+
+
 def test_halving_tolerance_tightens_endpoint():
     _, sop = three_level_liouvillian()
     rho0 = np.diag([0.0, 1.0, 0.0]).astype(complex)

@@ -126,13 +126,13 @@ def test_relaxation_small_chain_structure():
     # (the slowest chain mode has rate ~0.015, so t = 200 is not fully
     # converged; endpoint-vs-kernel agreement at proper horizons is covered
     # by the steady-state consistency tests)
-    assert abs(result.magnetization_steady - result.magnetization_thermal) < 0.05
-    assert m_series[-1] == pytest.approx(result.magnetization_steady, abs=2e-2)
-    gap_start = abs(m_series[0] - result.magnetization_steady)
-    gap_end = abs(m_series[-1] - result.magnetization_steady)
+    dev = result.deviation
+    assert abs(dev.observable_steady - dev.observable_thermal) < 0.05
+    assert m_series[-1] == pytest.approx(dev.observable_steady, abs=2e-2)
+    gap_start = abs(m_series[0] - dev.observable_steady)
+    gap_end = abs(m_series[-1] - dev.observable_steady)
     assert gap_end < 0.01 * gap_start
     assert result.steady.kernel_dimension == 1
-    dev = result.deviation
     assert dev.trace_distance > 1e-4  # visibly non-Gibbs
     assert dev.max_rel_diag_deviation > 10.0 * dev.rho11_rel_gap
     assert result.trajectory.stats["max_trace_drift"] <= 1e-10
