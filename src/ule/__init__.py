@@ -24,7 +24,16 @@ from .analysis import (
     three_level_baseline,
     trend_sweep,
 )
-from .bath import BathSpec, QuadratureError, QuadratureSpec, f_integral, f_table, jump_spectral, kms_check
+from .bath import (
+    BathSpec,
+    QuadratureError,
+    QuadratureSpec,
+    f_integral,
+    f_table,
+    f_values,
+    jump_spectral,
+    kms_check,
+)
 from .dynamics import (
     PropagationError,
     SteadyStateError,

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import BathSpec, QuadratureSpec, f_table, jump_spectral
+from .bath import BathSpec, QuadratureSpec, f_values, jump_spectral
 from .operators import (
     BohrDecomposition,
     EigenDecomposition,
@@ -197,10 +197,8 @@ def lamb_shift_pairs(bohr: BohrDecomposition):
 
 def _fgrid(bohr: BohrDecomposition, bath: BathSpec, quad: QuadratureSpec, rows, cols):
     """f(w_i, w_j) at the distinct frequency-index pairs (rows, cols); zero elsewhere."""
-    freqs = bohr.frequencies
-    table = f_table(bath, zip(freqs[rows].tolist(), freqs[cols].tolist()), quad)
     grid = np.zeros((bohr.nfreq, bohr.nfreq))
-    grid[rows, cols] = list(table.values())  # distinct pairs keep their order
+    grid[rows, cols] = f_values(bath, bohr.frequencies[rows], bohr.frequencies[cols], quad)
     return grid
 
 

@@ -4,8 +4,10 @@ Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
 dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
 A(w) built here from projector sandwiches of X, never from the bin labels
-or `BohrDecomposition.double_sum`.
-Bath functions and f values come in as arguments. `dp5_propagate` is the
+or `BohrDecomposition.double_sum`; their bath functions and f values come
+in as arguments. `f_integral_loop` is the per-pair adaptive Gauss-Kronrod
+loop that the batched `ule.f_values` replaced; it shares only g, Wmax and
+the node table with the library. `dp5_propagate` is the
 explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`.
@@ -13,7 +15,8 @@ integrating-factor machinery of `ule.propagate`.
 
 import numpy as np
 
-from ule import PropagationError, Trajectory, hermitize, unvec, vec
+from ule import PropagationError, QuadratureError, Trajectory, hermitize, jump_spectral, unvec, vec
+from ule.bath import _WG, _WGK, _XGK, omega_max
 
 
 def jacobi_eigenvalues(h, sweeps=100, tol=1e-14):
@@ -60,6 +63,90 @@ def trapezoid_pv(integrand, singularity_width, omega_max, points=1_000_000):
         w = np.delete(w, w.size // 2)
     vals = integrand(w) / w
     return np.trapezoid(vals, w)
+
+
+def _panel_sums(fun, a, b):
+    """Kronrod integrals and |K15 - G7| error estimates on a batch of panels."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid[:, None] + half[:, None] * _XGK[None, :]
+    y = fun(x)
+    k15 = half * (y @ _WGK)
+    g7 = half * (y @ _WG)
+    return k15, np.abs(k15 - g7)
+
+
+def _adaptive_quadrature(fun, edges, quad):
+    """Globally adaptive GK15 over the panels defined by `edges`.
+
+    Panels whose error stays within a quarter of the worst error are halved
+    together each sweep; a panel may be halved at most `max_depth` times.
+    Fully deterministic for identical inputs.
+    """
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    depth = np.zeros(a.size, dtype=int)
+    vals, errs = _panel_sums(fun, a, b)
+
+    while True:
+        total = float(vals.sum())
+        total_err = float(errs.sum())
+        target = max(quad.atol, quad.rtol * abs(total))
+        if total_err <= target:
+            return total, total_err
+        worst = errs.max()
+        split = errs >= 0.25 * worst
+        if not np.any(split & (depth < quad.max_depth)):
+            raise QuadratureError(
+                f"adaptive quadrature hit max depth {quad.max_depth} with "
+                f"error {total_err:.3e} > target {target:.3e}",
+                estimate=total, error_bound=total_err,
+            )
+        split &= depth < quad.max_depth
+        keep = ~split
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[keep], a[split], mid])
+        new_b = np.concatenate([b[keep], mid, b[split]])
+        new_depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])
+        new_vals, new_errs = _panel_sums(fun, np.concatenate([a[split], mid]),
+                                         np.concatenate([mid, b[split]]))
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
+        # keep panel ordering deterministic: sort by left edge
+        order = np.argsort(new_a, kind="stable")
+        a, b, depth = new_a[order], new_b[order], new_depth[order]
+        vals, errs = vals[order], errs[order]
+
+
+def f_integral_loop(bath, e1, e2, quad):
+    """f(E1, E2) by one adaptive GK15 loop per pair, the form `ule.f_values` batches.
+
+    Same folding, feature edges, split rule and targets as the library;
+    panel sums use BLAS dot products and each sweep re-sorts the panels.
+    """
+    if not (np.isfinite(e1) and np.isfinite(e2)):
+        raise ValueError("f_integral arguments must be finite")
+    if bath.coupling == 0.0:
+        return 0.0
+    wmax = omega_max(bath, e1, e2, quad)
+
+    def folded(w):
+        h_plus = jump_spectral(bath, w - e1) * jump_spectral(bath, w + e2)
+        h_minus = jump_spectral(bath, -w - e1) * jump_spectral(bath, -w + e2)
+        return (h_plus - h_minus) / w
+
+    features = sorted({0.0, wmax} | {
+        v for v in (abs(e1), abs(e2), bath.temperature, bath.cutoff, 2 * bath.cutoff)
+        if 0.0 < v < wmax
+    })
+    try:
+        value, _ = _adaptive_quadrature(folded, np.array(features), quad)
+    except QuadratureError as exc:
+        exc.estimate *= -2.0 * np.pi * bath.coupling
+        exc.error_bound *= 2.0 * np.pi * bath.coupling
+        exc.pair = (e1, e2)
+        raise
+    return -2.0 * np.pi * bath.coupling * value
 
 
 def bohr_parts(bohr, x):

@@ -168,16 +168,18 @@ def test_residual_report_fields_consistent():
 
 @pytest.fixture
 def f_calls(monkeypatch):
-    """Arguments of every `f_integral` call the test makes."""
+    """Every (E1, E2) pair handed to the f kernel `f_values` during the test."""
     import ule.bath
+    import ule.generator
     calls = []
-    real = ule.bath.f_integral
+    real = ule.bath.f_values
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(bath, e1, e2, *args, **kwargs):
+        calls.extend(zip(np.asarray(e1).tolist(), np.asarray(e2).tolist()))
+        return real(bath, e1, e2, *args, **kwargs)
 
-    monkeypatch.setattr(ule.bath, "f_integral", counting)
+    for module in (ule.bath, ule.generator):
+        monkeypatch.setattr(module, "f_values", counting)
     return calls
 
 
@@ -207,6 +209,21 @@ def test_residual_report_on_chain_with_lamb_shift():
     assert rep.lambshift_mismatch <= rep.lambshift_mismatch_tol
     assert rep.secular_dissipator_norm <= 1e-12
     assert rep.secular_lambshift_norm <= 1e-12
+
+
+def test_chain_n5_with_lamb_shift_end_to_end():
+    spec = SpinChainSpec(N=5)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    channels = chain_channels(spec)
+    sop = build_liouvillian(eig, channels, spec.quad, include_lamb_shift=True)
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(sop.matrix))))
+    assert sop.trace_preservation_defect() <= bound
+    report = steady_state(sop)
+    assert report.method == "bordered-lu"
+    assert report.kernel_dimension == 1
+    rep = gibbs_residual_report(eig, channels[0], spec.quad)
+    assert rep.lambshift_direct_norm > 0.0
+    assert rep.lambshift_mismatch <= 1e-6 * rep.lambshift_direct_norm
 
 
 def test_gibbs_deviation_identity():

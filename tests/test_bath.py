@@ -3,8 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from oracles import trapezoid_pv
-from ule import BathSpec, QuadratureError, QuadratureSpec, f_integral, f_table, jump_spectral, kms_check
+from oracles import f_integral_loop, trapezoid_pv
+from ule import (
+    BathSpec,
+    QuadratureError,
+    QuadratureSpec,
+    SpinChainSpec,
+    bohr_decompose,
+    build_chain_hamiltonian,
+    eigendecompose,
+    f_integral,
+    f_table,
+    f_values,
+    jump_spectral,
+    kms_check,
+)
+from ule.bath import _CHUNK_PAIRS
+from ule.generator import lamb_shift_pairs
+from ule.spinchain import chain_channels
 
 
 def make_bath(T=2.0, gamma=0.1, cutoff=100.0):
@@ -173,3 +189,68 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rtol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+
+
+def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():
+    spec = SpinChainSpec(N=4)
+    channel = chain_channels(spec)[0]
+    bohr = bohr_decompose(channel.coupling_op, eigendecompose(build_chain_hamiltonian(spec)))
+    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    values = f_values(channel.bath, e1, e2, spec.quad)
+    loop = np.array([f_integral_loop(channel.bath, a, b, spec.quad) for a, b in zip(e1, e2)])
+    assert e1.size > _CHUNK_PAIRS
+    assert np.all(np.abs(values - loop) <= 1e-12 * np.abs(loop))
+
+
+def test_f_values_match_per_pair_loop_on_random_pairs():
+    bath = make_bath(T=1.3, gamma=0.2, cutoff=30.0)
+    quad = QuadratureSpec()
+    rng = np.random.default_rng(41)
+    e1, e2 = rng.uniform(-20.0, 20.0, size=(2, 50))
+    values = f_values(bath, e1, e2, quad)
+    loop = np.array([f_integral_loop(bath, a, b, quad) for a, b in zip(e1, e2)])
+    assert np.all(np.abs(values - loop) <= 1e-12 * np.abs(loop))
+
+
+def test_f_values_do_not_depend_on_batching():
+    # more than one chunk, in input order and shuffled across chunks
+    bath = make_bath()
+    quad = QuadratureSpec()
+    rng = np.random.default_rng(5)
+    e1, e2 = rng.uniform(-6.0, 6.0, size=(2, _CHUNK_PAIRS + 60))
+    single = np.array([f_integral(bath, a, b, quad) for a, b in zip(e1, e2)])
+    assert np.array_equal(f_values(bath, e1, e2, quad), single)
+    perm = rng.permutation(e1.size)
+    assert np.array_equal(f_values(bath, e1[perm], e2[perm], quad), single[perm])
+
+
+STRICT = QuadratureSpec(rtol=1e-10, atol=1e-300, max_depth=2)
+
+
+@pytest.mark.parametrize("first", [(1.0, -1.0), (2.0, -1.0)])
+def test_f_table_failure_names_first_failing_pair_in_input_order(first):
+    # under STRICT, (0, 0) and (40, -30) converge; (1, -1) and (2, -1) do not
+    bath = make_bath()
+    other = (2.0, -1.0) if first == (1.0, -1.0) else (1.0, -1.0)
+    with pytest.raises(QuadratureError) as info:
+        f_table(bath, [(0.0, 0.0), first, (40.0, -30.0), other], STRICT)
+    err = info.value
+    assert err.pair == first
+    with pytest.raises(QuadratureError) as alone:
+        f_integral(bath, *first, STRICT)
+    assert (err.estimate, err.error_bound) == (alone.value.estimate, alone.value.error_bound)
+    with pytest.raises(QuadratureError) as loop:
+        f_integral_loop(bath, *first, STRICT)
+    assert err.estimate == pytest.approx(loop.value.estimate, rel=1e-12, abs=0.0)
+    # the bound sums |K15 - G7|, which cancels to about 1e-8 of the panel sums
+    assert err.error_bound == pytest.approx(loop.value.error_bound, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 2.0)])
+def test_f_table_rejects_non_finite_pair_anywhere(bad):
+    # checked before any quadrature, even behind a pair that would fail
+    bath = make_bath()
+    with pytest.raises(ValueError):
+        f_table(bath, [(0.0, 0.0), (1.0, -1.0), bad], STRICT)
+    with pytest.raises(ValueError):
+        f_integral(bath, *bad)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from oracles import (
@@ -32,6 +36,7 @@ from ule.generator import _secular_parts, lamb_shift_fgrid, lamb_shift_pairs
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def qubit_system(delta=1.0):
@@ -302,3 +307,28 @@ def test_channels_compose_two_equal_channels_double_dissipator():
     commutator = build_liouvillian(eig, [], include_lamb_shift=False)
     assert np.allclose(two.matrix - commutator.matrix,
                        2.0 * (one.matrix - commutator.matrix), atol=1e-13)
+
+
+FGRID_SCRIPT = """
+import sys
+import ule
+from ule.generator import lamb_shift_fgrid
+from ule.spinchain import chain_channels
+spec = ule.SpinChainSpec(N=4)
+channel = chain_channels(spec)[0]
+eig = ule.eigendecompose(ule.build_chain_hamiltonian(spec))
+grid = lamb_shift_fgrid(ule.bohr_decompose(channel.coupling_op, eig), channel.bath, spec.quad)
+sys.stdout.buffer.write(grid.tobytes())
+"""
+
+
+def test_lamb_shift_fgrid_identical_across_blas_thread_counts():
+    grids = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        grids.append(subprocess.run([sys.executable, "-c", FGRID_SCRIPT], env=env, check=True,
+                                    capture_output=True, timeout=300).stdout)
+    assert np.count_nonzero(np.frombuffer(grids[0])) > 1000
+    assert grids[0] == grids[1]
