@@ -190,6 +190,7 @@ def cmd_spinchain(args) -> int:
         "kernel_dimension": result.steady.kernel_dimension,
         "steady_method": result.steady.method,
         "steady_rcond": result.steady.rcond,
+        "steady_iterations": result.steady.iterations,
         "accepted_steps": traj.stats["n_accepted"],
         "rejected_steps": traj.stats["n_rejected"],
         "max_trace_drift": traj.stats["max_trace_drift"],
@@ -227,6 +228,7 @@ def cmd_steady(args) -> int:
     print(f"kernel_dimension = {report.kernel_dimension}")
     print(f"residual = {format_value(report.residual)}")
     print(f"rcond = {format_value(report.rcond)}")
+    print(f"iterations = {format_value(report.iterations)}")
     print(f"trace_distance = {format_value(dev.trace_distance)}")
     print(f"max_abs_diag_deviation = {format_value(dev.max_abs_diag_deviation)}")
     print(f"rho11_gap = {format_value(dev.rho11_gap)}")

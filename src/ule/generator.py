@@ -21,9 +21,10 @@ full generator) and `build_secular_generator` both hand H + Lam and the
 jumps to its constructor, the one place that hermitizes H_eff and drops
 all-zero jumps. `apply_matrix` applies it with d x d matrix products; time
 propagation uses the same products on the dissipator rotated into the
-eigenbasis of H_eff (`_eigenframe`, one eigh per generator). The dense
-d^2 x d^2 matrix is built only when a dense solve first asks for it, using
-column stacking:
+eigenbasis of H_eff (`_eigenframe`, one eigh per generator), and so does
+the matrix-free steady-state solve. The one trace-preservation check runs on
+these factors. The dense d^2 x d^2 matrix is built only when the SVD
+fallback or `liouvillian_gap` first asks for it, using column stacking:
 vec(A rho B) = (B^T kron A) vec(rho).
 """
 
@@ -68,12 +69,29 @@ class NoiseChannel:
                            require_hermitian(self.coupling_op, name="X"))
 
 
-# `steady_state` needs the matrix and one bordered copy to factor, but any
-# generator its certificate rejects falls back to the gesdd SVD, so the guard
-# is sized for the SVD. A dense build plus that SVD raised peak RSS by 9.1x
-# (N = 4, mostly fixed allocations) and 6.7x (N = 5) the 16 d^4 bytes of the
-# matrix: the matrix, the copy gesdd factors, U, V^H and the real workspace.
+# Only the SVD fallback of `steady_state` and `liouvillian_gap` build the
+# dense matrix, so its guard is sized for the SVD. A dense build plus that SVD
+# raised peak RSS by 9.1x (N = 4, mostly fixed allocations) and 6.7x (N = 5)
+# the 16 d^4 bytes of the matrix: the matrix, the copy gesdd factors, U, V^H
+# and the real workspace.
 DENSE_SOLVE_MEMORY_FACTOR = 7
+
+
+class MemoryLimitError(ValueError):
+    """A workspace would not fit in physical memory; raised before allocating."""
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the one reading behind every memory guard."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(need: float, what: str) -> None:
+    """MemoryLimitError naming `what` if it needs more than physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise MemoryLimitError(f"{what} needs about {need / 1e9:.3g} GB; "
+                               f"physical memory is {have / 1e9:.3g} GB")
 
 
 @dataclass(frozen=True)
@@ -102,11 +120,19 @@ class Superoperator:
 
     @cached_property
     def _factors(self):
-        """(K, K^dag, [L_c^dag]) for `apply_matrix`."""
+        """(K, K^dag, [L_c^dag]) for `apply_matrix`.
+
+        ValueError unless the generator is trace preserving: the defect
+        `trace_preservation_defect` must stay within 1e-10 max(1, max|K|).
+        """
         k = np.array(self.hamiltonian, dtype=complex)
         for l in self.jumps:
             k -= 0.5j * (l.conj().T @ l)
-        return k, k.conj().T, [l.conj().T for l in self.jumps]
+        factors = k, k.conj().T, [l.conj().T for l in self.jumps]
+        defect = _trace_defect(self.jumps, *factors)
+        if defect > 1e-10 * max(1.0, float(np.max(np.abs(k)))):
+            raise ValueError(f"Liouvillian is not trace preserving: defect {defect:.3e}")
+        return factors
 
     @cached_property
     def _eigenframe(self):
@@ -114,8 +140,10 @@ class Superoperator:
 
         H_eff = V diag(E) V^dag; G = -(1/2) sum_c L_c^dag L_c (Hermitized)
         and the jumps are rotated into that eigenbasis, where the dissipator
-        reads G y + y G + sum_c L_c y L_c^dag.
+        reads G y + y G + sum_c L_c y L_c^dag. The trace check of `_factors`
+        runs first.
         """
+        self._factors
         energies, basis = np.linalg.eigh(self.hamiltonian)
         basis_dag = basis.conj().T
         jumps = [basis_dag @ l @ basis for l in self.jumps]
@@ -134,33 +162,34 @@ class Superoperator:
     def matrix(self) -> np.ndarray:
         """-i (I kron K) + i (conj(K) kron I) + sum_c conj(L_c) kron L_c.
 
-        ValueError if it and its SVD workspace would not fit in physical
-        memory (raised before allocating) or if it is not trace preserving.
+        MemoryLimitError if it and its SVD workspace would not fit in
+        physical memory (raised before allocating); ValueError if the
+        generator is not trace preserving.
         """
         d = self.dim
-        need = DENSE_SOLVE_MEMORY_FACTOR * 16 * d ** 4
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(
-                f"dense superoperator of size {d ** 2} x {d ** 2} needs about {need / 1e9:.3g} "
-                f"GB with its SVD workspace; physical memory is {have / 1e9:.3g} GB")
+        _require_memory(DENSE_SOLVE_MEMORY_FACTOR * 16 * d ** 4,
+                        f"dense superoperator of size {d ** 2} x {d ** 2} with its SVD workspace")
         k = self._factors[0]
         mat = np.kron(np.eye(d), -1j * k)
         mat += np.kron(1j * k.conj(), np.eye(d))
         for l in self.jumps:
             mat += np.kron(l.conj(), l)
-        defect = _trace_defect(mat, d)
-        if defect > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
-            raise ValueError(f"Liouvillian is not trace preserving: defect {defect:.3e}")
         return mat
 
     def trace_preservation_defect(self) -> float:
-        """Max entry of <<I| applied to the matrix; zero for trace preservation."""
-        return _trace_defect(self.matrix, self.dim)
+        """Max entry of <<I| applied to the generator: max|-i (K - K^dag) + sum_c L_c^dag L_c|.
+
+        Zero for trace preservation.
+        """
+        return _trace_defect(self.jumps, *self._factors)
 
 
-def _trace_defect(mat: np.ndarray, dim: int) -> float:
-    return float(np.max(np.abs(vec(np.eye(dim)).conj() @ mat)))
+def _trace_defect(jumps, k, k_dag, jumps_dag) -> float:
+    """tr(L(rho)) = tr(Q rho) with Q = -i (K - K^dag) + sum_c L_c^dag L_c; max|Q|."""
+    q = -1j * (k - k_dag)
+    for l, l_dag in zip(jumps, jumps_dag):
+        q += l_dag @ l
+    return float(np.max(np.abs(q)))
 
 
 def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.ndarray:

@@ -10,10 +10,13 @@ loop that the batched `ule.f_values` replaced; it shares only g, Wmax and
 the node table with the library. `dp5_propagate` is the
 explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
-integrating-factor machinery of `ule.propagate`.
+integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the dense bordered LU solve with
+its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
+`bordered_lu_steady_state` turns its solution into the trace-one state.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ule import PropagationError, QuadratureError, Trajectory, hermitize, jump_spectral, unvec, vec
 from ule.bath import _WG, _WGK, _XGK, omega_max
@@ -403,3 +406,28 @@ def dp5_propagate(superop, rho0, t_end: float, sample_times,
                  max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
     return Trajectory(times=sample_times, states=sample_vals,
                       observables=obs_series, stats=stats)
+
+
+def _bordered_lu_solve(mat: np.ndarray, dim: int):
+    """(x, rcond) for mat with row 0 set to vec(I)^H and right-hand side e_0.
+
+    x is None and rcond 0 when the LU factors are exactly singular. The
+    factors are freed on return, before any SVD fallback allocates.
+    """
+    bordered = np.array(mat, order="F")
+    bordered[0] = vec(np.eye(dim))
+    anorm = lapack.zlange("1", bordered)
+    lu, piv, info = lapack.zgetrf(bordered, overwrite_a=True)
+    if info > 0:
+        return None, 0.0
+    rcond = float(lapack.zgecon(lu, anorm, norm="1")[0])
+    rhs = np.zeros(mat.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    return lapack.zgetrs(lu, piv, rhs)[0], rcond
+
+
+def bordered_lu_steady_state(superop):
+    """(rho, rcond): the Hermitized trace-one state of `_bordered_lu_solve`."""
+    x, rcond = _bordered_lu_solve(superop.matrix, superop.dim)
+    rho = hermitize(unvec(x, superop.dim))
+    return rho / float(np.real(np.trace(rho))), rcond

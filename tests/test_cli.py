@@ -97,8 +97,9 @@ def test_spinchain_outputs_and_determinism(tmp_path):
     assert len(fig1b) == 1 + 8
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["kernel_dimension"] == 1
-    assert summary["steady_method"] == "bordered-lu"
+    assert summary["steady_method"] == "gmres"
     assert 0.0 < summary["steady_rcond"] < 1.0
+    assert summary["steady_iterations"] > 0
     assert summary["config"]["N"] == 3
     assert summary["version"]
     assert abs(summary["M_gap"]) < 0.05
@@ -191,20 +192,63 @@ def test_steady_shares_the_spinchain_steady_stage(tmp_path, capsys):
             == (chain_out / "fig1b.csv").read_bytes())
     summary = json.loads((chain_out / "summary.json").read_text())
     for name, key in (("residual", "steady_residual"), ("rcond", "steady_rcond"),
+                      ("iterations", "steady_iterations"),
                       ("trace_distance", "trace_distance"), ("observable_gap", "M_gap")):
         assert f"{name} = {format_value(summary[key])}" in printed
 
 
-def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys):
+def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the GMRES workspace fits in a few GB up to N = 10, so physical memory
+    # is read as 512 MB: the 0.84 GB workspace at N = 9 cannot fit
     import time
+    from ule import generator
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 29)
     path = write_config(tmp_path)
     t0 = time.perf_counter()
     code = main(["steady", "--config", path, "--N", "9", "--outdir", str(tmp_path)])
     assert code == 2
     assert time.perf_counter() - t0 < 30.0
     err = capsys.readouterr().err
-    assert "262144 x 262144" in err
+    assert "262144 entries" in err
     assert "GB" in err
+
+
+def test_steady_n7_fits_and_exits_0(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["steady", "--config", path, "--N", "7", "--outdir", str(tmp_path)]) == 0
+    assert "kernel_dimension = 1" in capsys.readouterr().out
+    assert len((tmp_path / "steady.csv").read_text().splitlines()) == 1 + 128
+
+
+def test_uncertified_steady_state_beyond_svd_memory_exits_3(tmp_path, capsys):
+    # no dissipation: the secular preconditioner is singular, and the SVD
+    # fallback of a 262144 x 262144 generator cannot fit
+    import time
+    path = write_config(tmp_path)
+    t0 = time.perf_counter()
+    code = main(["steady", "--config", path, "--N", "9", "--gamma1", "0",
+                 "--outdir", str(tmp_path)])
+    assert code == 3
+    assert time.perf_counter() - t0 < 30.0
+    err = capsys.readouterr().err
+    assert "certificate failed: the secular preconditioner is singular" in err
+    assert "262144 x 262144" in err
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_spinchain_builds_no_dense_matrix(tmp_path, monkeypatch, n):
+    from ule.generator import Superoperator
+
+    def refuse(self):
+        raise AssertionError("spinchain built the dense superoperator")
+
+    monkeypatch.setattr(Superoperator, "matrix", property(refuse))
+    code = main(["spinchain", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
+                 "--N", str(n), "--t_end", "5", "--samples", "11", "--outdir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["steady_method"] == "gmres"
+    assert summary["steady_residual"] <= 1e-12
 
 
 def test_uncertified_steady_state_falls_back_and_exits_3(capsys):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import dp5_propagate, random_hermitian
+from oracles import bordered_lu_steady_state, dp5_propagate, random_hermitian
 from ule import (
     BathSpec,
     NoiseChannel,
@@ -22,8 +22,16 @@ from ule import (
     steady_state,
     steady_state_consistency,
     trace_distance,
+    vec,
 )
-from ule.dynamics import _dissipator, _null_space_svd
+from ule.dynamics import (
+    KERNEL_RTOL,
+    _bordered_operator,
+    _dissipator,
+    _null_space_svd,
+    _onenorm_estimate,
+)
+from ule.generator import Superoperator
 from ule.spinchain import (
     SpinChainSpec,
     all_up_state,
@@ -186,13 +194,97 @@ def test_bordered_lu_matches_svd_null_space(build):
     sop = build()
     report = steady_state(sop)
     oracle = _null_space_svd(sop)
-    assert report.method == "bordered-lu"
+    assert report.method == "gmres"
     assert report.kernel_dimension == oracle.kernel_dimension == 1
     assert trace_distance(report.state, oracle.state) <= 1e-12
     sigma = np.linalg.svd(sop.matrix, compute_uv=False)
     assert oracle.rcond == pytest.approx(sigma[-2] / sigma[0], rel=1e-8)
     # the SVD residual can round to exactly 0 (qubit), hence the eps floor
     assert report.residual <= 10 * max(oracle.residual, np.finfo(float).eps)
+    assert_matches_bordered_lu(sop, report)
+
+
+def assert_matches_bordered_lu(sop, report):
+    rho_lu, rcond_lu = bordered_lu_steady_state(sop)
+    assert report.method == "gmres"
+    assert 0 < report.iterations <= 200
+    assert trace_distance(report.state, rho_lu) <= 1e-12
+    # both estimate the 1-norm conditioning of a bordered generator, in
+    # different bases and borderings
+    assert rcond_lu / 10 <= report.rcond <= 10 * rcond_lu
+    assert report.rcond > KERNEL_RTOL
+
+
+def random_ensemble():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 5, 8):
+        for lamb in (False, True):
+            for temperature, coupling in ((0.5, 0.3), (2.0, 0.01), (8.0, 5.0)):
+                eig = eigendecompose(random_hermitian(rng, d))
+                bath = BathSpec(temperature=temperature, coupling=coupling, cutoff=100.0)
+                ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=bath)
+                yield build_liouvillian(eig, ch, include_lamb_shift=lamb)
+
+
+def test_gmres_matches_bordered_lu_oracle_on_random_ensemble():
+    for sop in random_ensemble():
+        assert_matches_bordered_lu(sop, steady_state(sop))
+
+
+def test_gmres_matches_bordered_lu_oracle_on_chain_n5():
+    sop = build_chain_superop(SpinChainSpec(N=5))[1]
+    assert_matches_bordered_lu(sop, steady_state(sop))
+
+
+def test_bordered_operator_adjoints():
+    # the condition estimate steers its probes with these adjoints
+    rng = np.random.default_rng(4)
+    for sop in (three_level_liouvillian()[1], lamb_chain_liouvillian(3)):
+        apply, apply_adjoint, precondition = _bordered_operator(sop._eigenframe)
+        n = sop.dim ** 2
+        y, z = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        assert np.vdot(z, apply(y)) == pytest.approx(np.vdot(apply_adjoint(z), y), rel=1e-12)
+        assert (np.vdot(z, precondition(y))
+                == pytest.approx(np.vdot(precondition(z, adjoint=True), y), rel=1e-12))
+
+
+def test_onenorm_estimate_on_dense_matrices():
+    rng = np.random.default_rng(8)
+    for n in (1, 4, 16, 64):
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        exact = np.max(np.sum(np.abs(b), axis=0))
+        est = _onenorm_estimate(lambda v: b @ v, lambda v: b.conj().T @ v, n)
+        assert exact / 3 <= est <= exact * (1 + 1e-12)
+
+
+def test_steady_state_ignores_global_random_state():
+    # a condition estimate that drew its start vectors from np.random would
+    # give another rcond for about half of these systems
+    saved = np.random.get_state()
+    try:
+        for sop in [three_level_liouvillian()[1], *random_ensemble()]:
+            np.random.seed(0)
+            first = steady_state(sop)
+            np.random.seed(1)
+            second = steady_state(Superoperator(sop.hamiltonian, sop.jumps))
+            assert second.rcond == first.rcond
+            assert second.iterations == first.iterations
+            assert np.array_equal(second.state, first.state)
+    finally:
+        np.random.set_state(saved)
+
+
+def test_steady_state_runs_the_trace_check():
+    _, sop = three_level_liouvillian()
+    # a non-Hermitian H_eff slipped past the constructor breaks trace
+    # preservation by its anti-Hermitian part
+    broken = Superoperator(sop.hamiltonian, sop.jumps)
+    object.__setattr__(broken, "hamiltonian", sop.hamiltonian + 1e-6j * np.eye(3))
+    with pytest.raises(ValueError, match="not trace preserving"):
+        steady_state(broken)
+    # the factored defect is the dense <<I| row of the generator
+    row = vec(np.eye(3)).conj() @ sop.matrix
+    assert sop.trace_preservation_defect() == pytest.approx(np.max(np.abs(row)), abs=1e-15)
 
 
 def test_expectation_values():
