@@ -318,20 +318,20 @@ def trend_sweep(system: TrendSystem, temperatures, couplings) -> SweepResult:
                        cells=cells, errors=errors)
 
 
-def sweep_monotonicity(result: SweepResult, tol: float = 1e-10):
+def sweep_monotonicity(result: SweepResult):
     """Soft monotonicity of trace distance along both sweep axes.
 
     Trace distance should not increase with temperature (per coupling) nor
-    with decreasing coupling (per temperature). Ties and sub-tolerance
-    inversions are not violations; at most one is allowed per line. Returns
+    with decreasing coupling (per temperature). Ties are not violations,
+    nor is one inversion of at most 1e-10 per line. Returns
     (ok, violations) where violations lists the offending line descriptions.
     """
     violations = []
 
     def check(line, label):
         vals = [line[i] for i in range(len(line))]
-        hard = sum(1 for a, b in zip(vals, vals[1:]) if b > a + tol)
-        soft = sum(1 for a, b in zip(vals, vals[1:]) if a < b <= a + tol)
+        hard = sum(1 for a, b in zip(vals, vals[1:]) if b > a + 1e-10)
+        soft = sum(1 for a, b in zip(vals, vals[1:]) if a < b <= a + 1e-10)
         if hard > 0 or soft > 1:
             violations.append(f"{label}: {vals}")
 

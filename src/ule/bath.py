@@ -122,8 +122,8 @@ def jump_spectral(bath: BathSpec, w):
     return float(g[0]) if scalar else g
 
 
-def kms_check(bath: BathSpec, samples, floor: float = 1e-300) -> float:
-    """Max relative KMS deviation |g(-w) - e^(-beta w/2) g(w)| / max(g(w), floor).
+def kms_check(bath: BathSpec, samples) -> float:
+    """Max relative KMS deviation |g(-w) - e^(-beta w/2) g(w)| / max(g(w), 1e-300).
 
     Samples are folded to |w| first; the relation is symmetric so nothing
     is lost, and the exponential factor then never overflows.
@@ -132,7 +132,7 @@ def kms_check(bath: BathSpec, samples, floor: float = 1e-300) -> float:
     g_plus = jump_spectral(bath, w)
     g_minus = jump_spectral(bath, -w)
     dev = np.abs(g_minus - np.exp(-0.5 * bath.beta * w) * g_plus)
-    return float(np.max(dev / np.maximum(g_plus, floor))) if w.size else 0.0
+    return float(np.max(dev / np.maximum(g_plus, 1e-300))) if w.size else 0.0
 
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1]. The embedded Gauss-7

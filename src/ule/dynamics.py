@@ -17,7 +17,9 @@ trace functional, found matrix-free in the same eigenbasis: right-
 preconditioned restarted GMRES, with the secular (Pauli) limit of the
 generator as preconditioner, applies the generator with d x d products. A
 1-norm condition estimate from further GMRES solves with the operator and
-its adjoint certifies that the kernel is one-dimensional. Only a generator
+its adjoint certifies that the kernel is one-dimensional; the adjoint is the
+same operator on the Heisenberg frame (energies -E, each L_c swapped with
+L_c^dag), so one dissipator kernel serves every solve. Only a generator
 that fails the certificate builds the dense `Superoperator.matrix` and pays
 for an SVD, which counts the kernel singular values below 1e-10 * sigma_max.
 """
@@ -30,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .generator import MemoryLimitError, Superoperator, _require_memory, unvec
-from .operators import frobenius, hermitize, trace_distance
+from .operators import EigenDecomposition, frobenius, hermitize, trace_distance
 
 
 class PropagationError(RuntimeError):
@@ -109,9 +111,9 @@ _DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 def _dissipator(frame, y):
     """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y.
 
-    frame is `Superoperator._eigenframe`: (E, V, G, [L_c], [L_c^dag]).
+    frame is (eig, G, [L_c], [L_c^dag]), laid out as `Superoperator._eigenframe`.
     """
-    _, _, g, jumps, jumps_dag = frame
+    _, g, jumps, jumps_dag = frame
     out = g @ y + y @ g
     for l, l_dag in zip(jumps, jumps_dag):
         out += l @ y @ l_dag
@@ -175,12 +177,12 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         raise ValueError("sample times must be non-decreasing")
 
     frame = superop._eigenframe
-    energies, basis = frame[:2]
-    basis_dag = basis.conj().T
-    stages = np.empty((_DP_C.size,) + basis.shape, dtype=complex)
+    eig = frame[0]
+    energies = eig.energies
+    stages = np.empty((_DP_C.size, eig.dim, eig.dim), dtype=complex)
     flat_stages = stages.reshape(_DP_C.size, -1)  # view: tableau rows combine stages by one matmul
 
-    y = basis_dag @ rho0 @ basis
+    y = eig.to_eigenbasis(rho0)
     t = 0.0
     f = _dissipator(frame, y)
     # initial step from the derivative scale, capped by the span
@@ -208,7 +210,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                 back = _phases(energies, t1 - t0).conj()
                 vs = _hermite_eval(ts, t0, y0, f0, t1, back * y1, back * f1)
                 ys = _phases(energies, ts - t0) * vs
-            rho = hermitize(basis @ ys @ basis_dag)
+            rho = hermitize(eig.from_eigenbasis(ys))
             wmin = float(np.linalg.eigvalsh(rho)[0])
             if wmin < -1e-6:
                 raise PropagationError(
@@ -263,7 +265,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     # flush any samples the float residue at t_end left unconsumed
     if next_sample < sample_times.size:
-        rho = hermitize(basis @ y @ basis_dag)
+        rho = hermitize(eig.from_eigenbasis(y))
         wmin = float(np.linalg.eigvalsh(rho)[0])
         min_sample_eig = min(min_sample_eig, wmin)
         while next_sample < sample_times.size:
@@ -330,11 +332,16 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
             raise SteadyStateError(f"steady-state certificate failed: {failure}; "
                                    f"the SVD fallback cannot run: {exc}",
                                    kernel_dimension=None) from exc
+    rho, residual = _normalized(superop, rho)
+    return SteadyStateReport(state=rho, residual=residual, kernel_dimension=1,
+                             rcond=rcond, method="gmres", iterations=iterations)
+
+
+def _normalized(superop: Superoperator, rho):
+    """(rho Hermitized and trace-normalized, ||generator(rho)||_F in the input basis)."""
     rho = hermitize(rho)
     rho = rho / float(np.real(np.trace(rho)))
-    return SteadyStateReport(state=rho, residual=frobenius(superop.apply_matrix(rho)),
-                             kernel_dimension=1, rcond=rcond, method="gmres",
-                             iterations=iterations)
+    return rho, frobenius(superop.apply_matrix(rho))
 
 
 def _gmres_steady(superop: Superoperator):
@@ -346,68 +353,64 @@ def _gmres_steady(superop: Superoperator):
     the eigenframe, removes. failure is None when the certificate holds,
     else a description of what failed (rho and rcond are then meaningless).
     iterations counts the GMRES iterations of the solve and the refinement,
-    not those of the condition estimate.
+    not those of the condition estimate. A^dag is A on the Heisenberg
+    frame: energies -E, the same G, and each L_c swapped with L_c^dag.
     """
     frame = superop._eigenframe
-    basis = frame[1]
-    d = basis.shape[0]
-    apply, apply_adjoint, precondition = _bordered_operator(frame)
-    if precondition is None:
+    eig, g, jumps, jumps_dag = frame
+    d = eig.dim
+    forward = _bordered_operator(frame)
+    adjoint = _bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
+                                  g, jumps_dag, jumps))
+    if forward[1] is None or adjoint[1] is None:
         return None, 0.0, 0, "the secular preconditioner is singular"
-    anorm = _onenorm_estimate(apply, apply_adjoint, d * d)
+    anorm = _onenorm_estimate(forward[0], adjoint[0], d * d)
     rhs = np.eye(d, dtype=complex).reshape(-1) / d
-    x, iterations, converged = _gmres(apply, precondition, rhs, anorm)
+    x, iterations, converged = _gmres(*forward, rhs, anorm)
     if not converged:
         return None, 0.0, iterations, f"GMRES did not converge in {iterations} iterations"
 
-    def solve(v, adjoint=False):
-        nonlocal converged
-        out, _, ok = _gmres(apply_adjoint if adjoint else apply,
-                            lambda u: precondition(u, adjoint), v, anorm)
-        converged = converged and ok
-        return out
+    def solver(operator):
+        def solve(v):
+            nonlocal converged
+            out, _, ok = _gmres(*operator, v, anorm)
+            converged = converged and ok
+            return out
+        return solve
 
-    rcond = 1.0 / (anorm * _onenorm_estimate(solve, lambda v: solve(v, adjoint=True), d * d))
+    rcond = 1.0 / (anorm * _onenorm_estimate(solver(forward), solver(adjoint), d * d))
     if not converged:
         return None, 0.0, iterations, "a GMRES solve of the condition estimate did not converge"
     if not rcond > KERNEL_RTOL:
         return None, rcond, iterations, f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}"
-    basis_dag = basis.conj().T
-    rho = basis @ x.reshape(d, d) @ basis_dag
-    residual = basis_dag @ superop.apply_matrix(rho) @ basis
-    delta, refinement, _ = _gmres(apply, precondition, -residual.reshape(-1), anorm,
+    rho = eig.from_eigenbasis(x.reshape(d, d))
+    residual = eig.to_eigenbasis(superop.apply_matrix(rho))
+    delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm,
                                   target=GMRES_RTOL * np.linalg.norm(rhs))
-    rho = rho + basis @ delta.reshape(d, d) @ basis_dag
+    rho = rho + eig.from_eigenbasis(delta.reshape(d, d))
     return rho, rcond, iterations + refinement, None
 
 
 def _bordered_operator(frame):
-    """(apply, apply_adjoint, precondition) for A on flattened eigenframe matrices.
+    """(apply, precondition) for A on flattened matrices of an eigenframe.
 
-    precondition(v, adjoint=False) applies the inverse of the secular
-    (Pauli) limit of A, or of its adjoint: coherences are divided by
+    A(y) = -i (E_m - E_n) y_mn + `_dissipator`(frame, y) + W tr(y), W = I/d.
+    On the Heisenberg frame of `_gmres_steady` the same code gives A^dag,
+    the preconditioner included. precondition applies the inverse of the
+    secular (Pauli) limit of A: coherences are divided by
     -i (E_m - E_n) + G_mm + G_nn + sum_c L_c,mm conj(L_c,nn), populations
     solved with the rates |L_mn|^2 + 2 G_mm delta_mn + 1/d. It is None when
     that limit is singular (no dissipation, for one).
     """
-    energies, _, g, jumps, jumps_dag = frame
-    d = energies.size
-    rotation = -1j * (energies[:, None] - energies[None, :])
+    eig, g, jumps, _ = frame
+    d = eig.dim
+    rotation = -1j * (eig.energies[:, None] - eig.energies[None, :])
     diag = np.arange(d) * (d + 1)  # flat indices of the populations
 
     def apply(v):
         y = v.reshape(d, d)
         out = rotation * y + _dissipator(frame, y)
         out.flat[diag] += np.trace(y) / d
-        return out.reshape(-1)
-
-    def apply_adjoint(v):
-        # Heisenberg-picture generator plus I tr(W^dag z)
-        z = v.reshape(d, d)
-        out = rotation.conj() * z + g @ z + z @ g
-        for l, l_dag in zip(jumps, jumps_dag):
-            out += l_dag @ z @ l
-        out.flat[diag] += np.trace(z) / d
         return out.reshape(-1)
 
     rates = 2.0 * np.diag(np.real(g.diagonal())) + 1.0 / d
@@ -419,18 +422,18 @@ def _bordered_operator(frame):
     try:
         inv_rates = np.linalg.inv(rates)
     except np.linalg.LinAlgError:
-        return apply, apply_adjoint, None
+        return apply, None
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_coherence = 1.0 / coherence
     if not (np.all(np.isfinite(inv_coherence)) and np.all(np.isfinite(inv_rates))):
-        return apply, apply_adjoint, None
+        return apply, None
 
-    def precondition(v, adjoint=False):
-        y = v.reshape(d, d) * (inv_coherence.conj() if adjoint else inv_coherence)
-        y.flat[diag] = (inv_rates.T if adjoint else inv_rates) @ v[diag]
+    def precondition(v):
+        y = v.reshape(d, d) * inv_coherence
+        y.flat[diag] = inv_rates @ v[diag]
         return y.reshape(-1)
 
-    return apply, apply_adjoint, precondition
+    return apply, precondition
 
 
 def _gmres(apply, precondition, rhs, anorm, target=None):
@@ -477,6 +480,8 @@ def _gmres(apply, precondition, rhs, anorm, target=None):
                 hess[i + 1, k] = -np.conj(sin[i]) * a + cos[i] * b
             a = hess[k, k]
             rho = np.hypot(abs(a), h_next)
+            if rho == 0:  # exact breakdown: the preconditioned operator is singular
+                return x, iterations, False
             phase = a / abs(a) if a != 0 else 1.0
             cos[k], sin[k] = abs(a) / rho, phase * h_next / rho
             hess[k, k] = phase * rho
@@ -549,9 +554,7 @@ def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
         raise SteadyStateError(
             "kernel contains no trace-normalizable vector",
             kernel_dimension=kdim)
-    rho = hermitize(unvec(kernel[best], superop.dim))
-    rho = rho / float(np.real(np.trace(rho)))
-    residual = frobenius(superop.apply_matrix(rho))
+    rho, residual = _normalized(superop, unvec(kernel[best], superop.dim))
     report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
                                rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
                                method="null-space", iterations=0)

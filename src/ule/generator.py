@@ -22,10 +22,11 @@ jumps to its constructor, the one place that hermitizes H_eff and drops
 all-zero jumps. `apply_matrix` applies it with d x d matrix products; time
 propagation uses the same products on the dissipator rotated into the
 eigenbasis of H_eff (`_eigenframe`, one eigh per generator), and so does
-the matrix-free steady-state solve. The one trace-preservation check runs on
-these factors. The dense d^2 x d^2 matrix is built only when the SVD
-fallback or `liouvillian_gap` first asks for it, using column stacking:
-vec(A rho B) = (B^T kron A) vec(rho).
+the matrix-free steady-state solve, for the generator and (with E -> -E
+and each L_c swapped with L_c^dag) for the adjoint its certificate needs.
+The one trace-preservation check runs on these factors. The dense
+d^2 x d^2 matrix is built only when the SVD fallback or `liouvillian_gap`
+first asks for it, using column stacking: vec(A rho B) = (B^T kron A) vec(rho).
 """
 
 from __future__ import annotations
@@ -136,19 +137,18 @@ class Superoperator:
 
     @cached_property
     def _eigenframe(self):
-        """(E, V, G, [L_c], [L_c^dag]) for `propagate`, from one eigh of H_eff.
+        """(eig, G, [L_c], [L_c^dag]) for `propagate` and `steady_state`.
 
-        H_eff = V diag(E) V^dag; G = -(1/2) sum_c L_c^dag L_c (Hermitized)
-        and the jumps are rotated into that eigenbasis, where the dissipator
-        reads G y + y G + sum_c L_c y L_c^dag. The trace check of `_factors`
-        runs first.
+        eig is one eigh of H_eff, taken as it comes (no rephasing); G =
+        -(1/2) sum_c L_c^dag L_c (Hermitized) and the jumps are rotated into
+        that eigenbasis, where the dissipator reads G y + y G + sum_c L_c y
+        L_c^dag. The trace check of `_factors` runs first.
         """
         self._factors
-        energies, basis = np.linalg.eigh(self.hamiltonian)
-        basis_dag = basis.conj().T
-        jumps = [basis_dag @ l @ basis for l in self.jumps]
+        eig = EigenDecomposition(*np.linalg.eigh(self.hamiltonian))
+        jumps = [eig.to_eigenbasis(l) for l in self.jumps]
         g = -0.5 * sum((l.conj().T @ l for l in jumps), start=np.zeros((self.dim, self.dim)))
-        return energies, basis, hermitize(g), jumps, [l.conj().T for l in jumps]
+        return eig, hermitize(g), jumps, [l.conj().T for l in jumps]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Generator action on a d x d matrix (Hermitian or not)."""

@@ -29,10 +29,11 @@ def max_asymmetry(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
+def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """Validate that `a` is a square Hermitian matrix.
 
-    The asymmetry tolerance is relative to the largest entry magnitude.
+    The asymmetry tolerance, 1e-12, is relative to the largest entry
+    magnitude (at least 1).
     Returns the array as complex128 (no copy if already suitable).
     """
     a = np.asarray(a, dtype=complex)
@@ -40,10 +41,10 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "operator") -> np.ndarr
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     asym = max_asymmetry(a)
-    if asym > tol * max(scale, 1.0):
+    if asym > 1e-12 * max(scale, 1.0):
         raise ValueError(
             f"{name} is not Hermitian: max asymmetry {asym:.3e} "
-            f"exceeds {tol:.1e} * max|entry| = {tol * max(scale, 1.0):.3e}"
+            f"exceeds 1.0e-12 * max|entry| = {1e-12 * max(scale, 1.0):.3e}"
         )
     return a
 
@@ -79,7 +80,7 @@ class EigenDecomposition:
         return (self.basis * self.energies) @ self.basis.conj().T
 
 
-def eigendecompose(h, tol: float = 1e-12) -> EigenDecomposition:
+def eigendecompose(h) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix with a fixed phase convention.
 
     Each eigenvector is rephased so its largest-magnitude component is real
@@ -88,7 +89,7 @@ def eigendecompose(h, tol: float = 1e-12) -> EigenDecomposition:
 
     Raises ValueError for non-Hermitian input, reporting the max asymmetry.
     """
-    h = require_hermitian(h, tol=tol, name="H")
+    h = require_hermitian(h, name="H")
     energies, basis = np.linalg.eigh(h)
     basis = np.array(basis, dtype=complex)
     for m in range(energies.size):
@@ -189,12 +190,12 @@ def _cluster_gaps(values: np.ndarray, eps: float):
     return labels, reps
 
 
-def bohr_decompose(x, eig: EigenDecomposition, gap_tolerance: float | None = None) -> BohrDecomposition:
+def bohr_decompose(x, eig: EigenDecomposition) -> BohrDecomposition:
     """Split a Hermitian coupling operator over the Bohr frequencies of `eig`.
 
     A(w) = sum over pairs (m, n) with E_n - E_m = w of |m><m| X |n><n|.
-    Gaps are binned by single-linkage clustering with width `gap_tolerance`
-    (default 1e-9 * max(1, |H| scale)); the representative frequency of each
+    Gaps are binned by single-linkage clustering with width
+    1e-9 * max(1, max|E_m|); the representative frequency of each
     bin is the mean of its members, symmetrized so that the frequency list
     is exactly closed under negation and A(-w) = A(w)^dagger exactly.
 
@@ -205,11 +206,7 @@ def bohr_decompose(x, eig: EigenDecomposition, gap_tolerance: float | None = Non
     d = eig.dim
     if x.shape[0] != d:
         raise ValueError(f"X has dim {x.shape[0]} but eigensystem has dim {d}")
-    if gap_tolerance is None:
-        scale = float(np.max(np.abs(eig.energies))) if d else 0.0
-        gap_tolerance = 1e-9 * max(1.0, scale)
-    if not gap_tolerance > 0:
-        raise ValueError("gap_tolerance must be positive")
+    gap_tolerance = 1e-9 * max(1.0, float(np.max(np.abs(eig.energies))))
 
     energies = eig.energies
     gaps = (energies[None, :] - energies[:, None]).ravel()  # [m, n] -> E_n - E_m

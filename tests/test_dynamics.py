@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from ule.dynamics import (
     KERNEL_RTOL,
     _bordered_operator,
     _dissipator,
+    _gmres_steady,
     _null_space_svd,
     _onenorm_estimate,
 )
@@ -236,16 +238,52 @@ def test_gmres_matches_bordered_lu_oracle_on_chain_n5():
     assert_matches_bordered_lu(sop, steady_state(sop))
 
 
-def test_bordered_operator_adjoints():
-    # the condition estimate steers its probes with these adjoints
+def test_bordered_operator_adjoints(monkeypatch):
+    # the condition estimate steers its probes with the adjoint pair that
+    # _gmres_steady builds on the Heisenberg frame (energies -E, the same G,
+    # each L_c swapped with L_c^dag)
+    import ule.dynamics
+    built = []
+
+    def recording(frame):
+        built.append(_bordered_operator(frame))
+        return built[-1]
+
+    monkeypatch.setattr(ule.dynamics, "_bordered_operator", recording)
     rng = np.random.default_rng(4)
-    for sop in (three_level_liouvillian()[1], lamb_chain_liouvillian(3)):
-        apply, apply_adjoint, precondition = _bordered_operator(sop._eigenframe)
+    two_jumps = build_chain_superop(SpinChainSpec(N=3, gamma2=0.05))[1]
+    assert len(two_jumps.jumps) == 2
+    for sop in (three_level_liouvillian()[1], lamb_chain_liouvillian(3), two_jumps):
+        built.clear()
+        assert steady_state(sop).method == "gmres"
+        (apply, precondition), (apply_adjoint, precondition_adjoint) = built
         n = sop.dim ** 2
         y, z = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
         assert np.vdot(z, apply(y)) == pytest.approx(np.vdot(apply_adjoint(z), y), rel=1e-12)
         assert (np.vdot(z, precondition(y))
-                == pytest.approx(np.vdot(precondition(z, adjoint=True), y), rel=1e-12))
+                == pytest.approx(np.vdot(precondition_adjoint(z), y), rel=1e-12))
+
+
+@pytest.mark.parametrize("eps, lamb, failure", [
+    (0.0, False, "a GMRES solve of the condition estimate did not converge"),
+    (0.0, True, "a GMRES solve of the condition estimate did not converge"),
+    (1e-6, False, r"rcond .* is not above 1e-10"),
+    (1e-8, False, "GMRES did not converge in 1000 iterations"),
+], ids=["eps0", "eps0_lamb", "eps1e-6", "eps1e-8"])
+def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
+    # X couples only levels (1, 2) and (3, 4), and eps between the two
+    # pairs: at eps = 0 the kernel is two-dimensional while the secular
+    # preconditioner is not singular, and GMRES breaks down exactly
+    x = np.zeros((4, 4), dtype=complex)
+    x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
+    x[1, 2] = x[2, 1] = eps
+    eig = eigendecompose(np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex))
+    sop = build_liouvillian(eig, NoiseChannel(coupling_op=x, bath=BATH),
+                            include_lamb_shift=lamb)
+    assert re.fullmatch(failure, _gmres_steady(sop)[3])
+    with pytest.raises(SteadyStateError) as info:
+        steady_state(sop)
+    assert info.value.kernel_dimension == 2
 
 
 def test_onenorm_estimate_on_dense_matrices():
@@ -332,8 +370,8 @@ def test_positivity_violation_flags_generator_bug():
     # with its sign flipped, L rho L^dag -> -L rho L^dag compensated in the
     # anticommutator, given in the eigenframe form the propagator reads
     _, sop = qubit_liouvillian()
-    energies, basis, g, jumps, jumps_dag = sop._eigenframe
-    broken = (energies, basis, -g, jumps, [-l_dag for l_dag in jumps_dag])
+    eig, g, jumps, jumps_dag = sop._eigenframe
+    broken = (eig, -g, jumps, [-l_dag for l_dag in jumps_dag])
     rng = np.random.default_rng(5)
     y = random_hermitian(rng, 2)
     assert abs(np.trace(_dissipator(broken, y))) <= 1e-13

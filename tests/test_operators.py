@@ -146,11 +146,12 @@ def test_bohr_linearity_in_coupling():
 
 
 def test_bohr_rejects_ambiguous_binning():
-    eig = eigendecompose(np.diag([0.0, 1.0, 1.5]).astype(complex))
+    eig = eigendecompose(np.diag([0.0, 0.6e-9, 1.2e-9]).astype(complex))
     x = np.ones((3, 3), dtype=complex)
-    # tolerance above the smallest distinct-gap separation (0.5) chains bins
+    # gaps 0.6e-9 apart, below the 1e-9 gap tolerance, chain into one bin
+    # wider than the tolerance
     with pytest.raises(ValueError, match="ambiguous"):
-        bohr_decompose(x, eig, gap_tolerance=0.6)
+        bohr_decompose(x, eig)
 
 
 def test_bohr_rejects_parts_not_summing_back():
