@@ -95,16 +95,16 @@ class QuadratureError(RuntimeError):
 
 
 def _bose_weight(w, beta):
-    """w / (1 - exp(-beta w)) without overflow or 0/0, elementwise."""
+    """w / (1 - exp(-beta w)) elementwise, with its limit 1/beta at w = 0.
+
+    Evaluated as |w| exp(min(beta w, 0)) / (1 - exp(-beta |w|)), which takes
+    no exponential of a positive argument and so never overflows.
+    """
     w = np.asarray(w, dtype=float)
     x = beta * w
-    out = np.empty_like(w)
-    pos = x > 0
-    neg = x < 0
-    zero = ~(pos | neg)
-    out[pos] = w[pos] / (-np.expm1(-x[pos]))
-    out[neg] = w[neg] * np.exp(x[neg]) / np.expm1(x[neg])
-    out[zero] = 1.0 / beta
+    with np.errstate(divide="ignore", invalid="ignore"):  # x == 0 is set below
+        out = np.abs(w) * np.exp(np.minimum(x, 0.0)) / -np.expm1(-np.abs(x))
+    out[x == 0] = 1.0 / beta
     return out
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .generator import MemoryLimitError, Superoperator, _require_memory, unvec
 from .operators import EigenDecomposition, frobenius, hermitize, trace_distance
@@ -189,6 +188,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     fnorm = float(np.max(np.abs(f)))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
     min_step = 1e-14 * t_end
+    end_tol = 1e-13 * t_end  # the run stops this close to t_end; its last step takes the rest
 
     sample_vals: list = [None] * sample_times.size
     next_sample = 0
@@ -199,7 +199,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     def take_samples(t0, y0, f0, t1, y1, f1):
         nonlocal next_sample, min_sample_eig
-        while next_sample < sample_times.size and sample_times[next_sample] <= t1 + 1e-15 * t_end:
+        while next_sample < sample_times.size and sample_times[next_sample] <= t1 + end_tol:
             ts = sample_times[next_sample]
             if ts <= t0:
                 ys = y0
@@ -225,7 +225,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     while True:
         remaining = t_end - t
-        if remaining <= 1e-13 * t_end:
+        if remaining <= end_tol:
             break
         if h < min_step:
             raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
@@ -262,15 +262,6 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             n_rejected += 1
             factor = max(0.2, 0.9 * err ** -0.2)
         h = h_step * min(5.0, max(0.2, factor))
-
-    # flush any samples the float residue at t_end left unconsumed
-    if next_sample < sample_times.size:
-        rho = hermitize(eig.from_eigenbasis(y))
-        wmin = float(np.linalg.eigvalsh(rho)[0])
-        min_sample_eig = min(min_sample_eig, wmin)
-        while next_sample < sample_times.size:
-            sample_vals[next_sample] = rho
-            next_sample += 1
 
     obs_series = {name: np.array([expectation(s, op) for s in sample_vals])
                   for name, op in (observables or {}).items()}
@@ -492,7 +483,7 @@ def _gmres(apply, precondition, rhs, anorm, target=None):
             if abs(gvec[k]) <= target or h_next <= np.finfo(float).eps * w_norm:
                 break
             krylov[k] = w / h_next
-        y = scipy.linalg.solve_triangular(hess[:k, :k], gvec[:k])
+        y = np.linalg.solve(hess[:k, :k], gvec[:k])  # upper triangular: back substitution
         x = x + precondition(y @ krylov[:k])
         residual = rhs - apply(x)
 
@@ -538,7 +529,7 @@ def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
     degenerate case still reports a trace-normalizable representative).
     """
     mat = superop.matrix
-    sigma, vh = scipy.linalg.svd(mat, lapack_driver="gesdd")[1:]
+    sigma, vh = np.linalg.svd(mat)[1:]
     threshold = KERNEL_RTOL * sigma[0]
     kdim = int(np.sum(sigma < threshold))
     if kdim == 0:

@@ -71,11 +71,12 @@ class NoiseChannel:
 
 
 # Only the SVD fallback of `steady_state` and `liouvillian_gap` build the
-# dense matrix, so its guard is sized for the SVD. A dense build plus that SVD
-# raised peak RSS by 9.1x (N = 4, mostly fixed allocations) and 6.7x (N = 5)
-# the 16 d^4 bytes of the matrix: the matrix, the copy gesdd factors, U, V^H
-# and the real workspace.
-DENSE_SOLVE_MEMORY_FACTOR = 7
+# dense matrix, so its guard is sized for the SVD. A dense build plus
+# `np.linalg.svd` raised peak RSS by 9.9x (N = 4, mostly fixed allocations)
+# and 8.6x (N = 5) the 16 d^4 bytes of the matrix: the matrix, the copy gesdd
+# factors, U and V^H (once in LAPACK's layout, once more as returned) and the
+# real workspace.
+DENSE_SOLVE_MEMORY_FACTOR = 9
 
 
 class MemoryLimitError(ValueError):

@@ -13,6 +13,8 @@ explicit Dormand-Prince 5(4) propagator on the full generator
 integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the dense bordered LU solve with
 its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 `bordered_lu_steady_state` turns its solution into the trace-one state.
+`bose_weight_branches` is the three-branch Bose weight that the one-expression
+`ule.bath._bose_weight` replaced.
 """
 
 import numpy as np
@@ -119,6 +121,20 @@ def _adaptive_quadrature(fun, edges, quad):
         order = np.argsort(new_a, kind="stable")
         a, b, depth = new_a[order], new_b[order], new_depth[order]
         vals, errs = vals[order], errs[order]
+
+
+def bose_weight_branches(w, beta):
+    """w / (1 - exp(-beta w)), one masked branch each for beta w > 0, < 0 and = 0."""
+    w = np.asarray(w, dtype=float)
+    x = beta * w
+    out = np.empty_like(w)
+    pos = x > 0
+    neg = x < 0
+    zero = ~(pos | neg)
+    out[pos] = w[pos] / (-np.expm1(-x[pos]))
+    out[neg] = w[neg] * np.exp(x[neg]) / np.expm1(x[neg])
+    out[zero] = 1.0 / beta
+    return out
 
 
 def f_integral_loop(bath, e1, e2, quad):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import f_integral_loop, trapezoid_pv
+from oracles import bose_weight_branches, f_integral_loop, trapezoid_pv
 from ule import (
     BathSpec,
     QuadratureError,
@@ -18,7 +18,7 @@ from ule import (
     jump_spectral,
     kms_check,
 )
-from ule.bath import _CHUNK_PAIRS
+from ule.bath import _CHUNK_PAIRS, _bose_weight
 from ule.generator import lamb_shift_pairs
 from ule.spinchain import chain_channels
 
@@ -68,6 +68,19 @@ def test_g_nonnegative_and_real():
         g = jump_spectral(bath, w)
         assert np.all(np.isfinite(g))
         assert np.all(g >= 0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_bose_weight_matches_branch_oracle(beta):
+    # exp(-beta w) overflows below beta w = -709.78 and the branch form's
+    # exp(beta w) underflows below -745; between them the weight is ~1e-306
+    half = np.array([0.0, 1e-12, 1.0, 700.0 / beta, 710.0 / beta, 744.0 / beta,
+                     2000.0 / beta])
+    w = np.concatenate([-half[:0:-1], half])
+    got = _bose_weight(w, beta)
+    assert np.array_equal(got, bose_weight_branches(w, beta))
+    assert got[w == 0][0] == 1.0 / beta
+    assert got[w == -710.0 / beta][0] > 0
 
 
 def test_kms_relation_property():

@@ -23,6 +23,12 @@ tol = 1e-8
 """
 
 
+def subprocess_env(**extra):
+    """os.environ plus `extra`, with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+
+
 def write_config(tmp_path, text=SMALL_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -260,14 +266,22 @@ def test_uncertified_steady_state_falls_back_and_exits_3(capsys):
     assert "kernel dimension 8" in capsys.readouterr().err
 
 
+def test_runtime_imports_no_scipy():
+    # numpy is the one numerical dependency: importing scipy would load a
+    # second OpenBLAS next to numpy's
+    code = ("import sys, ule, ule.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def test_steady_state_across_blas_thread_counts(tmp_path):
     path = write_config(tmp_path)
     columns = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "ule.cli", "steady", "--config", path,
                         "--N", "4", "--outdir", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
@@ -283,9 +297,7 @@ def test_evolve_across_blas_thread_counts(tmp_path):
     series = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "ule.cli", "evolve", "--config", path,
                         "--N", "4", "--outdir", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)

@@ -29,6 +29,7 @@ from ule.dynamics import (
     KERNEL_RTOL,
     _bordered_operator,
     _dissipator,
+    _gmres,
     _gmres_steady,
     _null_space_svd,
     _onenorm_estimate,
@@ -284,6 +285,23 @@ def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
     with pytest.raises(SteadyStateError) as info:
         steady_state(sop)
     assert info.value.kernel_dimension == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("jacobi", [False, True], ids=["identity", "jacobi"])
+def test_gmres_solves_dense_systems(n, jacobi):
+    # one restart cycle reaches the Krylov space of dimension n; its
+    # Hessenberg solve is the back substitution of the Givens-reduced R
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    diag = a.diagonal() if jacobi else np.ones(n)
+    anorm = np.max(np.sum(np.abs(a), axis=0))
+    x, iterations, converged = _gmres(lambda v: a @ v, lambda v: v / diag, b, anorm)
+    exact = np.linalg.solve(a, b)
+    assert converged
+    assert iterations <= n
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.cond(a) * np.linalg.norm(exact)
 
 
 def test_onenorm_estimate_on_dense_matrices():
