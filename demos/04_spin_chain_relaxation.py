@@ -10,7 +10,7 @@ average) while sparsely occupied levels sit far from their thermal values
 in relative terms.
 
 N = 4 keeps this demo to a few seconds; N = 6 reproduces the full-size
-run (about 8 s on one core, nearly all of it propagation: the
+run (about 5 s on one core, nearly all of it propagation: the
 matrix-free steady-state solve takes 0.1 s). The steady and thermal <M> are read from the Gibbs
 deviation report of the one steady stage, `spinchain.chain_steady_state`,
 never from the trajectory endpoint. The CLI runs the same experiment from

@@ -12,6 +12,14 @@ between accepted steps come from cubic Hermite interpolation of (state,
 derivative) pairs in the step's rotating frame, rotated back to the sample
 time and to the input basis.
 
+Every dissipator product is a left product a @ y with a a factor of the
+eigenframe (a right product y a is (a^T y^T)^T). When the frame is real,
+as for the spin chain, such a product is one real matrix product on the
+float view of the complex y, half the arithmetic of a complex one. The
+stages of a step are Hermitian, so `propagate` uses the Hermitian form of
+the dissipator, y G = (G y)^dag, and takes the derivative at the accepted
+state from the last stage (first same as last) instead of a seventh call.
+
 The steady state is the trace-one solution of the generator bordered by the
 trace functional, found matrix-free in the same eigenbasis: right-
 preconditioned restarted GMRES, with the secular (Pauli) limit of the
@@ -105,29 +113,71 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                              -92097 / 339200, 187 / 2100, 1 / 40])
+# The distinct nonzero nodes _DP_C[1:6] (stages 5 and 6 share c = 1), so each
+# step takes one phase stack, and the node of each stage i = 1..6 in it.
+_DP_NODES = _DP_C[1:6]
+_DP_STAGE_NODE = (0, 1, 2, 3, 4, 4)
+
+
+def _product(a, y):
+    """a @ y for a factor a of an eigenframe and a complex d x d matrix y.
+
+    A float64 a (a real frame) multiplies the real and imaginary parts of y
+    at once: one real product on the (d, 2d) float view of y, which is
+    copied to C order first when it is a transposed view.
+    """
+    if a.dtype != np.float64:
+        return a @ y
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    return (a @ y.view(np.float64)).view(np.complex128)
+
+
+def _add_sandwiches(frame, y, acc):
+    """acc + (sum_c L_c y L_c^dag)^T, accumulated in acc: each term is the
+    left product (L_c^dag)^T (L_c y)^T, so every product is a `_product`."""
+    _, _, jumps, jumps_dag = frame
+    for l, l_dag in zip(jumps, jumps_dag):
+        acc += _product(l_dag.T, _product(l, y).T)
+    return acc
 
 
 def _dissipator(frame, y):
-    """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y.
+    """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y (Hermitian or not).
 
     frame is (eig, G, [L_c], [L_c^dag]), laid out as `Superoperator._eigenframe`.
+    Every right product is the transpose of a left one, y G = (G^T y^T)^T,
+    so on a real frame all of them run in real arithmetic (`_product`); the
+    transposed terms are summed first and transposed back once.
     """
-    _, g, jumps, jumps_dag = frame
-    out = g @ y + y @ g
-    for l, l_dag in zip(jumps, jumps_dag):
-        out += l @ y @ l_dag
+    g = frame[1]
+    out = np.ascontiguousarray(_add_sandwiches(frame, y, _product(g.T, y.T)).T)
+    out += _product(g, y)
+    return out
+
+
+def _hermitian_dissipator(frame, y):
+    """`_dissipator` on a Hermitian y, where y G = (G y)^dag saves a product.
+
+    Equal to `_dissipator` up to rounding when y is Hermitian; `propagate`
+    applies it to its stages, which are.
+    """
+    gy = _product(frame[1], y)
+    out = np.ascontiguousarray(_add_sandwiches(frame, y, gy.conj()).T)
+    out += gy
     return out
 
 
 def _phases(energies, tau):
     """exp(-i (E_m - E_n) tau), the coherent evolution of element (m, n) over tau.
 
+    tau may be an array; the result then stacks one d x d matrix per entry.
     The diagonal is set to exactly 1: |exp(-i E tau)|^2 rounds off 1, and
     that rounding would otherwise scale the populations at every step.
     """
-    p = np.exp(-1j * tau * energies)
-    out = p[:, None] * p.conj()[None, :]
-    np.fill_diagonal(out, 1.0)
+    p = np.exp(-1j * np.multiply.outer(tau, energies))
+    out = p[..., :, None] * p.conj()[..., None, :]
+    diag = np.arange(energies.size)
+    out[..., diag, diag] = 1.0
     return out
 
 
@@ -152,7 +202,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     with the DP5(4) tableau, so each stage applies only the dissipator,
     between phase factors, and the coherent part is exact at any step size.
 
-    sample_times must lie in [0, t_end]; the returned trajectory holds the
+    rho0 is Hermitized in the eigenbasis before the first step. sample_times
+    must lie in [0, t_end]; the returned trajectory holds the
     Hermitized states, in the input basis, at exactly those times. The
     per-step error norm is taken in the interaction frame and scaled by
     tol * (1 + |component|), so tol acts as a relative tolerance at unit
@@ -181,9 +232,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     stages = np.empty((_DP_C.size, eig.dim, eig.dim), dtype=complex)
     flat_stages = stages.reshape(_DP_C.size, -1)  # view: tableau rows combine stages by one matmul
 
-    y = eig.to_eigenbasis(rho0)
+    y = hermitize(eig.to_eigenbasis(rho0))
     t = 0.0
-    f = _dissipator(frame, y)
+    f = _hermitian_dissipator(frame, y)
     # initial step from the derivative scale, capped by the span
     fnorm = float(np.max(np.abs(f)))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
@@ -230,21 +281,26 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         if h < min_step:
             raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
         h_step = min(h, remaining)
-        phases = {c: _phases(energies, c * h_step) for c in _DP_C[1:]}
+        phases = _phases(energies, _DP_NODES * h_step)
+        back = phases.conj()
         stages[0] = f
-        for i in range(1, _DP_C.size):
-            v = y + h_step * (_DP_A[i] @ flat_stages[:i]).reshape(y.shape)
-            p = phases[_DP_C[i]]
-            stages[i] = p.conj() * _dissipator(frame, p * v)
+        for i, node in enumerate(_DP_STAGE_NODE, start=1):
+            v = ((h_step * _DP_A[i]) @ flat_stages[:i]).reshape(y.shape)
+            v += y
+            y_stage = phases[node] * v
+            d_stage = _hermitian_dissipator(frame, y_stage)
+            np.multiply(back[node], d_stage, out=stages[i])
         # the last stage evaluates at the fifth-order solution (_DP_A[6] == _DP_B5)
-        y5 = phases[1.0] * v
-        err_vec = h_step * (_DP_ERR @ flat_stages).reshape(y.shape)
-        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(v)))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+        scale = np.maximum(np.abs(y), np.abs(v))
+        scale += 1.0
+        ratio = np.abs((h_step * _DP_ERR) @ flat_stages)
+        ratio /= scale.reshape(-1)
+        err = float(np.sqrt(ratio @ ratio / ratio.size)) / tol
 
         if err <= 1.0:
-            y_new = hermitize(y5)
-            f_new = _dissipator(frame, y_new)  # FSAL stage recomputed after Hermitization
+            y_new = hermitize(y_stage)
+            # FSAL: D is Hermiticity preserving, so this is D(y_new) up to rounding
+            f_new = hermitize(d_stage)
             t_new = t + h_step
             take_samples(t, y, f, t_new, y_new, f_new)
             drift = abs(float(np.real(np.trace(y_new))) - 1.0)

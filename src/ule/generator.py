@@ -143,13 +143,20 @@ class Superoperator:
         eig is one eigh of H_eff, taken as it comes (no rephasing); G =
         -(1/2) sum_c L_c^dag L_c (Hermitized) and the jumps are rotated into
         that eigenbasis, where the dissipator reads G y + y G + sum_c L_c y
-        L_c^dag. The trace check of `_factors` runs first.
+        L_c^dag. When the eigenbasis, G and every rotated jump have an
+        imaginary part of exactly zero (a real H_eff with real jumps, as in
+        the spin chain), G and the jumps are stored as float64, and
+        `dynamics._dissipator` multiplies by them in real arithmetic;
+        otherwise they stay complex. The trace check of `_factors` runs first.
         """
         self._factors
         eig = EigenDecomposition(*np.linalg.eigh(self.hamiltonian))
         jumps = [eig.to_eigenbasis(l) for l in self.jumps]
-        g = -0.5 * sum((l.conj().T @ l for l in jumps), start=np.zeros((self.dim, self.dim)))
-        return eig, hermitize(g), jumps, [l.conj().T for l in jumps]
+        g = hermitize(-0.5 * sum((l.conj().T @ l for l in jumps),
+                                 start=np.zeros((self.dim, self.dim))))
+        if not (np.any(eig.basis.imag) or np.any(g.imag) or any(np.any(l.imag) for l in jumps)):
+            g, jumps = np.ascontiguousarray(g.real), [np.ascontiguousarray(l.real) for l in jumps]
+        return eig, g, jumps, [l.conj().T for l in jumps]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Generator action on a d x d matrix (Hermitian or not)."""
