@@ -21,8 +21,11 @@ whose integrand is smooth through w = 0. The quadrature is globally
 adaptive Gauss-Kronrod 7-15 (QUADPACK's GK15 rule) with interval halving,
 run for many (E1, E2) pairs at once: `f_values` keeps the panels of a
 chunk of pairs in one flat array tagged by pair, sums them per pair with
-`bincount` and drops each pair once it converges. `f_integral` is its
-one-pair call and `f_table` its memoized map over gap pairs.
+`bincount` and drops each pair once it converges. It integrates one pair
+of each swap class {(E1, E2), (-E2, -E1)}: the two integrands are the
+same product g(w - E1) g(w + E2) with its factors swapped, over the same
+panels, so their f values are bitwise equal. `f_integral` is its one-pair
+call and `f_table` its memoized map over gap pairs.
 """
 
 from __future__ import annotations
@@ -270,14 +273,20 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
 
     Each integral is folded onto [0, Wmax]; the folded integrand
     [h(w) - h(-w)] / w extends smoothly through 0, and the quadrature
-    nodes never touch w = 0. Pairs are integrated `_CHUNK_PAIRS` at a time
-    by one adaptive sweep; each value is bitwise the same however the
-    pairs are batched.
+    nodes never touch w = 0. One pair of each swap class
+    {(E1, E2), (-E2, -E1)} is integrated: the mirror's integrand is
+    g(w + E2) g(w - E1), the same two factors in the other order, and its
+    Wmax and panel edges are the same, so (negation being exact and the
+    product commutative) its f is bitwise the same; exact duplicates
+    merge too. The classes are integrated `_CHUNK_PAIRS` at a time by one
+    adaptive sweep, in order of first occurrence, and each value is
+    bitwise the same however the pairs are batched.
 
     ValueError if any argument is not finite. QuadratureError, carrying
     the best estimate, its error bound and `.pair`, for the first pair in
     input order whose tolerance cannot be met within the subdivision
-    budget.
+    budget; `.pair` is that pair as given, the estimate and bound those of
+    its class.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
@@ -288,10 +297,23 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
     if bath.coupling == 0.0:
         return np.zeros(e1.size)
     scale = -2.0 * np.pi * bath.coupling
-    out = np.empty(e1.size)
-    for start in range(0, e1.size, _CHUNK_PAIRS):
+
+    # canonical member: the lexicographically smaller of (E1, E2) and (-E2, -E1)
+    mirror = (-e2 < e1) | ((-e2 == e1) & (-e1 < e2))
+    key = np.empty(e1.size, dtype=complex)  # sorts by real part, then imaginary
+    key.real = np.where(mirror, -e2, e1)
+    key.imag = np.where(mirror, -e1, e2)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # classes by first occurrence
+    first = first[order]
+    inverse = np.argsort(order)[inverse]
+    c1, c2 = key.real[first], key.imag[first]
+    del mirror, key, order
+
+    values = np.empty(first.size)
+    for start in range(0, first.size, _CHUNK_PAIRS):
         chunk = slice(start, start + _CHUNK_PAIRS)
-        totals, errs, failed = _adaptive_chunk(bath, e1[chunk], e2[chunk], quad)
+        totals, errs, failed = _adaptive_chunk(bath, c1[chunk], c2[chunk], quad)
         if failed.any():
             k = int(np.argmax(failed))
             target = max(quad.atol, quad.rtol * abs(totals[k]))
@@ -300,10 +322,10 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
                 f"error {errs[k]:.3e} > target {target:.3e}",
                 estimate=float(totals[k]) * scale,
                 error_bound=float(errs[k]) * abs(scale),
-                pair=(float(e1[start + k]), float(e2[start + k])),
+                pair=(float(e1[first[start + k]]), float(e2[first[start + k]])),
             )
-        out[chunk] = scale * totals
-    return out
+        values[chunk] = scale * totals
+    return values[inverse]
 
 
 def f_integral(bath: BathSpec, e1: float, e2: float,

@@ -257,7 +257,8 @@ def build_lamb_shift(bohr: BohrDecomposition, fgrid) -> np.ndarray:
 
     The triple sum is the double Bohr sum over `fgrid`, the f values of
     :func:`lamb_shift_fgrid`. Hermiticity follows from the swap symmetry
-    f(E1, E2) = f(-E2, -E1) and is asserted.
+    f(E1, E2) = f(-E2, -E1), which holds exactly on the grid because
+    `f_values` integrates one pair per swap class; it is still asserted.
     """
     lam = bohr.double_sum(fgrid)
     defect = frobenius(lam - lam.conj().T)

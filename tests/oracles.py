@@ -7,8 +7,11 @@ A(w) built here from projector sandwiches of X, never from the bin labels
 or `BohrDecomposition.double_sum`; their bath functions and f values come
 in as arguments. `f_integral_loop` is the per-pair adaptive Gauss-Kronrod
 loop that the batched `ule.f_values` replaced; it shares only g, Wmax and
-the node table with the library. `dp5_propagate` is the
-explicit Dormand-Prince 5(4) propagator on the full generator
+the node table with the library. `f_values_every_pair` is the chunk loop
+that `ule.f_values` ran before it integrated one pair per swap class: it
+does call the library kernel `ule.bath._adaptive_chunk`, on every pair as
+given, so it checks the class bookkeeping and not the quadrature.
+`dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the dense bordered LU solve with
 its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ule import PropagationError, QuadratureError, Trajectory, hermitize, jump_spectral, unvec, vec
-from ule.bath import _WG, _WGK, _XGK, omega_max
+from ule.bath import _CHUNK_PAIRS, _WG, _WGK, _XGK, _adaptive_chunk, omega_max
 
 
 def jacobi_eigenvalues(h, sweeps=100, tol=1e-14):
@@ -166,6 +169,29 @@ def f_integral_loop(bath, e1, e2, quad):
         exc.pair = (e1, e2)
         raise
     return -2.0 * np.pi * bath.coupling * value
+
+
+def f_values_every_pair(bath, e1, e2, quad):
+    """f at every (E1, E2) as given, `_CHUNK_PAIRS` pairs per `_adaptive_chunk` sweep.
+
+    No swap classes and no merging of duplicates; QuadratureError names
+    the first failing pair in input order.
+    """
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    scale = -2.0 * np.pi * bath.coupling
+    out = np.empty(e1.size)
+    for start in range(0, e1.size, _CHUNK_PAIRS):
+        chunk = slice(start, start + _CHUNK_PAIRS)
+        totals, errs, failed = _adaptive_chunk(bath, e1[chunk], e2[chunk], quad)
+        if failed.any():
+            k = int(np.argmax(failed))
+            raise QuadratureError("adaptive quadrature hit max depth",
+                                  estimate=float(totals[k]) * scale,
+                                  error_bound=float(errs[k]) * abs(scale),
+                                  pair=(float(e1[start + k]), float(e2[start + k])))
+        out[chunk] = scale * totals
+    return out
 
 
 def bohr_parts(bohr, x):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bose_weight_branches, f_integral_loop, trapezoid_pv
+from oracles import bose_weight_branches, f_integral_loop, f_values_every_pair, trapezoid_pv
 from ule import (
     BathSpec,
     QuadratureError,
@@ -18,13 +18,21 @@ from ule import (
     jump_spectral,
     kms_check,
 )
-from ule.bath import _CHUNK_PAIRS, _bose_weight
-from ule.generator import lamb_shift_pairs
+from ule.bath import _CHUNK_PAIRS, _adaptive_chunk, _bose_weight
+from ule.generator import _lamb_shift_bins, lamb_shift_fgrid, lamb_shift_pairs
 from ule.spinchain import chain_channels
 
 
 def make_bath(T=2.0, gamma=0.1, cutoff=100.0):
     return BathSpec(temperature=T, coupling=gamma, cutoff=cutoff)
+
+
+def chain4_lamb():
+    """(spec, channel, bohr) of the N = 4 chain, whose Lamb-shift sum has 2,219 f pairs."""
+    spec = SpinChainSpec(N=4)
+    channel = chain_channels(spec)[0]
+    bohr = bohr_decompose(channel.coupling_op, eigendecompose(build_chain_hamiltonian(spec)))
+    return spec, channel, bohr
 
 
 def test_bath_spec_validation():
@@ -205,9 +213,7 @@ def test_quadrature_spec_validation():
 
 
 def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():
-    spec = SpinChainSpec(N=4)
-    channel = chain_channels(spec)[0]
-    bohr = bohr_decompose(channel.coupling_op, eigendecompose(build_chain_hamiltonian(spec)))
+    spec, channel, bohr = chain4_lamb()
     e1, e2 = np.array(lamb_shift_pairs(bohr)).T
     values = f_values(channel.bath, e1, e2, spec.quad)
     loop = np.array([f_integral_loop(channel.bath, a, b, spec.quad) for a, b in zip(e1, e2)])
@@ -237,6 +243,58 @@ def test_f_values_do_not_depend_on_batching():
     assert np.array_equal(f_values(bath, e1[perm], e2[perm], quad), single[perm])
 
 
+def test_f_values_match_every_pair_oracle_bitwise_on_chain_lamb_pairs():
+    spec, channel, bohr = chain4_lamb()
+    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    oracle = f_values_every_pair(channel.bath, e1, e2, spec.quad)
+    assert np.array_equal(f_values(channel.bath, e1, e2, spec.quad), oracle)
+
+
+def test_f_values_match_every_pair_oracle_bitwise_on_swap_classes():
+    # random pairs and their mirrors, self-mirror pairs (w, -w), signed
+    # zeros and exact duplicates, shuffled across more than one chunk
+    bath = make_bath(T=1.3, gamma=0.2, cutoff=30.0)
+    quad = QuadratureSpec()
+    rng = np.random.default_rng(17)
+    a, b = rng.uniform(-8.0, 8.0, size=(2, _CHUNK_PAIRS + 40))
+    w = rng.uniform(-8.0, 8.0, size=20)
+    zeros1 = [0.0, -0.0, 0.0, -0.0, -0.0, 2.5, 1.5, -0.0]
+    zeros2 = [0.0, 0.0, -0.0, -0.0, -2.5, 0.0, -0.0, -1.5]
+    e1 = np.concatenate([a, -b, w, zeros1, a[:30], -b[30:40]])
+    e2 = np.concatenate([b, -a, -w, zeros2, b[:30], -a[30:40]])
+    perm = rng.permutation(e1.size)
+    e1, e2 = e1[perm], e2[perm]
+    assert e1.size > 2 * _CHUNK_PAIRS
+    assert np.array_equal(f_values(bath, e1, e2, quad), f_values_every_pair(bath, e1, e2, quad))
+
+
+def test_lamb_shift_fgrid_is_exactly_swap_symmetric():
+    # w_(K-1-i) = -w_i exactly, so f(w_i, w_j) sits opposite f(-w_j, -w_i)
+    spec, channel, bohr = chain4_lamb()
+    k = bohr.nfreq
+    assert np.array_equal(bohr.frequencies[::-1], -bohr.frequencies)
+    grid = lamb_shift_fgrid(bohr, channel.bath, spec.quad)
+    i, j = _lamb_shift_bins(bohr)
+    assert np.all(grid[i, j] != 0.0)
+    assert np.array_equal(grid[i, j], grid[k - 1 - j, k - 1 - i])
+
+
+def test_f_values_integrate_each_swap_class_once(monkeypatch):
+    spec, channel, bohr = chain4_lamb()
+    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    sizes = []
+
+    def counting(bath, a, b, quad):
+        sizes.append(a.size)
+        return _adaptive_chunk(bath, a, b, quad)
+
+    monkeypatch.setattr("ule.bath._adaptive_chunk", counting)
+    f_values(channel.bath, e1, e2, spec.quad)
+    assert e1.size == 2219
+    assert sum(sizes) == 1163
+    assert max(sizes) == _CHUNK_PAIRS
+
+
 STRICT = QuadratureSpec(rtol=1e-10, atol=1e-300, max_depth=2)
 
 
@@ -257,6 +315,22 @@ def test_f_table_failure_names_first_failing_pair_in_input_order(first):
     assert err.estimate == pytest.approx(loop.value.estimate, rel=1e-12, abs=0.0)
     # the bound sums |K15 - G7|, which cancels to about 1e-8 of the panel sums
     assert err.error_bound == pytest.approx(loop.value.error_bound, rel=1e-6, abs=0.0)
+
+
+def test_f_values_failure_names_the_input_member_of_its_swap_class():
+    # under STRICT, (1, -2) fails, and it is the mirror of (2, -1)
+    bath = make_bath()
+    e1, e2 = [0.0, 1.0, 40.0, 2.0], [0.0, -2.0, -30.0, -1.0]
+    with pytest.raises(QuadratureError) as info:
+        f_values(bath, e1, e2, STRICT)
+    err = info.value
+    assert err.pair == (1.0, -2.0)
+    with pytest.raises(QuadratureError) as mirror:
+        f_integral(bath, 2.0, -1.0, STRICT)
+    assert (err.estimate, err.error_bound) == (mirror.value.estimate, mirror.value.error_bound)
+    with pytest.raises(QuadratureError) as as_given:
+        f_values_every_pair(bath, [2.0], [-1.0], STRICT)
+    assert (err.estimate, err.error_bound) == (as_given.value.estimate, as_given.value.error_bound)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 2.0)])
