@@ -15,11 +15,14 @@ evaluated here independently of the direct generator application, so the
 pair of routes cross-validates the generator, the Bohr decomposition and
 the bath. The conventional (secular) generator keeps only matched
 frequencies (w1 = w2 in the dissipator, w1 = -w2 in the Lamb shift); its
-jumps and Lamb shift, the ones `build_secular_generator` uses, are applied
-to the Gibbs state directly, where they must vanish at rounding scale.
+dissipator and Lamb shift, from the `_secular_parts` that
+`build_secular_generator` also uses, are applied to the Gibbs state in the
+eigenbasis, where they must vanish at rounding scale. That control is a
+scatter over same-bin pairs of coupling entries, with no per-frequency
+d x d operator and no K x K grid.
 
-Every double sum here is a coefficient grid c(w1, w2) handed to the one
-kernel `BohrDecomposition.double_sum`.
+Every double sum of the two routes is a coefficient grid c(w1, w2) handed
+to the one kernel `BohrDecomposition.double_sum`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .bath import BathSpec, QuadratureSpec, jump_spectral
 from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
+    _require_grid_memory,
     _secular_parts,
     build_jump_operator,
     build_lamb_shift,
@@ -132,7 +136,11 @@ def dissipator_on_gibbs_direct(jump_op, rho_th) -> np.ndarray:
 
 def dissipator_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
                                 beta: float, rho_th) -> np.ndarray:
-    """Bohr-sum form of the dissipator applied to the Gibbs state."""
+    """Bohr-sum form of the dissipator applied to the Gibbs state.
+
+    MemoryLimitError, before allocating, if its K x K grid would not fit.
+    """
+    _require_grid_memory(bohr.nfreq)
     w = bohr.frequencies
     g = jump_spectral(bath, w)
     kms = np.exp(0.5 * beta * (w[None, :] - w[:, None]))
@@ -163,13 +171,12 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fgrid=Non
     `lamb_shift_fgrid`); with `fgrid` None the Lamb part is zero. The Gibbs
     state of H is stationary under the secular generator, so both vanish at
     rounding scale; a Gibbs state of another temperature or Hamiltonian does
-    not.
+    not. `rho_th` may be any matrix. It is rotated into the eigenbasis once,
+    where `_secular_parts` acts; the norms are unitarily invariant.
     """
-    jumps, lam = _secular_parts(bohr, bath, fgrid)
-    dissipator = np.zeros(rho_th.shape, dtype=complex)
-    for jump in jumps:
-        dissipator += dissipator_on_gibbs_direct(jump, rho_th)
-    return frobenius(dissipator), frobenius(lambshift_on_gibbs_direct(lam, rho_th))
+    _, lam, dissipator = _secular_parts(bohr, bath, fgrid)
+    y = bohr.eig.to_eigenbasis(rho_th)
+    return frobenius(dissipator(y)), frobenius(lambshift_on_gibbs_direct(lam, y))
 
 
 def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,

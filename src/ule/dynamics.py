@@ -210,10 +210,11 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     scale.
 
     Raises PropagationError on step-size underflow or when any state
-    eigenvalue falls below -1e-6 (a generator bug, not an integration
-    artifact); between samples the eigenbasis diagonal is checked at every
-    accepted step. Observables are sampled with `expectation`, which raises
-    ValueError on a non-negligible imaginary part.
+    eigenvalue falls below -1e-6; between samples the eigenbasis diagonal
+    is checked at every accepted step. Such a violation comes from a
+    generator that is not completely positive or from a loose tol, so its
+    message names tol. Observables are sampled with `expectation`, which
+    raises ValueError on a non-negligible imaginary part.
     """
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -265,8 +266,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             wmin = float(np.linalg.eigvalsh(rho)[0])
             if wmin < -1e-6:
                 raise PropagationError(
-                    f"positivity violation {wmin:.3e} at sample t = {ts}; "
-                    "the generator is not completely positive",
+                    f"positivity violation {wmin:.3e} at sample t = {ts} with tol = {tol:g}; "
+                    "a loose tol can cause this; otherwise the generator is not "
+                    "completely positive",
                     t_reached=ts)
             min_sample_eig = min(min_sample_eig, wmin)
             sample_vals[next_sample] = rho
@@ -308,8 +310,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             diag = np.real(y_new.diagonal())
             if diag.min() < -1e-6:
                 raise PropagationError(
-                    f"positivity violation {diag.min():.3e} at t = {t_new}; "
-                    "the generator is not completely positive",
+                    f"positivity violation {diag.min():.3e} at t = {t_new} with tol = {tol:g}; "
+                    "a loose tol can cause this; otherwise the generator is not "
+                    "completely positive",
                     t_reached=t_new)
             t, y, f = t_new, y_new, f_new
             n_accepted += 1

@@ -9,11 +9,13 @@ with, per noise channel (coupling operator X, bath g and f),
     L_mn   = 2 pi sqrt(gamma) g(E_n - E_m) X_mn      (eigenbasis elements)
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
-Lam and the secular Lamb shift are Bohr double sums, evaluated by the one
-kernel `BohrDecomposition.double_sum` on an f grid from `lamb_shift_fgrid`
-or `matched_pair_fgrid`. The secular generator's jumps A(w) and Lamb shift
-sum_w f(w, -w) A(w) A(-w) come from one construction, `_secular_parts`,
-which `analysis.secular_residuals` also applies to the Gibbs state.
+Lam is a Bohr double sum, evaluated by the one kernel
+`BohrDecomposition.double_sum` on the f grid of `lamb_shift_fgrid`. The
+secular generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w)
+and its dissipator come from one construction, `_secular_parts`, which
+works in the eigenbasis on the pairs of coupling entries that share a Bohr
+bin (`_same_bin_pairs`) and forms no A(w); `analysis.secular_residuals`
+applies the same parts to the Gibbs state.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. `build_liouvillian` (the
@@ -94,6 +96,18 @@ def _require_memory(need: float, what: str) -> None:
     if need > have:
         raise MemoryLimitError(f"{what} needs about {need / 1e9:.3g} GB; "
                                f"physical memory is {have / 1e9:.3g} GB")
+
+
+def _require_grid_memory(nfreq: int) -> None:
+    """MemoryLimitError if the K x K Bohr-frequency grids, K = nfreq, would not fit.
+
+    Above the 32 MB of the bare interpreter, the peak RSS of `ule residual`
+    on the chain (N = 6 and 7) was 2.9 times the 8 K^2 bytes of one float64
+    grid with the Lamb shift off and 3.2-3.4 times with it on: the f grid
+    is held while the formula routes build their grids and temporaries.
+    At N = 8, K = 30,109 and one grid is 7.25 GB.
+    """
+    _require_memory(4 * 8 * nfreq ** 2, f"Bohr-frequency grid of size {nfreq} x {nfreq}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +247,11 @@ def lamb_shift_pairs(bohr: BohrDecomposition):
 
 
 def _fgrid(bohr: BohrDecomposition, bath: BathSpec, quad: QuadratureSpec, rows, cols):
-    """f(w_i, w_j) at the distinct frequency-index pairs (rows, cols); zero elsewhere."""
+    """f(w_i, w_j) at the distinct frequency-index pairs (rows, cols); zero elsewhere.
+
+    MemoryLimitError, before any quadrature, if the grid would not fit.
+    """
+    _require_grid_memory(bohr.nfreq)
     grid = np.zeros((bohr.nfreq, bohr.nfreq))
     grid[rows, cols] = f_values(bath, bohr.frequencies[rows], bohr.frequencies[cols], quad)
     return grid
@@ -289,24 +307,64 @@ def build_liouvillian(eig: EigenDecomposition, channels,
     return Superoperator(eig.reconstruct() + lam, jumps)
 
 
-def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
-    """(jumps, Lam) of the secular generator of one channel.
+def _same_bin_pairs(bohr: BohrDecomposition):
+    """(m, n, p, q, k) over the ordered pairs of live entries X_mn, X_pq that share bin k.
 
-    The jumps 2 pi sqrt(gamma) g(w_k) A(w_k) come one at a time from an
-    iterator, so a caller that only sums over them never holds all nfreq.
-    Lam = sum_w f(w, -w) A(w) A(-w) reads f from the anti-diagonal of
-    `fgrid`, which `matched_pair_fgrid` and `lamb_shift_fgrid` both fill.
-    With `fgrid` None, Lam is zero.
+    In the eigenbasis A(w_k) is X masked to bin k, so every product of a
+    secular jump with the adjoint of the same jump couples only entries of
+    one bin; these pairs are all the secular generator's terms. Self pairs
+    are included; entries under dropped bins are exactly zero and are not
+    live.
     """
-    g = jump_spectral(bath, bohr.frequencies)
-    jumps = (2.0 * np.pi * np.sqrt(bath.coupling) * g[k] * bohr.component(k)
-             for k in range(bohr.nfreq))
-    if fgrid is None:
-        return jumps, np.zeros((bohr.dim, bohr.dim), dtype=complex)
-    k = np.arange(bohr.nfreq)
-    matched = np.zeros_like(fgrid)
-    matched[k, k[::-1]] = fgrid[k, k[::-1]]
-    return jumps, bohr.double_sum(matched)
+    m, n = np.nonzero(bohr.coupling_eigen)
+    k = bohr.bin_index[m, n]
+    order = np.argsort(k, kind="stable")
+    m, n, k = m[order], n[order], k[order]
+    start = np.searchsorted(k, k)  # where each entry's bin begins in the sorted list
+    size = np.searchsorted(k, k, side="right") - start
+    first = np.repeat(np.arange(k.size), size)
+    second = start[first] + np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    return m[first], n[first], m[second], n[second], k[first]
+
+
+def _scatter(dim: int, rows, cols, values) -> np.ndarray:
+    """d x d matrix with `values` summed into (rows, cols), in a fixed order."""
+    flat = rows * dim + cols
+    size = dim * dim
+    out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
+    return out.reshape(dim, dim)
+
+
+def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
+    """(c, Lam, dissipator) of the secular generator of one channel.
+
+    The jumps are c_k A(w_k) with c_k = 2 pi sqrt(gamma) g(w_k). Lam =
+    sum_k f(w_k, -w_k) A(w_k) A(w_k)^dag in the eigenbasis reads f from the
+    anti-diagonal of `fgrid`, which `matched_pair_fgrid` and
+    `lamb_shift_fgrid` both fill; with `fgrid` None, Lam is zero.
+    `dissipator(y)` is sum_k c_k^2 (A_k y A_k^dag - (1/2){A_k^dag A_k, y})
+    for an eigenbasis y. All three come from the one list of
+    `_same_bin_pairs`: the sandwich scatters over every pair, A_k^dag A_k
+    over the pairs that share a row, and A_k A_k^dag over those that share
+    a column. No A(w_k) is formed here; `build_secular_generator` alone
+    forms its jumps as dense d x d operators, nfreq * 16 d^2 bytes.
+    """
+    m, n, p, q, k = _same_bin_pairs(bohr)
+    xe = bohr.coupling_eigen
+    products = xe[m, n] * xe[p, q].conj()
+    c = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, bohr.frequencies)
+    d = bohr.dim
+    column = n == q
+    f = 0.0 if fgrid is None else fgrid[k[column], bohr.nfreq - 1 - k[column]]
+    lam = _scatter(d, m[column], p[column], f * products[column])
+    weights = c[k] ** 2 * products
+    row = m == p
+    anti = _scatter(d, n[row], q[row], weights[row].conj())
+
+    def dissipator(y):
+        return _scatter(d, m, p, weights * y[n, q]) - 0.5 * (anti @ y + y @ anti)
+
+    return c, lam, dissipator
 
 
 def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
@@ -319,7 +377,14 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     - (1/2){A(w)^dag A(w), rho} ]; coherent part: H plus the secular Lamb
     shift sum_w f(w, -w) A(w) A(-w). The Gibbs state of H is stationary for
     this generator.
+
+    c_k and the Lamb shift come from `_secular_parts`, the source
+    `analysis.secular_residuals` also applies. The generator keeps one dense
+    d x d jump c_k `component(k)` per Bohr frequency, nfreq * 16 d^2 bytes
+    (1.9 GB at N = 7 on the spin chain), because only small systems build
+    it; the Gibbs check never does.
     """
     fgrid = matched_pair_fgrid(bohr, channel.bath, quad) if include_lamb_shift else None
-    jumps, lam = _secular_parts(bohr, channel.bath, fgrid)
-    return Superoperator(bohr.eig.reconstruct() + lam, jumps)
+    c, lam, _ = _secular_parts(bohr, channel.bath, fgrid)
+    jumps = (c[k] * bohr.component(k) for k in range(bohr.nfreq))
+    return Superoperator(bohr.eig.reconstruct() + bohr.eig.from_eigenbasis(lam), jumps)

@@ -17,7 +17,9 @@ integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the den
 its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 `bordered_lu_steady_state` turns its solution into the trace-one state.
 `bose_weight_branches` is the three-branch Bose weight that the one-expression
-`ule.bath._bose_weight` replaced.
+`ule.bath._bose_weight` replaced. `secular_residuals_loop` applies one dense
+jump per Bohr frequency, the loop that the same-bin pair scatter of
+`ule.secular_residuals` replaced.
 """
 
 import numpy as np
@@ -285,6 +287,24 @@ def secular_lamb_shift_loop(bohr, x, grid):
     last = bohr.nfreq - 1
     lam_e = sum(grid[k, last - k] * (parts[k] @ parts[last - k]) for k in range(bohr.nfreq))
     return _from_eigenbasis(bohr, lam_e)
+
+
+def secular_residuals_loop(bohr, x, bath, rho, fgrid=None):
+    """(||sum_w D[L(w)](rho)||, ||[Lam_sec, rho]||) as the loop over dense jumps.
+
+    Each L(w_k) = 2 pi sqrt(gamma) g(w_k) A(w_k) is a d x d input-basis
+    operator applied with five products, as `ule.secular_residuals` did
+    before it scattered over same-bin entry pairs; Lam_sec is
+    `secular_lamb_shift_loop` on `fgrid`, zero when `fgrid` is None.
+    """
+    g = jump_spectral(bath, bohr.frequencies)
+    dissipator = np.zeros(rho.shape, dtype=complex)
+    for gk, a in zip(g, bohr_parts(bohr, x)):
+        l = _from_eigenbasis(bohr, 2.0 * np.pi * np.sqrt(bath.coupling) * gk * a)
+        l_dag = l.conj().T
+        dissipator += l @ rho @ l_dag - 0.5 * (l_dag @ l @ rho + rho @ l_dag @ l)
+    lam = 0.0 * rho if fgrid is None else secular_lamb_shift_loop(bohr, x, fgrid)
+    return np.linalg.norm(dissipator), np.linalg.norm(lam @ rho - rho @ lam)
 
 
 def random_hermitian(rng, dim, scale=1.0):

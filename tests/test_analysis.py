@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import dissipator_on_gibbs_loop, lambshift_on_gibbs_loop, random_hermitian
+from oracles import (
+    dissipator_on_gibbs_loop,
+    lambshift_on_gibbs_loop,
+    random_hermitian,
+    secular_residuals_loop,
+)
 from ule import (
     BathSpec,
+    BohrDecomposition,
     NoiseChannel,
     QuadratureSpec,
     SpinChainSpec,
@@ -130,6 +136,27 @@ def test_secular_residuals_no_blowup_at_large_beta():
         assert r9 <= 1e-12
 
 
+def test_secular_residuals_match_dense_jump_loop():
+    # a grid with distinct values in every cell, so the secular Lamb shift
+    # must read f(w_k, -w_k) = grid[k, K - 1 - k] and nothing else, and a
+    # random state, so no term cancels as it does on the Gibbs state; the
+    # degenerate spectrum puts several entries of one row in one bin
+    rng = np.random.default_rng(83)
+    x = three_level_baseline().coupling_op
+    systems = [(LADDER, x), (np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex),
+                             random_hermitian(rng, 4))]
+    for h, x in systems:
+        bohr = bohr_decompose(x, eigendecompose(h))
+        a = random_hermitian(rng, h.shape[0])
+        rho = a @ a / np.trace(a @ a)
+        grid = rng.standard_normal((bohr.nfreq, bohr.nfreq))
+        got = secular_residuals(bohr, BATH, rho, grid)
+        want = secular_residuals_loop(bohr, x, BATH, rho, grid)
+        assert min(want) > 1e-3
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert secular_residuals(bohr, BATH, rho) == (got[0], 0.0)
+
+
 def test_two_route_equality_random_ensemble():
     # random Hermitian (H, X) ensemble: closed-sum identity for the
     # dissipator, and every member with cross Bohr terms (dense random X
@@ -200,7 +227,13 @@ def test_residual_report_without_lamb_shift(f_calls):
     assert len(f_calls) == 0
 
 
-def test_residual_report_on_chain_with_lamb_shift():
+def test_residual_report_on_chain_with_lamb_shift(monkeypatch):
+    # no route of the report forms a dense A(w): the secular control
+    # scatters over same-bin entry pairs in the eigenbasis
+    def no_component(self, k):
+        raise AssertionError("the residual report built a dense A(w)")
+
+    monkeypatch.setattr(BohrDecomposition, "component", no_component)
     spec = SpinChainSpec(N=4)
     eig = eigendecompose(build_chain_hamiltonian(spec))
     rep = gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)

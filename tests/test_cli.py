@@ -219,6 +219,29 @@ def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert "GB" in err
 
 
+def test_residual_grid_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # at N = 7 one 7307 x 7307 float64 Bohr-frequency grid is 0.43 GB, and
+    # physical memory is read as 512 MB
+    from ule import generator
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 29)
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    code = main(["residual", "--config", config, "--N", "7", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Bohr-frequency grid of size 7307 x 7307" in err
+    assert not (tmp_path / "residuals.csv").exists()
+
+
+def test_loose_tol_positivity_violation_names_tol(tmp_path, capsys):
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    code = main(["evolve", "--config", config, "--N", "4", "--tol", "1e-4",
+                 "--outdir", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "positivity violation" in err
+    assert "tol = 0.0001; a loose tol can cause this" in err
+
+
 def test_steady_n7_fits_and_exits_0(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["steady", "--config", path, "--N", "7", "--outdir", str(tmp_path)]) == 0
