@@ -235,7 +235,7 @@ def _adaptive_chunk(bath: BathSpec, e1, e2, quad: QuadratureSpec):
     total_errs = np.zeros(n)
     failed = np.zeros(n, dtype=bool)
 
-    while pair.size:
+    while True:
         total = np.bincount(pair, vals, minlength=n)
         total_err = np.bincount(pair, errs, minlength=n)
         converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
@@ -249,6 +249,8 @@ def _adaptive_chunk(bath: BathSpec, e1, e2, quad: QuadratureSpec):
         failed |= settled & ~converged
         active &= ~settled
 
+        if not active.any():
+            break
         live = active[pair]
         pair, a, b, depth, vals, errs, split = (
             v[live] for v in (pair, a, b, depth, vals, errs, split))

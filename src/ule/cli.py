@@ -191,6 +191,7 @@ def cmd_spinchain(args) -> int:
         "steady_method": result.steady.method,
         "steady_rcond": result.steady.rcond,
         "steady_iterations": result.steady.iterations,
+        "steady_estimate_iterations": result.steady.estimate_iterations,
         "accepted_steps": traj.stats["n_accepted"],
         "rejected_steps": traj.stats["n_rejected"],
         "max_trace_drift": traj.stats["max_trace_drift"],
@@ -229,6 +230,7 @@ def cmd_steady(args) -> int:
     print(f"residual = {format_value(report.residual)}")
     print(f"rcond = {format_value(report.rcond)}")
     print(f"iterations = {format_value(report.iterations)}")
+    print(f"estimate_iterations = {format_value(report.estimate_iterations)}")
     print(f"trace_distance = {format_value(dev.trace_distance)}")
     print(f"max_abs_diag_deviation = {format_value(dev.max_abs_diag_deviation)}")
     print(f"rho11_gap = {format_value(dev.rho11_gap)}")

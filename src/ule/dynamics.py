@@ -27,13 +27,16 @@ generator as preconditioner, applies the generator with d x d products. A
 1-norm condition estimate from further GMRES solves with the operator and
 its adjoint certifies that the kernel is one-dimensional; the adjoint is the
 same operator on the Heisenberg frame (energies -E, each L_c swapped with
-L_c^dag), so one dissipator kernel serves every solve. Only a generator
-that fails the certificate builds the dense `Superoperator.matrix` and pays
-for an SVD, which counts the kernel singular values below 1e-10 * sigma_max.
+L_c^dag), so one dissipator kernel and one Krylov workspace serve every
+solve. A restart cycle that does not lower the true residual ends its solve
+as not converged. Only a generator that fails the certificate builds the
+dense `Superoperator.matrix` and pays for an SVD, which counts the kernel
+singular values below 1e-10 * sigma_max.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +91,8 @@ class SteadyStateReport:
     1 / (est ||A||_1 est ||A^-1||_1) (method "gmres"), or the smallest
     non-kernel singular value over sigma_max (method "null-space").
     iterations counts the GMRES iterations of the solve and its refinement
-    step, not those of the condition estimate (0 for the SVD).
+    step, estimate_iterations those of the condition estimate's solves
+    (both 0 for the SVD).
     """
 
     state: np.ndarray
@@ -97,6 +101,7 @@ class SteadyStateReport:
     rcond: float
     method: str
     iterations: int
+    estimate_iterations: int
 
 
 # Dormand-Prince 5(4) tableau (FSAL: the last stage is the next first stage).
@@ -338,7 +343,8 @@ KERNEL_RTOL = 1e-10
 # The solve has converged when the recomputed residual ||b - A x|| does, or
 # when it is within GMRES_FLOOR eps ||A||_1 ||x||, the rounding error of
 # forming it (measured at up to 1.7 eps ||A||_1 ||x|| on d = 2-8 systems and
-# N = 4-6 chains). It fails after GMRES_MAXITER iterations in all.
+# N = 4-6 chains). It fails after GMRES_MAXITER iterations in all, or after
+# a cycle that does not lower the recomputed residual.
 GMRES_RESTART = 200
 GMRES_RTOL = 1e-15
 GMRES_FLOOR = 8
@@ -374,7 +380,7 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     d = superop.dim
     _require_memory((GMRES_RESTART + 1) * 16 * d ** 2,
                     f"steady-state GMRES workspace for states of {d ** 2} entries")
-    rho, rcond, iterations, failure = _gmres_steady(superop)
+    rho, rcond, iterations, estimate_iterations, failure = _gmres_steady(superop)
     if failure is not None:
         try:
             return _null_space_svd(superop)
@@ -384,7 +390,8 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
                                    kernel_dimension=None) from exc
     rho, residual = _normalized(superop, rho)
     return SteadyStateReport(state=rho, residual=residual, kernel_dimension=1,
-                             rcond=rcond, method="gmres", iterations=iterations)
+                             rcond=rcond, method="gmres", iterations=iterations,
+                             estimate_iterations=estimate_iterations)
 
 
 def _normalized(superop: Superoperator, rho):
@@ -395,7 +402,7 @@ def _normalized(superop: Superoperator, rho):
 
 
 def _gmres_steady(superop: Superoperator):
-    """(rho, rcond, iterations, failure) from the bordered system A x = W.
+    """(rho, rcond, iterations, estimate_iterations, failure) from A x = W.
 
     rho is x in the input basis after one step of refinement there: the
     eigenbasis is exact only to rounding, which leaves a residual of order
@@ -403,8 +410,9 @@ def _gmres_steady(superop: Superoperator):
     the eigenframe, removes. failure is None when the certificate holds,
     else a description of what failed (rho and rcond are then meaningless).
     iterations counts the GMRES iterations of the solve and the refinement,
-    not those of the condition estimate. A^dag is A on the Heisenberg
-    frame: energies -E, the same G, and each L_c swapped with L_c^dag.
+    estimate_iterations those of the condition estimate's solves. A^dag is
+    A on the Heisenberg frame: energies -E, the same G, and each L_c swapped
+    with L_c^dag. Every solve shares one Krylov workspace.
     """
     frame = superop._eigenframe
     eig, g, jumps, jumps_dag = frame
@@ -413,32 +421,37 @@ def _gmres_steady(superop: Superoperator):
     adjoint = _bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
                                   g, jumps_dag, jumps))
     if forward[1] is None or adjoint[1] is None:
-        return None, 0.0, 0, "the secular preconditioner is singular"
+        return None, 0.0, 0, 0, "the secular preconditioner is singular"
+    krylov = np.empty((GMRES_RESTART + 1, d * d), dtype=complex)
     anorm = _onenorm_estimate(forward[0], adjoint[0], d * d)
     rhs = np.eye(d, dtype=complex).reshape(-1) / d
-    x, iterations, converged = _gmres(*forward, rhs, anorm)
+    x, iterations, converged = _gmres(*forward, rhs, anorm, krylov)
     if not converged:
-        return None, 0.0, iterations, f"GMRES did not converge in {iterations} iterations"
+        return None, 0.0, iterations, 0, f"GMRES did not converge in {iterations} iterations"
+    estimate_iterations = 0
 
     def solver(operator):
         def solve(v):
-            nonlocal converged
-            out, _, ok = _gmres(*operator, v, anorm)
+            nonlocal converged, estimate_iterations
+            out, count, ok = _gmres(*operator, v, anorm, krylov)
             converged = converged and ok
+            estimate_iterations += count
             return out
         return solve
 
     rcond = 1.0 / (anorm * _onenorm_estimate(solver(forward), solver(adjoint), d * d))
     if not converged:
-        return None, 0.0, iterations, "a GMRES solve of the condition estimate did not converge"
+        return (None, 0.0, iterations, estimate_iterations,
+                "a GMRES solve of the condition estimate did not converge")
     if not rcond > KERNEL_RTOL:
-        return None, rcond, iterations, f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}"
+        return (None, rcond, iterations, estimate_iterations,
+                f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}")
     rho = eig.from_eigenbasis(x.reshape(d, d))
     residual = eig.to_eigenbasis(superop.apply_matrix(rho))
-    delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm,
-                                  target=GMRES_RTOL * np.linalg.norm(rhs))
+    delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm, krylov,
+                                  target=GMRES_RTOL * _norm(rhs))
     rho = rho + eig.from_eigenbasis(delta.reshape(d, d))
-    return rho, rcond, iterations + refinement, None
+    return rho, rcond, iterations + refinement, estimate_iterations, None
 
 
 def _bordered_operator(frame):
@@ -459,9 +472,11 @@ def _bordered_operator(frame):
 
     def apply(v):
         y = v.reshape(d, d)
-        out = rotation * y + _dissipator(frame, y)
-        out.flat[diag] += np.trace(y) / d
-        return out.reshape(-1)
+        out = _dissipator(frame, y)
+        out += rotation * y
+        out = out.reshape(-1)
+        out[::d + 1] += y.trace() / d  # the populations
+        return out
 
     rates = 2.0 * np.diag(np.real(g.diagonal())) + 1.0 / d
     coherence = rotation + g.diagonal()[:, None] + g.diagonal()[None, :]
@@ -478,15 +493,22 @@ def _bordered_operator(frame):
     if not (np.all(np.isfinite(inv_coherence)) and np.all(np.isfinite(inv_rates))):
         return apply, None
 
+    inv_rates = inv_rates.astype(complex)  # cast once, not in every product with v
+
     def precondition(v):
-        y = v.reshape(d, d) * inv_coherence
-        y.flat[diag] = inv_rates @ v[diag]
-        return y.reshape(-1)
+        y = (v.reshape(d, d) * inv_coherence).reshape(-1)
+        y[::d + 1] = inv_rates @ v[diag]
+        return y
 
     return apply, precondition
 
 
-def _gmres(apply, precondition, rhs, anorm, target=None):
+def _norm(v) -> float:
+    """Euclidean norm of a complex vector: `np.linalg.norm` without its checks."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _gmres(apply, precondition, rhs, anorm, krylov, target=None):
     """(x, iterations, converged) for apply(x) = rhs from x = 0.
 
     Restarted GMRES (Saad and Schultz 1986) with right preconditioning, so
@@ -494,56 +516,72 @@ def _gmres(apply, precondition, rhs, anorm, target=None):
     Gram-Schmidt with one reorthogonalization, the Hessenberg least-squares
     problem reduced by Givens rotations. target is the residual norm to
     reach, GMRES_RTOL ||rhs|| by default; anorm, an estimate of
-    ||apply||_1, scales the rounding floor of the convergence test.
+    ||apply||_1, scales the rounding floor of the convergence test. krylov
+    is a (GMRES_RESTART + 1, rhs.size) complex workspace for the basis; it
+    is overwritten, so one array serves a sequence of solves. A cycle that
+    does not lower the recomputed residual ends the solve as not converged.
+
+    An iteration costs one apply, one precondition, four matrix-vector
+    products with the basis and two norms. The rotated Hessenberg columns,
+    the rotations and the residual vector g are Python complex numbers, and
+    only the final k x k triangle is formed; the scalar arithmetic rounds as
+    numpy's, so the iterates are those of the numpy-scalar loop it replaced.
     """
-    n = rhs.size
+    eps = np.finfo(float).eps
     if target is None:
-        target = GMRES_RTOL * np.linalg.norm(rhs)
-    floor = GMRES_FLOOR * np.finfo(float).eps * anorm
-    x = np.zeros(n, dtype=complex)
-    residual = rhs.copy()
-    krylov = np.empty((GMRES_RESTART + 1, n), dtype=complex)
+        target = GMRES_RTOL * _norm(rhs)
+    floor = GMRES_FLOOR * eps * anorm
+    x = np.zeros(rhs.size, dtype=complex)
+    residual = rhs
+    last = math.inf
     iterations = 0
     while True:
-        beta = np.linalg.norm(residual)
-        converged = bool(beta <= target + floor * np.linalg.norm(x))
-        if converged or iterations >= GMRES_MAXITER or not np.isfinite(beta):
+        beta = _norm(residual)
+        converged = beta <= target + floor * _norm(x)
+        if (converged or iterations >= GMRES_MAXITER or not math.isfinite(beta)
+                or beta >= last):
             return x, iterations, converged
-        krylov[0] = residual / beta
-        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART), dtype=complex)
-        cos = np.zeros(GMRES_RESTART)
-        sin = np.zeros(GMRES_RESTART, dtype=complex)
-        gvec = np.zeros(GMRES_RESTART + 1, dtype=complex)
-        gvec[0] = beta
+        last = beta
+        np.divide(residual, beta, out=krylov[0])
+        columns, cos, sin, g = [], [], [], [complex(beta)]
         k = 0
         while k < GMRES_RESTART and iterations < GMRES_MAXITER:
             w = apply(precondition(krylov[k]))
-            w_norm = np.linalg.norm(w)
-            for _ in range(2):
-                c = krylov[:k + 1].conj() @ w
-                w -= c @ krylov[:k + 1]
-                hess[:k + 1, k] += c
-            h_next = np.linalg.norm(w)
+            w_norm = _norm(w)
+            basis = krylov[:k + 1]
+            # CGS2; basis @ conj(w) avoids conjugating the whole basis
+            first = (basis @ w.conj()).conj()
+            w -= first @ basis
+            second = (basis @ w.conj()).conj()
+            w -= second @ basis
+            h_next = _norm(w)
+            col = (first + second).tolist()
             for i in range(k):
-                a, b = hess[i, k], hess[i + 1, k]
-                hess[i, k] = cos[i] * a + sin[i] * b
-                hess[i + 1, k] = -np.conj(sin[i]) * a + cos[i] * b
-            a = hess[k, k]
-            rho = np.hypot(abs(a), h_next)
+                a, b = col[i], col[i + 1]
+                col[i] = cos[i] * a + sin[i] * b
+                col[i + 1] = -sin[i].conjugate() * a + cos[i] * b
+            a = col[k]
+            rho = abs(complex(abs(a), h_next))  # libm hypot, as np.hypot; math.hypot differs
             if rho == 0:  # exact breakdown: the preconditioned operator is singular
                 return x, iterations, False
-            phase = a / abs(a) if a != 0 else 1.0
-            cos[k], sin[k] = abs(a) / rho, phase * h_next / rho
-            hess[k, k] = phase * rho
-            gvec[k + 1] = -np.conj(sin[k]) * gvec[k]
-            gvec[k] *= cos[k]
+            # a complex over a real number rounds as numpy's: times the reciprocal
+            phase = a * (1.0 / abs(a)) if a != 0 else 1.0
+            cos.append(abs(a) / rho)
+            sin.append(phase * h_next * (1.0 / rho))
+            col[k] = phase * rho
+            columns.append(col)
+            g.append(-sin[k].conjugate() * g[k])
+            g[k] *= cos[k]
             k += 1
             iterations += 1
-            if abs(gvec[k]) <= target or h_next <= np.finfo(float).eps * w_norm:
+            if abs(g[k]) <= target or h_next <= eps * w_norm:
                 break
-            krylov[k] = w / h_next
-        y = np.linalg.solve(hess[:k, :k], gvec[:k])  # upper triangular: back substitution
-        x = x + precondition(y @ krylov[:k])
+            np.divide(w, h_next, out=krylov[k])
+        triangle = np.zeros((k, k), dtype=complex)
+        for j, col in enumerate(columns):
+            triangle[:j + 1, j] = col
+        y = np.linalg.solve(triangle, g[:k])  # upper triangular: back substitution
+        x += precondition(y @ krylov[:k])
         residual = rhs - apply(x)
 
 
@@ -607,7 +645,8 @@ def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
     rho, residual = _normalized(superop, unvec(kernel[best], superop.dim))
     report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
                                rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
-                               method="null-space", iterations=0)
+                               method="null-space", iterations=0,
+                               estimate_iterations=0)
     if kdim > 1:
         raise SteadyStateError(
             f"steady state is not unique: kernel dimension {kdim}",

@@ -20,8 +20,16 @@ def frobenius(a) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dagger)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (a + a^dagger)/2, in C order.
+
+    a^dagger is written once in C order and a is added to it in place, so
+    no sum reads a transposed operand; the result is bitwise that of
+    0.5 * (a + a.conj().T), dtype included.
+    """
+    out = np.conjugate(a.T, order="C", dtype=np.result_type(a.dtype, 0.5))
+    out += a
+    out *= 0.5
+    return out
 
 
 def max_asymmetry(a: np.ndarray) -> float:

@@ -19,13 +19,15 @@ its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 `bose_weight_branches` is the three-branch Bose weight that the one-expression
 `ule.bath._bose_weight` replaced. `secular_residuals_loop` applies one dense
 jump per Bohr frequency, the loop that the same-bin pair scatter of
-`ule.secular_residuals` replaced.
+`ule.secular_residuals` replaced. `gmres_reference` is the restarted GMRES
+that `ule.dynamics._gmres` ran before its Arnoldi loop moved to Python
+scalars and a shared workspace.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
-from ule import PropagationError, QuadratureError, Trajectory, hermitize, jump_spectral, unvec, vec
+from ule import PropagationError, QuadratureError, Trajectory, dynamics, hermitize, jump_spectral, unvec, vec
 from ule.bath import _CHUNK_PAIRS, _WG, _WGK, _XGK, _adaptive_chunk, omega_max
 
 
@@ -493,3 +495,63 @@ def bordered_lu_steady_state(superop):
     x, rcond = _bordered_lu_solve(superop.matrix, superop.dim)
     rho = hermitize(unvec(x, superop.dim))
     return rho / float(np.real(np.trace(rho))), rcond
+
+
+def gmres_reference(apply, precondition, rhs, anorm, target=None):
+    """(x, iterations, converged): the restarted GMRES that `ule.dynamics._gmres`
+    replaced, with numpy-scalar Givens updates, the Hessenberg matrix as a
+    (GMRES_RESTART + 1, GMRES_RESTART) array and a fresh Krylov basis per
+    call. It has no stagnation exit: a solve runs until it converges or
+    spends GMRES_MAXITER iterations. The constants are read from
+    `ule.dynamics` at call time, so a test that patches them patches both.
+    """
+    restart, maxiter = dynamics.GMRES_RESTART, dynamics.GMRES_MAXITER
+    n = rhs.size
+    if target is None:
+        target = dynamics.GMRES_RTOL * np.linalg.norm(rhs)
+    floor = dynamics.GMRES_FLOOR * np.finfo(float).eps * anorm
+    x = np.zeros(n, dtype=complex)
+    residual = rhs.copy()
+    krylov = np.empty((restart + 1, n), dtype=complex)
+    iterations = 0
+    while True:
+        beta = np.linalg.norm(residual)
+        converged = bool(beta <= target + floor * np.linalg.norm(x))
+        if converged or iterations >= maxiter or not np.isfinite(beta):
+            return x, iterations, converged
+        krylov[0] = residual / beta
+        hess = np.zeros((restart + 1, restart), dtype=complex)
+        cos = np.zeros(restart)
+        sin = np.zeros(restart, dtype=complex)
+        gvec = np.zeros(restart + 1, dtype=complex)
+        gvec[0] = beta
+        k = 0
+        while k < restart and iterations < maxiter:
+            w = apply(precondition(krylov[k]))
+            w_norm = np.linalg.norm(w)
+            for _ in range(2):
+                c = krylov[:k + 1].conj() @ w
+                w -= c @ krylov[:k + 1]
+                hess[:k + 1, k] += c
+            h_next = np.linalg.norm(w)
+            for i in range(k):
+                a, b = hess[i, k], hess[i + 1, k]
+                hess[i, k] = cos[i] * a + sin[i] * b
+                hess[i + 1, k] = -np.conj(sin[i]) * a + cos[i] * b
+            a = hess[k, k]
+            rho = np.hypot(abs(a), h_next)
+            if rho == 0:  # exact breakdown: the preconditioned operator is singular
+                return x, iterations, False
+            phase = a / abs(a) if a != 0 else 1.0
+            cos[k], sin[k] = abs(a) / rho, phase * h_next / rho
+            hess[k, k] = phase * rho
+            gvec[k + 1] = -np.conj(sin[k]) * gvec[k]
+            gvec[k] *= cos[k]
+            k += 1
+            iterations += 1
+            if abs(gvec[k]) <= target or h_next <= np.finfo(float).eps * w_norm:
+                break
+            krylov[k] = w / h_next
+        y = np.linalg.solve(hess[:k, :k], gvec[:k])  # upper triangular: back substitution
+        x = x + precondition(y @ krylov[:k])
+        residual = rhs - apply(x)

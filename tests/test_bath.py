@@ -18,7 +18,7 @@ from ule import (
     jump_spectral,
     kms_check,
 )
-from ule.bath import _CHUNK_PAIRS, _adaptive_chunk, _bose_weight
+from ule.bath import _CHUNK_PAIRS, _adaptive_chunk, _bose_weight, _panel_sums
 from ule.generator import _lamb_shift_bins, lamb_shift_fgrid, lamb_shift_pairs
 from ule.spinchain import chain_channels
 
@@ -296,6 +296,25 @@ def test_f_values_integrate_each_swap_class_once(monkeypatch):
 
 
 STRICT = QuadratureSpec(rtol=1e-10, atol=1e-300, max_depth=2)
+
+
+def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
+    # the sweep ends once no pair is live instead of summing zero panels;
+    # under STRICT, (1, -1) and (2, -1) settle by hitting max_depth
+    spec, channel, bohr = chain4_lamb()
+    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    sizes = []
+
+    def counting(bath, a, b, e1, e2):
+        sizes.append(a.size)
+        return _panel_sums(bath, a, b, e1, e2)
+
+    monkeypatch.setattr("ule.bath._panel_sums", counting)
+    f_values(channel.bath, e1, e2, spec.quad)
+    _adaptive_chunk(make_bath(), np.array([0.0, 1.0, 40.0, 2.0]),
+                    np.array([0.0, -1.0, -30.0, -1.0]), STRICT)
+    assert sizes
+    assert min(sizes) > 0
 
 
 @pytest.mark.parametrize("first", [(1.0, -1.0), (2.0, -1.0)])

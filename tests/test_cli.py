@@ -106,6 +106,7 @@ def test_spinchain_outputs_and_determinism(tmp_path):
     assert summary["steady_method"] == "gmres"
     assert 0.0 < summary["steady_rcond"] < 1.0
     assert summary["steady_iterations"] > 0
+    assert summary["steady_estimate_iterations"] > summary["steady_iterations"]
     assert summary["config"]["N"] == 3
     assert summary["version"]
     assert abs(summary["M_gap"]) < 0.05
@@ -199,6 +200,7 @@ def test_steady_shares_the_spinchain_steady_stage(tmp_path, capsys):
     summary = json.loads((chain_out / "summary.json").read_text())
     for name, key in (("residual", "steady_residual"), ("rcond", "steady_rcond"),
                       ("iterations", "steady_iterations"),
+                      ("estimate_iterations", "steady_estimate_iterations"),
                       ("trace_distance", "trace_distance"), ("observable_gap", "M_gap")):
         assert f"{name} = {format_value(summary[key])}" in printed
 

@@ -13,6 +13,7 @@ from ule import (
     eigendecompose,
     gibbs_populations,
     gibbs_state,
+    hermitize,
     thermal_shift_residual,
     trace_distance,
 )
@@ -50,6 +51,26 @@ def test_eigendecompose_reconstruction_ensemble():
         eig = eigendecompose(h)
         assert np.linalg.norm(eig.reconstruct() - h) <= 1e-10 * np.linalg.norm(h)
         assert np.all(np.diff(eig.energies) >= 0)
+
+
+def test_hermitize_is_bitwise_the_hermitian_part():
+    rng = np.random.default_rng(5)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    square = cplx(128, 128)
+    inputs = [cplx(32, 32), square, square.T, square[::2, ::2], square[:40, 3:43],
+              np.asfortranarray(cplx(7, 7)), rng.standard_normal((6, 6)),
+              rng.integers(-5, 5, (4, 4)), np.zeros((0, 0), dtype=complex)]
+    assert not any(a.flags.c_contiguous for a in inputs[2:6])
+    for a in inputs:
+        out = hermitize(a)
+        expected = 0.5 * (a + a.conj().T)
+        assert out.dtype == expected.dtype
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out, out.conj().T)
 
 
 def test_eigendecompose_rejects_non_hermitian():
