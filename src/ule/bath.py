@@ -11,21 +11,30 @@ g(-w) = exp(-beta w / 2) g(w) identically in w.
 
 f is the principal-value integral
 
-    f(E1, E2) = -2 pi gamma  PV Int dw  g(w - E1) g(w + E2) / w,
+    f(E1, E2) = -2 pi gamma  PV Int dw  g(w - E1) g(w + E2) / w.
 
-evaluated by folding the integration axis,
+With u = w - E1 it is a Hilbert transform at the Cauchy point c = -E1,
 
-    PV Int h(w)/w dw = Int_0^Wmax [h(w) - h(-w)] / w dw,
+    f(E1, E2) = -2 pi gamma  PV Int du  h_s(u) / (u - c),
+    h_s(u) = g(u) g(u + s),   s = E1 + E2,
 
-whose integrand is smooth through w = 0. The quadrature is globally
-adaptive Gauss-Kronrod 7-15 (QUADPACK's GK15 rule) with interval halving,
-run for many (E1, E2) pairs at once: `f_values` keeps the panels of a
-chunk of pairs in one flat array tagged by pair, sums them per pair with
-`bincount` and drops each pair once it converges. It integrates one pair
-of each swap class {(E1, E2), (-E2, -E1)}: the two integrands are the
-same product g(w - E1) g(w + E2) with its factors swapped, over the same
-panels, so their f values are bitwise equal. `f_integral` is its one-pair
-call and `f_table` its memoized map over gap pairs.
+so all pairs with one sum s transform the same function h_s. The
+principal value is taken by singularity subtraction, as QUADPACK's QAWC
+does for Cauchy kernels (R. Piessens et al., QUADPACK, Springer 1983):
+
+    PV Int_lo^hi h(u) / (u - c) du
+        = Int_lo^hi [h(u) - h(c)] / (u - c) du + h(c) log((hi - c) / (c - lo)),
+
+whose integrand is smooth through u = c. `f_values` integrates one member
+of each swap class {(E1, E2), (-E2, -E1)} (the mirror is the same
+integral shifted by s) and gathers the classes whose sums agree within
+`_SUM_RTOL` into sum groups. Each group gets one panel set on which h_s is
+evaluated once per node, and each class keeps its own error sum. The
+quadrature is globally adaptive Gauss-Kronrod 7-15 (QUADPACK's GK15 rule)
+with interval halving, run for many classes at once: a shared panel is
+halved when a class that has not converged ranks it among its worst.
+`f_integral` is its one-pair call and `f_table` its memoized map over gap
+pairs.
 """
 
 from __future__ import annotations
@@ -64,9 +73,13 @@ class BathSpec:
 class QuadratureSpec:
     """Error budget for the principal-value quadrature.
 
-    The integration ceiling is Wmax = |E1| + |E2| + omega_max_pad * cutoff;
-    the Gaussian tail beyond it is below e^-32 in relative terms at the
-    default padding.
+    A pair's target is max(atol, rtol |F|) on its integral F before the
+    -2 pi gamma factor. Wmax = |E1| + |E2| + omega_max_pad * cutoff bounds
+    from below how much of the axis is kept: the range always contains
+    w in [-Wmax, Wmax], i.e. [c - Wmax, c + Wmax] around the Cauchy point,
+    and the range of the pair's sum group may reach further. The Gaussian
+    tail beyond Wmax is below e^-32 in relative terms at the default
+    padding. A panel may be halved at most `max_depth` times.
     """
 
     rtol: float = 1e-8
@@ -139,8 +152,8 @@ def kms_check(bath: BathSpec, samples) -> float:
 
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1]. The embedded Gauss-7
-# rule shares the odd-index nodes; none of the nodes touches the interval
-# endpoints, so the folded integrand is never evaluated at w = 0.
+# rule shares the odd-index nodes, and node 7 is the midpoint; none of the
+# nodes touches the interval endpoints.
 _XGK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
@@ -165,130 +178,247 @@ _WG[1::2] = np.array([
 ])
 
 
-# Pairs per adaptive sweep of `f_values`. The panel arrays grow with the
-# batch: on the N = 5 chain's 19,085 Lamb-shift pairs peak RSS was 62 MB at
-# 256 pairs, 76 MB at 2,048 and 118 MB at 8,192, at about the same speed.
-_CHUNK_PAIRS = 256
-
-
-def _panel_sums(bath: BathSpec, a, b, e1, e2):
-    """Kronrod integrals and |K15 - G7| error estimates on a batch of panels.
-
-    Panel k runs from a[k] to b[k] for the pair (e1[k], e2[k]); the
-    integrand is the folded [h(w) - h(-w)] / w, h(w) = g(w - E1) g(w + E2).
-    Row reductions, not a BLAS product, so a panel's sums do not depend on
-    the batch it is evaluated in.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    w = mid[:, None] + half[:, None] * _XGK[None, :]
-    e1, e2 = e1[:, None], e2[:, None]
-    h_plus = jump_spectral(bath, w - e1) * jump_spectral(bath, w + e2)
-    h_minus = jump_spectral(bath, -w - e1) * jump_spectral(bath, -w + e2)
-    y = (h_plus - h_minus) / w
-    k15 = half * (y * _WGK).sum(axis=1)
-    g7 = half * (y * _WG).sum(axis=1)
-    return k15, np.abs(k15 - g7)
-
-
 def omega_max(bath: BathSpec, e1, e2, quad: QuadratureSpec):
     return abs(e1) + abs(e2) + quad.omega_max_pad * bath.cutoff
 
 
-def _initial_panels(bath: BathSpec, e1, e2, quad: QuadratureSpec):
-    """(pair id, left, right) of the starting panels, ordered by pair and left edge.
+# Two swap classes whose sums E1 + E2 agree within this relative tolerance
+# share one sum group. The chain's bin representatives do not add exactly;
+# their sums spread by rounding, and the N = 5 and 6 chains give the same
+# 234 and 953 groups at any tolerance from 1e-12 to 1e-10.
+_SUM_RTOL = 1e-12
 
-    A pair's edges are 0, Wmax and the distinct features |E1|, |E2|, T,
-    Lc and 2 Lc that lie strictly inside (0, Wmax).
+# Classes per adaptive sweep of `f_values`: whole sum groups, and a group of
+# more classes is cut into runs of this many. The entry arrays grow with
+# the chunk: on the N = 5 chain with the Lamb shift, the peak RSS of
+# `ule residual` was 40.0 MB at 512 classes and 41.6 MB at 1,024, at about
+# the same speed.
+_CHUNK_PAIRS = 512
+
+# Relative rounding error charged to each value of h in h(u) - h(c); it
+# only counts where a node comes close to the Cauchy point c.
+_H_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _sum_groups(sums):
+    """Group label of each of the sorted `sums` and each group's representative.
+
+    Greedy from the smallest: a group takes every sum within `_SUM_RTOL` of
+    its first, which is its representative.
     """
-    n = e1.size
-    wmax = omega_max(bath, e1, e2, quad)
-    inner = np.column_stack([np.abs(e1), np.abs(e2), np.full(n, bath.temperature),
-                             np.full(n, bath.cutoff), np.full(n, 2 * bath.cutoff)])
-    inner[(inner <= 0.0) | (inner >= wmax[:, None])] = np.inf
-    edges = np.sort(np.column_stack([np.zeros(n), wmax, inner]), axis=1)
+    distinct = np.unique(sums)
+    heads = [0]
+    while True:
+        nxt = int(np.searchsorted(distinct, distinct[heads[-1]] * (1.0 + _SUM_RTOL), side="right"))
+        if nxt == distinct.size:
+            break
+        heads.append(nxt)
+    rep = distinct[heads]
+    return np.searchsorted(rep, sums, side="right") - 1, rep
+
+
+def _chunks(label):
+    """(start, stop) runs of whole sum groups of at most `_CHUNK_PAIRS` classes.
+
+    `label` is sorted; a group of more than `_CHUNK_PAIRS` classes is cut
+    into runs of that many.
+    """
+    cuts = [0]
+    start = 0
+    for stop in (np.flatnonzero(np.diff(label)) + 1).tolist() + [label.size]:
+        if stop - cuts[-1] > _CHUNK_PAIRS and start > cuts[-1]:
+            cuts.append(start)
+        while stop - cuts[-1] > _CHUNK_PAIRS:
+            cuts.append(cuts[-1] + _CHUNK_PAIRS)
+        start = stop
+    if cuts[-1] < label.size:
+        cuts.append(label.size)
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _initial_panels(bath: BathSpec, lo, hi, s):
+    """(group, left, right) of the starting panels, ordered by group and left edge.
+
+    Group j spans [lo[j], hi[j]]. Its inner edges are the two points where
+    h_s(u) = g(u) g(u + s), s >= 0, changes character, u = 0 and u = -s, and
+    a ladder on both sides of each: 0 + r and -s - r outward, -r and -s + r
+    inward up to the midpoint, for r = r0, 2 r0, 4 r0, ... with
+    r0 = min(2 pi T, Lc). The poles of the Bose factor at w = 2 pi i k T put
+    a singularity of g at distance 2 pi T from each of the two points, and a
+    GK15 panel converges fast once it keeps about its own half-width away
+    from it; at small T, h also falls off as exp(u / 2T) from u = 0 towards
+    -s, a drop that a panel with no edge near 0 can step over unseen. Lc is
+    the scale of the Gaussian cutoff.
+    """
+    r0 = min(2.0 * np.pi * bath.temperature, bath.cutoff)
+    ladder = r0 * 2.0 ** np.arange(int(np.ceil(np.log2(np.max(hi - lo) / r0))) + 1)
+    zero = np.zeros((s.size, 1))
+    s = s[:, None]
+    between = np.where(ladder < 0.5 * s, ladder, np.inf)
+    inner = np.hstack([zero, -s, zero + ladder, -s - ladder, -between, between - s])
+    inner[(inner <= lo[:, None]) | (inner >= hi[:, None])] = np.inf
+    edges = np.sort(np.column_stack([lo, hi, inner]), axis=1)
     keep = np.isfinite(edges)
     keep[:, 1:] &= edges[:, 1:] != edges[:, :-1]
-    pair, col = np.nonzero(keep)
-    flat = edges[pair, col]
-    same = pair[1:] == pair[:-1]
-    return pair[:-1][same], flat[:-1][same], flat[1:][same]
+    group, col = np.nonzero(keep)
+    flat = edges[group, col]
+    same = group[1:] == group[:-1]
+    return group[:-1][same], flat[:-1][same], flat[1:][same]
 
 
-def _adaptive_chunk(bath: BathSpec, e1, e2, quad: QuadratureSpec):
-    """Unscaled folded integrals and error sums of a batch of pairs.
+def _panel_nodes(bath: BathSpec, a, b, s):
+    """Half-widths, GK15 nodes u and h_s(u) = g(u) g(u + s) of panels [a, b] with sums s."""
+    half = 0.5 * (b - a)
+    u = (0.5 * (a + b))[:, None] + half[:, None] * _XGK
+    g = jump_spectral(bath, np.concatenate([u, u + s[:, None]]))
+    return half, u, g[:a.size] * g[a.size:]
 
-    Globally adaptive GK15 per pair: while a pair's error sum exceeds
-    max(atol, rtol |total|), its panels whose error is at least a quarter
-    of its worst are halved together; a panel may be halved at most
-    `max_depth` times. All pairs share one flat panel array that stays
-    ordered by (pair, left edge), so the `bincount` totals add each pair's
-    panels in the same order whatever else is in the batch; converged
-    pairs drop out. Returns (totals, error sums, failed mask).
+
+def _pair_panel_sums(pair, panel, c, hc, half, u, h):
+    """Kronrod integrals and error estimates of (h(u) - h(c)) / (u - c) on (pair, panel) entries.
+
+    Pair k has the Cauchy point c[k] and h(c) = hc[k]; panel j the
+    half-width half[j], nodes u[j] and values h[j]. The error is |K15 - G7|
+    plus, on the panel that holds c, the rounding of h(u) - h(c) divided by
+    u - c at each node. That term grows without bound as a node nears c, so
+    such a panel is halved until c sits clear of its nodes; a node exactly
+    at c contributes 0 and an infinite error. Row reductions, not BLAS
+    products, so an entry's sums do not depend on the batch.
     """
-    n = e1.size
-    pair, a, b = _initial_panels(bath, e1, e2, quad)
+    y = np.take(h, panel, axis=0)
+    y -= hc[pair, None]
+    d = np.take(u, panel, axis=0)
+    d -= c[pair, None]
+    holds = np.flatnonzero(np.abs(d[:, 7]) < half[panel])  # node 7 is the midpoint
+    dist = np.abs(d[holds])
+    hit_row, hit_node = np.nonzero(dist == 0.0)
+    d[holds[hit_row], hit_node] = 1.0
+    dist[hit_row, hit_node] = 1.0
+    y /= d
+    y[holds[hit_row], hit_node] = 0.0
+    rounding = np.zeros(pair.size)
+    spread = (np.take(h, panel[holds], axis=0) + hc[pair[holds], None]) / dist
+    rounding[holds] = _H_ROUNDING * half[panel[holds]] * np.einsum("ij,j->i", spread, _WGK)
+    rounding[holds[hit_row]] = np.inf
+    half = half[panel]
+    k15 = half * np.einsum("ij,j->i", y, _WGK)
+    g7 = half * np.einsum("ij,j->i", y, _WG)
+    return k15, np.abs(k15 - g7) + rounding
+
+
+def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec):
+    """Unscaled PV integrals, error sums and failed mask of a chunk of swap classes.
+
+    Class k is PV Int h_s(u) / (u - c[k]) du with s = s[group[k]]; `group`
+    is sorted and numbers the chunk's sum groups 0, 1, ... Group j
+    integrates over [lo, hi], the union of its classes' [c - Wmax, c + Wmax],
+    on one panel set whose nodes carry the one evaluation of h_s. Class k
+    adds Int (h_s(u) - h_s(c)) / (u - c) over every panel of its group to
+    h_s(c) log((hi - c) / (c - lo)). Globally adaptive GK15: while a class's
+    error sum exceeds max(atol, rtol |total|), its panels whose error is at
+    least a quarter of its worst are halved, for every live class of the
+    group at once; a panel may be halved at most `max_depth` times. The
+    entries stay ordered by (class, left edge), so the `bincount` totals add
+    each class's panels in one order whatever else is in the chunk;
+    converged classes, and the panels of groups with none left, drop out.
+    Each (class, panel) is evaluated once. Returns (totals, error sums,
+    failed mask).
+    """
+    n = c.size
+    head = np.searchsorted(group, np.arange(s.size))
+    lo = np.minimum.reduceat(c - wmax, head)
+    hi = np.maximum.reduceat(c + wmax, head)
+    pg, a, b = _initial_panels(bath, lo, hi, s)
     depth = np.zeros(a.size, dtype=int)
-    vals, errs = _panel_sums(bath, a, b, e1[pair], e2[pair])
+    half, u, h = _panel_nodes(bath, a, b, s[pg])
+    gc = jump_spectral(bath, np.concatenate([c, c + s[group]]))
+    hc = gc[:n] * gc[n:]
+    log_term = hc * np.log((hi[group] - c) / (c - lo[group]))
+
+    # one entry per class and panel of its group, ordered by (class, left edge)
+    count = np.bincount(pg, minlength=s.size)[group]
+    pair = np.repeat(np.arange(n), count)
+    offset = np.cumsum(count) - count - np.searchsorted(pg, group)
+    panel = np.arange(pair.size) - np.repeat(offset, count)
+    vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h)
     active = np.ones(n, dtype=bool)
     totals = np.zeros(n)
     total_errs = np.zeros(n)
     failed = np.zeros(n, dtype=bool)
 
     while True:
-        total = np.bincount(pair, vals, minlength=n)
+        total = np.bincount(pair, vals, minlength=n) + log_term
         total_err = np.bincount(pair, errs, minlength=n)
         converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
         worst = np.zeros(n)
         np.maximum.at(worst, pair, errs)
-        split = (errs >= 0.25 * worst[pair]) & (depth < quad.max_depth)
-        stuck = np.bincount(pair, split, minlength=n) == 0
+        mark = (errs >= 0.25 * worst[pair]) & (depth[panel] < quad.max_depth) & ~converged[pair]
+        stuck = np.bincount(pair, mark, minlength=n) == 0
         settled = active & (converged | stuck)
         totals[settled] = total[settled]
         total_errs[settled] = total_err[settled]
         failed |= settled & ~converged
         active &= ~settled
-
         if not active.any():
             break
-        live = active[pair]
-        pair, a, b, depth, vals, errs, split = (
-            v[live] for v in (pair, a, b, depth, vals, errs, split))
-        # a split panel becomes its two halves in its own place
-        width = 1 + split
-        idx = np.repeat(np.arange(pair.size), width)
-        left = (np.cumsum(width) - width)[split]
-        right = left + 1
+
+        # a marked panel becomes its two halves in its own place; the
+        # panels of groups with no live class go
+        split = np.zeros(a.size, dtype=bool)
+        split[panel[mark]] = True
+        live = np.zeros(s.size, dtype=bool)
+        live[group[active]] = True
+        width = live[pg] * (1 + split)
+        moved = np.cumsum(width) - width
+        left = moved[split]
         mid = 0.5 * (a[split] + b[split])
-        pair, a, b, depth, vals, errs = (v[idx] for v in (pair, a, b, depth, vals, errs))
+        idx = np.repeat(np.arange(a.size), width)
+        pg, a, b, depth, half, u, h = (v[idx] for v in (pg, a, b, depth, half, u, h))
         b[left] = mid
-        a[right] = mid
-        fresh = np.concatenate([left, right])
+        a[left + 1] = mid
+        fresh = np.concatenate([left, left + 1])
         depth[fresh] += 1
-        vals[fresh], errs[fresh] = _panel_sums(bath, a[fresh], b[fresh],
-                                               e1[pair[fresh]], e2[pair[fresh]])
+        half[fresh], u[fresh], h[fresh] = _panel_nodes(bath, a[fresh], b[fresh], s[pg[fresh]])
+
+        # so does each live entry on a halved panel
+        keep = active[pair]
+        pair, panel, vals, errs = pair[keep], panel[keep], vals[keep], errs[keep]
+        halved = split[panel]
+        width = 1 + halved
+        left = (np.cumsum(width) - width)[halved]
+        idx = np.repeat(np.arange(pair.size), width)
+        pair, panel, vals, errs = pair[idx], moved[panel][idx], vals[idx], errs[idx]
+        panel[left + 1] += 1
+        fresh = np.concatenate([left, left + 1])
+        vals[fresh], errs[fresh] = _pair_panel_sums(pair[fresh], panel[fresh], c, hc, half, u, h)
     return totals, total_errs, failed
 
 
 def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """f(e1[k], e2[k]) = -2 pi gamma PV Int g(w - e1[k]) g(w + e2[k]) / w dw for every k.
 
-    Each integral is folded onto [0, Wmax]; the folded integrand
-    [h(w) - h(-w)] / w extends smoothly through 0, and the quadrature
-    nodes never touch w = 0. One pair of each swap class
-    {(E1, E2), (-E2, -E1)} is integrated: the mirror's integrand is
-    g(w + E2) g(w - E1), the same two factors in the other order, and its
-    Wmax and panel edges are the same, so (negation being exact and the
-    product commutative) its f is bitwise the same; exact duplicates
-    merge too. The classes are integrated `_CHUNK_PAIRS` at a time by one
-    adaptive sweep, in order of first occurrence, and each value is
-    bitwise the same however the pairs are batched.
+    With u = w - E1, f(E1, E2) = -2 pi gamma PV Int h_s(u) / (u - c) du,
+    h_s(u) = g(u) g(u + s), s = E1 + E2 and the Cauchy point c = -E1. The
+    swap mirror (-E2, -E1) is the same integral shifted by s, so each swap
+    class {(E1, E2), (-E2, -E1)} is integrated once, as its member with
+    s >= 0; classes with the same (|s|, c) merge, and so do signed zeros.
+    Classes whose sums agree within `_SUM_RTOL` form a sum group, integrated
+    at its smallest sum on one shared panel set (`_sum_group_chunk`).
 
-    ValueError if any argument is not finite. QuadratureError, carrying
-    the best estimate, its error bound and `.pair`, for the first pair in
-    input order whose tolerance cannot be met within the subdivision
-    budget; `.pair` is that pair as given, the estimate and bound those of
-    its class.
+    A value is the integral at its group's representative sum, over the
+    union of its group's ranges, which contains the pair's own w in
+    [-Wmax, Wmax]. It depends on the other members of its sum group (the
+    representative, the range and the shared panels) and on nothing else;
+    only a group of more than `_CHUNK_PAIRS` classes is cut into runs with
+    panels of their own. So a value may move within its error target when
+    the batch around it changes, while for one set of pairs the values are
+    bitwise the same in any order and on every rerun.
+
+    ValueError if any argument is not finite. QuadratureError, carrying the
+    best estimate, its error bound and `.pair`, if some class cannot meet
+    its tolerance within the subdivision budget; `.pair` is the first input
+    pair, as given, whose class failed, the estimate and bound those of the
+    class.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
@@ -296,37 +426,40 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
         raise ValueError("f arguments must be two 1-D arrays of the same length")
     if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
         raise ValueError("f arguments must be finite")
-    if bath.coupling == 0.0:
+    if bath.coupling == 0.0 or e1.size == 0:
         return np.zeros(e1.size)
     scale = -2.0 * np.pi * bath.coupling
 
-    # canonical member: the lexicographically smaller of (E1, E2) and (-E2, -E1)
-    mirror = (-e2 < e1) | ((-e2 == e1) & (-e1 < e2))
+    s = e1 + e2
     key = np.empty(e1.size, dtype=complex)  # sorts by real part, then imaginary
-    key.real = np.where(mirror, -e2, e1)
-    key.imag = np.where(mirror, -e1, e2)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # classes by first occurrence
-    first = first[order]
-    inverse = np.argsort(order)[inverse]
-    c1, c2 = key.real[first], key.imag[first]
-    del mirror, key, order
+    key.real = np.abs(s)
+    key.imag = np.where(s < 0, e2, -e1) + 0.0  # c of the member with s >= 0; -0.0 -> 0.0
+    key, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    c = key.imag.copy()
+    wmax = omega_max(bath, e1[first], e2[first], quad)
+    label, rep = _sum_groups(key.real)
+    del s, key
 
-    values = np.empty(first.size)
-    for start in range(0, first.size, _CHUNK_PAIRS):
-        chunk = slice(start, start + _CHUNK_PAIRS)
-        totals, errs, failed = _adaptive_chunk(bath, c1[chunk], c2[chunk], quad)
-        if failed.any():
-            k = int(np.argmax(failed))
-            target = max(quad.atol, quad.rtol * abs(totals[k]))
-            raise QuadratureError(
-                f"adaptive quadrature hit max depth {quad.max_depth} with "
-                f"error {errs[k]:.3e} > target {target:.3e}",
-                estimate=float(totals[k]) * scale,
-                error_bound=float(errs[k]) * abs(scale),
-                pair=(float(e1[first[start + k]]), float(e2[first[start + k]])),
-            )
+    values = np.empty(c.size)
+    errors = np.empty(c.size)
+    failed = np.zeros(c.size, dtype=bool)
+    for start, stop in _chunks(label):
+        chunk = slice(start, stop)
+        lab = label[chunk]
+        totals, errors[chunk], failed[chunk] = _sum_group_chunk(
+            bath, c[chunk], wmax[chunk], lab - lab[0], rep[lab[0]:lab[-1] + 1], quad)
         values[chunk] = scale * totals
+    if failed.any():
+        k = np.flatnonzero(failed)
+        k = k[np.argmin(first[k])]
+        target = max(quad.atol, quad.rtol * abs(values[k] / scale))
+        raise QuadratureError(
+            f"adaptive quadrature hit max depth {quad.max_depth} with "
+            f"error {errors[k]:.3e} > target {target:.3e}",
+            estimate=float(values[k]),
+            error_bound=float(errors[k]) * abs(scale),
+            pair=(float(e1[first[k]]), float(e2[first[k]])),
+        )
     return values[inverse]
 
 

@@ -227,17 +227,23 @@ def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.nd
 
 
 def _lamb_shift_bins(bohr: BohrDecomposition):
-    """(i, j) frequency indices of the distinct (w_i, w_j) in the Lamb-shift sum.
+    """(i, j) frequency indices of the distinct (w_i, w_j) in the Lamb-shift sum, sorted.
 
     The triple sum over levels (m, l, n) only ever calls f at
     (E_l - E_m, E_n - E_l), i.e. at (bin[m, l], bin[l, n]), and only the
     triples with X_ml and X_ln both nonzero contribute. Every anti-diagonal
-    pair (w, -w) of a kept frequency is among them (take n = m).
+    pair (w, -w) of a kept frequency is among them (take n = m). The cells
+    are marked level by level in a K x K boolean, K = nfreq, and read back
+    row by row. MemoryLimitError, before anything K x K is allocated, if
+    the Bohr-frequency grids would not fit.
     """
+    _require_grid_memory(bohr.nfreq)
     bins = bohr.bin_index
     live = bohr.coupling_eigen != 0
-    pairs = bins[:, :, None] * bohr.nfreq + bins[None, :, :]
-    return np.divmod(np.unique(pairs[live[:, :, None] & live[None, :, :]]), bohr.nfreq)
+    seen = np.zeros((bohr.nfreq, bohr.nfreq), dtype=bool)
+    for level in range(bohr.dim):
+        seen[np.ix_(bins[live[:, level], level], bins[level, live[level]])] = True
+    return np.nonzero(seen)
 
 
 def lamb_shift_pairs(bohr: BohrDecomposition):

@@ -6,11 +6,14 @@ dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
 A(w) built here from projector sandwiches of X, never from the bin labels
 or `BohrDecomposition.double_sum`; their bath functions and f values come
 in as arguments. `f_integral_loop` is the per-pair adaptive Gauss-Kronrod
-loop that the batched `ule.f_values` replaced; it shares only g, Wmax and
-the node table with the library. `f_values_every_pair` is the chunk loop
-that `ule.f_values` ran before it integrated one pair per swap class: it
-does call the library kernel `ule.bath._adaptive_chunk`, on every pair as
-given, so it checks the class bookkeeping and not the quadrature.
+loop over the folded integrand [h(w) - h(-w)] / w on [0, Wmax]; it shares
+only g, Wmax and the node table with the library. `folded_adaptive_chunk`
+is the batched form of that loop, the kernel `ule.f_values` ran (on one
+pair per swap class) before it integrated by sum group with singularity
+subtraction, and `f_values_every_pair` runs it on every pair as given.
+The library agrees with both within the quadrature target, not bitwise.
+`lamb_shift_bins_unique` is the d^3 `np.unique` that
+`ule.generator._lamb_shift_bins` ran before it marked a K x K boolean.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the dense bordered LU solve with
@@ -28,7 +31,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ule import PropagationError, QuadratureError, Trajectory, dynamics, hermitize, jump_spectral, unvec, vec
-from ule.bath import _CHUNK_PAIRS, _WG, _WGK, _XGK, _adaptive_chunk, omega_max
+from ule.bath import _WG, _WGK, _XGK, omega_max
+
+
+# Pairs per adaptive sweep of `f_values_every_pair`, the chunk size the
+# folded kernel ran at.
+FOLDED_CHUNK_PAIRS = 256
 
 
 def jacobi_eigenvalues(h, sweeps=100, tol=1e-14):
@@ -175,8 +183,103 @@ def f_integral_loop(bath, e1, e2, quad):
     return -2.0 * np.pi * bath.coupling * value
 
 
+def folded_panel_sums(bath, a, b, e1, e2):
+    """Kronrod integrals and |K15 - G7| error estimates on a batch of panels.
+
+    Panel k runs from a[k] to b[k] for the pair (e1[k], e2[k]); the
+    integrand is the folded [h(w) - h(-w)] / w, h(w) = g(w - E1) g(w + E2).
+    Row reductions, not a BLAS product, so a panel's sums do not depend on
+    the batch it is evaluated in.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    w = mid[:, None] + half[:, None] * _XGK[None, :]
+    e1, e2 = e1[:, None], e2[:, None]
+    h_plus = jump_spectral(bath, w - e1) * jump_spectral(bath, w + e2)
+    h_minus = jump_spectral(bath, -w - e1) * jump_spectral(bath, -w + e2)
+    y = (h_plus - h_minus) / w
+    k15 = half * (y * _WGK).sum(axis=1)
+    g7 = half * (y * _WG).sum(axis=1)
+    return k15, np.abs(k15 - g7)
+
+
+def _folded_initial_panels(bath, e1, e2, quad):
+    """(pair id, left, right) of the starting panels, ordered by pair and left edge.
+
+    A pair's edges are 0, Wmax and the distinct features |E1|, |E2|, T,
+    Lc and 2 Lc that lie strictly inside (0, Wmax).
+    """
+    n = e1.size
+    wmax = omega_max(bath, e1, e2, quad)
+    inner = np.column_stack([np.abs(e1), np.abs(e2), np.full(n, bath.temperature),
+                             np.full(n, bath.cutoff), np.full(n, 2 * bath.cutoff)])
+    inner[(inner <= 0.0) | (inner >= wmax[:, None])] = np.inf
+    edges = np.sort(np.column_stack([np.zeros(n), wmax, inner]), axis=1)
+    keep = np.isfinite(edges)
+    keep[:, 1:] &= edges[:, 1:] != edges[:, :-1]
+    pair, col = np.nonzero(keep)
+    flat = edges[pair, col]
+    same = pair[1:] == pair[:-1]
+    return pair[:-1][same], flat[:-1][same], flat[1:][same]
+
+
+def folded_adaptive_chunk(bath, e1, e2, quad):
+    """Unscaled folded integrals and error sums of a batch of pairs.
+
+    Globally adaptive GK15 per pair: while a pair's error sum exceeds
+    max(atol, rtol |total|), its panels whose error is at least a quarter
+    of its worst are halved together; a panel may be halved at most
+    `max_depth` times. All pairs share one flat panel array that stays
+    ordered by (pair, left edge), so the `bincount` totals add each pair's
+    panels in the same order whatever else is in the batch; converged
+    pairs drop out. Returns (totals, error sums, failed mask).
+    """
+    n = e1.size
+    pair, a, b = _folded_initial_panels(bath, e1, e2, quad)
+    depth = np.zeros(a.size, dtype=int)
+    vals, errs = folded_panel_sums(bath, a, b, e1[pair], e2[pair])
+    active = np.ones(n, dtype=bool)
+    totals = np.zeros(n)
+    total_errs = np.zeros(n)
+    failed = np.zeros(n, dtype=bool)
+
+    while True:
+        total = np.bincount(pair, vals, minlength=n)
+        total_err = np.bincount(pair, errs, minlength=n)
+        converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
+        worst = np.zeros(n)
+        np.maximum.at(worst, pair, errs)
+        split = (errs >= 0.25 * worst[pair]) & (depth < quad.max_depth)
+        stuck = np.bincount(pair, split, minlength=n) == 0
+        settled = active & (converged | stuck)
+        totals[settled] = total[settled]
+        total_errs[settled] = total_err[settled]
+        failed |= settled & ~converged
+        active &= ~settled
+
+        if not active.any():
+            break
+        live = active[pair]
+        pair, a, b, depth, vals, errs, split = (
+            v[live] for v in (pair, a, b, depth, vals, errs, split))
+        # a split panel becomes its two halves in its own place
+        width = 1 + split
+        idx = np.repeat(np.arange(pair.size), width)
+        left = (np.cumsum(width) - width)[split]
+        right = left + 1
+        mid = 0.5 * (a[split] + b[split])
+        pair, a, b, depth, vals, errs = (v[idx] for v in (pair, a, b, depth, vals, errs))
+        b[left] = mid
+        a[right] = mid
+        fresh = np.concatenate([left, right])
+        depth[fresh] += 1
+        vals[fresh], errs[fresh] = folded_panel_sums(bath, a[fresh], b[fresh],
+                                                     e1[pair[fresh]], e2[pair[fresh]])
+    return totals, total_errs, failed
+
+
 def f_values_every_pair(bath, e1, e2, quad):
-    """f at every (E1, E2) as given, `_CHUNK_PAIRS` pairs per `_adaptive_chunk` sweep.
+    """f at every (E1, E2) as given, `FOLDED_CHUNK_PAIRS` pairs per `folded_adaptive_chunk` sweep.
 
     No swap classes and no merging of duplicates; QuadratureError names
     the first failing pair in input order.
@@ -185,9 +288,9 @@ def f_values_every_pair(bath, e1, e2, quad):
     e2 = np.asarray(e2, dtype=float)
     scale = -2.0 * np.pi * bath.coupling
     out = np.empty(e1.size)
-    for start in range(0, e1.size, _CHUNK_PAIRS):
-        chunk = slice(start, start + _CHUNK_PAIRS)
-        totals, errs, failed = _adaptive_chunk(bath, e1[chunk], e2[chunk], quad)
+    for start in range(0, e1.size, FOLDED_CHUNK_PAIRS):
+        chunk = slice(start, start + FOLDED_CHUNK_PAIRS)
+        totals, errs, failed = folded_adaptive_chunk(bath, e1[chunk], e2[chunk], quad)
         if failed.any():
             k = int(np.argmax(failed))
             raise QuadratureError("adaptive quadrature hit max depth",
@@ -251,6 +354,18 @@ def lamb_shift_live_pairs(bohr, x):
             if np.any(prod):
                 live[(float(freqs[i]), float(freqs[j]))] = prod
     return live
+
+
+def lamb_shift_bins_unique(bohr):
+    """(i, j) of the distinct (bin[m, l], bin[l, n]) over the triples with X_ml X_ln != 0.
+
+    The d^3 codes i K + j of every live triple and one `np.unique`, as
+    `ule.generator._lamb_shift_bins` ran before it marked a K x K boolean.
+    """
+    bins = bohr.bin_index
+    live = bohr.coupling_eigen != 0
+    pairs = bins[:, :, None] * bohr.nfreq + bins[None, :, :]
+    return np.divmod(np.unique(pairs[live[:, :, None] & live[None, :, :]]), bohr.nfreq)
 
 
 def lambshift_on_gibbs_loop(bohr, x, beta, rho_th, f_values):

@@ -18,7 +18,7 @@ from ule import (
     jump_spectral,
     kms_check,
 )
-from ule.bath import _CHUNK_PAIRS, _adaptive_chunk, _bose_weight, _panel_sums
+from ule.bath import _CHUNK_PAIRS, _bose_weight, _pair_panel_sums, _panel_nodes, _sum_group_chunk
 from ule.generator import _lamb_shift_bins, lamb_shift_fgrid, lamb_shift_pairs
 from ule.spinchain import chain_channels
 
@@ -27,12 +27,23 @@ def make_bath(T=2.0, gamma=0.1, cutoff=100.0):
     return BathSpec(temperature=T, coupling=gamma, cutoff=cutoff)
 
 
-def chain4_lamb():
-    """(spec, channel, bohr) of the N = 4 chain, whose Lamb-shift sum has 2,219 f pairs."""
-    spec = SpinChainSpec(N=4)
+def chain_lamb(n_sites):
+    """(spec, channel, bohr) of the N-site chain."""
+    spec = SpinChainSpec(N=n_sites)
     channel = chain_channels(spec)[0]
     bohr = bohr_decompose(channel.coupling_op, eigendecompose(build_chain_hamiltonian(spec)))
     return spec, channel, bohr
+
+
+def chain4_lamb():
+    """(spec, channel, bohr) of the N = 4 chain, whose Lamb-shift sum has 2,219 f pairs."""
+    return chain_lamb(4)
+
+
+def assert_within_target(values, reference, bath, quad):
+    """|f - reference| <= max(atol, rtol |reference|), the quadrature target in units of f."""
+    target = np.maximum(2.0 * np.pi * bath.coupling * quad.atol, quad.rtol * np.abs(reference))
+    assert np.all(np.abs(np.asarray(values) - reference) <= target)
 
 
 def test_bath_spec_validation():
@@ -187,15 +198,21 @@ def test_f_quadrature_failure_carries_estimate():
     assert err.estimate == pytest.approx(good, rel=1e-2)
 
 
-def test_f_table_matches_per_call_bitwise():
+def test_f_table_matches_per_group_call_bitwise():
+    # a value depends on the members of its sum group and on nothing else:
+    # the table agrees bitwise with one f_values call per group, and with
+    # one-pair calls within the quadrature target
     bath = make_bath()
     quad = QuadratureSpec()
     gaps = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
     pairs = [(a, b) for a in gaps for b in gaps]
     table = f_table(bath, pairs, quad)
     assert len(table) == 49
-    for pair in pairs:
-        assert table[pair] == f_integral(bath, pair[0], pair[1], quad)
+    for total in {abs(a + b) for a, b in pairs}:
+        group = [p for p in pairs if abs(p[0] + p[1]) == total]
+        assert [table[p] for p in group] == f_values(bath, *np.array(group).T, quad).tolist()
+    single = np.array([f_integral(bath, a, b, quad) for a, b in pairs])
+    assert_within_target([table[p] for p in pairs], single, bath, quad)
 
 
 def test_f_table_deduplicates_and_handles_empty():
@@ -218,7 +235,7 @@ def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():
     values = f_values(channel.bath, e1, e2, spec.quad)
     loop = np.array([f_integral_loop(channel.bath, a, b, spec.quad) for a, b in zip(e1, e2)])
     assert e1.size > _CHUNK_PAIRS
-    assert np.all(np.abs(values - loop) <= 1e-12 * np.abs(loop))
+    assert_within_target(values, loop, channel.bath, spec.quad)
 
 
 def test_f_values_match_per_pair_loop_on_random_pairs():
@@ -228,11 +245,26 @@ def test_f_values_match_per_pair_loop_on_random_pairs():
     e1, e2 = rng.uniform(-20.0, 20.0, size=(2, 50))
     values = f_values(bath, e1, e2, quad)
     loop = np.array([f_integral_loop(bath, a, b, quad) for a, b in zip(e1, e2)])
-    assert np.all(np.abs(values - loop) <= 1e-12 * np.abs(loop))
+    assert_within_target(values, loop, bath, quad)
+
+
+def test_f_values_resolve_a_sharp_bose_step_at_large_sums():
+    # at T = 0.05, h_s(u) falls off as exp(10 u) from u = 0 towards -s; a
+    # starting panel [-s, 0] steps over that drop with both of its rules
+    # and reports convergence up to 1.7e-4 away from f (1.7e4 times the target)
+    bath = make_bath(T=0.05)
+    quad = QuadratureSpec()
+    rng = np.random.default_rng(3)
+    e1, e2 = rng.uniform(150.0, 200.0, size=(2, 40)) * rng.choice([-1.0, 1.0], size=(2, 40))
+    e1[:10], e2[:10] = np.abs(e1[:10]), np.abs(e2[:10])
+    values = f_values(bath, e1, e2, quad)
+    tight = f_values_every_pair(bath, e1, e2, QuadratureSpec(rtol=1e-11, atol=1e-15))
+    assert_within_target(values, tight, bath, quad)
 
 
 def test_f_values_do_not_depend_on_batching():
-    # more than one chunk, in input order and shuffled across chunks
+    # more than one chunk, in input order and shuffled across chunks; the
+    # random sums are all distinct, so each class is a sum group of its own
     bath = make_bath()
     quad = QuadratureSpec()
     rng = np.random.default_rng(5)
@@ -243,14 +275,21 @@ def test_f_values_do_not_depend_on_batching():
     assert np.array_equal(f_values(bath, e1[perm], e2[perm], quad), single[perm])
 
 
-def test_f_values_match_every_pair_oracle_bitwise_on_chain_lamb_pairs():
-    spec, channel, bohr = chain4_lamb()
+@pytest.mark.parametrize("n_sites", [4, 5])
+def test_f_values_match_every_pair_oracle_on_chain_lamb_pairs(n_sites):
+    # the folded kernel on every pair as given; the sum groups share panels,
+    # so a permuted input and a rerun are bitwise the same
+    spec, channel, bohr = chain_lamb(n_sites)
     e1, e2 = np.array(lamb_shift_pairs(bohr)).T
-    oracle = f_values_every_pair(channel.bath, e1, e2, spec.quad)
-    assert np.array_equal(f_values(channel.bath, e1, e2, spec.quad), oracle)
+    values = f_values(channel.bath, e1, e2, spec.quad)
+    assert_within_target(values, f_values_every_pair(channel.bath, e1, e2, spec.quad),
+                         channel.bath, spec.quad)
+    perm = np.random.default_rng(n_sites).permutation(e1.size)
+    assert np.array_equal(f_values(channel.bath, e1[perm], e2[perm], spec.quad), values[perm])
+    assert np.array_equal(f_values(channel.bath, e1, e2, spec.quad), values)
 
 
-def test_f_values_match_every_pair_oracle_bitwise_on_swap_classes():
+def test_f_values_match_every_pair_oracle_on_swap_classes():
     # random pairs and their mirrors, self-mirror pairs (w, -w), signed
     # zeros and exact duplicates, shuffled across more than one chunk
     bath = make_bath(T=1.3, gamma=0.2, cutoff=30.0)
@@ -265,7 +304,42 @@ def test_f_values_match_every_pair_oracle_bitwise_on_swap_classes():
     perm = rng.permutation(e1.size)
     e1, e2 = e1[perm], e2[perm]
     assert e1.size > 2 * _CHUNK_PAIRS
-    assert np.array_equal(f_values(bath, e1, e2, quad), f_values_every_pair(bath, e1, e2, quad))
+    values = f_values(bath, e1, e2, quad)
+    assert_within_target(values, f_values_every_pair(bath, e1, e2, quad), bath, quad)
+    # a pair and its mirror are one class, and so are the signed zeros
+    mirrored = dict(zip(zip(-e2, -e1), values))
+    assert all(mirrored[(x, y)] == v for x, y, v in zip(e1, e2, values))
+    assert np.unique(values[np.isin(perm, np.arange(2 * a.size + 20, 2 * a.size + 24))]).size == 1
+
+
+def test_f_values_hazards_are_finite_and_within_target(monkeypatch):
+    # (-16, -16) is the class s = 32, c = -16, which is the midpoint and so
+    # the centre node of its starting panel [-32, 0], where (h(u) - h(c)) /
+    # (u - c) is 0/0; two Cauchy points one ulp apart (of the N = 5 chain);
+    # s = 0, the matched pairs f(w, -w); E1 = 0; signed zeros. A
+    # RuntimeWarning would fail the test.
+    bath = make_bath()
+    quad = QuadratureSpec()
+    near = [25.809016994374950, 25.809016994374954]
+    assert near[1] == np.nextafter(near[0], np.inf)
+    e1 = np.array([-16.0, 16.0, -near[0], -near[1], -near[0], -near[1], 1.0, -2.5, 40.0,
+                   0.0, 0.0, -0.0, 0.0, -0.0, 3.0])
+    e2 = np.array([-16.0, 16.0, 3.0, 3.0, 1.0, 1.0, -1.0, 2.5, -40.0,
+                   1.0, -2.0, 5.0, -0.0, 0.0, -0.0])
+    hits = []
+
+    def recording(pair, panel, c, hc, half, u, h):
+        vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h)
+        hits.extend(c[pair[np.isinf(errs)]].tolist())
+        return vals, errs
+
+    monkeypatch.setattr("ule.bath._pair_panel_sums", recording)
+    values = f_values(bath, e1, e2, quad)
+    assert np.all(np.isfinite(values))
+    assert_within_target(values, f_values_every_pair(bath, e1, e2, quad), bath, quad)
+    # the exact hit was caught, charged an infinite error and refined away
+    assert hits == [-16.0]
+    assert values[0] == values[1]
 
 
 def test_lamb_shift_fgrid_is_exactly_swap_symmetric():
@@ -280,78 +354,98 @@ def test_lamb_shift_fgrid_is_exactly_swap_symmetric():
 
 
 def test_f_values_integrate_each_swap_class_once(monkeypatch):
+    # 2,219 pairs in 1,163 swap classes and 64 sum groups, one panel set each
     spec, channel, bohr = chain4_lamb()
     e1, e2 = np.array(lamb_shift_pairs(bohr)).T
-    sizes = []
+    sizes, groups = [], []
 
-    def counting(bath, a, b, quad):
-        sizes.append(a.size)
-        return _adaptive_chunk(bath, a, b, quad)
+    def counting(bath, c, wmax, group, s, quad):
+        sizes.append(c.size)
+        groups.append(s.size)
+        return _sum_group_chunk(bath, c, wmax, group, s, quad)
 
-    monkeypatch.setattr("ule.bath._adaptive_chunk", counting)
+    monkeypatch.setattr("ule.bath._sum_group_chunk", counting)
     f_values(channel.bath, e1, e2, spec.quad)
     assert e1.size == 2219
     assert sum(sizes) == 1163
-    assert max(sizes) == _CHUNK_PAIRS
+    assert sum(groups) == 64
+    assert len(sizes) > 1
+    assert max(sizes) <= _CHUNK_PAIRS
 
 
-STRICT = QuadratureSpec(rtol=1e-10, atol=1e-300, max_depth=2)
+# under STRICT, (0, 0) and (2, -1) converge; (40, -30) and (0, 3) do not
+STRICT = QuadratureSpec(rtol=1e-13, atol=1e-300, max_depth=1)
 
 
 def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
-    # the sweep ends once no pair is live instead of summing zero panels;
-    # under STRICT, (1, -1) and (2, -1) settle by hitting max_depth
+    # the sweep ends once no class is live instead of evaluating nothing,
+    # g runs once per panel node and each (class, panel) entry is evaluated
+    # once; under STRICT, (40, -30) and (0, 3) settle by hitting max_depth
     spec, channel, bohr = chain4_lamb()
     e1, e2 = np.array(lamb_shift_pairs(bohr)).T
-    sizes = []
+    panels, entries, chunk = [], [], []
 
-    def counting(bath, a, b, e1, e2):
-        sizes.append(a.size)
-        return _panel_sums(bath, a, b, e1, e2)
+    def chunk_counting(bath, c, wmax, group, s, quad):
+        chunk.append(len(chunk))
+        return _sum_group_chunk(bath, c, wmax, group, s, quad)
 
-    monkeypatch.setattr("ule.bath._panel_sums", counting)
+    def node_counting(bath, a, b, s):
+        assert a.size > 0
+        panels.extend(zip([chunk[-1]] * a.size, s.tolist(), a.tolist(), b.tolist()))
+        return _panel_nodes(bath, a, b, s)
+
+    def entry_counting(pair, panel, c, hc, half, u, h):
+        assert pair.size > 0
+        entries.extend(zip([chunk[-1]] * pair.size, pair.tolist(), u[panel, 7].tolist(),
+                           half[panel].tolist()))
+        return _pair_panel_sums(pair, panel, c, hc, half, u, h)
+
+    monkeypatch.setattr("ule.bath._sum_group_chunk", chunk_counting)
+    monkeypatch.setattr("ule.bath._panel_nodes", node_counting)
+    monkeypatch.setattr("ule.bath._pair_panel_sums", entry_counting)
     f_values(channel.bath, e1, e2, spec.quad)
-    _adaptive_chunk(make_bath(), np.array([0.0, 1.0, 40.0, 2.0]),
-                    np.array([0.0, -1.0, -30.0, -1.0]), STRICT)
-    assert sizes
-    assert min(sizes) > 0
+    with pytest.raises(QuadratureError):
+        f_values(make_bath(), [0.0, 0.0, 40.0, 2.0], [0.0, 3.0, -30.0, -1.0], STRICT)
+    assert len(chunk) > 2
+    assert len(set(panels)) == len(panels)
+    assert len(set(entries)) == len(entries)
 
 
-@pytest.mark.parametrize("first", [(1.0, -1.0), (2.0, -1.0)])
+@pytest.mark.parametrize("first", [(40.0, -30.0), (0.0, 3.0)])
 def test_f_table_failure_names_first_failing_pair_in_input_order(first):
-    # under STRICT, (0, 0) and (40, -30) converge; (1, -1) and (2, -1) do not
+    # the failing pairs are not in the order the sum groups are integrated in
     bath = make_bath()
-    other = (2.0, -1.0) if first == (1.0, -1.0) else (1.0, -1.0)
+    other = (0.0, 3.0) if first == (40.0, -30.0) else (40.0, -30.0)
     with pytest.raises(QuadratureError) as info:
-        f_table(bath, [(0.0, 0.0), first, (40.0, -30.0), other], STRICT)
+        f_table(bath, [(0.0, 0.0), first, (2.0, -1.0), other], STRICT)
     err = info.value
     assert err.pair == first
+    # each pair here is a sum group of its own, so nothing else in the
+    # batch changes its estimate
     with pytest.raises(QuadratureError) as alone:
         f_integral(bath, *first, STRICT)
     assert (err.estimate, err.error_bound) == (alone.value.estimate, alone.value.error_bound)
+    # the folded loop fails too, with an estimate within its own bound of this one
     with pytest.raises(QuadratureError) as loop:
         f_integral_loop(bath, *first, STRICT)
-    assert err.estimate == pytest.approx(loop.value.estimate, rel=1e-12, abs=0.0)
-    # the bound sums |K15 - G7|, which cancels to about 1e-8 of the panel sums
-    assert err.error_bound == pytest.approx(loop.value.error_bound, rel=1e-6, abs=0.0)
+    assert abs(err.estimate - loop.value.estimate) <= loop.value.error_bound
 
 
 def test_f_values_failure_names_the_input_member_of_its_swap_class():
-    # under STRICT, (1, -2) fails, and it is the mirror of (2, -1)
+    # under STRICT, (0, 3) fails, and it is the mirror of (-3, 0)
     bath = make_bath()
-    e1, e2 = [0.0, 1.0, 40.0, 2.0], [0.0, -2.0, -30.0, -1.0]
+    e1, e2 = [0.0, 0.0, 40.0, 2.0], [0.0, 3.0, -30.0, -1.0]
     with pytest.raises(QuadratureError) as info:
         f_values(bath, e1, e2, STRICT)
     err = info.value
-    assert err.pair == (1.0, -2.0)
+    assert err.pair == (0.0, 3.0)
     with pytest.raises(QuadratureError) as mirror:
-        f_integral(bath, 2.0, -1.0, STRICT)
+        f_integral(bath, -3.0, 0.0, STRICT)
+    assert mirror.value.pair == (-3.0, 0.0)
     assert (err.estimate, err.error_bound) == (mirror.value.estimate, mirror.value.error_bound)
     with pytest.raises(QuadratureError) as as_given:
-        f_values_every_pair(bath, [2.0], [-1.0], STRICT)
-    assert (err.estimate, err.error_bound) == (as_given.value.estimate, as_given.value.error_bound)
-
-
+        f_values_every_pair(bath, [0.0], [3.0], STRICT)
+    assert abs(err.estimate - as_given.value.estimate) <= as_given.value.error_bound
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 2.0)])
 def test_f_table_rejects_non_finite_pair_anywhere(bad):
     # checked before any quadrature, even behind a pair that would fail

@@ -316,6 +316,21 @@ def test_steady_state_across_blas_thread_counts(tmp_path):
     assert np.max(np.abs(columns[0] - columns[1])) <= 1e-12
 
 
+def test_residual_with_lamb_shift_across_blas_thread_counts(tmp_path):
+    # the f table, the Lamb shift and both residual routes: the same bytes
+    path = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "ule.cli", "residual", "--config", path,
+                        "--N", "4", "--ignore_lamb_shift", "false", "--outdir", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        tables.append((out / "residuals.csv").read_bytes())
+    assert b"lambshift_direct_norm,0.48" in tables[0]
+    assert tables[0] == tables[1]
+
+
 def test_evolve_across_blas_thread_counts(tmp_path):
     # propagation runs one eigh of H_eff and d x d products in that eigenbasis
     path = os.path.join(ROOT, "demos", "chain_n6.cfg")

@@ -3,9 +3,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from oracles import (
     jump_operator_bohr_sum,
+    lamb_shift_bins_unique,
     lamb_shift_bohr_sum,
     lamb_shift_live_pairs,
     random_hermitian,
@@ -32,7 +34,14 @@ from ule import (
     unvec,
     vec,
 )
-from ule.generator import _secular_parts, lamb_shift_fgrid, lamb_shift_pairs
+from ule import generator
+from ule.generator import (
+    MemoryLimitError,
+    _lamb_shift_bins,
+    _secular_parts,
+    lamb_shift_fgrid,
+    lamb_shift_pairs,
+)
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -137,6 +146,31 @@ def test_lamb_shift_pairs_are_the_live_pairs():
         pairs = lamb_shift_pairs(bohr)
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == set(lamb_shift_live_pairs(bohr, x))
+
+
+def test_lamb_shift_bins_match_unique_oracle():
+    # the K x K mark read back by np.nonzero is the sorted np.unique of the
+    # d^3 codes, on the N = 4 and N = 5 chains and the random systems
+    systems = chain_and_random_systems()
+    for n_sites in (4, 5):
+        spec = SpinChainSpec(N=n_sites)
+        x = chain_channels(spec)[0].coupling_op
+        systems.append((bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec))), x))
+    for bohr, _ in systems:
+        got, ref = _lamb_shift_bins(bohr), lamb_shift_bins_unique(bohr)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, ref))
+    assert got[0].size == 19085
+
+
+def test_lamb_shift_bins_check_grid_memory_first(monkeypatch):
+    # 435 x 435 at N = 5 needs 6 MB by the grid rule; 1 MB is too little
+    spec = SpinChainSpec(N=5)
+    x = chain_channels(spec)[0].coupling_op
+    bohr = bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec)))
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 20)
+    monkeypatch.setattr(generator.np, "zeros", None)  # nothing may be allocated
+    with pytest.raises(MemoryLimitError, match="435 x 435"):
+        _lamb_shift_bins(bohr)
 
 
 def test_secular_parts_match_loop_oracle():
