@@ -21,7 +21,7 @@ from ule import (
     steady_state,
     trace_distance,
 )
-from ule.generator import lamb_shift_fgrid
+from ule.generator import lamb_shift_f
 
 delta = 1.0
 eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
@@ -30,7 +30,7 @@ channel = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), ba
 
 bohr = bohr_decompose(channel.coupling_op, eig)
 print("Lamb shift (diagonal in the energy basis, so it cannot move the steady state):")
-print(np.round(build_lamb_shift(bohr, lamb_shift_fgrid(bohr, bath)).real, 6))
+print(np.round(build_lamb_shift(bohr, lamb_shift_f(bohr, bath)).real, 6))
 
 sop = build_liouvillian(eig, channel, include_lamb_shift=True)
 

@@ -19,10 +19,13 @@ dissipator and Lamb shift, from the `_secular_parts` that
 `build_secular_generator` also uses, are applied to the Gibbs state in the
 eigenbasis, where they must vanish at rounding scale. That control is a
 scatter over same-bin pairs of coupling entries, with no per-frequency
-d x d operator and no K x K grid.
+d x d operator.
 
-Every double sum of the two routes is a coefficient grid c(w1, w2) handed
-to the one kernel `BohrDecomposition.double_sum`.
+Each formula goes to the one kernel `BohrDecomposition.double_sum` as
+coefficients on the level triples (m, l, n), where w1 + w2 (w2 - w1 in the
+dissipator) is E_n - E_m, times the eigenbasis Gibbs populations p, with
+p_n (1 - e^(beta (E_n - E_m))) = p_n - p_m and p_n (1 - e^(beta (E_n - E_m)/2))^2
+= (sqrt p_n - sqrt p_m)^2: no exponential of a positive argument, at any T.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from .bath import BathSpec, QuadratureSpec, jump_spectral
 from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
-    _require_grid_memory,
+    _require_triple_memory,
     _secular_parts,
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,
-    lamb_shift_fgrid,
+    lamb_shift_f,
 )
 from .operators import (
     BohrDecomposition,
@@ -135,17 +138,19 @@ def dissipator_on_gibbs_direct(jump_op, rho_th) -> np.ndarray:
 
 
 def dissipator_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
-                                beta: float, rho_th) -> np.ndarray:
-    """Bohr-sum form of the dissipator applied to the Gibbs state.
+                                beta: float) -> np.ndarray:
+    """Bohr-sum form of the dissipator on the Gibbs state: triple coefficients
+    -2 pi^2 gamma g(w1) g(w2) (sqrt p_n - sqrt p_m)^2.
 
-    MemoryLimitError, before allocating, if its K x K grid would not fit.
+    MemoryLimitError, before allocating, if the triple tables would not fit.
     """
-    _require_grid_memory(bohr.nfreq)
-    w = bohr.frequencies
-    g = jump_spectral(bath, w)
-    kms = np.exp(0.5 * beta * (w[None, :] - w[:, None]))
-    grid = -2.0 * np.pi**2 * bath.coupling * (1.0 - kms) ** 2 * np.outer(g, g)
-    return bohr.double_sum(grid, adjoint_first=True) @ rho_th
+    _require_triple_memory(bohr.dim, 2)
+    i, j = bohr.triple_bins(adjoint_first=True)
+    g = jump_spectral(bath, bohr.frequencies)
+    s = np.sqrt(gibbs_populations(bohr.eig, beta))
+    coeff = g[i] * g[j]
+    coeff *= (-2.0 * np.pi**2 * bath.coupling * (s[None, :] - s[:, None]) ** 2)[:, None, :]
+    return bohr.double_sum(coeff)
 
 
 def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:
@@ -153,28 +158,26 @@ def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:
     return lamb_shift @ rho_th - rho_th @ lamb_shift
 
 
-def lambshift_on_gibbs_formula(bohr: BohrDecomposition, fgrid, beta: float, rho_th) -> np.ndarray:
-    """Bohr-sum form of the Lamb-shift commutator on the Gibbs state, with f
-    read from the `lamb_shift_fgrid` grid `fgrid`."""
-    w = bohr.frequencies
-    grid = fgrid * (1.0 - np.exp(beta * (w[:, None] + w[None, :])))
-    return bohr.double_sum(grid) @ rho_th
+def lambshift_on_gibbs_formula(bohr: BohrDecomposition, f, beta: float) -> np.ndarray:
+    """Bohr-sum form of the Lamb-shift commutator on the Gibbs state: triple
+    coefficients f (p_n - p_m), with f the table of `lamb_shift_f`."""
+    p = gibbs_populations(bohr.eig, beta)
+    return bohr.double_sum(f * (p[None, :] - p[:, None])[:, None, :])
 
 
-def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fgrid=None):
+def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=None):
     """Norms of the secular generator's two parts applied to the Gibbs state.
 
     Returns (||sum_w D[L(w)](rho_th)||, ||[Lam_sec, rho_th]||) for the jumps
     L(w) = 2 pi sqrt(gamma) g(w) A(w) and the Lamb shift
-    Lam_sec = sum_w f(w, -w) A(w) A(-w) of `build_secular_generator`, with f
-    read from the anti-diagonal of `fgrid` (`matched_pair_fgrid` or
-    `lamb_shift_fgrid`); with `fgrid` None the Lamb part is zero. The Gibbs
-    state of H is stationary under the secular generator, so both vanish at
+    Lam_sec = sum_w f(w, -w) A(w) A(-w) of `build_secular_generator`, with
+    f(w_k, -w_k) = fmatch[k]; with `fmatch` None the Lamb part is zero. The
+    Gibbs state of H is stationary under the secular generator, so both vanish at
     rounding scale; a Gibbs state of another temperature or Hamiltonian does
     not. `rho_th` may be any matrix. It is rotated into the eigenbasis once,
     where `_secular_parts` acts; the norms are unitarily invariant.
     """
-    _, lam, dissipator = _secular_parts(bohr, bath, fgrid)
+    _, lam, dissipator = _secular_parts(bohr, bath, fmatch)
     y = bohr.eig.to_eigenbasis(rho_th)
     return frobenius(dissipator(y)), frobenius(lambshift_on_gibbs_direct(lam, y))
 
@@ -187,8 +190,9 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     Norms are reported in units of gamma so baselines compare across
     couplings. With include_lamb_shift false every Lamb-shift entry,
     including the secular one, is zero and no quadrature runs; otherwise
-    every f value comes from the one Lamb-shift grid, whose anti-diagonal
-    holds the matched pairs f(w, -w) of the secular Lamb shift.
+    every f value comes from the one level-triple table of `lamb_shift_f`,
+    whose triples (m, l, m) hold the matched pairs f(w, -w) of the secular
+    Lamb shift.
     """
     bath = channel.bath
     beta = bath.beta
@@ -198,23 +202,26 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
 
     jump = build_jump_operator(eig, channel)
     d_direct = dissipator_on_gibbs_direct(jump, rho_th)
-    d_formula = dissipator_on_gibbs_formula(bohr, bath, beta, rho_th)
+    d_formula = dissipator_on_gibbs_formula(bohr, bath, beta)
     d_mismatch = frobenius(d_direct - d_formula)
 
     if include_lamb_shift and bath.coupling > 0:
-        fgrid = lamb_shift_fgrid(bohr, bath, quad)
-        l_direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, fgrid), rho_th)
-        l_formula = lambshift_on_gibbs_formula(bohr, fgrid, beta, rho_th)
+        f = lamb_shift_f(bohr, bath, quad)
+        l_direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, f), rho_th)
+        l_formula = lambshift_on_gibbs_formula(bohr, f, beta)
+        m, l = np.nonzero(bohr.coupling_eigen)
+        fmatch = np.zeros(bohr.nfreq)
+        fmatch[bohr.bin_index[m, l]] = f[m, l, m]
         l_mismatch = frobenius(l_direct - l_formula)
         l_direct_norm = frobenius(l_direct)
         l_formula_norm = frobenius(l_formula)
         l_tol = 1e-6 * max(l_direct_norm, 1e-300)
     else:
-        fgrid = None
+        fmatch = None
         l_direct_norm = l_formula_norm = l_mismatch = 0.0
         l_tol = 0.0
 
-    r8, r9 = secular_residuals(bohr, bath, rho_th, fgrid)
+    r8, r9 = secular_residuals(bohr, bath, rho_th, fmatch)
 
     return ResidualReport(
         dissipator_direct_norm=frobenius(d_direct) / unit,

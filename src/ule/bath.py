@@ -206,7 +206,9 @@ def _sum_groups(sums):
     Greedy from the smallest: a group takes every sum within `_SUM_RTOL` of
     its first, which is its representative.
     """
-    distinct = np.unique(sums)
+    # the first of each run of equal sums; np.unique would also import
+    # numpy.ma (about 12 ms) for its masked-array check
+    distinct = sums[np.concatenate(([True], sums[1:] != sums[:-1]))]
     heads = [0]
     while True:
         nxt = int(np.searchsorted(distinct, distinct[heads[-1]] * (1.0 + _SUM_RTOL), side="right"))

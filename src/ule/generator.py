@@ -10,11 +10,12 @@ with, per noise channel (coupling operator X, bath g and f),
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
 Lam is a Bohr double sum, evaluated by the one kernel
-`BohrDecomposition.double_sum` on the f grid of `lamb_shift_fgrid`. The
-secular generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w)
-and its dissipator come from one construction, `_secular_parts`, which
-works in the eigenbasis on the pairs of coupling entries that share a Bohr
-bin (`_same_bin_pairs`) and forms no A(w); `analysis.secular_residuals`
+`BohrDecomposition.double_sum` on the level-triple f table of
+`lamb_shift_f`. The secular generator's jump weights, its Lamb shift
+sum_w f(w, -w) A(w) A(-w) and its dissipator come from one construction,
+`_secular_parts`, which works in the eigenbasis on the pairs of coupling
+entries that share a Bohr bin (`_same_bin_pairs`), takes f(w, -w) as one
+value per frequency and forms no A(w); `analysis.secular_residuals`
 applies the same parts to the Gibbs state.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
@@ -98,16 +99,18 @@ def _require_memory(need: float, what: str) -> None:
                                f"physical memory is {have / 1e9:.3g} GB")
 
 
-def _require_grid_memory(nfreq: int) -> None:
-    """MemoryLimitError if the K x K Bohr-frequency grids, K = nfreq, would not fit.
+def _require_triple_memory(dim: int, tables: int) -> None:
+    """MemoryLimitError if `tables` float64 arrays over the d^3 level triples would not fit.
 
-    Above the 32 MB of the bare interpreter, the peak RSS of `ule residual`
-    on the chain (N = 6 and 7) was 2.9 times the 8 K^2 bytes of one float64
-    grid with the Lamb shift off and 3.2-3.4 times with it on: the f grid
-    is held while the formula routes build their grids and temporaries.
-    At N = 8, K = 30,109 and one grid is 7.25 GB.
+    Each caller passes its peak RSS in units of one such array, 8 d^3 bytes
+    (134 MB at N = 8), as measured on the chain above the 29 MB of the
+    interpreter with ule imported. `ule residual` with the Lamb shift off,
+    where the dissipator formula holds the peak, reached 1.1-1.4 of them at
+    N = 7-8 (3.0 at N = 6, where fixed allocations dominate); with it on,
+    `lamb_shift_f` reached 12-15 at N = 6-7 (at N = 7, 1.26M f_values pairs
+    of about 110 bytes each and the np.unique of 2.0M live triple codes).
     """
-    _require_memory(4 * 8 * nfreq ** 2, f"Bohr-frequency grid of size {nfreq} x {nfreq}")
+    _require_memory(tables * 8 * dim ** 3, f"Bohr double sum over {dim}^3 level triples")
 
 
 @dataclass(frozen=True)
@@ -226,65 +229,37 @@ def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.nd
     return eig.from_eigenbasis(le)
 
 
-def _lamb_shift_bins(bohr: BohrDecomposition):
-    """(i, j) frequency indices of the distinct (w_i, w_j) in the Lamb-shift sum, sorted.
+def lamb_shift_f(bohr: BohrDecomposition, bath: BathSpec,
+                 quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """f(w_i, w_j) at the `triple_bins` (i, j) of each level triple with X_ml X_ln != 0.
 
-    The triple sum over levels (m, l, n) only ever calls f at
-    (E_l - E_m, E_n - E_l), i.e. at (bin[m, l], bin[l, n]), and only the
-    triples with X_ml and X_ln both nonzero contribute. Every anti-diagonal
-    pair (w, -w) of a kept frequency is among them (take n = m). The cells
-    are marked level by level in a K x K boolean, K = nfreq, and read back
-    row by row. MemoryLimitError, before anything K x K is allocated, if
-    the Bohr-frequency grids would not fit.
+    The codes i K + j, K = nfreq, of these live triples go through one
+    `np.unique`, and `f_values` runs once on the sorted distinct pairs;
+    every other triple holds 0. The triple (m, l, m) holds f(w, -w), w =
+    w[bin_index[m, l]]. MemoryLimitError, before anything of d^3 cells is
+    allocated, if the triple tables would not fit.
     """
-    _require_grid_memory(bohr.nfreq)
-    bins = bohr.bin_index
+    _require_triple_memory(bohr.dim, 16)
+    i, j = bohr.triple_bins()
     live = bohr.coupling_eigen != 0
-    seen = np.zeros((bohr.nfreq, bohr.nfreq), dtype=bool)
-    for level in range(bohr.dim):
-        seen[np.ix_(bins[live[:, level], level], bins[level, live[level]])] = True
-    return np.nonzero(seen)
+    live = live[:, :, None] & live[None, :, :]
+    pairs, inverse = np.unique((i * bohr.nfreq + j)[live], return_inverse=True)
+    i, j = np.divmod(pairs, bohr.nfreq)
+    f = np.zeros(live.shape)
+    f[live] = f_values(bath, bohr.frequencies[i], bohr.frequencies[j], quad)[inverse]
+    return f
 
 
-def lamb_shift_pairs(bohr: BohrDecomposition):
-    """Distinct (E1, E2) bin-representative pairs occurring in the Lamb-shift sum."""
-    i, j = _lamb_shift_bins(bohr)
-    return list(zip(bohr.frequencies[i].tolist(), bohr.frequencies[j].tolist()))
-
-
-def _fgrid(bohr: BohrDecomposition, bath: BathSpec, quad: QuadratureSpec, rows, cols):
-    """f(w_i, w_j) at the distinct frequency-index pairs (rows, cols); zero elsewhere.
-
-    MemoryLimitError, before any quadrature, if the grid would not fit.
-    """
-    _require_grid_memory(bohr.nfreq)
-    grid = np.zeros((bohr.nfreq, bohr.nfreq))
-    grid[rows, cols] = f_values(bath, bohr.frequencies[rows], bohr.frequencies[cols], quad)
-    return grid
-
-
-def lamb_shift_fgrid(bohr: BohrDecomposition, bath: BathSpec,
-                     quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """f(w_i, w_j) at the distinct pairs of the Lamb-shift sum; zero elsewhere."""
-    return _fgrid(bohr, bath, quad, *_lamb_shift_bins(bohr))
-
-
-def matched_pair_fgrid(bohr: BohrDecomposition, bath: BathSpec,
-                       quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """f(w, -w) at [k, nfreq - 1 - k], the anti-diagonal of `lamb_shift_fgrid`."""
-    k = np.arange(bohr.nfreq)
-    return _fgrid(bohr, bath, quad, k, k[::-1])
-
-
-def build_lamb_shift(bohr: BohrDecomposition, fgrid) -> np.ndarray:
+def build_lamb_shift(bohr: BohrDecomposition, f) -> np.ndarray:
     """Lamb-shift operator Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln.
 
-    The triple sum is the double Bohr sum over `fgrid`, the f values of
-    :func:`lamb_shift_fgrid`. Hermiticity follows from the swap symmetry
-    f(E1, E2) = f(-E2, -E1), which holds exactly on the grid because
-    `f_values` integrates one pair per swap class; it is still asserted.
+    The triple sum is the double Bohr sum over `f`, the level-triple table
+    of :func:`lamb_shift_f`. Hermiticity follows from the swap symmetry
+    f(E1, E2) = f(-E2, -E1), which holds exactly in the table (the triple
+    (n, l, m) carries the mirror pair of (m, l, n)) because `f_values`
+    integrates one pair per swap class; it is still asserted.
     """
-    lam = bohr.double_sum(fgrid)
+    lam = bohr.double_sum(f)
     defect = frobenius(lam - lam.conj().T)
     if defect > 1e-8 * max(frobenius(lam), 1e-300):
         raise ValueError(f"Lamb shift failed Hermiticity check: {defect:.3e}")
@@ -309,7 +284,7 @@ def build_liouvillian(eig: EigenDecomposition, channels,
         jumps.append(build_jump_operator(eig, ch))
         if include_lamb_shift and ch.bath.coupling > 0:
             bohr = bohr_decompose(ch.coupling_op, eig)
-            lam = lam + build_lamb_shift(bohr, lamb_shift_fgrid(bohr, ch.bath, quad))
+            lam = lam + build_lamb_shift(bohr, lamb_shift_f(bohr, ch.bath, quad))
     return Superoperator(eig.reconstruct() + lam, jumps)
 
 
@@ -341,13 +316,13 @@ def _scatter(dim: int, rows, cols, values) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
+def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
     """(c, Lam, dissipator) of the secular generator of one channel.
 
     The jumps are c_k A(w_k) with c_k = 2 pi sqrt(gamma) g(w_k). Lam =
-    sum_k f(w_k, -w_k) A(w_k) A(w_k)^dag in the eigenbasis reads f from the
-    anti-diagonal of `fgrid`, which `matched_pair_fgrid` and
-    `lamb_shift_fgrid` both fill; with `fgrid` None, Lam is zero.
+    sum_k f(w_k, -w_k) A(w_k) A(w_k)^dag in the eigenbasis reads
+    f(w_k, -w_k) from the length-K vector `fmatch`; with `fmatch` None,
+    Lam is zero.
     `dissipator(y)` is sum_k c_k^2 (A_k y A_k^dag - (1/2){A_k^dag A_k, y})
     for an eigenbasis y. All three come from the one list of
     `_same_bin_pairs`: the sandwich scatters over every pair, A_k^dag A_k
@@ -361,7 +336,7 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fgrid):
     c = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, bohr.frequencies)
     d = bohr.dim
     column = n == q
-    f = 0.0 if fgrid is None else fgrid[k[column], bohr.nfreq - 1 - k[column]]
+    f = 0.0 if fmatch is None else fmatch[k[column]]
     lam = _scatter(d, m[column], p[column], f * products[column])
     weights = c[k] ** 2 * products
     row = m == p
@@ -390,7 +365,8 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     (1.9 GB at N = 7 on the spin chain), because only small systems build
     it; the Gibbs check never does.
     """
-    fgrid = matched_pair_fgrid(bohr, channel.bath, quad) if include_lamb_shift else None
-    c, lam, _ = _secular_parts(bohr, channel.bath, fgrid)
+    w = bohr.frequencies
+    fmatch = f_values(channel.bath, w, -w, quad) if include_lamb_shift else None
+    c, lam, _ = _secular_parts(bohr, channel.bath, fmatch)
     jumps = (c[k] * bohr.component(k) for k in range(bohr.nfreq))
     return Superoperator(bohr.eig.reconstruct() + bohr.eig.from_eigenbasis(lam), jumps)

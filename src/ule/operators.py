@@ -4,6 +4,10 @@ Everything here works on plain complex numpy arrays. The structured results
 (eigendecompositions, Bohr-frequency decompositions) are small frozen
 dataclasses holding arrays that must not be mutated after construction.
 
+A Bohr double sum sum_{w1,w2} c(w1, w2) A(w1) A(w2) is carried by its
+coefficients on the d^3 level triples (m, l, n) (`BohrDecomposition.triple_bins`
+and `.double_sum`), never by a grid over the frequency pairs.
+
 Conventions: hbar = k_B = 1, energies in units of the global exchange scale.
 """
 
@@ -158,17 +162,23 @@ class BohrDecomposition:
         """A(frequencies[k]) in the input basis."""
         return self.eig.from_eigenbasis(np.where(self.bin_index == k, self.coupling_eigen, 0))
 
-    def double_sum(self, grid: np.ndarray, adjoint_first: bool = False) -> np.ndarray:
-        """sum_ij grid[i, j] A(w_i)^(dag) A(w_j) in the input basis.
+    def triple_bins(self, adjoint_first: bool = False):
+        """Bins (i, j) of the two frequencies of each level triple (m, l, n).
 
-        The adjoint applies to the first factor when `adjoint_first` is set.
-        Eigenbasis element [m, n] is sum_l grid[bin_index[m, l], bin_index[l, n]]
-        X_ml X_ln; the adjoint reads bin_index[l, m] in the first lookup, which
-        is exact because `coupling_eigen` is exactly Hermitian.
+        i = bin_index[m, l] (bin_index[l, m] for A(w_i)^dag A(w_j)) and
+        j = bin_index[l, n], as (d, d, 1) and (1, d, d) arrays.
         """
         bins = self.bin_index
         first = bins.T if adjoint_first else bins
-        coeff = grid[first[:, :, None], bins[None, :, :]]
+        return first[:, :, None], bins[None, :, :]
+
+    def double_sum(self, coeff: np.ndarray) -> np.ndarray:
+        """sum_l coeff[m, l, n] X_ml X_ln over the level triples, in the input basis.
+
+        With coeff c(w_i, w_j) at the `triple_bins` (i, j) this is sum_ij
+        c(w_i, w_j) A(w_i)^(dag) A(w_j) in either order: `coupling_eigen` is
+        exactly Hermitian, so conj(X_lm) = X_ml.
+        """
         xe = self.coupling_eigen
         return self.eig.from_eigenbasis(np.einsum("ml,ln,mln->mn", xe, xe, coeff))
 

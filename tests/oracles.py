@@ -12,8 +12,12 @@ is the batched form of that loop, the kernel `ule.f_values` ran (on one
 pair per swap class) before it integrated by sum group with singularity
 subtraction, and `f_values_every_pair` runs it on every pair as given.
 The library agrees with both within the quadrature target, not bitwise.
-`lamb_shift_bins_unique` is the d^3 `np.unique` that
-`ule.generator._lamb_shift_bins` ran before it marked a K x K boolean.
+`lamb_shift_bins_unique` gives the distinct frequency-bin pairs of the
+live level triples by the d^3 `np.unique`, the pairs `ule.generator.lamb_shift_f`
+must hand to `f_values`; `lamb_shift_pairs_unique` turns them into
+frequencies for the tests that need the chain's Lamb pairs. The library's
+Bohr double sums carry their coefficients on the level triples; the loops
+here take them as grids over the frequency pairs.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the dense bordered LU solve with
@@ -359,13 +363,18 @@ def lamb_shift_live_pairs(bohr, x):
 def lamb_shift_bins_unique(bohr):
     """(i, j) of the distinct (bin[m, l], bin[l, n]) over the triples with X_ml X_ln != 0.
 
-    The d^3 codes i K + j of every live triple and one `np.unique`, as
-    `ule.generator._lamb_shift_bins` ran before it marked a K x K boolean.
+    The d^3 codes i K + j of every live triple and one `np.unique`, sorted.
     """
     bins = bohr.bin_index
     live = bohr.coupling_eigen != 0
     pairs = bins[:, :, None] * bohr.nfreq + bins[None, :, :]
     return np.divmod(np.unique(pairs[live[:, :, None] & live[None, :, :]]), bohr.nfreq)
+
+
+def lamb_shift_pairs_unique(bohr):
+    """(E1, E2) arrays of the frequencies at the `lamb_shift_bins_unique` pairs."""
+    i, j = lamb_shift_bins_unique(bohr)
+    return bohr.frequencies[i], bohr.frequencies[j]
 
 
 def lambshift_on_gibbs_loop(bohr, x, beta, rho_th, f_values):
@@ -398,21 +407,21 @@ def lamb_shift_bohr_sum(bohr, x, f_values):
     return _from_eigenbasis(bohr, lam_e)
 
 
-def secular_lamb_shift_loop(bohr, x, grid):
-    """Secular Lamb shift sum_k grid[k, K - 1 - k] A(w_k) A(-w_k)."""
+def secular_lamb_shift_loop(bohr, x, fmatch):
+    """Secular Lamb shift sum_k fmatch[k] A(w_k) A(-w_k)."""
     parts = bohr_parts(bohr, x)
     last = bohr.nfreq - 1
-    lam_e = sum(grid[k, last - k] * (parts[k] @ parts[last - k]) for k in range(bohr.nfreq))
+    lam_e = sum(fmatch[k] * (parts[k] @ parts[last - k]) for k in range(bohr.nfreq))
     return _from_eigenbasis(bohr, lam_e)
 
 
-def secular_residuals_loop(bohr, x, bath, rho, fgrid=None):
+def secular_residuals_loop(bohr, x, bath, rho, fmatch=None):
     """(||sum_w D[L(w)](rho)||, ||[Lam_sec, rho]||) as the loop over dense jumps.
 
     Each L(w_k) = 2 pi sqrt(gamma) g(w_k) A(w_k) is a d x d input-basis
     operator applied with five products, as `ule.secular_residuals` did
     before it scattered over same-bin entry pairs; Lam_sec is
-    `secular_lamb_shift_loop` on `fgrid`, zero when `fgrid` is None.
+    `secular_lamb_shift_loop` on `fmatch`, zero when `fmatch` is None.
     """
     g = jump_spectral(bath, bohr.frequencies)
     dissipator = np.zeros(rho.shape, dtype=complex)
@@ -420,7 +429,7 @@ def secular_residuals_loop(bohr, x, bath, rho, fgrid=None):
         l = _from_eigenbasis(bohr, 2.0 * np.pi * np.sqrt(bath.coupling) * gk * a)
         l_dag = l.conj().T
         dissipator += l @ rho @ l_dag - 0.5 * (l_dag @ l @ rho + rho @ l_dag @ l)
-    lam = 0.0 * rho if fgrid is None else secular_lamb_shift_loop(bohr, x, fgrid)
+    lam = 0.0 * rho if fmatch is None else secular_lamb_shift_loop(bohr, x, fmatch)
     return np.linalg.norm(dissipator), np.linalg.norm(lam @ rho - rho @ lam)
 
 

@@ -28,6 +28,7 @@ from ule import (
     dissipator_on_gibbs_direct,
     dissipator_on_gibbs_formula,
     eigendecompose,
+    f_values,
     gibbs_state,
     jump_spectral,
     lambshift_on_gibbs_direct,
@@ -42,7 +43,7 @@ from ule import (
     trace_distance,
     trend_sweep,
 )
-from ule.generator import _lamb_shift_bins, lamb_shift_fgrid, matched_pair_fgrid
+from ule.generator import lamb_shift_f
 from ule.spinchain import build_chain_hamiltonian, chain_channels
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -75,8 +76,8 @@ def report(criterion, ok, detail):
 def ensemble():
     """50 seeded random systems: d cycles 3..6, T uniform in [0.5, 8].
 
-    Each carries its Lamb-shift f grid, evaluated once for every test that
-    reads f.
+    Each carries its Lamb-shift f table on the level triples, evaluated
+    once for every test that reads f.
     """
     rng = np.random.default_rng(2024)
     systems = []
@@ -94,7 +95,7 @@ def ensemble():
             channel=NoiseChannel(coupling_op=x, bath=bath),
             bath=bath,
             rho_th=gibbs_state(eig, bath.beta),
-            fgrid=lamb_shift_fgrid(bohr, bath, QUAD),
+            f=lamb_shift_f(bohr, bath, QUAD),
         ))
     return systems
 
@@ -127,8 +128,7 @@ def test_criterion_1_dissipator_identity(ensemble):
     for sys_ in ensemble:
         jump = build_jump_operator(sys_["eig"], sys_["channel"])
         direct = dissipator_on_gibbs_direct(jump, sys_["rho_th"])
-        formula = dissipator_on_gibbs_formula(
-            sys_["bohr"], sys_["bath"], sys_["bath"].beta, sys_["rho_th"])
+        formula = dissipator_on_gibbs_formula(sys_["bohr"], sys_["bath"], sys_["bath"].beta)
         rel = np.linalg.norm(direct - formula) / np.linalg.norm(direct)
         worst = max(worst, rel)
     wall = time.perf_counter() - t0
@@ -141,10 +141,9 @@ def test_criterion_2_lambshift_identity(ensemble):
     t0 = time.perf_counter()
     worst = 0.0
     for sys_ in ensemble:
-        lam = build_lamb_shift(sys_["bohr"], sys_["fgrid"])
+        lam = build_lamb_shift(sys_["bohr"], sys_["f"])
         direct = lambshift_on_gibbs_direct(lam, sys_["rho_th"])
-        formula = lambshift_on_gibbs_formula(
-            sys_["bohr"], sys_["fgrid"], sys_["bath"].beta, sys_["rho_th"])
+        formula = lambshift_on_gibbs_formula(sys_["bohr"], sys_["f"], sys_["bath"].beta)
         rel = np.linalg.norm(direct - formula) / np.linalg.norm(direct)
         worst = max(worst, rel)
     wall = time.perf_counter() - t0
@@ -167,12 +166,12 @@ def test_criterion_3_secular_vanishing(ensemble):
     control8 = control9 = np.inf
     for eig, bohr, channel in systems:
         bath = channel.bath
-        fgrid = matched_pair_fgrid(bohr, bath, QUAD)
+        fmatch = f_values(bath, bohr.frequencies, -bohr.frequencies, QUAD)
         scale = sum(np.linalg.norm(l) ** 2 for l in
                     build_secular_generator(bohr, channel, include_lamb_shift=False).jumps)
 
         def parts(rho):
-            return np.array(secular_residuals(bohr, bath, rho, fgrid)) / scale
+            return np.array(secular_residuals(bohr, bath, rho, fmatch)) / scale
 
         r8, r9 = parts(gibbs_state(eig, bath.beta))
         worst8, worst9 = max(worst8, r8), max(worst9, r9)
@@ -244,13 +243,17 @@ def test_criterion_5_generator_cross_checks(ensemble):
         l_bohr = jump_operator_bohr_sum(sys_["bohr"], x, sys_["bath"], jump_spectral)
         worst_l = max(worst_l, np.linalg.norm(l_elem - l_bohr)
                       / max(np.linalg.norm(l_elem), 1.0))
-        bohr, fgrid = sys_["bohr"], sys_["fgrid"]
-        lam3 = build_lamb_shift(bohr, fgrid)
-        # the oracle looks f up by (w1, w2); the grid cells hold the same
-        # f_table values, computed once in the fixture
+        bohr, f = sys_["bohr"], sys_["f"]
+        lam3 = build_lamb_shift(bohr, f)
+        # the oracle looks f up by (w1, w2); every triple of a pair holds
+        # the same value, computed once in the fixture
+        i, j = (np.broadcast_to(k, f.shape) for k in bohr.triple_bins())
+        live = f != 0.0
         w = bohr.frequencies
-        f_values = {(w[i], w[j]): fgrid[i, j] for i, j in zip(*_lamb_shift_bins(bohr))}
-        lam7 = lamb_shift_bohr_sum(bohr, x, f_values)
+        triples = list(zip(zip(w[i[live]], w[j[live]]), f[live]))
+        by_pair = dict(triples)
+        assert all(by_pair[pair] == value for pair, value in triples)
+        lam7 = lamb_shift_bohr_sum(bohr, x, by_pair)
         norm = np.linalg.norm(lam3)
         worst_lam = max(worst_lam, np.linalg.norm(lam3 - lam7) / norm)
         worst_herm = max(worst_herm,

@@ -3,6 +3,8 @@ import pytest
 
 from oracles import (
     dissipator_on_gibbs_loop,
+    lamb_shift_bins_unique,
+    lamb_shift_pairs_unique,
     lambshift_on_gibbs_loop,
     random_hermitian,
     secular_residuals_loop,
@@ -23,6 +25,7 @@ from ule import (
     eigendecompose,
     expectation,
     f_table,
+    f_values,
     gibbs_deviation,
     gibbs_residual_report,
     gibbs_state,
@@ -35,7 +38,7 @@ from ule import (
     three_level_baseline,
     trend_sweep,
 )
-from ule.generator import lamb_shift_fgrid, lamb_shift_pairs, matched_pair_fgrid
+from ule.generator import lamb_shift_f
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -54,6 +57,11 @@ def baseline_setup(bath=BATH, hamiltonian=None):
     return eig, ch, bohr, rho_th
 
 
+def matched_f(bohr, bath):
+    """f(w_k, -w_k) for every Bohr frequency, as the secular generator takes it."""
+    return f_values(bath, bohr.frequencies, -bohr.frequencies)
+
+
 def test_dissipator_direct_trivial_zero_jump():
     _, _, _, rho_th = baseline_setup()
     assert np.all(dissipator_on_gibbs_direct(np.zeros((3, 3)), rho_th) == 0)
@@ -68,14 +76,14 @@ def test_dissipator_on_gibbs_qubit_sigma_x_vanishes():
     assert np.linalg.norm(dissipator_on_gibbs_direct(jump, rho_th)) <= 1e-12
     bohr = bohr_decompose(x, eig)
     assert np.linalg.norm(
-        dissipator_on_gibbs_formula(bohr, BATH, BATH.beta, rho_th)) <= 1e-12
+        dissipator_on_gibbs_formula(bohr, BATH, BATH.beta)) <= 1e-12
 
 
 def test_dissipator_two_routes_and_loop_oracle_on_baseline():
     eig, ch, bohr, rho_th = baseline_setup()
     jump = build_jump_operator(eig, ch)
     direct = dissipator_on_gibbs_direct(jump, rho_th)
-    formula = dissipator_on_gibbs_formula(bohr, BATH, BATH.beta, rho_th)
+    formula = dissipator_on_gibbs_formula(bohr, BATH, BATH.beta)
     loop = dissipator_on_gibbs_loop(bohr, ch.coupling_op, BATH, BATH.beta, rho_th, jump_spectral)
     norm = np.linalg.norm(direct)
     assert norm > 1e-6 * BATH.coupling  # the Gibbs state is not stationary
@@ -88,21 +96,21 @@ def test_dissipator_formula_single_frequency_is_zero():
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     x = np.diag([0.4, -0.3, 0.9]).astype(complex)
     bohr = bohr_decompose(x, eig)
-    rho_th = gibbs_state(eig, BATH.beta)
-    formula = dissipator_on_gibbs_formula(bohr, BATH, BATH.beta, rho_th)
+    formula = dissipator_on_gibbs_formula(bohr, BATH, BATH.beta)
     assert np.linalg.norm(formula) == 0.0
 
 
 def test_lambshift_commutator_routes_on_baseline():
     eig, ch, bohr, rho_th = baseline_setup()
     quad = QuadratureSpec()
-    fgrid = lamb_shift_fgrid(bohr, BATH, quad)
-    direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, fgrid), rho_th)
-    formula = lambshift_on_gibbs_formula(bohr, fgrid, BATH.beta, rho_th)
+    f = lamb_shift_f(bohr, BATH, quad)
+    direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, f), rho_th)
+    formula = lambshift_on_gibbs_formula(bohr, f, BATH.beta)
     norm = np.linalg.norm(direct)
     assert norm > 1e-6 * BATH.coupling
     assert np.linalg.norm(direct - formula) <= 1e-6 * norm
-    table = f_table(BATH, lamb_shift_pairs(bohr), quad)
+    e1, e2 = lamb_shift_pairs_unique(bohr)
+    table = f_table(BATH, zip(e1.tolist(), e2.tolist()), quad)
     loop = lambshift_on_gibbs_loop(bohr, ch.coupling_op, BATH.beta, rho_th, table)
     assert np.linalg.norm(formula - loop) <= 1e-10 * max(norm, 1e-300)
 
@@ -114,14 +122,14 @@ def test_lambshift_trivial_cases():
     # diagonal in the eigenbasis commutes with the thermal state
     assert np.linalg.norm(lambshift_on_gibbs_direct(lam_diag, rho_th)) <= 1e-15
     free = BathSpec(temperature=2.0, coupling=0.0, cutoff=100.0)
-    formula = lambshift_on_gibbs_formula(bohr, lamb_shift_fgrid(bohr, free), free.beta, rho_th)
+    formula = lambshift_on_gibbs_formula(bohr, lamb_shift_f(bohr, free), free.beta)
     assert np.linalg.norm(formula) == 0.0
 
 
 def test_secular_residuals_vanish_identically():
     for h in (None, LADDER):
         eig, ch, bohr, rho_th = baseline_setup(hamiltonian=h)
-        r8, r9 = secular_residuals(bohr, BATH, rho_th, matched_pair_fgrid(bohr, BATH))
+        r8, r9 = secular_residuals(bohr, BATH, rho_th, matched_f(bohr, BATH))
         assert r8 <= 1e-14
         assert r9 <= 1e-14
 
@@ -130,16 +138,15 @@ def test_secular_residuals_no_blowup_at_large_beta():
     cold = BathSpec(temperature=0.02, coupling=0.1, cutoff=100.0)  # beta = 50
     for h in (None, LADDER):
         eig, ch, bohr, rho_th = baseline_setup(cold, h)
-        r8, r9 = secular_residuals(bohr, cold, rho_th, matched_pair_fgrid(bohr, cold))
+        r8, r9 = secular_residuals(bohr, cold, rho_th, matched_f(bohr, cold))
         assert np.isfinite(r8) and np.isfinite(r9)
         assert r8 <= 1e-12
         assert r9 <= 1e-12
 
 
 def test_secular_residuals_match_dense_jump_loop():
-    # a grid with distinct values in every cell, so the secular Lamb shift
-    # must read f(w_k, -w_k) = grid[k, K - 1 - k] and nothing else, and a
-    # random state, so no term cancels as it does on the Gibbs state; the
+    # distinct f(w_k, -w_k) for every frequency, so the secular Lamb shift
+    # must pair each with its own A(w_k) A(-w_k), and a random state, so no term cancels as it does on the Gibbs state; the
     # degenerate spectrum puts several entries of one row in one bin
     rng = np.random.default_rng(83)
     x = three_level_baseline().coupling_op
@@ -149,9 +156,9 @@ def test_secular_residuals_match_dense_jump_loop():
         bohr = bohr_decompose(x, eigendecompose(h))
         a = random_hermitian(rng, h.shape[0])
         rho = a @ a / np.trace(a @ a)
-        grid = rng.standard_normal((bohr.nfreq, bohr.nfreq))
-        got = secular_residuals(bohr, BATH, rho, grid)
-        want = secular_residuals_loop(bohr, x, BATH, rho, grid)
+        fmatch = rng.standard_normal(bohr.nfreq)
+        got = secular_residuals(bohr, BATH, rho, fmatch)
+        want = secular_residuals_loop(bohr, x, BATH, rho, fmatch)
         assert min(want) > 1e-3
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert secular_residuals(bohr, BATH, rho) == (got[0], 0.0)
@@ -160,11 +167,13 @@ def test_secular_residuals_match_dense_jump_loop():
 def test_two_route_equality_random_ensemble():
     # random Hermitian (H, X) ensemble: closed-sum identity for the
     # dissipator, and every member with cross Bohr terms (dense random X
-    # always has them) leaves the Gibbs state visibly non-stationary
+    # always has them) leaves the Gibbs state visibly non-stationary; the
+    # last four are cold (T = 0.05 to 0.4), where the sum's coefficients
+    # grow like e^(beta w)
     rng = np.random.default_rng(101)
-    for trial in range(12):
+    for trial in range(16):
         d = int(rng.integers(3, 7))
-        t = float(rng.uniform(0.5, 8.0))
+        t = float(rng.uniform(0.5, 8.0)) if trial < 12 else 0.05 * 2.0 ** (trial - 12)
         bath = BathSpec(temperature=t, coupling=0.1, cutoff=100.0)
         eig = eigendecompose(random_hermitian(rng, d))
         x = random_hermitian(rng, d)
@@ -172,7 +181,7 @@ def test_two_route_equality_random_ensemble():
         rho_th = gibbs_state(eig, bath.beta)
         jump = build_jump_operator(eig, NoiseChannel(coupling_op=x, bath=bath))
         direct = dissipator_on_gibbs_direct(jump, rho_th)
-        formula = dissipator_on_gibbs_formula(bohr, bath, bath.beta, rho_th)
+        formula = dissipator_on_gibbs_formula(bohr, bath, bath.beta)
         norm = np.linalg.norm(direct)
         assert norm > 1e-6 * bath.coupling
         assert np.linalg.norm(direct - formula) <= 1e-10 * norm
@@ -211,10 +220,10 @@ def f_calls(monkeypatch):
 
 
 def test_residual_report_evaluates_each_f_pair_once(f_calls):
-    # both Lamb-shift routes and the secular Lamb shift share one f grid
+    # both Lamb-shift routes and the secular Lamb shift share one f table
     eig, ch, bohr, _ = baseline_setup()
     gibbs_residual_report(eig, ch)
-    assert len(f_calls) == len(lamb_shift_pairs(bohr))
+    assert len(f_calls) == lamb_shift_bins_unique(bohr)[0].size
 
 
 def test_residual_report_without_lamb_shift(f_calls):
@@ -238,6 +247,21 @@ def test_residual_report_on_chain_with_lamb_shift(monkeypatch):
     eig = eigendecompose(build_chain_hamiltonian(spec))
     rep = gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
     assert rep.lambshift_direct_norm > 0.0
+    assert rep.dissipator_mismatch <= rep.dissipator_mismatch_tol
+    assert rep.lambshift_mismatch <= rep.lambshift_mismatch_tol
+    assert rep.secular_dissipator_norm <= 1e-12
+    assert rep.secular_lambshift_norm <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites, t1", [(4, 0.1), (3, 0.05), (3, 0.02)])
+def test_residual_routes_agree_on_cold_chain(n_sites, t1):
+    # beta up to 50: the formula routes' Bohr sums have coefficients that
+    # grow like e^(beta w) and meet populations as small as e^(-beta w), so
+    # rounding or overflow shows here first; a RuntimeWarning fails the test
+    spec = SpinChainSpec(N=n_sites, T1=t1)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    rep = gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
+    assert rep.dissipator_direct_norm > 0.0 and rep.lambshift_direct_norm > 0.0
     assert rep.dissipator_mismatch <= rep.dissipator_mismatch_tol
     assert rep.lambshift_mismatch <= rep.lambshift_mismatch_tol
     assert rep.secular_dissipator_norm <= 1e-12

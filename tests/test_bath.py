@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bose_weight_branches, f_integral_loop, f_values_every_pair, trapezoid_pv
+from oracles import (
+    bose_weight_branches,
+    f_integral_loop,
+    f_values_every_pair,
+    lamb_shift_pairs_unique,
+    trapezoid_pv,
+)
 from ule import (
     BathSpec,
     QuadratureError,
@@ -19,7 +25,7 @@ from ule import (
     kms_check,
 )
 from ule.bath import _CHUNK_PAIRS, _bose_weight, _pair_panel_sums, _panel_nodes, _sum_group_chunk
-from ule.generator import _lamb_shift_bins, lamb_shift_fgrid, lamb_shift_pairs
+from ule.generator import lamb_shift_f
 from ule.spinchain import chain_channels
 
 
@@ -231,7 +237,7 @@ def test_quadrature_spec_validation():
 
 def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():
     spec, channel, bohr = chain4_lamb()
-    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    e1, e2 = lamb_shift_pairs_unique(bohr)
     values = f_values(channel.bath, e1, e2, spec.quad)
     loop = np.array([f_integral_loop(channel.bath, a, b, spec.quad) for a, b in zip(e1, e2)])
     assert e1.size > _CHUNK_PAIRS
@@ -280,7 +286,7 @@ def test_f_values_match_every_pair_oracle_on_chain_lamb_pairs(n_sites):
     # the folded kernel on every pair as given; the sum groups share panels,
     # so a permuted input and a rerun are bitwise the same
     spec, channel, bohr = chain_lamb(n_sites)
-    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    e1, e2 = lamb_shift_pairs_unique(bohr)
     values = f_values(channel.bath, e1, e2, spec.quad)
     assert_within_target(values, f_values_every_pair(channel.bath, e1, e2, spec.quad),
                          channel.bath, spec.quad)
@@ -342,21 +348,21 @@ def test_f_values_hazards_are_finite_and_within_target(monkeypatch):
     assert values[0] == values[1]
 
 
-def test_lamb_shift_fgrid_is_exactly_swap_symmetric():
-    # w_(K-1-i) = -w_i exactly, so f(w_i, w_j) sits opposite f(-w_j, -w_i)
+def test_lamb_shift_f_is_exactly_swap_symmetric():
+    # w_(K-1-i) = -w_i exactly, and the triple (n, l, m) carries the mirror
+    # (-w_j, -w_i) of the pair (w_i, w_j) of the triple (m, l, n)
     spec, channel, bohr = chain4_lamb()
-    k = bohr.nfreq
     assert np.array_equal(bohr.frequencies[::-1], -bohr.frequencies)
-    grid = lamb_shift_fgrid(bohr, channel.bath, spec.quad)
-    i, j = _lamb_shift_bins(bohr)
-    assert np.all(grid[i, j] != 0.0)
-    assert np.array_equal(grid[i, j], grid[k - 1 - j, k - 1 - i])
+    f = lamb_shift_f(bohr, channel.bath, spec.quad)
+    live = bohr.coupling_eigen != 0
+    assert np.array_equal(f != 0.0, live[:, :, None] & live[None, :, :])
+    assert np.array_equal(f, f.transpose(2, 1, 0))
 
 
 def test_f_values_integrate_each_swap_class_once(monkeypatch):
     # 2,219 pairs in 1,163 swap classes and 64 sum groups, one panel set each
     spec, channel, bohr = chain4_lamb()
-    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    e1, e2 = lamb_shift_pairs_unique(bohr)
     sizes, groups = [], []
 
     def counting(bath, c, wmax, group, s, quad):
@@ -382,7 +388,7 @@ def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     # g runs once per panel node and each (class, panel) entry is evaluated
     # once; under STRICT, (40, -30) and (0, 3) settle by hitting max_depth
     spec, channel, bohr = chain4_lamb()
-    e1, e2 = np.array(lamb_shift_pairs(bohr)).T
+    e1, e2 = lamb_shift_pairs_unique(bohr)
     panels, entries, chunk = [], [], []
 
     def chunk_counting(bath, c, wmax, group, s, quad):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     lamb_shift_bins_unique,
     lamb_shift_bohr_sum,
     lamb_shift_live_pairs,
+    lamb_shift_pairs_unique,
     random_hermitian,
     secular_lamb_shift_loop,
 )
@@ -35,13 +37,7 @@ from ule import (
     vec,
 )
 from ule import generator
-from ule.generator import (
-    MemoryLimitError,
-    _lamb_shift_bins,
-    _secular_parts,
-    lamb_shift_fgrid,
-    lamb_shift_pairs,
-)
+from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_f
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -101,7 +97,7 @@ def test_jump_operator_matches_bohr_sum_random_systems():
 
 def lamb_shift(eig, channel, quad=QuadratureSpec()):
     bohr = bohr_decompose(channel.coupling_op, eig)
-    return build_lamb_shift(bohr, lamb_shift_fgrid(bohr, channel.bath, quad))
+    return build_lamb_shift(bohr, lamb_shift_f(bohr, channel.bath, quad))
 
 
 def test_lamb_shift_trivial_cases():
@@ -122,16 +118,21 @@ def test_lamb_shift_level_sum_vs_bohr_sum():
     quad = QuadratureSpec()
     lam3 = lamb_shift(eig, ch, quad)
     bohr = bohr_decompose(x, eig)
-    lam7 = lamb_shift_bohr_sum(bohr, x, f_table(BATH, lamb_shift_pairs(bohr), quad))
+    e1, e2 = lamb_shift_pairs_unique(bohr)
+    lam7 = lamb_shift_bohr_sum(bohr, x, f_table(BATH, zip(e1.tolist(), e2.tolist()), quad))
     assert np.linalg.norm(lam3 - lam7) <= 1e-10 * np.linalg.norm(lam3)
+
+
+def chain_bohr(n_sites):
+    spec = SpinChainSpec(N=n_sites)
+    x = chain_channels(spec)[0].coupling_op
+    return bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec))), x
 
 
 def chain_and_random_systems():
     """(bohr, X) for the N = 3 chain, whose coupling has exact zeros in the
     eigenbasis, and for random (H, X) with d = 2, 3, 5."""
-    spec = SpinChainSpec(N=3)
-    x = chain_channels(spec)[0].coupling_op
-    systems = [(bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec))), x)]
+    systems = [chain_bohr(3)]
     rng = np.random.default_rng(61)
     for d in (2, 3, 5):
         x = random_hermitian(rng, d)
@@ -139,51 +140,78 @@ def chain_and_random_systems():
     return systems
 
 
-def test_lamb_shift_pairs_are_the_live_pairs():
-    # f is evaluated exactly at the (w1, w2) whose product A(w1) A(w2) is
+@pytest.fixture
+def f_numbering(monkeypatch):
+    """Replace the f kernel behind `lamb_shift_f` by the numbers 1, 2, ...
+    of the pairs it is handed; every (E1, E2) array pair it sees is recorded."""
+    calls = []
+
+    def numbering(bath, e1, e2, quad):
+        calls.append((e1, e2))
+        return np.arange(1.0, e1.size + 1.0)
+
+    monkeypatch.setattr(generator, "f_values", numbering)
+    return calls
+
+
+def test_lamb_shift_pairs_are_the_live_pairs(f_numbering):
+    # f is evaluated once at each (w1, w2) whose product A(w1) A(w2) is
     # nonzero: the pairs the Bohr-sum oracle looks up
     for bohr, x in chain_and_random_systems():
-        pairs = lamb_shift_pairs(bohr)
+        f_numbering.clear()
+        lamb_shift_f(bohr, BATH)
+        [(e1, e2)] = f_numbering
+        pairs = list(zip(e1.tolist(), e2.tolist()))
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == set(lamb_shift_live_pairs(bohr, x))
 
 
-def test_lamb_shift_bins_match_unique_oracle():
-    # the K x K mark read back by np.nonzero is the sorted np.unique of the
-    # d^3 codes, on the N = 4 and N = 5 chains and the random systems
-    systems = chain_and_random_systems()
-    for n_sites in (4, 5):
-        spec = SpinChainSpec(N=n_sites)
-        x = chain_channels(spec)[0].coupling_op
-        systems.append((bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec))), x))
+def test_lamb_shift_bins_match_unique_oracle(f_numbering):
+    # f_values gets the sorted distinct pairs of the d^3 live triple codes,
+    # and each live triple reads back the value of its own pair, on the
+    # N = 4 and N = 5 chains and the random systems
+    systems = chain_and_random_systems() + [chain_bohr(4), chain_bohr(5)]
     for bohr, _ in systems:
-        got, ref = _lamb_shift_bins(bohr), lamb_shift_bins_unique(bohr)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, ref))
-    assert got[0].size == 19085
+        f = lamb_shift_f(bohr, BATH)
+        i, j = lamb_shift_bins_unique(bohr)
+        e1, e2 = f_numbering[-1]
+        assert np.array_equal(e1, bohr.frequencies[i]) and np.array_equal(e2, bohr.frequencies[j])
+        bins = bohr.bin_index
+        live = bohr.coupling_eigen != 0
+        live = live[:, :, None] & live[None, :, :]
+        codes = (bins[:, :, None] * bohr.nfreq + bins[None, :, :])[live]
+        assert np.array_equal(f[live], np.searchsorted(i * bohr.nfreq + j, codes) + 1.0)
+        assert not np.any(f[~live])
+    assert len(f_numbering) == len(systems)
+    assert i.size == 19085
 
 
 def test_lamb_shift_bins_check_grid_memory_first(monkeypatch):
-    # 435 x 435 at N = 5 needs 6 MB by the grid rule; 1 MB is too little
-    spec = SpinChainSpec(N=5)
-    x = chain_channels(spec)[0].coupling_op
-    bohr = bohr_decompose(x, eigendecompose(build_chain_hamiltonian(spec)))
+    # at N = 5 the f table's guard reserves 16 tables of 32^3 float64 cells,
+    # 4.2 MB; 1 MB is too little, and no array of d^3 cells may exist yet
+    bohr, _ = chain_bohr(5)
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 20)
-    monkeypatch.setattr(generator.np, "zeros", None)  # nothing may be allocated
-    with pytest.raises(MemoryLimitError, match="435 x 435"):
-        _lamb_shift_bins(bohr)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryLimitError, match="32\\^3 level triples"):
+            lamb_shift_f(bohr, BATH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 ** 3
 
 
 def test_secular_parts_match_loop_oracle():
-    # a grid with distinct values in every cell: Lam_sec may read only the
-    # anti-diagonal f(w_k, -w_k) = grid[k, K - 1 - k]
+    # distinct f(w_k, -w_k) for every frequency: Lam_sec must pair each
+    # with its own A(w_k) A(-w_k)
     rng = np.random.default_rng(67)
     baseline = three_level_baseline()
     systems = [(bohr_decompose(baseline.coupling_op, eigendecompose(baseline.hamiltonian)),
                 baseline.coupling_op)] + chain_and_random_systems()[:1]
     for bohr, x in systems:
-        grid = rng.standard_normal((bohr.nfreq, bohr.nfreq))
-        c, lam, _ = _secular_parts(bohr, BATH, grid)
-        want = secular_lamb_shift_loop(bohr, x, grid)
+        fmatch = rng.standard_normal(bohr.nfreq)
+        c, lam, _ = _secular_parts(bohr, BATH, fmatch)
+        want = secular_lamb_shift_loop(bohr, x, fmatch)
         assert (np.linalg.norm(bohr.eig.from_eigenbasis(lam) - want)
                 <= 1e-12 * np.linalg.norm(want))
         jump_sum = jump_operator_bohr_sum(bohr, x, BATH, jump_spectral)
@@ -345,26 +373,26 @@ def test_channels_compose_two_equal_channels_double_dissipator():
                        2.0 * (one.matrix - commutator.matrix), atol=1e-13)
 
 
-FGRID_SCRIPT = """
+F_TABLE_SCRIPT = """
 import sys
 import ule
-from ule.generator import lamb_shift_fgrid
+from ule.generator import lamb_shift_f
 from ule.spinchain import chain_channels
 spec = ule.SpinChainSpec(N=4)
 channel = chain_channels(spec)[0]
 eig = ule.eigendecompose(ule.build_chain_hamiltonian(spec))
-grid = lamb_shift_fgrid(ule.bohr_decompose(channel.coupling_op, eig), channel.bath, spec.quad)
-sys.stdout.buffer.write(grid.tobytes())
+f = lamb_shift_f(ule.bohr_decompose(channel.coupling_op, eig), channel.bath, spec.quad)
+sys.stdout.buffer.write(f.tobytes())
 """
 
 
-def test_lamb_shift_fgrid_identical_across_blas_thread_counts():
-    grids = []
+def test_lamb_shift_f_identical_across_blas_thread_counts():
+    tables = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-        grids.append(subprocess.run([sys.executable, "-c", FGRID_SCRIPT], env=env, check=True,
-                                    capture_output=True, timeout=300).stdout)
-    assert np.count_nonzero(np.frombuffer(grids[0])) > 1000
-    assert grids[0] == grids[1]
+        tables.append(subprocess.run([sys.executable, "-c", F_TABLE_SCRIPT], env=env, check=True,
+                                     capture_output=True, timeout=300).stdout)
+    assert np.count_nonzero(np.frombuffer(tables[0])) > 1000
+    assert tables[0] == tables[1]
