@@ -276,7 +276,22 @@ def _panel_nodes(bath: BathSpec, a, b, s):
     return half, u, g[:a.size] * g[a.size:]
 
 
-def _pair_panel_sums(pair, panel, c, hc, half, u, h):
+def _take_rows(work, k, a, index):
+    """a[index] for a 2-D a, written to a view of work[k], the k-th flat buffer
+    of the list work; a buffer that is short is replaced by one a quarter
+    larger than needed.
+
+    `f_values` hands one list to all its chunks, so the large gathers of
+    `_pair_panel_sums` reuse one allocation instead of each being mapped
+    and unmapped by the C allocator.
+    """
+    n = index.size * a.shape[1]
+    if work[k].size < n:
+        work[k] = np.empty(n + n // 4)
+    return np.take(a, index, axis=0, out=work[k][:n].reshape(index.size, a.shape[1]))
+
+
+def _pair_panel_sums(pair, panel, c, hc, half, u, h, work):
     """Kronrod integrals and error estimates of (h(u) - h(c)) / (u - c) on (pair, panel) entries.
 
     Pair k has the Cauchy point c[k] and h(c) = hc[k]; panel j the
@@ -285,11 +300,12 @@ def _pair_panel_sums(pair, panel, c, hc, half, u, h):
     u - c at each node. That term grows without bound as a node nears c, so
     such a panel is halved until c sits clear of its nodes; a node exactly
     at c contributes 0 and an infinite error. Row reductions, not BLAS
-    products, so an entry's sums do not depend on the batch.
+    products, so an entry's sums do not depend on the batch. The two
+    (entries, 15) gathers live in the two buffers of work (`_take_rows`).
     """
-    y = np.take(h, panel, axis=0)
+    y = _take_rows(work, 0, h, panel)
     y -= hc[pair, None]
-    d = np.take(u, panel, axis=0)
+    d = _take_rows(work, 1, u, panel)
     d -= c[pair, None]
     holds = np.flatnonzero(np.abs(d[:, 7]) < half[panel])  # node 7 is the midpoint
     dist = np.abs(d[holds])
@@ -308,7 +324,7 @@ def _pair_panel_sums(pair, panel, c, hc, half, u, h):
     return k15, np.abs(k15 - g7) + rounding
 
 
-def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec):
+def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec, work):
     """Unscaled PV integrals, error sums and failed mask of a chunk of swap classes.
 
     Class k is PV Int h_s(u) / (u - c[k]) du with s = s[group[k]]; `group`
@@ -323,8 +339,8 @@ def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec):
     entries stay ordered by (class, left edge), so the `bincount` totals add
     each class's panels in one order whatever else is in the chunk;
     converged classes, and the panels of groups with none left, drop out.
-    Each (class, panel) is evaluated once. Returns (totals, error sums,
-    failed mask).
+    Each (class, panel) is evaluated once; work is the gather workspace of
+    `_pair_panel_sums`. Returns (totals, error sums, failed mask).
     """
     n = c.size
     head = np.searchsorted(group, np.arange(s.size))
@@ -342,7 +358,7 @@ def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec):
     pair = np.repeat(np.arange(n), count)
     offset = np.cumsum(count) - count - np.searchsorted(pg, group)
     panel = np.arange(pair.size) - np.repeat(offset, count)
-    vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h)
+    vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
     active = np.ones(n, dtype=bool)
     totals = np.zeros(n)
     total_errs = np.zeros(n)
@@ -392,7 +408,8 @@ def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec):
         pair, panel, vals, errs = pair[idx], moved[panel][idx], vals[idx], errs[idx]
         panel[left + 1] += 1
         fresh = np.concatenate([left, left + 1])
-        vals[fresh], errs[fresh] = _pair_panel_sums(pair[fresh], panel[fresh], c, hc, half, u, h)
+        vals[fresh], errs[fresh] = _pair_panel_sums(pair[fresh], panel[fresh], c, hc, half, u, h,
+                                                    work)
     return totals, total_errs, failed
 
 
@@ -445,11 +462,12 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
     values = np.empty(c.size)
     errors = np.empty(c.size)
     failed = np.zeros(c.size, dtype=bool)
+    work = [np.empty(0), np.empty(0)]
     for start, stop in _chunks(label):
         chunk = slice(start, stop)
         lab = label[chunk]
         totals, errors[chunk], failed[chunk] = _sum_group_chunk(
-            bath, c[chunk], wmax[chunk], lab - lab[0], rep[lab[0]:lab[-1] + 1], quad)
+            bath, c[chunk], wmax[chunk], lab - lab[0], rep[lab[0]:lab[-1] + 1], quad, work)
         values[chunk] = scale * totals
     if failed.any():
         k = np.flatnonzero(failed)

@@ -5,20 +5,27 @@ is held in the eigenbasis of H_eff, where the commutator is exact
 elementwise phase rotation, and an adaptive Dormand-Prince 5(4) step
 (fifth-order advance with embedded fourth-order error control) integrates
 only the dissipator in the interaction frame of each step. The step size is
-then set by the dissipation and not by the largest Bohr frequency. The
-state is re-Hermitized after every accepted step; the trace is never
-renormalized, its drift is tracked as a correctness signal. Sample states
-between accepted steps come from cubic Hermite interpolation of (state,
-derivative) pairs in the step's rotating frame, rotated back to the sample
-time and to the input basis.
+then set by the dissipation and not by the largest Bohr frequency. Sample
+states between accepted steps come from cubic Hermite interpolation of
+(state, derivative) pairs in the step's rotating frame, rotated back to the
+sample time and to the input basis.
 
-Every dissipator product is a left product a @ y with a a factor of the
-eigenframe (a right product y a is (a^T y^T)^T). When the frame is real,
-as for the spin chain, such a product is one real matrix product on the
-float view of the complex y, half the arithmetic of a complex one. The
-stages of a step are Hermitian, so `propagate` uses the Hermitian form of
-the dissipator, y G = (G y)^dag, and takes the derivative at the accepted
-state from the last stage (first same as last) instead of a seventh call.
+Every stage of a step is Hermitian, and `propagate` carries each as one
+real d x d matrix P = Re(y) + Im(y), from which y = (P + P^T)/2 +
+i (P - P^T)/2. The state is therefore Hermitian by construction and is
+never re-Hermitized between steps; the trace, sum diag P, is never
+renormalized, its drift is tracked as a correctness signal. A phase factor
+c + i s acts on P as c P - (s P)^T. When the eigenframe is real, as for the
+spin chain with or without the Lamb shift, the dissipator keeps the
+symmetric and antisymmetric parts apart and acts on P itself in real
+products (`_packed_dissipator`); a complex frame unpacks P for the
+dissipator and packs the result. The derivative at the accepted state is
+the last stage (first same as last), not a seventh dissipator call.
+
+The general dissipator, on any d x d matrix, is `_dissipator`: every
+product is a left product a @ y with a a factor of the eigenframe (a right
+product y a is (a^T y^T)^T), and on a real frame it is one real matrix
+product on the float view of the complex y.
 
 The steady state is the trace-one solution of the generator bordered by the
 trace functional, found matrix-free in the same eigenbasis: right-
@@ -122,6 +129,10 @@ _DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 # step takes one phase stack, and the node of each stage i = 1..6 in it.
 _DP_NODES = _DP_C[1:6]
 _DP_STAGE_NODE = (0, 1, 2, 3, 4, 4)
+# Row i - 1 combines [y, k_0, ..., k_6] into the input of stage i = 1..6; the
+# last row gives the error estimate. Entries are multiples of h except the
+# leading 1 of the stage rows, which `propagate` sets.
+_DP_ROWS = np.array([[0.0, *a, *[0.0] * (7 - a.size)] for a in _DP_A[1:]] + [[0.0, *_DP_ERR]])
 
 
 def _product(a, y):
@@ -137,52 +148,116 @@ def _product(a, y):
     return (a @ y.view(np.float64)).view(np.complex128)
 
 
-def _add_sandwiches(frame, y, acc):
-    """acc + (sum_c L_c y L_c^dag)^T, accumulated in acc: each term is the
-    left product (L_c^dag)^T (L_c y)^T, so every product is a `_product`."""
-    _, _, jumps, jumps_dag = frame
-    for l, l_dag in zip(jumps, jumps_dag):
-        acc += _product(l_dag.T, _product(l, y).T)
-    return acc
-
-
 def _dissipator(frame, y):
     """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y (Hermitian or not).
 
     frame is (eig, G, [L_c], [L_c^dag]), laid out as `Superoperator._eigenframe`.
-    Every right product is the transpose of a left one, y G = (G^T y^T)^T,
-    so on a real frame all of them run in real arithmetic (`_product`); the
-    transposed terms are summed first and transposed back once.
+    Every right product is the transpose of a left one, y G = (G^T y^T)^T
+    and L_c y L_c^dag = ((L_c^dag)^T (L_c y)^T)^T, so on a real frame all of
+    them run in real arithmetic (`_product`); the transposed terms are
+    summed first and transposed back once.
     """
-    g = frame[1]
-    out = np.ascontiguousarray(_add_sandwiches(frame, y, _product(g.T, y.T)).T)
+    _, g, jumps, jumps_dag = frame
+    acc = _product(g.T, y.T)
+    for l, l_dag in zip(jumps, jumps_dag):
+        acc += _product(l_dag.T, _product(l, y).T)
+    out = np.ascontiguousarray(acc.T)
     out += _product(g, y)
     return out
 
 
-def _hermitian_dissipator(frame, y):
-    """`_dissipator` on a Hermitian y, where y G = (G y)^dag saves a product.
+def _packed_dissipator(frame):
+    """apply(p, out): the packing of D(y), written to out, for the y that p packs.
 
-    Equal to `_dissipator` up to rounding when y is Hermitian; `propagate`
-    applies it to its stages, which are.
+    A Hermitian y = S + i A (S symmetric, A antisymmetric) is packed as the
+    real matrix P = S + A (`_pack`). On a real frame D keeps the symmetric
+    and the antisymmetric part apart, so the packing of D(y) is
+    G P + P G + sum_c L_c P L_c^dag, with the right factors read from the
+    frame's [L_c^dag]. That is one real product [G | P | L_1 P | ...] @
+    [P; G; L_1^dag; ...] after one product L_c P per jump, in a workspace
+    that holds the fixed blocks, so apply is for one caller at a time. A
+    complex frame unpacks, applies `_dissipator` and packs.
     """
-    gy = _product(frame[1], y)
-    out = np.ascontiguousarray(_add_sandwiches(frame, y, gy.conj()).T)
-    out += gy
+    _, g, jumps, jumps_dag = frame
+    if g.dtype != np.float64:
+        def apply_complex(p, out):
+            dy = _dissipator(frame, _unpack(p))
+            return np.add(dy.real, dy.imag, out=out)
+        return apply_complex
+
+    d = g.shape[0]
+    left = np.concatenate([g, g, *jumps], axis=1)  # its P and L_c P blocks are set per call
+    right = np.concatenate([g, g, *jumps_dag])  # its P block is set per call
+
+    def apply(p, out):
+        left[:, d:2 * d] = p
+        right[:d] = p
+        for k, l in enumerate(jumps, start=2):
+            np.matmul(l, p, out=left[:, k * d:(k + 1) * d])
+        return np.matmul(left, right, out=out)
+    return apply
+
+
+def _pack(y):
+    """P = Re(y) + Im(y), the real d x d form of a Hermitian y."""
+    return y.real + y.imag
+
+
+def _unpack(p):
+    """The Hermitian y = (P + P^T)/2 + i (P - P^T)/2 that P packs."""
+    return 0.5 * (p + p.T) + 0.5j * (p - p.T)
+
+
+def _moduli_squared(p):
+    """|y_mn|^2 = (P_mn^2 + P_nm^2) / 2 for the Hermitian y that P packs (or
+    for each of a stack of them)."""
+    out = p * p
+    out += np.swapaxes(out, -1, -2)
+    out *= 0.5
     return out
 
 
 def _phases(energies, tau):
-    """exp(-i (E_m - E_n) tau), the coherent evolution of element (m, n) over tau.
+    """(c, s) with c + i s = exp(-i (E_m - E_n) tau), the coherent evolution of
+    element (m, n) over tau.
 
-    tau may be an array; the result then stacks one d x d matrix per entry.
-    The diagonal is set to exactly 1: |exp(-i E tau)|^2 rounds off 1, and
-    that rounding would otherwise scale the populations at every step.
+    tau may be an array; c and s then stack one d x d matrix per entry. With
+    a = cos(E tau) and b = sin(E tau), c_mn = a_m a_n + b_m b_n and
+    s_mn = a_m b_n - b_m a_n, each a real product of (d, 2) by (2, d)
+    factors; c is symmetric and s antisymmetric, to rounding. The diagonal
+    is set to exactly (1, 0): a_m^2 + b_m^2 rounds off 1, and that rounding
+    would otherwise scale the populations at every step.
     """
-    p = np.exp(-1j * np.multiply.outer(tau, energies))
-    out = p[..., :, None] * p.conj()[..., None, :]
-    diag = np.arange(energies.size)
-    out[..., diag, diag] = 1.0
+    x = np.multiply.outer(tau, energies)
+    ab = np.empty(x.shape + (2,))  # rows (a_m, b_m)
+    np.cos(x, out=ab[..., 0])
+    np.sin(x, out=ab[..., 1])
+    ba = np.empty_like(ab)  # rows (-b_m, a_m)
+    np.negative(ab[..., 1], out=ba[..., 0])
+    ba[..., 1] = ab[..., 0]
+    cols = np.swapaxes(ab, -1, -2)
+    c, s = ab @ cols, ba @ cols
+    step = energies.size + 1
+    c.reshape(c.shape[:-2] + (-1,))[..., ::step] = 1.0
+    s.reshape(s.shape[:-2] + (-1,))[..., ::step] = 0.0
+    return c, s
+
+
+def _rotate(c, s, p, out=None, back=False):
+    """The packing of (c + i s) * y, or of (c - i s) * y when back, for the y
+    that p packs, written to out when given.
+
+    With c symmetric and s antisymmetric (a slice of `_phases`) the product
+    packs as c P + s P^T = c P - (s P)^T, up to the rounding of s; the back
+    rotation flips the sign of s. The diagonal of c + i s is exactly 1, so
+    the populations pass unchanged.
+    """
+    s_p = s * p
+    out = np.multiply(c, p, out=out)
+    if back:
+        out += s_p.T
+    else:
+        out -= s_p.T
     return out
 
 
@@ -206,13 +281,21 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     the interaction-frame state v(t) = exp(+i (E_m - E_n)(t - t_n)) y_mn(t)
     with the DP5(4) tableau, so each stage applies only the dissipator,
     between phase factors, and the coherent part is exact at any step size.
+    Every stage is Hermitian, and each is carried as one real d x d matrix
+    P = Re(y) + Im(y) (`_pack`); a phase factor c + i s acts on P as
+    c P - (s P)^T (`_rotate`), and on a real eigenframe the dissipator acts
+    on P in real products (`_packed_dissipator`). The state is Hermitian by
+    construction, so it is never re-Hermitized between steps; its trace,
+    sum diag P, is never renormalized, and its drift from 1 is tracked as a
+    correctness signal.
 
-    rho0 is Hermitized in the eigenbasis before the first step. sample_times
-    must lie in [0, t_end]; the returned trajectory holds the
+    rho0 must be a finite d x d matrix of trace 1 (within 1e-12); it is
+    Hermitized in the eigenbasis before the first step. sample_times must be
+    a finite 1-D array within [0, t_end]; the returned trajectory holds the
     Hermitized states, in the input basis, at exactly those times. The
-    per-step error norm is taken in the interaction frame and scaled by
-    tol * (1 + |component|), so tol acts as a relative tolerance at unit
-    scale.
+    per-step error norm is the RMS over the d^2 entries of the
+    interaction-frame error, each scaled by tol * (1 + |component|), so tol
+    acts as a relative tolerance at unit scale.
 
     Raises PropagationError on step-size underflow or when any state
     eigenvalue falls below -1e-6; between samples the eigenbasis diagonal
@@ -225,24 +308,40 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    rho0 = np.asarray(rho0, dtype=complex)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size and (sample_times.min() < 0 or sample_times.max() > t_end):
-        raise ValueError("sample times must lie within [0, t_end]")
-    if np.any(np.diff(sample_times) < 0):
-        raise ValueError("sample times must be non-decreasing")
-
     frame = superop._eigenframe
     eig = frame[0]
-    energies = eig.energies
-    stages = np.empty((_DP_C.size, eig.dim, eig.dim), dtype=complex)
-    flat_stages = stages.reshape(_DP_C.size, -1)  # view: tableau rows combine stages by one matmul
+    d = eig.dim
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (d, d):
+        raise ValueError(f"rho0 must be a {d} x {d} matrix, got shape {rho0.shape}")
+    if not np.all(np.isfinite(rho0)):
+        raise ValueError("rho0 must be finite")
+    if not abs(np.trace(rho0) - 1.0) <= 1e-12:
+        raise ValueError(f"rho0 must have trace 1 within 1e-12, got {complex(np.trace(rho0)):.6g}")
+    sample_times = np.asarray(sample_times, dtype=float)
+    if sample_times.ndim != 1:
+        raise ValueError(f"sample_times must be 1-D, got shape {sample_times.shape}")
+    if not np.all(np.isfinite(sample_times)):
+        raise ValueError("sample_times must be finite")
+    if sample_times.size and (sample_times.min() < 0 or sample_times.max() > t_end):
+        raise ValueError("sample_times must lie within [0, t_end]")
+    if np.any(np.diff(sample_times) < 0):
+        raise ValueError("sample_times must be non-decreasing")
 
-    y = hermitize(eig.to_eigenbasis(rho0))
+    energies = eig.energies
+    dissipator = _packed_dissipator(frame)
+    # v, then the packed state y and the stages k_0..k_6: a tableau row
+    # [1, h a_i0, ..., h a_i,i-1] times rows[1:] is v, the input of stage i
+    rows = np.empty((_DP_ROWS.shape[1] + 1, d, d))
+    flat_rows = rows.reshape(rows.shape[0], -1)
+    v, y, f = rows[0], rows[1], rows[2]
+    y_stage, d_stage = np.empty((2, d, d))
+
+    y[...] = _pack(hermitize(eig.to_eigenbasis(rho0)))
     t = 0.0
-    f = _hermitian_dissipator(frame, y)
+    dissipator(y, f)
     # initial step from the derivative scale, capped by the span
-    fnorm = float(np.max(np.abs(f)))
+    fnorm = math.sqrt(float(np.max(_moduli_squared(f))))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
     min_step = 1e-14 * t_end
     end_tol = 1e-13 * t_end  # the run stops this close to t_end; its last step takes the rest
@@ -264,10 +363,11 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                 ys = y1
             else:
                 # interpolate v in the frame rotating from t0, then rotate to ts
-                back = _phases(energies, t1 - t0).conj()
-                vs = _hermite_eval(ts, t0, y0, f0, t1, back * y1, back * f1)
-                ys = _phases(energies, ts - t0) * vs
-            rho = hermitize(eig.from_eigenbasis(ys))
+                c, s = _phases(energies, t1 - t0)
+                vs = _hermite_eval(ts, t0, y0, f0, t1, _rotate(c, s, y1, back=True),
+                                   _rotate(c, s, f1, back=True))
+                ys = _rotate(*_phases(energies, ts - t0), vs)
+            rho = hermitize(eig.from_eigenbasis(_unpack(ys)))
             wmin = float(np.linalg.eigvalsh(rho)[0])
             if wmin < -1e-6:
                 raise PropagationError(
@@ -288,38 +388,37 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         if h < min_step:
             raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
         h_step = min(h, remaining)
-        phases = _phases(energies, _DP_NODES * h_step)
-        back = phases.conj()
-        stages[0] = f
+        c, s = _phases(energies, _DP_NODES * h_step)
+        coef = h_step * _DP_ROWS
+        coef[:-1, 0] = 1.0
         for i, node in enumerate(_DP_STAGE_NODE, start=1):
-            v = ((h_step * _DP_A[i]) @ flat_stages[:i]).reshape(y.shape)
-            v += y
-            y_stage = phases[node] * v
-            d_stage = _hermitian_dissipator(frame, y_stage)
-            np.multiply(back[node], d_stage, out=stages[i])
+            np.matmul(coef[i - 1, :i + 1], flat_rows[1:i + 2], out=flat_rows[0])
+            _rotate(c[node], s[node], v, y_stage)
+            dissipator(y_stage, d_stage)
+            _rotate(c[node], s[node], d_stage, rows[i + 2], back=True)
         # the last stage evaluates at the fifth-order solution (_DP_A[6] == _DP_B5)
-        scale = np.maximum(np.abs(y), np.abs(v))
+        scale = _moduli_squared(rows[:2]).max(axis=0)
+        np.sqrt(scale, out=scale)
         scale += 1.0
-        ratio = np.abs((h_step * _DP_ERR) @ flat_stages)
+        ratio = coef[-1] @ flat_rows[1:]
         ratio /= scale.reshape(-1)
         err = float(np.sqrt(ratio @ ratio / ratio.size)) / tol
 
         if err <= 1.0:
-            y_new = hermitize(y_stage)
-            # FSAL: D is Hermiticity preserving, so this is D(y_new) up to rounding
-            f_new = hermitize(d_stage)
+            # FSAL: the last stage's dissipator is the derivative at the new state
             t_new = t + h_step
-            take_samples(t, y, f, t_new, y_new, f_new)
-            drift = abs(float(np.real(np.trace(y_new))) - 1.0)
-            max_drift = max(max_drift, drift)
-            diag = np.real(y_new.diagonal())
+            take_samples(t, y, f, t_new, y_stage, d_stage)
+            y[...] = y_stage
+            f[...] = d_stage
+            t = t_new
+            max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
+            diag = y.diagonal()
             if diag.min() < -1e-6:
                 raise PropagationError(
-                    f"positivity violation {diag.min():.3e} at t = {t_new} with tol = {tol:g}; "
+                    f"positivity violation {diag.min():.3e} at t = {t} with tol = {tol:g}; "
                     "a loose tol can cause this; otherwise the generator is not "
                     "completely positive",
-                    t_reached=t_new)
-            t, y, f = t_new, y_new, f_new
+                    t_reached=t)
             n_accepted += 1
             factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         else:

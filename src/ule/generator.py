@@ -162,9 +162,12 @@ class Superoperator:
         that eigenbasis, where the dissipator reads G y + y G + sum_c L_c y
         L_c^dag. When the eigenbasis, G and every rotated jump have an
         imaginary part of exactly zero (a real H_eff with real jumps, as in
-        the spin chain), G and the jumps are stored as float64, and
-        `dynamics._dissipator` multiplies by them in real arithmetic;
-        otherwise they stay complex. The trace check of `_factors` runs first.
+        the spin chain with or without the Lamb shift), G and the jumps are
+        stored as float64; `dynamics._dissipator` then multiplies by them in
+        real arithmetic, and `dynamics._packed_dissipator` applies them to
+        the real packed form of a Hermitian state, reading each right factor
+        from [L_c^dag]. Otherwise they stay complex. The trace check of
+        `_factors` runs first.
         """
         self._factors
         eig = EigenDecomposition(*np.linalg.eigh(self.hamiltonian))

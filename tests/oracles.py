@@ -20,7 +20,10 @@ Bohr double sums carry their coefficients on the level triples; the loops
 here take them as grids over the frequency pairs.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
-integrating-factor machinery of `ule.propagate`. `_bordered_lu_solve` is the dense bordered LU solve with
+integrating-factor machinery of `ule.propagate`. `lawson_propagate_complex`
+is that machinery on the complex d x d state, the loop `ule.propagate` ran
+before it carried each Hermitian stage as one real matrix; it reads only
+the eigenframe tuple and multiplies in complex arithmetic. `_bordered_lu_solve` is the dense bordered LU solve with
 its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 `bordered_lu_steady_state` turns its solution into the trace-one state.
 `bose_weight_branches` is the three-branch Bose weight that the one-expression
@@ -590,6 +593,133 @@ def dp5_propagate(superop, rho0, t_end: float, sample_times,
         for name, op in observables.items():
             obs_series[name] = np.array(
                 [float(np.real(np.trace(s @ op))) for s in sample_vals])
+    stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
+                 max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
+    return Trajectory(times=sample_times, states=sample_vals,
+                      observables=obs_series, stats=stats)
+
+
+def _lawson_phases(energies, tau):
+    """exp(-i (E_m - E_n) tau), stacked per entry of tau, diagonal exactly 1."""
+    p = np.exp(-1j * np.multiply.outer(tau, energies))
+    out = p[..., :, None] * p.conj()[..., None, :]
+    diag = np.arange(energies.size)
+    out[..., diag, diag] = 1.0
+    return out
+
+
+def _hermitian_dissipator(frame, y):
+    """G y + (G y)^dag + sum_c L_c y L_c^dag, the dissipator on a Hermitian y,
+    by complex products on any frame."""
+    _, g, jumps, jumps_dag = frame
+    gy = g @ y
+    out = gy + gy.conj().T
+    for l, l_dag in zip(jumps, jumps_dag):
+        out += l @ y @ l_dag
+    return out
+
+
+def lawson_propagate_complex(superop, rho0, t_end: float, sample_times,
+                             tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
+    """The Lawson DP5(4) loop of `ule.propagate` on the complex d x d state.
+
+    The same eigenframe, tableau, FSAL, error norm, step controller, sample
+    interpolation and guards, but the state and the stages are complex
+    Hermitian matrices: the phases multiply them elementwise, the dissipator
+    runs in complex products, and each accepted state and derivative is
+    re-Hermitized. The step decisions, and so the accepted and rejected
+    step counts, are those of `ule.propagate` up to rounding.
+    """
+    frame = superop._eigenframe
+    eig = frame[0]
+    energies = eig.energies
+    rho0 = np.asarray(rho0, dtype=complex)
+    sample_times = np.asarray(sample_times, dtype=float)
+    nodes = _DP_C[1:6]
+    stage_node = (0, 1, 2, 3, 4, 4)
+    stages = np.empty((_DP_C.size, eig.dim, eig.dim), dtype=complex)
+    flat_stages = stages.reshape(_DP_C.size, -1)
+
+    y = hermitize(eig.to_eigenbasis(rho0))
+    t = 0.0
+    f = _hermitian_dissipator(frame, y)
+    fnorm = float(np.max(np.abs(f)))
+    h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
+    min_step = 1e-14 * t_end
+    end_tol = 1e-13 * t_end
+
+    sample_vals: list = [None] * sample_times.size
+    next_sample = 0
+    max_drift = 0.0
+    min_sample_eig = np.inf
+    n_accepted = 0
+    n_rejected = 0
+
+    def take_samples(t0, y0, f0, t1, y1, f1):
+        nonlocal next_sample, min_sample_eig
+        while next_sample < sample_times.size and sample_times[next_sample] <= t1 + end_tol:
+            ts = sample_times[next_sample]
+            if ts <= t0:
+                ys = y0
+            elif ts >= t1:
+                ys = y1
+            else:
+                back = _lawson_phases(energies, t1 - t0).conj()
+                vs = _hermite_eval(ts, t0, y0, f0, t1, back * y1, back * f1)
+                ys = _lawson_phases(energies, ts - t0) * vs
+            rho = hermitize(eig.from_eigenbasis(ys))
+            wmin = float(np.linalg.eigvalsh(rho)[0])
+            if wmin < -1e-6:
+                raise PropagationError(f"positivity violation {wmin:.3e} at sample t = {ts}",
+                                       t_reached=ts)
+            min_sample_eig = min(min_sample_eig, wmin)
+            sample_vals[next_sample] = rho
+            next_sample += 1
+
+    take_samples(0.0, y, f, 0.0, y, f)
+
+    while True:
+        remaining = t_end - t
+        if remaining <= end_tol:
+            break
+        if h < min_step:
+            raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
+        h_step = min(h, remaining)
+        phases = _lawson_phases(energies, nodes * h_step)
+        back = phases.conj()
+        stages[0] = f
+        for i, node in enumerate(stage_node, start=1):
+            v = ((h_step * _DP_A[i]) @ flat_stages[:i]).reshape(y.shape)
+            v += y
+            y_stage = phases[node] * v
+            d_stage = _hermitian_dissipator(frame, y_stage)
+            np.multiply(back[node], d_stage, out=stages[i])
+        scale = np.maximum(np.abs(y), np.abs(v))
+        scale += 1.0
+        ratio = np.abs((h_step * _DP_ERR) @ flat_stages)
+        ratio /= scale.reshape(-1)
+        err = float(np.sqrt(ratio @ ratio / ratio.size)) / tol
+
+        if err <= 1.0:
+            y_new = hermitize(y_stage)
+            f_new = hermitize(d_stage)
+            t_new = t + h_step
+            take_samples(t, y, f, t_new, y_new, f_new)
+            max_drift = max(max_drift, abs(float(np.real(np.trace(y_new))) - 1.0))
+            diag = np.real(y_new.diagonal())
+            if diag.min() < -1e-6:
+                raise PropagationError(f"positivity violation {diag.min():.3e} at t = {t_new}",
+                                       t_reached=t_new)
+            t, y, f = t_new, y_new, f_new
+            n_accepted += 1
+            factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        else:
+            n_rejected += 1
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h = h_step * min(5.0, max(0.2, factor))
+
+    obs_series = {name: np.array([float(np.real(np.trace(s @ op))) for s in sample_vals])
+                  for name, op in (observables or {}).items()}
     stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
                  max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
     return Trajectory(times=sample_times, states=sample_vals,

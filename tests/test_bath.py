@@ -334,8 +334,8 @@ def test_f_values_hazards_are_finite_and_within_target(monkeypatch):
                    1.0, -2.0, 5.0, -0.0, 0.0, -0.0])
     hits = []
 
-    def recording(pair, panel, c, hc, half, u, h):
-        vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h)
+    def recording(pair, panel, c, hc, half, u, h, work):
+        vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
         hits.extend(c[pair[np.isinf(errs)]].tolist())
         return vals, errs
 
@@ -365,10 +365,10 @@ def test_f_values_integrate_each_swap_class_once(monkeypatch):
     e1, e2 = lamb_shift_pairs_unique(bohr)
     sizes, groups = [], []
 
-    def counting(bath, c, wmax, group, s, quad):
+    def counting(bath, c, wmax, group, s, quad, work):
         sizes.append(c.size)
         groups.append(s.size)
-        return _sum_group_chunk(bath, c, wmax, group, s, quad)
+        return _sum_group_chunk(bath, c, wmax, group, s, quad, work)
 
     monkeypatch.setattr("ule.bath._sum_group_chunk", counting)
     f_values(channel.bath, e1, e2, spec.quad)
@@ -391,20 +391,20 @@ def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     e1, e2 = lamb_shift_pairs_unique(bohr)
     panels, entries, chunk = [], [], []
 
-    def chunk_counting(bath, c, wmax, group, s, quad):
+    def chunk_counting(bath, c, wmax, group, s, quad, work):
         chunk.append(len(chunk))
-        return _sum_group_chunk(bath, c, wmax, group, s, quad)
+        return _sum_group_chunk(bath, c, wmax, group, s, quad, work)
 
     def node_counting(bath, a, b, s):
         assert a.size > 0
         panels.extend(zip([chunk[-1]] * a.size, s.tolist(), a.tolist(), b.tolist()))
         return _panel_nodes(bath, a, b, s)
 
-    def entry_counting(pair, panel, c, hc, half, u, h):
+    def entry_counting(pair, panel, c, hc, half, u, h, work):
         assert pair.size > 0
         entries.extend(zip([chunk[-1]] * pair.size, pair.tolist(), u[panel, 7].tolist(),
                            half[panel].tolist()))
-        return _pair_panel_sums(pair, panel, c, hc, half, u, h)
+        return _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
 
     monkeypatch.setattr("ule.bath._sum_group_chunk", chunk_counting)
     monkeypatch.setattr("ule.bath._panel_nodes", node_counting)

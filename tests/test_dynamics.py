@@ -4,7 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import bordered_lu_steady_state, dp5_propagate, gmres_reference, random_hermitian
+from oracles import (
+    bordered_lu_steady_state,
+    dp5_propagate,
+    gmres_reference,
+    lawson_propagate_complex,
+    random_hermitian,
+)
 from ule import (
     BathSpec,
     NoiseChannel,
@@ -34,9 +40,11 @@ from ule.dynamics import (
     _dissipator,
     _gmres,
     _gmres_steady,
-    _hermitian_dissipator,
     _null_space_svd,
     _onenorm_estimate,
+    _pack,
+    _packed_dissipator,
+    _unpack,
 )
 from ule.generator import Superoperator
 from ule.spinchain import (
@@ -111,12 +119,24 @@ def test_trace_drift_and_positivity_tracking():
 def test_propagate_validates_inputs():
     _, sop = qubit_liouvillian()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t_end"):
         propagate(sop, rho0, -1.0, [0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample_times"):
         propagate(sop, rho0, 1.0, [0.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol"):
         propagate(sop, rho0, 1.0, [0.0], tol=0.0)
+    with pytest.raises(ValueError, match="rho0 must be finite"):
+        propagate(sop, np.array([[1.0, np.nan], [np.nan, 0.0]]), 1.0, [0.0])
+    with pytest.raises(ValueError, match=r"rho0 must be a 2 x 2 matrix"):
+        propagate(sop, np.eye(3) / 3, 1.0, [0.0])
+    with pytest.raises(ValueError, match="rho0 must have trace 1"):
+        propagate(sop, 2 * rho0, 1.0, [0.0])
+    with pytest.raises(ValueError, match="sample_times must be finite"):
+        propagate(sop, rho0, 1.0, [0.0, np.nan])
+    with pytest.raises(ValueError, match="sample_times must be 1-D"):
+        propagate(sop, rho0, 1.0, [[0.0, 0.5], [0.5, 1.0]])
+    # a trace within 1e-12 of 1 is accepted
+    propagate(sop, rho0 + 1e-13 * np.eye(2) / 2, 1.0, [1.0])
 
 
 def test_propagate_observable_series():
@@ -538,10 +558,10 @@ def test_real_frame_kernels_match_complex_frame(build):
     for y in (a, a.T, hermitian):
         ref = _dissipator(complex_frame, y)
         assert np.max(np.abs(_dissipator(frame, y) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    ref = _dissipator(complex_frame, hermitian)
+    ref = _pack(_dissipator(complex_frame, hermitian))
     for f in (frame, complex_frame):
-        assert (np.max(np.abs(_hermitian_dissipator(f, hermitian) - ref))
-                <= 1e-14 * np.max(np.abs(ref)))
+        got = _packed_dissipator(f)(_pack(hermitian), np.empty((d, d)))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_propagate_matches_dp5_oracle_on_complex_frame():
@@ -561,3 +581,104 @@ def test_propagate_matches_dp5_oracle_on_complex_frame():
     assert max(trace_distance(a, b) for a, b in zip(got.states, ref.states)) <= 1e-4
     assert got.stats["max_trace_drift"] <= 1e-10
     assert got.stats["min_sample_eig"] >= -1e-8
+
+
+def chain_liouvillian(n, **kwargs):
+    return build_chain_superop(SpinChainSpec(N=n, **kwargs))[1]
+
+
+@pytest.mark.parametrize("build, n, t_end", [
+    (lambda: chain_liouvillian(3), 3, 500.0),
+    (lambda: lamb_chain_liouvillian(3), 3, 500.0),
+    (lambda: chain_liouvillian(4), 4, 500.0),
+    (lambda: chain_liouvillian(4, ignore_lamb_shift=False), 4, 500.0),
+    (lambda: chain_liouvillian(4, gamma2=0.05), 4, 500.0),
+    (three_level_baseline_liouvillian, None, 100.0),
+], ids=["chain3", "chain3_lamb", "chain4", "chain4_lamb", "chain4_two_jumps",
+        "three_level_baseline"])
+def test_propagate_matches_complex_lawson_oracle(build, n, t_end):
+    # the packed real state takes the same steps as the complex one and
+    # agrees with it to rounding; M is the chain magnetization, or the
+    # level index over 2 for the three-level system
+    sop = build()
+    assert sop._eigenframe[1].dtype == np.float64
+    if n is None:
+        rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        m = np.diag([0.0, 0.5, 1.0]).astype(complex)
+    else:
+        rho0, m = all_up_state(n), magnetization(n)
+    times = np.linspace(0.0, t_end, 60)
+    got = propagate(sop, rho0, t_end, times, tol=1e-8, observables={"M": m})
+    ref = lawson_propagate_complex(sop, rho0, t_end, times, tol=1e-8, observables={"M": m})
+    assert got.stats["n_accepted"] == ref.stats["n_accepted"] > 0
+    assert got.stats["n_rejected"] == ref.stats["n_rejected"]
+    assert np.max(np.abs(got.observables["M"] - ref.observables["M"])) <= 1e-13
+    assert max(np.max(np.abs(a - b)) for a, b in zip(got.states, ref.states)) <= 1e-13
+    assert got.stats["max_trace_drift"] <= 1e-12
+
+
+def test_propagate_matches_complex_lawson_oracle_on_complex_frame():
+    eig, sop = random_liouvillian(17)
+    assert sop._eigenframe[1].dtype == np.complex128
+    rng = np.random.default_rng(18)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    times = np.linspace(0.0, 100.0, 51)
+    got = propagate(sop, rho0, times[-1], times, tol=1e-8)
+    ref = lawson_propagate_complex(sop, rho0, times[-1], times, tol=1e-8)
+    assert got.stats["n_accepted"] == ref.stats["n_accepted"] > 0
+    assert got.stats["n_rejected"] == ref.stats["n_rejected"]
+    assert max(np.max(np.abs(a - b)) for a, b in zip(got.states, ref.states)) <= 1e-13
+
+
+def test_pack_round_trip():
+    rng = np.random.default_rng(21)
+    # entries on a coarse dyadic grid: Re y +- Im y is exact, so the round
+    # trip is bitwise
+    a = rng.integers(-64, 65, (6, 6)) / 32 + 1j * rng.integers(-64, 65, (6, 6)) / 32
+    y = a + a.conj().T
+    p = _pack(y)
+    assert p.dtype == np.float64
+    assert np.array_equal(_unpack(p), y)
+    assert np.array_equal(_pack(_unpack(p)), p)
+    # in general P = Re y + Im y rounds once per entry, at the entry's scale
+    y = random_hermitian(rng, 6)
+    assert np.max(np.abs(_unpack(_pack(y)) - y)) <= 2 * np.finfo(float).eps * np.max(np.abs(y))
+    # the unpacked matrix is Hermitian bitwise
+    back = _unpack(rng.standard_normal((6, 6)))
+    assert np.array_equal(back, back.conj().T)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_liouvillian(4, gamma2=0.05),
+    three_level_baseline_liouvillian,
+    lambda: random_liouvillian(13)[1],
+], ids=["chain4_two_jumps", "three_level_baseline", "random"])
+def test_packed_dissipator_reads_right_factors_from_the_frame(build):
+    # the sign-flipped frame of the positivity test: its [L_c^dag] is
+    # -L_c^dag, not L_c^T, so a kernel that formed L_c^T would fail here
+    eig, g, jumps, jumps_dag = build()._eigenframe
+    broken = (eig, -g, jumps, [-l_dag for l_dag in jumps_dag])
+    d = eig.dim
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        y = random_hermitian(rng, d)
+        ref = _pack(_dissipator(broken, y))
+        got = _packed_dissipator(broken)(_pack(y), np.empty((d, d)))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_real_frame_never_enters_complex_kernel(monkeypatch):
+    sop = chain_liouvillian(3, gamma2=0.05)
+    assert sop._eigenframe[1].dtype == np.float64
+    ref = propagate(sop, all_up_state(3), 50.0, [0.0, 25.0, 50.0])
+
+    def refuse(*args):
+        raise AssertionError("the complex dissipator ran on a real frame")
+
+    monkeypatch.setattr("ule.dynamics._dissipator", refuse)
+    got = propagate(sop, all_up_state(3), 50.0, [0.0, 25.0, 50.0])
+    assert got.stats == ref.stats
+    assert all(np.array_equal(a, b) for a, b in zip(got.states, ref.states))
+    with pytest.raises(AssertionError, match="complex dissipator"):
+        propagate(random_liouvillian(13)[1], np.eye(4) / 4, 1.0, [1.0])
