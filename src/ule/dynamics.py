@@ -19,21 +19,23 @@ c + i s acts on P as c P - (s P)^T. When the eigenframe is real, as for the
 spin chain with or without the Lamb shift, the dissipator keeps the
 symmetric and antisymmetric parts apart and acts on P itself in real
 products (`_packed_dissipator`); a complex frame unpacks P for the
-dissipator and packs the result. The derivative at the accepted state is
-the last stage (first same as last), not a seventh dissipator call.
-
-The general dissipator, on any d x d matrix, is `_dissipator`: every
-product is a left product a @ y with a a factor of the eigenframe (a right
-product y a is (a^T y^T)^T), and on a real frame it is one real matrix
-product on the float view of the complex y.
+dissipator, `_dissipator` in complex products, and packs the result. The
+derivative at the accepted state is the last stage (first same as last),
+not a seventh dissipator call.
 
 The steady state is the trace-one solution of the generator bordered by the
-trace functional, found matrix-free in the same eigenbasis: right-
-preconditioned restarted GMRES, with the secular (Pauli) limit of the
-generator as preconditioner, applies the generator with d x d products. A
-1-norm condition estimate from further GMRES solves with the operator and
-its adjoint certifies that the kernel is one-dimensional; the adjoint is the
-same operator on the Heisenberg frame (energies -E, each L_c swapped with
+trace functional, found matrix-free in the same eigenbasis and on the same
+packed P: the generator, its adjoint and its secular (Pauli) limit map
+Hermitian matrices to Hermitian matrices, so the bordered system is a real
+one of dimension d^2, with the dissipator applied by `_packed_dissipator`.
+Right-preconditioned restarted GMRES in real arithmetic, with the secular
+limit as preconditioner, solves it. A 1-norm condition estimate (real
+Hager, LAPACK dlacn2) from further GMRES solves with the operator and its
+adjoint certifies that the kernel is one-dimensional; a Hermiticity-
+preserving generator has a kernel spanned by Hermitian matrices, so that
+means the same on P as on all d x d matrices. The packing is an isometry in
+the Frobenius norm, so the adjoint on P is the transpose; it is the same
+operator on the Heisenberg frame (energies -E, each L_c swapped with
 L_c^dag), so one dissipator kernel and one Krylov workspace serve every
 solve. A restart cycle that does not lower the true residual ends its solve
 as not converged. Only a generator that fails the certificate builds the
@@ -94,9 +96,11 @@ class SteadyStateReport:
     """Steady state with its diagnostics.
 
     rcond is the conditioning the solve reached: the reciprocal 1-norm
-    condition estimate of the bordered operator A of `steady_state`,
-    1 / (est ||A||_1 est ||A^-1||_1) (method "gmres"), or the smallest
-    non-kernel singular value over sigma_max (method "null-space").
+    condition estimate of the bordered operator A of `steady_state` as a
+    real d^2 x d^2 matrix on the packed P = Re(y) + Im(y),
+    1 / (est ||A||_1 est ||A^-1||_1) by real Hager (LAPACK dlacn2) (method
+    "gmres"), or the smallest non-kernel singular value over sigma_max of
+    the dense complex generator (method "null-space").
     iterations counts the GMRES iterations of the solve and its refinement
     step, estimate_iterations those of the condition estimate's solves
     (both 0 for the SVD).
@@ -135,34 +139,16 @@ _DP_STAGE_NODE = (0, 1, 2, 3, 4, 4)
 _DP_ROWS = np.array([[0.0, *a, *[0.0] * (7 - a.size)] for a in _DP_A[1:]] + [[0.0, *_DP_ERR]])
 
 
-def _product(a, y):
-    """a @ y for a factor a of an eigenframe and a complex d x d matrix y.
-
-    A float64 a (a real frame) multiplies the real and imaginary parts of y
-    at once: one real product on the (d, 2d) float view of y, which is
-    copied to C order first when it is a transposed view.
-    """
-    if a.dtype != np.float64:
-        return a @ y
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    return (a @ y.view(np.float64)).view(np.complex128)
-
-
 def _dissipator(frame, y):
-    """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y (Hermitian or not).
+    """G y + y G + sum_c L_c y L_c^dag on an eigenbasis matrix y, in complex products.
 
     frame is (eig, G, [L_c], [L_c^dag]), laid out as `Superoperator._eigenframe`.
-    Every right product is the transpose of a left one, y G = (G^T y^T)^T
-    and L_c y L_c^dag = ((L_c^dag)^T (L_c y)^T)^T, so on a real frame all of
-    them run in real arithmetic (`_product`); the transposed terms are
-    summed first and transposed back once.
     """
     _, g, jumps, jumps_dag = frame
-    acc = _product(g.T, y.T)
+    out = g @ y
+    out += y @ g
     for l, l_dag in zip(jumps, jumps_dag):
-        acc += _product(l_dag.T, _product(l, y).T)
-    out = np.ascontiguousarray(acc.T)
-    out += _product(g, y)
+        out += l @ y @ l_dag
     return out
 
 
@@ -459,13 +445,15 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     exactly when the kernel of L is one-dimensional and not traceless.
     Since tr L(y) = 0, the solution of A x = W has tr x = 1 and L x = 0: it
     is the steady state.
-    It is found by right-preconditioned GMRES, which applies A with d x d
-    products and never builds the dense matrix; the preconditioner is the
-    secular (Pauli) limit of A. The state is rotated back, refined once in
-    the input basis, Hermitized and its trace normalized.
+    A maps Hermitian matrices to Hermitian matrices, so A x = W is solved
+    as a real system on the packed P = Re(x) + Im(x), by right-
+    preconditioned GMRES in real arithmetic, which applies A with real
+    d x d products and never builds the dense matrix; the preconditioner is
+    the secular (Pauli) limit of A. The state is unpacked, rotated back,
+    refined once in the input basis, Hermitized and its trace normalized.
 
-    The certificate is a 1-norm reciprocal condition estimate of A, which
-    must exceed KERNEL_RTOL, and the convergence of every GMRES solve. A
+    The certificate is a 1-norm reciprocal condition estimate of A on P,
+    which must exceed KERNEL_RTOL, and the convergence of every GMRES solve. A
     generator that fails it, or whose secular preconditioner is singular,
     goes to the SVD null-space solve, which raises SteadyStateError on a
     zero-dimensional or degenerate kernel (the degenerate case still
@@ -477,7 +465,7 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     workspace itself would not fit.
     """
     d = superop.dim
-    _require_memory((GMRES_RESTART + 1) * 16 * d ** 2,
+    _require_memory((GMRES_RESTART + 1) * 8 * d ** 2,
                     f"steady-state GMRES workspace for states of {d ** 2} entries")
     rho, rcond, iterations, estimate_iterations, failure = _gmres_steady(superop)
     if failure is not None:
@@ -503,11 +491,12 @@ def _normalized(superop: Superoperator, rho):
 def _gmres_steady(superop: Superoperator):
     """(rho, rcond, iterations, estimate_iterations, failure) from A x = W.
 
-    rho is x in the input basis after one step of refinement there: the
-    eigenbasis is exact only to rounding, which leaves a residual of order
-    eps ||H_eff|| ||rho|| that a second solve, on the residual rotated into
-    the eigenframe, removes. failure is None when the certificate holds,
-    else a description of what failed (rho and rcond are then meaningless).
+    Every solve runs on the packing P of x (`_pack`). rho is x in the input
+    basis after one step of refinement there: the eigenbasis is exact only
+    to rounding, which leaves a residual of order eps ||H_eff|| ||rho|| that
+    a second solve, on the Hermitian part of the residual rotated into the
+    eigenframe, removes. failure is None when the certificate holds, else a
+    description of what failed (rho and rcond are then meaningless).
     iterations counts the GMRES iterations of the solve and the refinement,
     estimate_iterations those of the condition estimate's solves. A^dag is
     A on the Heisenberg frame: energies -E, the same G, and each L_c swapped
@@ -521,9 +510,9 @@ def _gmres_steady(superop: Superoperator):
                                   g, jumps_dag, jumps))
     if forward[1] is None or adjoint[1] is None:
         return None, 0.0, 0, 0, "the secular preconditioner is singular"
-    krylov = np.empty((GMRES_RESTART + 1, d * d), dtype=complex)
+    krylov = np.empty((GMRES_RESTART + 1, d * d))
     anorm = _onenorm_estimate(forward[0], adjoint[0], d * d)
-    rhs = np.eye(d, dtype=complex).reshape(-1) / d
+    rhs = np.eye(d).reshape(-1) / d
     x, iterations, converged = _gmres(*forward, rhs, anorm, krylov)
     if not converged:
         return None, 0.0, iterations, 0, f"GMRES did not converge in {iterations} iterations"
@@ -545,40 +534,46 @@ def _gmres_steady(superop: Superoperator):
     if not rcond > KERNEL_RTOL:
         return (None, rcond, iterations, estimate_iterations,
                 f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}")
-    rho = eig.from_eigenbasis(x.reshape(d, d))
-    residual = eig.to_eigenbasis(superop.apply_matrix(rho))
+    rho = eig.from_eigenbasis(_unpack(x.reshape(d, d)))
+    residual = _pack(hermitize(eig.to_eigenbasis(superop.apply_matrix(rho))))
     delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm, krylov,
                                   target=GMRES_RTOL * _norm(rhs))
-    rho = rho + eig.from_eigenbasis(delta.reshape(d, d))
+    rho = rho + eig.from_eigenbasis(_unpack(delta.reshape(d, d)))
     return rho, rcond, iterations + refinement, estimate_iterations, None
 
 
 def _bordered_operator(frame):
-    """(apply, precondition) for A on flattened matrices of an eigenframe.
+    """(apply, precondition) for A on the flattened packing P of a Hermitian
+    eigenframe matrix y (`_pack`).
 
-    A(y) = -i (E_m - E_n) y_mn + `_dissipator`(frame, y) + W tr(y), W = I/d.
-    On the Heisenberg frame of `_gmres_steady` the same code gives A^dag,
-    the preconditioner included. precondition applies the inverse of the
-    secular (Pauli) limit of A: coherences are divided by
-    -i (E_m - E_n) + G_mm + G_nn + sum_c L_c,mm conj(L_c,nn), populations
-    solved with the rates |L_mn|^2 + 2 G_mm delta_mn + 1/d. It is None when
-    that limit is singular (no dissipation, for one).
+    A(y) = -i (E_m - E_n) y_mn + D(y) + W tr(y), W = I/d. On P the
+    dissipator is `_packed_dissipator`(frame), the commutator is
+    (omega * P)^T with omega_mn = E_m - E_n, and W tr(y) adds tr(P)/d to the
+    diagonal. On the Heisenberg frame of `_gmres_steady` the same code gives
+    A^dag, the preconditioner included. precondition applies the inverse of
+    the secular (Pauli) limit of A: coherences are divided by
+    c_mn = -i (E_m - E_n) + G_mm + G_nn + sum_c L_c,mm conj(L_c,nn), and
+    since conj(c_mn) = c_nm, 1 / c = a + i b with a symmetric and b
+    antisymmetric acts on P as a * P - (b * P)^T; populations are solved
+    with the rates |L_mn|^2 + 2 G_mm delta_mn + 1/d. It is None when that
+    limit is singular (no dissipation, for one).
     """
     eig, g, jumps, _ = frame
     d = eig.dim
-    rotation = -1j * (eig.energies[:, None] - eig.energies[None, :])
+    omega = eig.energies[:, None] - eig.energies[None, :]
     diag = np.arange(d) * (d + 1)  # flat indices of the populations
+    dissipator = _packed_dissipator(frame)
 
     def apply(v):
-        y = v.reshape(d, d)
-        out = _dissipator(frame, y)
-        out += rotation * y
+        p = v.reshape(d, d)
+        out = dissipator(p, np.empty((d, d)))
+        out += (omega * p).T
         out = out.reshape(-1)
-        out[::d + 1] += y.trace() / d  # the populations
+        out[::d + 1] += p.trace() / d  # the populations
         return out
 
     rates = 2.0 * np.diag(np.real(g.diagonal())) + 1.0 / d
-    coherence = rotation + g.diagonal()[:, None] + g.diagonal()[None, :]
+    coherence = -1j * omega + g.diagonal()[:, None] + g.diagonal()[None, :]
     for l in jumps:
         rates += np.abs(l) ** 2
         coherence += l.diagonal()[:, None] * l.diagonal().conj()[None, :]
@@ -591,11 +586,13 @@ def _bordered_operator(frame):
         inv_coherence = 1.0 / coherence
     if not (np.all(np.isfinite(inv_coherence)) and np.all(np.isfinite(inv_rates))):
         return apply, None
-
-    inv_rates = inv_rates.astype(complex)  # cast once, not in every product with v
+    a, b = inv_coherence.real.copy(), inv_coherence.imag.copy()
 
     def precondition(v):
-        y = (v.reshape(d, d) * inv_coherence).reshape(-1)
+        p = v.reshape(d, d)
+        y = a * p
+        y -= (b * p).T
+        y = y.reshape(-1)
         y[::d + 1] = inv_rates @ v[diag]
         return y
 
@@ -603,12 +600,12 @@ def _bordered_operator(frame):
 
 
 def _norm(v) -> float:
-    """Euclidean norm of a complex vector: `np.linalg.norm` without its checks."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    """Euclidean norm of a real vector: `np.linalg.norm` without its checks."""
+    return math.sqrt(v.dot(v))
 
 
 def _gmres(apply, precondition, rhs, anorm, krylov, target=None):
-    """(x, iterations, converged) for apply(x) = rhs from x = 0.
+    """(x, iterations, converged) for apply(x) = rhs from x = 0, all real.
 
     Restarted GMRES (Saad and Schultz 1986) with right preconditioning, so
     the residual it minimizes is the true one: Arnoldi by classical
@@ -616,21 +613,20 @@ def _gmres(apply, precondition, rhs, anorm, krylov, target=None):
     problem reduced by Givens rotations. target is the residual norm to
     reach, GMRES_RTOL ||rhs|| by default; anorm, an estimate of
     ||apply||_1, scales the rounding floor of the convergence test. krylov
-    is a (GMRES_RESTART + 1, rhs.size) complex workspace for the basis; it
+    is a (GMRES_RESTART + 1, rhs.size) float64 workspace for the basis; it
     is overwritten, so one array serves a sequence of solves. A cycle that
     does not lower the recomputed residual ends the solve as not converged.
 
     An iteration costs one apply, one precondition, four matrix-vector
     products with the basis and two norms. The rotated Hessenberg columns,
-    the rotations and the residual vector g are Python complex numbers, and
-    only the final k x k triangle is formed; the scalar arithmetic rounds as
-    numpy's, so the iterates are those of the numpy-scalar loop it replaced.
+    the rotations and the residual vector g are Python floats, and only the
+    final k x k triangle is formed.
     """
     eps = np.finfo(float).eps
     if target is None:
         target = GMRES_RTOL * _norm(rhs)
     floor = GMRES_FLOOR * eps * anorm
-    x = np.zeros(rhs.size, dtype=complex)
+    x = np.zeros(rhs.size)
     residual = rhs
     last = math.inf
     iterations = 0
@@ -642,41 +638,38 @@ def _gmres(apply, precondition, rhs, anorm, krylov, target=None):
             return x, iterations, converged
         last = beta
         np.divide(residual, beta, out=krylov[0])
-        columns, cos, sin, g = [], [], [], [complex(beta)]
+        columns, cos, sin, g = [], [], [], [beta]
         k = 0
         while k < GMRES_RESTART and iterations < GMRES_MAXITER:
             w = apply(precondition(krylov[k]))
             w_norm = _norm(w)
             basis = krylov[:k + 1]
-            # CGS2; basis @ conj(w) avoids conjugating the whole basis
-            first = (basis @ w.conj()).conj()
+            first = basis @ w  # CGS2
             w -= first @ basis
-            second = (basis @ w.conj()).conj()
+            second = basis @ w
             w -= second @ basis
             h_next = _norm(w)
             col = (first + second).tolist()
             for i in range(k):
                 a, b = col[i], col[i + 1]
                 col[i] = cos[i] * a + sin[i] * b
-                col[i + 1] = -sin[i].conjugate() * a + cos[i] * b
+                col[i + 1] = -sin[i] * a + cos[i] * b
             a = col[k]
-            rho = abs(complex(abs(a), h_next))  # libm hypot, as np.hypot; math.hypot differs
+            rho = math.hypot(a, h_next)
             if rho == 0:  # exact breakdown: the preconditioned operator is singular
                 return x, iterations, False
-            # a complex over a real number rounds as numpy's: times the reciprocal
-            phase = a * (1.0 / abs(a)) if a != 0 else 1.0
-            cos.append(abs(a) / rho)
-            sin.append(phase * h_next * (1.0 / rho))
-            col[k] = phase * rho
+            cos.append(a / rho)
+            sin.append(h_next / rho)
+            col[k] = rho
             columns.append(col)
-            g.append(-sin[k].conjugate() * g[k])
+            g.append(-sin[k] * g[k])
             g[k] *= cos[k]
             k += 1
             iterations += 1
             if abs(g[k]) <= target or h_next <= eps * w_norm:
                 break
             np.divide(w, h_next, out=krylov[k])
-        triangle = np.zeros((k, k), dtype=complex)
+        triangle = np.zeros((k, k))
         for j, col in enumerate(columns):
             triangle[:j + 1, j] = col
         y = np.linalg.solve(triangle, g[:k])  # upper triangular: back substitution
@@ -685,35 +678,34 @@ def _gmres(apply, precondition, rhs, anorm, krylov, target=None):
 
 
 def _onenorm_estimate(apply, apply_adjoint, n) -> float:
-    """Hager-Higham lower estimate of ||B||_1 from products with B and B^H.
+    """Hager-Higham lower estimate of ||B||_1 from products with B and B^T.
 
-    The t = 1 iteration of LAPACK zlacn2, the estimator behind zgecon
-    (N. J. Higham, ACM TOMS 14, 381 (1988)): it starts from the uniform
-    vector, draws no random numbers, and ends with the alternating-sign
-    probe.
+    The iteration of LAPACK dlacn2, the estimator behind dgecon (N. J.
+    Higham, ACM TOMS 14, 381 (1988)): it starts from the uniform vector,
+    steers by sign vectors of +-1 (+1 for a zero entry), draws no random
+    numbers, stops on a repeated sign vector, a non-increasing estimate or
+    a repeated maximizing index, and ends with the alternating-sign probe.
     """
-    def signs(v):
-        mag = np.abs(v)
-        return np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 1.0)
-
-    v = apply(np.full(n, 1.0 / n, dtype=complex))
+    v = apply(np.full(n, 1.0 / n))
     est = np.sum(np.abs(v))
     if n == 1:
         return float(est)
-    z = apply_adjoint(signs(v))
-    j = int(np.argmax(np.abs(z)))
+    signs = np.where(v >= 0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(apply_adjoint(signs))))
     for probes in range(4):
-        v = apply(np.eye(1, n, j, dtype=complex)[0])
+        v = apply(np.eye(1, n, j)[0])
         est_old, est = est, np.sum(np.abs(v))
-        if est <= est_old or probes == 3:
+        new_signs = np.where(v >= 0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= est_old or probes == 3:
             break
-        z = apply_adjoint(signs(v))
+        signs = new_signs
+        z = apply_adjoint(signs)
         j_last, j = j, int(np.argmax(np.abs(z)))
-        if abs(z[j_last]) == abs(z[j]):
+        if z[j_last] == abs(z[j]):
             break
     i = np.arange(n)
     alt = (-1.0) ** i * (1 + i / (n - 1))
-    return float(max(est, 2 * np.sum(np.abs(apply(alt.astype(complex)))) / (3 * n)))
+    return float(max(est, 2 * np.sum(np.abs(apply(alt))) / (3 * n)))
 
 
 def _null_space_svd(superop: Superoperator) -> SteadyStateReport:

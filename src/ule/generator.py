@@ -163,11 +163,12 @@ class Superoperator:
         L_c^dag. When the eigenbasis, G and every rotated jump have an
         imaginary part of exactly zero (a real H_eff with real jumps, as in
         the spin chain with or without the Lamb shift), G and the jumps are
-        stored as float64; `dynamics._dissipator` then multiplies by them in
-        real arithmetic, and `dynamics._packed_dissipator` applies them to
-        the real packed form of a Hermitian state, reading each right factor
-        from [L_c^dag]. Otherwise they stay complex. The trace check of
-        `_factors` runs first.
+        stored as float64, and `dynamics._packed_dissipator` applies them in
+        real products to the real packed form of a Hermitian state, reading
+        each right factor from [L_c^dag], for both `propagate` and
+        `steady_state`. Otherwise they stay complex, and the complex
+        `dynamics._dissipator` runs on the unpacked state. The trace check
+        of `_factors` runs first.
         """
         self._factors
         eig = EigenDecomposition(*np.linalg.eigh(self.hamiltonian))

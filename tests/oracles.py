@@ -31,7 +31,9 @@ its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 jump per Bohr frequency, the loop that the same-bin pair scatter of
 `ule.secular_residuals` replaced. `gmres_reference` is the restarted GMRES
 that `ule.dynamics._gmres` ran before its Arnoldi loop moved to Python
-scalars and a shared workspace.
+scalars and a shared workspace. `complex_bordered_operator` is the steady
+state's bordered operator and preconditioner on complex d x d matrices,
+which the packed real operator replaced.
 """
 
 import numpy as np
@@ -751,12 +753,58 @@ def bordered_lu_steady_state(superop):
     return rho / float(np.real(np.trace(rho))), rcond
 
 
+def complex_bordered_operator(frame):
+    """(apply, precondition): the bordered operator and secular preconditioner
+    of `ule.dynamics._bordered_operator` on flattened complex d x d matrices,
+    the form the steady-state solve ran in before it moved to the packed
+    real P. The dissipator is G y + y G + sum_c L_c y L_c^dag in plain complex
+    products; precondition is None when the secular limit is singular.
+    """
+    eig, g, jumps, jumps_dag = frame
+    d = eig.dim
+    rotation = -1j * (eig.energies[:, None] - eig.energies[None, :])
+    diag = np.arange(d) * (d + 1)
+
+    def apply(v):
+        y = v.reshape(d, d)
+        out = g @ y + y @ g + rotation * y
+        for l, l_dag in zip(jumps, jumps_dag):
+            out += l @ y @ l_dag
+        out = out.reshape(-1)
+        out[diag] += np.trace(y) / d
+        return out
+
+    rates = 2.0 * np.diag(np.real(g.diagonal())) + 1.0 / d
+    coherence = rotation + g.diagonal()[:, None] + g.diagonal()[None, :]
+    for l in jumps:
+        rates += np.abs(l) ** 2
+        coherence += l.diagonal()[:, None] * l.diagonal().conj()[None, :]
+    coherence.flat[diag] = 1.0
+    try:
+        inv_rates = np.linalg.inv(rates)
+    except np.linalg.LinAlgError:
+        return apply, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_coherence = 1.0 / coherence
+    if not (np.all(np.isfinite(inv_coherence)) and np.all(np.isfinite(inv_rates))):
+        return apply, None
+
+    def precondition(v):
+        y = (v.reshape(d, d) * inv_coherence).reshape(-1)
+        y[diag] = inv_rates @ v[diag]
+        return y
+
+    return apply, precondition
+
+
 def gmres_reference(apply, precondition, rhs, anorm, target=None):
     """(x, iterations, converged): the restarted GMRES that `ule.dynamics._gmres`
     replaced, with numpy-scalar Givens updates, the Hessenberg matrix as a
     (GMRES_RESTART + 1, GMRES_RESTART) array and a fresh Krylov basis per
-    call. It has no stagnation exit: a solve runs until it converges or
-    spends GMRES_MAXITER iterations. The constants are read from
+    call. Its arrays take the dtype of rhs, so it runs the real solves of
+    the packed steady state in real arithmetic (the phase of each Givens
+    rotation is then a sign). It has no stagnation exit: a solve runs until
+    it converges or spends GMRES_MAXITER iterations. The constants are read from
     `ule.dynamics` at call time, so a test that patches them patches both.
     """
     restart, maxiter = dynamics.GMRES_RESTART, dynamics.GMRES_MAXITER
@@ -764,9 +812,9 @@ def gmres_reference(apply, precondition, rhs, anorm, target=None):
     if target is None:
         target = dynamics.GMRES_RTOL * np.linalg.norm(rhs)
     floor = dynamics.GMRES_FLOOR * np.finfo(float).eps * anorm
-    x = np.zeros(n, dtype=complex)
+    x = np.zeros(n, dtype=rhs.dtype)
     residual = rhs.copy()
-    krylov = np.empty((restart + 1, n), dtype=complex)
+    krylov = np.empty((restart + 1, n), dtype=rhs.dtype)
     iterations = 0
     while True:
         beta = np.linalg.norm(residual)
@@ -774,10 +822,10 @@ def gmres_reference(apply, precondition, rhs, anorm, target=None):
         if converged or iterations >= maxiter or not np.isfinite(beta):
             return x, iterations, converged
         krylov[0] = residual / beta
-        hess = np.zeros((restart + 1, restart), dtype=complex)
+        hess = np.zeros((restart + 1, restart), dtype=rhs.dtype)
         cos = np.zeros(restart)
-        sin = np.zeros(restart, dtype=complex)
-        gvec = np.zeros(restart + 1, dtype=complex)
+        sin = np.zeros(restart, dtype=rhs.dtype)
+        gvec = np.zeros(restart + 1, dtype=rhs.dtype)
         gvec[0] = beta
         k = 0
         while k < restart and iterations < maxiter:
