@@ -52,8 +52,6 @@ from .generator import (
     build_lamb_shift,
     build_liouvillian,
     build_secular_generator,
-    unvec,
-    vec,
 )
 from .operators import (
     BohrDecomposition,

@@ -88,12 +88,12 @@ class QuadratureSpec:
     max_depth: int = 50
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("quadrature tolerances must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError("quadrature tolerances must be finite and positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if not self.omega_max_pad > 0:
-            raise ValueError("omega_max_pad must be positive")
+        if not 0 < self.omega_max_pad < np.inf:
+            raise ValueError("omega_max_pad must be finite and positive")
 
 
 class QuadratureError(RuntimeError):

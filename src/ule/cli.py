@@ -142,6 +142,8 @@ def load_config(args, required=CHAIN_KEYS) -> dict:
             raise ConfigError(f"missing config key {key!r}")
         if default is not None:
             values[key] = default
+    if values["samples"] < 1:
+        raise ConfigError(f"samples must be at least 1, got {values['samples']}")
     return values
 
 

@@ -24,23 +24,20 @@ derivative at the accepted state is the last stage (first same as last),
 not a seventh dissipator call.
 
 The steady state is the trace-one solution of the generator bordered by the
-trace functional, found matrix-free in the same eigenbasis and on the same
-packed P: the generator, its adjoint and its secular (Pauli) limit map
-Hermitian matrices to Hermitian matrices, so the bordered system is a real
-one of dimension d^2, with the dissipator applied by `_packed_dissipator`.
+trace functional. The generator, its adjoint and its secular (Pauli) limit
+map Hermitian matrices to Hermitian matrices, so the steady state is found
+on the same packed P, a real space of dimension d^2, with one generator
+kernel, `_packed_generator` (`_packed_dissipator` plus the commutator).
 Right-preconditioned restarted GMRES in real arithmetic, with the secular
-limit as preconditioner, solves it. A 1-norm condition estimate (real
-Hager, LAPACK dlacn2) from further GMRES solves with the operator and its
-adjoint certifies that the kernel is one-dimensional; a Hermiticity-
-preserving generator has a kernel spanned by Hermitian matrices, so that
-means the same on P as on all d x d matrices. The packing is an isometry in
-the Frobenius norm, so the adjoint on P is the transpose; it is the same
-operator on the Heisenberg frame (energies -E, each L_c swapped with
-L_c^dag), so one dissipator kernel and one Krylov workspace serve every
-solve. A restart cycle that does not lower the true residual ends its solve
-as not converged. Only a generator that fails the certificate builds the
-dense `Superoperator.matrix` and pays for an SVD, which counts the kernel
-singular values below 1e-10 * sigma_max.
+limit as preconditioner, solves the bordered system matrix-free; a 1-norm
+condition estimate (real Hager, LAPACK dlacn2) from solves with the
+operator and its adjoint, the same code on the Heisenberg frame (energies
+-E, each L_c swapped with L_c^dag), certifies a one-dimensional kernel.
+Only the SVD fallback of a generator that fails the certificate, and
+`liouvillian_gap`, write `_packed_generator` out as a dense real d^2 x d^2
+matrix. The packing is a Frobenius isometry onto an orthonormal basis of
+all d x d matrices over C, so that matrix has the singular values, kernel
+dimension and spectrum of the complex generator.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import MemoryLimitError, Superoperator, _require_memory, unvec
+from .generator import MemoryLimitError, Superoperator, _require_memory
 from .operators import EigenDecomposition, frobenius, hermitize, trace_distance
 
 
@@ -100,7 +97,7 @@ class SteadyStateReport:
     real d^2 x d^2 matrix on the packed P = Re(y) + Im(y),
     1 / (est ||A||_1 est ||A^-1||_1) by real Hager (LAPACK dlacn2) (method
     "gmres"), or the smallest non-kernel singular value over sigma_max of
-    the dense complex generator (method "null-space").
+    the dense packed real generator (method "null-space").
     iterations counts the GMRES iterations of the solve and its refinement
     step, estimate_iterations those of the condition estimate's solves
     (both 0 for the SVD).
@@ -283,12 +280,14 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     interaction-frame error, each scaled by tol * (1 + |component|), so tol
     acts as a relative tolerance at unit scale.
 
-    Raises PropagationError on step-size underflow or when any state
-    eigenvalue falls below -1e-6; between samples the eigenbasis diagonal
-    is checked at every accepted step. Such a violation comes from a
-    generator that is not completely positive or from a loose tol, so its
-    message names tol. Observables are sampled with `expectation`, which
-    raises ValueError on a non-negligible imaginary part.
+    MemoryLimitError (a ValueError) if the sampled states, 16 d^2 bytes
+    each, would not fit in physical memory. PropagationError on step-size
+    underflow or when any state eigenvalue falls below -1e-6; between
+    samples the eigenbasis diagonal is checked at every accepted step. Such
+    a violation comes from a generator that is not completely positive or
+    from a loose tol, so its message names tol. Observables are sampled
+    with `expectation`, which raises ValueError on a non-negligible
+    imaginary part.
     """
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -313,6 +312,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         raise ValueError("sample_times must lie within [0, t_end]")
     if np.any(np.diff(sample_times) < 0):
         raise ValueError("sample_times must be non-decreasing")
+    _require_memory(sample_times.size * 16 * d ** 2,
+                    f"storage for {sample_times.size} sampled states of size {d} x {d}")
 
     energies = eig.energies
     dissipator = _packed_dissipator(frame)
@@ -423,6 +424,10 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 # The GMRES certificate needs rcond above it; the SVD fallback counts singular
 # values below it times sigma_max as the kernel.
 KERNEL_RTOL = 1e-10
+# The guard of `_dense_generator`, sized for the SVD fallback: a dense build
+# plus `np.linalg.svd` raised peak RSS by 9.1x (N = 5) and 8.6x (N = 6) the
+# 8 d^4 bytes of the matrix (the copy dgesdd factors, U and V^T twice each).
+DENSE_SOLVE_MEMORY_FACTOR = 9
 # Restarted GMRES holds at most GMRES_RESTART + 1 Krylov vectors of d^2
 # entries. A cycle runs until its residual estimate falls to GMRES_RTOL ||b||.
 # The solve has converged when the recomputed residual ||b - A x|| does, or
@@ -444,13 +449,10 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     bordered operator A(y) = L(y) + W tr(y), with W = I/d, is nonsingular
     exactly when the kernel of L is one-dimensional and not traceless.
     Since tr L(y) = 0, the solution of A x = W has tr x = 1 and L x = 0: it
-    is the steady state.
-    A maps Hermitian matrices to Hermitian matrices, so A x = W is solved
-    as a real system on the packed P = Re(x) + Im(x), by right-
-    preconditioned GMRES in real arithmetic, which applies A with real
-    d x d products and never builds the dense matrix; the preconditioner is
-    the secular (Pauli) limit of A. The state is unpacked, rotated back,
-    refined once in the input basis, Hermitized and its trace normalized.
+    is the steady state. A x = W is solved matrix-free on the packed
+    P = Re(x) + Im(x) (`_gmres_steady`); the state is unpacked, rotated
+    back, refined once in the input basis, Hermitized and its trace
+    normalized.
 
     The certificate is a 1-norm reciprocal condition estimate of A on P,
     which must exceed KERNEL_RTOL, and the convergence of every GMRES solve. A
@@ -542,13 +544,49 @@ def _gmres_steady(superop: Superoperator):
     return rho, rcond, iterations + refinement, estimate_iterations, None
 
 
+def _packed_generator(frame):
+    """apply(p, out): the packing of L(y) = -i (E_m - E_n) y_mn + D(y), for
+    the y that p packs, written to out: `_packed_dissipator`(frame) plus the
+    commutator (omega * P)^T, omega_mn = E_m - E_n. One caller at a time.
+    """
+    omega = frame[0].energies[:, None] - frame[0].energies[None, :]
+    dissipator = _packed_dissipator(frame)
+
+    def apply(p, out):
+        dissipator(p, out)
+        out += (omega * p).T
+        return out
+    return apply
+
+
+def _dense_generator(superop: Superoperator) -> np.ndarray:
+    """`_packed_generator` as a real (d^2, d^2) matrix, column j its action on e_j.
+
+    The unit P span the Hermitian matrices orthonormally, and so all d x d
+    matrices over C: the matrix is unitarily similar to the complex
+    generator, with its singular values and spectrum. MemoryLimitError,
+    before allocating, if it and its SVD workspace would not fit.
+    """
+    d = superop.dim
+    n = d * d
+    _require_memory(DENSE_SOLVE_MEMORY_FACTOR * 8 * n * n,
+                    f"dense superoperator of size {n} x {n} with its SVD workspace")
+    apply = _packed_generator(superop._eigenframe)
+    columns = np.empty((n, n))  # row j holds column j
+    unit = np.zeros((d, d))
+    for j in range(n):
+        unit.flat[j] = 1.0
+        apply(unit, columns[j].reshape(d, d))
+        unit.flat[j] = 0.0
+    return columns.T
+
+
 def _bordered_operator(frame):
     """(apply, precondition) for A on the flattened packing P of a Hermitian
     eigenframe matrix y (`_pack`).
 
-    A(y) = -i (E_m - E_n) y_mn + D(y) + W tr(y), W = I/d. On P the
-    dissipator is `_packed_dissipator`(frame), the commutator is
-    (omega * P)^T with omega_mn = E_m - E_n, and W tr(y) adds tr(P)/d to the
+    A(y) = L(y) + W tr(y), W = I/d: the packed generator
+    `_packed_generator`(frame), with W tr(y) adding tr(P)/d to the
     diagonal. On the Heisenberg frame of `_gmres_steady` the same code gives
     A^dag, the preconditioner included. precondition applies the inverse of
     the secular (Pauli) limit of A: coherences are divided by
@@ -562,13 +600,11 @@ def _bordered_operator(frame):
     d = eig.dim
     omega = eig.energies[:, None] - eig.energies[None, :]
     diag = np.arange(d) * (d + 1)  # flat indices of the populations
-    dissipator = _packed_dissipator(frame)
+    generator = _packed_generator(frame)
 
     def apply(v):
         p = v.reshape(d, d)
-        out = dissipator(p, np.empty((d, d)))
-        out += (omega * p).T
-        out = out.reshape(-1)
+        out = generator(p, np.empty((d, d))).reshape(-1)
         out[::d + 1] += p.trace() / d  # the populations
         return out
 
@@ -709,15 +745,15 @@ def _onenorm_estimate(apply, apply_adjoint, n) -> float:
 
 
 def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
-    """Null space of the generator matrix via SVD.
+    """Null space of the dense packed generator `_dense_generator` via SVD.
 
     Singular values below KERNEL_RTOL * sigma_max count as the kernel. A
-    unique trace-normalizable kernel vector is Hermitized and normalized;
-    a zero-dimensional or degenerate kernel raises SteadyStateError (the
-    degenerate case still reports a trace-normalizable representative).
+    unique trace-normalizable kernel vector P is unpacked, rotated back and
+    normalized; a zero-dimensional or degenerate kernel raises
+    SteadyStateError (the degenerate case still reports a representative).
     """
-    mat = superop.matrix
-    sigma, vh = np.linalg.svd(mat)[1:]
+    d = superop.dim
+    sigma, vh = np.linalg.svd(_dense_generator(superop))[1:]
     threshold = KERNEL_RTOL * sigma[0]
     kdim = int(np.sum(sigma < threshold))
     if kdim == 0:
@@ -725,15 +761,16 @@ def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
             f"no kernel below threshold {threshold:.3e} (smallest sigma "
             f"{sigma[-1]:.3e})", kernel_dimension=0)
 
-    kernel = vh[len(sigma) - kdim:].conj()  # rows span the kernel
+    kernel = vh[len(sigma) - kdim:]  # rows span the kernel
     # pick the representative with the largest trace magnitude
-    traces = np.array([np.trace(unvec(v, superop.dim)) for v in kernel])
+    traces = kernel[:, ::d + 1].sum(axis=1)
     best = int(np.argmax(np.abs(traces)))
     if abs(traces[best]) < 1e-12:
         raise SteadyStateError(
             "kernel contains no trace-normalizable vector",
             kernel_dimension=kdim)
-    rho, residual = _normalized(superop, unvec(kernel[best], superop.dim))
+    rho = superop._eigenframe[0].from_eigenbasis(_unpack(kernel[best].reshape(d, d)))
+    rho, residual = _normalized(superop, rho)
     report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
                                rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
                                method="null-space", iterations=0,
@@ -777,9 +814,10 @@ def steady_state_consistency(superop: Superoperator, rho0, t_long: float,
 def liouvillian_gap(superop: Superoperator) -> float:
     """Smallest nonzero |Re lambda| over the generator spectrum.
 
-    Dense diagonalization; intended for small systems when choosing t_long.
+    Dense diagonalization (`_dense_generator`); for small systems, e.g. when
+    choosing t_long.
     """
-    ev = np.linalg.eigvals(superop.matrix)
+    ev = np.linalg.eigvals(_dense_generator(superop))
     rates = np.abs(ev.real)
     nonzero = rates[rates > 1e-12 * max(rates.max(), 1.0)]
     if nonzero.size == 0:

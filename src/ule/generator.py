@@ -22,14 +22,11 @@ A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. `build_liouvillian` (the
 full generator) and `build_secular_generator` both hand H + Lam and the
 jumps to its constructor, the one place that hermitizes H_eff and drops
-all-zero jumps. `apply_matrix` applies it with d x d matrix products; time
-propagation uses the same products on the dissipator rotated into the
-eigenbasis of H_eff (`_eigenframe`, one eigh per generator), and so does
-the matrix-free steady-state solve, for the generator and (with E -> -E
-and each L_c swapped with L_c^dag) for the adjoint its certificate needs.
-The one trace-preservation check runs on these factors. The dense
-d^2 x d^2 matrix is built only when the SVD fallback or `liouvillian_gap`
-first asks for it, using column stacking: vec(A rho B) = (B^T kron A) vec(rho).
+all-zero jumps. `apply_matrix` applies it with d x d products in the input
+basis; `dynamics` applies the same factors rotated into the eigenbasis of
+H_eff (`_eigenframe`, one eigh per generator) for propagation, the steady
+state and the dense matrix that its SVD fallback writes out. The one
+trace-preservation check runs on these factors.
 """
 
 from __future__ import annotations
@@ -51,16 +48,6 @@ from .operators import (
 )
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(rho).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
 @dataclass(frozen=True)
 class NoiseChannel:
     """One bath attached to the system through a Hermitian coupling operator."""
@@ -71,15 +58,6 @@ class NoiseChannel:
     def __post_init__(self):
         object.__setattr__(self, "coupling_op",
                            require_hermitian(self.coupling_op, name="X"))
-
-
-# Only the SVD fallback of `steady_state` and `liouvillian_gap` build the
-# dense matrix, so its guard is sized for the SVD. A dense build plus
-# `np.linalg.svd` raised peak RSS by 9.9x (N = 4, mostly fixed allocations)
-# and 8.6x (N = 5) the 16 d^4 bytes of the matrix: the matrix, the copy gesdd
-# factors, U and V^H (once in LAPACK's layout, once more as returned) and the
-# real workspace.
-DENSE_SOLVE_MEMORY_FACTOR = 9
 
 
 class MemoryLimitError(ValueError):
@@ -117,9 +95,7 @@ def _require_triple_memory(dim: int, tables: int) -> None:
 class Superoperator:
     """Generator rho -> -i (K rho - rho K^dag) + sum_c L_c rho L_c^dag.
 
-    K = H_eff - (i/2) sum_c L_c^dag L_c. `apply_matrix` uses d x d products;
-    the dense d^2 x d^2 `matrix` on column-stacked states is built on first
-    access.
+    K = H_eff - (i/2) sum_c L_c^dag L_c. `apply_matrix` uses d x d products.
 
     Construction normalises: `hamiltonian` is stored as the Hermitian part
     of the H_eff passed in, and `jumps` (any iterable) keeps only the
@@ -155,7 +131,7 @@ class Superoperator:
 
     @cached_property
     def _eigenframe(self):
-        """(eig, G, [L_c], [L_c^dag]) for `propagate` and `steady_state`.
+        """(eig, G, [L_c], [L_c^dag]): the factors of every `dynamics` kernel.
 
         eig is one eigh of H_eff, taken as it comes (no rephasing); G =
         -(1/2) sum_c L_c^dag L_c (Hermitized) and the jumps are rotated into
@@ -163,12 +139,9 @@ class Superoperator:
         L_c^dag. When the eigenbasis, G and every rotated jump have an
         imaginary part of exactly zero (a real H_eff with real jumps, as in
         the spin chain with or without the Lamb shift), G and the jumps are
-        stored as float64, and `dynamics._packed_dissipator` applies them in
-        real products to the real packed form of a Hermitian state, reading
-        each right factor from [L_c^dag], for both `propagate` and
-        `steady_state`. Otherwise they stay complex, and the complex
-        `dynamics._dissipator` runs on the unpacked state. The trace check
-        of `_factors` runs first.
+        stored as float64 and `dynamics._packed_dissipator` applies them in
+        real products to the packed state; otherwise they stay complex. The
+        trace check of `_factors` runs first.
         """
         self._factors
         eig = EigenDecomposition(*np.linalg.eigh(self.hamiltonian))
@@ -186,24 +159,6 @@ class Superoperator:
         for l, l_dag in zip(self.jumps, jumps_dag):
             out += l @ rho @ l_dag
         return out
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """-i (I kron K) + i (conj(K) kron I) + sum_c conj(L_c) kron L_c.
-
-        MemoryLimitError if it and its SVD workspace would not fit in
-        physical memory (raised before allocating); ValueError if the
-        generator is not trace preserving.
-        """
-        d = self.dim
-        _require_memory(DENSE_SOLVE_MEMORY_FACTOR * 16 * d ** 4,
-                        f"dense superoperator of size {d ** 2} x {d ** 2} with its SVD workspace")
-        k = self._factors[0]
-        mat = np.kron(np.eye(d), -1j * k)
-        mat += np.kron(1j * k.conj(), np.eye(d))
-        for l in self.jumps:
-            mat += np.kron(l.conj(), l)
-        return mat
 
     def trace_preservation_defect(self) -> float:
         """Max entry of <<I| applied to the generator: max|-i (K - K^dag) + sum_c L_c^dag L_c|.

@@ -1,11 +1,13 @@
 """Deterministic CSV/JSON emission.
 
 All floats print with 17 significant digits; files are written via a
-temporary file and an atomic rename, with LF line endings.
+temporary file and an atomic rename, with LF line endings. JSON has no
+inf or nan, so `write_json` refuses them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -52,14 +54,12 @@ def _json_render(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {_json_render(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"JSON cannot hold the float {obj}")
+    if isinstance(obj, (bool, int, float)):
+        return format_value(obj)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

@@ -33,19 +33,52 @@ jump per Bohr frequency, the loop that the same-bin pair scatter of
 that `ule.dynamics._gmres` ran before its Arnoldi loop moved to Python
 scalars and a shared workspace. `complex_bordered_operator` is the steady
 state's bordered operator and preconditioner on complex d x d matrices,
-which the packed real operator replaced.
+which the packed real operator replaced. `kron_superoperator` is the
+complex d^2 x d^2 generator on column-stacked states (`vec`, `unvec`),
+built by Kronecker products from H_eff and the jumps in the input basis:
+the dense matrix the SVD fallback and `ule.liouvillian_gap` used before
+they wrote out the packed real eigenframe generator, and the form
+`dp5_propagate` and `bordered_lu_steady_state` work in.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 
-from ule import PropagationError, QuadratureError, Trajectory, dynamics, hermitize, jump_spectral, unvec, vec
+from ule import PropagationError, QuadratureError, Trajectory, dynamics, hermitize, jump_spectral
 from ule.bath import _WG, _WGK, _XGK, omega_max
 
 
 # Pairs per adaptive sweep of `f_values_every_pair`, the chunk size the
 # folded kernel ran at.
 FOLDED_CHUNK_PAIRS = 256
+
+
+def vec(rho: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a vector."""
+    return np.asarray(rho).reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec`."""
+    return np.asarray(v).reshape((dim, dim), order="F")
+
+
+def kron_superoperator(sop) -> np.ndarray:
+    """-i (I kron K) + i (conj(K) kron I) + sum_c conj(L_c) kron L_c.
+
+    The complex d^2 x d^2 generator on column-stacked states, vec(A rho B)
+    = (B^T kron A) vec(rho), with K = H_eff - (i/2) sum_c L_c^dag L_c formed
+    here from `sop.hamiltonian` and `sop.jumps`.
+    """
+    d = sop.dim
+    k = np.array(sop.hamiltonian, dtype=complex)
+    for l in sop.jumps:
+        k -= 0.5j * (l.conj().T @ l)
+    mat = np.kron(np.eye(d), -1j * k)
+    mat += np.kron(1j * k.conj(), np.eye(d))
+    for l in sop.jumps:
+        mat += np.kron(l.conj(), l)
+    return mat
 
 
 def jacobi_eigenvalues(h, sweeps=100, tol=1e-14):
@@ -748,7 +781,7 @@ def _bordered_lu_solve(mat: np.ndarray, dim: int):
 
 def bordered_lu_steady_state(superop):
     """(rho, rcond): the Hermitized trace-one state of `_bordered_lu_solve`."""
-    x, rcond = _bordered_lu_solve(superop.matrix, superop.dim)
+    x, rcond = _bordered_lu_solve(kron_superoperator(superop), superop.dim)
     rho = hermitize(unvec(x, superop.dim))
     return rho / float(np.real(np.trace(rho))), rcond
 

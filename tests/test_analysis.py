@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     dissipator_on_gibbs_loop,
+    kron_superoperator,
     lamb_shift_bins_unique,
     lamb_shift_pairs_unique,
     lambshift_on_gibbs_loop,
@@ -273,7 +274,7 @@ def test_chain_n5_with_lamb_shift_end_to_end():
     eig = eigendecompose(build_chain_hamiltonian(spec))
     channels = chain_channels(spec)
     sop = build_liouvillian(eig, channels, spec.quad, include_lamb_shift=True)
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(sop.matrix))))
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(kron_superoperator(sop)))))
     assert sop.trace_preservation_defect() <= bound
     report = steady_state(sop)
     assert report.method == "gmres"

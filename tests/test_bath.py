@@ -233,6 +233,10 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rtol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+    for name in ("rtol", "atol", "omega_max_pad"):
+        for value in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                QuadratureSpec(**{name: value})
 
 
 def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():

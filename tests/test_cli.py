@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ule.cli import ConfigError, main, parse_config_text
-from ule.io import format_value
+from ule.io import format_value, write_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -173,16 +173,66 @@ def test_invalid_parameter_exits_2(tmp_path, capsys):
     assert "N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_exits_2(tmp_path, capsys, samples):
+    # no sample would leave min_sample_eig at inf, which JSON cannot hold
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    code = main(["spinchain", "--config", config, "--N", "3", "--samples", samples,
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="JSON cannot hold"):
+        write_json(str(path), {"ok": 1.5, "nested": {"bad": value}})
+    assert not path.exists()
+    write_json(str(path), {"ok": 1.5, "flag": True, "count": 3, "none": None})
+    assert json.loads(path.read_text()) == {"ok": 1.5, "flag": True, "count": 3, "none": None}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("omega_max_pad", "inf", "omega_max_pad must be finite and positive"),
+    ("rtol", "inf", "quadrature tolerances must be finite and positive"),
+    ("atol", "nan", "quadrature tolerances must be finite and positive")])
+def test_non_finite_quadrature_spec_exits_2(tmp_path, capsys, key, value, message):
+    # an infinite pad used to overflow the panel ladder with a traceback,
+    # and an infinite rtol to switch the error control off
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    code = main(["residual", "--config", config, "--N", "3", "--ignore_lamb_shift", "false",
+                 f"--{key}", value, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "residuals.csv").exists()
+
+
+def test_sampled_states_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # 20,000 sampled states of 256 x 256 take 21 GB; physical memory is read
+    # as 8.6 GB, and the guard fires before the first step
+    from ule import generator
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 33)
+    monkeypatch.setattr("ule.dynamics._phases", None)
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    code = main(["evolve", "--config", config, "--N", "8", "--samples", "20000",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "storage for 20000 sampled states of size 256 x 256 needs about 21 GB" in err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
 def test_evolve_builds_no_dense_matrix(tmp_path, monkeypatch):
-    from ule.generator import Superoperator
     path = write_config(tmp_path)
     chain_out, evolve_out = tmp_path / "chain", tmp_path / "evolve"
     assert main(["spinchain", "--config", path, "--outdir", str(chain_out)]) == 0
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("evolve built the dense superoperator")
 
-    monkeypatch.setattr(Superoperator, "matrix", property(refuse))
+    monkeypatch.setattr("ule.dynamics._dense_generator", refuse)
     assert main(["evolve", "--config", path, "--outdir", str(evolve_out)]) == 0
     assert ((evolve_out / "evolve.csv").read_bytes()
             == (chain_out / "fig1a.csv").read_bytes())
@@ -282,12 +332,10 @@ def test_uncertified_steady_state_beyond_svd_memory_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_spinchain_builds_no_dense_matrix(tmp_path, monkeypatch, n):
-    from ule.generator import Superoperator
-
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("spinchain built the dense superoperator")
 
-    monkeypatch.setattr(Superoperator, "matrix", property(refuse))
+    monkeypatch.setattr("ule.dynamics._dense_generator", refuse)
     code = main(["spinchain", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
                  "--N", str(n), "--t_end", "5", "--samples", "11", "--outdir", str(tmp_path)])
     assert code == 0

@@ -9,8 +9,10 @@ from oracles import (
     complex_bordered_operator,
     dp5_propagate,
     gmres_reference,
+    kron_superoperator,
     lawson_propagate_complex,
     random_hermitian,
+    vec,
 )
 from ule import (
     BathSpec,
@@ -32,13 +34,13 @@ from ule import (
     steady_state_consistency,
     three_level_baseline,
     trace_distance,
-    vec,
 )
 from ule.dynamics import (
     GMRES_MAXITER,
     GMRES_RESTART,
     KERNEL_RTOL,
     _bordered_operator,
+    _dense_generator,
     _dissipator,
     _gmres,
     _gmres_steady,
@@ -180,7 +182,7 @@ def test_steady_state_qubit_is_gibbs():
     eig, sop = qubit_liouvillian(include_lamb_shift=True)
     report = steady_state(sop)
     assert report.kernel_dimension == 1
-    assert report.residual <= 1e-9 * np.linalg.norm(sop.matrix)
+    assert report.residual <= 1e-9 * np.linalg.norm(kron_superoperator(sop))
     rho_th = gibbs_state(eig, BATH.beta)
     assert trace_distance(report.state, rho_th) <= 1e-9
 
@@ -226,8 +228,8 @@ def test_bordered_lu_matches_svd_null_space(build):
     assert report.method == "gmres"
     assert report.kernel_dimension == oracle.kernel_dimension == 1
     assert trace_distance(report.state, oracle.state) <= 1e-12
-    sigma = np.linalg.svd(sop.matrix, compute_uv=False)
-    assert oracle.rcond == pytest.approx(sigma[-2] / sigma[0], rel=1e-8)
+    sigma = np.linalg.svd(kron_superoperator(sop), compute_uv=False)
+    assert oracle.rcond == pytest.approx(sigma[-2] / sigma[0], rel=1e-10)
     # the SVD residual can round to exactly 0 (qubit), hence the eps floor
     assert report.residual <= 10 * max(oracle.residual, np.finfo(float).eps)
     assert_matches_bordered_lu(sop, report)
@@ -317,6 +319,16 @@ def test_packed_bordered_operator_matches_complex_oracle(build, heisenberg):
             assert np.max(np.abs(got(p.reshape(-1)) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def eps_coupled_liouvillian(eps, lamb=False):
+    # X couples only levels (1, 2) and (3, 4), and eps between the two pairs
+    x = np.zeros((4, 4), dtype=complex)
+    x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
+    x[1, 2] = x[2, 1] = eps
+    eig = eigendecompose(np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex))
+    return build_liouvillian(eig, NoiseChannel(coupling_op=x, bath=BATH),
+                             include_lamb_shift=lamb)
+
+
 @pytest.mark.parametrize("eps, lamb, failure", [
     (0.0, False, r"GMRES did not converge in (\d+) iterations"),
     (0.0, True, r"GMRES did not converge in (\d+) iterations"),
@@ -325,17 +337,11 @@ def test_packed_bordered_operator_matches_complex_oracle(build, heisenberg):
     (1e-8, False, r"GMRES did not converge in (\d+) iterations"),
 ], ids=["eps0", "eps0_lamb", "eps1e-6", "eps1e-5", "eps1e-8"])
 def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
-    # X couples only levels (1, 2) and (3, 4), and eps between the two
-    # pairs: at eps = 0 the kernel is two-dimensional while the secular
+    # at eps = 0 the kernel is two-dimensional while the secular
     # preconditioner is not singular; at eps <= 1e-6 a restart cycle of
     # some solve raises the residual it started from (the stagnation exit),
     # and at eps = 1e-5 every solve converges but rcond is too small
-    x = np.zeros((4, 4), dtype=complex)
-    x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
-    x[1, 2] = x[2, 1] = eps
-    eig = eigendecompose(np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex))
-    sop = build_liouvillian(eig, NoiseChannel(coupling_op=x, bath=BATH),
-                            include_lamb_shift=lamb)
+    sop = eps_coupled_liouvillian(eps, lamb)
     match = re.fullmatch(failure, _gmres_steady(sop)[-1])
     assert match
     if match.groups():
@@ -344,6 +350,79 @@ def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
     with pytest.raises(SteadyStateError) as info:
         steady_state(sop)
     assert info.value.kernel_dimension == 2
+
+
+def kron_kernel(sop):
+    """(kernel dimension, rcond) by the rule of `_null_space_svd`, on the kron oracle."""
+    sigma = np.linalg.svd(kron_superoperator(sop), compute_uv=False)
+    kdim = int(np.sum(sigma < KERNEL_RTOL * sigma[0]))
+    return kdim, sigma[sigma.size - kdim - 1] / sigma[0]
+
+
+def kron_gap(sop):
+    """`liouvillian_gap` by its rule, on the eigenvalues of the kron oracle."""
+    rates = np.abs(np.linalg.eigvals(kron_superoperator(sop)).real)
+    return rates[rates > 1e-12 * max(rates.max(), 1.0)].min()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_chain_superop(SpinChainSpec(N=4, gamma2=0.05))[1],
+    lambda: random_liouvillian(13)[1],
+    lambda: three_level_liouvillian()[1],
+], ids=["chain4_two_jumps", "random", "three_level"])
+def test_dense_generator_matches_kron_oracle(build):
+    # the packed real matrix is the complex kron generator in the
+    # orthonormal basis of the unit P: unitarily similar, with the same
+    # singular values, kernel, rcond and spectrum
+    sop = build()
+    d = sop.dim
+    dense = _dense_generator(sop)
+    kron = kron_superoperator(sop)
+    assert dense.dtype == np.float64 and dense.shape == (d * d, d * d)
+    eig = sop._eigenframe[0]
+    basis = np.stack([vec(eig.from_eigenbasis(_unpack(unit.reshape(d, d))))
+                      for unit in np.eye(d * d)], axis=1)
+    assert np.allclose(basis.conj().T @ basis, np.eye(d * d), atol=1e-13)
+    assert (np.max(np.abs(basis.conj().T @ kron @ basis - dense))
+            <= 1e-13 * np.max(np.abs(dense)))
+    sigma = np.linalg.svd(dense, compute_uv=False)
+    sigma_ref = np.linalg.svd(kron, compute_uv=False)
+    assert np.max(np.abs(sigma - sigma_ref)) <= 1e-13 * sigma_ref[0]
+    report = _null_space_svd(sop)
+    kdim, rcond = kron_kernel(sop)
+    assert report.kernel_dimension == kdim == 1
+    assert report.rcond == pytest.approx(rcond, rel=1e-10)
+    assert trace_distance(report.state, steady_state(sop).state) <= 1e-12
+    assert liouvillian_gap(sop) == pytest.approx(kron_gap(sop), rel=1e-10)
+
+
+@pytest.mark.parametrize("build, kdim", [
+    (lambda: build_liouvillian(three_level_channel()[0], [], include_lamb_shift=False), 3),
+    (lambda: eps_coupled_liouvillian(0.0), 2),
+    (lambda: eps_coupled_liouvillian(0.0, lamb=True), 2),
+    (lambda: eps_coupled_liouvillian(1e-8), 2),
+    (lambda: eps_coupled_liouvillian(1e-6), 2),
+    (lambda: eps_coupled_liouvillian(1e-5), 2),
+    (lambda: build_chain_superop(SpinChainSpec(N=3, gamma1=0.0))[1], 8),
+], ids=["zero_dissipator", "eps0", "eps0_lamb", "eps1e-8", "eps1e-6", "eps1e-5", "chain3_gamma0"])
+def test_null_space_fallback_matches_kron_oracle(build, kdim):
+    # every generator that reaches the SVD fallback counts the kernel and
+    # reads rcond as the complex kron matrix does
+    sop = build()
+    with pytest.raises(SteadyStateError) as info:
+        steady_state(sop)
+    report = info.value.report
+    assert info.value.kernel_dimension == report.kernel_dimension == kdim
+    kdim_ref, rcond_ref = kron_kernel(sop)
+    assert kdim_ref == kdim
+    assert report.method == "null-space"
+    assert report.rcond == pytest.approx(rcond_ref, rel=1e-10)
+    assert abs(np.trace(report.state).real - 1.0) < 1e-10
+    if kdim == 2:
+        assert liouvillian_gap(sop) == pytest.approx(kron_gap(sop), rel=1e-10)
+    else:
+        with pytest.raises(ValueError, match="no decaying modes"):
+            liouvillian_gap(sop)
 
 
 def test_gmres_exact_breakdown_is_not_converged():
@@ -453,7 +532,7 @@ def test_steady_state_runs_the_trace_check():
     with pytest.raises(ValueError, match="not trace preserving"):
         steady_state(broken)
     # the factored defect is the dense <<I| row of the generator
-    row = vec(np.eye(3)).conj() @ sop.matrix
+    row = vec(np.eye(3)).conj() @ kron_superoperator(sop)
     assert sop.trace_preservation_defect() == pytest.approx(np.max(np.abs(row)), abs=1e-15)
 
 

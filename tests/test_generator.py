@@ -8,12 +8,15 @@ import pytest
 
 from oracles import (
     jump_operator_bohr_sum,
+    kron_superoperator,
     lamb_shift_bins_unique,
     lamb_shift_bohr_sum,
     lamb_shift_live_pairs,
     lamb_shift_pairs_unique,
     random_hermitian,
     secular_lamb_shift_loop,
+    unvec,
+    vec,
 )
 from ule import (
     BathSpec,
@@ -33,8 +36,6 @@ from ule import (
     hermitize,
     jump_spectral,
     three_level_baseline,
-    unvec,
-    vec,
 )
 from ule import generator
 from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_f
@@ -245,7 +246,7 @@ def test_superoperator_constructor_hermitizes_and_drops_zero_jumps():
 def test_liouvillian_pure_commutator_spectrum():
     eig, _ = qubit_system(delta=2.0)
     sop = build_liouvillian(eig, [], include_lamb_shift=False)
-    ev = np.sort_complex(np.linalg.eigvals(sop.matrix))
+    ev = np.sort_complex(np.linalg.eigvals(kron_superoperator(sop)))
     assert np.allclose(ev.real, 0.0, atol=1e-12)
     assert np.allclose(np.sort(ev.imag), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
@@ -261,7 +262,7 @@ def test_liouvillian_matches_matrix_free_action():
         direct = (-1j * (h_eff @ rho - rho @ h_eff)
                   + l @ rho @ l.conj().T
                   - 0.5 * (l.conj().T @ l @ rho + rho @ l.conj().T @ l))
-        via_matrix = unvec(sop.matrix @ vec(rho), 2)
+        via_matrix = unvec(kron_superoperator(sop) @ vec(rho), 2)
         via_terms = sop.apply_matrix(rho)
         assert np.allclose(via_matrix, direct, atol=1e-12)
         assert np.allclose(via_terms, direct, atol=1e-12)
@@ -282,7 +283,7 @@ def test_apply_matrix_matches_dense_matrix_on_non_hermitian_inputs():
     for sop in (full, secular, composed):
         for _ in range(5):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            via_matrix = unvec(sop.matrix @ vec(a), d)
+            via_matrix = unvec(kron_superoperator(sop) @ vec(a), d)
             assert np.max(np.abs(sop.apply_matrix(a) - via_matrix)) <= 1e-12
 
 
@@ -293,14 +294,14 @@ def test_liouvillian_trace_preservation():
         eig = eigendecompose(random_hermitian(rng, d))
         ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=BATH)
         sop = build_liouvillian(eig, ch, include_lamb_shift=False)
-        assert sop.trace_preservation_defect() <= 1e-10 * max(1.0, np.max(np.abs(sop.matrix)))
+        assert sop.trace_preservation_defect() <= 1e-10 * max(1.0, np.max(np.abs(kron_superoperator(sop))))
 
 
 def test_lamb_shift_flag_switches_coherent_part():
     eig, ch = qubit_system()
     with_lamb = build_liouvillian(eig, ch, include_lamb_shift=True)
     without = build_liouvillian(eig, ch, include_lamb_shift=False)
-    diff = with_lamb.matrix - without.matrix
+    diff = kron_superoperator(with_lamb) - kron_superoperator(without)
     lam = lamb_shift(eig, ch)
     lam_only = -1j * (np.kron(np.eye(2), lam) - np.kron(lam.T, np.eye(2)))
     assert np.allclose(diff, lam_only, atol=1e-12)
@@ -312,7 +313,7 @@ def test_secular_zero_coupling_operator():
     ch = NoiseChannel(coupling_op=np.zeros((2, 2)), bath=BATH)
     sop = build_secular_generator(bohr, ch)
     commutator_only = build_liouvillian(eig, [], include_lamb_shift=False)
-    assert np.allclose(sop.matrix, commutator_only.matrix, atol=1e-14)
+    assert np.allclose(kron_superoperator(sop), kron_superoperator(commutator_only), atol=1e-14)
 
 
 def test_secular_matches_full_for_qubit_sigma_x_population_sector():
@@ -328,10 +329,10 @@ def test_secular_matches_full_for_qubit_sigma_x_population_sector():
         rho = eig.basis @ np.diag(pops).astype(complex) @ eig.basis.conj().T
         assert np.allclose(full.apply_matrix(rho), secular.apply_matrix(rho), atol=1e-12)
     rho_th = gibbs_state(eig, BATH.beta)
-    assert np.linalg.norm(full.matrix @ vec(rho_th)) <= 1e-12
-    assert np.linalg.norm(secular.matrix @ vec(rho_th)) <= 1e-12
+    assert np.linalg.norm(kron_superoperator(full) @ vec(rho_th)) <= 1e-12
+    assert np.linalg.norm(kron_superoperator(secular) @ vec(rho_th)) <= 1e-12
     # the coherence cross block is the only difference
-    diff = full.matrix - secular.matrix
+    diff = kron_superoperator(full) - kron_superoperator(secular)
     offdiag_pairs = [(1, 2), (2, 1)]
     mask = np.ones_like(diff, dtype=bool)
     for i, j in offdiag_pairs:
@@ -347,9 +348,9 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
     bohr = bohr_decompose(x, eig)
     rho_th = gibbs_state(eig, BATH.beta)
     secular = build_secular_generator(bohr, ch)
-    resid_sec = np.linalg.norm(secular.matrix @ vec(rho_th))
+    resid_sec = np.linalg.norm(kron_superoperator(secular) @ vec(rho_th))
     full = build_liouvillian(eig, ch, include_lamb_shift=False)
-    resid_full = np.linalg.norm(full.matrix @ vec(rho_th))
+    resid_full = np.linalg.norm(kron_superoperator(full) @ vec(rho_th))
     assert resid_sec <= 1e-10
     assert resid_full > 1e-4
 
@@ -360,7 +361,7 @@ def test_channels_compose_identity_and_zero_channel():
     dead = NoiseChannel(coupling_op=ch.coupling_op,
                         bath=BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0))
     double = build_liouvillian(eig, [ch, dead], include_lamb_shift=False)
-    assert np.max(np.abs(single.matrix - double.matrix)) <= 1e-14
+    assert np.max(np.abs(kron_superoperator(single) - kron_superoperator(double))) <= 1e-14
     assert len(double.jumps) == 1
 
 
@@ -369,8 +370,8 @@ def test_channels_compose_two_equal_channels_double_dissipator():
     one = build_liouvillian(eig, ch, include_lamb_shift=False)
     two = build_liouvillian(eig, [ch, ch], include_lamb_shift=False)
     commutator = build_liouvillian(eig, [], include_lamb_shift=False)
-    assert np.allclose(two.matrix - commutator.matrix,
-                       2.0 * (one.matrix - commutator.matrix), atol=1e-13)
+    assert np.allclose(kron_superoperator(two) - kron_superoperator(commutator),
+                       2.0 * (kron_superoperator(one) - kron_superoperator(commutator)), atol=1e-13)
 
 
 F_TABLE_SCRIPT = """
