@@ -144,6 +144,9 @@ def load_config(args, required=CHAIN_KEYS) -> dict:
             values[key] = default
     if values["samples"] < 1:
         raise ConfigError(f"samples must be at least 1, got {values['samples']}")
+    for key in ("tol", "t_end"):
+        if key in values and not 0 < values[key] < np.inf:
+            raise ConfigError(f"{key} must be finite and positive, got {values[key]}")
     return values
 
 

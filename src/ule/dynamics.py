@@ -23,6 +23,18 @@ dissipator, `_dissipator` in complex products, and packs the result. The
 derivative at the accepted state is the last stage (first same as last),
 not a seventh dissipator call.
 
+A step makes only the numpy calls its arithmetic needs, into buffers that
+`propagate` allocates once. The phases of the five distinct nodes come from
+one batched real product into a preallocated stack (`_phases`), and each
+rotation is three ufunc calls with one scratch matrix (`_rotate`). The
+dissipator's workspace contract: `_packed_dissipator(frame)` exposes, as
+apply.input, the block of its workspace that holds P. The forward rotation
+of each stage writes there, and the kernel then skips its copy of P; any
+other input, such as the Krylov vectors of `steady_state`, is copied in,
+with the same result bitwise. The error scale 1 + |y| of an accepted state
+is carried over from the step that produced it, and the sample path runs
+only when a sample is due, with the step's full-step phases.
+
 The steady state is the trace-one solution of the generator bordered by the
 trace functional. The generator, its adjoint and its secular (Pauli) limit
 map Hermitian matrices to Hermitian matrices, so the steady state is found
@@ -158,26 +170,38 @@ def _packed_dissipator(frame):
     G P + P G + sum_c L_c P L_c^dag, with the right factors read from the
     frame's [L_c^dag]. That is one real product [G | P | L_1 P | ...] @
     [P; G; L_1^dag; ...] after one product L_c P per jump, in a workspace
-    that holds the fixed blocks, so apply is for one caller at a time. A
-    complex frame unpacks, applies `_dissipator` and packs.
+    that holds the fixed blocks. A complex frame unpacks, applies
+    `_dissipator` and packs.
+
+    The workspace contract: apply.input is the d x d block of the workspace
+    that holds P. A caller may write P there and call
+    apply(apply.input, out), which skips the copy of p; any other p is
+    copied in first, with the same result bitwise. Every call overwrites
+    the workspace, so apply is for one caller at a time, and out must not
+    be apply.input.
     """
     _, g, jumps, jumps_dag = frame
+    d = g.shape[0]
     if g.dtype != np.float64:
         def apply_complex(p, out):
             dy = _dissipator(frame, _unpack(p))
             return np.add(dy.real, dy.imag, out=out)
+        apply_complex.input = np.empty((d, d))
         return apply_complex
 
-    d = g.shape[0]
     left = np.concatenate([g, g, *jumps], axis=1)  # its P and L_c P blocks are set per call
     right = np.concatenate([g, g, *jumps_dag])  # its P block is set per call
+    p_left, p_right = left[:, d:2 * d], right[:d]
+    products = [(l, left[:, k * d:(k + 1) * d]) for k, l in enumerate(jumps, start=2)]
 
     def apply(p, out):
-        left[:, d:2 * d] = p
-        right[:d] = p
-        for k, l in enumerate(jumps, start=2):
-            np.matmul(l, p, out=left[:, k * d:(k + 1) * d])
+        if p is not p_right:
+            p_right[...] = p
+        p_left[...] = p_right
+        for l, block in products:
+            np.matmul(l, p_right, out=block)
         return np.matmul(left, right, out=out)
+    apply.input = p_right
     return apply
 
 
@@ -191,57 +215,70 @@ def _unpack(p):
     return 0.5 * (p + p.T) + 0.5j * (p - p.T)
 
 
-def _moduli_squared(p):
-    """|y_mn|^2 = (P_mn^2 + P_nm^2) / 2 for the Hermitian y that P packs (or
-    for each of a stack of them)."""
-    out = p * p
-    out += np.swapaxes(out, -1, -2)
+def _moduli_squared(p, out=None, scratch=None):
+    """|y_mn|^2 = (P_mn^2 + P_nm^2) / 2 for the Hermitian y that P packs,
+    written to out when given; scratch, when given, is a d x d workspace."""
+    square = np.multiply(p, p, out=scratch)
+    out = np.add(square, square.T, out=out)
     out *= 0.5
     return out
 
 
-def _phases(energies, tau):
-    """(c, s) with c + i s = exp(-i (E_m - E_n) tau), the coherent evolution of
-    element (m, n) over tau.
+def _phases(energies, nodes):
+    """fill(h): the phase pairs of tau = nodes * h, a (len(nodes), 2, d, d)
+    stack of [c, s] with c + i s = exp(-i (E_m - E_n) tau), the coherent
+    evolution of element (m, n) over tau.
 
-    tau may be an array; c and s then stack one d x d matrix per entry. With
-    a = cos(E tau) and b = sin(E tau), c_mn = a_m a_n + b_m b_n and
-    s_mn = a_m b_n - b_m a_n, each a real product of (d, 2) by (2, d)
-    factors; c is symmetric and s antisymmetric, to rounding. The diagonal
-    is set to exactly (1, 0): a_m^2 + b_m^2 rounds off 1, and that rounding
-    would otherwise scale the populations at every step.
+    With a = cos(E tau) and b = sin(E tau), c_mn = a_m a_n + b_m b_n and
+    s_mn = a_m b_n - b_m a_n: one batched real product of the (d, 2)
+    factors (a, b) and (-b, a) by the (2, d) factor [a; b]. c is symmetric
+    and s antisymmetric, to rounding. The diagonal is set to exactly
+    (1, 0): a_m^2 + b_m^2 rounds off 1, and that rounding would otherwise
+    scale the populations at every step. The factors and the stack are
+    allocated once, and each fill overwrites the stack it returns.
     """
-    x = np.multiply.outer(tau, energies)
-    ab = np.empty(x.shape + (2,))  # rows (a_m, b_m)
-    np.cos(x, out=ab[..., 0])
-    np.sin(x, out=ab[..., 1])
-    ba = np.empty_like(ab)  # rows (-b_m, a_m)
-    np.negative(ab[..., 1], out=ba[..., 0])
-    ba[..., 1] = ab[..., 0]
-    cols = np.swapaxes(ab, -1, -2)
-    c, s = ab @ cols, ba @ cols
-    step = energies.size + 1
-    c.reshape(c.shape[:-2] + (-1,))[..., ::step] = 1.0
-    s.reshape(s.shape[:-2] + (-1,))[..., ::step] = 0.0
-    return c, s
+    d, k = energies.size, len(nodes)
+    tau = np.asarray(nodes, dtype=float)[:, None]
+    x = np.empty((k, d))
+    # rows a, b, -b, a, b: the left factors are rows 0-1 and 2-3, the right
+    # factor rows 3-4, which numpy then takes as a plain product and not by
+    # its slower path for A^T A
+    rows = np.empty((k, 5, d))
+    cos, sin, minus_sin = rows[:, 0], rows[:, 1], rows[:, 2]
+    left = rows[:, :4].reshape(k, 2, 2, d).swapaxes(2, 3)
+    right = rows[:, None, 3:]
+    cos_sin, cos_sin_copy = rows[:, :2], rows[:, 3:]
+    out = np.empty((k, 2, d, d))
+    diagonal = out.reshape(k, 2, d * d)[:, :, ::d + 1]
+    unit = np.array([[1.0], [0.0]])  # the diagonal of each pair
+
+    def fill(h):
+        np.multiply(tau * h, energies, out=x)
+        np.cos(x, out=cos)
+        np.sin(x, out=sin)
+        np.negative(sin, out=minus_sin)
+        cos_sin_copy[...] = cos_sin
+        np.matmul(left, right, out=out)
+        diagonal[...] = unit
+        return out
+    return fill
 
 
-def _rotate(c, s, p, out=None, back=False):
+def _rotate(c, s, p, out=None, back=False, scratch=None):
     """The packing of (c + i s) * y, or of (c - i s) * y when back, for the y
     that p packs, written to out when given.
 
-    With c symmetric and s antisymmetric (a slice of `_phases`) the product
+    With c symmetric and s antisymmetric (a pair of `_phases`) the product
     packs as c P + s P^T = c P - (s P)^T, up to the rounding of s; the back
     rotation flips the sign of s. The diagonal of c + i s is exactly 1, so
-    the populations pass unchanged.
+    the populations pass unchanged. scratch, when given, is a d x d
+    workspace for s P; out may be p itself, but neither may be scratch.
     """
-    s_p = s * p
+    s_p = np.multiply(s, p, out=scratch)
     out = np.multiply(c, p, out=out)
     if back:
-        out += s_p.T
-    else:
-        out -= s_p.T
-    return out
+        return np.add(out, s_p.T, out=out)
+    return np.subtract(out, s_p.T, out=out)
 
 
 def _hermite_eval(t, t0, y0, f0, t1, y1, f1):
@@ -277,8 +314,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     a finite 1-D array within [0, t_end]; the returned trajectory holds the
     Hermitized states, in the input basis, at exactly those times. The
     per-step error norm is the RMS over the d^2 entries of the
-    interaction-frame error, each scaled by tol * (1 + |component|), so tol
-    acts as a relative tolerance at unit scale.
+    interaction-frame error, each scaled by tol * (1 + |component|), so tol,
+    which must be positive and finite, acts as a relative tolerance at unit
+    scale.
 
     MemoryLimitError (a ValueError) if the sampled states, 16 d^2 bytes
     each, would not fit in physical memory. PropagationError on step-size
@@ -291,8 +329,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     """
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     frame = superop._eigenframe
     eig = frame[0]
     d = eig.dim
@@ -317,16 +355,33 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     energies = eig.energies
     dissipator = _packed_dissipator(frame)
+    y_stage = dissipator.input  # each stage's input, written by the forward rotation
     # v, then the packed state y and the stages k_0..k_6: a tableau row
     # [1, h a_i0, ..., h a_i,i-1] times rows[1:] is v, the input of stage i
     rows = np.empty((_DP_ROWS.shape[1] + 1, d, d))
     flat_rows = rows.reshape(rows.shape[0], -1)
     v, y, f = rows[0], rows[1], rows[2]
-    y_stage, d_stage = np.empty((2, d, d))
+    d_stage, scratch, square, y_scale, v_scale, scale = np.empty((6, d, d))
+    ratio = np.empty(d * d)
+    node_phases = _phases(energies, _DP_NODES)
+    phases = node_phases(0.0)  # the node phases of a step, refilled per step
+    sample_phases = _phases(energies, [1.0])
+    coef = np.empty_like(_DP_ROWS)  # h times the tableau, set per step
+    stages = [(coef[i - 1, :i + 1], flat_rows[1:i + 2], *phases[node], rows[i + 2])
+              for i, node in enumerate(_DP_STAGE_NODE, start=1)]
+    flat_v, flat_scale = flat_rows[0], scale.reshape(-1)
+    err_row, err_rows = coef[-1], flat_rows[1:]
+
+    def unit_scale(p, out):
+        """1 + |y_mn| for the y that p packs, written to out."""
+        np.sqrt(_moduli_squared(p, out, square), out=out)
+        out += 1.0
+        return out
 
     y[...] = _pack(hermitize(eig.to_eigenbasis(rho0)))
     t = 0.0
     dissipator(y, f)
+    unit_scale(y, y_scale)
     # initial step from the derivative scale, capped by the span
     fnorm = math.sqrt(float(np.max(_moduli_squared(f))))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
@@ -341,6 +396,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     n_rejected = 0
 
     def take_samples(t0, y0, f0, t1, y1, f1):
+        """Store every sample due by t1 from the step (t0, y0, f0) -> (t1, y1, f1),
+        whose full-step phases are phases[-1]; return the next due time."""
         nonlocal next_sample, min_sample_eig
         while next_sample < sample_times.size and sample_times[next_sample] <= t1 + end_tol:
             ts = sample_times[next_sample]
@@ -350,10 +407,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                 ys = y1
             else:
                 # interpolate v in the frame rotating from t0, then rotate to ts
-                c, s = _phases(energies, t1 - t0)
-                vs = _hermite_eval(ts, t0, y0, f0, t1, _rotate(c, s, y1, back=True),
-                                   _rotate(c, s, f1, back=True))
-                ys = _rotate(*_phases(energies, ts - t0), vs)
+                vs = _hermite_eval(ts, t0, y0, f0, t1, _rotate(*phases[-1], y1, back=True),
+                                   _rotate(*phases[-1], f1, back=True))
+                ys = _rotate(*sample_phases(ts - t0)[0], vs)
             rho = hermitize(eig.from_eigenbasis(_unpack(ys)))
             wmin = float(np.linalg.eigvalsh(rho)[0])
             if wmin < -1e-6:
@@ -365,8 +421,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             min_sample_eig = min(min_sample_eig, wmin)
             sample_vals[next_sample] = rho
             next_sample += 1
+        return sample_times[next_sample] if next_sample < sample_times.size else np.inf
 
-    take_samples(0.0, y, f, 0.0, y, f)
+    next_due = take_samples(0.0, y, f, 0.0, y, f)
 
     while True:
         remaining = t_end - t
@@ -375,28 +432,29 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         if h < min_step:
             raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
         h_step = min(h, remaining)
-        c, s = _phases(energies, _DP_NODES * h_step)
-        coef = h_step * _DP_ROWS
+        node_phases(h_step)
+        np.multiply(_DP_ROWS, h_step, out=coef)
         coef[:-1, 0] = 1.0
-        for i, node in enumerate(_DP_STAGE_NODE, start=1):
-            np.matmul(coef[i - 1, :i + 1], flat_rows[1:i + 2], out=flat_rows[0])
-            _rotate(c[node], s[node], v, y_stage)
+        for row, inputs, c, s, k in stages:
+            np.matmul(row, inputs, out=flat_v)
+            _rotate(c, s, v, y_stage, scratch=scratch)
             dissipator(y_stage, d_stage)
-            _rotate(c[node], s[node], d_stage, rows[i + 2], back=True)
+            _rotate(c, s, d_stage, k, back=True, scratch=scratch)
         # the last stage evaluates at the fifth-order solution (_DP_A[6] == _DP_B5)
-        scale = _moduli_squared(rows[:2]).max(axis=0)
-        np.sqrt(scale, out=scale)
-        scale += 1.0
-        ratio = coef[-1] @ flat_rows[1:]
-        ratio /= scale.reshape(-1)
-        err = float(np.sqrt(ratio @ ratio / ratio.size)) / tol
+        np.maximum(y_scale, unit_scale(v, v_scale), out=scale)
+        np.matmul(err_row, err_rows, out=ratio)
+        ratio /= flat_scale
+        err = math.sqrt(ratio.dot(ratio) / ratio.size) / tol
 
         if err <= 1.0:
             # FSAL: the last stage's dissipator is the derivative at the new state
             t_new = t + h_step
-            take_samples(t, y, f, t_new, y_stage, d_stage)
+            if next_due <= t_new + end_tol:
+                next_due = take_samples(t, y, f, t_new, y_stage, d_stage)
             y[...] = y_stage
             f[...] = d_stage
+            # the scale of v is that of the new state, to rounding
+            y_scale, v_scale = v_scale, y_scale
             t = t_new
             max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
             diag = y.diagonal()
@@ -783,12 +841,13 @@ def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
 
 
 def expectation(rho, op) -> float:
-    """Real part of tr(rho op); the imaginary part must be negligible."""
+    """Real part of tr(rho op), as the O(d^2) sum of rho * op^T; the
+    imaginary part must be negligible."""
     rho = np.asarray(rho)
     op = np.asarray(op)
     if rho.shape != op.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {op.shape}")
-    val = complex(np.trace(rho @ op))
+    val = complex(np.sum(rho * op.T))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,28 @@ def test_non_finite_quadrature_spec_exits_2(tmp_path, capsys, key, value, messag
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "residuals.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "spinchain"])
+@pytest.mark.parametrize("key, value", [
+    ("tol", "inf"), ("tol", "0"), ("tol", "nan"), ("t_end", "inf"), ("t_end", "-1")])
+def test_non_finite_run_settings_exit_2(tmp_path, capsys, monkeypatch, command, key, value):
+    # an infinite tol used to accept every step and exit 3 with a positivity
+    # violation; an infinite t_end exited 2 only after the generator was
+    # built, with a RuntimeWarning from np.linspace on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator was built")
+
+    monkeypatch.setattr("ule.cli.build_chain_superop", refuse)
+    monkeypatch.setattr("ule.cli.run_relaxation", refuse)
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", config, "--N", "3", f"--{key}", value,
+                     "--outdir", str(tmp_path)])
+    assert code == 2
+    assert f"{key} must be finite and positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_sampled_states_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):

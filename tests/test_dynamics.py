@@ -48,6 +48,8 @@ from ule.dynamics import (
     _onenorm_estimate,
     _pack,
     _packed_dissipator,
+    _phases,
+    _rotate,
     _unpack,
 )
 from ule.generator import Superoperator
@@ -129,6 +131,8 @@ def test_propagate_validates_inputs():
         propagate(sop, rho0, 1.0, [0.0, 2.0])
     with pytest.raises(ValueError, match="tol"):
         propagate(sop, rho0, 1.0, [0.0], tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        propagate(sop, rho0, 1.0, [0.0], tol=np.inf)
     with pytest.raises(ValueError, match="rho0 must be finite"):
         propagate(sop, np.array([[1.0, np.nan], [np.nan, 0.0]]), 1.0, [0.0])
     with pytest.raises(ValueError, match=r"rho0 must be a 2 x 2 matrix"):
@@ -548,6 +552,12 @@ def test_expectation_values():
     state /= np.trace(state).real
     elementwise = float(np.real(np.sum(state.T * op)))  # independent summation
     assert expectation(state, op) == pytest.approx(elementwise, abs=1e-13)
+    # a chain-sized state against the full product
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    state = a @ a.conj().T
+    state /= np.trace(state).real
+    op = random_hermitian(rng, 32)
+    assert expectation(state, op) == pytest.approx(np.trace(state @ op).real, abs=1e-14)
 
 
 def test_expectation_shape_mismatch():
@@ -705,8 +715,10 @@ def chain_liouvillian(n, **kwargs):
     (lambda: chain_liouvillian(4, ignore_lamb_shift=False), 4, 500.0),
     (lambda: chain_liouvillian(4, gamma2=0.05), 4, 500.0),
     (three_level_baseline_liouvillian, None, 100.0),
+    # the benchmark's chain: 2,696 steps, about 2 s with the oracle
+    (lambda: chain_liouvillian(5), 5, 500.0),
 ], ids=["chain3", "chain3_lamb", "chain4", "chain4_lamb", "chain4_two_jumps",
-        "three_level_baseline"])
+        "three_level_baseline", "chain5"])
 def test_propagate_matches_complex_lawson_oracle(build, n, t_end):
     # the packed real state takes the same steps as the complex one and
     # agrees with it to rounding; M is the chain magnetization, or the
@@ -777,6 +789,58 @@ def test_packed_dissipator_reads_right_factors_from_the_frame(build):
         ref = _pack(_dissipator(broken, y))
         got = _packed_dissipator(broken)(_pack(y), np.empty((d, d)))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_liouvillian(4, gamma2=0.05),
+    lambda: random_liouvillian(13)[1],
+], ids=["chain4_two_jumps", "random"])
+def test_packed_dissipator_workspace_contract(build):
+    # writing P into apply.input and passing that block skips the kernel's
+    # copy; the output is bitwise that of a fresh kernel on a separate
+    # array, whatever the workspace held from the call before
+    frame = build()._eigenframe
+    eig = frame[0]
+    d = eig.dim
+    apply = _packed_dissipator(frame)
+
+    def fresh(x):
+        return _packed_dissipator(frame)(x, np.empty((d, d)))
+
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        p, q = (_pack(random_hermitian(rng, d)) for _ in range(2))
+        # the workspace holds the q of the last pass, then p
+        assert np.array_equal(apply(p, np.empty((d, d))), fresh(p))
+        apply.input[...] = q
+        assert np.array_equal(apply(apply.input, np.empty((d, d))), fresh(q))
+    # the loop's rotation writes into that block through one scratch matrix;
+    # it must equal the allocating rotation bitwise, also when its output is
+    # its own input
+    c, s = _phases(eig.energies, [1.0])(0.37)[0]
+    scratch = np.empty((d, d))
+    for back in (False, True):
+        ref = _rotate(c, s, p, back=back)
+        assert np.array_equal(_rotate(c, s, p, apply.input, back=back, scratch=scratch), ref)
+        q = p.copy()
+        assert np.array_equal(_rotate(c, s, q, q, back=back, scratch=scratch), ref)
+
+
+def test_phase_pairs():
+    # each phase pair is [c, s] with c symmetric and s antisymmetric, and a
+    # stack over several nodes agrees with one node at a time
+    eig = chain_liouvillian(4, gamma2=0.05)._eigenframe[0]
+    d = eig.dim
+    nodes = np.array([0.1, 0.37, 2.5])
+    stack = _phases(eig.energies, nodes)(2.0)
+    for tau, pair in zip(2.0 * nodes, stack):
+        c, s = _phases(eig.energies, [1.0])(tau)[0]
+        assert np.array_equal(pair, [c, s])
+        assert np.max(np.abs(c - c.T)) <= 1e-15 and np.max(np.abs(s + s.T)) <= 1e-15
+        assert np.array_equal(c.diagonal(), np.ones(d))
+        assert np.array_equal(s.diagonal(), np.zeros(d))
+        ref = np.exp(-1j * np.subtract.outer(eig.energies, eig.energies) * tau)
+        assert np.max(np.abs(c + 1j * s - ref)) <= 1e-13
 
 
 def test_real_frame_never_enters_complex_kernel(monkeypatch):
