@@ -8,7 +8,7 @@ Writes bath_g.csv with the sampled g profile.
 
 import numpy as np
 
-from ule import BathSpec, QuadratureSpec, f_integral, jump_spectral, kms_check
+from ule import BathSpec, QuadratureSpec, f_values, jump_spectral, kms_check
 from ule.io import write_csv
 
 bath = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -37,13 +37,13 @@ print("wrote bath_g.csv")
 # f(E1, E2): principal value, swap symmetry, tail control
 # ---------------------------------------------------------------------------
 quad = QuadratureSpec()
-val = f_integral(bath, 1.0, -1.0, quad)
+val = f_values(bath, [1.0], [-1.0], quad)[0]
 print(f"\nf(1, -1)   = {val:.10e}")
 print(f"f(1, -1) with doubled ceiling differs by "
-      f"{abs(val - f_integral(bath, 1.0, -1.0, QuadratureSpec(omega_max_pad=16.0))):.2e}")
+      f"{abs(val - f_values(bath, [1.0], [-1.0], QuadratureSpec(omega_max_pad=16.0))[0]):.2e}")
 
 # the swap (E1, E2) -> (-E2, -E1) leaves the integrand unchanged; this
 # symmetry is what makes the Lamb shift Hermitian
 for e1, e2 in ((2.0, 0.5), (-1.5, 3.0)):
-    a, b = f_integral(bath, e1, e2, quad), f_integral(bath, -e2, -e1, quad)
+    a, b = f_values(bath, [e1, -e2], [e2, -e1], quad)
     print(f"f({e1}, {e2}) = {a:.10e}   swap partner = {b:.10e}")

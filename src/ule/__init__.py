@@ -28,8 +28,6 @@ from .bath import (
     BathSpec,
     QuadratureError,
     QuadratureSpec,
-    f_integral,
-    f_table,
     f_values,
     jump_spectral,
     kms_check,

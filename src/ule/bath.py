@@ -33,8 +33,6 @@ evaluated once per node, and each class keeps its own error sum. The
 quadrature is globally adaptive Gauss-Kronrod 7-15 (QUADPACK's GK15 rule)
 with interval halving, run for many classes at once: a shared panel is
 halved when a class that has not converged ranks it among its worst.
-`f_integral` is its one-pair call and `f_table` its memoized map over gap
-pairs.
 """
 
 from __future__ import annotations
@@ -176,10 +174,6 @@ _WG[1::2] = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-
-
-def omega_max(bath: BathSpec, e1, e2, quad: QuadratureSpec):
-    return abs(e1) + abs(e2) + quad.omega_max_pad * bath.cutoff
 
 
 # Two swap classes whose sums E1 + E2 agree within this relative tolerance
@@ -455,7 +449,7 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
     key.imag = np.where(s < 0, e2, -e1) + 0.0  # c of the member with s >= 0; -0.0 -> 0.0
     key, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     c = key.imag.copy()
-    wmax = omega_max(bath, e1[first], e2[first], quad)
+    wmax = np.abs(e1[first]) + np.abs(e2[first]) + quad.omega_max_pad * bath.cutoff
     label, rep = _sum_groups(key.real)
     del s, key
 
@@ -482,20 +476,3 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
         )
     return values[inverse]
 
-
-def f_integral(bath: BathSpec, e1: float, e2: float,
-               quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Principal-value integral f(E1, E2): the one-pair case of `f_values`."""
-    return float(f_values(bath, [e1], [e2], quad)[0])
-
-
-def f_table(bath: BathSpec, gap_pairs, quad: QuadratureSpec = QuadratureSpec()) -> dict:
-    """Evaluate f once per distinct (E1, E2) pair and return the lookup map.
-
-    Keys are the exact float pairs supplied, in first-seen order, so
-    memoization is exact; all distinct pairs go to `f_values` in one call,
-    whose QuadratureError names the first failing pair in `.pair`.
-    """
-    keys = list(dict.fromkeys((float(p[0]), float(p[1])) for p in gap_pairs))
-    values = f_values(bath, [k[0] for k in keys], [k[1] for k in keys], quad)
-    return dict(zip(keys, values.tolist()))

@@ -9,7 +9,8 @@ Subcommands:
     sweep      temperature/coupling trend on the three-level baseline -> sweep.csv
 
 Configuration is a flat `key = value` text file (# comments); any key can
-be overridden on the command line with --key value. Exit codes: 0 success,
+be overridden on the command line with --key value, or --key=value for a
+value that starts with '-' (--B_z=-1e-3). Exit codes: 0 success,
 2 configuration or validation error, 3 numerical failure.
 """
 
@@ -27,7 +28,7 @@ from .analysis import (
     three_level_baseline,
     trend_sweep,
 )
-from .bath import BathSpec, QuadratureSpec, QuadratureError, f_table, jump_spectral
+from .bath import BathSpec, QuadratureSpec, QuadratureError, f_values, jump_spectral
 from .dynamics import PropagationError, SteadyStateError
 from .io import format_value, write_csv, write_json
 from .operators import eigendecompose
@@ -257,6 +258,10 @@ def cmd_residual(args) -> int:
 
 
 def cmd_bath(args) -> int:
+    if not 0 < args.omega_max < np.inf:
+        raise ConfigError(f"--omega-max must be finite and positive, got {args.omega_max}")
+    if args.omega_points < 1:
+        raise ConfigError(f"--omega-points must be at least 1, got {args.omega_points}")
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
                     cutoff=cfg["Lambda_c"])
@@ -265,11 +270,11 @@ def cmd_bath(args) -> int:
     g = jump_spectral(bath, omega)
     write_csv(_out(args, "bath_g.csv"), ["omega", "g"],
               zip(omega.tolist(), g.tolist()))
-    energies = [float(v) for v in args.e_list.split(",") if v.strip()]
-    pairs = [(e1, e2) for e1 in energies for e2 in energies]
-    table = f_table(bath, pairs, quad)
+    energies = np.array([float(v) for v in args.e_list.split(",") if v.strip()])
+    e1, e2 = np.repeat(energies, energies.size), np.tile(energies, energies.size)
+    f = f_values(bath, e1, e2, quad)
     write_csv(_out(args, "bath_f.csv"), ["e1", "e2", "f"],
-              [(e1, e2, table[(e1, e2)]) for e1, e2 in pairs])
+              zip(e1.tolist(), e2.tolist(), f.tolist()))
     return EXIT_OK
 
 
@@ -329,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--omega-max", type=float, default=400.0)
             p.add_argument("--omega-points", type=int, default=1001)
             p.add_argument("--e-list", default="-2,-1,0,1,2",
-                           help="comma-separated energies; f is tabulated on all pairs")
+                           help="comma-separated energies; f is tabulated on all pairs. "
+                                "A list that starts with '-' is given as --e-list=-2,0,2")
         if name == "sweep":
             p.add_argument("--T-list", default="2,4,8")
             p.add_argument("--gamma-list", default="0.1,0.05,0.01")

@@ -25,8 +25,9 @@ jumps to its constructor, the one place that hermitizes H_eff and drops
 all-zero jumps. `apply_matrix` applies it with d x d products in the input
 basis; `dynamics` applies the same factors rotated into the eigenbasis of
 H_eff (`_eigenframe`, one eigh per generator) for propagation, the steady
-state and the dense matrix that its SVD fallback writes out. The one
-trace-preservation check runs on these factors.
+state and the dense matrix that its SVD fallback writes out. Both first
+run the one trace-preservation check: the jump terms cancel in the trace
+of a Lindblad generator, so the check reads max|H_eff - H_eff^dag|.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .operators import (
     bohr_decompose,
     frobenius,
     hermitize,
+    max_asymmetry,
     require_hermitian,
 )
 
@@ -100,34 +102,32 @@ class Superoperator:
     Construction normalises: `hamiltonian` is stored as the Hermitian part
     of the H_eff passed in, and `jumps` (any iterable) keeps only the
     operators that are not all zero, e.g. those of zero-coupling channels.
+    ValueError if H_eff or a jump has a non-finite entry.
     """
 
     hamiltonian: np.ndarray
     jumps: list
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.hamiltonian)):
+            raise ValueError("H_eff has non-finite entries")
         object.__setattr__(self, "hamiltonian", hermitize(self.hamiltonian))
         object.__setattr__(self, "jumps", [l for l in self.jumps if np.any(l)])
+        if not all(np.all(np.isfinite(l)) for l in self.jumps):
+            raise ValueError("a jump operator has non-finite entries")
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    @cached_property
-    def _factors(self):
-        """(K, K^dag, [L_c^dag]) for `apply_matrix`.
+    def _require_trace_preserving(self):
+        """ValueError unless `trace_preservation_defect` is within 1e-10 max(1, max|H_eff|).
 
-        ValueError unless the generator is trace preserving: the defect
-        `trace_preservation_defect` must stay within 1e-10 max(1, max|K|).
+        Written so that a NaN defect fails too.
         """
-        k = np.array(self.hamiltonian, dtype=complex)
-        for l in self.jumps:
-            k -= 0.5j * (l.conj().T @ l)
-        factors = k, k.conj().T, [l.conj().T for l in self.jumps]
-        defect = _trace_defect(self.jumps, *factors)
-        if defect > 1e-10 * max(1.0, float(np.max(np.abs(k)))):
+        defect = self.trace_preservation_defect()
+        if not defect <= 1e-10 * max(1.0, float(np.max(np.abs(self.hamiltonian)))):
             raise ValueError(f"Liouvillian is not trace preserving: defect {defect:.3e}")
-        return factors
 
     @cached_property
     def _eigenframe(self):
@@ -141,9 +141,9 @@ class Superoperator:
         the spin chain with or without the Lamb shift), G and the jumps are
         stored as float64 and `dynamics._packed_dissipator` applies them in
         real products to the packed state; otherwise they stay complex. The
-        trace check of `_factors` runs first.
+        trace check runs first.
         """
-        self._factors
+        self._require_trace_preserving()
         eig = EigenDecomposition(*np.linalg.eigh(self.hamiltonian))
         jumps = [eig.to_eigenbasis(l) for l in self.jumps]
         g = hermitize(-0.5 * sum((l.conj().T @ l for l in jumps),
@@ -154,26 +154,23 @@ class Superoperator:
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Generator action on a d x d matrix (Hermitian or not)."""
-        k, k_dag, jumps_dag = self._factors
-        out = -1j * (k @ rho - rho @ k_dag)
-        for l, l_dag in zip(self.jumps, jumps_dag):
-            out += l @ rho @ l_dag
+        self._require_trace_preserving()
+        k = np.array(self.hamiltonian, dtype=complex)
+        for l in self.jumps:
+            k -= 0.5j * (l.conj().T @ l)
+        out = -1j * (k @ rho - rho @ k.conj().T)
+        for l in self.jumps:
+            out += l @ rho @ l.conj().T
         return out
 
     def trace_preservation_defect(self) -> float:
-        """Max entry of <<I| applied to the generator: max|-i (K - K^dag) + sum_c L_c^dag L_c|.
+        """max|H_eff - H_eff^dag|, zero for trace preservation.
 
-        Zero for trace preservation.
+        For a generator in Lindblad form tr L(rho) = -i tr((H_eff - H_eff^dag)
+        rho): the jump terms cancel identically (G. Lindblad, Commun. Math.
+        Phys. 48, 119 (1976)), so only a non-Hermitian H_eff breaks the trace.
         """
-        return _trace_defect(self.jumps, *self._factors)
-
-
-def _trace_defect(jumps, k, k_dag, jumps_dag) -> float:
-    """tr(L(rho)) = tr(Q rho) with Q = -i (K - K^dag) + sum_c L_c^dag L_c; max|Q|."""
-    q = -1j * (k - k_dag)
-    for l, l_dag in zip(jumps, jumps_dag):
-        q += l_dag @ l
-    return float(np.max(np.abs(q)))
+        return max_asymmetry(self.hamiltonian)
 
 
 def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.ndarray:

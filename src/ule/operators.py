@@ -42,7 +42,7 @@ def max_asymmetry(a: np.ndarray) -> float:
 
 
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
-    """Validate that `a` is a square Hermitian matrix.
+    """Validate that `a` is a square, finite, Hermitian matrix.
 
     The asymmetry tolerance, 1e-12, is relative to the largest entry
     magnitude (at least 1).
@@ -51,6 +51,8 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     asym = max_asymmetry(a)
     if asym > 1e-12 * max(scale, 1.0):

@@ -7,7 +7,7 @@ A(w) built here from projector sandwiches of X, never from the bin labels
 or `BohrDecomposition.double_sum`; their bath functions and f values come
 in as arguments. `f_integral_loop` is the per-pair adaptive Gauss-Kronrod
 loop over the folded integrand [h(w) - h(-w)] / w on [0, Wmax]; it shares
-only g, Wmax and the node table with the library. `folded_adaptive_chunk`
+only g and the node table with the library. `folded_adaptive_chunk`
 is the batched form of that loop, the kernel `ule.f_values` ran (on one
 pair per swap class) before it integrated by sum group with singularity
 subtraction, and `f_values_every_pair` runs it on every pair as given.
@@ -45,7 +45,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ule import PropagationError, QuadratureError, Trajectory, dynamics, hermitize, jump_spectral
-from ule.bath import _WG, _WGK, _XGK, omega_max
+from ule.bath import _WG, _WGK, _XGK
+
+
+def omega_max(bath, e1, e2, quad):
+    """Wmax = |E1| + |E2| + omega_max_pad * cutoff, the half-range the quadrature keeps."""
+    return abs(e1) + abs(e2) + quad.omega_max_pad * bath.cutoff
 
 
 # Pairs per adaptive sweep of `f_values_every_pair`, the chunk size the
@@ -201,7 +206,7 @@ def f_integral_loop(bath, e1, e2, quad):
     panel sums use BLAS dot products and each sweep re-sorts the panels.
     """
     if not (np.isfinite(e1) and np.isfinite(e2)):
-        raise ValueError("f_integral arguments must be finite")
+        raise ValueError("f arguments must be finite")
     if bath.coupling == 0.0:
         return 0.0
     wmax = omega_max(bath, e1, e2, quad)

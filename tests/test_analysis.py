@@ -25,7 +25,6 @@ from ule import (
     dissipator_on_gibbs_formula,
     eigendecompose,
     expectation,
-    f_table,
     f_values,
     gibbs_deviation,
     gibbs_residual_report,
@@ -111,7 +110,7 @@ def test_lambshift_commutator_routes_on_baseline():
     assert norm > 1e-6 * BATH.coupling
     assert np.linalg.norm(direct - formula) <= 1e-6 * norm
     e1, e2 = lamb_shift_pairs_unique(bohr)
-    table = f_table(BATH, zip(e1.tolist(), e2.tolist()), quad)
+    table = dict(zip(zip(e1.tolist(), e2.tolist()), f_values(BATH, e1, e2, quad).tolist()))
     loop = lambshift_on_gibbs_loop(bohr, ch.coupling_op, BATH.beta, rho_th, table)
     assert np.linalg.norm(formula - loop) <= 1e-10 * max(norm, 1e-300)
 

@@ -18,8 +18,6 @@ from ule import (
     bohr_decompose,
     build_chain_hamiltonian,
     eigendecompose,
-    f_integral,
-    f_table,
     f_values,
     jump_spectral,
     kms_check,
@@ -135,8 +133,7 @@ def test_kms_negative_control():
 
 def test_f_zero_coupling_short_circuits():
     bath = make_bath(gamma=0.0)
-    assert f_integral(bath, 1.0, -2.0) == 0.0
-    assert f_integral(bath, 0.0, 0.0) == 0.0
+    assert f_values(bath, [1.0, 0.0], [-2.0, 0.0]).tolist() == [0.0, 0.0]
 
 
 def test_f_swap_symmetry():
@@ -145,15 +142,15 @@ def test_f_swap_symmetry():
     rng = np.random.default_rng(23)
     for _ in range(6):
         e1, e2 = rng.uniform(-5, 5, size=2)
-        a = f_integral(bath, e1, e2)
-        b = f_integral(bath, -e2, -e1)
+        a = f_values(bath, [e1], [e2])[0]
+        b = f_values(bath, [-e2], [-e1])[0]
         assert b == pytest.approx(a, rel=1e-12, abs=1e-14)
 
 
 def test_f_against_trapezoid_oracle_reference_point():
     bath = make_bath(T=2.0, gamma=0.1, cutoff=100.0)
     quad = QuadratureSpec()
-    value = f_integral(bath, 1.0, -1.0, quad)
+    value = f_values(bath, [1.0], [-1.0], quad)[0]
 
     def h(w):
         return jump_spectral(bath, w - 1.0) * jump_spectral(bath, w - 1.0)
@@ -174,7 +171,7 @@ def test_f_against_trapezoid_oracle_grid():
 
             wmax = abs(e1) + abs(e2) + 8.0 * bath.cutoff
             oracle = -2.0 * math.pi * bath.coupling * trapezoid_pv(h, 0.0, wmax)
-            value = f_integral(bath, e1, e2, quad)
+            value = f_values(bath, [e1], [e2], quad)[0]
             assert value == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
 
@@ -184,8 +181,8 @@ def test_f_tail_control():
     tight = QuadratureSpec()
     wide = QuadratureSpec(omega_max_pad=16.0)
     for e1, e2 in ((0.5, 0.5), (2.0, -1.0), (-3.0, 0.0)):
-        a = f_integral(bath, e1, e2, tight)
-        b = f_integral(bath, e1, e2, wide)
+        a = f_values(bath, [e1], [e2], tight)[0]
+        b = f_values(bath, [e1], [e2], wide)[0]
         bound = max(tight.atol, abs(a) * tight.rtol)
         assert abs(a - b) < 2.0 * bound
 
@@ -194,38 +191,39 @@ def test_f_quadrature_failure_carries_estimate():
     bath = make_bath()
     strict = QuadratureSpec(rtol=1e-15, atol=1e-300, max_depth=2)
     with pytest.raises(QuadratureError) as info:
-        f_integral(bath, 1.0, -1.0, strict)
+        f_values(bath, [1.0], [-1.0], strict)
     err = info.value
     assert np.isfinite(err.estimate)
     assert err.error_bound > 0
     assert err.pair == (1.0, -1.0)
     # the failed estimate is still in the right neighbourhood
-    good = f_integral(bath, 1.0, -1.0)
+    good = f_values(bath, [1.0], [-1.0])[0]
     assert err.estimate == pytest.approx(good, rel=1e-2)
 
 
 def test_f_table_matches_per_group_call_bitwise():
     # a value depends on the members of its sum group and on nothing else:
-    # the table agrees bitwise with one f_values call per group, and with
-    # one-pair calls within the quadrature target
+    # one call on all 49 pairs agrees bitwise with one call per group, and
+    # with one-pair calls within the quadrature target
     bath = make_bath()
     quad = QuadratureSpec()
     gaps = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
     pairs = [(a, b) for a in gaps for b in gaps]
-    table = f_table(bath, pairs, quad)
+    table = dict(zip(pairs, f_values(bath, *np.array(pairs).T, quad).tolist()))
     assert len(table) == 49
     for total in {abs(a + b) for a, b in pairs}:
         group = [p for p in pairs if abs(p[0] + p[1]) == total]
         assert [table[p] for p in group] == f_values(bath, *np.array(group).T, quad).tolist()
-    single = np.array([f_integral(bath, a, b, quad) for a, b in pairs])
+    single = np.array([f_values(bath, [a], [b], quad)[0] for a, b in pairs])
     assert_within_target([table[p] for p in pairs], single, bath, quad)
 
 
 def test_f_table_deduplicates_and_handles_empty():
+    # repeated pairs merge into one class and get the one-pair value
     bath = make_bath()
-    table = f_table(bath, [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)])
-    assert list(table) == [(1.0, 2.0)]
-    assert f_table(bath, []) == {}
+    repeated = f_values(bath, [1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+    assert repeated.tolist() == 3 * f_values(bath, [1.0], [2.0]).tolist()
+    assert f_values(bath, [], []).shape == (0,)
 
 
 def test_quadrature_spec_validation():
@@ -279,7 +277,7 @@ def test_f_values_do_not_depend_on_batching():
     quad = QuadratureSpec()
     rng = np.random.default_rng(5)
     e1, e2 = rng.uniform(-6.0, 6.0, size=(2, _CHUNK_PAIRS + 60))
-    single = np.array([f_integral(bath, a, b, quad) for a, b in zip(e1, e2)])
+    single = np.array([f_values(bath, [a], [b], quad)[0] for a, b in zip(e1, e2)])
     assert np.array_equal(f_values(bath, e1, e2, quad), single)
     perm = rng.permutation(e1.size)
     assert np.array_equal(f_values(bath, e1[perm], e2[perm], quad), single[perm])
@@ -427,13 +425,13 @@ def test_f_table_failure_names_first_failing_pair_in_input_order(first):
     bath = make_bath()
     other = (0.0, 3.0) if first == (40.0, -30.0) else (40.0, -30.0)
     with pytest.raises(QuadratureError) as info:
-        f_table(bath, [(0.0, 0.0), first, (2.0, -1.0), other], STRICT)
+        f_values(bath, *zip((0.0, 0.0), first, (2.0, -1.0), other), STRICT)
     err = info.value
     assert err.pair == first
     # each pair here is a sum group of its own, so nothing else in the
     # batch changes its estimate
     with pytest.raises(QuadratureError) as alone:
-        f_integral(bath, *first, STRICT)
+        f_values(bath, [first[0]], [first[1]], STRICT)
     assert (err.estimate, err.error_bound) == (alone.value.estimate, alone.value.error_bound)
     # the folded loop fails too, with an estimate within its own bound of this one
     with pytest.raises(QuadratureError) as loop:
@@ -450,7 +448,7 @@ def test_f_values_failure_names_the_input_member_of_its_swap_class():
     err = info.value
     assert err.pair == (0.0, 3.0)
     with pytest.raises(QuadratureError) as mirror:
-        f_integral(bath, -3.0, 0.0, STRICT)
+        f_values(bath, [-3.0], [0.0], STRICT)
     assert mirror.value.pair == (-3.0, 0.0)
     assert (err.estimate, err.error_bound) == (mirror.value.estimate, mirror.value.error_bound)
     with pytest.raises(QuadratureError) as as_given:
@@ -461,6 +459,6 @@ def test_f_table_rejects_non_finite_pair_anywhere(bad):
     # checked before any quadrature, even behind a pair that would fail
     bath = make_bath()
     with pytest.raises(ValueError):
-        f_table(bath, [(0.0, 0.0), (1.0, -1.0), bad], STRICT)
+        f_values(bath, *zip((0.0, 0.0), (1.0, -1.0), bad), STRICT)
     with pytest.raises(ValueError):
-        f_integral(bath, *bad)
+        f_values(bath, [bad[0]], [bad[1]])

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -7,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ule.cli import ConfigError, main, parse_config_text
+from ule import BathSpec, f_values
+from ule.cli import ConfigError, build_parser, main, parse_config_text
 from ule.io import format_value, write_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,13 +78,67 @@ def test_flag_overrides_config(tmp_path):
     assert lines[0] == "omega,g"
     assert len(lines) == 12
     # g(0) = sqrt(T)/(2 pi) reflects the overridden temperature
-    import math
     mid = dict(zip(("omega", "g"), lines[6].split(",")))
     assert float(mid["omega"]) == 0.0
     assert float(mid["g"]) == pytest.approx(math.sqrt(4.0) / (2 * math.pi), rel=1e-12)
     f_lines = (out / "bath_f.csv").read_text().splitlines()
     assert f_lines[0] == "e1,e2,f"
     assert len(f_lines) == 5  # 2x2 pairs
+
+
+def test_bath_f_table_is_one_f_values_call(tmp_path):
+    # a repeated energy and a signed zero: the rows hold, bitwise, one
+    # f_values call on all pairs in e-list order
+    energies = [-2.0, 0.0, 0.0, 2.0, 1.5, -0.0]
+    out = tmp_path / "out"
+    assert main(["bath", "--config", write_config(tmp_path), "--Lambda_c", "100",
+                 "--outdir", str(out), "--e-list=-2,0,0,2,1.5,-0.0"]) == 0
+    lines = (out / "bath_f.csv").read_text().splitlines()
+    assert lines[0] == "e1,e2,f"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    e1 = [a for a in energies for _ in energies]
+    e2 = [b for _ in energies for b in energies]
+    f = f_values(BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0), e1, e2)
+    assert [math.copysign(1.0, r[0]) for r in rows] == [math.copysign(1.0, a) for a in e1]
+    assert [math.copysign(1.0, r[1]) for r in rows] == [math.copysign(1.0, b) for b in e2]
+    assert rows == [list(r) for r in zip(e1, e2, f.tolist())]
+    # the repeated 0 gives identical rows; -0 the same f
+    assert lines[7:13] == lines[13:19]
+    assert [r[2] for r in rows[30:36]] == [r[2] for r in rows[6:12]]
+    assert main(["bath", "--config", write_config(tmp_path), "--outdir", str(out),
+                 "--e-list="]) == 0
+    assert (out / "bath_f.csv").read_text() == "e1,e2,f\n"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--omega-max", "inf"), ("--omega-max", "nan"), ("--omega-max", "-5"),
+    ("--omega-max", "0"), ("--omega-points", "0")])
+def test_bath_grid_options_exit_2(tmp_path, capsys, option, value):
+    # each used to exit 0, writing NaN rows, a descending grid, copies of
+    # g(0) or a header-only table
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bath", "--config", write_config(tmp_path), "--outdir", str(out),
+                     option, value])
+    assert code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    # a value that starts with '-' and is not a plain number reads as an
+    # option unless it is attached with '='
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        block = handle.read().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()
+             if line.startswith("ule ")]
+    assert len(lines) == 6
+    parser = build_parser()
+    for words in lines:
+        assert parser.parse_args(words[1:]).command == words[1]
+    assert parser.parse_args(["bath", "--e-list=-2,0,2"]).e_list == "-2,0,2"
+    assert parser.parse_args(["steady", "--B_z=-1e-3"]).opt_B_z == "-1e-3"
 
 
 def test_spinchain_outputs_and_determinism(tmp_path):

@@ -31,7 +31,7 @@ from ule import (
     build_liouvillian,
     build_secular_generator,
     eigendecompose,
-    f_table,
+    f_values,
     gibbs_state,
     hermitize,
     jump_spectral,
@@ -120,7 +120,8 @@ def test_lamb_shift_level_sum_vs_bohr_sum():
     lam3 = lamb_shift(eig, ch, quad)
     bohr = bohr_decompose(x, eig)
     e1, e2 = lamb_shift_pairs_unique(bohr)
-    lam7 = lamb_shift_bohr_sum(bohr, x, f_table(BATH, zip(e1.tolist(), e2.tolist()), quad))
+    table = dict(zip(zip(e1.tolist(), e2.tolist()), f_values(BATH, e1, e2, quad).tolist()))
+    lam7 = lamb_shift_bohr_sum(bohr, x, table)
     assert np.linalg.norm(lam3 - lam7) <= 1e-10 * np.linalg.norm(lam3)
 
 
@@ -241,6 +242,33 @@ def test_superoperator_constructor_hermitizes_and_drops_zero_jumps():
     assert np.array_equal(sop.hamiltonian, sop.hamiltonian.conj().T)
     assert np.array_equal(sop.hamiltonian, hermitize(h))
     assert len(sop.jumps) == 1 and sop.jumps[0] is l
+
+
+def test_generator_rejects_non_finite_operators():
+    h = np.diag([0.0, 1.0]).astype(complex)
+    x = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="X has non-finite entries"):
+        NoiseChannel(coupling_op=x, bath=BATH)
+    with pytest.raises(ValueError, match="jump operator has non-finite entries"):
+        Superoperator(h, [x])
+    with pytest.raises(ValueError, match="H_eff has non-finite entries"):
+        Superoperator(h + np.diag([np.inf, 0.0]), [])
+
+
+def test_trace_preservation_defect_is_the_anti_hermitian_part():
+    rng = np.random.default_rng(29)
+    d = 4
+    sop = Superoperator(random_hermitian(rng, d), [random_hermitian(rng, d) + 1j * np.eye(d)])
+    assert sop.trace_preservation_defect() == 0.0
+    # a generator broken after construction reports its defect and refuses to act
+    broken = Superoperator(sop.hamiltonian, sop.jumps)
+    object.__setattr__(broken, "hamiltonian", sop.hamiltonian + 1e-6j * np.eye(d))
+    assert broken.trace_preservation_defect() == pytest.approx(2e-6, rel=1e-12)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        broken.apply_matrix(np.eye(d))
+    object.__setattr__(broken, "hamiltonian", sop.hamiltonian + np.nan)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        broken.apply_matrix(np.eye(d))
 
 
 def test_liouvillian_pure_commutator_spectrum():

@@ -79,6 +79,15 @@ def test_eigendecompose_rejects_non_hermitian():
         eigendecompose(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigendecompose_rejects_non_finite(bad):
+    # NaN - NaN is NaN and inf - inf is NaN, so the asymmetry test alone
+    # lets both through and eigh returns NaN energies
+    h = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="H has non-finite entries"):
+        eigendecompose(h)
+
+
 def test_eigendecompose_deterministic():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 6)
