@@ -60,6 +60,22 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_list(option: str, text: str) -> list:
+    """The finite numbers of a comma-separated list option; empty items are skipped."""
+    values = []
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        try:
+            value = float(item)
+        except ValueError:
+            raise ConfigError(f"{option}: expected a number, got {item.strip()!r}") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{option} values must be finite, got {item.strip()!r}")
+        values.append(value)
+    return values
+
+
 def _parse_sites(text: str):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 2:
@@ -262,6 +278,7 @@ def cmd_bath(args) -> int:
         raise ConfigError(f"--omega-max must be finite and positive, got {args.omega_max}")
     if args.omega_points < 1:
         raise ConfigError(f"--omega-points must be at least 1, got {args.omega_points}")
+    energies = np.array(_parse_list("--e-list", args.e_list))
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
                     cutoff=cfg["Lambda_c"])
@@ -270,7 +287,6 @@ def cmd_bath(args) -> int:
     g = jump_spectral(bath, omega)
     write_csv(_out(args, "bath_g.csv"), ["omega", "g"],
               zip(omega.tolist(), g.tolist()))
-    energies = np.array([float(v) for v in args.e_list.split(",") if v.strip()])
     e1, e2 = np.repeat(energies, energies.size), np.tile(energies, energies.size)
     f = f_values(bath, e1, e2, quad)
     write_csv(_out(args, "bath_f.csv"), ["e1", "e2", "f"],
@@ -281,8 +297,8 @@ def cmd_bath(args) -> int:
 def cmd_sweep(args) -> int:
     # the baseline sweep reads no config key; the config is only validated
     load_config(args, required=frozenset())
-    temps = [float(v) for v in args.T_list.split(",") if v.strip()]
-    gammas = [float(v) for v in args.gamma_list.split(",") if v.strip()]
+    temps = _parse_list("--T-list", args.T_list)
+    gammas = _parse_list("--gamma-list", args.gamma_list)
     system = three_level_baseline()
     result = trend_sweep(system, temps, gammas)
     rows = []

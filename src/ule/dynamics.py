@@ -45,6 +45,10 @@ limit as preconditioner, solves the bordered system matrix-free; a 1-norm
 condition estimate (real Hager, LAPACK dlacn2) from solves with the
 operator and its adjoint, the same code on the Heisenberg frame (energies
 -E, each L_c swapped with L_c^dag), certifies a one-dimensional kernel.
+The estimate needs few digits: its solves on a probe v of n = d^2 entries
+stop at residual ESTIMATE_RTOL ||v||_1 / sqrt(n), which moves the estimate
+of ||A^-1||_1 by at most ESTIMATE_RTOL ||A^-1||_1 from the exact-solve one
+on the same probes, so it stays below (1 + ESTIMATE_RTOL) ||A^-1||_1.
 Only the SVD fallback of a generator that fails the certificate, and
 `liouvillian_gap`, write `_packed_generator` out as a dense real d^2 x d^2
 matrix. The packing is a Frobenius isometry onto an orthonormal basis of
@@ -108,8 +112,11 @@ class SteadyStateReport:
     condition estimate of the bordered operator A of `steady_state` as a
     real d^2 x d^2 matrix on the packed P = Re(y) + Im(y),
     1 / (est ||A||_1 est ||A^-1||_1) by real Hager (LAPACK dlacn2) (method
-    "gmres"), or the smallest non-kernel singular value over sigma_max of
-    the dense packed real generator (method "null-space").
+    "gmres"; the solves behind est ||A^-1||_1 stop at residual
+    ESTIMATE_RTOL ||v||_1 / sqrt(n) on a probe v of n = d^2 entries, so it
+    is at most (1 + ESTIMATE_RTOL) ||A^-1||_1), or the smallest non-kernel
+    singular value over sigma_max of the dense packed real generator
+    (method "null-space").
     iterations counts the GMRES iterations of the solve and its refinement
     step, estimate_iterations those of the condition estimate's solves
     (both 0 for the SVD).
@@ -495,6 +502,12 @@ DENSE_SOLVE_MEMORY_FACTOR = 9
 # a cycle that does not lower the recomputed residual.
 GMRES_RESTART = 200
 GMRES_RTOL = 1e-15
+# A condition-estimate solve on a probe v of n entries stops at
+# ||r||_2 <= ESTIMATE_RTOL ||v||_1 / sqrt(n). As ||A^-1 r||_1 <=
+# ||A^-1||_1 sqrt(n) ||r||_2, each probe's 1-norm moves by at most
+# ESTIMATE_RTOL ||A^-1||_1 ||v||_1, and the estimate by at most
+# ESTIMATE_RTOL ||A^-1||_1, up to rounding.
+ESTIMATE_RTOL = 1e-4
 GMRES_FLOOR = 8
 GMRES_MAXITER = 1000
 
@@ -558,9 +571,12 @@ def _gmres_steady(superop: Superoperator):
     eigenframe, removes. failure is None when the certificate holds, else a
     description of what failed (rho and rcond are then meaningless).
     iterations counts the GMRES iterations of the solve and the refinement,
-    estimate_iterations those of the condition estimate's solves. A^dag is
-    A on the Heisenberg frame: energies -E, the same G, and each L_c swapped
-    with L_c^dag. Every solve shares one Krylov workspace.
+    estimate_iterations those of the condition estimate's solves. Those
+    stop at residual ESTIMATE_RTOL ||v||_1 / sqrt(n) on a probe v of
+    n = d^2 entries, which keeps est ||A^-1||_1 below (1 + ESTIMATE_RTOL)
+    ||A^-1||_1; the solve and the refinement stop at GMRES_RTOL. A^dag is
+    A on the Heisenberg frame: energies -E, the same G, and each L_c
+    swapped with L_c^dag. Every solve shares one Krylov workspace.
     """
     frame = superop._eigenframe
     eig, g, jumps, jumps_dag = frame
@@ -581,7 +597,8 @@ def _gmres_steady(superop: Superoperator):
     def solver(operator):
         def solve(v):
             nonlocal converged, estimate_iterations
-            out, count, ok = _gmres(*operator, v, anorm, krylov)
+            target = ESTIMATE_RTOL * float(np.abs(v).sum()) / math.sqrt(v.size)
+            out, count, ok = _gmres(*operator, v, anorm, krylov, target=target)
             converged = converged and ok
             estimate_iterations += count
             return out

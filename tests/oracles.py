@@ -26,6 +26,9 @@ before it carried each Hermitian stage as one real matrix; it reads only
 the eigenframe tuple and multiplies in complex arithmetic. `_bordered_lu_solve` is the dense bordered LU solve with
 its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 `bordered_lu_steady_state` turns its solution into the trace-one state.
+`exact_estimate_rcond` is the GMRES steady state of `ule.steady_state`
+with the condition estimate's solves run to the default `_gmres` target,
+as they were before they stopped at the looser target the estimate needs.
 `bose_weight_branches` is the three-branch Bose weight that the one-expression
 `ule.bath._bose_weight` replaced. `secular_residuals_loop` applies one dense
 jump per Bohr frequency, the loop that the same-bin pair scatter of
@@ -44,7 +47,16 @@ they wrote out the packed real eigenframe generator, and the form
 import numpy as np
 from scipy.linalg import lapack
 
-from ule import PropagationError, QuadratureError, Trajectory, dynamics, hermitize, jump_spectral
+from ule import (
+    EigenDecomposition,
+    PropagationError,
+    QuadratureError,
+    SteadyStateReport,
+    Trajectory,
+    dynamics,
+    hermitize,
+    jump_spectral,
+)
 from ule.bath import _WG, _WGK, _XGK
 
 
@@ -789,6 +801,48 @@ def bordered_lu_steady_state(superop):
     x, rcond = _bordered_lu_solve(kron_superoperator(superop), superop.dim)
     rho = hermitize(unvec(x, superop.dim))
     return rho / float(np.real(np.trace(rho))), rcond
+
+
+def exact_estimate_rcond(superop):
+    """The `SteadyStateReport` of `ule.steady_state` on its GMRES path, with
+    every solve of the condition estimate run to the default `_gmres`
+    target GMRES_RTOL ||v||_2. The solve, the refinement and the estimator
+    are the library's, so state, iterations and residual are its bitwise;
+    rcond and estimate_iterations are those of the exact-solve estimate.
+    RuntimeError when the certificate fails.
+    """
+    eig, g, jumps, jumps_dag = frame = superop._eigenframe
+    d = eig.dim
+    forward = dynamics._bordered_operator(frame)
+    adjoint = dynamics._bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
+                                           g, jumps_dag, jumps))
+    krylov = np.empty((dynamics.GMRES_RESTART + 1, d * d))
+    anorm = dynamics._onenorm_estimate(forward[0], adjoint[0], d * d)
+    rhs = np.eye(d).reshape(-1) / d
+    x, iterations, converged = dynamics._gmres(*forward, rhs, anorm, krylov)
+    counts = []
+
+    def solver(operator):
+        def solve(v):
+            nonlocal converged
+            out, count, ok = dynamics._gmres(*operator, v, anorm, krylov)
+            converged = converged and ok
+            counts.append(count)
+            return out
+        return solve
+
+    rcond = 1.0 / (anorm * dynamics._onenorm_estimate(solver(forward), solver(adjoint), d * d))
+    if not (converged and rcond > dynamics.KERNEL_RTOL):
+        raise RuntimeError(f"certificate failed: converged {converged}, rcond {rcond:.3e}")
+    rho = eig.from_eigenbasis(dynamics._unpack(x.reshape(d, d)))
+    residual = dynamics._pack(hermitize(eig.to_eigenbasis(superop.apply_matrix(rho))))
+    delta, refinement, _ = dynamics._gmres(*forward, -residual.reshape(-1), anorm, krylov,
+                                           target=dynamics.GMRES_RTOL * dynamics._norm(rhs))
+    rho = rho + eig.from_eigenbasis(dynamics._unpack(delta.reshape(d, d)))
+    rho, residual = dynamics._normalized(superop, rho)
+    return SteadyStateReport(state=rho, residual=residual, kernel_dimension=1, rcond=rcond,
+                             method="gmres", iterations=iterations + refinement,
+                             estimate_iterations=sum(counts))
 
 
 def complex_bordered_operator(frame):

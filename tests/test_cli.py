@@ -126,6 +126,21 @@ def test_bath_grid_options_exit_2(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("bath", "--e-list", "1,a"), ("bath", "--e-list", "1,nan"), ("bath", "--e-list", "inf"),
+    ("sweep", "--T-list", "1,a"), ("sweep", "--T-list", "1,inf"),
+    ("sweep", "--gamma-list", "0.1,x"), ("sweep", "--gamma-list", "-inf,0.1")])
+def test_list_options_are_checked_before_any_output(tmp_path, capsys, command, option, value):
+    # a bad --e-list used to fail only after bath_g.csv was written, and
+    # neither list error named its option
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path), "--outdir", str(out),
+                 f"{option}={value}"])
+    assert code == 2
+    assert f"config error: {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse():
     # a value that starts with '-' and is not a plain number reads as an
     # option unless it is attached with '='

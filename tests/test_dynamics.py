@@ -8,6 +8,7 @@ from oracles import (
     bordered_lu_steady_state,
     complex_bordered_operator,
     dp5_propagate,
+    exact_estimate_rcond,
     gmres_reference,
     kron_superoperator,
     lawson_propagate_complex,
@@ -36,6 +37,7 @@ from ule import (
     trace_distance,
 )
 from ule.dynamics import (
+    ESTIMATE_RTOL,
     GMRES_MAXITER,
     GMRES_RESTART,
     KERNEL_RTOL,
@@ -508,6 +510,69 @@ def test_onenorm_estimate_on_dense_matrices():
         exact = np.max(np.sum(np.abs(b), axis=0))
         est = _onenorm_estimate(lambda v: b @ v, lambda v: b.T @ v, n)
         assert exact / 3 <= est <= exact * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_onenorm_estimate_with_loose_solves_on_dense_matrices(n):
+    # the condition estimate's solves stop at ESTIMATE_RTOL ||v||_1 / sqrt(n),
+    # which moves each probe's 1-norm by at most ESTIMATE_RTOL ||A^-1||_1 ||v||_1.
+    # The diagonal shift gives GMRES a steady convergence rate, so each solve
+    # stops near its target instead of far below it
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        a = rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)
+        anorm = np.max(np.sum(np.abs(a), axis=0))
+        krylov = np.empty((GMRES_RESTART + 1, n))
+
+        def loose(m):
+            def solve(v):
+                target = ESTIMATE_RTOL * np.sum(np.abs(v)) / np.sqrt(n)
+                x, _, converged = _gmres(lambda u: m @ u, lambda u: u, v, anorm, krylov,
+                                         target=target)
+                assert converged
+                return x
+            return solve
+
+        est = _onenorm_estimate(loose(a), loose(a.T), n)
+        ref = _onenorm_estimate(lambda v: np.linalg.solve(a, v),
+                                lambda v: np.linalg.solve(a.T, v), n)
+        exact = np.max(np.sum(np.abs(np.linalg.inv(a)), axis=0))
+        assert ref / (1 + 2 * ESTIMATE_RTOL) <= est <= ref * (1 + 2 * ESTIMATE_RTOL)
+        assert est <= exact * (1 + 2 * ESTIMATE_RTOL)
+
+
+def chain_superop(n, **kwargs):
+    return build_chain_superop(SpinChainSpec(N=n, **kwargs))[1]
+
+
+# name -> (systems, whether the loose solves must spend fewer iterations)
+ESTIMATE_CASES = {
+    **{f"chain{n}{suffix}": (lambda n=n, kwargs=kwargs: [chain_superop(n, **kwargs)], n >= 4)
+       for n in range(3, 7)
+       for suffix, kwargs in (("", {}), ("_lamb", {"ignore_lamb_shift": False}),
+                              ("_two_jumps", {"gamma2": 0.05}))},
+    "random": (lambda: [random_liouvillian(13)[1]], False),
+    "three_level": (lambda: [three_level_liouvillian()[1]], False),
+    "random_ensemble": (lambda: list(random_ensemble()), False),
+}
+
+
+@pytest.mark.parametrize("build, fewer", ESTIMATE_CASES.values(), ids=list(ESTIMATE_CASES))
+def test_loose_estimate_solves_match_exact_solve_oracle(build, fewer):
+    # the estimate's solves only stop earlier: the state, its solve and its
+    # residual are the exact-solve run's bitwise, and rcond moves by far
+    # less than the digits a condition estimate carries
+    for sop in build():
+        report = steady_state(sop)
+        oracle = exact_estimate_rcond(sop)
+        assert report.method == "gmres"
+        assert report.rcond == pytest.approx(oracle.rcond, rel=1e-3)
+        assert np.array_equal(report.state, oracle.state)
+        assert report.iterations == oracle.iterations
+        assert report.residual == oracle.residual
+        assert report.estimate_iterations <= oracle.estimate_iterations
+        if fewer:
+            assert report.estimate_iterations < oracle.estimate_iterations
 
 
 def test_steady_state_ignores_global_random_state():
