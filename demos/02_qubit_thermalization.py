@@ -37,10 +37,10 @@ sop = build_liouvillian(eig, channel, include_lamb_shift=True)
 # relax from the excited state and watch the population decay
 rho0 = eig.projector(1)
 times = np.linspace(0.0, 60.0, 13)
-traj = propagate(sop, rho0, 60.0, times, tol=1e-10)
+traj = propagate(sop, rho0, 60.0, times, tol=1e-10,
+                 observables={"p_excited": eig.projector(1)})
 print("\n  t      p_excited")
-for t, state in zip(times, traj.states):
-    p_e = float(np.real(eig.basis[:, 1].conj() @ state @ eig.basis[:, 1]))
+for t, p_e in zip(times, traj.observables["p_excited"]):
     print(f"{t:6.1f}   {p_e:.8f}")
 
 report = steady_state(sop)

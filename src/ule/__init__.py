@@ -38,10 +38,8 @@ from .dynamics import (
     SteadyStateReport,
     Trajectory,
     expectation,
-    liouvillian_gap,
     propagate,
     steady_state,
-    steady_state_consistency,
 )
 from .generator import (
     NoiseChannel,
@@ -60,7 +58,6 @@ from .operators import (
     gibbs_state,
     hermitize,
     require_hermitian,
-    thermal_shift_residual,
     trace_distance,
 )
 from .spinchain import (
@@ -70,5 +67,4 @@ from .spinchain import (
     magnetization,
     run_relaxation,
     site_operator,
-    total_sz,
 )

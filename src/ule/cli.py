@@ -17,6 +17,7 @@ value that starts with '-' (--B_z=-1e-3). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -51,17 +52,35 @@ class ConfigError(ValueError):
     pass
 
 
+# The range a value must lie in: (test, requirement), or (test, requirement,
+# subject) where the message keeps a library class's wording for the subject.
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite and positive")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and non-negative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+_TOLERANCE = (*_POSITIVE, "quadrature tolerances")
+
+
+def _check(name: str, value, rule):
+    """ConfigError naming `name` and `value` unless `value` is in the range `rule`."""
+    if not rule[0](value):
+        if len(rule) == 3:
+            raise ConfigError(f"{rule[2]} must be {rule[1]}, got {name} = {value}")
+        raise ConfigError(f"{name} must be {rule[1]}, got {value}")
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_list(option: str, text: str) -> list:
-    """The finite numbers of a comma-separated list option; empty items are skipped."""
+def _parse_list(option: str, text: str, rule=_FINITE) -> list:
+    """The numbers of a comma-separated list option, each in the range `rule`;
+    empty items are skipped."""
     values = []
     for item in text.split(","):
         if not item.strip():
@@ -70,8 +89,7 @@ def _parse_list(option: str, text: str) -> list:
             value = float(item)
         except ValueError:
             raise ConfigError(f"{option}: expected a number, got {item.strip()!r}") from None
-        if not np.isfinite(value):
-            raise ConfigError(f"{option} values must be finite, got {item.strip()!r}")
+        _check(f"{option} values", value, rule)
         values.append(value)
     return values
 
@@ -79,32 +97,33 @@ def _parse_list(option: str, text: str) -> list:
 def _parse_sites(text: str):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 2:
-        raise ConfigError(f"couple_sites needs two sites, got {text!r}")
+        raise ValueError(f"expected two sites, got {text!r}")
     return (int(parts[0]), int(parts[1]))
 
 
-# key -> (parser, default). A key whose default is None stays absent unless
-# the config file or a command-line override sets it; `load_config` requires
-# the keys of the command's `required` set.
+# key -> (parser, default, range). A key whose default is None stays absent
+# unless the config file or a command-line override sets it; `load_config`
+# requires the keys of the command's `required` set and checks every value
+# it holds against the key's range (None: the parser is the check).
 CONFIG_SCHEMA = {
-    "N": (int, None),
-    "eta": (float, SpinChainSpec.eta),
-    "B_z": (float, None),
-    "T1": (float, None),
-    "T2": (float, SpinChainSpec.T2),
-    "gamma1": (float, None),
-    "gamma2": (float, SpinChainSpec.gamma2),
-    "Lambda_c": (float, SpinChainSpec.Lambda_c),
-    "omega0": (float, SpinChainSpec.omega0),
-    "couple_sites": (_parse_sites, SpinChainSpec.couple_sites),
-    "ignore_lamb_shift": (_parse_bool, SpinChainSpec.ignore_lamb_shift),
-    "rtol": (float, QuadratureSpec.rtol),
-    "atol": (float, QuadratureSpec.atol),
-    "omega_max_pad": (float, QuadratureSpec.omega_max_pad),
-    "max_depth": (int, QuadratureSpec.max_depth),
-    "t_end": (float, None),
-    "samples": (int, 200),
-    "tol": (float, 1e-8),
+    "N": (int, None, _AT_LEAST_ONE),
+    "eta": (float, SpinChainSpec.eta, _FINITE),
+    "B_z": (float, None, _FINITE),
+    "T1": (float, None, _POSITIVE),
+    "T2": (float, SpinChainSpec.T2, _POSITIVE),
+    "gamma1": (float, None, _NON_NEGATIVE),
+    "gamma2": (float, SpinChainSpec.gamma2, _NON_NEGATIVE),
+    "Lambda_c": (float, SpinChainSpec.Lambda_c, _POSITIVE),
+    "omega0": (float, SpinChainSpec.omega0, _FINITE),
+    "couple_sites": (_parse_sites, SpinChainSpec.couple_sites, None),
+    "ignore_lamb_shift": (_parse_bool, SpinChainSpec.ignore_lamb_shift, None),
+    "rtol": (float, QuadratureSpec.rtol, _TOLERANCE),
+    "atol": (float, QuadratureSpec.atol, _TOLERANCE),
+    "omega_max_pad": (float, QuadratureSpec.omega_max_pad, _POSITIVE),
+    "max_depth": (int, QuadratureSpec.max_depth, _AT_LEAST_ONE),
+    "t_end": (float, None, _POSITIVE),
+    "samples": (int, 200, _AT_LEAST_ONE),
+    "tol": (float, 1e-8, _POSITIVE),
 }
 
 
@@ -112,8 +131,6 @@ def _parse_value(key: str, text: str, where: str):
     """Parse one value with its schema parser; `where` prefixes the error."""
     try:
         return CONFIG_SCHEMA[key][0](text)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -152,18 +169,16 @@ def load_config(args, required=CHAIN_KEYS) -> dict:
         override = getattr(args, f"opt_{key}", None)
         if override is not None:
             values[key] = _parse_value(key, override, f"bad value for --{key}")
-    for key, (_, default) in CONFIG_SCHEMA.items():
+    for key, (_, default, _) in CONFIG_SCHEMA.items():
         if key in values:
             continue
         if key in required:
             raise ConfigError(f"missing config key {key!r}")
         if default is not None:
             values[key] = default
-    if values["samples"] < 1:
-        raise ConfigError(f"samples must be at least 1, got {values['samples']}")
-    for key in ("tol", "t_end"):
-        if key in values and not 0 < values[key] < np.inf:
-            raise ConfigError(f"{key} must be finite and positive, got {values[key]}")
+    for key, value in values.items():
+        if CONFIG_SCHEMA[key][2] is not None:
+            _check(key, value, CONFIG_SCHEMA[key][2])
     return values
 
 
@@ -274,10 +289,8 @@ def cmd_residual(args) -> int:
 
 
 def cmd_bath(args) -> int:
-    if not 0 < args.omega_max < np.inf:
-        raise ConfigError(f"--omega-max must be finite and positive, got {args.omega_max}")
-    if args.omega_points < 1:
-        raise ConfigError(f"--omega-points must be at least 1, got {args.omega_points}")
+    _check("--omega-max", args.omega_max, _POSITIVE)
+    _check("--omega-points", args.omega_points, _AT_LEAST_ONE)
     energies = np.array(_parse_list("--e-list", args.e_list))
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
@@ -297,8 +310,8 @@ def cmd_bath(args) -> int:
 def cmd_sweep(args) -> int:
     # the baseline sweep reads no config key; the config is only validated
     load_config(args, required=frozenset())
-    temps = _parse_list("--T-list", args.T_list)
-    gammas = _parse_list("--gamma-list", args.gamma_list)
+    temps = _parse_list("--T-list", args.T_list, _POSITIVE)
+    gammas = _parse_list("--gamma-list", args.gamma_list, _POSITIVE)
     system = three_level_baseline()
     result = trend_sweep(system, temps, gammas)
     rows = []

@@ -8,7 +8,8 @@ only the dissipator in the interaction frame of each step. The step size is
 then set by the dissipation and not by the largest Bohr frequency. Sample
 states between accepted steps come from cubic Hermite interpolation of
 (state, derivative) pairs in the step's rotating frame, rotated back to the
-sample time and to the input basis.
+sample time. Samples stay in the eigenframe; only a kept state is rotated
+back to the input basis.
 
 Every stage of a step is Hermitian, and `propagate` carries each as one
 real d x d matrix P = Re(y) + Im(y), from which y = (P + P^T)/2 +
@@ -49,11 +50,11 @@ The estimate needs few digits: its solves on a probe v of n = d^2 entries
 stop at residual ESTIMATE_RTOL ||v||_1 / sqrt(n), which moves the estimate
 of ||A^-1||_1 by at most ESTIMATE_RTOL ||A^-1||_1 from the exact-solve one
 on the same probes, so it stays below (1 + ESTIMATE_RTOL) ||A^-1||_1.
-Only the SVD fallback of a generator that fails the certificate, and
-`liouvillian_gap`, write `_packed_generator` out as a dense real d^2 x d^2
-matrix. The packing is a Frobenius isometry onto an orthonormal basis of
-all d x d matrices over C, so that matrix has the singular values, kernel
-dimension and spectrum of the complex generator.
+Only the SVD fallback of a generator that fails the certificate writes
+`_packed_generator` out as a dense real d^2 x d^2 matrix. The packing is a
+Frobenius isometry onto an orthonormal basis of all d x d matrices over C,
+so that matrix has the singular values, kernel dimension and spectrum of
+the complex generator.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import MemoryLimitError, Superoperator, _require_memory
-from .operators import EigenDecomposition, frobenius, hermitize, trace_distance
+from .operators import EigenDecomposition, frobenius, hermitize
 
 
 class PropagationError(RuntimeError):
@@ -91,16 +92,20 @@ class Trajectory:
 
     observables maps a name to the sampled series of real expectation
     values; stats carries integrator diagnostics (accepted steps, max trace
-    drift, smallest state eigenvalue seen at the sample times).
+    drift, smallest state eigenvalue seen at the sample times). states holds
+    the sampled density matrices in the input basis, or None unless
+    `propagate` was asked to keep them.
     """
 
     times: np.ndarray
-    states: list
+    states: list | None = None
     observables: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     @property
     def final_state(self) -> np.ndarray:
+        if self.states is None:
+            raise ValueError("the trajectory holds no states; propagate with keep_states=True")
         return self.states[-1]
 
 
@@ -300,7 +305,8 @@ def _hermite_eval(t, t0, y0, f0, t1, y1, f1):
 
 
 def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
-              tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
+              tol: float = 1e-8, observables: dict | None = None,
+              keep_states: bool = False) -> Trajectory:
     """Integrate drho/dt = generator(rho) from t = 0 to t_end.
 
     The state y is held in the eigenbasis of H_eff, where the commutator
@@ -318,21 +324,27 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     rho0 must be a finite d x d matrix of trace 1 (within 1e-12); it is
     Hermitized in the eigenbasis before the first step. sample_times must be
-    a finite 1-D array within [0, t_end]; the returned trajectory holds the
-    Hermitized states, in the input basis, at exactly those times. The
-    per-step error norm is the RMS over the d^2 entries of the
-    interaction-frame error, each scaled by tol * (1 + |component|), so tol,
-    which must be positive and finite, acts as a relative tolerance at unit
-    scale.
+    a finite 1-D array within [0, t_end]; the trajectory is sampled at
+    exactly those times. The per-step error norm is the RMS over the d^2
+    entries of the interaction-frame error, each scaled by
+    tol * (1 + |component|), so tol, which must be positive and finite, acts
+    as a relative tolerance at unit scale.
 
-    MemoryLimitError (a ValueError) if the sampled states, 16 d^2 bytes
-    each, would not fit in physical memory. PropagationError on step-size
-    underflow or when any state eigenvalue falls below -1e-6; between
-    samples the eigenbasis diagonal is checked at every accepted step. Such
-    a violation comes from a generator that is not completely positive or
-    from a loose tol, so its message names tol. Observables are sampled
-    with `expectation`, which raises ValueError on a non-negligible
-    imaginary part.
+    Each observable O (d x d) is rotated into the eigenframe once, split as
+    H + i K with H, K Hermitian, and both are packed. The packing is a
+    Frobenius isometry, so a sample y has tr(y O) = P_y . P_H + i P_y . P_K.
+    A shape mismatch raises ValueError before the first step, an imaginary
+    part above 1e-10 that of `expectation`. A sample's smallest eigenvalue
+    is that of the eigenframe state, the spectrum of the input-basis one.
+
+    With keep_states, trajectory.states holds each sample Hermitized in the
+    input basis, 16 d^2 bytes each, and MemoryLimitError (a ValueError) is
+    raised first if they would not fit in physical memory; otherwise it is
+    None. PropagationError on step-size underflow or when any sample
+    eigenvalue falls below -1e-6; between samples the eigenbasis diagonal
+    is checked at every accepted step. Such a violation comes from a
+    generator that is not completely positive or from a loose tol, so its
+    message names tol.
     """
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -357,8 +369,19 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         raise ValueError("sample_times must lie within [0, t_end]")
     if np.any(np.diff(sample_times) < 0):
         raise ValueError("sample_times must be non-decreasing")
-    _require_memory(sample_times.size * 16 * d ** 2,
-                    f"storage for {sample_times.size} sampled states of size {d} x {d}")
+    packed = {}  # name -> (series, P_H, P_K)
+    for name, op in (observables or {}).items():
+        op = np.asarray(op)
+        if op.shape != (d, d):
+            raise ValueError(f"shape mismatch: {(d, d)} vs {op.shape}")
+        op = eig.to_eigenbasis(op)
+        packed[name] = (np.empty(sample_times.size), _pack(hermitize(op)).ravel(),
+                        _pack(hermitize(-1j * op)).ravel())
+    sample_vals = None
+    if keep_states:
+        _require_memory(sample_times.size * 16 * d ** 2,
+                        f"storage for {sample_times.size} sampled states of size {d} x {d}")
+        sample_vals = [None] * sample_times.size
 
     energies = eig.energies
     dissipator = _packed_dissipator(frame)
@@ -395,7 +418,6 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     min_step = 1e-14 * t_end
     end_tol = 1e-13 * t_end  # the run stops this close to t_end; its last step takes the rest
 
-    sample_vals: list = [None] * sample_times.size
     next_sample = 0
     max_drift = 0.0
     min_sample_eig = np.inf
@@ -403,7 +425,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     n_rejected = 0
 
     def take_samples(t0, y0, f0, t1, y1, f1):
-        """Store every sample due by t1 from the step (t0, y0, f0) -> (t1, y1, f1),
+        """Take every sample due by t1 from the step (t0, y0, f0) -> (t1, y1, f1),
         whose full-step phases are phases[-1]; return the next due time."""
         nonlocal next_sample, min_sample_eig
         while next_sample < sample_times.size and sample_times[next_sample] <= t1 + end_tol:
@@ -417,8 +439,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                 vs = _hermite_eval(ts, t0, y0, f0, t1, _rotate(*phases[-1], y1, back=True),
                                    _rotate(*phases[-1], f1, back=True))
                 ys = _rotate(*sample_phases(ts - t0)[0], vs)
-            rho = hermitize(eig.from_eigenbasis(_unpack(ys)))
-            wmin = float(np.linalg.eigvalsh(rho)[0])
+            state = _unpack(ys)
+            wmin = float(np.linalg.eigvalsh(state)[0])
             if wmin < -1e-6:
                 raise PropagationError(
                     f"positivity violation {wmin:.3e} at sample t = {ts} with tol = {tol:g}; "
@@ -426,7 +448,11 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                     "completely positive",
                     t_reached=ts)
             min_sample_eig = min(min_sample_eig, wmin)
-            sample_vals[next_sample] = rho
+            flat = ys.ravel()
+            for series, real, imag in packed.values():
+                series[next_sample] = _real(complex(flat @ real, flat @ imag))
+            if keep_states:
+                sample_vals[next_sample] = hermitize(eig.from_eigenbasis(state))
             next_sample += 1
         return sample_times[next_sample] if next_sample < sample_times.size else np.inf
 
@@ -478,12 +504,10 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             factor = max(0.2, 0.9 * err ** -0.2)
         h = h_step * min(5.0, max(0.2, factor))
 
-    obs_series = {name: np.array([expectation(s, op) for s in sample_vals])
-                  for name, op in (observables or {}).items()}
     stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
                  max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
-    return Trajectory(times=sample_times, states=sample_vals,
-                      observables=obs_series, stats=stats)
+    return Trajectory(times=sample_times, states=sample_vals, stats=stats,
+                      observables={name: pack[0] for name, pack in packed.items()})
 
 
 # The GMRES certificate needs rcond above it; the SVD fallback counts singular
@@ -864,38 +888,11 @@ def expectation(rho, op) -> float:
     op = np.asarray(op)
     if rho.shape != op.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {op.shape}")
-    val = complex(np.sum(rho * op.T))
+    return _real(complex(np.sum(rho * op.T)))
+
+
+def _real(val: complex) -> float:
+    """val.real; ValueError unless the imaginary part is negligible."""
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
     return float(val.real)
-
-
-def steady_state_consistency(superop: Superoperator, rho0, t_long: float,
-                             tol: float = 1e-8) -> float:
-    """Trace distance between the long-time propagated state and
-    :func:`steady_state`.
-
-    Expected below 1e-6 once t_long exceeds about twenty relaxation times
-    (20 / spectral gap of the generator).
-    """
-    ss = steady_state(superop)
-    if t_long == 0.0:
-        endpoint = np.asarray(rho0, dtype=complex)
-    else:
-        traj = propagate(superop, rho0, t_long, [t_long], tol=tol)
-        endpoint = traj.final_state
-    return trace_distance(endpoint, ss.state)
-
-
-def liouvillian_gap(superop: Superoperator) -> float:
-    """Smallest nonzero |Re lambda| over the generator spectrum.
-
-    Dense diagonalization (`_dense_generator`); for small systems, e.g. when
-    choosing t_long.
-    """
-    ev = np.linalg.eigvals(_dense_generator(superop))
-    rates = np.abs(ev.real)
-    nonzero = rates[rates > 1e-12 * max(rates.max(), 1.0)]
-    if nonzero.size == 0:
-        raise ValueError("generator has no decaying modes")
-    return float(nonzero.min())

@@ -276,15 +276,6 @@ def gibbs_state(eig: EigenDecomposition, beta: float) -> np.ndarray:
     return (eig.basis * gibbs_populations(eig, beta)) @ eig.basis.conj().T
 
 
-def thermal_shift_residual(rho_th: np.ndarray, a: np.ndarray, w: float, beta: float) -> float:
-    """Frobenius norm of rho_th A(w) - e^(beta w) A(w) rho_th.
-
-    Vanishes (to rounding) when A(w) is an exact Bohr component of the
-    Hamiltonian that generated rho_th.
-    """
-    return frobenius(rho_th @ a - np.exp(beta * w) * (a @ rho_th))
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) * trace norm of rho - sigma."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(rho - sigma)))))

@@ -120,10 +120,6 @@ def magnetization(n_sites: int) -> np.ndarray:
     return out / n_sites
 
 
-def total_sz(n_sites: int) -> np.ndarray:
-    return n_sites * magnetization(n_sites)
-
-
 def bath_coupling_operator(site: int, n_sites: int) -> np.ndarray:
     """Tilted end-site coupling (Sx + Sz)/sqrt(2).
 

@@ -39,9 +39,15 @@ state's bordered operator and preconditioner on complex d x d matrices,
 which the packed real operator replaced. `kron_superoperator` is the
 complex d^2 x d^2 generator on column-stacked states (`vec`, `unvec`),
 built by Kronecker products from H_eff and the jumps in the input basis:
-the dense matrix the SVD fallback and `ule.liouvillian_gap` used before
+the dense matrix the SVD fallback and `liouvillian_gap` used before
 they wrote out the packed real eigenframe generator, and the form
 `dp5_propagate` and `bordered_lu_steady_state` work in.
+
+The last four routines once were library names that no command or demo
+called: `steady_state_consistency` compares the long-time propagated state
+with `ule.steady_state`, `liouvillian_gap` diagonalizes the dense packed
+generator, `thermal_shift_residual` checks the thermal shift identity of a
+Bohr component, and `total_sz` is the chain's total z spin.
 """
 
 import numpy as np
@@ -56,6 +62,10 @@ from ule import (
     dynamics,
     hermitize,
     jump_spectral,
+    magnetization,
+    propagate,
+    steady_state,
+    trace_distance,
 )
 from ule.bath import _WG, _WGK, _XGK
 
@@ -949,3 +959,45 @@ def gmres_reference(apply, precondition, rhs, anorm, target=None):
         y = np.linalg.solve(hess[:k, :k], gvec[:k])  # upper triangular: back substitution
         x = x + precondition(y @ krylov[:k])
         residual = rhs - apply(x)
+
+
+def steady_state_consistency(superop, rho0, t_long: float, tol: float = 1e-8) -> float:
+    """Trace distance between the long-time propagated state and
+    `ule.steady_state`.
+
+    Expected below 1e-6 once t_long exceeds about twenty relaxation times
+    (20 / spectral gap of the generator).
+    """
+    ss = steady_state(superop)
+    if t_long == 0.0:
+        endpoint = np.asarray(rho0, dtype=complex)
+    else:
+        traj = propagate(superop, rho0, t_long, [t_long], tol=tol, keep_states=True)
+        endpoint = traj.final_state
+    return trace_distance(endpoint, ss.state)
+
+
+def liouvillian_gap(superop) -> float:
+    """Smallest nonzero |Re lambda| over the generator spectrum, by dense
+    diagonalization of `ule.dynamics._dense_generator`; for small systems,
+    e.g. when choosing t_long."""
+    ev = np.linalg.eigvals(dynamics._dense_generator(superop))
+    rates = np.abs(ev.real)
+    nonzero = rates[rates > 1e-12 * max(rates.max(), 1.0)]
+    if nonzero.size == 0:
+        raise ValueError("generator has no decaying modes")
+    return float(nonzero.min())
+
+
+def thermal_shift_residual(rho_th, a, w: float, beta: float) -> float:
+    """Frobenius norm of rho_th A(w) - e^(beta w) A(w) rho_th.
+
+    Vanishes (to rounding) when A(w) is an exact Bohr component of the
+    Hamiltonian that generated rho_th.
+    """
+    return float(np.linalg.norm(rho_th @ a - np.exp(beta * w) * (a @ rho_th)))
+
+
+def total_sz(n_sites: int) -> np.ndarray:
+    """Total z spin sum_n Sz_n of an n-site chain."""
+    return n_sites * magnetization(n_sites)

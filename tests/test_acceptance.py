@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import jump_operator_bohr_sum, lamb_shift_bohr_sum, random_hermitian
+from oracles import (
+    jump_operator_bohr_sum,
+    lamb_shift_bohr_sum,
+    liouvillian_gap,
+    random_hermitian,
+    steady_state_consistency,
+)
 from ule import (
     BathSpec,
     NoiseChannel,
@@ -33,11 +39,9 @@ from ule import (
     jump_spectral,
     lambshift_on_gibbs_direct,
     lambshift_on_gibbs_formula,
-    liouvillian_gap,
     run_relaxation,
     secular_residuals,
     steady_state,
-    steady_state_consistency,
     sweep_monotonicity,
     three_level_baseline,
     trace_distance,

@@ -1,17 +1,21 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ule import BathSpec, f_values
-from ule.cli import ConfigError, build_parser, main, parse_config_text
+from ule import BathSpec, SpinChainSpec, f_values, magnetization, propagate
+from ule.cli import CONFIG_SCHEMA, ConfigError, build_parser, main, parse_config_text
+from ule.generator import MemoryLimitError
 from ule.io import format_value, write_json
+from ule.spinchain import all_up_state, build_chain_superop
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -304,19 +308,74 @@ def test_non_finite_run_settings_exit_2(tmp_path, capsys, monkeypatch, command, 
     assert not any(tmp_path.iterdir())
 
 
-def test_sampled_states_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
-    # 20,000 sampled states of 256 x 256 take 21 GB; physical memory is read
-    # as 8.6 GB, and the guard fires before the first step
+def test_sampled_states_beyond_memory_exit_2(monkeypatch):
+    # no command keeps states, so the guard is the library's: 20,000 kept
+    # states of 256 x 256 take 21 GB, physical memory is read as 8.6 GB,
+    # and propagate raises before the first step (no phase is ever filled)
     from ule import generator
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 33)
     monkeypatch.setattr("ule.dynamics._phases", None)
+    _, sop = build_chain_superop(SpinChainSpec(N=8))
+    with pytest.raises(MemoryLimitError, match="storage for 20000 sampled states of size "
+                                               "256 x 256 needs about 21 GB"):
+        propagate(sop, all_up_state(8), 500.0, np.linspace(0.0, 500.0, 20000),
+                  keep_states=True)
+
+
+def test_samples_without_states_stay_small(monkeypatch):
+    # 20,000 states of 16 x 16 would take 82 MB; physical memory is read as
+    # 32 MB, below that, and a run that keeps no states needs neither
+    from ule import generator
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 25)
+    _, sop = build_chain_superop(SpinChainSpec(N=4))
+    times = np.linspace(0.0, 50.0, 20000)
+    tracemalloc.start()
+    try:
+        traj = propagate(sop, all_up_state(4), 50.0, times,
+                         observables={"M": magnetization(4)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states is None and traj.observables["M"].shape == (20000,)
+    assert peak < 8e6
+    with pytest.raises(ValueError, match="keep_states"):
+        traj.final_state
+
+
+PROBE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "abc", ""]
+# physically degenerate chains, whose steady state is not unique: no
+# exchange, no field, or no coupling to the bath
+DEGENERATE = {("steady", "eta", "0"), ("steady", "B_z", "0"), ("steady", "gamma1", "0")}
+
+
+@pytest.mark.parametrize("command", ["steady", "residual"])
+@pytest.mark.parametrize("key", sorted(CONFIG_SCHEMA))
+def test_every_bad_config_value_names_its_key(tmp_path, capsys, command, key):
+    # each run exits 0, exits 2 naming the key with no file written, or
+    # exits 3 on a degenerate chain; none warns
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
-    code = main(["evolve", "--config", config, "--N", "8", "--samples", "20000",
-                 "--outdir", str(tmp_path)])
+    for i, value in enumerate(PROBE_VALUES):
+        out = tmp_path / f"out{i}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", config, "--N", "3", f"--{key}={value}",
+                         "--outdir", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert re.search(rf"\b{key}\b", err), (value, err)
+            assert not out.exists()
+        else:
+            assert code == (3 if (command, key, value) in DEGENERATE else 0), (value, err)
+
+
+@pytest.mark.parametrize("option, value", [("--T-list", "-1,2"), ("--T-list", "2,0"),
+                                           ("--gamma-list", "0.1,-0.1")])
+def test_sweep_lists_must_be_positive(tmp_path, capsys, option, value):
+    out = tmp_path / "out"
+    code = main(["sweep", "--outdir", str(out), f"{option}={value}"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "storage for 20000 sampled states of size 256 x 256 needs about 21 GB" in err
-    assert not (tmp_path / "evolve.csv").exists()
+    assert f"config error: {option} values must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_builds_no_dense_matrix(tmp_path, monkeypatch):

@@ -12,7 +12,9 @@ from oracles import (
     gmres_reference,
     kron_superoperator,
     lawson_propagate_complex,
+    liouvillian_gap,
     random_hermitian,
+    steady_state_consistency,
     vec,
 )
 from ule import (
@@ -28,11 +30,10 @@ from ule import (
     expectation,
     gibbs_populations,
     gibbs_state,
+    hermitize,
     jump_spectral,
-    liouvillian_gap,
     propagate,
     steady_state,
-    steady_state_consistency,
     three_level_baseline,
     trace_distance,
 )
@@ -60,7 +61,6 @@ from ule.spinchain import (
     all_up_state,
     build_chain_superop,
     magnetization,
-    relax_chain,
 )
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -88,7 +88,7 @@ def test_eigenprojector_stationary_under_pure_commutator():
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     sop = build_liouvillian(eig, [], include_lamb_shift=False)
     rho0 = eig.projector(1)
-    traj = propagate(sop, rho0, 5.0, np.linspace(0, 5.0, 11), tol=1e-10)
+    traj = propagate(sop, rho0, 5.0, np.linspace(0, 5.0, 11), tol=1e-10, keep_states=True)
     for state in traj.states:
         assert np.linalg.norm(state - rho0) < 1e-9
 
@@ -98,7 +98,7 @@ def test_qubit_relaxation_matches_rate_equation():
     eig, sop = qubit_liouvillian(delta)
     rho0 = eig.projector(1)  # excited
     times = np.linspace(0.0, 60.0, 40)
-    traj = propagate(sop, rho0, 60.0, times, tol=1e-10)
+    traj = propagate(sop, rho0, 60.0, times, tol=1e-10, keep_states=True)
 
     gamma_down = (2 * np.pi) ** 2 * BATH.coupling * jump_spectral(BATH, delta) ** 2
     gamma_up = (2 * np.pi) ** 2 * BATH.coupling * jump_spectral(BATH, -delta) ** 2
@@ -116,7 +116,7 @@ def test_qubit_relaxation_matches_rate_equation():
 def test_trace_drift_and_positivity_tracking():
     _, sop = three_level_liouvillian()
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    traj = propagate(sop, rho0, 50.0, np.linspace(0, 50, 26), tol=1e-8)
+    traj = propagate(sop, rho0, 50.0, np.linspace(0, 50, 26), tol=1e-8, keep_states=True)
     assert traj.stats["max_trace_drift"] <= 1e-10
     assert traj.stats["min_sample_eig"] >= -1e-8
     for state in traj.states:
@@ -154,7 +154,7 @@ def test_propagate_observable_series():
     sz = np.diag([0.5, -0.5]).astype(complex)
     rho0 = eig.projector(1)
     traj = propagate(sop, rho0, 10.0, np.linspace(0, 10, 5), tol=1e-9,
-                     observables={"sz": sz})
+                     observables={"sz": sz}, keep_states=True)
     assert set(traj.observables) == {"sz"}
     assert traj.observables["sz"].shape == (5,)
     direct = expectation(traj.states[0], sz)
@@ -169,12 +169,79 @@ def test_propagate_rejects_complex_observable():
                   observables={"bad": 1j * np.array([[0, 1], [1, 0]], dtype=complex)})
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_packing_is_a_frobenius_isometry(d):
+    # tr(y O) = P_y . P_O for Hermitian y and O, and a general O = H + i K
+    # reads as P_y . P_H + i P_y . P_K
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        y, o = random_hermitian(rng, d), random_hermitian(rng, d)
+        scale = np.linalg.norm(y) * np.linalg.norm(o)
+        ref = np.trace(y @ o)
+        assert abs(_pack(y).ravel() @ _pack(o).ravel() - ref) <= 1e-14 * scale
+        a = o + 1j * random_hermitian(rng, d)
+        ref = np.trace(y @ a)
+        got = complex(_pack(y).ravel() @ _pack(hermitize(a)).ravel(),
+                      _pack(y).ravel() @ _pack(hermitize(-1j * a)).ravel())
+        assert abs(got - ref) <= 1e-14 * np.linalg.norm(y) * np.linalg.norm(a)
+
+
+def test_propagate_checks_observables_before_the_first_step(monkeypatch):
+    eig, sop = qubit_liouvillian()
+    monkeypatch.setattr("ule.dynamics._phases", None)
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        propagate(sop, eig.projector(1), 1.0, [1.0], observables={"bad": np.eye(3)})
+
+
+def test_non_hermitian_observable():
+    # an anti-Hermitian part whose expectation is below 1e-10 is accepted
+    # and the Hermitian part is read; one above it raises, as `expectation`
+    eig, sop = qubit_liouvillian()
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    skew = 1j * np.diag([1.0, -1.0])  # tr(rho skew) = i (p_0 - p_1)
+    got = propagate(sop, eig.projector(1), 10.0, np.linspace(0, 10, 5), tol=1e-9,
+                    observables={"x": x + 1e-12 * skew}, keep_states=True)
+    for state, value in zip(got.states, got.observables["x"]):
+        assert value == pytest.approx(expectation(state, x), abs=1e-14)
+    with pytest.raises(ValueError, match="imaginary part"):
+        propagate(sop, eig.projector(1), 10.0, np.linspace(0, 10, 5), tol=1e-9,
+                  observables={"skew": skew})
+
+
+@pytest.mark.parametrize("system", ["qubit", "three_level", "chain3", "chain4", "chain5"])
+def test_eigenframe_samples_match_kept_states(system):
+    # the observables and the smallest eigenvalue, read in the eigenframe,
+    # agree with the input-basis states to rounding; keeping the states
+    # changes nothing else, bitwise
+    if system == "qubit":
+        eig, sop = qubit_liouvillian()
+        rho0, m, t_end = eig.projector(1), np.diag([0.5, -0.5]).astype(complex), 60.0
+    elif system == "three_level":
+        _, sop = three_level_liouvillian()
+        rho0, t_end = np.diag([0.0, 0.0, 1.0]).astype(complex), 50.0
+        m = random_hermitian(np.random.default_rng(7), 3)
+    else:
+        n = int(system[-1])
+        sop = chain_liouvillian(n)
+        rho0, m, t_end = all_up_state(n), magnetization(n), 500.0
+    times = np.linspace(0.0, t_end, 200)
+    lean = propagate(sop, rho0, t_end, times, observables={"M": m})
+    kept = propagate(sop, rho0, t_end, times, observables={"M": m}, keep_states=True)
+    assert lean.states is None and len(kept.states) == times.size
+    assert np.array_equal(lean.observables["M"], kept.observables["M"])
+    assert lean.stats == kept.stats
+    direct = np.array([expectation(state, m) for state in kept.states])
+    assert np.max(np.abs(lean.observables["M"] - direct)) <= 1e-14
+    smallest = min(np.linalg.eigvalsh(state)[0] for state in kept.states)
+    assert abs(lean.stats["min_sample_eig"] - smallest) <= 1e-14
+
+
 def test_halving_tolerance_tightens_endpoint():
     _, sop = three_level_liouvillian()
     rho0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
 
     def endpoint(tol):
-        return propagate(sop, rho0, 20.0, [20.0], tol=tol).final_state
+        return propagate(sop, rho0, 20.0, [20.0], tol=tol, keep_states=True).final_state
 
     ref = endpoint(1e-12)
     err_loose = np.linalg.norm(endpoint(1e-6) - ref)
@@ -673,7 +740,10 @@ def test_positivity_violation_flags_generator_bug():
 def test_propagate_matches_dp5_oracle_on_chain(n, lamb):
     spec = SpinChainSpec(N=n, ignore_lamb_shift=not lamb)
     _, sop = build_chain_superop(spec)
-    got = relax_chain(spec, sop, samples=200, tol=1e-8)
+    # the samples of `relax_chain`, with the states kept
+    times = np.linspace(0.0, 50.0 / spec.gamma1, 200)
+    got = propagate(sop, all_up_state(n), times[-1], times, tol=1e-8,
+                    observables={"M": magnetization(n)}, keep_states=True)
     ref = dp5_propagate(sop, all_up_state(n), got.times[-1], got.times, tol=1e-8,
                         observables={"M": magnetization(n)})
     assert np.max(np.abs(got.observables["M"] - ref.observables["M"])) <= 1e-6
@@ -688,7 +758,8 @@ def test_tightening_tolerance_approaches_dp5_oracle_on_chain():
     _, sop = build_chain_superop(SpinChainSpec(N=3))
     rho0 = all_up_state(3)
     ref = dp5_propagate(sop, rho0, 20.0, [20.0], tol=1e-12).final_state
-    errors = [np.linalg.norm(propagate(sop, rho0, 20.0, [20.0], tol=tol).final_state - ref)
+    errors = [np.linalg.norm(propagate(sop, rho0, 20.0, [20.0], tol=tol,
+                                       keep_states=True).final_state - ref)
               for tol in (1e-6, 5e-7, 1e-7)]
     # the endpoint error does not grow as tol is tightened
     assert errors[1] <= max(errors[0], 1e-13)
@@ -761,7 +832,8 @@ def test_propagate_matches_dp5_oracle_on_complex_frame():
     # tol 1e-10: at 1e-8 the two runs differ by 5.1e-6 in M here, with the
     # plain complex products as much as with this kernel (the error norm
     # dilutes over the d^2 entries; this test does not target that)
-    got = propagate(sop, rho0, times[-1], times, tol=1e-10, observables={"M": m})
+    got = propagate(sop, rho0, times[-1], times, tol=1e-10, observables={"M": m},
+                    keep_states=True)
     ref = dp5_propagate(sop, rho0, times[-1], times, tol=1e-10, observables={"M": m})
     assert np.max(np.abs(got.observables["M"] - ref.observables["M"])) <= 1e-6
     assert max(trace_distance(a, b) for a, b in zip(got.states, ref.states)) <= 1e-4
@@ -796,7 +868,7 @@ def test_propagate_matches_complex_lawson_oracle(build, n, t_end):
     else:
         rho0, m = all_up_state(n), magnetization(n)
     times = np.linspace(0.0, t_end, 60)
-    got = propagate(sop, rho0, t_end, times, tol=1e-8, observables={"M": m})
+    got = propagate(sop, rho0, t_end, times, tol=1e-8, observables={"M": m}, keep_states=True)
     ref = lawson_propagate_complex(sop, rho0, t_end, times, tol=1e-8, observables={"M": m})
     assert got.stats["n_accepted"] == ref.stats["n_accepted"] > 0
     assert got.stats["n_rejected"] == ref.stats["n_rejected"]
@@ -812,7 +884,7 @@ def test_propagate_matches_complex_lawson_oracle_on_complex_frame():
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     times = np.linspace(0.0, 100.0, 51)
-    got = propagate(sop, rho0, times[-1], times, tol=1e-8)
+    got = propagate(sop, rho0, times[-1], times, tol=1e-8, keep_states=True)
     ref = lawson_propagate_complex(sop, rho0, times[-1], times, tol=1e-8)
     assert got.stats["n_accepted"] == ref.stats["n_accepted"] > 0
     assert got.stats["n_rejected"] == ref.stats["n_rejected"]
@@ -911,7 +983,7 @@ def test_phase_pairs():
 def test_real_frame_never_enters_complex_kernel(monkeypatch):
     sop = chain_liouvillian(3, gamma2=0.05)
     assert sop._eigenframe[1].dtype == np.float64
-    ref = propagate(sop, all_up_state(3), 50.0, [0.0, 25.0, 50.0])
+    ref = propagate(sop, all_up_state(3), 50.0, [0.0, 25.0, 50.0], keep_states=True)
 
     def refuse(*args):
         raise AssertionError("the complex dissipator ran on a real frame")
@@ -919,7 +991,7 @@ def test_real_frame_never_enters_complex_kernel(monkeypatch):
     steady_ref = steady_state(sop)
 
     monkeypatch.setattr("ule.dynamics._dissipator", refuse)
-    got = propagate(sop, all_up_state(3), 50.0, [0.0, 25.0, 50.0])
+    got = propagate(sop, all_up_state(3), 50.0, [0.0, 25.0, 50.0], keep_states=True)
     assert got.stats == ref.stats
     assert all(np.array_equal(a, b) for a, b in zip(got.states, ref.states))
     steady = steady_state(sop)

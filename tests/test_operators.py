@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bohr_double_sum_loop, jacobi_eigenvalues, random_hermitian
+from oracles import (
+    bohr_double_sum_loop,
+    jacobi_eigenvalues,
+    random_hermitian,
+    thermal_shift_residual,
+)
 from ule import (
     EigenDecomposition,
     SpinChainSpec,
@@ -14,7 +19,6 @@ from ule import (
     gibbs_populations,
     gibbs_state,
     hermitize,
-    thermal_shift_residual,
     trace_distance,
 )
 from ule.spinchain import bath_coupling_operator, chain_channels

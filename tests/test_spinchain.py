@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import total_sz
 from ule import (
     SpinChainSpec,
     build_chain_hamiltonian,
@@ -9,7 +10,6 @@ from ule import (
     magnetization,
     run_relaxation,
     site_operator,
-    total_sz,
 )
 from ule.spinchain import PAULI_Z, all_up_state, bath_coupling_operator, chain_channels
 
