@@ -31,6 +31,7 @@ from .analysis import (
 )
 from .bath import BathSpec, QuadratureSpec, QuadratureError, f_values, jump_spectral
 from .dynamics import PropagationError, SteadyStateError
+from .generator import _require_memory
 from .io import format_value, write_csv, write_json
 from .operators import eigendecompose
 from .spinchain import (
@@ -199,6 +200,16 @@ def spec_from_config(cfg: dict) -> SpinChainSpec:
         raise ConfigError(str(exc)) from exc
 
 
+# Bytes held per row of a written table (arrays and CSV floats): tracemalloc
+# read 220-226 per sample or --omega-points point, ~140 per --e-list pair.
+_ROW_BYTES = 256
+
+
+def _require_rows(key: str, rows: int) -> None:
+    """MemoryLimitError naming `key` if a table of `rows` rows would not fit."""
+    _require_memory(rows * _ROW_BYTES, f"a table of {rows} rows for {key}")
+
+
 def _out(args, name: str) -> str:
     import os
     os.makedirs(args.outdir, exist_ok=True)
@@ -208,6 +219,7 @@ def _out(args, name: str) -> str:
 def cmd_spinchain(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
+    _require_rows("samples", cfg["samples"])
     result = run_relaxation(spec, t_end=cfg.get("t_end"),
                             samples=cfg["samples"], tol=cfg["tol"])
     traj, dev = result.trajectory, result.deviation
@@ -225,7 +237,6 @@ def cmd_spinchain(args) -> int:
         "rho11_rel_gap": dev.rho11_rel_gap,
         "steady_residual": result.steady.residual,
         "kernel_dimension": result.steady.kernel_dimension,
-        "steady_method": result.steady.method,
         "steady_rcond": result.steady.rcond,
         "steady_iterations": result.steady.iterations,
         "steady_estimate_iterations": result.steady.estimate_iterations,
@@ -249,6 +260,7 @@ def cmd_spinchain(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
+    _require_rows("samples", cfg["samples"])
     _, sop = build_chain_superop(spec)
     traj = relax_chain(spec, sop, t_end=cfg.get("t_end"),
                        samples=cfg["samples"], tol=cfg["tol"])
@@ -292,6 +304,8 @@ def cmd_bath(args) -> int:
     _check("--omega-max", args.omega_max, _POSITIVE)
     _check("--omega-points", args.omega_points, _AT_LEAST_ONE)
     energies = np.array(_parse_list("--e-list", args.e_list))
+    _require_rows("--omega-points", args.omega_points)
+    _require_rows(f"--e-list ({energies.size} energies squared)", energies.size ** 2)
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
                     cutoff=cfg["Lambda_c"])

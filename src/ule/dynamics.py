@@ -45,16 +45,13 @@ Right-preconditioned restarted GMRES in real arithmetic, with the secular
 limit as preconditioner, solves the bordered system matrix-free; a 1-norm
 condition estimate (real Hager, LAPACK dlacn2) from solves with the
 operator and its adjoint, the same code on the Heisenberg frame (energies
--E, each L_c swapped with L_c^dag), certifies a one-dimensional kernel.
-The estimate needs few digits: its solves on a probe v of n = d^2 entries
-stop at residual ESTIMATE_RTOL ||v||_1 / sqrt(n), which moves the estimate
-of ||A^-1||_1 by at most ESTIMATE_RTOL ||A^-1||_1 from the exact-solve one
-on the same probes, so it stays below (1 + ESTIMATE_RTOL) ||A^-1||_1.
-Only the SVD fallback of a generator that fails the certificate writes
-`_packed_generator` out as a dense real d^2 x d^2 matrix. The packing is a
-Frobenius isometry onto an orthonormal basis of all d x d matrices over C,
-so that matrix has the singular values, kernel dimension and spectrum of
-the complex generator.
+-E, each L_c swapped with L_c^dag), certifies a one-dimensional kernel;
+bordered with one trace functional per component of the jump graph, it
+counts any other: one matrix-free solver, kernel counted at any N. The
+estimate needs few digits: its solves on a probe v of n = d^2 entries stop
+at residual ESTIMATE_RTOL ||v||_1 / sqrt(n), which moves the estimate of
+||A^-1||_1 by at most ESTIMATE_RTOL ||A^-1||_1 from the exact-solve one on
+the same probes, so it stays below (1 + ESTIMATE_RTOL) ||A^-1||_1.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import MemoryLimitError, Superoperator, _require_memory
+from .generator import Superoperator, _require_memory
 from .operators import EigenDecomposition, frobenius, hermitize
 
 
@@ -77,8 +74,8 @@ class PropagationError(RuntimeError):
 
 
 class SteadyStateError(RuntimeError):
-    """Kernel extraction failure; carries the kernel dimension found (None
-    when the failure came before any kernel was counted)."""
+    """No unique steady state; carries the kernel dimension counted (None
+    when no count was certified) and, when one c certified, its report."""
 
     def __init__(self, msg, kernel_dimension, report=None):
         super().__init__(msg)
@@ -111,27 +108,26 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """Steady state with its diagnostics.
+    """Steady state with its diagnostics, from the one matrix-free solver.
 
+    kernel_dimension is the number c of trace functionals that bordered the
+    solve: 1 for a unique steady state; on the report of a SteadyStateError,
+    the component count that certified, an upper bound of the kernel.
     rcond is the conditioning the solve reached: the reciprocal 1-norm
-    condition estimate of the bordered operator A of `steady_state` as a
+    condition estimate of the bordered operator A_c of `steady_state` as a
     real d^2 x d^2 matrix on the packed P = Re(y) + Im(y),
-    1 / (est ||A||_1 est ||A^-1||_1) by real Hager (LAPACK dlacn2) (method
-    "gmres"; the solves behind est ||A^-1||_1 stop at residual
-    ESTIMATE_RTOL ||v||_1 / sqrt(n) on a probe v of n = d^2 entries, so it
-    is at most (1 + ESTIMATE_RTOL) ||A^-1||_1), or the smallest non-kernel
-    singular value over sigma_max of the dense packed real generator
-    (method "null-space").
-    iterations counts the GMRES iterations of the solve and its refinement
-    step, estimate_iterations those of the condition estimate's solves
-    (both 0 for the SVD).
+    1 / (est ||A_c||_1 est ||A_c^-1||_1) by real Hager (LAPACK dlacn2); the
+    solves behind est ||A_c^-1||_1 stop at residual ESTIMATE_RTOL ||v||_1 /
+    sqrt(n) on a probe v of n = d^2 entries, so it is at most
+    (1 + ESTIMATE_RTOL) ||A_c^-1||_1. iterations counts the GMRES iterations
+    of the solve and its refinement step, estimate_iterations those of the
+    condition estimate's solves.
     """
 
     state: np.ndarray
     residual: float
     kernel_dimension: int
     rcond: float
-    method: str
     iterations: int
     estimate_iterations: int
 
@@ -510,13 +506,11 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                       observables={name: pack[0] for name, pack in packed.items()})
 
 
-# The GMRES certificate needs rcond above it; the SVD fallback counts singular
-# values below it times sigma_max as the kernel.
+# Every bordered certificate needs rcond above it.
 KERNEL_RTOL = 1e-10
-# The guard of `_dense_generator`, sized for the SVD fallback: a dense build
-# plus `np.linalg.svd` raised peak RSS by 9.1x (N = 5) and 8.6x (N = 6) the
-# 8 d^4 bytes of the matrix (the copy dgesdd factors, U and V^T twice each).
-DENSE_SOLVE_MEMORY_FACTOR = 9
+# The jump-graph thresholds of `_kernel_count`: the positive ones also split
+# components whose weak links leave a numerically degenerate kernel.
+KERNEL_LADDER = (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6)
 # Restarted GMRES holds at most GMRES_RESTART + 1 Krylov vectors of d^2
 # entries. A cycle runs until its residual estimate falls to GMRES_RTOL ||b||.
 # The solve has converged when the recomputed residual ||b - A x|| does, or
@@ -537,7 +531,8 @@ GMRES_MAXITER = 1000
 
 
 def steady_state(superop: Superoperator) -> SteadyStateReport:
-    """Unique trace-one steady state of the generator.
+    """Unique trace-one steady state of the generator, by one matrix-free
+    solver that also counts the kernel at any N.
 
     In the eigenframe of H_eff the generator reads
     L(y) = -i (E_m - E_n) y_mn + D(y), with D the dissipator, and the
@@ -547,75 +542,110 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     is the steady state. A x = W is solved matrix-free on the packed
     P = Re(x) + Im(x) (`_gmres_steady`); the state is unpacked, rotated
     back, refined once in the input basis, Hermitized and its trace
-    normalized.
-
-    The certificate is a 1-norm reciprocal condition estimate of A on P,
-    which must exceed KERNEL_RTOL, and the convergence of every GMRES solve. A
-    generator that fails it, or whose secular preconditioner is singular,
-    goes to the SVD null-space solve, which raises SteadyStateError on a
-    zero-dimensional or degenerate kernel (the degenerate case still
-    reports a trace-normalizable representative). When that dense fallback
-    would not fit in physical memory, SteadyStateError names the failed
-    certificate instead, with kernel_dimension None.
+    normalized. The certificate is a 1-norm reciprocal condition estimate
+    of A on P, which must exceed KERNEL_RTOL, and the convergence of every
+    GMRES solve. A generator that fails it raises SteadyStateError with its
+    kernel counted (`_kernel_count`) and, where a count certified, a
+    trace-one representative as its report.
 
     MemoryLimitError (a ValueError) is raised before any solve if the GMRES
-    workspace itself would not fit.
+    workspace would not fit.
     """
     d = superop.dim
     _require_memory((GMRES_RESTART + 1) * 8 * d ** 2,
                     f"steady-state GMRES workspace for states of {d ** 2} entries")
-    rho, rcond, iterations, estimate_iterations, failure = _gmres_steady(superop)
+    report, failure = _gmres_steady(superop)
     if failure is not None:
-        try:
-            return _null_space_svd(superop)
-        except MemoryLimitError as exc:
-            raise SteadyStateError(f"steady-state certificate failed: {failure}; "
-                                   f"the SVD fallback cannot run: {exc}",
-                                   kernel_dimension=None) from exc
-    rho, residual = _normalized(superop, rho)
-    return SteadyStateReport(state=rho, residual=residual, kernel_dimension=1,
-                             rcond=rcond, method="gmres", iterations=iterations,
-                             estimate_iterations=estimate_iterations)
+        raise _kernel_count(superop, failure)
+    return report
 
 
-def _normalized(superop: Superoperator, rho):
-    """(rho Hermitized and trace-normalized, ||generator(rho)||_F in the input basis)."""
-    rho = hermitize(rho)
-    rho = rho / float(np.real(np.trace(rho)))
-    return rho, frobenius(superop.apply_matrix(rho))
+def _kernel_count(superop: Superoperator, failure: str) -> SteadyStateError:
+    """The SteadyStateError of a generator whose certificate failed with
+    `failure`, its kernel counted by component borders.
+
+    For each tau of KERNEL_LADDER the solve of `steady_state` runs on
+    A_c(y) = L(y) + sum_k W_k tr(Pi_k y), W_k = Pi_k / |k|, over the c
+    components k of `_components` (Pi_k the projector on their levels),
+    against the same I/d. A certified A_c bounds the kernel by c from
+    above. At tau = 0 no jump, nor H_eff, links two components, so their c
+    traces are conserved, a lower bound of c (H. Spohn, Lett. Math. Phys. 2,
+    33 (1977); B. Baumgartner and H. Narnhofer, J. Phys. A 41, 395303
+    (2008)); the failed A is one of 2. The first certified c is the kernel
+    dimension where the bounds meet, at tau = 0 or c = 2; otherwise
+    kernel_dimension is None and the message gives the range.
+    """
+    c = 1
+    for tau in KERNEL_LADDER:
+        labels = _components(superop._eigenframe, tau)
+        if labels.max() + 1 == c:  # components only split as tau grows
+            continue
+        c = int(labels.max()) + 1
+        report, rung_failure = _gmres_steady(superop, labels)
+        if rung_failure is None:
+            certified = tau == 0 or c == 2
+            return SteadyStateError(
+                f"steady state is not unique: kernel dimension {c if certified else f'2 to {c}'} "
+                f"(certified with {c} component borders at tau = {tau:g}, rcond "
+                f"{report.rcond:.3e}; one border: {failure})",
+                kernel_dimension=c if certified else None, report=report)
+    return SteadyStateError(f"steady-state certificate failed: {failure}; no component "
+                            f"bordering up to tau = {KERNEL_LADDER[-1]:g} certifies the kernel",
+                            kernel_dimension=None)
 
 
-def _gmres_steady(superop: Superoperator):
-    """(rho, rcond, iterations, estimate_iterations, failure) from A x = W.
+def _components(frame, tau) -> np.ndarray:
+    """Component labels 0..c-1 of the levels, joined when |L_c,mn|^2 >
+    tau max|L_c|^2 for some eigenframe jump c: each level takes the smallest
+    label among itself and its neighbours, with pointer jumping, until the
+    labels settle."""
+    d = frame[0].dim
+    joined = np.zeros((d, d), dtype=bool)
+    for l in frame[2]:
+        weight = np.abs(l) ** 2
+        joined |= weight > tau * weight.max()
+    joined |= joined.T
+    labels = np.arange(d)
+    while True:
+        lowest = np.minimum(labels, np.where(joined, labels, d).min(axis=1))
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = lowest
 
-    Every solve runs on the packing P of x (`_pack`). rho is x in the input
-    basis after one step of refinement there: the eigenbasis is exact only
-    to rounding, which leaves a residual of order eps ||H_eff|| ||rho|| that
-    a second solve, on the Hermitian part of the residual rotated into the
-    eigenframe, removes. failure is None when the certificate holds, else a
-    description of what failed (rho and rcond are then meaningless).
-    iterations counts the GMRES iterations of the solve and the refinement,
-    estimate_iterations those of the condition estimate's solves. Those
-    stop at residual ESTIMATE_RTOL ||v||_1 / sqrt(n) on a probe v of
-    n = d^2 entries, which keeps est ||A^-1||_1 below (1 + ESTIMATE_RTOL)
-    ||A^-1||_1; the solve and the refinement stop at GMRES_RTOL. A^dag is
-    A on the Heisenberg frame: energies -E, the same G, and each L_c
-    swapped with L_c^dag. Every solve shares one Krylov workspace.
+
+def _gmres_steady(superop: Superoperator, labels=None):
+    """(report, failure) from A x = W, or from A_c x = I/d over the
+    component labels of the levels when given (`_kernel_count`).
+
+    Every solve runs on the packing P of x (`_pack`). The report's state is
+    x in the input basis after one step of refinement there, Hermitized and
+    trace-normalized, with ||L(rho)||_F as residual: the eigenbasis
+    is exact only to rounding, which leaves a residual of order
+    eps ||H_eff|| ||rho|| that a second solve, on the Hermitian part of the
+    residual rotated into the eigenframe, removes. failure is None when the
+    certificate holds, else a description of what failed (report is then
+    None). The condition estimate's solves stop at residual
+    ESTIMATE_RTOL ||v||_1 / sqrt(n) on a probe v of n = d^2 entries, which
+    keeps est ||A^-1||_1 below (1 + ESTIMATE_RTOL) ||A^-1||_1; the solve and
+    the refinement stop at GMRES_RTOL. A^dag is A on the Heisenberg frame:
+    energies -E, the same G, and each L_c swapped with L_c^dag. Every solve
+    shares one Krylov workspace.
     """
     frame = superop._eigenframe
     eig, g, jumps, jumps_dag = frame
     d = eig.dim
-    forward = _bordered_operator(frame)
+    forward = _bordered_operator(frame, labels)
     adjoint = _bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
-                                  g, jumps_dag, jumps))
+                                  g, jumps_dag, jumps), labels)
     if forward[1] is None or adjoint[1] is None:
-        return None, 0.0, 0, 0, "the secular preconditioner is singular"
+        return None, "the secular preconditioner is singular"
     krylov = np.empty((GMRES_RESTART + 1, d * d))
     anorm = _onenorm_estimate(forward[0], adjoint[0], d * d)
     rhs = np.eye(d).reshape(-1) / d
     x, iterations, converged = _gmres(*forward, rhs, anorm, krylov)
     if not converged:
-        return None, 0.0, iterations, 0, f"GMRES did not converge in {iterations} iterations"
+        return None, f"GMRES did not converge in {iterations} iterations"
     estimate_iterations = 0
 
     def solver(operator):
@@ -630,17 +660,19 @@ def _gmres_steady(superop: Superoperator):
 
     rcond = 1.0 / (anorm * _onenorm_estimate(solver(forward), solver(adjoint), d * d))
     if not converged:
-        return (None, 0.0, iterations, estimate_iterations,
-                "a GMRES solve of the condition estimate did not converge")
+        return None, "a GMRES solve of the condition estimate did not converge"
     if not rcond > KERNEL_RTOL:
-        return (None, rcond, iterations, estimate_iterations,
-                f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}")
+        return None, f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}"
     rho = eig.from_eigenbasis(_unpack(x.reshape(d, d)))
     residual = _pack(hermitize(eig.to_eigenbasis(superop.apply_matrix(rho))))
     delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm, krylov,
                                   target=GMRES_RTOL * _norm(rhs))
-    rho = rho + eig.from_eigenbasis(_unpack(delta.reshape(d, d)))
-    return rho, rcond, iterations + refinement, estimate_iterations, None
+    rho = hermitize(rho + eig.from_eigenbasis(_unpack(delta.reshape(d, d))))
+    rho = rho / float(np.real(np.trace(rho)))
+    return SteadyStateReport(state=rho, residual=frobenius(superop.apply_matrix(rho)),
+                             kernel_dimension=1 if labels is None else int(labels.max()) + 1,
+                             rcond=rcond, iterations=iterations + refinement,
+                             estimate_iterations=estimate_iterations), None
 
 
 def _packed_generator(frame):
@@ -658,56 +690,47 @@ def _packed_generator(frame):
     return apply
 
 
-def _dense_generator(superop: Superoperator) -> np.ndarray:
-    """`_packed_generator` as a real (d^2, d^2) matrix, column j its action on e_j.
-
-    The unit P span the Hermitian matrices orthonormally, and so all d x d
-    matrices over C: the matrix is unitarily similar to the complex
-    generator, with its singular values and spectrum. MemoryLimitError,
-    before allocating, if it and its SVD workspace would not fit.
-    """
-    d = superop.dim
-    n = d * d
-    _require_memory(DENSE_SOLVE_MEMORY_FACTOR * 8 * n * n,
-                    f"dense superoperator of size {n} x {n} with its SVD workspace")
-    apply = _packed_generator(superop._eigenframe)
-    columns = np.empty((n, n))  # row j holds column j
-    unit = np.zeros((d, d))
-    for j in range(n):
-        unit.flat[j] = 1.0
-        apply(unit, columns[j].reshape(d, d))
-        unit.flat[j] = 0.0
-    return columns.T
-
-
-def _bordered_operator(frame):
-    """(apply, precondition) for A on the flattened packing P of a Hermitian
+def _bordered_operator(frame, labels=None):
+    """(apply, precondition) for A_c on the flattened packing P of a Hermitian
     eigenframe matrix y (`_pack`).
 
-    A(y) = L(y) + W tr(y), W = I/d: the packed generator
-    `_packed_generator`(frame), with W tr(y) adding tr(P)/d to the
-    diagonal. On the Heisenberg frame of `_gmres_steady` the same code gives
-    A^dag, the preconditioner included. precondition applies the inverse of
-    the secular (Pauli) limit of A: coherences are divided by
+    A_c(y) = L(y) + sum_k W_k tr(Pi_k y), W_k = Pi_k / |k|, over the
+    components k of labels (0..c-1 per level; without, one, and W = I/d):
+    `_packed_generator`(frame), each population raised by the mean
+    population of its component. The border is symmetric, so on the
+    Heisenberg frame of `_gmres_steady` the same code gives A_c^dag, the
+    preconditioner included. precondition applies the inverse of the
+    secular (Pauli) limit of A_c: coherences are divided by
     c_mn = -i (E_m - E_n) + G_mm + G_nn + sum_c L_c,mm conj(L_c,nn), and
     since conj(c_mn) = c_nm, 1 / c = a + i b with a symmetric and b
     antisymmetric acts on P as a * P - (b * P)^T; populations are solved
-    with the rates |L_mn|^2 + 2 G_mm delta_mn + 1/d. It is None when that
-    limit is singular (no dissipation, for one).
+    with the rates |L_mn|^2 + 2 G_mm delta_mn plus the border, 1 / |k| on
+    each component's block. It is None when that limit is singular.
     """
     eig, g, jumps, _ = frame
     d = eig.dim
     omega = eig.energies[:, None] - eig.energies[None, :]
     diag = np.arange(d) * (d + 1)  # flat indices of the populations
     generator = _packed_generator(frame)
+    if labels is None:
+        border = 1.0 / d
+
+        def mean(p):
+            return p.trace() / d
+    else:
+        sizes = np.bincount(labels)
+        border = (labels[:, None] == labels[None, :]) / sizes[labels]
+
+        def mean(p):
+            return (np.bincount(labels, p.diagonal(), sizes.size) / sizes)[labels]
 
     def apply(v):
         p = v.reshape(d, d)
         out = generator(p, np.empty((d, d))).reshape(-1)
-        out[::d + 1] += p.trace() / d  # the populations
+        out[::d + 1] += mean(p)  # the populations
         return out
 
-    rates = 2.0 * np.diag(np.real(g.diagonal())) + 1.0 / d
+    rates = 2.0 * np.diag(np.real(g.diagonal())) + border
     coherence = -1j * omega + g.diagonal()[:, None] + g.diagonal()[None, :]
     for l in jumps:
         rates += np.abs(l) ** 2
@@ -841,44 +864,6 @@ def _onenorm_estimate(apply, apply_adjoint, n) -> float:
     i = np.arange(n)
     alt = (-1.0) ** i * (1 + i / (n - 1))
     return float(max(est, 2 * np.sum(np.abs(apply(alt))) / (3 * n)))
-
-
-def _null_space_svd(superop: Superoperator) -> SteadyStateReport:
-    """Null space of the dense packed generator `_dense_generator` via SVD.
-
-    Singular values below KERNEL_RTOL * sigma_max count as the kernel. A
-    unique trace-normalizable kernel vector P is unpacked, rotated back and
-    normalized; a zero-dimensional or degenerate kernel raises
-    SteadyStateError (the degenerate case still reports a representative).
-    """
-    d = superop.dim
-    sigma, vh = np.linalg.svd(_dense_generator(superop))[1:]
-    threshold = KERNEL_RTOL * sigma[0]
-    kdim = int(np.sum(sigma < threshold))
-    if kdim == 0:
-        raise SteadyStateError(
-            f"no kernel below threshold {threshold:.3e} (smallest sigma "
-            f"{sigma[-1]:.3e})", kernel_dimension=0)
-
-    kernel = vh[len(sigma) - kdim:]  # rows span the kernel
-    # pick the representative with the largest trace magnitude
-    traces = kernel[:, ::d + 1].sum(axis=1)
-    best = int(np.argmax(np.abs(traces)))
-    if abs(traces[best]) < 1e-12:
-        raise SteadyStateError(
-            "kernel contains no trace-normalizable vector",
-            kernel_dimension=kdim)
-    rho = superop._eigenframe[0].from_eigenbasis(_unpack(kernel[best].reshape(d, d)))
-    rho, residual = _normalized(superop, rho)
-    report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
-                               rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
-                               method="null-space", iterations=0,
-                               estimate_iterations=0)
-    if kdim > 1:
-        raise SteadyStateError(
-            f"steady state is not unique: kernel dimension {kdim}",
-            kernel_dimension=kdim, report=report)
-    return report
 
 
 def expectation(rho, op) -> float:

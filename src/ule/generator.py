@@ -24,8 +24,8 @@ full generator) and `build_secular_generator` both hand H + Lam and the
 jumps to its constructor, the one place that hermitizes H_eff and drops
 all-zero jumps. `apply_matrix` applies it with d x d products in the input
 basis; `dynamics` applies the same factors rotated into the eigenbasis of
-H_eff (`_eigenframe`, one eigh per generator) for propagation, the steady
-state and the dense matrix that its SVD fallback writes out. Both first
+H_eff (`_eigenframe`, one eigh per generator) for propagation and for the
+steady state, one matrix-free solver, kernel counted at any N. Both first
 run the one trace-preservation check: the jump terms cancel in the trace
 of a Lindblad generator, so the check reads max|H_eff - H_eff^dag|.
 """

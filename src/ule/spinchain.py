@@ -32,9 +32,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# The steady-state GMRES holds 201 vectors of 8 d^2 bytes (1.7 GB at N = 10);
-# only its SVD fallback builds the 8 d^4-byte dense real generator (2.1 GB at
-# N = 7, 8.8 TB at N = 10).
+# The steady-state GMRES holds 201 vectors of 8 d^2 bytes (1.7 GB at N = 10),
+# and that one matrix-free solver also counts the kernel at any N.
 MAX_SITES = 10
 
 

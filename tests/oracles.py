@@ -42,6 +42,12 @@ built by Kronecker products from H_eff and the jumps in the input basis:
 the dense matrix the SVD fallback and `liouvillian_gap` used before
 they wrote out the packed real eigenframe generator, and the form
 `dp5_propagate` and `bordered_lu_steady_state` work in.
+`dense_generator` writes the library's packed real eigenframe generator
+out as a d^2 x d^2 matrix, and `null_space_svd` is the SVD null-space
+solve on it that `ule.steady_state` fell back to, and counted the kernel
+with, before the component-bordered solve replaced it.
+`dense_kernel_count` is that component-bordered count with dense matrices,
+scipy's graph components and exact 1-norm condition numbers.
 
 The last four routines once were library names that no command or demo
 called: `steady_state_consistency` compares the long-time propagated state
@@ -57,6 +63,7 @@ from ule import (
     EigenDecomposition,
     PropagationError,
     QuadratureError,
+    SteadyStateError,
     SteadyStateReport,
     Trajectory,
     dynamics,
@@ -813,6 +820,13 @@ def bordered_lu_steady_state(superop):
     return rho / float(np.real(np.trace(rho))), rcond
 
 
+def _normalized(superop, rho):
+    """(rho Hermitized and trace-normalized, ||generator(rho)||_F in the input basis)."""
+    rho = hermitize(rho)
+    rho = rho / float(np.real(np.trace(rho)))
+    return rho, float(np.linalg.norm(superop.apply_matrix(rho)))
+
+
 def exact_estimate_rcond(superop):
     """The `SteadyStateReport` of `ule.steady_state` on its GMRES path, with
     every solve of the condition estimate run to the default `_gmres`
@@ -849,10 +863,101 @@ def exact_estimate_rcond(superop):
     delta, refinement, _ = dynamics._gmres(*forward, -residual.reshape(-1), anorm, krylov,
                                            target=dynamics.GMRES_RTOL * dynamics._norm(rhs))
     rho = rho + eig.from_eigenbasis(dynamics._unpack(delta.reshape(d, d)))
-    rho, residual = dynamics._normalized(superop, rho)
+    rho, residual = _normalized(superop, rho)
     return SteadyStateReport(state=rho, residual=residual, kernel_dimension=1, rcond=rcond,
-                             method="gmres", iterations=iterations + refinement,
+                             iterations=iterations + refinement,
                              estimate_iterations=sum(counts))
+
+
+def dense_generator(superop) -> np.ndarray:
+    """`ule.dynamics._packed_generator` as a real (d^2, d^2) matrix, column j
+    its action on e_j.
+
+    The unit P span the Hermitian matrices orthonormally, and so all d x d
+    matrices over C: the matrix is unitarily similar to the complex
+    generator, with its singular values and spectrum.
+    """
+    d = superop.dim
+    n = d * d
+    apply = dynamics._packed_generator(superop._eigenframe)
+    columns = np.empty((n, n))  # row j holds column j
+    unit = np.zeros((d, d))
+    for j in range(n):
+        unit.flat[j] = 1.0
+        apply(unit, columns[j].reshape(d, d))
+        unit.flat[j] = 0.0
+    return columns.T
+
+
+def null_space_svd(superop) -> SteadyStateReport:
+    """Null space of `dense_generator` via SVD.
+
+    Singular values below KERNEL_RTOL * sigma_max count as the kernel, and
+    rcond is the smallest non-kernel singular value over sigma_max. A unique
+    trace-normalizable kernel vector P is unpacked, rotated back and
+    normalized; a zero-dimensional or degenerate kernel raises
+    SteadyStateError (the degenerate case still reports a representative).
+    """
+    d = superop.dim
+    sigma, vh = np.linalg.svd(dense_generator(superop))[1:]
+    threshold = dynamics.KERNEL_RTOL * sigma[0]
+    kdim = int(np.sum(sigma < threshold))
+    if kdim == 0:
+        raise SteadyStateError(
+            f"no kernel below threshold {threshold:.3e} (smallest sigma "
+            f"{sigma[-1]:.3e})", kernel_dimension=0)
+    kernel = vh[len(sigma) - kdim:]  # rows span the kernel
+    # pick the representative with the largest trace magnitude
+    traces = kernel[:, ::d + 1].sum(axis=1)
+    best = int(np.argmax(np.abs(traces)))
+    if abs(traces[best]) < 1e-12:
+        raise SteadyStateError("kernel contains no trace-normalizable vector",
+                               kernel_dimension=kdim)
+    rho = superop._eigenframe[0].from_eigenbasis(dynamics._unpack(kernel[best].reshape(d, d)))
+    rho, residual = _normalized(superop, rho)
+    report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
+                               rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
+                               iterations=0, estimate_iterations=0)
+    if kdim > 1:
+        raise SteadyStateError(f"steady state is not unique: kernel dimension {kdim}",
+                               kernel_dimension=kdim, report=report)
+    return report
+
+
+def dense_kernel_count(superop):
+    """(c, rcond, rho): the kernel count of `ule.steady_state` on dense matrices.
+
+    Over `ule.dynamics.KERNEL_LADDER` the levels are joined when
+    |L_c,mn|^2 > tau max|L_c|^2 for some eigenframe jump c and counted by
+    scipy's `connected_components`; `dense_generator` is bordered by one
+    trace functional per component, adding to each population the mean
+    population of its component, and its exact 1-norm rcond is taken. The
+    first c > 1 with rcond above KERNEL_RTOL is returned with rho, the
+    trace-one solution of the bordered matrix against I/d in the input
+    basis. None when no rung qualifies.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    eig, _, jumps, _ = superop._eigenframe
+    d = eig.dim
+    dense = dense_generator(superop)
+    populations = np.arange(d) * (d + 1)
+    for tau in dynamics.KERNEL_LADDER:
+        graph = np.zeros((d, d), dtype=bool)
+        for l in jumps:
+            graph |= np.abs(l) ** 2 > tau * np.max(np.abs(l) ** 2)
+        c, labels = connected_components(graph, directed=False)
+        if c == 1:
+            continue
+        bordered = dense.copy()
+        bordered[np.ix_(populations, populations)] += (
+            (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][:, None])
+        rcond = 1.0 / (np.linalg.norm(bordered, 1) * np.linalg.norm(np.linalg.inv(bordered), 1))
+        if rcond > dynamics.KERNEL_RTOL:
+            x = np.linalg.solve(bordered, np.eye(d).reshape(-1) / d)
+            rho = hermitize(eig.from_eigenbasis(dynamics._unpack(x.reshape(d, d))))
+            return c, float(rcond), rho / float(np.real(np.trace(rho)))
+    return None
 
 
 def complex_bordered_operator(frame):
@@ -979,9 +1084,9 @@ def steady_state_consistency(superop, rho0, t_long: float, tol: float = 1e-8) ->
 
 def liouvillian_gap(superop) -> float:
     """Smallest nonzero |Re lambda| over the generator spectrum, by dense
-    diagonalization of `ule.dynamics._dense_generator`; for small systems,
+    diagonalization of `dense_generator`; for small systems,
     e.g. when choosing t_long."""
-    ev = np.linalg.eigvals(dynamics._dense_generator(superop))
+    ev = np.linalg.eigvals(dense_generator(superop))
     rates = np.abs(ev.real)
     nonzero = rates[rates > 1e-12 * max(rates.max(), 1.0)]
     if nonzero.size == 0:

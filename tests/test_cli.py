@@ -180,7 +180,6 @@ def test_spinchain_outputs_and_determinism(tmp_path):
     assert len(fig1b) == 1 + 8
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["kernel_dimension"] == 1
-    assert summary["steady_method"] == "gmres"
     assert 0.0 < summary["steady_rcond"] < 1.0
     assert summary["steady_iterations"] > 0
     assert summary["steady_estimate_iterations"] > summary["steady_iterations"]
@@ -322,6 +321,26 @@ def test_sampled_states_beyond_memory_exit_2(monkeypatch):
                   keep_states=True)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["evolve", "--N", "3", "--samples", "20000000000"], "samples"),
+    (["spinchain", "--N", "3", "--samples", "20000000000"], "samples"),
+    (["bath", "--omega-points", "20000000000"], "--omega-points"),
+    (["bath", "--e-list=" + ",".join(str(e) for e in range(100))], "--e-list"),
+], ids=["evolve_samples", "spinchain_samples", "bath_omega_points", "bath_e_list"])
+def test_tables_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, argv, key):
+    # physical memory is read as 1 MB: the default 1,001-point bath grid
+    # fits, the 100^2 f pairs of the e-list do not, and the guards run
+    # before anything of the requested size is allocated or written
+    from ule import generator
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 20)
+    out = tmp_path / "out"
+    code = main([*argv, "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
+                 "--outdir", str(out)])
+    assert code == 2
+    assert f"rows for {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_samples_without_states_stay_small(monkeypatch):
     # 20,000 states of 16 x 16 would take 82 MB; physical memory is read as
     # 32 MB, below that, and a run that keeps no states needs neither
@@ -378,16 +397,21 @@ def test_sweep_lists_must_be_positive(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
-def test_evolve_builds_no_dense_matrix(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
+def test_evolve_builds_no_dense_matrix(tmp_path):
+    # at N = 5 one dense packed generator takes 8 d^4 bytes, 8.4 MB; the
+    # evolve run peaks at 0.8 MB of traced allocations
+    path = os.path.join(ROOT, "demos", "chain_n6.cfg")
     chain_out, evolve_out = tmp_path / "chain", tmp_path / "evolve"
-    assert main(["spinchain", "--config", path, "--outdir", str(chain_out)]) == 0
-
-    def refuse(*args):
-        raise AssertionError("evolve built the dense superoperator")
-
-    monkeypatch.setattr("ule.dynamics._dense_generator", refuse)
-    assert main(["evolve", "--config", path, "--outdir", str(evolve_out)]) == 0
+    args = ["--config", path, "--N", "5", "--t_end", "5", "--samples", "11"]
+    assert main(["spinchain", *args, "--outdir", str(chain_out)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["evolve", *args, "--outdir", str(evolve_out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 4e6
     assert ((evolve_out / "evolve.csv").read_bytes()
             == (chain_out / "fig1a.csv").read_bytes())
 
@@ -470,8 +494,9 @@ def test_steady_n7_fits_and_exits_0(tmp_path, capsys):
 
 
 def test_uncertified_steady_state_beyond_svd_memory_exits_3(tmp_path, capsys):
-    # no dissipation: the secular preconditioner is singular, and the SVD
-    # fallback of a 262144 x 262144 generator cannot fit
+    # no dissipation: the secular preconditioner of one border is singular,
+    # and an SVD of the 262144 x 262144 generator could not fit; one border
+    # per level counts the kernel matrix-free
     import time
     path = write_config(tmp_path)
     t0 = time.perf_counter()
@@ -480,27 +505,33 @@ def test_uncertified_steady_state_beyond_svd_memory_exits_3(tmp_path, capsys):
     assert code == 3
     assert time.perf_counter() - t0 < 30.0
     err = capsys.readouterr().err
-    assert "certificate failed: the secular preconditioner is singular" in err
-    assert "262144 x 262144" in err
+    assert "steady state is not unique: kernel dimension 512 " in err
+    assert "one border: the secular preconditioner is singular" in err
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_spinchain_builds_no_dense_matrix(tmp_path, monkeypatch, n):
-    def refuse(*args):
-        raise AssertionError("spinchain built the dense superoperator")
-
-    monkeypatch.setattr("ule.dynamics._dense_generator", refuse)
-    code = main(["spinchain", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
-                 "--N", str(n), "--t_end", "5", "--samples", "11", "--outdir", str(tmp_path)])
+def test_spinchain_builds_no_dense_matrix(tmp_path, n):
+    # one dense packed generator takes 8 d^4 bytes, 8.4 MB at N = 5 and
+    # 134 MB at N = 6; the whole run peaks at 2.3 and 8.2 MB of traced
+    # allocations
+    tracemalloc.start()
+    try:
+        code = main(["spinchain", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
+                     "--N", str(n), "--t_end", "5", "--samples", "11",
+                     "--outdir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
+    assert peak <= {5: 4e6, 6: 16e6}[n]
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["steady_method"] == "gmres"
+    assert summary["kernel_dimension"] == 1
     assert summary["steady_residual"] <= 1e-12
 
 
 def test_uncertified_steady_state_falls_back_and_exits_3(capsys):
-    # no dissipation: the bordered matrix is singular and the SVD counts
-    # the commutant of the N = 3 chain Hamiltonian
+    # no dissipation: the bordered matrix is singular, and one border per
+    # level counts the commutant of the N = 3 chain Hamiltonian
     code = main(["steady", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),
                  "--N", "3", "--gamma1", "0"])
     assert code == 3

@@ -7,12 +7,15 @@ import pytest
 from oracles import (
     bordered_lu_steady_state,
     complex_bordered_operator,
+    dense_generator,
+    dense_kernel_count,
     dp5_propagate,
     exact_estimate_rcond,
     gmres_reference,
     kron_superoperator,
     lawson_propagate_complex,
     liouvillian_gap,
+    null_space_svd,
     random_hermitian,
     steady_state_consistency,
     vec,
@@ -41,13 +44,13 @@ from ule.dynamics import (
     ESTIMATE_RTOL,
     GMRES_MAXITER,
     GMRES_RESTART,
+    KERNEL_LADDER,
     KERNEL_RTOL,
     _bordered_operator,
-    _dense_generator,
+    _components,
     _dissipator,
     _gmres,
     _gmres_steady,
-    _null_space_svd,
     _onenorm_estimate,
     _pack,
     _packed_dissipator,
@@ -297,8 +300,7 @@ def lamb_chain_liouvillian(n):
 def test_bordered_lu_matches_svd_null_space(build):
     sop = build()
     report = steady_state(sop)
-    oracle = _null_space_svd(sop)
-    assert report.method == "gmres"
+    oracle = null_space_svd(sop)
     assert report.kernel_dimension == oracle.kernel_dimension == 1
     assert trace_distance(report.state, oracle.state) <= 1e-12
     sigma = np.linalg.svd(kron_superoperator(sop), compute_uv=False)
@@ -310,7 +312,7 @@ def test_bordered_lu_matches_svd_null_space(build):
 
 def assert_matches_bordered_lu(sop, report):
     rho_lu, rcond_lu = bordered_lu_steady_state(sop)
-    assert report.method == "gmres"
+    assert report.kernel_dimension == 1
     assert 0 < report.iterations <= 200
     assert trace_distance(report.state, rho_lu) <= 1e-12
     # both estimate the 1-norm conditioning of a bordered generator, in
@@ -343,22 +345,30 @@ def test_gmres_matches_bordered_lu_oracle_on_chain_n5():
 def test_bordered_operator_adjoints(monkeypatch):
     # the condition estimate steers its probes with the adjoint pair that
     # _gmres_steady builds on the Heisenberg frame (energies -E, the same G,
-    # each L_c swapped with L_c^dag)
+    # each L_c swapped with L_c^dag), under one border or, in the kernel
+    # count, under one border per component
     import ule.dynamics
     built = []
 
-    def recording(frame):
-        built.append(_bordered_operator(frame))
+    def recording(frame, labels=None):
+        built.append(_bordered_operator(frame, labels))
         return built[-1]
 
     monkeypatch.setattr(ule.dynamics, "_bordered_operator", recording)
     rng = np.random.default_rng(4)
     two_jumps = build_chain_superop(SpinChainSpec(N=3, gamma2=0.05))[1]
     assert len(two_jumps.jumps) == 2
-    for sop in (three_level_liouvillian()[1], lamb_chain_liouvillian(3), two_jumps):
+    for sop, pairs in ((three_level_liouvillian()[1], 1), (lamb_chain_liouvillian(3), 1),
+                       (two_jumps, 1), (eps_coupled_liouvillian(1e-8), 2),
+                       (build_chain_superop(SpinChainSpec(N=3, gamma1=0.0))[1], 2)):
         built.clear()
-        assert steady_state(sop).method == "gmres"
-        (apply, precondition), (apply_adjoint, precondition_adjoint) = built
+        if pairs == 1:
+            assert steady_state(sop).kernel_dimension == 1
+        else:
+            with pytest.raises(SteadyStateError):
+                steady_state(sop)
+        assert len(built) == 2 * pairs
+        (apply, precondition), (apply_adjoint, precondition_adjoint) = built[-2:]
         n = sop.dim ** 2
         y, z = (rng.standard_normal(n) for _ in range(2))
         assert np.dot(z, apply(y)) == pytest.approx(np.dot(apply_adjoint(z), y), rel=1e-12)
@@ -392,12 +402,16 @@ def test_packed_bordered_operator_matches_complex_oracle(build, heisenberg):
             assert np.max(np.abs(got(p.reshape(-1)) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-def eps_coupled_liouvillian(eps, lamb=False):
-    # X couples only levels (1, 2) and (3, 4), and eps between the two pairs
-    x = np.zeros((4, 4), dtype=complex)
-    x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
-    x[1, 2] = x[2, 1] = eps
-    eig = eigendecompose(np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex))
+def eps_coupled_liouvillian(eps, lamb=False, pairs=2):
+    # X couples only levels (1, 2), (3, 4), ..., and eps between neighbouring
+    # pairs; the levels sit at 0, 1, 2.5, 4, ... (steps of 1.5 after the first)
+    d = 2 * pairs
+    x = np.zeros((d, d), dtype=complex)
+    for k in range(0, d, 2):
+        x[k, k + 1] = x[k + 1, k] = 1.0
+    for k in range(1, d - 1, 2):
+        x[k, k + 1] = x[k + 1, k] = eps
+    eig = eigendecompose(np.diag([0.0, *(1.0 + 1.5 * np.arange(d - 1))]).astype(complex))
     return build_liouvillian(eig, NoiseChannel(coupling_op=x, bath=BATH),
                              include_lamb_shift=lamb)
 
@@ -425,8 +439,51 @@ def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
     assert info.value.kernel_dimension == 2
 
 
+@pytest.mark.parametrize("build, kdim, message", [
+    (lambda: eps_coupled_liouvillian(1e-8, pairs=3), 3, "kernel dimension 2 to 3 "),
+    (lambda: build_chain_superop(SpinChainSpec(N=3, B_z=0.0))[1], 4,
+     "no component bordering up to tau = 1e-06 certifies the kernel"),
+], ids=["three_weak_pairs", "degenerate_chain"])
+def test_kernel_count_where_the_bounds_do_not_meet(build, kdim, message):
+    # three pairs behind two weak links certify c = 3 only at tau > 0, where
+    # the failed one-border solve bounds the kernel by 2 from below; the
+    # B_z = 0 chain has a degenerate H_eff, whose commutant the component
+    # projectors do not span, and no rung certifies. Neither claims a count
+    sop = build()
+    assert kron_kernel(sop)[0] == kdim
+    with pytest.raises(SteadyStateError, match=re.escape(message)) as info:
+        steady_state(sop)
+    assert info.value.kernel_dimension is None
+    report = info.value.report
+    if report is not None:
+        assert report.kernel_dimension == kdim and report.rcond > KERNEL_RTOL
+        assert abs(np.trace(report.state).real - 1.0) < 1e-12
+
+
+def test_components_match_scipy_connected_components():
+    # the label propagation with pointer jumping against scipy's graph
+    # search: on a shuffled path, the worst case for plain propagation, and
+    # on sparse random graphs, whose weights split them as tau grows
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(5)
+    d = 40
+    order = rng.permutation(d)
+    path = np.zeros((d, d))
+    path[order[:-1], order[1:]] = 1.0
+    systems = [[path]] + [[rng.random((d, d)) * (rng.random((d, d)) < p)]
+                          for p in (0.01, 0.03, 0.1)]
+    for jumps in systems:
+        frame = (SimpleNamespace(dim=d), None, jumps, None)
+        for tau in (*KERNEL_LADDER, 0.1, 0.5):
+            labels = _components(frame, tau)
+            graph = sum(np.abs(l) ** 2 > tau * np.max(np.abs(l) ** 2) for l in jumps)
+            count, reference = connected_components(graph, directed=False)
+            assert labels.max() + 1 == count
+            assert len(set(zip(labels.tolist(), reference.tolist()))) == count
+
+
 def kron_kernel(sop):
-    """(kernel dimension, rcond) by the rule of `_null_space_svd`, on the kron oracle."""
+    """(kernel dimension, rcond) by the rule of `null_space_svd`, on the kron oracle."""
     sigma = np.linalg.svd(kron_superoperator(sop), compute_uv=False)
     kdim = int(np.sum(sigma < KERNEL_RTOL * sigma[0]))
     return kdim, sigma[sigma.size - kdim - 1] / sigma[0]
@@ -449,7 +506,7 @@ def test_dense_generator_matches_kron_oracle(build):
     # singular values, kernel, rcond and spectrum
     sop = build()
     d = sop.dim
-    dense = _dense_generator(sop)
+    dense = dense_generator(sop)
     kron = kron_superoperator(sop)
     assert dense.dtype == np.float64 and dense.shape == (d * d, d * d)
     eig = sop._eigenframe[0]
@@ -461,7 +518,7 @@ def test_dense_generator_matches_kron_oracle(build):
     sigma = np.linalg.svd(dense, compute_uv=False)
     sigma_ref = np.linalg.svd(kron, compute_uv=False)
     assert np.max(np.abs(sigma - sigma_ref)) <= 1e-13 * sigma_ref[0]
-    report = _null_space_svd(sop)
+    report = null_space_svd(sop)
     kdim, rcond = kron_kernel(sop)
     assert report.kernel_dimension == kdim == 1
     assert report.rcond == pytest.approx(rcond, rel=1e-10)
@@ -479,18 +536,30 @@ def test_dense_generator_matches_kron_oracle(build):
     (lambda: build_chain_superop(SpinChainSpec(N=3, gamma1=0.0))[1], 8),
 ], ids=["zero_dissipator", "eps0", "eps0_lamb", "eps1e-8", "eps1e-6", "eps1e-5", "chain3_gamma0"])
 def test_null_space_fallback_matches_kron_oracle(build, kdim):
-    # every generator that reaches the SVD fallback counts the kernel and
-    # reads rcond as the complex kron matrix does
+    # every generator that fails the one-border certificate gets its kernel
+    # counted by component borders: the count is the kron matrix's SVD
+    # count, and the rcond and representative are those of the dense
+    # bordered matrix
     sop = build()
     with pytest.raises(SteadyStateError) as info:
         steady_state(sop)
     report = info.value.report
     assert info.value.kernel_dimension == report.kernel_dimension == kdim
-    kdim_ref, rcond_ref = kron_kernel(sop)
-    assert kdim_ref == kdim
-    assert report.method == "null-space"
-    assert report.rcond == pytest.approx(rcond_ref, rel=1e-10)
-    assert abs(np.trace(report.state).real - 1.0) < 1e-10
+    assert f"kernel dimension {kdim} " in str(info.value)
+    assert kron_kernel(sop)[0] == kdim
+    count, rcond, rho = dense_kernel_count(sop)
+    assert count == kdim
+    assert report.rcond > KERNEL_RTOL
+    assert rcond / 1.01 <= report.rcond <= 10 * rcond
+    assert trace_distance(report.state, rho) <= 1e-10
+    assert abs(np.trace(report.state).real - 1.0) < 1e-12
+    # the representative lies in the numerical kernel: where the components
+    # are exactly disconnected (tau = 0) its residual is rounding, and
+    # behind a weak link eps > 0 it is of order eps^2 (1.8e-12 sigma_max at
+    # eps = 1e-5)
+    exact = "at tau = 0," in str(info.value)
+    sigma_max = np.linalg.norm(kron_superoperator(sop), 2)
+    assert report.residual <= (1e-15 if exact else 1e-11) * sigma_max
     if kdim == 2:
         assert liouvillian_gap(sop) == pytest.approx(kron_gap(sop), rel=1e-10)
     else:
@@ -517,7 +586,8 @@ def test_gmres_matches_reference_loop(monkeypatch, restart):
     # solves on A and A^dag, the refinement) against the numpy-scalar loop
     # it replaced; at restart 3 most solves cross several restarts, and
     # GMRES(3) stagnates on a few systems, which the reference runs to
-    # GMRES_MAXITER and the stagnation exit ends early
+    # GMRES_MAXITER and the stagnation exit ends early; their certificate
+    # then fails, and the kernel count's solves are checked too
     import ule.dynamics
     monkeypatch.setattr(ule.dynamics, "GMRES_RESTART", restart)
     counts, stagnated = [], []
@@ -539,7 +609,10 @@ def test_gmres_matches_reference_loop(monkeypatch, restart):
 
     monkeypatch.setattr(ule.dynamics, "_gmres", checked)
     for sop in [*random_ensemble(), build_chain_superop(SpinChainSpec(N=4))[1]]:
-        steady_state(sop)
+        try:
+            steady_state(sop)
+        except SteadyStateError:
+            assert restart == 3
     assert len(counts) > 100
     if restart == 3:
         assert max(counts) > 30 * restart
@@ -632,7 +705,7 @@ def test_loose_estimate_solves_match_exact_solve_oracle(build, fewer):
     for sop in build():
         report = steady_state(sop)
         oracle = exact_estimate_rcond(sop)
-        assert report.method == "gmres"
+        assert report.kernel_dimension == 1
         assert report.rcond == pytest.approx(oracle.rcond, rel=1e-3)
         assert np.array_equal(report.state, oracle.state)
         assert report.iterations == oracle.iterations
@@ -995,8 +1068,7 @@ def test_real_frame_never_enters_complex_kernel(monkeypatch):
     assert got.stats == ref.stats
     assert all(np.array_equal(a, b) for a, b in zip(got.states, ref.states))
     steady = steady_state(sop)
-    assert steady.method == "gmres"
-    for name in ("residual", "kernel_dimension", "rcond", "method", "iterations",
+    for name in ("residual", "kernel_dimension", "rcond", "iterations",
                  "estimate_iterations"):
         assert getattr(steady, name) == getattr(steady_ref, name)
     assert np.array_equal(steady.state, steady_ref.state)
