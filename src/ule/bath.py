@@ -33,6 +33,13 @@ evaluated once per node, and each class keeps its own error sum. The
 quadrature is globally adaptive Gauss-Kronrod 7-15 (QUADPACK's GK15 rule)
 with interval halving, run for many classes at once: a shared panel is
 halved when a class that has not converged ranks it among its worst.
+
+A group's range is the union of its classes' [c - Wmax, c + Wmax], less
+its Bose tail. Below u = -s both arguments of g in h_s are non-positive,
+where g increases with u, so dropping [lo, u*] moves a class's value by at
+most h_s(u*) log((c - lo) / (c - u*)). The range starts at the innermost
+ladder edge u* whose bound is at most atol / 16 for every class of the
+group, and the bound joins each class's error sum (`_tail_cut`).
 """
 
 from __future__ import annotations
@@ -72,12 +79,17 @@ class QuadratureSpec:
     """Error budget for the principal-value quadrature.
 
     A pair's target is max(atol, rtol |F|) on its integral F before the
-    -2 pi gamma factor. Wmax = |E1| + |E2| + omega_max_pad * cutoff bounds
-    from below how much of the axis is kept: the range always contains
+    -2 pi gamma factor. Wmax = |E1| + |E2| + omega_max_pad * cutoff sets
+    how much of the axis is kept: the range of the pair's sum group holds
     w in [-Wmax, Wmax], i.e. [c - Wmax, c + Wmax] around the Cauchy point,
-    and the range of the pair's sum group may reach further. The Gaussian
-    tail beyond Wmax is below e^-32 in relative terms at the default
-    padding. A panel may be halved at most `max_depth` times.
+    and may reach further, except that it may start above c - Wmax at a
+    cut u* below u = -s (s = E1 + E2), where h_s increases with u. The cut
+    is made only where the part it drops, at most
+    h_s(u*) log((c - lo) / (c - u*)) from the group's left end lo, is at
+    most atol / 16 for every pair of the group, and that bound is added to
+    the pair's error sum. The Gaussian tail beyond Wmax is below e^-32 in
+    relative terms at the default padding. A panel may be halved at most
+    `max_depth` times.
     """
 
     rtol: float = 1e-8
@@ -193,6 +205,11 @@ _CHUNK_PAIRS = 512
 # only counts where a node comes close to the Cauchy point c.
 _H_ROUNDING = 16 * np.finfo(float).eps
 
+# Share of atol that cutting its sum group's Bose tail may cost a class
+# (`_tail_cut`). The cut drops a quarter of the (class, panel) entries on
+# the chain at T1 = 2 and moves no value by more than 2e-7 of its target.
+_TAIL_SHARE = 1.0 / 16
+
 
 def _sum_groups(sums):
     """Group label of each of the sorted `sums` and each group's representative.
@@ -232,6 +249,46 @@ def _chunks(label):
     return zip(cuts[:-1], cuts[1:])
 
 
+def _ladder(bath: BathSpec, span):
+    """Rungs r = r0, 2 r0, 4 r0, ... up to the first at least `span`, r0 = min(2 pi T, Lc)."""
+    r0 = min(2.0 * np.pi * bath.temperature, bath.cutoff)
+    return r0 * 2.0 ** np.arange(int(np.ceil(np.log2(span / r0))) + 1)
+
+
+def _tail_cut(bath: BathSpec, c, lo, group, s, quad: QuadratureSpec):
+    """Left ends of the ranges with their Bose tails cut, and each class's bound.
+
+    Range j starts at lo[j] and serves the classes k with group[k] = j
+    (sorted), all at the sum s[j]: a sum group, or its run in a chunk.
+    Below u = -s both arguments of h_s(u) = g(u) g(u + s) are non-positive,
+    and there g increases with u, as do the Bose weight
+    |w| / (e^(beta |w|) - 1) and the Gaussian for w <= 0. Dropping
+    [lo, u*], u* <= -s, therefore moves the value of a class with Cauchy
+    point c > u* by at most h_s(u*) log((c - lo) / (c - u*)), which is
+    largest at the range's smallest c. The cut u* is the innermost negative
+    ladder edge -s - r0 2^k of `_initial_panels` that lies above lo, at
+    least r0 below every c of the range, and whose bound is at most
+    `_TAIL_SHARE` atol; a range with no such edge keeps lo. Returns (left
+    ends, bounds), the bound 0 for a class whose range keeps lo.
+    """
+    head = np.searchsorted(group, np.arange(s.size))
+    cmin = np.minimum.reduceat(c, head)[:, None]
+    rungs = _ladder(bath, np.max(-s - lo))
+    u = -s[:, None] - rungs
+    g = jump_spectral(bath, np.concatenate([u, u + s[:, None]]))
+    h = g[:s.size] * g[s.size:]
+    inside = (u > lo[:, None]) & (u <= cmin - rungs[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # outside `inside`, unused
+        bound = h * np.log((cmin - lo[:, None]) / (cmin - u))
+    ok = inside & (bound <= _TAIL_SHARE * quad.atol)
+    cut = ok.any(axis=1)
+    k = np.argmax(ok, axis=1)
+    new_lo = np.where(cut, u[np.arange(s.size), k], lo)
+    tail = np.where(cut[group], h[group, k[group]] * np.log((c - lo[group]) / (c - new_lo[group])),
+                    0.0)
+    return new_lo, tail
+
+
 def _initial_panels(bath: BathSpec, lo, hi, s):
     """(group, left, right) of the starting panels, ordered by group and left edge.
 
@@ -246,8 +303,7 @@ def _initial_panels(bath: BathSpec, lo, hi, s):
     -s, a drop that a panel with no edge near 0 can step over unseen. Lc is
     the scale of the Gaussian cutoff.
     """
-    r0 = min(2.0 * np.pi * bath.temperature, bath.cutoff)
-    ladder = r0 * 2.0 ** np.arange(int(np.ceil(np.log2(np.max(hi - lo) / r0))) + 1)
+    ladder = _ladder(bath, np.max(hi - lo))
     zero = np.zeros((s.size, 1))
     s = s[:, None]
     between = np.where(ladder < 0.5 * s, ladder, np.inf)
@@ -282,7 +338,11 @@ def _take_rows(work, k, a, index):
     n = index.size * a.shape[1]
     if work[k].size < n:
         work[k] = np.empty(n + n // 4)
-    return np.take(a, index, axis=0, out=work[k][:n].reshape(index.size, a.shape[1]))
+    # every panel index is in range by construction; the default
+    # mode="raise" would gather into a temporary of the output's size and
+    # copy it over, "clip" writes into the view directly
+    return np.take(a, index, axis=0, out=work[k][:n].reshape(index.size, a.shape[1]),
+                   mode="clip")
 
 
 def _pair_panel_sums(pair, panel, c, hc, half, u, h, work):
@@ -318,28 +378,26 @@ def _pair_panel_sums(pair, panel, c, hc, half, u, h, work):
     return k15, np.abs(k15 - g7) + rounding
 
 
-def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec, work):
+def _sum_group_chunk(bath: BathSpec, c, group, s, lo, hi, tail, quad: QuadratureSpec, work):
     """Unscaled PV integrals, error sums and failed mask of a chunk of swap classes.
 
     Class k is PV Int h_s(u) / (u - c[k]) du with s = s[group[k]]; `group`
     is sorted and numbers the chunk's sum groups 0, 1, ... Group j
-    integrates over [lo, hi], the union of its classes' [c - Wmax, c + Wmax],
-    on one panel set whose nodes carry the one evaluation of h_s. Class k
-    adds Int (h_s(u) - h_s(c)) / (u - c) over every panel of its group to
-    h_s(c) log((hi - c) / (c - lo)). Globally adaptive GK15: while a class's
-    error sum exceeds max(atol, rtol |total|), its panels whose error is at
-    least a quarter of its worst are halved, for every live class of the
-    group at once; a panel may be halved at most `max_depth` times. The
-    entries stay ordered by (class, left edge), so the `bincount` totals add
-    each class's panels in one order whatever else is in the chunk;
-    converged classes, and the panels of groups with none left, drop out.
-    Each (class, panel) is evaluated once; work is the gather workspace of
-    `_pair_panel_sums`. Returns (totals, error sums, failed mask).
+    integrates over [lo[j], hi[j]] on one panel set whose nodes carry the
+    one evaluation of h_s. Class k adds Int (h_s(u) - h_s(c)) / (u - c)
+    over every panel of its group to h_s(c) log((hi - c) / (c - lo)), and
+    tail[k], the bound of its group's Bose-tail cut, to its error sum.
+    Globally adaptive GK15: while a class's error sum exceeds
+    max(atol, rtol |total|), its panels whose error is at least a quarter
+    of its worst are halved, for every live class of the group at once; a
+    panel may be halved at most `max_depth` times. The entries stay ordered
+    by (class, left edge), so the `bincount` totals add each class's panels
+    in one order whatever else is in the chunk; converged classes, and the
+    panels of groups with none left, drop out. Each (class, panel) is
+    evaluated once; work is the gather workspace of `_pair_panel_sums`.
+    Returns (totals, error sums, failed mask).
     """
     n = c.size
-    head = np.searchsorted(group, np.arange(s.size))
-    lo = np.minimum.reduceat(c - wmax, head)
-    hi = np.maximum.reduceat(c + wmax, head)
     pg, a, b = _initial_panels(bath, lo, hi, s)
     depth = np.zeros(a.size, dtype=int)
     half, u, h = _panel_nodes(bath, a, b, s[pg])
@@ -360,7 +418,7 @@ def _sum_group_chunk(bath: BathSpec, c, wmax, group, s, quad: QuadratureSpec, wo
 
     while True:
         total = np.bincount(pair, vals, minlength=n) + log_term
-        total_err = np.bincount(pair, errs, minlength=n)
+        total_err = np.bincount(pair, errs, minlength=n) + tail
         converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
         worst = np.zeros(n)
         np.maximum.at(worst, pair, errs)
@@ -420,8 +478,9 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
 
     A value is the integral at its group's representative sum, over the
     union of its group's ranges, which contains the pair's own w in
-    [-Wmax, Wmax]. It depends on the other members of its sum group (the
-    representative, the range and the shared panels) and on nothing else;
+    [-Wmax, Wmax] less a Bose tail whose part the error sum bounds
+    (`QuadratureSpec`). It depends on the other members of its sum group
+    (the representative, the range and the shared panels) and on nothing else;
     only a group of more than `_CHUNK_PAIRS` classes is cut into runs with
     panels of their own. So a value may move within its error target when
     the batch around it changes, while for one set of pairs the values are
@@ -453,15 +512,28 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
     label, rep = _sum_groups(key.real)
     del s, key
 
+    # a sum group, or its run in a chunk, integrates over the union of its
+    # classes' [c - Wmax, c + Wmax] with its Bose tail cut
+    chunks = list(_chunks(label))
+    opens = np.zeros(c.size, dtype=bool)
+    opens[np.flatnonzero(np.diff(label)) + 1] = True
+    opens[[start for start, _ in chunks]] = True
+    head = np.flatnonzero(opens)
+    run = np.cumsum(opens) - 1
+    sums = rep[label[head]]
+    lo, tail = _tail_cut(bath, c, np.minimum.reduceat(c - wmax, head), run, sums, quad)
+    hi = np.maximum.reduceat(c + wmax, head)
+
     values = np.empty(c.size)
     errors = np.empty(c.size)
     failed = np.zeros(c.size, dtype=bool)
     work = [np.empty(0), np.empty(0)]
-    for start, stop in _chunks(label):
+    for start, stop in chunks:
         chunk = slice(start, stop)
-        lab = label[chunk]
+        runs = slice(run[start], run[stop - 1] + 1)
         totals, errors[chunk], failed[chunk] = _sum_group_chunk(
-            bath, c[chunk], wmax[chunk], lab - lab[0], rep[lab[0]:lab[-1] + 1], quad, work)
+            bath, c[chunk], run[chunk] - run[start], sums[runs], lo[runs], hi[runs], tail[chunk],
+            quad, work)
         values[chunk] = scale * totals
     if failed.any():
         k = np.flatnonzero(failed)

@@ -87,8 +87,9 @@ def _require_triple_memory(dim: int, tables: int) -> None:
     interpreter with ule imported. `ule residual` with the Lamb shift off,
     where the dissipator formula holds the peak, reached 1.1-1.4 of them at
     N = 7-8 (3.0 at N = 6, where fixed allocations dominate); with it on,
-    `lamb_shift_f` reached 12-15 at N = 6-7 (at N = 7, 1.26M f_values pairs
-    of about 110 bytes each and the np.unique of 2.0M live triple codes).
+    `lamb_shift_f` reached 15.2 at N = 6 and 12.8 at N = 7 (at N = 7,
+    1.26M f_values pairs of about 110 bytes each and the np.unique of 2.0M
+    live triple codes).
     """
     _require_memory(tables * 8 * dim ** 3, f"Bohr double sum over {dim}^3 level triples")
 

@@ -192,21 +192,26 @@ def _cluster_gaps(values: np.ndarray, eps: float):
     """
     order = np.argsort(values, kind="stable")
     sv = values[order]
-    boundaries = np.nonzero(np.diff(sv) > eps)[0]
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries + 1, [sv.size]))
+    boundaries = np.flatnonzero(np.diff(sv) > eps) + 1
+    starts = np.concatenate(([0], boundaries))
+    size = np.diff(np.concatenate((starts, [sv.size])))
+    spread = sv[starts + size - 1] - sv[starts]
+    if np.any(spread > eps):
+        raise ValueError(
+            f"ambiguous gap binning: cluster spread {spread[spread > eps][0]:.3e} exceeds "
+            f"gap tolerance {eps:.3e}; distinct Bohr gaps are closer than "
+            "the requested tolerance"
+        )
     labels = np.empty(values.size, dtype=np.intp)
-    reps = np.empty(starts.size)
-    for k, (i0, i1) in enumerate(zip(starts, ends)):
-        spread = sv[i1 - 1] - sv[i0]
-        if spread > eps:
-            raise ValueError(
-                f"ambiguous gap binning: cluster spread {spread:.3e} exceeds "
-                f"gap tolerance {eps:.3e}; distinct Bohr gaps are closer than "
-                "the requested tolerance"
-            )
-        labels[order[i0:i1]] = k
-        reps[k] = sv[i0:i1].mean()
+    labels[order] = np.repeat(np.arange(starts.size), size)
+    # the representative is the cluster's .mean(), which adds fewer than 8
+    # terms one by one from -0.0, as a row sum does with -0.0 padding, and
+    # more than that pairwise (np.add.reduceat adds in neither order)
+    col = np.arange(7)
+    rows = np.where(col < size[:, None], sv[np.minimum(starts[:, None] + col, sv.size - 1)], -0.0)
+    reps = rows.sum(axis=1) / size
+    for k in np.flatnonzero(size >= 8):
+        reps[k] = sv[starts[k]:starts[k] + size[k]].mean()
     return labels, reps
 
 

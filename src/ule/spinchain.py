@@ -92,22 +92,28 @@ def site_operator(op2, site: int, n_sites: int) -> np.ndarray:
     """Embed a single-spin operator at a 1-based site of an n-site chain."""
     if not 1 <= site <= n_sites:
         raise ValueError(f"site {site} outside 1..{n_sites}")
-    out = np.array([[1.0]], dtype=complex)
-    for k in range(1, n_sites + 1):
-        out = np.kron(out, op2 if k == site else np.eye(2, dtype=complex))
-    return out
+    return _embed(op2, site, n_sites)
+
+
+def _embed(op, site: int, n_sites: int) -> np.ndarray:
+    """kron(1, op, 1) with op acting on the sites from the 1-based `site` on."""
+    before = 2 ** (site - 1)
+    after = 2 ** n_sites // (before * op.shape[0])
+    return np.kron(np.kron(np.eye(before, dtype=complex), op), np.eye(after, dtype=complex))
 
 
 def build_chain_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Isotropic Heisenberg exchange plus uniform z field, spin-1/2 sites."""
+    """Isotropic Heisenberg exchange plus uniform z field, spin-1/2 sites.
+
+    Each bond adds the embedded two-site operator Sx Sx + Sy Sy + Sz Sz.
+    """
     n = spec.N
-    sx = [site_operator(PAULI_X / 2, k, n) for k in range(1, n + 1)]
-    sy = [site_operator(PAULI_Y / 2, k, n) for k in range(1, n + 1)]
-    sz = [site_operator(PAULI_Z / 2, k, n) for k in range(1, n + 1)]
+    sx, sy, sz = PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2
+    bond = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for k in range(n - 1):
-        h += spec.eta * (sx[k] @ sx[k + 1] + sy[k] @ sy[k + 1] + sz[k] @ sz[k + 1])
-    h += spec.B_z * sum(sz)
+    for k in range(1, n):
+        h += spec.eta * _embed(bond, k, n)
+    h += spec.B_z * sum(_embed(sz, k, n) for k in range(1, n + 1))
     return h
 
 

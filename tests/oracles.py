@@ -12,6 +12,15 @@ is the batched form of that loop, the kernel `ule.f_values` ran (on one
 pair per swap class) before it integrated by sum group with singularity
 subtraction, and `f_values_every_pair` runs it on every pair as given.
 The library agrees with both within the quadrature target, not bitwise.
+`f_values_full_range` is `ule.f_values` with each sum group integrated
+over its whole range, the policy before the Bose-tail cut; the cut
+values agree with it within their targets, and bitwise where no cut is
+made. `cluster_gaps_loop` is the per-cluster loop that binned the Bohr
+gaps before `ule.operators._cluster_gaps` was vectorized, and
+`chain_hamiltonian_products` builds the chain Hamiltonian from d x d site
+operators and three d x d products per bond, as `ule.build_chain_hamiltonian`
+did before it embedded one two-site bond operator; both results are bitwise
+the library's.
 `lamb_shift_bins_unique` gives the distinct frequency-bin pairs of the
 live level triples by the d^3 `np.unique`, the pairs `ule.generator.lamb_shift_f`
 must hand to `f_values`; `lamb_shift_pairs_unique` turns them into
@@ -56,9 +65,12 @@ generator, `thermal_shift_residual` checks the thermal shift identity of a
 Bohr component, and `total_sz` is the chain's total z spin.
 """
 
+from unittest import mock
+
 import numpy as np
 from scipy.linalg import lapack
 
+import ule.bath
 from ule import (
     EigenDecomposition,
     PropagationError,
@@ -67,6 +79,7 @@ from ule import (
     SteadyStateReport,
     Trajectory,
     dynamics,
+    f_values,
     hermitize,
     jump_spectral,
     magnetization,
@@ -375,6 +388,63 @@ def f_values_every_pair(bath, e1, e2, quad):
                                   pair=(float(e1[start + k]), float(e2[start + k])))
         out[chunk] = scale * totals
     return out
+
+
+def _whole_range(bath, c, lo, group, s, quad):
+    return lo, np.zeros(c.size)
+
+
+def f_values_full_range(bath, e1, e2, quad):
+    """`ule.f_values` with every sum group integrated over its whole range.
+
+    The range policy before the Bose-tail cut: the kernel runs with
+    `ule.bath._tail_cut` replaced by one that keeps each group's left end
+    and charges no bound.
+    """
+    with mock.patch.object(ule.bath, "_tail_cut", _whole_range):
+        return f_values(bath, e1, e2, quad)
+
+
+def cluster_gaps_loop(values, eps):
+    """`ule.operators._cluster_gaps` as one Python pass per cluster: the
+    spread check, the labels and the `.mean()` representative of each."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    boundaries = np.nonzero(np.diff(sv) > eps)[0]
+    starts = np.concatenate(([0], boundaries + 1))
+    ends = np.concatenate((boundaries + 1, [sv.size]))
+    labels = np.empty(values.size, dtype=np.intp)
+    reps = np.empty(starts.size)
+    for k, (i0, i1) in enumerate(zip(starts, ends)):
+        spread = sv[i1 - 1] - sv[i0]
+        if spread > eps:
+            raise ValueError(
+                f"ambiguous gap binning: cluster spread {spread:.3e} exceeds "
+                f"gap tolerance {eps:.3e}; distinct Bohr gaps are closer than "
+                "the requested tolerance"
+            )
+        labels[order[i0:i1]] = k
+        reps[k] = sv[i0:i1].mean()
+    return labels, reps
+
+
+def chain_hamiltonian_products(spec):
+    """The chain Hamiltonian from d x d site operators, each a product of N
+    Kronecker factors, and three d x d products per bond."""
+    def site(op2, k):
+        out = np.array([[1.0]], dtype=complex)
+        for j in range(1, spec.N + 1):
+            out = np.kron(out, op2 if j == k else np.eye(2, dtype=complex))
+        return out
+
+    paulis = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]], dtype=complex))
+    sx, sy, sz = ([site(p / 2, k) for k in range(1, spec.N + 1)] for p in paulis)
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for k in range(spec.N - 1):
+        h += spec.eta * (sx[k] @ sx[k + 1] + sy[k] @ sy[k + 1] + sz[k] @ sz[k + 1])
+    h += spec.B_z * sum(sz)
+    return h
 
 
 def bohr_parts(bohr, x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     bose_weight_branches,
     f_integral_loop,
     f_values_every_pair,
+    f_values_full_range,
     lamb_shift_pairs_unique,
     trapezoid_pv,
 )
@@ -22,7 +24,16 @@ from ule import (
     jump_spectral,
     kms_check,
 )
-from ule.bath import _CHUNK_PAIRS, _bose_weight, _pair_panel_sums, _panel_nodes, _sum_group_chunk
+from ule.bath import (
+    _CHUNK_PAIRS,
+    _TAIL_SHARE,
+    _bose_weight,
+    _pair_panel_sums,
+    _panel_nodes,
+    _sum_group_chunk,
+    _tail_cut,
+    _take_rows,
+)
 from ule.generator import lamb_shift_f
 from ule.spinchain import chain_channels
 
@@ -367,10 +378,10 @@ def test_f_values_integrate_each_swap_class_once(monkeypatch):
     e1, e2 = lamb_shift_pairs_unique(bohr)
     sizes, groups = [], []
 
-    def counting(bath, c, wmax, group, s, quad, work):
+    def counting(bath, c, group, s, *args):
         sizes.append(c.size)
         groups.append(s.size)
-        return _sum_group_chunk(bath, c, wmax, group, s, quad, work)
+        return _sum_group_chunk(bath, c, group, s, *args)
 
     monkeypatch.setattr("ule.bath._sum_group_chunk", counting)
     f_values(channel.bath, e1, e2, spec.quad)
@@ -393,9 +404,9 @@ def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     e1, e2 = lamb_shift_pairs_unique(bohr)
     panels, entries, chunk = [], [], []
 
-    def chunk_counting(bath, c, wmax, group, s, quad, work):
+    def chunk_counting(*args):
         chunk.append(len(chunk))
-        return _sum_group_chunk(bath, c, wmax, group, s, quad, work)
+        return _sum_group_chunk(*args)
 
     def node_counting(bath, a, b, s):
         assert a.size > 0
@@ -462,3 +473,113 @@ def test_f_table_rejects_non_finite_pair_anywhere(bad):
         f_values(bath, *zip((0.0, 0.0), (1.0, -1.0), bad), STRICT)
     with pytest.raises(ValueError):
         f_values(bath, [bad[0]], [bad[1]])
+
+
+def test_take_rows_gathers_into_the_workspace_without_a_temporary():
+    # 20,000 rows of 15: one gather is 2.4 MB; numpy's default mode="raise"
+    # gathers into a temporary of that size before copying it out
+    rng = np.random.default_rng(0)
+    a = rng.uniform(size=(3000, 15))
+    index = rng.integers(0, a.shape[0], size=20_000)
+    work = [np.empty(0), np.empty(0)]
+    _take_rows(work, 1, a, index)
+    buffer = work[1]
+    tracemalloc.start()
+    try:
+        got = _take_rows(work, 1, a, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert work[1] is buffer
+    assert np.shares_memory(got, buffer)
+    assert np.array_equal(got, a[index])
+    assert peak < got.nbytes // 20
+
+
+def _record_tail_cuts(monkeypatch):
+    """Wrap `_tail_cut`; each call appends (range of each class, lo before, lo after, bounds)."""
+    calls = []
+
+    def recording(bath, c, lo, group, s, quad):
+        new_lo, tail = _tail_cut(bath, c, lo, group, s, quad)
+        calls.append((group, lo, new_lo, tail))
+        return new_lo, tail
+
+    monkeypatch.setattr("ule.bath._tail_cut", recording)
+    return calls
+
+
+def test_no_entry_lies_below_its_groups_tail_cut(monkeypatch):
+    # the N = 5 chain at T1 = 2: every (class, panel) entry the kernel
+    # evaluates lies above its sum group's cut, and the cut removes about a
+    # quarter of the entries of the full range (165,993 of them)
+    spec, channel, bohr = chain_lamb(5)
+    e1, e2 = lamb_shift_pairs_unique(bohr)
+    cuts = _record_tail_cuts(monkeypatch)
+    ranges, entries = [], []
+
+    def chunk(bath, c, group, s, lo, hi, tail, quad, work):
+        ranges.append((group, lo))
+        return _sum_group_chunk(bath, c, group, s, lo, hi, tail, quad, work)
+
+    def counting(pair, panel, c, hc, half, u, h, work):
+        group, lo = ranges[-1]
+        assert np.all(u[panel, 7] + half[panel] > lo[group[pair]])
+        entries.append(pair.size)
+        return _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
+
+    monkeypatch.setattr("ule.bath._sum_group_chunk", chunk)
+    monkeypatch.setattr("ule.bath._pair_panel_sums", counting)
+    f_values(channel.bath, e1, e2, spec.quad)
+    (_, before, after, tail), = cuts
+    assert np.array_equal(np.concatenate([lo for _, lo in ranges]), after)
+    assert np.all(after > before)
+    assert np.all(tail <= _TAIL_SHARE * spec.quad.atol)
+    cut_entries = sum(entries)
+    entries.clear()
+    f_values_full_range(channel.bath, e1, e2, spec.quad)
+    assert sum(entries) == 165_993
+    assert cut_entries < 0.8 * sum(entries)
+
+
+@pytest.mark.parametrize("temperature", [0.05, 0.2, 2.0, 20.0, 50.0])
+def test_tail_cut_matches_full_range_oracle(monkeypatch, temperature):
+    # the N = 4 chain's Lamb pairs and random pairs with their mirrors and
+    # some (0, w) pairs, whose range ends where the cut would go: each
+    # value is within its target of the full range, a class whose group
+    # keeps its range is bitwise the full range's, mirrors stay bitwise equal
+    spec, _, bohr = chain4_lamb()
+    bath = make_bath(T=temperature)
+    quad = spec.quad
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(-30.0, 30.0, size=(2, 200))
+    w = rng.uniform(0.0, 30.0, size=10)
+    chain = lamb_shift_pairs_unique(bohr)
+    randoms = (np.concatenate([a, -b, np.zeros(10), -w]), np.concatenate([b, -a, w, np.zeros(10)]))
+    cuts = _record_tail_cuts(monkeypatch)
+    chunks = []
+
+    def recording(*args):
+        out = _sum_group_chunk(*args)
+        chunks.append(out[0])
+        return out
+
+    monkeypatch.setattr("ule.bath._sum_group_chunk", recording)
+    kept = 0
+    for e1, e2 in (chain, randoms):
+        cuts.clear()
+        chunks.clear()
+        values = f_values(bath, e1, e2, quad)
+        cut = np.concatenate(chunks)
+        chunks.clear()
+        assert_within_target(values, f_values_full_range(bath, e1, e2, quad), bath, quad)
+        full = np.concatenate(chunks)
+        (run, before, after, _), = cuts
+        same = (after == before)[run]
+        assert np.array_equal(cut[same], full[same])
+        assert not same.all()
+        kept += int(same.sum())
+        mirrored = dict(zip(zip(-e2, -e1), values))
+        assert all(mirrored[(x, y)] == v for x, y, v in zip(e1, e2, values))
+    if temperature == 50.0:
+        assert kept > 0

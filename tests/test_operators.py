@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     bohr_double_sum_loop,
+    cluster_gaps_loop,
     jacobi_eigenvalues,
     random_hermitian,
     thermal_shift_residual,
@@ -186,6 +187,38 @@ def test_bohr_rejects_ambiguous_binning():
     # wider than the tolerance
     with pytest.raises(ValueError, match="ambiguous"):
         bohr_decompose(x, eig)
+
+
+@pytest.mark.parametrize("n_sites", [3, 4, 5, 6, 7])
+def test_cluster_gaps_match_loop_bitwise(n_sites):
+    # the chain's raw gaps at three field values (the zero field has many
+    # degenerate gaps, so clusters of 8 and more members), and rounded
+    # random values with jitter below the tolerance
+    from ule.operators import _cluster_gaps
+    cases = []
+    for b_z in (8.0, 0.0, -1.3):
+        spec = SpinChainSpec(N=n_sites, B_z=b_z)
+        energies = eigendecompose(build_chain_hamiltonian(spec)).energies
+        eps = 1e-9 * max(1.0, float(np.max(np.abs(energies))))
+        cases.append(((energies[None, :] - energies[:, None]).ravel(), eps))
+    rng = np.random.default_rng(n_sites)
+    cases.append((np.round(rng.uniform(-5, 5, 400), 2) + rng.uniform(0, 1e-11, 400), 1e-9))
+    sizes = []
+    for values, eps in cases:
+        labels, reps = _cluster_gaps(values, eps)
+        ref_labels, ref_reps = cluster_gaps_loop(values, eps)
+        assert labels.tobytes() == ref_labels.tobytes()
+        assert reps.tobytes() == ref_reps.tobytes()
+        sizes.extend(np.bincount(labels).tolist())
+    assert min(sizes) < 8 <= max(sizes)
+
+
+def test_cluster_gaps_names_the_first_wide_cluster():
+    from ule.operators import _cluster_gaps
+    values = np.array([0.0, 0.6, 1.2, 5.0, 9.0, 9.7, 10.4, 10.9])
+    for call in (_cluster_gaps, cluster_gaps_loop):
+        with pytest.raises(ValueError, match="spread 1.200e[+]00 exceeds gap tolerance 7.000e-01"):
+            call(values, 0.7)
 
 
 def test_bohr_rejects_parts_not_summing_back():

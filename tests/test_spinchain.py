@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import total_sz
+from oracles import chain_hamiltonian_products, total_sz
 from ule import (
     SpinChainSpec,
     build_chain_hamiltonian,
@@ -42,6 +42,27 @@ def test_chain_commutes_with_total_sz():
     sz = total_sz(5)
     comm = h @ sz - sz @ h
     assert np.max(np.abs(comm)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
+def test_chain_hamiltonian_matches_site_operator_products_bitwise(n_sites):
+    for kw in ({}, dict(B_z=0.0), dict(eta=0.37, B_z=-1.3)):
+        spec = SpinChainSpec(N=n_sites, **kw)
+        assert build_chain_hamiltonian(spec).tobytes() == chain_hamiltonian_products(spec).tobytes()
+
+
+def test_site_operator_is_the_kron_product():
+    # one factor per site: identities around the operator
+    op = np.array([[0.5, -0.25j], [0.25j, -0.5]])
+    for n in range(1, 6):
+        for site in range(1, n + 1):
+            factors = [op if k == site else np.eye(2) for k in range(1, n + 1)]
+            expected = factors[0]
+            for f in factors[1:]:
+                expected = np.kron(expected, f)
+            assert np.array_equal(site_operator(op, site, n), expected)
+    with pytest.raises(ValueError, match="outside"):
+        site_operator(op, 4, 3)
 
 
 def test_spec_validation():
