@@ -32,7 +32,7 @@ bohr = bohr_decompose(channel.coupling_op, eig)
 print("Lamb shift (diagonal in the energy basis, so it cannot move the steady state):")
 print(np.round(build_lamb_shift(bohr, lamb_shift_f(bohr, bath)).real, 6))
 
-sop = build_liouvillian(eig, channel, include_lamb_shift=True)
+sop = build_liouvillian(eig, [channel], include_lamb_shift=True)
 
 # relax from the excited state and watch the population decay
 rho0 = eig.projector(1)

@@ -51,7 +51,7 @@ print("secular generator on the Gibbs state (dissipator, Lamb commutator): "
       f"{report.secular_dissipator_norm:.1e}, {report.secular_lambshift_norm:.1e}")
 
 # the same non-stationarity seen from the steady-state side
-sop = build_liouvillian(eig, channel, include_lamb_shift=False)
+sop = build_liouvillian(eig, [channel], include_lamb_shift=False)
 rho_ss = steady_state(sop).state
 dev = gibbs_deviation(rho_ss, eig, bath.beta)
 print(f"\nsteady state vs Gibbs: trace distance {dev.trace_distance:.4e}")

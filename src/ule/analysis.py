@@ -322,7 +322,7 @@ def trend_sweep(system: TrendSystem, temperatures, couplings) -> SweepResult:
             bath = BathSpec(temperature=t, coupling=gam, cutoff=system.cutoff)
             channel = NoiseChannel(coupling_op=system.coupling_op, bath=bath)
             try:
-                sop = build_liouvillian(eig, channel, include_lamb_shift=False)
+                sop = build_liouvillian(eig, [channel], include_lamb_shift=False)
                 rho_ss = steady_state(sop).state
                 cells[(t, gam)] = gibbs_deviation(rho_ss, eig, bath.beta,
                                                   observable=system.observable)

@@ -115,13 +115,10 @@ CONFIG_SCHEMA = {
     "gamma1": (float, None, _NON_NEGATIVE),
     "gamma2": (float, SpinChainSpec.gamma2, _NON_NEGATIVE),
     "Lambda_c": (float, SpinChainSpec.Lambda_c, _POSITIVE),
-    "omega0": (float, SpinChainSpec.omega0, _FINITE),
     "couple_sites": (_parse_sites, SpinChainSpec.couple_sites, None),
     "ignore_lamb_shift": (_parse_bool, SpinChainSpec.ignore_lamb_shift, None),
     "rtol": (float, QuadratureSpec.rtol, _TOLERANCE),
     "atol": (float, QuadratureSpec.atol, _TOLERANCE),
-    "omega_max_pad": (float, QuadratureSpec.omega_max_pad, _POSITIVE),
-    "max_depth": (int, QuadratureSpec.max_depth, _AT_LEAST_ONE),
     "t_end": (float, None, _POSITIVE),
     "samples": (int, 200, _AT_LEAST_ONE),
     "tol": (float, 1e-8, _POSITIVE),
@@ -184,9 +181,7 @@ def load_config(args, required=CHAIN_KEYS) -> dict:
 
 
 def quad_from_config(cfg: dict) -> QuadratureSpec:
-    return QuadratureSpec(rtol=cfg["rtol"], atol=cfg["atol"],
-                          omega_max_pad=cfg["omega_max_pad"],
-                          max_depth=cfg["max_depth"])
+    return QuadratureSpec(rtol=cfg["rtol"], atol=cfg["atol"])
 
 
 def spec_from_config(cfg: dict) -> SpinChainSpec:
@@ -194,7 +189,7 @@ def spec_from_config(cfg: dict) -> SpinChainSpec:
         return SpinChainSpec(
             N=cfg["N"], eta=cfg["eta"], B_z=cfg["B_z"], T1=cfg["T1"], T2=cfg["T2"],
             gamma1=cfg["gamma1"], gamma2=cfg["gamma2"], Lambda_c=cfg["Lambda_c"],
-            omega0=cfg["omega0"], couple_sites=cfg.get("couple_sites"),
+            couple_sites=cfg.get("couple_sites"),
             ignore_lamb_shift=cfg["ignore_lamb_shift"], quad=quad_from_config(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

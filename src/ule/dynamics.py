@@ -420,6 +420,15 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     n_accepted = 0
     n_rejected = 0
 
+    def positivity_error(value, where, t_reached):
+        """The PropagationError of a sample eigenvalue or a population `value`
+        below -1e-6 at `where`."""
+        return PropagationError(
+            f"positivity violation {value:.3e} at {where} with tol = {tol:g}; "
+            "a loose tol can cause this; otherwise the generator is not "
+            "completely positive",
+            t_reached=t_reached)
+
     def take_samples(t0, y0, f0, t1, y1, f1):
         """Take every sample due by t1 from the step (t0, y0, f0) -> (t1, y1, f1),
         whose full-step phases are phases[-1]; return the next due time."""
@@ -438,11 +447,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             state = _unpack(ys)
             wmin = float(np.linalg.eigvalsh(state)[0])
             if wmin < -1e-6:
-                raise PropagationError(
-                    f"positivity violation {wmin:.3e} at sample t = {ts} with tol = {tol:g}; "
-                    "a loose tol can cause this; otherwise the generator is not "
-                    "completely positive",
-                    t_reached=ts)
+                raise positivity_error(wmin, f"sample t = {ts}", ts)
             min_sample_eig = min(min_sample_eig, wmin)
             flat = ys.ravel()
             for series, real, imag in packed.values():
@@ -488,11 +493,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
             diag = y.diagonal()
             if diag.min() < -1e-6:
-                raise PropagationError(
-                    f"positivity violation {diag.min():.3e} at t = {t} with tol = {tol:g}; "
-                    "a loose tol can cause this; otherwise the generator is not "
-                    "completely positive",
-                    t_reached=t)
+                raise positivity_error(diag.min(), f"t = {t}", t)
             n_accepted += 1
             factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         else:
@@ -554,7 +555,7 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     d = superop.dim
     _require_memory((GMRES_RESTART + 1) * 8 * d ** 2,
                     f"steady-state GMRES workspace for states of {d ** 2} entries")
-    report, failure = _gmres_steady(superop)
+    report, failure = _gmres_steady(superop, np.zeros(d, dtype=int))
     if failure is not None:
         raise _kernel_count(superop, failure)
     return report
@@ -614,9 +615,10 @@ def _components(frame, tau) -> np.ndarray:
         labels = lowest
 
 
-def _gmres_steady(superop: Superoperator, labels=None):
-    """(report, failure) from A x = W, or from A_c x = I/d over the
-    component labels of the levels when given (`_kernel_count`).
+def _gmres_steady(superop: Superoperator, labels):
+    """(report, failure) from A_c x = I/d over the component labels of the
+    levels: all zero in `steady_state`, where A_c is A, one per component
+    in `_kernel_count`.
 
     Every solve runs on the packing P of x (`_pack`). The report's state is
     x in the input basis after one step of refinement there, Hermitized and
@@ -670,7 +672,7 @@ def _gmres_steady(superop: Superoperator, labels=None):
     rho = hermitize(rho + eig.from_eigenbasis(_unpack(delta.reshape(d, d))))
     rho = rho / float(np.real(np.trace(rho)))
     return SteadyStateReport(state=rho, residual=frobenius(superop.apply_matrix(rho)),
-                             kernel_dimension=1 if labels is None else int(labels.max()) + 1,
+                             kernel_dimension=int(labels.max()) + 1,
                              rcond=rcond, iterations=iterations + refinement,
                              estimate_iterations=estimate_iterations), None
 
@@ -690,12 +692,12 @@ def _packed_generator(frame):
     return apply
 
 
-def _bordered_operator(frame, labels=None):
+def _bordered_operator(frame, labels):
     """(apply, precondition) for A_c on the flattened packing P of a Hermitian
     eigenframe matrix y (`_pack`).
 
     A_c(y) = L(y) + sum_k W_k tr(Pi_k y), W_k = Pi_k / |k|, over the
-    components k of labels (0..c-1 per level; without, one, and W = I/d):
+    components k of labels (0..c-1 per level; all zero gives A, W = I/d):
     `_packed_generator`(frame), each population raised by the mean
     population of its component. The border is symmetric, so on the
     Heisenberg frame of `_gmres_steady` the same code gives A_c^dag, the
@@ -712,17 +714,14 @@ def _bordered_operator(frame, labels=None):
     omega = eig.energies[:, None] - eig.energies[None, :]
     diag = np.arange(d) * (d + 1)  # flat indices of the populations
     generator = _packed_generator(frame)
-    if labels is None:
-        border = 1.0 / d
+    sizes = np.bincount(labels)
+    border = (labels[:, None] == labels[None, :]) / sizes[labels]
+    member = labels == np.arange(sizes.size)[:, None]
 
-        def mean(p):
-            return p.trace() / d
-    else:
-        sizes = np.bincount(labels)
-        border = (labels[:, None] == labels[None, :]) / sizes[labels]
-
-        def mean(p):
-            return (np.bincount(labels, p.diagonal(), sizes.size) / sizes)[labels]
+    def mean(p):
+        # row sums add in the order of p.trace(), so one component's mean
+        # is tr(p) / d to the bit
+        return (np.where(member, p.diagonal(), 0.0).sum(axis=1) / sizes)[labels]
 
     def apply(v):
         p = v.reshape(d, d)

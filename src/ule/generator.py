@@ -226,15 +226,13 @@ def build_lamb_shift(bohr: BohrDecomposition, f) -> np.ndarray:
 def build_liouvillian(eig: EigenDecomposition, channels,
                       quad: QuadratureSpec = QuadratureSpec(),
                       include_lamb_shift: bool = True) -> Superoperator:
-    """Generator of the master equation for one channel or a list of them.
+    """Generator of the master equation for a list of channels.
 
     H_eff = H + sum_c Lam_c and one jump operator per channel, without dense
     work. With `include_lamb_shift` false, or for a channel with zero
     coupling (where f vanishes), that channel's Lamb shift is skipped and no
     quadrature runs.
     """
-    if isinstance(channels, NoiseChannel):
-        channels = [channels]
     lam = np.zeros((eig.dim, eig.dim), dtype=complex)
     jumps = []
     for ch in channels:

@@ -41,9 +41,8 @@ MAX_SITES = 10
 class SpinChainSpec:
     """Parameters of the open-chain experiment.
 
-    omega0 is recorded for provenance (it belongs to the parameter set this
-    experiment inherits) but enters no formula here. couple_sites are
-    1-based; ignore_lamb_shift defaults on, matching the reference run.
+    couple_sites are 1-based; ignore_lamb_shift defaults on, matching the
+    reference run.
     """
 
     N: int = 6
@@ -54,7 +53,6 @@ class SpinChainSpec:
     gamma1: float = 0.1
     gamma2: float = 0.0
     Lambda_c: float = 100.0
-    omega0: float = 2.0
     couple_sites: tuple | None = None
     ignore_lamb_shift: bool = True
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
@@ -62,7 +60,7 @@ class SpinChainSpec:
     def __post_init__(self):
         if not (2 <= self.N <= MAX_SITES):
             raise ValueError(f"N must be between 2 and {MAX_SITES}, got {self.N}")
-        for name in ("eta", "B_z", "T1", "T2", "Lambda_c", "omega0"):
+        for name in ("eta", "B_z", "T1", "T2", "Lambda_c"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.gamma1 < 0 or self.gamma2 < 0:

@@ -90,9 +90,9 @@ from ule import (
 from ule.bath import _WG, _WGK, _XGK
 
 
-def omega_max(bath, e1, e2, quad):
-    """Wmax = |E1| + |E2| + omega_max_pad * cutoff, the half-range the quadrature keeps."""
-    return abs(e1) + abs(e2) + quad.omega_max_pad * bath.cutoff
+def omega_max(bath, e1, e2):
+    """Wmax = |E1| + |E2| + _OMEGA_MAX_PAD * cutoff, the half-range the quadrature keeps."""
+    return abs(e1) + abs(e2) + ule.bath._OMEGA_MAX_PAD * bath.cutoff
 
 
 # Pairs per adaptive sweep of `f_values_every_pair`, the chunk size the
@@ -189,7 +189,7 @@ def _adaptive_quadrature(fun, edges, quad):
     """Globally adaptive GK15 over the panels defined by `edges`.
 
     Panels whose error stays within a quarter of the worst error are halved
-    together each sweep; a panel may be halved at most `max_depth` times.
+    together each sweep; a panel may be halved at most `_MAX_DEPTH` times.
     Fully deterministic for identical inputs.
     """
     a = np.asarray(edges[:-1], dtype=float)
@@ -205,13 +205,13 @@ def _adaptive_quadrature(fun, edges, quad):
             return total, total_err
         worst = errs.max()
         split = errs >= 0.25 * worst
-        if not np.any(split & (depth < quad.max_depth)):
+        if not np.any(split & (depth < ule.bath._MAX_DEPTH)):
             raise QuadratureError(
-                f"adaptive quadrature hit max depth {quad.max_depth} with "
+                f"adaptive quadrature hit max depth {ule.bath._MAX_DEPTH} with "
                 f"error {total_err:.3e} > target {target:.3e}",
                 estimate=total, error_bound=total_err,
             )
-        split &= depth < quad.max_depth
+        split &= depth < ule.bath._MAX_DEPTH
         keep = ~split
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[keep], a[split], mid])
@@ -251,7 +251,7 @@ def f_integral_loop(bath, e1, e2, quad):
         raise ValueError("f arguments must be finite")
     if bath.coupling == 0.0:
         return 0.0
-    wmax = omega_max(bath, e1, e2, quad)
+    wmax = omega_max(bath, e1, e2)
 
     def folded(w):
         h_plus = jump_spectral(bath, w - e1) * jump_spectral(bath, w + e2)
@@ -292,14 +292,14 @@ def folded_panel_sums(bath, a, b, e1, e2):
     return k15, np.abs(k15 - g7)
 
 
-def _folded_initial_panels(bath, e1, e2, quad):
+def _folded_initial_panels(bath, e1, e2):
     """(pair id, left, right) of the starting panels, ordered by pair and left edge.
 
     A pair's edges are 0, Wmax and the distinct features |E1|, |E2|, T,
     Lc and 2 Lc that lie strictly inside (0, Wmax).
     """
     n = e1.size
-    wmax = omega_max(bath, e1, e2, quad)
+    wmax = omega_max(bath, e1, e2)
     inner = np.column_stack([np.abs(e1), np.abs(e2), np.full(n, bath.temperature),
                              np.full(n, bath.cutoff), np.full(n, 2 * bath.cutoff)])
     inner[(inner <= 0.0) | (inner >= wmax[:, None])] = np.inf
@@ -318,13 +318,13 @@ def folded_adaptive_chunk(bath, e1, e2, quad):
     Globally adaptive GK15 per pair: while a pair's error sum exceeds
     max(atol, rtol |total|), its panels whose error is at least a quarter
     of its worst are halved together; a panel may be halved at most
-    `max_depth` times. All pairs share one flat panel array that stays
+    `_MAX_DEPTH` times. All pairs share one flat panel array that stays
     ordered by (pair, left edge), so the `bincount` totals add each pair's
     panels in the same order whatever else is in the batch; converged
     pairs drop out. Returns (totals, error sums, failed mask).
     """
     n = e1.size
-    pair, a, b = _folded_initial_panels(bath, e1, e2, quad)
+    pair, a, b = _folded_initial_panels(bath, e1, e2)
     depth = np.zeros(a.size, dtype=int)
     vals, errs = folded_panel_sums(bath, a, b, e1[pair], e2[pair])
     active = np.ones(n, dtype=bool)
@@ -338,7 +338,7 @@ def folded_adaptive_chunk(bath, e1, e2, quad):
         converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
         worst = np.zeros(n)
         np.maximum.at(worst, pair, errs)
-        split = (errs >= 0.25 * worst[pair]) & (depth < quad.max_depth)
+        split = (errs >= 0.25 * worst[pair]) & (depth < ule.bath._MAX_DEPTH)
         stuck = np.bincount(pair, split, minlength=n) == 0
         settled = active & (converged | stuck)
         totals[settled] = total[settled]
@@ -907,9 +907,10 @@ def exact_estimate_rcond(superop):
     """
     eig, g, jumps, jumps_dag = frame = superop._eigenframe
     d = eig.dim
-    forward = dynamics._bordered_operator(frame)
+    labels = np.zeros(d, dtype=int)
+    forward = dynamics._bordered_operator(frame, labels)
     adjoint = dynamics._bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
-                                           g, jumps_dag, jumps))
+                                           g, jumps_dag, jumps), labels)
     krylov = np.empty((dynamics.GMRES_RESTART + 1, d * d))
     anorm = dynamics._onenorm_estimate(forward[0], adjoint[0], d * d)
     rhs = np.eye(d).reshape(-1) / d

@@ -64,7 +64,6 @@ T2 = 1.0
 gamma1 = 0.1
 gamma2 = 0.0
 Lambda_c = 100.0
-omega0 = 2.0
 ignore_lamb_shift = true
 samples = 200
 tol = 1e-8
@@ -221,7 +220,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th = gibbs_state(eig, bath.beta)
     jump = build_jump_operator(eig, ch)
     baseline_norm = np.linalg.norm(dissipator_on_gibbs_direct(jump, rho_th))
-    sop = build_liouvillian(eig, ch, include_lamb_shift=False)
+    sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
     baseline_dist = trace_distance(steady_state(sop).state, rho_th)
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
@@ -229,7 +228,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th_q = gibbs_state(eig_q, bath.beta)
     control_norm = np.linalg.norm(
         dissipator_on_gibbs_direct(build_jump_operator(eig_q, ch_q), rho_th_q))
-    sop_q = build_liouvillian(eig_q, ch_q)
+    sop_q = build_liouvillian(eig_q, [ch_q])
     control_dist = trace_distance(steady_state(sop_q).state, rho_th_q)
 
     ok = (baseline_norm > 1e-6 * GAMMA and baseline_dist > 1e-4
@@ -275,10 +274,10 @@ def test_criterion_6_dynamics_contracts():
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch_q = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
-    sop_q = build_liouvillian(eig_q, ch_q, include_lamb_shift=False)
+    sop_q = build_liouvillian(eig_q, [ch_q], include_lamb_shift=False)
     eig_3 = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     ch_3 = NoiseChannel(coupling_op=random_hermitian(rng, 3), bath=bath)
-    sop_3 = build_liouvillian(eig_3, ch_3, include_lamb_shift=False)
+    sop_3 = build_liouvillian(eig_3, [ch_3], include_lamb_shift=False)
 
     from ule import propagate
     worst_drift = worst_eig = 0.0

@@ -293,7 +293,7 @@ def test_gibbs_deviation_identity():
 def test_gibbs_deviation_qubit_steady_state():
     eig = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=BATH)
-    sop = build_liouvillian(eig, ch, include_lamb_shift=False)
+    sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
     rho_ss = steady_state(sop).state
     dev = gibbs_deviation(rho_ss, eig, BATH.beta)
     assert dev.trace_distance <= 1e-9
@@ -301,7 +301,7 @@ def test_gibbs_deviation_qubit_steady_state():
 
 def test_gibbs_deviation_observable_gap_and_rows():
     eig, ch, _, rho_th = baseline_setup()
-    sop = build_liouvillian(eig, ch, include_lamb_shift=False)
+    sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
     rho_ss = steady_state(sop).state
     obs = np.diag([1.0, 0.0, -1.0]).astype(complex)
     dev = gibbs_deviation(rho_ss, eig, BATH.beta, observable=obs)

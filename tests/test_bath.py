@@ -186,23 +186,26 @@ def test_f_against_trapezoid_oracle_grid():
             assert value == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
 
-def test_f_tail_control():
+def test_f_tail_control(monkeypatch):
     # doubling the integration ceiling moves f by less than the error bound
     bath = make_bath()
-    tight = QuadratureSpec()
-    wide = QuadratureSpec(omega_max_pad=16.0)
-    for e1, e2 in ((0.5, 0.5), (2.0, -1.0), (-3.0, 0.0)):
-        a = f_values(bath, [e1], [e2], tight)[0]
-        b = f_values(bath, [e1], [e2], wide)[0]
-        bound = max(tight.atol, abs(a) * tight.rtol)
+    quad = QuadratureSpec()
+    pairs = ((0.5, 0.5), (2.0, -1.0), (-3.0, 0.0))
+    tight = [f_values(bath, [e1], [e2], quad)[0] for e1, e2 in pairs]
+    monkeypatch.setattr("ule.bath._OMEGA_MAX_PAD", 16.0)
+    for a, (e1, e2) in zip(tight, pairs):
+        b = f_values(bath, [e1], [e2], quad)[0]
+        bound = max(quad.atol, abs(a) * quad.rtol)
         assert abs(a - b) < 2.0 * bound
 
 
-def test_f_quadrature_failure_carries_estimate():
+def test_f_quadrature_failure_carries_estimate(monkeypatch):
     bath = make_bath()
-    strict = QuadratureSpec(rtol=1e-15, atol=1e-300, max_depth=2)
-    with pytest.raises(QuadratureError) as info:
+    strict = QuadratureSpec(rtol=1e-15, atol=1e-300)
+    monkeypatch.setattr("ule.bath._MAX_DEPTH", 2)
+    with pytest.raises(QuadratureError, match="max depth 2 .* loosen rtol or atol") as info:
         f_values(bath, [1.0], [-1.0], strict)
+    monkeypatch.undo()
     err = info.value
     assert np.isfinite(err.estimate)
     assert err.error_bound > 0
@@ -240,9 +243,7 @@ def test_f_table_deduplicates_and_handles_empty():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rtol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=0)
-    for name in ("rtol", "atol", "omega_max_pad"):
+    for name in ("rtol", "atol"):
         for value in (np.inf, np.nan, -1.0):
             with pytest.raises(ValueError, match="finite and positive"):
                 QuadratureSpec(**{name: value})
@@ -392,14 +393,20 @@ def test_f_values_integrate_each_swap_class_once(monkeypatch):
     assert max(sizes) <= _CHUNK_PAIRS
 
 
-# under STRICT, (0, 0) and (2, -1) converge; (40, -30) and (0, 3) do not
-STRICT = QuadratureSpec(rtol=1e-13, atol=1e-300, max_depth=1)
+# under STRICT, with a panel halved at most once (`depth_one`), (0, 0) and
+# (2, -1) converge; (40, -30) and (0, 3) do not
+STRICT = QuadratureSpec(rtol=1e-13, atol=1e-300)
+
+
+@pytest.fixture
+def depth_one(monkeypatch):
+    monkeypatch.setattr("ule.bath._MAX_DEPTH", 1)
 
 
 def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     # the sweep ends once no class is live instead of evaluating nothing,
     # g runs once per panel node and each (class, panel) entry is evaluated
-    # once; under STRICT, (40, -30) and (0, 3) settle by hitting max_depth
+    # once; under STRICT, (40, -30) and (0, 3) settle by hitting _MAX_DEPTH
     spec, channel, bohr = chain4_lamb()
     e1, e2 = lamb_shift_pairs_unique(bohr)
     panels, entries, chunk = [], [], []
@@ -423,6 +430,7 @@ def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     monkeypatch.setattr("ule.bath._panel_nodes", node_counting)
     monkeypatch.setattr("ule.bath._pair_panel_sums", entry_counting)
     f_values(channel.bath, e1, e2, spec.quad)
+    monkeypatch.setattr("ule.bath._MAX_DEPTH", 1)
     with pytest.raises(QuadratureError):
         f_values(make_bath(), [0.0, 0.0, 40.0, 2.0], [0.0, 3.0, -30.0, -1.0], STRICT)
     assert len(chunk) > 2
@@ -430,6 +438,7 @@ def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     assert len(set(entries)) == len(entries)
 
 
+@pytest.mark.usefixtures("depth_one")
 @pytest.mark.parametrize("first", [(40.0, -30.0), (0.0, 3.0)])
 def test_f_table_failure_names_first_failing_pair_in_input_order(first):
     # the failing pairs are not in the order the sum groups are integrated in
@@ -450,6 +459,7 @@ def test_f_table_failure_names_first_failing_pair_in_input_order(first):
     assert abs(err.estimate - loop.value.estimate) <= loop.value.error_bound
 
 
+@pytest.mark.usefixtures("depth_one")
 def test_f_values_failure_names_the_input_member_of_its_swap_class():
     # under STRICT, (0, 3) fails, and it is the mirror of (-3, 0)
     bath = make_bath()
@@ -465,6 +475,9 @@ def test_f_values_failure_names_the_input_member_of_its_swap_class():
     with pytest.raises(QuadratureError) as as_given:
         f_values_every_pair(bath, [0.0], [3.0], STRICT)
     assert abs(err.estimate - as_given.value.estimate) <= as_given.value.error_bound
+
+
+@pytest.mark.usefixtures("depth_one")
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 2.0)])
 def test_f_table_rejects_non_finite_pair_anywhere(bad):
     # checked before any quadrature, even behind a pair that would fail

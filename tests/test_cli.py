@@ -271,12 +271,10 @@ def test_write_json_refuses_non_finite_floats(tmp_path, value):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("omega_max_pad", "inf", "omega_max_pad must be finite and positive"),
     ("rtol", "inf", "quadrature tolerances must be finite and positive"),
     ("atol", "nan", "quadrature tolerances must be finite and positive")])
 def test_non_finite_quadrature_spec_exits_2(tmp_path, capsys, key, value, message):
-    # an infinite pad used to overflow the panel ladder with a traceback,
-    # and an infinite rtol to switch the error control off
+    # an infinite rtol used to switch the error control off
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
     code = main(["residual", "--config", config, "--N", "3", "--ignore_lamb_shift", "false",
                  f"--{key}", value, "--outdir", str(tmp_path)])
@@ -362,29 +360,66 @@ def test_samples_without_states_stay_small(monkeypatch):
 
 
 PROBE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "abc", ""]
+# keys the schema no longer holds: the quadrature's padding and depth are
+# constants of ule.bath, and omega0 entered no formula
+RETIRED_KEYS = ["max_depth", "omega0", "omega_max_pad"]
 # physically degenerate chains, whose steady state is not unique: no
 # exchange, no field, or no coupling to the bath
 DEGENERATE = {("steady", "eta", "0"), ("steady", "B_z", "0"), ("steady", "gamma1", "0")}
 
 
 @pytest.mark.parametrize("command", ["steady", "residual"])
-@pytest.mark.parametrize("key", sorted(CONFIG_SCHEMA))
+@pytest.mark.parametrize("key", sorted(CONFIG_SCHEMA) + RETIRED_KEYS)
 def test_every_bad_config_value_names_its_key(tmp_path, capsys, command, key):
     # each run exits 0, exits 2 naming the key with no file written, or
-    # exits 3 on a degenerate chain; none warns
+    # exits 3 on a degenerate chain; none warns. A retired key always exits 2
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
     for i, value in enumerate(PROBE_VALUES):
         out = tmp_path / f"out{i}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([command, "--config", config, "--N", "3", f"--{key}={value}",
-                         "--outdir", str(out)])
+            try:
+                code = main([command, "--config", config, "--N", "3", f"--{key}={value}",
+                             "--outdir", str(out)])
+            except SystemExit as exc:  # argparse refuses an option it does not know
+                code = exc.code
         err = capsys.readouterr().err
         if code == 2:
             assert re.search(rf"\b{key}\b", err), (value, err)
             assert not out.exists()
         else:
+            assert key not in RETIRED_KEYS, (value, code)
             assert code == (3 if (command, key, value) in DEGENERATE else 0), (value, err)
+
+
+def test_retired_keys_exit_2(tmp_path, capsys):
+    # a config file line with a retired key is an unknown key; so is the
+    # command-line option, which argparse refuses
+    path = write_config(tmp_path, SMALL_CONFIG + "max_depth = 5\n")
+    assert main(["steady", "--config", path, "--outdir", str(tmp_path / "a")]) == 2
+    assert "unknown key 'max_depth'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["steady", "--config", write_config(tmp_path), "--omega0", "2",
+              "--outdir", str(tmp_path / "b")])
+    assert info.value.code == 2
+    assert "--omega0" in capsys.readouterr().err
+    assert not any(p.is_dir() for p in tmp_path.iterdir())
+
+
+def test_readme_range_list_matches_the_schema():
+    # the exit-code paragraph names every key that has a range, under its
+    # range, and no other
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        text = " ".join(handle.read().split())
+    ranges = text.split("outside its key's range:", 1)[1].split("`ule bath` with a", 1)[0]
+    listed = {requirement: set(re.findall(r"`(\w+)`", names)) for requirement, names in
+              re.findall(r"(finite and positive|finite and non-negative|finite|at least 1) "
+                         r"\(([^)]*)\)", ranges)}
+    schema = {}
+    for key, (_, _, rule) in CONFIG_SCHEMA.items():
+        if rule is not None:
+            schema.setdefault(rule[1], set()).add(key)
+    assert listed == schema
 
 
 @pytest.mark.parametrize("option, value", [("--T-list", "-1,2"), ("--T-list", "2,0"),

@@ -73,7 +73,7 @@ def qubit_liouvillian(delta=1.0, include_lamb_shift=False):
     eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = NoiseChannel(coupling_op=x, bath=BATH)
-    return eig, build_liouvillian(eig, ch, include_lamb_shift=include_lamb_shift)
+    return eig, build_liouvillian(eig, [ch], include_lamb_shift=include_lamb_shift)
 
 
 def three_level_channel():
@@ -84,7 +84,7 @@ def three_level_channel():
 
 def three_level_liouvillian():
     eig, ch = three_level_channel()
-    return eig, build_liouvillian(eig, ch, include_lamb_shift=False)
+    return eig, build_liouvillian(eig, [ch], include_lamb_shift=False)
 
 
 def test_eigenprojector_stationary_under_pure_commutator():
@@ -329,7 +329,7 @@ def random_ensemble():
                 eig = eigendecompose(random_hermitian(rng, d))
                 bath = BathSpec(temperature=temperature, coupling=coupling, cutoff=100.0)
                 ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=bath)
-                yield build_liouvillian(eig, ch, include_lamb_shift=lamb)
+                yield build_liouvillian(eig, [ch], include_lamb_shift=lamb)
 
 
 def test_gmres_matches_bordered_lu_oracle_on_random_ensemble():
@@ -350,7 +350,7 @@ def test_bordered_operator_adjoints(monkeypatch):
     import ule.dynamics
     built = []
 
-    def recording(frame, labels=None):
+    def recording(frame, labels):
         built.append(_bordered_operator(frame, labels))
         return built[-1]
 
@@ -391,7 +391,7 @@ def test_packed_bordered_operator_matches_complex_oracle(build, heisenberg):
         eig, g, jumps, jumps_dag = frame
         frame = (EigenDecomposition(-eig.energies, eig.basis), g, jumps_dag, jumps)
     d = frame[0].dim
-    apply, precondition = _bordered_operator(frame)
+    apply, precondition = _bordered_operator(frame, np.zeros(d, dtype=int))
     apply_ref, precondition_ref = complex_bordered_operator(frame)
     rng = np.random.default_rng(d)
     for _ in range(3):
@@ -412,7 +412,7 @@ def eps_coupled_liouvillian(eps, lamb=False, pairs=2):
     for k in range(1, d - 1, 2):
         x[k, k + 1] = x[k + 1, k] = eps
     eig = eigendecompose(np.diag([0.0, *(1.0 + 1.5 * np.arange(d - 1))]).astype(complex))
-    return build_liouvillian(eig, NoiseChannel(coupling_op=x, bath=BATH),
+    return build_liouvillian(eig, [NoiseChannel(coupling_op=x, bath=BATH)],
                              include_lamb_shift=lamb)
 
 
@@ -429,7 +429,7 @@ def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
     # some solve raises the residual it started from (the stagnation exit),
     # and at eps = 1e-5 every solve converges but rcond is too small
     sop = eps_coupled_liouvillian(eps, lamb)
-    match = re.fullmatch(failure, _gmres_steady(sop)[-1])
+    match = re.fullmatch(failure, _gmres_steady(sop, np.zeros(sop.dim, dtype=int))[-1])
     assert match
     if match.groups():
         # the stagnation exit ends the solve long before GMRES_MAXITER
@@ -843,14 +843,14 @@ def test_tightening_tolerance_approaches_dp5_oracle_on_chain():
 def three_level_baseline_liouvillian():
     system = three_level_baseline()
     ch = NoiseChannel(coupling_op=system.coupling_op, bath=BATH)
-    return build_liouvillian(eigendecompose(system.hamiltonian), ch)
+    return build_liouvillian(eigendecompose(system.hamiltonian), [ch])
 
 
 def random_liouvillian(seed, d=4):
     rng = np.random.default_rng(seed)
     eig = eigendecompose(random_hermitian(rng, d))
     ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=BATH)
-    return eig, build_liouvillian(eig, ch)
+    return eig, build_liouvillian(eig, [ch])
 
 
 @pytest.mark.parametrize("build, dtype", [

@@ -281,7 +281,7 @@ def test_liouvillian_pure_commutator_spectrum():
 
 def test_liouvillian_matches_matrix_free_action():
     eig, ch = qubit_system()
-    sop = build_liouvillian(eig, ch)
+    sop = build_liouvillian(eig, [ch])
     rng = np.random.default_rng(5)
     h_eff = eig.reconstruct() + lamb_shift(eig, ch)
     l = build_jump_operator(eig, ch)
@@ -304,7 +304,7 @@ def test_apply_matrix_matches_dense_matrix_on_non_hermitian_inputs():
     ch1 = NoiseChannel(coupling_op=x1, bath=BATH)
     ch2 = NoiseChannel(coupling_op=x2,
                        bath=BathSpec(temperature=1.0, coupling=0.05, cutoff=100.0))
-    full = build_liouvillian(eig, ch1)
+    full = build_liouvillian(eig, [ch1])
     secular = build_secular_generator(bohr_decompose(x1, eig), ch1)
     composed = build_liouvillian(eig, [ch1, ch2], include_lamb_shift=False)
     assert len(composed.jumps) == 2
@@ -321,14 +321,14 @@ def test_liouvillian_trace_preservation():
         d = int(rng.integers(2, 7))
         eig = eigendecompose(random_hermitian(rng, d))
         ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=BATH)
-        sop = build_liouvillian(eig, ch, include_lamb_shift=False)
+        sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
         assert sop.trace_preservation_defect() <= 1e-10 * max(1.0, np.max(np.abs(kron_superoperator(sop))))
 
 
 def test_lamb_shift_flag_switches_coherent_part():
     eig, ch = qubit_system()
-    with_lamb = build_liouvillian(eig, ch, include_lamb_shift=True)
-    without = build_liouvillian(eig, ch, include_lamb_shift=False)
+    with_lamb = build_liouvillian(eig, [ch], include_lamb_shift=True)
+    without = build_liouvillian(eig, [ch], include_lamb_shift=False)
     diff = kron_superoperator(with_lamb) - kron_superoperator(without)
     lam = lamb_shift(eig, ch)
     lam_only = -1j * (np.kron(np.eye(2), lam) - np.kron(lam.T, np.eye(2)))
@@ -351,7 +351,7 @@ def test_secular_matches_full_for_qubit_sigma_x_population_sector():
     # L(d) rho L(-d)^dag, which population states never feed.
     eig, ch = qubit_system()
     bohr = bohr_decompose(ch.coupling_op, eig)
-    full = build_liouvillian(eig, ch)
+    full = build_liouvillian(eig, [ch])
     secular = build_secular_generator(bohr, ch, include_lamb_shift=True)
     for pops in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7)):
         rho = eig.basis @ np.diag(pops).astype(complex) @ eig.basis.conj().T
@@ -377,7 +377,7 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
     rho_th = gibbs_state(eig, BATH.beta)
     secular = build_secular_generator(bohr, ch)
     resid_sec = np.linalg.norm(kron_superoperator(secular) @ vec(rho_th))
-    full = build_liouvillian(eig, ch, include_lamb_shift=False)
+    full = build_liouvillian(eig, [ch], include_lamb_shift=False)
     resid_full = np.linalg.norm(kron_superoperator(full) @ vec(rho_th))
     assert resid_sec <= 1e-10
     assert resid_full > 1e-4
@@ -385,7 +385,7 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
 
 def test_channels_compose_identity_and_zero_channel():
     eig, ch = qubit_system()
-    single = build_liouvillian(eig, ch, include_lamb_shift=False)
+    single = build_liouvillian(eig, [ch], include_lamb_shift=False)
     dead = NoiseChannel(coupling_op=ch.coupling_op,
                         bath=BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0))
     double = build_liouvillian(eig, [ch, dead], include_lamb_shift=False)
@@ -395,7 +395,7 @@ def test_channels_compose_identity_and_zero_channel():
 
 def test_channels_compose_two_equal_channels_double_dissipator():
     eig, ch = qubit_system()
-    one = build_liouvillian(eig, ch, include_lamb_shift=False)
+    one = build_liouvillian(eig, [ch], include_lamb_shift=False)
     two = build_liouvillian(eig, [ch, ch], include_lamb_shift=False)
     commutator = build_liouvillian(eig, [], include_lamb_shift=False)
     assert np.allclose(kron_superoperator(two) - kron_superoperator(commutator),
