@@ -11,7 +11,8 @@ Subcommands:
 Configuration is a flat `key = value` text file (# comments); any key can
 be overridden on the command line with --key value, or --key=value for a
 value that starts with '-' (--B_z=-1e-3). Exit codes: 0 success,
-2 configuration or validation error, 3 numerical failure.
+2 configuration or validation error (a bad option too), 3 numerical
+failure; `main(argv)` returns them, and only --help exits via argparse.
 """
 
 from __future__ import annotations
@@ -53,20 +54,24 @@ class ConfigError(ValueError):
     pass
 
 
-# The range a value must lie in: (test, requirement), or (test, requirement,
-# subject) where the message keeps a library class's wording for the subject.
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that raises ConfigError, named by its command, where
+    argparse would print its usage and exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# The range a value must lie in: (test, requirement).
 _FINITE = (math.isfinite, "finite")
 _POSITIVE = (lambda v: 0 < v < math.inf, "finite and positive")
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
-_TOLERANCE = (*_POSITIVE, "quadrature tolerances")
 
 
 def _check(name: str, value, rule):
     """ConfigError naming `name` and `value` unless `value` is in the range `rule`."""
     if not rule[0](value):
-        if len(rule) == 3:
-            raise ConfigError(f"{rule[2]} must be {rule[1]}, got {name} = {value}")
         raise ConfigError(f"{name} must be {rule[1]}, got {value}")
 
 
@@ -117,8 +122,8 @@ CONFIG_SCHEMA = {
     "Lambda_c": (float, SpinChainSpec.Lambda_c, _POSITIVE),
     "couple_sites": (_parse_sites, SpinChainSpec.couple_sites, None),
     "ignore_lamb_shift": (_parse_bool, SpinChainSpec.ignore_lamb_shift, None),
-    "rtol": (float, QuadratureSpec.rtol, _TOLERANCE),
-    "atol": (float, QuadratureSpec.atol, _TOLERANCE),
+    "rtol": (float, QuadratureSpec.rtol, _POSITIVE),
+    "atol": (float, QuadratureSpec.atol, _POSITIVE),
     "t_end": (float, None, _POSITIVE),
     "samples": (int, 200, _AT_LEAST_ONE),
     "tol": (float, 1e-8, _POSITIVE),
@@ -185,14 +190,11 @@ def quad_from_config(cfg: dict) -> QuadratureSpec:
 
 
 def spec_from_config(cfg: dict) -> SpinChainSpec:
-    try:
-        return SpinChainSpec(
-            N=cfg["N"], eta=cfg["eta"], B_z=cfg["B_z"], T1=cfg["T1"], T2=cfg["T2"],
-            gamma1=cfg["gamma1"], gamma2=cfg["gamma2"], Lambda_c=cfg["Lambda_c"],
-            couple_sites=cfg.get("couple_sites"),
-            ignore_lamb_shift=cfg["ignore_lamb_shift"], quad=quad_from_config(cfg))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SpinChainSpec(
+        N=cfg["N"], eta=cfg["eta"], B_z=cfg["B_z"], T1=cfg["T1"], T2=cfg["T2"],
+        gamma1=cfg["gamma1"], gamma2=cfg["gamma2"], Lambda_c=cfg["Lambda_c"],
+        couple_sites=cfg.get("couple_sites"),
+        ignore_lamb_shift=cfg["ignore_lamb_shift"], quad=quad_from_config(cfg))
 
 
 # Bytes held per row of a written table (arrays and CSV floats): tracemalloc
@@ -344,7 +346,7 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     keys = ", ".join(sorted(CONFIG_SCHEMA))
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ule",
         description=__doc__,
         epilog=f"config keys: {keys}",
@@ -381,18 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (QuadratureError, SteadyStateError, PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # parameter validation raised outside the config layer
+        # ConfigError, MemoryLimitError and the library's own input checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import Superoperator, _require_memory
-from .operators import EigenDecomposition, frobenius, hermitize
+from .operators import EigenDecomposition, frobenius, hermitize, require_hermitian
 
 
 class PropagationError(RuntimeError):
@@ -318,20 +318,21 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     sum diag P, is never renormalized, and its drift from 1 is tracked as a
     correctness signal.
 
-    rho0 must be a finite d x d matrix of trace 1 (within 1e-12); it is
-    Hermitized in the eigenbasis before the first step. sample_times must be
-    a finite 1-D array within [0, t_end]; the trajectory is sampled at
-    exactly those times. The per-step error norm is the RMS over the d^2
+    rho0 must be a d x d matrix of trace 1 (within 1e-12) that passes
+    `require_hermitian` (finite, Hermitian within 1e-12 of its largest
+    entry); it is Hermitized in the eigenbasis before the first step.
+    sample_times must be a finite 1-D array within [0, t_end]; the
+    trajectory is sampled at exactly those times. The per-step error norm is the RMS over the d^2
     entries of the interaction-frame error, each scaled by
     tol * (1 + |component|), so tol, which must be positive and finite, acts
     as a relative tolerance at unit scale.
 
-    Each observable O (d x d) is rotated into the eigenframe once, split as
-    H + i K with H, K Hermitian, and both are packed. The packing is a
-    Frobenius isometry, so a sample y has tr(y O) = P_y . P_H + i P_y . P_K.
-    A shape mismatch raises ValueError before the first step, an imaginary
-    part above 1e-10 that of `expectation`. A sample's smallest eigenvalue
-    is that of the eigenframe state, the spectrum of the input-basis one.
+    Each observable O (d x d) must pass `require_hermitian` too; it is
+    rotated into the eigenframe once, Hermitized and packed. The packing is
+    a Frobenius isometry, so a sample y has tr(y O) = P_y . P_O, one dot
+    product. Every input is checked before the first step. A sample's
+    smallest eigenvalue is that of the eigenframe state, the spectrum of
+    the input-basis one.
 
     With keep_states, trajectory.states holds each sample Hermitized in the
     input basis, 16 d^2 bytes each, and MemoryLimitError (a ValueError) is
@@ -349,11 +350,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     frame = superop._eigenframe
     eig = frame[0]
     d = eig.dim
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = require_hermitian(rho0, name="rho0")
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 must be a {d} x {d} matrix, got shape {rho0.shape}")
-    if not np.all(np.isfinite(rho0)):
-        raise ValueError("rho0 must be finite")
     if not abs(np.trace(rho0) - 1.0) <= 1e-12:
         raise ValueError(f"rho0 must have trace 1 within 1e-12, got {complex(np.trace(rho0)):.6g}")
     sample_times = np.asarray(sample_times, dtype=float)
@@ -365,14 +364,13 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         raise ValueError("sample_times must lie within [0, t_end]")
     if np.any(np.diff(sample_times) < 0):
         raise ValueError("sample_times must be non-decreasing")
-    packed = {}  # name -> (series, P_H, P_K)
+    packed = {}  # name -> (series, P_O)
     for name, op in (observables or {}).items():
-        op = np.asarray(op)
+        op = require_hermitian(op, name=f"observable {name!r}")
         if op.shape != (d, d):
             raise ValueError(f"shape mismatch: {(d, d)} vs {op.shape}")
-        op = eig.to_eigenbasis(op)
-        packed[name] = (np.empty(sample_times.size), _pack(hermitize(op)).ravel(),
-                        _pack(hermitize(-1j * op)).ravel())
+        packed[name] = (np.empty(sample_times.size),
+                        _pack(hermitize(eig.to_eigenbasis(op))).ravel())
     sample_vals = None
     if keep_states:
         _require_memory(sample_times.size * 16 * d ** 2,
@@ -450,8 +448,8 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                 raise positivity_error(wmin, f"sample t = {ts}", ts)
             min_sample_eig = min(min_sample_eig, wmin)
             flat = ys.ravel()
-            for series, real, imag in packed.values():
-                series[next_sample] = _real(complex(flat @ real, flat @ imag))
+            for series, vec in packed.values():
+                series[next_sample] = flat @ vec
             if keep_states:
                 sample_vals[next_sample] = hermitize(eig.from_eigenbasis(state))
             next_sample += 1
@@ -872,11 +870,7 @@ def expectation(rho, op) -> float:
     op = np.asarray(op)
     if rho.shape != op.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {op.shape}")
-    return _real(complex(np.sum(rho * op.T)))
-
-
-def _real(val: complex) -> float:
-    """val.real; ValueError unless the imaginary part is negligible."""
+    val = complex(np.sum(rho * op.T))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
     return float(val.real)

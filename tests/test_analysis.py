@@ -16,6 +16,7 @@ from ule import (
     NoiseChannel,
     QuadratureSpec,
     SpinChainSpec,
+    TrendSystem,
     bohr_decompose,
     build_chain_hamiltonian,
     build_jump_operator,
@@ -333,6 +334,19 @@ def test_trend_sweep_single_cell():
     assert len(result.cells) == 1
     ok, _ = sweep_monotonicity(result)
     assert ok
+
+
+def degenerate_trend_system():
+    """A diagonal coupling on the baseline levels: no transitions, so every
+    population is stationary and the steady state is not unique."""
+    return TrendSystem(hamiltonian=np.diag([0.0, 1.0, 3.0]).astype(complex),
+                       coupling_op=np.diag([1.0, 2.0, 3.0]).astype(complex))
+
+
+def test_trend_sweep_records_a_failed_cell():
+    result = trend_sweep(degenerate_trend_system(), [2.0], [0.1])
+    assert result.cells == {}
+    assert "kernel dimension 3" in result.errors[(2.0, 0.1)]
 
 
 def test_trend_sweep_validates_inputs():

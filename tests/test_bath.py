@@ -488,6 +488,13 @@ def test_f_table_rejects_non_finite_pair_anywhere(bad):
         f_values(bath, [bad[0]], [bad[1]])
 
 
+@pytest.mark.parametrize("e1, e2", [([0.0, 1.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]])],
+                         ids=["lengths", "2d"])
+def test_f_values_refuses_arguments_that_do_not_pair(e1, e2):
+    with pytest.raises(ValueError, match="two 1-D arrays of the same length"):
+        f_values(make_bath(), e1, e2)
+
+
 def test_take_rows_gathers_into_the_workspace_without_a_temporary():
     # 20,000 rows of 15: one gather is 2.4 MB; numpy's default mode="raise"
     # gathers into a temporary of that size before copying it out

@@ -11,13 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ule import BathSpec, SpinChainSpec, f_values, magnetization, propagate
+from ule import BathSpec, SpinChainSpec, TrendSystem, f_values, magnetization, propagate
 from ule.cli import CONFIG_SCHEMA, ConfigError, build_parser, main, parse_config_text
 from ule.generator import MemoryLimitError
 from ule.io import format_value, write_json
 from ule.spinchain import all_up_state, build_chain_superop
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CHAIN_CFG = os.path.join(ROOT, "demos", "chain_n6.cfg")
 
 SMALL_CONFIG = """
 # small chain for fast end-to-end runs
@@ -270,16 +271,14 @@ def test_write_json_refuses_non_finite_floats(tmp_path, value):
     assert json.loads(path.read_text()) == {"ok": 1.5, "flag": True, "count": 3, "none": None}
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("rtol", "inf", "quadrature tolerances must be finite and positive"),
-    ("atol", "nan", "quadrature tolerances must be finite and positive")])
-def test_non_finite_quadrature_spec_exits_2(tmp_path, capsys, key, value, message):
+@pytest.mark.parametrize("key, value", [("rtol", "inf"), ("atol", "nan")])
+def test_non_finite_quadrature_spec_exits_2(tmp_path, capsys, key, value):
     # an infinite rtol used to switch the error control off
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
     code = main(["residual", "--config", config, "--N", "3", "--ignore_lamb_shift", "false",
                  f"--{key}", value, "--outdir", str(tmp_path)])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert f"{key} must be finite and positive, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "residuals.csv").exists()
 
 
@@ -378,11 +377,8 @@ def test_every_bad_config_value_names_its_key(tmp_path, capsys, command, key):
         out = tmp_path / f"out{i}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                code = main([command, "--config", config, "--N", "3", f"--{key}={value}",
-                             "--outdir", str(out)])
-            except SystemExit as exc:  # argparse refuses an option it does not know
-                code = exc.code
+            code = main([command, "--config", config, "--N", "3", f"--{key}={value}",
+                         "--outdir", str(out)])
         err = capsys.readouterr().err
         if code == 2:
             assert re.search(rf"\b{key}\b", err), (value, err)
@@ -394,16 +390,75 @@ def test_every_bad_config_value_names_its_key(tmp_path, capsys, command, key):
 
 def test_retired_keys_exit_2(tmp_path, capsys):
     # a config file line with a retired key is an unknown key; so is the
-    # command-line option, which argparse refuses
+    # command-line option, which the parser refuses
     path = write_config(tmp_path, SMALL_CONFIG + "max_depth = 5\n")
     assert main(["steady", "--config", path, "--outdir", str(tmp_path / "a")]) == 2
     assert "unknown key 'max_depth'" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as info:
-        main(["steady", "--config", write_config(tmp_path), "--omega0", "2",
-              "--outdir", str(tmp_path / "b")])
-    assert info.value.code == 2
-    assert "--omega0" in capsys.readouterr().err
+    assert main(["steady", "--config", write_config(tmp_path), "--omega0", "2",
+                 "--outdir", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "--omega0" in err
     assert not any(p.is_dir() for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["steady", "--config", CHAIN_CFG, "--omega0", "2", "--outdir", "out"], "--omega0"),
+    (["bath", "--omega-points", "abc", "--outdir", "out"], "--omega-points"),
+    (["steady", "--config", CHAIN_CFG, "--outdir", "out", "--N"], "--N"),
+    (["bogus", "--outdir", "out"], "bogus"),
+    ([], "command"),
+], ids=["unknown_option", "bad_int", "missing_value", "unknown_command", "empty"])
+def test_bad_option_returns_2(tmp_path, capsys, monkeypatch, argv, option):
+    # the parser's refusals take the config-error path: one line on
+    # stderr, exit code 2, nothing written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), captured.err
+    assert option in lines[0]
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "config keys:" in capsys.readouterr().out
+
+
+def test_module_entry_point_exits_2_on_a_bad_option(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "ule.cli", "steady", "--config", CHAIN_CFG,
+                           "--omega0", "2", "--outdir", str(tmp_path / "out")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:") and "--omega0" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_failed_cell_exits_3(tmp_path, capsys, monkeypatch):
+    # a diagonal coupling leaves every population stationary: the cell's
+    # steady state is not unique, it is reported, and no row is written
+    system = TrendSystem(hamiltonian=np.diag([0.0, 1.0, 3.0]).astype(complex),
+                         coupling_op=np.diag([1.0, 2.0, 3.0]).astype(complex))
+    monkeypatch.setattr("ule.cli.three_level_baseline", lambda: system)
+    code = main(["sweep", "--T-list", "2", "--gamma-list", "0.1", "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "cell T=2.0 gamma=0.1 failed: steady state is not unique" in capsys.readouterr().err
+    assert (tmp_path / "sweep.csv").read_text() == "T,gamma,trace_distance,max_diag_dev,obs_gap\n"
+
+
+def test_sweep_reports_a_monotonicity_violation(tmp_path, capsys):
+    # the trace distance is 0.0057 at T = 0.01 and 0.023 at T = 2: it rises
+    # with temperature, which the check flags without failing the run
+    code = main(["sweep", "--T-list", "0.01,2", "--gamma-list", "0.1",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "monotone = False" in printed
+    assert len([line for line in printed if line.startswith("violation:")]) == 1
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
 
 def test_readme_range_list_matches_the_schema():
@@ -468,7 +523,7 @@ def test_steady_shares_the_spinchain_steady_stage(tmp_path, capsys):
         assert f"{name} = {format_value(summary[key])}" in printed
 
 
-def test_dense_solve_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+def test_gmres_workspace_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the real GMRES workspace fits in 1.7 GB up to N = 10, so physical
     # memory is read as 256 MB: the 0.42 GB workspace at N = 9 cannot fit
     import time
@@ -528,10 +583,10 @@ def test_steady_n7_fits_and_exits_0(tmp_path, capsys):
     assert len((tmp_path / "steady.csv").read_text().splitlines()) == 1 + 128
 
 
-def test_uncertified_steady_state_beyond_svd_memory_exits_3(tmp_path, capsys):
+def test_uncertified_n9_steady_state_counts_its_kernel_and_exits_3(tmp_path, capsys):
     # no dissipation: the secular preconditioner of one border is singular,
-    # and an SVD of the 262144 x 262144 generator could not fit; one border
-    # per level counts the kernel matrix-free
+    # and no dense 262144 x 262144 generator could fit; one border per level
+    # counts the kernel matrix-free
     import time
     path = write_config(tmp_path)
     t0 = time.perf_counter()
@@ -564,7 +619,7 @@ def test_spinchain_builds_no_dense_matrix(tmp_path, n):
     assert summary["steady_residual"] <= 1e-12
 
 
-def test_uncertified_steady_state_falls_back_and_exits_3(capsys):
+def test_uncertified_steady_state_counts_its_kernel_and_exits_3(capsys):
     # no dissipation: the bordered matrix is singular, and one border per
     # level counts the commutant of the N = 3 chain Hamiltonian
     code = main(["steady", "--config", os.path.join(ROOT, "demos", "chain_n6.cfg"),

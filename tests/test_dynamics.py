@@ -138,8 +138,10 @@ def test_propagate_validates_inputs():
         propagate(sop, rho0, 1.0, [0.0], tol=0.0)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         propagate(sop, rho0, 1.0, [0.0], tol=np.inf)
-    with pytest.raises(ValueError, match="rho0 must be finite"):
+    with pytest.raises(ValueError, match="rho0 has non-finite entries"):
         propagate(sop, np.array([[1.0, np.nan], [np.nan, 0.0]]), 1.0, [0.0])
+    with pytest.raises(ValueError, match="rho0 is not Hermitian"):
+        propagate(sop, np.array([[0.5, 0.5], [0.0, 0.5]]), 1.0, [0.0])
     with pytest.raises(ValueError, match=r"rho0 must be a 2 x 2 matrix"):
         propagate(sop, np.eye(3) / 3, 1.0, [0.0])
     with pytest.raises(ValueError, match="rho0 must have trace 1"):
@@ -148,6 +150,8 @@ def test_propagate_validates_inputs():
         propagate(sop, rho0, 1.0, [0.0, np.nan])
     with pytest.raises(ValueError, match="sample_times must be 1-D"):
         propagate(sop, rho0, 1.0, [[0.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="sample_times must be non-decreasing"):
+        propagate(sop, rho0, 1.0, [0.0, 1.0, 0.5])
     # a trace within 1e-12 of 1 is accepted
     propagate(sop, rho0 + 1e-13 * np.eye(2) / 2, 1.0, [1.0])
 
@@ -164,10 +168,12 @@ def test_propagate_observable_series():
     assert traj.observables["sz"][0] == pytest.approx(direct, abs=1e-12)
 
 
-def test_propagate_rejects_complex_observable():
+def test_propagate_rejects_complex_observable(monkeypatch):
+    # i sigma_x is anti-Hermitian; it is refused before the first step
     eig, sop = qubit_liouvillian()
-    plus = np.full((2, 2), 0.5, dtype=complex)  # coherent: tr(rho i sigma_x) = i
-    with pytest.raises(ValueError, match="imaginary part"):
+    monkeypatch.setattr("ule.dynamics._phases", None)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="observable 'bad' is not Hermitian"):
         propagate(sop, plus, 1.0, [0.0, 1.0],
                   observables={"bad": 1j * np.array([[0, 1], [1, 0]], dtype=complex)})
 
@@ -196,17 +202,19 @@ def test_propagate_checks_observables_before_the_first_step(monkeypatch):
         propagate(sop, eig.projector(1), 1.0, [1.0], observables={"bad": np.eye(3)})
 
 
-def test_non_hermitian_observable():
-    # an anti-Hermitian part whose expectation is below 1e-10 is accepted
-    # and the Hermitian part is read; one above it raises, as `expectation`
+def test_non_hermitian_observable(monkeypatch):
+    # an anti-Hermitian part within require_hermitian's 1e-12 is accepted
+    # and the Hermitian part is read; a larger one is refused before the
+    # first step
     eig, sop = qubit_liouvillian()
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     skew = 1j * np.diag([1.0, -1.0])  # tr(rho skew) = i (p_0 - p_1)
     got = propagate(sop, eig.projector(1), 10.0, np.linspace(0, 10, 5), tol=1e-9,
-                    observables={"x": x + 1e-12 * skew}, keep_states=True)
+                    observables={"x": x + 1e-15 * skew}, keep_states=True)
     for state, value in zip(got.states, got.observables["x"]):
         assert value == pytest.approx(expectation(state, x), abs=1e-14)
-    with pytest.raises(ValueError, match="imaginary part"):
+    monkeypatch.setattr("ule.dynamics._phases", None)
+    with pytest.raises(ValueError, match="observable 'skew' is not Hermitian"):
         propagate(sop, eig.projector(1), 10.0, np.linspace(0, 10, 5), tol=1e-9,
                   observables={"skew": skew})
 
@@ -806,6 +814,19 @@ def test_positivity_violation_flags_generator_bug():
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     with pytest.raises(PropagationError):
         propagate(bad, rho0, 50.0, np.linspace(0, 50, 11), tol=1e-8)
+
+
+def test_step_size_underflow_raises_at_its_time():
+    # a coupling of 1e12 makes the qubit's dissipator so stiff that no
+    # step above 1e-14 t_end meets tol from the initial state
+    eig = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
+    bath = BathSpec(temperature=1.0, coupling=1e12, cutoff=100.0)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    sop = build_liouvillian(eig, [NoiseChannel(coupling_op=x, bath=bath)],
+                            include_lamb_shift=False)
+    with pytest.raises(PropagationError, match=r"step size underflow at t = 0\.0") as info:
+        propagate(sop, eig.projector(1), 1.0, [0.0, 1.0])
+    assert info.value.t_reached == 0.0
 
 
 @pytest.mark.parametrize("n, lamb", [(3, False), (3, True), (4, False)],

@@ -360,3 +360,16 @@ def test_trace_distance_basic():
     sigma = np.diag([0.5, 0.5]).astype(complex)
     assert trace_distance(rho, sigma) == pytest.approx(0.5, rel=1e-12)
     assert trace_distance(rho, rho) == 0.0
+
+
+def test_bohr_decompose_refuses_a_coupling_of_another_dimension():
+    eig = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match="X has dim 3"):
+        bohr_decompose(np.eye(3), eig)
+
+
+@pytest.mark.parametrize("beta", [-1.0, float("nan")])
+def test_gibbs_populations_refuses_a_bad_beta(beta):
+    eig = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match="beta must be finite and non-negative"):
+        gibbs_populations(eig, beta)
