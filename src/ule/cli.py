@@ -352,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"config keys: {keys}",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--outdir", default=".", help="output directory")
-        for key in CONFIG_SCHEMA:
-            p.add_argument(f"--{key}", dest=f"opt_{key}", default=None,
-                           help=argparse.SUPPRESS)
+    # the options every command shares, built once and copied by parents=
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key = value config file")
+    common.add_argument("--outdir", default=".", help="output directory")
+    for key in CONFIG_SCHEMA:
+        common.add_argument(f"--{key}", dest=f"opt_{key}", default=None,
+                            help=argparse.SUPPRESS)
 
     for name, fn, desc in (
             ("spinchain", cmd_spinchain, "full relaxation experiment"),
@@ -367,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("residual", cmd_residual, "Gibbs residual report"),
             ("bath", cmd_bath, "bath function tables"),
             ("sweep", cmd_sweep, "temperature/coupling trend table")):
-        p = sub.add_parser(name, help=desc)
-        common(p)
+        p = sub.add_parser(name, help=desc, parents=[common])
         p.set_defaults(fn=fn)
         if name == "bath":
             p.add_argument("--omega-max", type=float, default=400.0)
@@ -384,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise ConfigError(f"ule {args.command}: unrecognized arguments: {' '.join(unknown)}")
         return args.fn(args)
     except (QuadratureError, SteadyStateError, PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

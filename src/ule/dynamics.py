@@ -37,21 +37,12 @@ is carried over from the step that produced it, and the sample path runs
 only when a sample is due, with the step's full-step phases.
 
 The steady state is the trace-one solution of the generator bordered by the
-trace functional. The generator, its adjoint and its secular (Pauli) limit
-map Hermitian matrices to Hermitian matrices, so the steady state is found
-on the same packed P, a real space of dimension d^2, with one generator
-kernel, `_packed_generator` (`_packed_dissipator` plus the commutator).
-Right-preconditioned restarted GMRES in real arithmetic, with the secular
-limit as preconditioner, solves the bordered system matrix-free; a 1-norm
-condition estimate (real Hager, LAPACK dlacn2) from solves with the
-operator and its adjoint, the same code on the Heisenberg frame (energies
--E, each L_c swapped with L_c^dag), certifies a one-dimensional kernel;
-bordered with one trace functional per component of the jump graph, it
-counts any other: one matrix-free solver, kernel counted at any N. The
-estimate needs few digits: its solves on a probe v of n = d^2 entries stop
-at residual ESTIMATE_RTOL ||v||_1 / sqrt(n), which moves the estimate of
-||A^-1||_1 by at most ESTIMATE_RTOL ||A^-1||_1 from the exact-solve one on
-the same probes, so it stays below (1 + ESTIMATE_RTOL) ||A^-1||_1.
+trace functional, found on the same packed P (`_packed_generator`) by
+right-preconditioned restarted GMRES with the secular limit as
+preconditioner and certified by a 1-norm condition estimate; bordered with
+one trace functional per component of the jump graph, then with random
+borders one at a time, the same solver counts any other kernel
+(`steady_state`, `_kernel_count`).
 """
 
 from __future__ import annotations
@@ -75,7 +66,8 @@ class PropagationError(RuntimeError):
 
 class SteadyStateError(RuntimeError):
     """No unique steady state; carries the kernel dimension counted (None
-    when no count was certified) and, when one c certified, its report."""
+    when none certified; generic, exact with probability one, above the
+    jump graph's components) and, when one c certified, its report."""
 
     def __init__(self, msg, kernel_dimension, report=None):
         super().__init__(msg)
@@ -99,29 +91,21 @@ class Trajectory:
     observables: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("the trajectory holds no states; propagate with keep_states=True")
-        return self.states[-1]
-
 
 @dataclass(frozen=True)
 class SteadyStateReport:
     """Steady state with its diagnostics, from the one matrix-free solver.
 
-    kernel_dimension is the number c of trace functionals that bordered the
-    solve: 1 for a unique steady state; on the report of a SteadyStateError,
-    the component count that certified, an upper bound of the kernel.
+    kernel_dimension is the number c of borders of the solve: 1 for a
+    unique steady state; on the report of a SteadyStateError, the count that
+    certified (`_kernel_count`).
     rcond is the conditioning the solve reached: the reciprocal 1-norm
     condition estimate of the bordered operator A_c of `steady_state` as a
     real d^2 x d^2 matrix on the packed P = Re(y) + Im(y),
-    1 / (est ||A_c||_1 est ||A_c^-1||_1) by real Hager (LAPACK dlacn2); the
-    solves behind est ||A_c^-1||_1 stop at residual ESTIMATE_RTOL ||v||_1 /
-    sqrt(n) on a probe v of n = d^2 entries, so it is at most
-    (1 + ESTIMATE_RTOL) ||A_c^-1||_1. iterations counts the GMRES iterations
-    of the solve and its refinement step, estimate_iterations those of the
-    condition estimate's solves.
+    1 / (est ||A_c||_1 est ||A_c^-1||_1) by real Hager (LAPACK dlacn2), with
+    est ||A_c^-1||_1 at most (1 + ESTIMATE_RTOL) ||A_c^-1||_1. iterations
+    counts the GMRES iterations of the solve and its refinement step,
+    estimate_iterations those of the condition estimate's solves.
     """
 
     state: np.ndarray
@@ -507,9 +491,9 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
 # Every bordered certificate needs rcond above it.
 KERNEL_RTOL = 1e-10
-# The jump-graph thresholds of `_kernel_count`: the positive ones also split
-# components whose weak links leave a numerically degenerate kernel.
-KERNEL_LADDER = (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6)
+# The seed of the random borders of `_kernel_count`, fixed so that reruns
+# count the same and report the same representative.
+KERNEL_SEED = 0
 # Restarted GMRES holds at most GMRES_RESTART + 1 Krylov vectors of d^2
 # entries. A cycle runs until its residual estimate falls to GMRES_RTOL ||b||.
 # The solve has converged when the recomputed residual ||b - A x|| does, or
@@ -544,8 +528,9 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     normalized. The certificate is a 1-norm reciprocal condition estimate
     of A on P, which must exceed KERNEL_RTOL, and the convergence of every
     GMRES solve. A generator that fails it raises SteadyStateError with its
-    kernel counted (`_kernel_count`) and, where a count certified, a
-    trace-one representative as its report.
+    kernel counted (`_kernel_count`): exact up to the c0 components of the
+    jump graph, generic (with probability one) above them; where a count
+    certified, a trace-one representative is its report.
 
     MemoryLimitError (a ValueError) is raised before any solve if the GMRES
     workspace would not fit.
@@ -561,48 +546,52 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
 
 def _kernel_count(superop: Superoperator, failure: str) -> SteadyStateError:
     """The SteadyStateError of a generator whose certificate failed with
-    `failure`, its kernel counted by component borders.
+    `failure`, its kernel counted by bordering.
 
-    For each tau of KERNEL_LADDER the solve of `steady_state` runs on
-    A_c(y) = L(y) + sum_k W_k tr(Pi_k y), W_k = Pi_k / |k|, over the c
-    components k of `_components` (Pi_k the projector on their levels),
-    against the same I/d. A certified A_c bounds the kernel by c from
-    above. At tau = 0 no jump, nor H_eff, links two components, so their c
-    traces are conserved, a lower bound of c (H. Spohn, Lett. Math. Phys. 2,
-    33 (1977); B. Baumgartner and H. Narnhofer, J. Phys. A 41, 395303
-    (2008)); the failed A is one of 2. The first certified c is the kernel
-    dimension where the bounds meet, at tau = 0 or c = 2; otherwise
-    kernel_dimension is None and the message gives the range.
+    The solve of `steady_state` runs on A_c = L + sum_j W_j Z_j^T against
+    the same I/d, first over the c0 components k of the jump graph
+    (`_components`), W_k = Pi_k / |k| and Z_k = Pi_k (Pi_k the projector on
+    their levels), whose traces are conserved: a lower bound of the kernel
+    (B. Baumgartner and H. Narnhofer, J. Phys. A 41, 395303 (2008)). Seeded
+    random Hermitian borders W_j = Z_j = R_j follow one at a time, each
+    supported on the pairs of numerically degenerate H_eff levels. Generic
+    borders of rank dim ker L make A_c nonsingular (W. J. F. Govaerts,
+    Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM 2000,
+    ch. 3), so the first certified c is the kernel dimension: exact at c0,
+    generic (exact with probability one) above. kernel_dimension is None
+    when no c up to the size of the support certifies.
     """
-    c = 1
-    for tau in KERNEL_LADDER:
-        labels = _components(superop._eigenframe, tau)
-        if labels.max() + 1 == c:  # components only split as tau grows
-            continue
-        c = int(labels.max()) + 1
-        report, rung_failure = _gmres_steady(superop, labels)
-        if rung_failure is None:
-            certified = tau == 0 or c == 2
-            return SteadyStateError(
-                f"steady state is not unique: kernel dimension {c if certified else f'2 to {c}'} "
-                f"(certified with {c} component borders at tau = {tau:g}, rcond "
-                f"{report.rcond:.3e}; one border: {failure})",
-                kernel_dimension=c if certified else None, report=report)
-    return SteadyStateError(f"steady-state certificate failed: {failure}; no component "
-                            f"bordering up to tau = {KERNEL_LADDER[-1]:g} certifies the kernel",
-                            kernel_dimension=None)
+    energies = superop._eigenframe[0].energies
+    labels = _components(superop._eigenframe)
+    c0 = int(labels.max()) + 1
+    support = (np.abs(energies[:, None] - energies[None, :]).ravel()
+               <= KERNEL_RTOL * (energies.max() - energies.min()))
+    rng = np.random.default_rng(KERNEL_SEED)
+    borders = np.empty((0, support.size))
+    for c in range(c0, int(support.sum()) + 1):
+        if c > 1:  # c = 1 is the solve that failed
+            report, rung_failure = _gmres_steady(superop, labels, borders)
+            if rung_failure is None:
+                generic = (f" and {c - c0} random borders, a generic count exact with "
+                           "probability one" if c > c0 else " borders")
+                return SteadyStateError(
+                    f"steady state is not unique: kernel dimension {c} (certified with {c0} "
+                    f"component{generic}, rcond {report.rcond:.3e}; one border: {failure})",
+                    kernel_dimension=c, report=report)
+        border = rng.standard_normal(support.size) * support
+        borders = np.vstack([borders, border / _norm(border)])
+    return SteadyStateError(f"steady-state certificate failed: {failure}; no bordering with up "
+                            f"to {c} borders certifies the kernel", kernel_dimension=None)
 
 
-def _components(frame, tau) -> np.ndarray:
-    """Component labels 0..c-1 of the levels, joined when |L_c,mn|^2 >
-    tau max|L_c|^2 for some eigenframe jump c: each level takes the smallest
-    label among itself and its neighbours, with pointer jumping, until the
-    labels settle."""
+def _components(frame) -> np.ndarray:
+    """Component labels 0..c-1 of the levels, joined by every nonzero entry
+    of an eigenframe jump: each level takes the smallest label among itself
+    and its neighbours, with pointer jumping, until the labels settle."""
     d = frame[0].dim
     joined = np.zeros((d, d), dtype=bool)
     for l in frame[2]:
-        weight = np.abs(l) ** 2
-        joined |= weight > tau * weight.max()
+        joined |= l != 0
     joined |= joined.T
     labels = np.arange(d)
     while True:
@@ -613,33 +602,30 @@ def _components(frame, tau) -> np.ndarray:
         labels = lowest
 
 
-def _gmres_steady(superop: Superoperator, labels):
+def _gmres_steady(superop: Superoperator, labels, borders=()):
     """(report, failure) from A_c x = I/d over the component labels of the
-    levels: all zero in `steady_state`, where A_c is A, one per component
-    in `_kernel_count`.
+    levels and the random borders: all zero and none in `steady_state`,
+    where A_c is A; those of each count in `_kernel_count`.
 
     Every solve runs on the packing P of x (`_pack`). The report's state is
     x in the input basis after one step of refinement there, Hermitized and
     trace-normalized, with ||L(rho)||_F as residual: the eigenbasis
     is exact only to rounding, which leaves a residual of order
     eps ||H_eff|| ||rho|| that a second solve, on the Hermitian part of the
-    residual rotated into the eigenframe, removes. failure is None when the
+    residual rotated into the eigenframe, removes; with random borders x
+    is first moved by `_least_residual`. failure is None when the
     certificate holds, else a description of what failed (report is then
-    None). The condition estimate's solves stop at residual
-    ESTIMATE_RTOL ||v||_1 / sqrt(n) on a probe v of n = d^2 entries, which
-    keeps est ||A^-1||_1 below (1 + ESTIMATE_RTOL) ||A^-1||_1; the solve and
-    the refinement stop at GMRES_RTOL. A^dag is A on the Heisenberg frame:
+    None). The condition estimate's solves stop at ESTIMATE_RTOL, the solve
+    and the refinement at GMRES_RTOL. A^dag is A on the Heisenberg frame:
     energies -E, the same G, and each L_c swapped with L_c^dag. Every solve
     shares one Krylov workspace.
     """
     frame = superop._eigenframe
     eig, g, jumps, jumps_dag = frame
     d = eig.dim
-    forward = _bordered_operator(frame, labels)
+    forward = _bordered_operator(frame, labels, borders)
     adjoint = _bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
-                                  g, jumps_dag, jumps), labels)
-    if forward[1] is None or adjoint[1] is None:
-        return None, "the secular preconditioner is singular"
+                                  g, jumps_dag, jumps), labels, borders)
     krylov = np.empty((GMRES_RESTART + 1, d * d))
     anorm = _onenorm_estimate(forward[0], adjoint[0], d * d)
     rhs = np.eye(d).reshape(-1) / d
@@ -663,6 +649,9 @@ def _gmres_steady(superop: Superoperator, labels):
         return None, "a GMRES solve of the condition estimate did not converge"
     if not rcond > KERNEL_RTOL:
         return None, f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}"
+    if len(borders):
+        x, count = _least_residual(frame, labels, borders, x, forward, anorm, krylov)
+        iterations += count
     rho = eig.from_eigenbasis(_unpack(x.reshape(d, d)))
     residual = _pack(hermitize(eig.to_eigenbasis(superop.apply_matrix(rho))))
     delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm, krylov,
@@ -670,9 +659,35 @@ def _gmres_steady(superop: Superoperator, labels):
     rho = hermitize(rho + eig.from_eigenbasis(_unpack(delta.reshape(d, d))))
     rho = rho / float(np.real(np.trace(rho)))
     return SteadyStateReport(state=rho, residual=frobenius(superop.apply_matrix(rho)),
-                             kernel_dimension=int(labels.max()) + 1,
+                             kernel_dimension=int(labels.max()) + 1 + len(borders),
                              rcond=rcond, iterations=iterations + refinement,
                              estimate_iterations=estimate_iterations), None
+
+
+def _least_residual(frame, labels, borders, x, forward, anorm, krylov):
+    """(x, iterations): the solve x of a certified A_c against I/d moved to
+    the trace-one combination of x and the c solves A_c x_j = W_j, all in
+    the kernel, with the least ||L(x)||, and the GMRES iterations of those
+    solves. Each solve stops at a residual of at most nu = GMRES_RTOL +
+    GMRES_FLOOR eps ||A||_1 max ||x_j||, so the singular values of the
+    residuals of x_j - tr(x_j) x up to sqrt(c) nu are the solves' and are
+    cut: x stays where the kernel is exact.
+    """
+    d = frame[0].dim
+    sizes = np.bincount(labels)
+    components = np.zeros((sizes.size, d * d))
+    components[labels, np.arange(d) * (d + 1)] = 1.0 / sizes[labels]
+    generator = _packed_generator(frame)
+    directions, iterations = [], 0
+    for w in (*components, *borders):
+        x_j, count, _ = _gmres(*forward, w, anorm, krylov)
+        directions.append(x_j - x_j[::d + 1].sum() * x)
+        iterations += count
+    r, *residuals = (generator(v.reshape(d, d), np.empty((d, d))).ravel() for v in (x, *directions))
+    u, sigma, vt = np.linalg.svd(np.array(residuals).T, full_matrices=False)
+    nu = GMRES_RTOL + GMRES_FLOOR * np.finfo(float).eps * anorm * max(map(_norm, directions))
+    keep = sigma > math.sqrt(len(directions)) * nu
+    return x - vt[keep].T @ (u[:, keep].T @ r / sigma[keep]) @ directions, iterations
 
 
 def _packed_generator(frame):
@@ -690,22 +705,23 @@ def _packed_generator(frame):
     return apply
 
 
-def _bordered_operator(frame, labels):
+def _bordered_operator(frame, labels, borders=()):
     """(apply, precondition) for A_c on the flattened packing P of a Hermitian
     eigenframe matrix y (`_pack`).
 
-    A_c(y) = L(y) + sum_k W_k tr(Pi_k y), W_k = Pi_k / |k|, over the
-    components k of labels (0..c-1 per level; all zero gives A, W = I/d):
+    A_c(y) = L(y) + sum_k W_k tr(Pi_k y) + sum_j R_j tr(R_j y), W_k =
+    Pi_k / |k|, over the components k of labels (0..c-1 per level; all zero
+    gives A, W = I/d) and the packed random borders R_j:
     `_packed_generator`(frame), each population raised by the mean
-    population of its component. The border is symmetric, so on the
-    Heisenberg frame of `_gmres_steady` the same code gives A_c^dag, the
-    preconditioner included. precondition applies the inverse of the
-    secular (Pauli) limit of A_c: coherences are divided by
-    c_mn = -i (E_m - E_n) + G_mm + G_nn + sum_c L_c,mm conj(L_c,nn), and
-    since conj(c_mn) = c_nm, 1 / c = a + i b with a symmetric and b
+    population of its component, and one dot product per random border.
+    Each border is symmetric, so on the Heisenberg frame of `_gmres_steady`
+    the same code gives A_c^dag, the preconditioner included. precondition
+    applies the inverse of the secular (Pauli) limit of A_c: coherences are
+    divided by c_mn = -i (E_m - E_n) + G_mm + G_nn + sum_c L_c,mm conj(L_c,nn),
+    and since conj(c_mn) = c_nm, 1 / c = a + i b with a symmetric and b
     antisymmetric acts on P as a * P - (b * P)^T; populations are solved
-    with the rates |L_mn|^2 + 2 G_mm delta_mn plus the border, 1 / |k| on
-    each component's block. It is None when that limit is singular.
+    with the rates |L_mn|^2 + 2 G_mm delta_mn plus the borders' populations.
+    An undamped coherence or singular rates are left unscaled.
     """
     eig, g, jumps, _ = frame
     d = eig.dim
@@ -725,6 +741,8 @@ def _bordered_operator(frame, labels):
         p = v.reshape(d, d)
         out = generator(p, np.empty((d, d))).reshape(-1)
         out[::d + 1] += mean(p)  # the populations
+        if len(borders):
+            out += (borders @ v) @ borders
         return out
 
     rates = 2.0 * np.diag(np.real(g.diagonal())) + border
@@ -732,15 +750,16 @@ def _bordered_operator(frame, labels):
     for l in jumps:
         rates += np.abs(l) ** 2
         coherence += l.diagonal()[:, None] * l.diagonal().conj()[None, :]
+    if len(borders):
+        rates += borders[:, diag].T @ borders[:, diag]
     coherence.flat[diag] = 1.0
     try:
         inv_rates = np.linalg.inv(rates)
     except np.linalg.LinAlgError:
-        return apply, None
+        inv_rates = np.eye(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_coherence = 1.0 / coherence
-    if not (np.all(np.isfinite(inv_coherence)) and np.all(np.isfinite(inv_rates))):
-        return apply, None
+    inv_coherence[~np.isfinite(inv_coherence)] = 1.0
     a, b = inv_coherence.real.copy(), inv_coherence.imag.copy()
 
     def precondition(v):

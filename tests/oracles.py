@@ -54,9 +54,10 @@ they wrote out the packed real eigenframe generator, and the form
 `dense_generator` writes the library's packed real eigenframe generator
 out as a d^2 x d^2 matrix, and `null_space_svd` is the SVD null-space
 solve on it that `ule.steady_state` fell back to, and counted the kernel
-with, before the component-bordered solve replaced it.
-`dense_kernel_count` is that component-bordered count with dense matrices,
-scipy's graph components and exact 1-norm condition numbers.
+with, before the bordered solve replaced it.
+`dense_kernel_count` is the bordered count with dense matrices, scipy's
+graph components, the library's random borders and exact 1-norm
+condition numbers.
 
 The last four routines once were library names that no command or demo
 called: `steady_state_consistency` compares the long-time propagated state
@@ -998,14 +999,19 @@ def null_space_svd(superop) -> SteadyStateReport:
 def dense_kernel_count(superop):
     """(c, rcond, rho): the kernel count of `ule.steady_state` on dense matrices.
 
-    Over `ule.dynamics.KERNEL_LADDER` the levels are joined when
-    |L_c,mn|^2 > tau max|L_c|^2 for some eigenframe jump c and counted by
-    scipy's `connected_components`; `dense_generator` is bordered by one
-    trace functional per component, adding to each population the mean
-    population of its component, and its exact 1-norm rcond is taken. The
-    first c > 1 with rcond above KERNEL_RTOL is returned with rho, the
-    trace-one solution of the bordered matrix against I/d in the input
-    basis. None when no rung qualifies.
+    The levels are joined where an eigenframe jump has a nonzero entry and
+    counted by scipy's `connected_components`; `dense_generator` is bordered
+    by one trace functional per component, adding to each population the
+    mean population of its component, then by the random borders of
+    `ule.dynamics._kernel_count` (the same seed, each supported on the pairs
+    of levels within KERNEL_RTOL times the energy spread) one at a time, and
+    its exact 1-norm rcond is taken. The first c > 1 with rcond above
+    KERNEL_RTOL is returned with rho in the input basis: with component
+    borders only, the solution of the bordered matrix against I/d;
+    with random borders too, moved to the trace-one combination of it and
+    the solves against each border with the least residual, cutting the
+    singular values at the rule of `ule.dynamics._least_residual` with the
+    exact ||A||_1. None when no c qualifies.
     """
     from scipy.sparse.csgraph import connected_components
 
@@ -1013,22 +1019,39 @@ def dense_kernel_count(superop):
     d = eig.dim
     dense = dense_generator(superop)
     populations = np.arange(d) * (d + 1)
-    for tau in dynamics.KERNEL_LADDER:
-        graph = np.zeros((d, d), dtype=bool)
-        for l in jumps:
-            graph |= np.abs(l) ** 2 > tau * np.max(np.abs(l) ** 2)
-        c, labels = connected_components(graph, directed=False)
-        if c == 1:
-            continue
-        bordered = dense.copy()
-        bordered[np.ix_(populations, populations)] += (
-            (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][:, None])
-        rcond = 1.0 / (np.linalg.norm(bordered, 1) * np.linalg.norm(np.linalg.inv(bordered), 1))
-        if rcond > dynamics.KERNEL_RTOL:
-            x = np.linalg.solve(bordered, np.eye(d).reshape(-1) / d)
-            rho = hermitize(eig.from_eigenbasis(dynamics._unpack(x.reshape(d, d))))
-            return c, float(rcond), rho / float(np.real(np.trace(rho)))
-    return None
+    c0, labels = connected_components(sum(l != 0 for l in jumps) + np.eye(d), directed=False)
+    sizes = np.bincount(labels)
+    borders = np.zeros((d * d, c0))  # columns W_k
+    borders[populations, labels] = 1.0 / sizes[labels]
+    functionals = borders * sizes[None, :]  # columns Z_k = Pi_k
+    support = (np.abs(eig.energies[:, None] - eig.energies[None, :])
+               <= dynamics.KERNEL_RTOL * np.ptp(eig.energies))
+    rng = np.random.default_rng(dynamics.KERNEL_SEED)
+    while borders.shape[1] <= support.sum():
+        if borders.shape[1] > 1:
+            bordered = dense + borders @ functionals.T
+            rcond = 1.0 / np.linalg.cond(bordered, 1)  # 0 where exactly singular
+            if rcond > dynamics.KERNEL_RTOL:
+                break
+        r = rng.standard_normal(d * d) * support.ravel()
+        r /= np.linalg.norm(r)
+        borders = np.column_stack([borders, r])
+        functionals = np.column_stack([functionals, r])
+    else:
+        return None
+    x = np.linalg.solve(bordered, np.eye(d).reshape(-1) / d)
+    if borders.shape[1] > c0:
+        solves = np.linalg.solve(bordered, borders)
+        directions = solves - np.outer(x, solves[populations].sum(axis=0))
+        nu = dynamics.GMRES_RTOL + (dynamics.GMRES_FLOOR * np.finfo(float).eps
+                                    * np.linalg.norm(bordered, 1)
+                                    * np.max(np.linalg.norm(directions, axis=0)))
+        u, sigma, vt = np.linalg.svd(dense @ directions, full_matrices=False)
+        keep = sigma > np.sqrt(directions.shape[1]) * nu
+        coef = vt[keep].T @ (u[:, keep].T @ (-dense @ x) / sigma[keep])
+        x = x + directions @ coef
+    rho = hermitize(eig.from_eigenbasis(dynamics._unpack(x.reshape(d, d))))
+    return borders.shape[1], float(rcond), rho / float(np.real(np.trace(rho)))
 
 
 def complex_bordered_operator(frame):
@@ -1149,7 +1172,7 @@ def steady_state_consistency(superop, rho0, t_long: float, tol: float = 1e-8) ->
         endpoint = np.asarray(rho0, dtype=complex)
     else:
         traj = propagate(superop, rho0, t_long, [t_long], tol=tol, keep_states=True)
-        endpoint = traj.final_state
+        endpoint = traj.states[-1]
     return trace_distance(endpoint, ss.state)
 
 
