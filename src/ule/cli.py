@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"config keys: {keys}",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    # the options every command shares, built once and copied by parents=
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     common.add_argument("--outdir", default=".", help="output directory")

@@ -65,9 +65,8 @@ class PropagationError(RuntimeError):
 
 
 class SteadyStateError(RuntimeError):
-    """No unique steady state; carries the kernel dimension counted (None
-    when none certified; generic, exact with probability one, above the
-    jump graph's components) and, when one c certified, its report."""
+    """No unique steady state; carries the kernel dimension `_kernel_count`
+    certified (generic above c0; None when none did) and its report."""
 
     def __init__(self, msg, kernel_dimension, report=None):
         super().__init__(msg)
@@ -97,15 +96,14 @@ class SteadyStateReport:
     """Steady state with its diagnostics, from the one matrix-free solver.
 
     kernel_dimension is the number c of borders of the solve: 1 for a
-    unique steady state; on the report of a SteadyStateError, the count that
-    certified (`_kernel_count`).
-    rcond is the conditioning the solve reached: the reciprocal 1-norm
-    condition estimate of the bordered operator A_c of `steady_state` as a
-    real d^2 x d^2 matrix on the packed P = Re(y) + Im(y),
-    1 / (est ||A_c||_1 est ||A_c^-1||_1) by real Hager (LAPACK dlacn2), with
-    est ||A_c^-1||_1 at most (1 + ESTIMATE_RTOL) ||A_c^-1||_1. iterations
-    counts the GMRES iterations of the solve and its refinement step,
-    estimate_iterations those of the condition estimate's solves.
+    unique steady state, else the count `_kernel_count` certified. rcond is
+    the conditioning the solve reached: the reciprocal 1-norm condition
+    estimate of the bordered operator A_c of `steady_state` as a real
+    d^2 x d^2 matrix on the packed P = Re(y) + Im(y), 1 / (est ||A_c||_1
+    est ||A_c^-1||_1) by real Hager (LAPACK dlacn2), with est ||A_c^-1||_1
+    at most (1 + ESTIMATE_RTOL) ||A_c^-1||_1. iterations counts the GMRES
+    iterations of the solve and its refinement step, estimate_iterations
+    those of the condition estimate's solves.
     """
 
     state: np.ndarray
@@ -491,8 +489,7 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
 # Every bordered certificate needs rcond above it.
 KERNEL_RTOL = 1e-10
-# The seed of the random borders of `_kernel_count`, fixed so that reruns
-# count the same and report the same representative.
+# Seeds the random borders of `_kernel_count`: reruns count and report alike.
 KERNEL_SEED = 0
 # Restarted GMRES holds at most GMRES_RESTART + 1 Krylov vectors of d^2
 # entries. A cycle runs until its residual estimate falls to GMRES_RTOL ||b||.
@@ -522,15 +519,11 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     bordered operator A(y) = L(y) + W tr(y), with W = I/d, is nonsingular
     exactly when the kernel of L is one-dimensional and not traceless.
     Since tr L(y) = 0, the solution of A x = W has tr x = 1 and L x = 0: it
-    is the steady state. A x = W is solved matrix-free on the packed
-    P = Re(x) + Im(x) (`_gmres_steady`); the state is unpacked, rotated
-    back, refined once in the input basis, Hermitized and its trace
-    normalized. The certificate is a 1-norm reciprocal condition estimate
-    of A on P, which must exceed KERNEL_RTOL, and the convergence of every
-    GMRES solve. A generator that fails it raises SteadyStateError with its
-    kernel counted (`_kernel_count`): exact up to the c0 components of the
-    jump graph, generic (with probability one) above them; where a count
-    certified, a trace-one representative is its report.
+    is the steady state, solved matrix-free (`_gmres_steady`) and certified
+    by a 1-norm reciprocal condition estimate of A above KERNEL_RTOL and the
+    convergence of every GMRES solve. A generator that fails it raises
+    SteadyStateError with its kernel counted (`_kernel_count`) and, where a
+    count certified, a trace-one representative as its report.
 
     MemoryLimitError (a ValueError) is raised before any solve if the GMRES
     workspace would not fit.
@@ -538,7 +531,7 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     d = superop.dim
     _require_memory((GMRES_RESTART + 1) * 8 * d ** 2,
                     f"steady-state GMRES workspace for states of {d ** 2} entries")
-    report, failure = _gmres_steady(superop, np.zeros(d, dtype=int))
+    report, failure = _gmres_steady(superop, np.zeros(d, dtype=int), np.zeros((0, d * d)))
     if failure is not None:
         raise _kernel_count(superop, failure)
     return report
@@ -551,37 +544,37 @@ def _kernel_count(superop: Superoperator, failure: str) -> SteadyStateError:
     The solve of `steady_state` runs on A_c = L + sum_j W_j Z_j^T against
     the same I/d, first over the c0 components k of the jump graph
     (`_components`), W_k = Pi_k / |k| and Z_k = Pi_k (Pi_k the projector on
-    their levels), whose traces are conserved: a lower bound of the kernel
-    (B. Baumgartner and H. Narnhofer, J. Phys. A 41, 395303 (2008)). Seeded
-    random Hermitian borders W_j = Z_j = R_j follow one at a time, each
-    supported on the pairs of numerically degenerate H_eff levels. Generic
-    borders of rank dim ker L make A_c nonsingular (W. J. F. Govaerts,
-    Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM 2000,
-    ch. 3), so the first certified c is the kernel dimension: exact at c0,
-    generic (exact with probability one) above. kernel_dimension is None
-    when no c up to the size of the support certifies.
+    their levels), whose conserved traces bound the kernel from below
+    (B. Baumgartner and H. Narnhofer, J. Phys. A 41, 395303 (2008)); then
+    with seeded random Hermitian borders W_j = Z_j = R_j, one at a time, on
+    the s pairs of numerically degenerate H_eff levels: at most s - c0, and
+    none when s > GMRES_RESTART (48,620 pairs on the N = 9 chain at eta = 0),
+    so that a count, four vectors of d^2 entries per random border, holds
+    fewer than four Krylov workspaces. Generic borders of rank dim ker L
+    make A_c nonsingular (W. J. F. Govaerts, Numerical Methods for
+    Bifurcations of Dynamical Equilibria, SIAM 2000, ch. 3): the first
+    certified c is the kernel dimension, exact at c0 and generic (exact
+    with probability one) above; None when no c certifies.
     """
     energies = superop._eigenframe[0].energies
     labels = _components(superop._eigenframe)
     c0 = int(labels.max()) + 1
-    support = (np.abs(energies[:, None] - energies[None, :]).ravel()
-               <= KERNEL_RTOL * (energies.max() - energies.min()))
-    rng = np.random.default_rng(KERNEL_SEED)
-    borders = np.empty((0, support.size))
-    for c in range(c0, int(support.sum()) + 1):
-        if c > 1:  # c = 1 is the solve that failed
-            report, rung_failure = _gmres_steady(superop, labels, borders)
-            if rung_failure is None:
-                generic = (f" and {c - c0} random borders, a generic count exact with "
-                           "probability one" if c > c0 else " borders")
-                return SteadyStateError(
-                    f"steady state is not unique: kernel dimension {c} (certified with {c0} "
-                    f"component{generic}, rcond {report.rcond:.3e}; one border: {failure})",
-                    kernel_dimension=c, report=report)
-        border = rng.standard_normal(support.size) * support
-        borders = np.vstack([borders, border / _norm(border)])
-    return SteadyStateError(f"steady-state certificate failed: {failure}; no bordering with up "
-                            f"to {c} borders certifies the kernel", kernel_dimension=None)
+    support = np.flatnonzero(np.abs(energies[:, None] - energies[None, :])
+                             <= KERNEL_RTOL * np.ptp(energies))
+    m = support.size - c0 if support.size <= GMRES_RESTART else 0
+    borders = np.zeros((m, energies.size ** 2))
+    borders[:, support] = np.random.default_rng(KERNEL_SEED).standard_normal((m, support.size))
+    borders /= np.linalg.norm(borders, axis=1, keepdims=True)
+    for c in range(max(c0, 2), c0 + m + 1):  # c = 1 is the solve that failed
+        report, rung_failure = _gmres_steady(superop, labels, borders[:c - c0])
+        if rung_failure is None:
+            return SteadyStateError(
+                f"steady state is not unique: kernel dimension {c} (certified with {c0} component "
+                f"and {c - c0} random borders{', a generic count' if c > c0 else ''}, rcond "
+                f"{report.rcond:.3e}; one border: {failure})", kernel_dimension=c, report=report)
+    return SteadyStateError(f"steady-state certificate failed: {failure}; no bordering with {c0} "
+                            f"component and {m} random borders certifies the kernel "
+                            f"({support.size} degenerate level pairs)", kernel_dimension=None)
 
 
 def _components(frame) -> np.ndarray:
@@ -589,9 +582,7 @@ def _components(frame) -> np.ndarray:
     of an eigenframe jump: each level takes the smallest label among itself
     and its neighbours, with pointer jumping, until the labels settle."""
     d = frame[0].dim
-    joined = np.zeros((d, d), dtype=bool)
-    for l in frame[2]:
-        joined |= l != 0
+    joined = sum((l != 0 for l in frame[2]), np.zeros((d, d), dtype=bool))
     joined |= joined.T
     labels = np.arange(d)
     while True:
@@ -602,7 +593,7 @@ def _components(frame) -> np.ndarray:
         labels = lowest
 
 
-def _gmres_steady(superop: Superoperator, labels, borders=()):
+def _gmres_steady(superop: Superoperator, labels, borders):
     """(report, failure) from A_c x = I/d over the component labels of the
     levels and the random borders: all zero and none in `steady_state`,
     where A_c is A; those of each count in `_kernel_count`.
@@ -615,13 +606,10 @@ def _gmres_steady(superop: Superoperator, labels, borders=()):
     residual rotated into the eigenframe, removes; with random borders x
     is first moved by `_least_residual`. failure is None when the
     certificate holds, else a description of what failed (report is then
-    None). The condition estimate's solves stop at ESTIMATE_RTOL, the solve
-    and the refinement at GMRES_RTOL. A^dag is A on the Heisenberg frame:
-    energies -E, the same G, and each L_c swapped with L_c^dag. Every solve
-    shares one Krylov workspace.
+    None). A^dag is A on the Heisenberg frame: energies -E, the same G, and
+    each L_c swapped with L_c^dag. Every solve shares one Krylov workspace.
     """
-    frame = superop._eigenframe
-    eig, g, jumps, jumps_dag = frame
+    eig, g, jumps, jumps_dag = frame = superop._eigenframe
     d = eig.dim
     forward = _bordered_operator(frame, labels, borders)
     adjoint = _bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
@@ -650,8 +638,7 @@ def _gmres_steady(superop: Superoperator, labels, borders=()):
     if not rcond > KERNEL_RTOL:
         return None, f"rcond {rcond:.3e} is not above {KERNEL_RTOL:g}"
     if len(borders):
-        x, count = _least_residual(frame, labels, borders, x, forward, anorm, krylov)
-        iterations += count
+        x, iterations = _least_residual(frame, borders, x, forward, anorm, krylov, iterations)
     rho = eig.from_eigenbasis(_unpack(x.reshape(d, d)))
     residual = _pack(hermitize(eig.to_eigenbasis(superop.apply_matrix(rho))))
     delta, refinement, _ = _gmres(*forward, -residual.reshape(-1), anorm, krylov,
@@ -664,29 +651,28 @@ def _gmres_steady(superop: Superoperator, labels, borders=()):
                              estimate_iterations=estimate_iterations), None
 
 
-def _least_residual(frame, labels, borders, x, forward, anorm, krylov):
+def _least_residual(frame, borders, x, forward, anorm, krylov, iterations):
     """(x, iterations): the solve x of a certified A_c against I/d moved to
-    the trace-one combination of x and the c solves A_c x_j = W_j, all in
-    the kernel, with the least ||L(x)||, and the GMRES iterations of those
-    solves. Each solve stops at a residual of at most nu = GMRES_RTOL +
-    GMRES_FLOOR eps ||A||_1 max ||x_j||, so the singular values of the
-    residuals of x_j - tr(x_j) x up to sqrt(c) nu are the solves' and are
-    cut: x stays where the kernel is exact.
+    the trace-one combination of x and the solves A_c x_j = R_j against the
+    m random borders with the least ||L(x)||, which meets the exact kernel
+    (c0 or more of the c dimensions all c solves span), and iterations plus
+    those of the solves. Singular values of the residuals of x_j - tr(x_j) x
+    up to sqrt(m) nu, nu = GMRES_RTOL + GMRES_FLOOR eps ||A||_1 max ||x_j||
+    bounding each solve's residual, are cut: x stays where the kernel is
+    exact.
     """
     d = frame[0].dim
-    sizes = np.bincount(labels)
-    components = np.zeros((sizes.size, d * d))
-    components[labels, np.arange(d) * (d + 1)] = 1.0 / sizes[labels]
     generator = _packed_generator(frame)
-    directions, iterations = [], 0
-    for w in (*components, *borders):
+    directions, residuals = np.empty_like(borders), np.empty_like(borders)
+    for w, direction, residual in zip(borders, directions, residuals):
         x_j, count, _ = _gmres(*forward, w, anorm, krylov)
-        directions.append(x_j - x_j[::d + 1].sum() * x)
+        direction[:] = x_j - x_j[::d + 1].sum() * x
+        generator(direction.reshape(d, d), residual.reshape(d, d))
         iterations += count
-    r, *residuals = (generator(v.reshape(d, d), np.empty((d, d))).ravel() for v in (x, *directions))
-    u, sigma, vt = np.linalg.svd(np.array(residuals).T, full_matrices=False)
+    u, sigma, vt = np.linalg.svd(residuals.T, full_matrices=False)
     nu = GMRES_RTOL + GMRES_FLOOR * np.finfo(float).eps * anorm * max(map(_norm, directions))
     keep = sigma > math.sqrt(len(directions)) * nu
+    r = generator(x.reshape(d, d), np.empty((d, d))).ravel()
     return x - vt[keep].T @ (u[:, keep].T @ r / sigma[keep]) @ directions, iterations
 
 
@@ -705,7 +691,7 @@ def _packed_generator(frame):
     return apply
 
 
-def _bordered_operator(frame, labels, borders=()):
+def _bordered_operator(frame, labels, borders):
     """(apply, precondition) for A_c on the flattened packing P of a Hermitian
     eigenframe matrix y (`_pack`).
 
@@ -741,25 +727,20 @@ def _bordered_operator(frame, labels, borders=()):
         p = v.reshape(d, d)
         out = generator(p, np.empty((d, d))).reshape(-1)
         out[::d + 1] += mean(p)  # the populations
-        if len(borders):
+        if len(borders):  # the empty product would cost a quarter of an apply at N = 5
             out += (borders @ v) @ borders
         return out
 
-    rates = 2.0 * np.diag(np.real(g.diagonal())) + border
+    rates = 2.0 * np.diag(np.real(g.diagonal())) + border + borders[:, diag].T @ borders[:, diag]
     coherence = -1j * omega + g.diagonal()[:, None] + g.diagonal()[None, :]
     for l in jumps:
         rates += np.abs(l) ** 2
         coherence += l.diagonal()[:, None] * l.diagonal().conj()[None, :]
-    if len(borders):
-        rates += borders[:, diag].T @ borders[:, diag]
-    coherence.flat[diag] = 1.0
     try:
         inv_rates = np.linalg.inv(rates)
     except np.linalg.LinAlgError:
         inv_rates = np.eye(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_coherence = 1.0 / coherence
-    inv_coherence[~np.isfinite(inv_coherence)] = 1.0
+    inv_coherence = np.divide(1.0, coherence, out=np.ones_like(coherence), where=coherence != 0)
     a, b = inv_coherence.real.copy(), inv_coherence.imag.copy()
 
     def precondition(v):

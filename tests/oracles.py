@@ -909,9 +909,9 @@ def exact_estimate_rcond(superop):
     eig, g, jumps, jumps_dag = frame = superop._eigenframe
     d = eig.dim
     labels = np.zeros(d, dtype=int)
-    forward = dynamics._bordered_operator(frame, labels)
+    forward = dynamics._bordered_operator(frame, labels, np.zeros((0, d * d)))
     adjoint = dynamics._bordered_operator((EigenDecomposition(-eig.energies, eig.basis),
-                                           g, jumps_dag, jumps), labels)
+                                           g, jumps_dag, jumps), labels, np.zeros((0, d * d)))
     krylov = np.empty((dynamics.GMRES_RESTART + 1, d * d))
     anorm = dynamics._onenorm_estimate(forward[0], adjoint[0], d * d)
     rhs = np.eye(d).reshape(-1) / d
@@ -996,62 +996,59 @@ def null_space_svd(superop) -> SteadyStateReport:
     return report
 
 
-def dense_kernel_count(superop):
+def dense_kernel_count(superop, least_residual=True):
     """(c, rcond, rho): the kernel count of `ule.steady_state` on dense matrices.
 
     The levels are joined where an eigenframe jump has a nonzero entry and
     counted by scipy's `connected_components`; `dense_generator` is bordered
     by one trace functional per component, adding to each population the
     mean population of its component, then by the random borders of
-    `ule.dynamics._kernel_count` (the same seed, each supported on the pairs
-    of levels within KERNEL_RTOL times the energy spread) one at a time, and
-    its exact 1-norm rcond is taken. The first c > 1 with rcond above
-    KERNEL_RTOL is returned with rho in the input basis: with component
-    borders only, the solution of the bordered matrix against I/d;
-    with random borders too, moved to the trace-one combination of it and
-    the solves against each border with the least residual, cutting the
-    singular values at the rule of `ule.dynamics._least_residual` with the
-    exact ||A||_1. None when no c qualifies.
+    `ule.dynamics._kernel_count` (the same seed and support, the s pairs of
+    levels within KERNEL_RTOL times the energy spread, s - c0 borders when
+    s <= GMRES_RESTART) one at a time, and its exact 1-norm rcond is taken.
+    The first c > 1 with rcond above KERNEL_RTOL is returned with rho in
+    the input basis, the solution of the bordered matrix against I/d; with
+    random borders and least_residual, moved to the trace-one combination
+    of it and the solves against each random border with the least
+    residual, cutting the singular values at the rule of
+    `ule.dynamics._least_residual` with the exact ||A||_1. None when no c
+    qualifies.
     """
     from scipy.sparse.csgraph import connected_components
 
     eig, _, jumps, _ = superop._eigenframe
     d = eig.dim
-    dense = dense_generator(superop)
+    generator = dense_generator(superop)
     populations = np.arange(d) * (d + 1)
     c0, labels = connected_components(sum(l != 0 for l in jumps) + np.eye(d), directed=False)
-    sizes = np.bincount(labels)
-    borders = np.zeros((d * d, c0))  # columns W_k
-    borders[populations, labels] = 1.0 / sizes[labels]
-    functionals = borders * sizes[None, :]  # columns Z_k = Pi_k
-    support = (np.abs(eig.energies[:, None] - eig.energies[None, :])
-               <= dynamics.KERNEL_RTOL * np.ptp(eig.energies))
-    rng = np.random.default_rng(dynamics.KERNEL_SEED)
-    while borders.shape[1] <= support.sum():
-        if borders.shape[1] > 1:
-            bordered = dense + borders @ functionals.T
-            rcond = 1.0 / np.linalg.cond(bordered, 1)  # 0 where exactly singular
-            if rcond > dynamics.KERNEL_RTOL:
-                break
-        r = rng.standard_normal(d * d) * support.ravel()
-        r /= np.linalg.norm(r)
-        borders = np.column_stack([borders, r])
-        functionals = np.column_stack([functionals, r])
+    components = np.zeros((d * d, c0))  # columns W_k; Z_k = Pi_k = |k| W_k
+    components[populations, labels] = 1.0 / np.bincount(labels)[labels]
+    dense = generator + components @ (components * np.bincount(labels)).T
+    support = np.flatnonzero(np.abs(eig.energies[:, None] - eig.energies[None, :])
+                             <= dynamics.KERNEL_RTOL * np.ptp(eig.energies))
+    m = support.size - c0 if support.size <= dynamics.GMRES_RESTART else 0
+    randoms = np.zeros((d * d, m))
+    randoms[support] = np.random.default_rng(dynamics.KERNEL_SEED).standard_normal((m, support.size)).T
+    randoms /= np.linalg.norm(randoms, axis=0)
+    for k in range(max(c0, 2) - c0, m + 1):
+        bordered = dense + randoms[:, :k] @ randoms[:, :k].T
+        rcond = 1.0 / np.linalg.cond(bordered, 1)  # 0 where exactly singular
+        if rcond > dynamics.KERNEL_RTOL:
+            break
     else:
         return None
     x = np.linalg.solve(bordered, np.eye(d).reshape(-1) / d)
-    if borders.shape[1] > c0:
-        solves = np.linalg.solve(bordered, borders)
+    if k and least_residual:
+        solves = np.linalg.solve(bordered, randoms[:, :k])
         directions = solves - np.outer(x, solves[populations].sum(axis=0))
         nu = dynamics.GMRES_RTOL + (dynamics.GMRES_FLOOR * np.finfo(float).eps
                                     * np.linalg.norm(bordered, 1)
                                     * np.max(np.linalg.norm(directions, axis=0)))
-        u, sigma, vt = np.linalg.svd(dense @ directions, full_matrices=False)
-        keep = sigma > np.sqrt(directions.shape[1]) * nu
-        coef = vt[keep].T @ (u[:, keep].T @ (-dense @ x) / sigma[keep])
-        x = x + directions @ coef
+        u, sigma, vt = np.linalg.svd(generator @ directions, full_matrices=False)
+        keep = sigma > np.sqrt(k) * nu
+        x = x - directions @ (vt[keep].T @ (u[:, keep].T @ (generator @ x) / sigma[keep]))
     rho = hermitize(eig.from_eigenbasis(dynamics._unpack(x.reshape(d, d))))
-    return borders.shape[1], float(rcond), rho / float(np.real(np.trace(rho)))
+    return c0 + k, float(rcond), rho / float(np.real(np.trace(rho)))
 
 
 def complex_bordered_operator(frame):

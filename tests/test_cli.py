@@ -596,8 +596,29 @@ def test_uncertified_n9_steady_state_counts_its_kernel_and_exits_3(tmp_path, cap
     assert time.perf_counter() - t0 < 30.0
     err = capsys.readouterr().err
     assert "steady state is not unique: kernel dimension 512 " in err
-    assert "(certified with 512 component borders, rcond " in err
+    assert "(certified with 512 component and 0 random borders, rcond " in err
     assert re.search(r"one border: rcond \S+ is not above 1e-10\)", err)
+
+
+@pytest.mark.parametrize("option, pairs", [(["--eta", "0"], 48620), (["--B_z", "0"], 2520)],
+                         ids=["eta0", "B_z0"])
+def test_n9_kernel_beyond_the_border_support_exits_3_promptly(tmp_path, capsys, option, pairs):
+    # without dissipation the 512 component borders do not certify: the
+    # kernel is the commutant of a degenerate H_eff (48,620 dimensions at
+    # eta = 0, at least 2,520 at B_z = 0), and its degenerate level pairs
+    # exceed GMRES_RESTART, so no random border is drawn and no slow rung
+    # runs
+    import time
+    path = write_config(tmp_path)
+    t0 = time.perf_counter()
+    code = main(["steady", "--config", path, "--N", "9", "--gamma1", "0", *option,
+                 "--outdir", str(tmp_path)])
+    assert code == 3
+    assert time.perf_counter() - t0 < 30.0
+    err = capsys.readouterr().err
+    assert (f"no bordering with 512 component and 0 random borders certifies the kernel "
+            f"({pairs} degenerate level pairs)") in err
+    assert "kernel dimension" not in err
 
 
 @pytest.mark.parametrize("n", [5, 6])
