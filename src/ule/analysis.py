@@ -21,11 +21,13 @@ eigenbasis, where they must vanish at rounding scale. That control is a
 scatter over same-bin pairs of coupling entries, with no per-frequency
 d x d operator.
 
-Each formula goes to the one kernel `BohrDecomposition.double_sum` as
-coefficients on the level triples (m, l, n), where w1 + w2 (w2 - w1 in the
-dissipator) is E_n - E_m, times the eigenbasis Gibbs populations p, with
-p_n (1 - e^(beta (E_n - E_m))) = p_n - p_m and p_n (1 - e^(beta (E_n - E_m)/2))^2
-= (sqrt p_n - sqrt p_m)^2: no exponential of a positive argument, at any T.
+Each formula is a sum over the level triples (m, l, n), where w1 + w2
+(w2 - w1 in the dissipator) is E_n - E_m, of coefficients times the
+eigenbasis Gibbs populations p, with p_n (1 - e^(beta (E_n - E_m))) =
+p_n - p_m and p_n (1 - e^(beta (E_n - E_m)/2))^2 = (sqrt p_n - sqrt p_m)^2:
+no exponential of a positive argument, at any T. The Lamb-shift formula
+hands its level-triple f table to `BohrDecomposition.double_sum`; the
+dissipator's g(w1) g(w2) separates in l, so its sum is one d x d product.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .bath import BathSpec, QuadratureSpec, jump_spectral
 from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
-    _require_triple_memory,
     _secular_parts,
     build_jump_operator,
     build_lamb_shift,
@@ -142,15 +143,16 @@ def dissipator_on_gibbs_formula(bohr: BohrDecomposition, bath: BathSpec,
     """Bohr-sum form of the dissipator on the Gibbs state: triple coefficients
     -2 pi^2 gamma g(w1) g(w2) (sqrt p_n - sqrt p_m)^2.
 
-    MemoryLimitError, before allocating, if the triple tables would not fit.
+    With G = g at `bin_index`, the coefficient of (m, l, n) is G_lm G_ln
+    times a factor of (m, n), so the sum over l is the one d x d product
+    (G^T * X) @ (G * X), X = `coupling_eigen`; nothing is built over the
+    level triples.
     """
-    _require_triple_memory(bohr.dim, 2)
-    i, j = bohr.triple_bins(adjoint_first=True)
-    g = jump_spectral(bath, bohr.frequencies)
+    x = bohr.coupling_eigen
+    g = jump_spectral(bath, bohr.frequencies)[bohr.bin_index]
     s = np.sqrt(gibbs_populations(bohr.eig, beta))
-    coeff = g[i] * g[j]
-    coeff *= (-2.0 * np.pi**2 * bath.coupling * (s[None, :] - s[:, None]) ** 2)[:, None, :]
-    return bohr.double_sum(coeff)
+    factor = -2.0 * np.pi**2 * bath.coupling * (s[None, :] - s[:, None]) ** 2
+    return bohr.eig.from_eigenbasis(factor * ((g.T * x) @ (g * x)))
 
 
 def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:

@@ -9,14 +9,15 @@ with, per noise channel (coupling operator X, bath g and f),
     L_mn   = 2 pi sqrt(gamma) g(E_n - E_m) X_mn      (eigenbasis elements)
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
-Lam is a Bohr double sum, evaluated by the one kernel
-`BohrDecomposition.double_sum` on the level-triple f table of
-`lamb_shift_f`. The secular generator's jump weights, its Lamb shift
-sum_w f(w, -w) A(w) A(-w) and its dissipator come from one construction,
-`_secular_parts`, which works in the eigenbasis on the pairs of coupling
-entries that share a Bohr bin (`_same_bin_pairs`), takes f(w, -w) as one
-value per frequency and forms no A(w); `analysis.secular_residuals`
-applies the same parts to the Gibbs state.
+Lam is a Bohr double sum, evaluated by `BohrDecomposition.double_sum` on
+the f table of `lamb_shift_f`, the package's only table over the d^3
+level triples and its only level-triple memory guard. The secular
+generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w) and its
+dissipator come from one construction, `_secular_parts`, which works in
+the eigenbasis on the pairs of coupling entries that share a Bohr bin
+(`_same_bin_pairs`), takes f(w, -w) as one value per frequency and forms
+no A(w); `analysis.secular_residuals` applies the same parts to the Gibbs
+state.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. `build_liouvillian` (the
@@ -77,21 +78,6 @@ def _require_memory(need: float, what: str) -> None:
     if need > have:
         raise MemoryLimitError(f"{what} needs about {need / 1e9:.3g} GB; "
                                f"physical memory is {have / 1e9:.3g} GB")
-
-
-def _require_triple_memory(dim: int, tables: int) -> None:
-    """MemoryLimitError if `tables` float64 arrays over the d^3 level triples would not fit.
-
-    Each caller passes its peak RSS in units of one such array, 8 d^3 bytes
-    (134 MB at N = 8), as measured on the chain above the 29 MB of the
-    interpreter with ule imported. `ule residual` with the Lamb shift off,
-    where the dissipator formula holds the peak, reached 1.1-1.4 of them at
-    N = 7-8 (3.0 at N = 6, where fixed allocations dominate); with it on,
-    `lamb_shift_f` reached 15.2 at N = 6 and 12.8 at N = 7 (at N = 7,
-    1.26M f_values pairs of about 110 bytes each and the np.unique of 2.0M
-    live triple codes).
-    """
-    _require_memory(tables * 8 * dim ** 3, f"Bohr double sum over {dim}^3 level triples")
 
 
 @dataclass(frozen=True)
@@ -194,9 +180,14 @@ def lamb_shift_f(bohr: BohrDecomposition, bath: BathSpec,
     `np.unique`, and `f_values` runs once on the sorted distinct pairs;
     every other triple holds 0. The triple (m, l, m) holds f(w, -w), w =
     w[bin_index[m, l]]. MemoryLimitError, before anything of d^3 cells is
-    allocated, if the triple tables would not fit.
+    allocated, if 16 float64 tables over the level triples would not fit.
     """
-    _require_triple_memory(bohr.dim, 16)
+    # 16 tables of 8 d^3 bytes (134 MB each at N = 8): above the 29 MB of the
+    # interpreter with ule imported, `ule residual` on the chain peaked at
+    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f_values
+    # pairs of about 110 bytes each and the np.unique of 2.0M live codes)
+    d = bohr.dim
+    _require_memory(16 * 8 * d ** 3, f"Lamb-shift f table over {d}^3 level triples")
     i, j = bohr.triple_bins()
     live = bohr.coupling_eigen != 0
     live = live[:, :, None] & live[None, :, :]

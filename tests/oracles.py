@@ -25,8 +25,9 @@ the library's.
 live level triples by the d^3 `np.unique`, the pairs `ule.generator.lamb_shift_f`
 must hand to `f_values`; `lamb_shift_pairs_unique` turns them into
 frequencies for the tests that need the chain's Lamb pairs. The library's
-Bohr double sums carry their coefficients on the level triples; the loops
-here take them as grids over the frequency pairs.
+Lamb-shift double sums carry their coefficients on the level triples and
+its dissipator formula is one d x d product; the loops here take both as
+grids over the frequency pairs.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`. `lawson_propagate_complex`
@@ -54,7 +55,7 @@ they wrote out the packed real eigenframe generator, and the form
 `dense_generator` writes the library's packed real eigenframe generator
 out as a d^2 x d^2 matrix, and `null_space_svd` is the SVD null-space
 solve on it that `ule.steady_state` fell back to, and counted the kernel
-with, before the bordered solve replaced it.
+with (`svd_kernel`), before the bordered solve replaced it.
 `dense_kernel_count` is the bordered count with dense matrices, scipy's
 graph components, the library's random borders and exact 1-norm
 condition numbers.
@@ -961,19 +962,30 @@ def dense_generator(superop) -> np.ndarray:
     return columns.T
 
 
+def svd_kernel(sigma):
+    """(kernel dimension, rcond, threshold) of descending singular values.
+
+    Those below the threshold KERNEL_RTOL * sigma_max, floored at the
+    smallest normal float so that a zero matrix is all kernel, count; rcond
+    is the smallest of the others over sigma_max, and 1 where none is left.
+    """
+    threshold = max(dynamics.KERNEL_RTOL * sigma[0], np.finfo(float).tiny)
+    kdim = int(np.sum(sigma < threshold))
+    rcond = sigma[sigma.size - kdim - 1] / sigma[0] if kdim < sigma.size else 1.0
+    return kdim, float(rcond), threshold
+
+
 def null_space_svd(superop) -> SteadyStateReport:
     """Null space of `dense_generator` via SVD.
 
-    Singular values below KERNEL_RTOL * sigma_max count as the kernel, and
-    rcond is the smallest non-kernel singular value over sigma_max. A unique
+    The kernel and rcond are those of `svd_kernel`. A unique
     trace-normalizable kernel vector P is unpacked, rotated back and
     normalized; a zero-dimensional or degenerate kernel raises
     SteadyStateError (the degenerate case still reports a representative).
     """
     d = superop.dim
     sigma, vh = np.linalg.svd(dense_generator(superop))[1:]
-    threshold = dynamics.KERNEL_RTOL * sigma[0]
-    kdim = int(np.sum(sigma < threshold))
+    kdim, rcond, threshold = svd_kernel(sigma)
     if kdim == 0:
         raise SteadyStateError(
             f"no kernel below threshold {threshold:.3e} (smallest sigma "
@@ -988,8 +1000,7 @@ def null_space_svd(superop) -> SteadyStateReport:
     rho = superop._eigenframe[0].from_eigenbasis(dynamics._unpack(kernel[best].reshape(d, d)))
     rho, residual = _normalized(superop, rho)
     report = SteadyStateReport(state=rho, residual=residual, kernel_dimension=kdim,
-                               rcond=float(sigma[len(sigma) - kdim - 1] / sigma[0]),
-                               iterations=0, estimate_iterations=0)
+                               rcond=rcond, iterations=0, estimate_iterations=0)
     if kdim > 1:
         raise SteadyStateError(f"steady state is not unique: kernel dimension {kdim}",
                                kernel_dimension=kdim, report=report)

@@ -539,30 +539,44 @@ def test_gmres_workspace_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_residual_grid_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # at N = 9 the dissipator formula's guard reserves two float64 tables
-    # over the 512^3 level triples, 2.1 GB, and physical memory is read as
+    # at N = 9 the Lamb-shift f table's guard reserves 16 float64 tables
+    # over the 512^3 level triples, 17 GB, and physical memory is read as
     # 512 MB; nothing of d^3 cells is built before the exit
     from ule import generator
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 29)
     monkeypatch.setattr(generator.BohrDecomposition, "triple_bins", None)
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
-    code = main(["residual", "--config", config, "--N", "9", "--outdir", str(tmp_path)])
+    code = main(["residual", "--config", config, "--N", "9", "--ignore_lamb_shift", "false",
+                 "--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "Bohr double sum over 512^3 level triples" in err
+    assert "512^3 level triples" in err
     assert not (tmp_path / "residuals.csv").exists()
 
 
-def test_residual_n7_fits_in_512_mb(tmp_path, capsys, monkeypatch):
-    # the formula routes hold a few 16.8 MB tables over the 128^3 level
-    # triples; the chain has 7,307 Bohr frequencies at N = 7
+def residual_lamb_off_in_512_mb(tmp_path, monkeypatch, n):
+    """`ule residual` on the chain at N = n, Lamb shift off, with physical
+    memory read as 512 MB: exit 0 and the dissipator routes agree."""
     from ule import generator
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 29)
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
-    assert main(["residual", "--config", config, "--N", "7", "--outdir", str(tmp_path)]) == 0
+    assert main(["residual", "--config", config, "--N", str(n), "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "residuals.csv").read_text().splitlines()
     table = dict(line.split(",") for line in lines[1:])
     assert float(table["dissipator_mismatch"]) <= 1e-10 * float(table["dissipator_direct_norm"])
+
+
+def test_residual_n7_fits_in_512_mb(tmp_path, capsys, monkeypatch):
+    # with the Lamb shift off nothing is built over the 128^3 level triples:
+    # the dissipator formula is one d x d product; the chain has 7,307 Bohr
+    # frequencies at N = 7
+    residual_lamb_off_in_512_mb(tmp_path, monkeypatch, 7)
+
+
+def test_residual_n9_lamb_off_fits_in_512_mb(tmp_path, capsys, monkeypatch):
+    # d = 512: the d x d products hold a few 4.2 MB matrices where float64
+    # tables over the level triples would take 1.07 GB each
+    residual_lamb_off_in_512_mb(tmp_path, monkeypatch, 9)
 
 
 def test_loose_tol_positivity_violation_names_tol(tmp_path, capsys):

@@ -18,6 +18,7 @@ from oracles import (
     null_space_svd,
     random_hermitian,
     steady_state_consistency,
+    svd_kernel,
     vec,
 )
 from ule import (
@@ -448,18 +449,25 @@ def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
     (lambda: build_chain_superop(SpinChainSpec(N=3, eta=0.0))[1], 4, 6),
     (lambda: build_liouvillian(eigendecompose(np.diag([0.0, 0.0, 1.0]).astype(complex)), [],
                                include_lamb_shift=False), 3, 5),
-], ids=["three_weak_pairs", "degenerate_chain", "undamped_chain", "undamped_degenerate_pair"])
+    (lambda: build_liouvillian(eigendecompose(np.zeros((3, 3))), []), 3, 9),
+], ids=["three_weak_pairs", "degenerate_chain", "undamped_chain", "undamped_degenerate_pair",
+        "zero_generator"])
 def test_kernel_count_where_the_bounds_do_not_meet(build, c0, kdim):
     # the c0 components of the jump graph bound the kernel from below, and
     # random borders count the rest: behind two weak links, and where the
-    # B_z = 0 and eta = 0 chains and a degenerate pair without dissipation
-    # have a degenerate H_eff, whose commutant the component projectors do
-    # not span (the pair's coherence is undamped, and the preconditioner
-    # leaves it unscaled). Each generic count is the kron count, its rcond
-    # far from KERNEL_RTOL, and the dense bordered matrix with the same
-    # borders counts the same
+    # B_z = 0 and eta = 0 chains, a degenerate pair without dissipation and
+    # the zero generator have a degenerate H_eff, whose commutant the
+    # component projectors do not span (the pair's coherence is undamped,
+    # and the preconditioner leaves it unscaled). Each generic count is the
+    # count of both SVD oracles (their threshold has an absolute floor, so
+    # the zero generator is all kernel, d^2), its rcond is far from
+    # KERNEL_RTOL, and the dense bordered matrix with the same borders
+    # counts the same
     sop = build()
     assert kron_kernel(sop)[0] == kdim
+    with pytest.raises(SteadyStateError) as oracle:
+        null_space_svd(sop)
+    assert oracle.value.kernel_dimension == kdim
     assert _components(sop._eigenframe).max() + 1 == c0
     message = (f"kernel dimension {kdim} (certified with {c0} component and {kdim - c0} "
                "random borders, a generic count, rcond ")
@@ -498,9 +506,7 @@ def test_components_match_scipy_connected_components():
 
 def kron_kernel(sop):
     """(kernel dimension, rcond) by the rule of `null_space_svd`, on the kron oracle."""
-    sigma = np.linalg.svd(kron_superoperator(sop), compute_uv=False)
-    kdim = int(np.sum(sigma < KERNEL_RTOL * sigma[0]))
-    return kdim, sigma[sigma.size - kdim - 1] / sigma[0]
+    return svd_kernel(np.linalg.svd(kron_superoperator(sop), compute_uv=False))[:2]
 
 
 def kron_gap(sop):
