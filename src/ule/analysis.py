@@ -17,9 +17,10 @@ the bath. The conventional (secular) generator keeps only matched
 frequencies (w1 = w2 in the dissipator, w1 = -w2 in the Lamb shift); its
 dissipator and Lamb shift, from the `_secular_parts` that
 `build_secular_generator` also uses, are applied to the Gibbs state in the
-eigenbasis, where they must vanish at rounding scale. That control is a
-scatter over same-bin pairs of coupling entries, with no per-frequency
-d x d operator.
+eigenbasis, where they must vanish at rounding scale. That control is
+three d x d products masked to the level pairs of equal energy, with no
+per-frequency d x d operator; its dissipator reads the part of the state
+that commutes with H, which is all of a Gibbs state of H.
 
 Each formula is a sum over the level triples (m, l, n), where w1 + w2
 (w2 - w1 in the dissipator) is E_n - E_m, of coefficients times the
@@ -176,8 +177,11 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=No
     f(w_k, -w_k) = fmatch[k]; with `fmatch` None the Lamb part is zero. The
     Gibbs state of H is stationary under the secular generator, so both vanish at
     rounding scale; a Gibbs state of another temperature or Hamiltonian does
-    not. `rho_th` may be any matrix. It is rotated into the eigenbasis once,
-    where `_secular_parts` acts; the norms are unitarily invariant.
+    not. `rho_th` is rotated into the eigenbasis once, where `_secular_parts`
+    acts; the norms are unitarily invariant. The dissipator half reads only
+    the part of `rho_th` that commutes with H (its blocks between levels of
+    one energy), which is all of a Gibbs state of H; the Lamb half reads all
+    of `rho_th`.
     """
     _, lam, dissipator = _secular_parts(bohr, bath, fmatch)
     y = bohr.eig.to_eigenbasis(rho_th)
@@ -199,6 +203,8 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     bath = channel.bath
     beta = bath.beta
     bohr = bohr_decompose(channel.coupling_op, eig)
+    with_lamb = include_lamb_shift and bath.coupling > 0
+    f = lamb_shift_f(bohr, bath, quad) if with_lamb else None  # its memory guard first
     rho_th = gibbs_state(eig, beta)
     unit = bath.coupling if bath.coupling > 0 else 1.0
 
@@ -207,8 +213,7 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     d_formula = dissipator_on_gibbs_formula(bohr, bath, beta)
     d_mismatch = frobenius(d_direct - d_formula)
 
-    if include_lamb_shift and bath.coupling > 0:
-        f = lamb_shift_f(bohr, bath, quad)
+    if with_lamb:
         l_direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, f), rho_th)
         l_formula = lambshift_on_gibbs_formula(bohr, f, beta)
         m, l = np.nonzero(bohr.coupling_eigen)

@@ -13,11 +13,12 @@ Lam is a Bohr double sum, evaluated by `BohrDecomposition.double_sum` on
 the f table of `lamb_shift_f`, the package's only table over the d^3
 level triples and its only level-triple memory guard. The secular
 generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w) and its
-dissipator come from one construction, `_secular_parts`, which works in
-the eigenbasis on the pairs of coupling entries that share a Bohr bin
-(`_same_bin_pairs`), takes f(w, -w) as one value per frequency and forms
-no A(w); `analysis.secular_residuals` applies the same parts to the Gibbs
-state.
+dissipator come from one construction, `_secular_parts`: in the
+eigenbasis A(w) A(w)^dag, A(w)^dag A(w) and the sandwich A(w) y A(w)^dag
+of a y that commutes with H couple only levels that share the zero-gap
+bin, so each part is one d x d product masked to those level pairs, with
+f(w, -w) taken as one value per frequency and no A(w) formed;
+`analysis.secular_residuals` applies the same parts to the Gibbs state.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. `build_liouvillian` (the
@@ -45,6 +46,7 @@ from .operators import (
     EigenDecomposition,
     bohr_decompose,
     frobenius,
+    gap_tolerance,
     hermitize,
     max_asymmetry,
     require_hermitian,
@@ -234,34 +236,6 @@ def build_liouvillian(eig: EigenDecomposition, channels,
     return Superoperator(eig.reconstruct() + lam, jumps)
 
 
-def _same_bin_pairs(bohr: BohrDecomposition):
-    """(m, n, p, q, k) over the ordered pairs of live entries X_mn, X_pq that share bin k.
-
-    In the eigenbasis A(w_k) is X masked to bin k, so every product of a
-    secular jump with the adjoint of the same jump couples only entries of
-    one bin; these pairs are all the secular generator's terms. Self pairs
-    are included; entries under dropped bins are exactly zero and are not
-    live.
-    """
-    m, n = np.nonzero(bohr.coupling_eigen)
-    k = bohr.bin_index[m, n]
-    order = np.argsort(k, kind="stable")
-    m, n, k = m[order], n[order], k[order]
-    start = np.searchsorted(k, k)  # where each entry's bin begins in the sorted list
-    size = np.searchsorted(k, k, side="right") - start
-    first = np.repeat(np.arange(k.size), size)
-    second = start[first] + np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
-    return m[first], n[first], m[second], n[second], k[first]
-
-
-def _scatter(dim: int, rows, cols, values) -> np.ndarray:
-    """d x d matrix with `values` summed into (rows, cols), in a fixed order."""
-    flat = rows * dim + cols
-    size = dim * dim
-    out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
-    return out.reshape(dim, dim)
-
-
 def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
     """(c, Lam, dissipator) of the secular generator of one channel.
 
@@ -270,26 +244,32 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
     f(w_k, -w_k) from the length-K vector `fmatch`; with `fmatch` None,
     Lam is zero.
     `dissipator(y)` is sum_k c_k^2 (A_k y A_k^dag - (1/2){A_k^dag A_k, y})
-    for an eigenbasis y. All three come from the one list of
-    `_same_bin_pairs`: the sandwich scatters over every pair, A_k^dag A_k
-    over the pairs that share a row, and A_k A_k^dag over those that share
-    a column. No A(w_k) is formed here; `build_secular_generator` alone
-    forms its jumps as dense d x d operators, nfreq * 16 d^2 bytes.
+    for the part of an eigenbasis y that commutes with H.
+
+    A product of A(w_k) with the adjoint of the same A(w_k) couples two
+    levels only if they share the zero-gap bin: S_mp = [|E_p - E_m| <=
+    `gap_tolerance`]. With J = c at `bin_index` times X and F = `fmatch` at
+    `bin_index`, Lam = S * ((F * X) @ X^dag) and sum_k c_k^2 A_k^dag A_k =
+    S * (J^dag @ J), and the sandwich of a y supported on S is
+    S * (J @ y @ J^dag): three masked d x d products, exact at any N. No
+    A(w_k) is formed here; `build_secular_generator` alone forms its jumps
+    as dense d x d operators, nfreq * 16 d^2 bytes.
     """
-    m, n, p, q, k = _same_bin_pairs(bohr)
     xe = bohr.coupling_eigen
-    products = xe[m, n] * xe[p, q].conj()
     c = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, bohr.frequencies)
-    d = bohr.dim
-    column = n == q
-    f = 0.0 if fmatch is None else fmatch[k[column]]
-    lam = _scatter(d, m[column], p[column], f * products[column])
-    weights = c[k] ** 2 * products
-    row = m == p
-    anti = _scatter(d, n[row], q[row], weights[row].conj())
+    energies = bohr.eig.energies
+    same = np.abs(energies[None, :] - energies[:, None]) <= gap_tolerance(energies)
+    if fmatch is None:
+        lam = np.zeros(xe.shape, dtype=complex)
+    else:
+        lam = same * ((fmatch[bohr.bin_index] * xe) @ xe.conj().T)
+    jump = c[bohr.bin_index] * xe
+    jump_dag = jump.conj().T
+    anti = same * (jump_dag @ jump)
 
     def dissipator(y):
-        return _scatter(d, m, p, weights * y[n, q]) - 0.5 * (anti @ y + y @ anti)
+        y = same * y
+        return same * (jump @ y @ jump_dag) - 0.5 * (anti @ y + y @ anti)
 
     return c, lam, dissipator
 

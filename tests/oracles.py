@@ -42,7 +42,9 @@ as they were before they stopped at the looser target the estimate needs.
 `bose_weight_branches` is the three-branch Bose weight that the one-expression
 `ule.bath._bose_weight` replaced. `secular_residuals_loop` applies one dense
 jump per Bohr frequency, the loop that the same-bin pair scatter of
-`ule.secular_residuals` replaced. `gmres_reference` is the restarted GMRES
+`ule.secular_residuals` replaced, and `secular_parts_pairs` is that scatter,
+which the three masked d x d products of `ule.generator._secular_parts`
+replaced in turn. `gmres_reference` is the restarted GMRES
 that `ule.dynamics._gmres` ran before its Arnoldi loop moved to Python
 scalars and a shared workspace. `complex_bordered_operator` is the steady
 state's bordered operator and preconditioner on complex d x d matrices,
@@ -575,6 +577,51 @@ def secular_residuals_loop(bohr, x, bath, rho, fmatch=None):
         dissipator += l @ rho @ l_dag - 0.5 * (l_dag @ l @ rho + rho @ l_dag @ l)
     lam = 0.0 * rho if fmatch is None else secular_lamb_shift_loop(bohr, x, fmatch)
     return np.linalg.norm(dissipator), np.linalg.norm(lam @ rho - rho @ lam)
+
+
+def secular_parts_pairs(bohr, bath, fmatch):
+    """(Lam, dissipator) of the secular generator as scatters over the ordered
+    pairs of live eigenbasis coupling entries X_mn, X_pq that share a Bohr bin.
+
+    This is `ule.generator._secular_parts` before it became three masked
+    d x d products; it reads the bin labels, as the library did. Every
+    product of a secular jump with the adjoint of the same jump couples
+    only entries of one bin, so these pairs are all the secular terms:
+    the sandwich scatters over every pair, A_k^dag A_k over the pairs that
+    share a row, and Lam over those that share a column. `dissipator(y)` is
+    exact for any eigenbasis y, commuting with H or not.
+    """
+    xe = bohr.coupling_eigen
+    m, n = np.nonzero(xe)
+    k = bohr.bin_index[m, n]
+    order = np.argsort(k, kind="stable")
+    m, n, k = m[order], n[order], k[order]
+    start = np.searchsorted(k, k)  # where each entry's bin begins in the sorted list
+    size = np.searchsorted(k, k, side="right") - start
+    first = np.repeat(np.arange(k.size), size)
+    second = start[first] + np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    m, n, p, q, k = m[first], n[first], m[second], n[second], k[first]
+    d = bohr.dim
+
+    def scatter(rows, cols, values):
+        flat = rows * d + cols
+        out = (np.bincount(flat, values.real, d * d)
+               + 1j * np.bincount(flat, values.imag, d * d))
+        return out.reshape(d, d)
+
+    products = xe[m, n] * xe[p, q].conj()
+    c = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, bohr.frequencies)
+    column = n == q
+    f = 0.0 if fmatch is None else fmatch[k[column]]
+    lam = scatter(m[column], p[column], f * products[column])
+    weights = c[k] ** 2 * products
+    row = m == p
+    anti = scatter(n[row], q[row], weights[row].conj())
+
+    def dissipator(y):
+        return scatter(m, p, weights * y[n, q]) - 0.5 * (anti @ y + y @ anti)
+
+    return lam, dissipator
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ from ule import (
     three_level_baseline,
     trend_sweep,
 )
-from ule.generator import lamb_shift_f
+from ule.generator import MemoryLimitError, lamb_shift_f
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -147,22 +149,81 @@ def test_secular_residuals_no_blowup_at_large_beta():
 
 def test_secular_residuals_match_dense_jump_loop():
     # distinct f(w_k, -w_k) for every frequency, so the secular Lamb shift
-    # must pair each with its own A(w_k) A(-w_k), and a random state, so no term cancels as it does on the Gibbs state; the
-    # degenerate spectrum puts several entries of one row in one bin
+    # must pair each with its own A(w_k) A(-w_k), and a random state, so no
+    # term cancels as it does on the Gibbs state; the degenerate spectrum
+    # puts several entries of one row in one bin. The dissipator half reads
+    # the part of the state that commutes with H (the blocks of equal
+    # energy), the Lamb half all of it.
     rng = np.random.default_rng(83)
     x = three_level_baseline().coupling_op
     systems = [(LADDER, x), (np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex),
                              random_hermitian(rng, 4))]
     for h, x in systems:
-        bohr = bohr_decompose(x, eigendecompose(h))
+        eig = eigendecompose(h)
+        bohr = bohr_decompose(x, eig)
         a = random_hermitian(rng, h.shape[0])
         rho = a @ a / np.trace(a @ a)
+        same = np.abs(eig.energies[:, None] - eig.energies[None, :]) < 1e-9
+        commuting = eig.from_eigenbasis(same * eig.to_eigenbasis(rho))
         fmatch = rng.standard_normal(bohr.nfreq)
         got = secular_residuals(bohr, BATH, rho, fmatch)
-        want = secular_residuals_loop(bohr, x, BATH, rho, fmatch)
+        want = (secular_residuals_loop(bohr, x, BATH, commuting, fmatch)[0],
+                secular_residuals_loop(bohr, x, BATH, rho, fmatch)[1])
         assert min(want) > 1e-3
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        # the non-commuting rest of rho moves the dense loop, not the half
+        assert secular_residuals_loop(bohr, x, BATH, rho)[0] > want[0] * (1 + 1e-6)
+        assert np.isclose(got[0], secular_residuals(bohr, BATH, commuting, fmatch)[0],
+                          rtol=1e-12, atol=0.0)
         assert secular_residuals(bohr, BATH, rho) == (got[0], 0.0)
+
+
+def test_secular_residuals_bin_at_rounding_scale():
+    # gaps 1 and 1 + 5e-10 are distinct Bohr frequencies: binned at 1e-9
+    # max|E| they shared a bin (5 bins, secular dissipator 1.9e-10 gamma)
+    eig = eigendecompose(np.diag([0.0, 1.0, 2.0 + 5e-10]).astype(complex))
+    x = np.ones((3, 3), dtype=complex)
+    assert bohr_decompose(x, eig).nfreq == 7
+    rep = gibbs_residual_report(eig, NoiseChannel(coupling_op=x, bath=BATH))
+    assert rep.dissipator_mismatch <= rep.dissipator_mismatch_tol
+    assert rep.secular_dissipator_norm <= 1e-14
+    assert rep.secular_lambshift_norm <= 1e-14
+
+
+def test_residual_report_refuses_before_the_work(monkeypatch):
+    # the f table's memory guard needs only d: it runs before the jump and
+    # both dissipator routes are built
+    from ule import analysis, generator
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("residual work before the f-table guard")
+
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 20)
+    for name in ("build_jump_operator", "dissipator_on_gibbs_formula", "_secular_parts"):
+        monkeypatch.setattr(analysis, name, no_work)
+    spec = SpinChainSpec(N=5)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    with pytest.raises(MemoryLimitError, match="32\\^3 level triples"):
+        gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
+
+
+def test_secular_residuals_memory_on_n8_chain():
+    # d = 256: the three masked products hold a few 1 MB matrices; the
+    # same-bin pair list they replaced held 369,748 pairs (34 MB traced)
+    spec = SpinChainSpec(N=8)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    bath = chain_channels(spec)[0].bath
+    bohr = bohr_decompose(chain_channels(spec)[0].coupling_op, eig)
+    rho_th = gibbs_state(eig, bath.beta)
+    fmatch = np.linspace(-1.0, 1.0, bohr.nfreq)
+    tracemalloc.start()
+    try:
+        r8, r9 = secular_residuals(bohr, bath, rho_th, fmatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r8 <= 1e-12 and r9 <= 1e-12
+    assert peak < 16e6, f"secular_residuals peak {peak / 1e6:.1f} MB"
 
 
 def test_two_route_equality_random_ensemble():
@@ -238,8 +299,8 @@ def test_residual_report_without_lamb_shift(f_calls):
 
 
 def test_residual_report_on_chain_with_lamb_shift(monkeypatch):
-    # no route of the report forms a dense A(w): the secular control
-    # scatters over same-bin entry pairs in the eigenbasis
+    # no route of the report forms a dense A(w): the secular control is
+    # three masked d x d products in the eigenbasis
     def no_component(self, k):
         raise AssertionError("the residual report built a dense A(w)")
 

@@ -15,6 +15,7 @@ from oracles import (
     lamb_shift_pairs_unique,
     random_hermitian,
     secular_lamb_shift_loop,
+    secular_parts_pairs,
     unvec,
     vec,
 )
@@ -219,6 +220,42 @@ def test_secular_parts_match_loop_oracle():
         jump_sum = jump_operator_bohr_sum(bohr, x, BATH, jump_spectral)
         jumps = sum(c[k] * bohr.component(k) for k in range(bohr.nfreq))
         assert np.linalg.norm(jumps - jump_sum) <= 1e-12 * np.linalg.norm(jump_sum)
+
+
+def secular_product_systems():
+    """(bohr, label) for the masked-product check: a nondegenerate H with a
+    zero-diagonal X (its zero bin is dropped), equally spaced levels,
+    repeated levels, and the chain at N = 3-6 with B_z = 0, 3.7 and 8 and
+    with eta = 0."""
+    rng = np.random.default_rng(59)
+    x = random_hermitian(rng, 4)
+    np.fill_diagonal(x, 0.0)
+    cases = [(np.diag([0.0, 1.0, 3.0, 7.0]), x, "zero bin dropped"),
+             (np.diag([0.0, 1.0, 2.0, 3.0]), random_hermitian(rng, 4), "equal spacing"),
+             (np.diag([0.0, 1.0, 1.0, 2.0, 2.0]), random_hermitian(rng, 5), "repeated levels")]
+    for n_sites in (3, 4, 5, 6):
+        for b_z, eta in ((0.0, 1.0), (3.7, 1.0), (8.0, 1.0), (8.0, 0.0)):
+            spec = SpinChainSpec(N=n_sites, B_z=b_z, eta=eta)
+            cases.append((build_chain_hamiltonian(spec), chain_channels(spec)[0].coupling_op,
+                          f"chain N = {n_sites}, B_z = {b_z}, eta = {eta}"))
+    return [(bohr_decompose(x, eigendecompose(h)), label) for h, x, label in cases]
+
+
+def test_secular_products_match_pair_oracle():
+    # on states that commute with H the three masked d x d products are
+    # the same-bin pair scatter; Lam is the same on any state
+    rng = np.random.default_rng(61)
+    systems = secular_product_systems()
+    assert 0.0 not in systems[0][0].frequencies
+    for bohr, label in systems:
+        energies = bohr.eig.energies
+        same = np.abs(energies[:, None] - energies[None, :]) < 1e-9
+        y = same * random_hermitian(rng, bohr.dim)
+        fmatch = rng.standard_normal(bohr.nfreq)
+        _, lam, dissipator = _secular_parts(bohr, BATH, fmatch)
+        want_lam, want_dissipator = secular_parts_pairs(bohr, BATH, fmatch)
+        for got, want in ((lam, want_lam), (dissipator(y), want_dissipator(y))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
 
 
 def test_lamb_shift_hermitian_random_systems():

@@ -181,10 +181,10 @@ def test_bohr_linearity_in_coupling():
 
 
 def test_bohr_rejects_ambiguous_binning():
-    eig = eigendecompose(np.diag([0.0, 0.6e-9, 1.2e-9]).astype(complex))
+    eig = eigendecompose(np.diag([0.0, 0.3e-12, 0.6e-12]).astype(complex))
     x = np.ones((3, 3), dtype=complex)
-    # gaps 0.6e-9 apart, below the 1e-9 gap tolerance, chain into one bin
-    # wider than the tolerance
+    # gaps 0.3e-12 apart, below the 4.5e-13 gap tolerance (2^11 eps), chain
+    # into one bin wider than the tolerance
     with pytest.raises(ValueError, match="ambiguous"):
         bohr_decompose(x, eig)
 
@@ -194,13 +194,12 @@ def test_cluster_gaps_match_loop_bitwise(n_sites):
     # the chain's raw gaps at three field values (the zero field has many
     # degenerate gaps, so clusters of 8 and more members), and rounded
     # random values with jitter below the tolerance
-    from ule.operators import _cluster_gaps
+    from ule.operators import _cluster_gaps, gap_tolerance
     cases = []
     for b_z in (8.0, 0.0, -1.3):
         spec = SpinChainSpec(N=n_sites, B_z=b_z)
         energies = eigendecompose(build_chain_hamiltonian(spec)).energies
-        eps = 1e-9 * max(1.0, float(np.max(np.abs(energies))))
-        cases.append(((energies[None, :] - energies[:, None]).ravel(), eps))
+        cases.append(((energies[None, :] - energies[:, None]).ravel(), gap_tolerance(energies)))
     rng = np.random.default_rng(n_sites)
     cases.append((np.round(rng.uniform(-5, 5, 400), 2) + rng.uniform(0, 1e-11, 400), 1e-9))
     sizes = []
