@@ -21,7 +21,7 @@ from ule import (
     steady_state,
     trace_distance,
 )
-from ule.generator import lamb_shift_f
+from ule.generator import lamb_shift_eigen
 
 delta = 1.0
 eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
@@ -30,7 +30,8 @@ channel = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), ba
 
 bohr = bohr_decompose(channel.coupling_op, eig)
 print("Lamb shift (diagonal in the energy basis, so it cannot move the steady state):")
-print(np.round(build_lamb_shift(bohr, lamb_shift_f(bohr, bath)).real, 6))
+lam_eigen, _ = lamb_shift_eigen(bohr, bath)
+print(np.round(build_lamb_shift(eig, lam_eigen).real, 6))
 
 sop = build_liouvillian(eig, [channel], include_lamb_shift=True)
 

@@ -27,8 +27,8 @@ Each formula is a sum over the level triples (m, l, n), where w1 + w2
 eigenbasis Gibbs populations p, with p_n (1 - e^(beta (E_n - E_m))) =
 p_n - p_m and p_n (1 - e^(beta (E_n - E_m)/2))^2 = (sqrt p_n - sqrt p_m)^2:
 no exponential of a positive argument, at any T. The Lamb-shift formula
-hands its level-triple f table to `BohrDecomposition.double_sum`; the
-dissipator's g(w1) g(w2) separates in l, so its sum is one d x d product.
+weights the eigenbasis Lamb shift of `generator.lamb_shift_eigen` by p_n -
+p_m; the dissipator's g(w1) g(w2) separates in l, so its sum is one d x d product.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .generator import (
     build_jump_operator,
     build_lamb_shift,
     build_liouvillian,
-    lamb_shift_f,
+    lamb_shift_eigen,
 )
 from .operators import (
     BohrDecomposition,
@@ -161,11 +161,12 @@ def lambshift_on_gibbs_direct(lamb_shift, rho_th) -> np.ndarray:
     return lamb_shift @ rho_th - rho_th @ lamb_shift
 
 
-def lambshift_on_gibbs_formula(bohr: BohrDecomposition, f, beta: float) -> np.ndarray:
+def lambshift_on_gibbs_formula(eig: EigenDecomposition, lam_eigen, beta: float) -> np.ndarray:
     """Bohr-sum form of the Lamb-shift commutator on the Gibbs state: triple
-    coefficients f (p_n - p_m), with f the table of `lamb_shift_f`."""
-    p = gibbs_populations(bohr.eig, beta)
-    return bohr.double_sum(f * (p[None, :] - p[:, None])[:, None, :])
+    coefficients f (p_n - p_m), whose sum over l is the eigenbasis Lamb
+    shift `lam_eigen` of `generator.lamb_shift_eigen` times p_n - p_m."""
+    p = gibbs_populations(eig, beta)
+    return eig.from_eigenbasis((p[None, :] - p[:, None]) * lam_eigen)
 
 
 def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=None):
@@ -174,7 +175,7 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=No
     Returns (||sum_w D[L(w)](rho_th)||, ||[Lam_sec, rho_th]||) for the jumps
     L(w) = 2 pi sqrt(gamma) g(w) A(w) and the Lamb shift
     Lam_sec = sum_w f(w, -w) A(w) A(-w) of `build_secular_generator`, with
-    f(w_k, -w_k) = fmatch[k]; with `fmatch` None the Lamb part is zero. The
+    f(w_k, -w_k) = fmatch[k]; with `fmatch` None the Lamb part is 0.0. The
     Gibbs state of H is stationary under the secular generator, so both vanish at
     rounding scale; a Gibbs state of another temperature or Hamiltonian does
     not. `rho_th` is rotated into the eigenbasis once, where `_secular_parts`
@@ -185,7 +186,8 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=No
     """
     _, lam, dissipator = _secular_parts(bohr, bath, fmatch)
     y = bohr.eig.to_eigenbasis(rho_th)
-    return frobenius(dissipator(y)), frobenius(lambshift_on_gibbs_direct(lam, y))
+    lamb = 0.0 if lam is None else frobenius(lambshift_on_gibbs_direct(lam, y))
+    return frobenius(dissipator(y)), lamb
 
 
 def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
@@ -196,15 +198,14 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     Norms are reported in units of gamma so baselines compare across
     couplings. With include_lamb_shift false every Lamb-shift entry,
     including the secular one, is zero and no quadrature runs; otherwise
-    every f value comes from the one level-triple table of `lamb_shift_f`,
-    whose triples (m, l, m) hold the matched pairs f(w, -w) of the secular
-    Lamb shift.
+    `lamb_shift_eigen` (its memory guard first) gives the Lamb shift both
+    routes read and the matched pairs f(w, -w) of the secular Lamb shift.
     """
     bath = channel.bath
     beta = bath.beta
     bohr = bohr_decompose(channel.coupling_op, eig)
     with_lamb = include_lamb_shift and bath.coupling > 0
-    f = lamb_shift_f(bohr, bath, quad) if with_lamb else None  # its memory guard first
+    lam, fmatch = lamb_shift_eigen(bohr, bath, quad) if with_lamb else (None, None)
     rho_th = gibbs_state(eig, beta)
     unit = bath.coupling if bath.coupling > 0 else 1.0
 
@@ -214,17 +215,13 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     d_mismatch = frobenius(d_direct - d_formula)
 
     if with_lamb:
-        l_direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, f), rho_th)
-        l_formula = lambshift_on_gibbs_formula(bohr, f, beta)
-        m, l = np.nonzero(bohr.coupling_eigen)
-        fmatch = np.zeros(bohr.nfreq)
-        fmatch[bohr.bin_index[m, l]] = f[m, l, m]
+        l_direct = lambshift_on_gibbs_direct(build_lamb_shift(eig, lam), rho_th)
+        l_formula = lambshift_on_gibbs_formula(eig, lam, beta)
         l_mismatch = frobenius(l_direct - l_formula)
         l_direct_norm = frobenius(l_direct)
         l_formula_norm = frobenius(l_formula)
         l_tol = 1e-6 * max(l_direct_norm, 1e-300)
     else:
-        fmatch = None
         l_direct_norm = l_formula_norm = l_mismatch = 0.0
         l_tol = 0.0
 

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .bath import BathSpec, QuadratureSpec, QuadratureError, f_values, jump_spectral
 from .dynamics import PropagationError, SteadyStateError
-from .generator import _require_memory
+from .generator import _require_lamb_shift_memory, _require_memory
 from .io import format_value, write_csv, write_json
 from .operators import eigendecompose
 from .spinchain import (
@@ -287,8 +287,10 @@ def cmd_steady(args) -> int:
 def cmd_residual(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
-    eig = eigendecompose(build_chain_hamiltonian(spec))
     channel = chain_channels(spec)[0]
+    if not spec.ignore_lamb_shift and channel.bath.coupling > 0:
+        _require_lamb_shift_memory(2 ** spec.N)  # before the eigendecomposition
+    eig = eigendecompose(build_chain_hamiltonian(spec))
     report = gibbs_residual_report(eig, channel, spec.quad,
                                    include_lamb_shift=not spec.ignore_lamb_shift)
     write_csv(_out(args, "residuals.csv"), ["quantity", "norm"], report.rows())

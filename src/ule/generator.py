@@ -9,9 +9,10 @@ with, per noise channel (coupling operator X, bath g and f),
     L_mn   = 2 pi sqrt(gamma) g(E_n - E_m) X_mn      (eigenbasis elements)
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
-Lam is a Bohr double sum, evaluated by `BohrDecomposition.double_sum` on
-the f table of `lamb_shift_f`, the package's only table over the d^3
-level triples and its only level-triple memory guard. The secular
+Lam is a Bohr double sum over the level triples (m, l, n), and only this
+module builds, indexes or sums arrays over them: the f table `lamb_shift_f`
+behind `_require_lamb_shift_memory`, summed by `lamb_shift_eigen`, the one
+call `build_liouvillian` and `analysis.gibbs_residual_report` make. The secular
 generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w) and its
 dissipator come from one construction, `_secular_parts`: in the
 eigenbasis A(w) A(w)^dag, A(w)^dag A(w) and the sandwich A(w) y A(w)^dag
@@ -174,23 +175,27 @@ def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.nd
     return eig.from_eigenbasis(le)
 
 
+def _require_lamb_shift_memory(d: int) -> None:
+    """MemoryLimitError unless 16 float64 tables over d^3 level triples fit."""
+    # 16 tables of 8 d^3 bytes (134 MB each at N = 8): above the 29 MB of the
+    # interpreter with ule imported, `ule residual` on the chain peaked at
+    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f_values
+    # pairs of about 110 bytes each and the np.unique of 2.0M live codes)
+    _require_memory(16 * 8 * d ** 3, f"Lamb-shift f table over {d}^3 level triples")
+
+
 def lamb_shift_f(bohr: BohrDecomposition, bath: BathSpec,
                  quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """f(w_i, w_j) at the `triple_bins` (i, j) of each level triple with X_ml X_ln != 0.
+    """f(w_i, w_j), i = bin_index[m, l], j = bin_index[l, n], on each (m, l, n) with X_ml X_ln != 0.
 
     The codes i K + j, K = nfreq, of these live triples go through one
     `np.unique`, and `f_values` runs once on the sorted distinct pairs;
     every other triple holds 0. The triple (m, l, m) holds f(w, -w), w =
     w[bin_index[m, l]]. MemoryLimitError, before anything of d^3 cells is
-    allocated, if 16 float64 tables over the level triples would not fit.
+    allocated, from `_require_lamb_shift_memory`.
     """
-    # 16 tables of 8 d^3 bytes (134 MB each at N = 8): above the 29 MB of the
-    # interpreter with ule imported, `ule residual` on the chain peaked at
-    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f_values
-    # pairs of about 110 bytes each and the np.unique of 2.0M live codes)
-    d = bohr.dim
-    _require_memory(16 * 8 * d ** 3, f"Lamb-shift f table over {d}^3 level triples")
-    i, j = bohr.triple_bins()
+    _require_lamb_shift_memory(bohr.dim)
+    i, j = bohr.bin_index[:, :, None], bohr.bin_index[None, :, :]
     live = bohr.coupling_eigen != 0
     live = live[:, :, None] & live[None, :, :]
     pairs, inverse = np.unique((i * bohr.nfreq + j)[live], return_inverse=True)
@@ -200,16 +205,29 @@ def lamb_shift_f(bohr: BohrDecomposition, bath: BathSpec,
     return f
 
 
-def build_lamb_shift(bohr: BohrDecomposition, f) -> np.ndarray:
-    """Lamb-shift operator Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln.
+def lamb_shift_eigen(bohr: BohrDecomposition, bath: BathSpec,
+                     quad: QuadratureSpec = QuadratureSpec()):
+    """(Lam, fmatch): Lam_mn = sum_l f[m, l, n] X_ml X_ln, the Lamb shift in
+    the eigenbasis, over the table f of :func:`lamb_shift_f`, and fmatch[k] =
+    f(w_k, -w_k) read off its triples (m, l, m) (0 where no live triple
+    reads it), the matched values the secular Lamb shift takes."""
+    f = lamb_shift_f(bohr, bath, quad)
+    xe = bohr.coupling_eigen
+    m, l = np.nonzero(xe)
+    fmatch = np.zeros(bohr.nfreq)
+    fmatch[bohr.bin_index[m, l]] = f[m, l, m]
+    return np.einsum("ml,ln,mln->mn", xe, xe, f), fmatch
 
-    The triple sum is the double Bohr sum over `f`, the level-triple table
-    of :func:`lamb_shift_f`. Hermiticity follows from the swap symmetry
-    f(E1, E2) = f(-E2, -E1), which holds exactly in the table (the triple
-    (n, l, m) carries the mirror pair of (m, l, n)) because `f_values`
-    integrates one pair per swap class; it is still asserted.
+
+def build_lamb_shift(eig: EigenDecomposition, lam_eigen) -> np.ndarray:
+    """The Lamb shift in the input basis from its eigenbasis `lam_eigen`.
+
+    Hermiticity follows from the swap symmetry f(E1, E2) = f(-E2, -E1),
+    which holds exactly in the table (the triple (n, l, m) carries the
+    mirror pair of (m, l, n)) because `f_values` integrates one pair per
+    swap class; it is still asserted.
     """
-    lam = bohr.double_sum(f)
+    lam = eig.from_eigenbasis(lam_eigen)
     defect = frobenius(lam - lam.conj().T)
     if defect > 1e-8 * max(frobenius(lam), 1e-300):
         raise ValueError(f"Lamb shift failed Hermiticity check: {defect:.3e}")
@@ -231,8 +249,8 @@ def build_liouvillian(eig: EigenDecomposition, channels,
     for ch in channels:
         jumps.append(build_jump_operator(eig, ch))
         if include_lamb_shift and ch.bath.coupling > 0:
-            bohr = bohr_decompose(ch.coupling_op, eig)
-            lam = lam + build_lamb_shift(bohr, lamb_shift_f(bohr, ch.bath, quad))
+            lam_eigen, _ = lamb_shift_eigen(bohr_decompose(ch.coupling_op, eig), ch.bath, quad)
+            lam = lam + build_lamb_shift(eig, lam_eigen)
     return Superoperator(eig.reconstruct() + lam, jumps)
 
 
@@ -241,8 +259,8 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
 
     The jumps are c_k A(w_k) with c_k = 2 pi sqrt(gamma) g(w_k). Lam =
     sum_k f(w_k, -w_k) A(w_k) A(w_k)^dag in the eigenbasis reads
-    f(w_k, -w_k) from the length-K vector `fmatch`; with `fmatch` None,
-    Lam is zero.
+    f(w_k, -w_k) from the length-K vector `fmatch`; with `fmatch` None
+    there is no Lamb shift and Lam is None.
     `dissipator(y)` is sum_k c_k^2 (A_k y A_k^dag - (1/2){A_k^dag A_k, y})
     for the part of an eigenbasis y that commutes with H.
 
@@ -259,10 +277,7 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
     c = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, bohr.frequencies)
     energies = bohr.eig.energies
     same = np.abs(energies[None, :] - energies[:, None]) <= gap_tolerance(energies)
-    if fmatch is None:
-        lam = np.zeros(xe.shape, dtype=complex)
-    else:
-        lam = same * ((fmatch[bohr.bin_index] * xe) @ xe.conj().T)
+    lam = None if fmatch is None else same * ((fmatch[bohr.bin_index] * xe) @ xe.conj().T)
     jump = c[bohr.bin_index] * xe
     jump_dag = jump.conj().T
     anti = same * (jump_dag @ jump)
@@ -295,4 +310,5 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     fmatch = f_values(channel.bath, w, -w, quad) if include_lamb_shift else None
     c, lam, _ = _secular_parts(bohr, channel.bath, fmatch)
     jumps = (c[k] * bohr.component(k) for k in range(bohr.nfreq))
-    return Superoperator(bohr.eig.reconstruct() + bohr.eig.from_eigenbasis(lam), jumps)
+    h = bohr.eig.reconstruct()
+    return Superoperator(h if lam is None else h + bohr.eig.from_eigenbasis(lam), jumps)

@@ -4,12 +4,6 @@ Everything here works on plain complex numpy arrays. The structured results
 (eigendecompositions, Bohr-frequency decompositions) are small frozen
 dataclasses holding arrays that must not be mutated after construction.
 
-A Bohr double sum sum_{w1,w2} c(w1, w2) A(w1) A(w2) is carried by its
-coefficients on the d^3 level triples (m, l, n) (`BohrDecomposition.triple_bins`
-and `.double_sum`), never by a grid over the frequency pairs. Only the Lamb
-shift's f needs them: a coefficient that is a product over the two
-frequencies, times a factor of (m, n), sums over l in one d x d product.
-
 Conventions: hbar = k_B = 1, energies in units of the global exchange scale.
 """
 
@@ -165,24 +159,6 @@ class BohrDecomposition:
     def component(self, k: int) -> np.ndarray:
         """A(frequencies[k]) in the input basis."""
         return self.eig.from_eigenbasis(np.where(self.bin_index == k, self.coupling_eigen, 0))
-
-    def triple_bins(self):
-        """Bins (i, j) of the two frequencies of each level triple (m, l, n).
-
-        i = bin_index[m, l] and j = bin_index[l, n], as (d, d, 1) and
-        (1, d, d) arrays.
-        """
-        bins = self.bin_index
-        return bins[:, :, None], bins[None, :, :]
-
-    def double_sum(self, coeff: np.ndarray) -> np.ndarray:
-        """sum_l coeff[m, l, n] X_ml X_ln over the level triples, in the input basis.
-
-        With coeff c(w_i, w_j) at the `triple_bins` (i, j) this is sum_ij
-        c(w_i, w_j) A(w_i) A(w_j).
-        """
-        xe = self.coupling_eigen
-        return self.eig.from_eigenbasis(np.einsum("ml,ln,mln->mn", xe, xe, coeff))
 
 
 def gap_tolerance(energies: np.ndarray) -> float:

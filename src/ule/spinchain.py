@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import DeviationReport, gibbs_deviation
 from .bath import BathSpec, QuadratureSpec
 from .dynamics import SteadyStateReport, Trajectory, propagate, steady_state
-from .generator import NoiseChannel, build_liouvillian
+from .generator import NoiseChannel, _require_lamb_shift_memory, build_liouvillian
 from .operators import EigenDecomposition, eigendecompose
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -157,9 +157,13 @@ def all_up_state(n_sites: int) -> np.ndarray:
 
 
 def build_chain_superop(spec: SpinChainSpec):
-    """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator."""
+    """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator;
+    the Lamb shift's memory guard runs first."""
+    channels = chain_channels(spec)
+    if not spec.ignore_lamb_shift and any(ch.bath.coupling > 0 for ch in channels):
+        _require_lamb_shift_memory(2 ** spec.N)
     eig = eigendecompose(build_chain_hamiltonian(spec))
-    return eig, build_liouvillian(eig, chain_channels(spec), spec.quad,
+    return eig, build_liouvillian(eig, channels, spec.quad,
                                   include_lamb_shift=not spec.ignore_lamb_shift)
 
 

@@ -4,10 +4,11 @@ Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
 dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
 A(w) built here from projector sandwiches of X, never from the bin labels
-or `BohrDecomposition.double_sum`; their bath functions and f values come
-in as arguments. `f_integral_loop` is the per-pair adaptive Gauss-Kronrod
-loop over the folded integrand [h(w) - h(-w)] / w on [0, Wmax]; it shares
-only g and the node table with the library. `folded_adaptive_chunk`
+or the level-triple sums of `ule.generator`; their bath functions and f
+values come in as arguments. `f_integral_loop` is the per-pair adaptive
+Gauss-Kronrod loop over the folded integrand [h(w) - h(-w)] / w on
+[0, Wmax]; it shares only g and the node table with the library.
+`folded_adaptive_chunk`
 is the batched form of that loop, the kernel `ule.f_values` ran (on one
 pair per swap class) before it integrated by sum group with singularity
 subtraction, and `f_values_every_pair` runs it on every pair as given.
@@ -25,9 +26,11 @@ the library's.
 live level triples by the d^3 `np.unique`, the pairs `ule.generator.lamb_shift_f`
 must hand to `f_values`; `lamb_shift_pairs_unique` turns them into
 frequencies for the tests that need the chain's Lamb pairs. The library's
-Lamb-shift double sums carry their coefficients on the level triples and
-its dissipator formula is one d x d product; the loops here take both as
-grids over the frequency pairs.
+Lamb shift carries f on the level triples and both its Gibbs formulas are
+weighted d x d arrays; the loops here take the coefficients as grids over
+the frequency pairs. `lambshift_on_gibbs_table` is the Lamb-shift formula
+as a sum over the table f (p_n - p_m), the form the library's weighted
+eigenbasis Lamb shift replaced.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`. `lawson_propagate_complex`
@@ -532,6 +535,22 @@ def lambshift_on_gibbs_loop(bohr, x, beta, rho_th, f_values):
     for (w1, w2), prod in lamb_shift_live_pairs(bohr, x).items():
         out = out + f_values[(w1, w2)] * (1.0 - np.exp(beta * (w1 + w2))) * prod
     return _from_eigenbasis(bohr, out) @ rho_th
+
+
+def lambshift_on_gibbs_table(bohr, f, beta):
+    """The Lamb-shift formula on the Gibbs state summed over a level-triple
+    table: sum_l f[m, l, n] (p_n - p_m) X_ml X_ln, with f the table of
+    `ule.generator.lamb_shift_f`.
+
+    This is how `ule.lambshift_on_gibbs_formula` took it before it weighted
+    the eigenbasis Lamb shift: a second d^3 table f (p_n - p_m) and one
+    einsum over it, with the populations written out here.
+    """
+    w = np.exp(-beta * (bohr.eig.energies - bohr.eig.energies[0]))
+    p = w / w.sum()
+    xe = bohr.coupling_eigen
+    coeff = f * (p[None, :] - p[:, None])[:, None, :]
+    return _from_eigenbasis(bohr, np.einsum("ml,ln,mln->mn", xe, xe, coeff))
 
 
 def jump_operator_bohr_sum(bohr, x, bath, jump_spectral):

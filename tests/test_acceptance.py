@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     jump_operator_bohr_sum,
     lamb_shift_bohr_sum,
+    lambshift_on_gibbs_table,
     liouvillian_gap,
     random_hermitian,
     steady_state_consistency,
@@ -47,7 +48,7 @@ from ule import (
     trace_distance,
     trend_sweep,
 )
-from ule.generator import lamb_shift_f
+from ule.generator import lamb_shift_eigen, lamb_shift_f
 from ule.spinchain import build_chain_hamiltonian, chain_channels
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -79,8 +80,8 @@ def report(criterion, ok, detail):
 def ensemble():
     """50 seeded random systems: d cycles 3..6, T uniform in [0.5, 8].
 
-    Each carries its Lamb-shift f table on the level triples, evaluated
-    once for every test that reads f.
+    Each carries its Lamb-shift f table on the level triples and its
+    eigenbasis Lamb shift, evaluated once for every test that reads them.
     """
     rng = np.random.default_rng(2024)
     systems = []
@@ -99,6 +100,7 @@ def ensemble():
             bath=bath,
             rho_th=gibbs_state(eig, bath.beta),
             f=lamb_shift_f(bohr, bath, QUAD),
+            lam=lamb_shift_eigen(bohr, bath, QUAD)[0],
         ))
     return systems
 
@@ -144,15 +146,27 @@ def test_criterion_2_lambshift_identity(ensemble):
     t0 = time.perf_counter()
     worst = 0.0
     for sys_ in ensemble:
-        lam = build_lamb_shift(sys_["bohr"], sys_["f"])
+        lam = build_lamb_shift(sys_["eig"], sys_["lam"])
         direct = lambshift_on_gibbs_direct(lam, sys_["rho_th"])
-        formula = lambshift_on_gibbs_formula(sys_["bohr"], sys_["f"], sys_["bath"].beta)
+        formula = lambshift_on_gibbs_formula(sys_["eig"], sys_["lam"], sys_["bath"].beta)
         rel = np.linalg.norm(direct - formula) / np.linalg.norm(direct)
         worst = max(worst, rel)
     wall = time.perf_counter() - t0
     report("criterion 2 (Lamb-shift two-route identity)",
            worst <= 1e-6 and wall < 300.0,
            f"max relative mismatch {worst:.3e} over 50 systems in {wall:.1f} s")
+
+
+def test_lambshift_formula_matches_table_oracle(ensemble):
+    # the formula weights the eigenbasis Lamb shift by p_n - p_m; the oracle
+    # sums the level-triple table f (p_n - p_m)
+    worst = 0.0
+    for sys_ in ensemble:
+        formula = lambshift_on_gibbs_formula(sys_["eig"], sys_["lam"], sys_["bath"].beta)
+        want = lambshift_on_gibbs_table(sys_["bohr"], sys_["f"], sys_["bath"].beta)
+        worst = max(worst, np.linalg.norm(formula - want) / np.linalg.norm(want))
+    report("Lamb-shift formula against the level-triple table", worst <= 1e-14,
+           f"max relative deviation {worst:.3e} over 50 systems")
 
 
 def test_criterion_3_secular_vanishing(ensemble):
@@ -247,10 +261,12 @@ def test_criterion_5_generator_cross_checks(ensemble):
         worst_l = max(worst_l, np.linalg.norm(l_elem - l_bohr)
                       / max(np.linalg.norm(l_elem), 1.0))
         bohr, f = sys_["bohr"], sys_["f"]
-        lam3 = build_lamb_shift(bohr, f)
-        # the oracle looks f up by (w1, w2); every triple of a pair holds
-        # the same value, computed once in the fixture
-        i, j = (np.broadcast_to(k, f.shape) for k in bohr.triple_bins())
+        lam3 = build_lamb_shift(sys_["eig"], sys_["lam"])
+        # the oracle looks f up by (w1, w2), with w1 = w[bin_index[m, l]] and
+        # w2 = w[bin_index[l, n]] on the triple (m, l, n); every triple of a
+        # pair holds the same value, computed once in the fixture
+        i = np.broadcast_to(bohr.bin_index[:, :, None], f.shape)
+        j = np.broadcast_to(bohr.bin_index[None, :, :], f.shape)
         live = f != 0.0
         w = bohr.frequencies
         triples = list(zip(zip(w[i[live]], w[j[live]]), f[live]))

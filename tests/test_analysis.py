@@ -9,6 +9,7 @@ from oracles import (
     lamb_shift_bins_unique,
     lamb_shift_pairs_unique,
     lambshift_on_gibbs_loop,
+    lambshift_on_gibbs_table,
     random_hermitian,
     secular_residuals_loop,
 )
@@ -30,6 +31,7 @@ from ule import (
     expectation,
     f_values,
     gibbs_deviation,
+    gibbs_populations,
     gibbs_residual_report,
     gibbs_state,
     jump_spectral,
@@ -41,7 +43,7 @@ from ule import (
     three_level_baseline,
     trend_sweep,
 )
-from ule.generator import MemoryLimitError, lamb_shift_f
+from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_eigen, lamb_shift_f
 from ule.spinchain import chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -106,9 +108,9 @@ def test_dissipator_formula_single_frequency_is_zero():
 def test_lambshift_commutator_routes_on_baseline():
     eig, ch, bohr, rho_th = baseline_setup()
     quad = QuadratureSpec()
-    f = lamb_shift_f(bohr, BATH, quad)
-    direct = lambshift_on_gibbs_direct(build_lamb_shift(bohr, f), rho_th)
-    formula = lambshift_on_gibbs_formula(bohr, f, BATH.beta)
+    lam, _ = lamb_shift_eigen(bohr, BATH, quad)
+    direct = lambshift_on_gibbs_direct(build_lamb_shift(eig, lam), rho_th)
+    formula = lambshift_on_gibbs_formula(eig, lam, BATH.beta)
     norm = np.linalg.norm(direct)
     assert norm > 1e-6 * BATH.coupling
     assert np.linalg.norm(direct - formula) <= 1e-6 * norm
@@ -125,8 +127,36 @@ def test_lambshift_trivial_cases():
     # diagonal in the eigenbasis commutes with the thermal state
     assert np.linalg.norm(lambshift_on_gibbs_direct(lam_diag, rho_th)) <= 1e-15
     free = BathSpec(temperature=2.0, coupling=0.0, cutoff=100.0)
-    formula = lambshift_on_gibbs_formula(bohr, lamb_shift_f(bohr, free), free.beta)
+    formula = lambshift_on_gibbs_formula(eig, lamb_shift_eigen(bohr, free)[0], free.beta)
     assert np.linalg.norm(formula) == 0.0
+
+
+def test_lambshift_formula_matches_table_oracle_on_chain():
+    # the factor p_n - p_m moves out of the sum over l: weighting the
+    # eigenbasis Lamb shift reorders the rounding only. At B_z = 0 the
+    # commutator is 0.4-0.7% of the magnitudes of its terms, so there the
+    # deviation (1.3e-14 of the oracle at N = 6) is bounded against those
+    # magnitudes, sum_l |f X_ml X_ln| |p_n - p_m|, as everywhere
+    worst_rel = worst_scaled = 0.0
+    for n_sites in (3, 4, 5, 6):
+        for b_z in (0.0, 3.7, 8.0):
+            spec = SpinChainSpec(N=n_sites, B_z=b_z)
+            channel = chain_channels(spec)[0]
+            eig = eigendecompose(build_chain_hamiltonian(spec))
+            bohr = bohr_decompose(channel.coupling_op, eig)
+            beta = channel.bath.beta
+            f = lamb_shift_f(bohr, channel.bath, spec.quad)
+            lam, _ = lamb_shift_eigen(bohr, channel.bath, spec.quad)
+            want = lambshift_on_gibbs_table(bohr, f, beta)
+            err = np.linalg.norm(lambshift_on_gibbs_formula(eig, lam, beta) - want)
+            p = gibbs_populations(eig, beta)
+            xa = np.abs(bohr.coupling_eigen)
+            terms = np.abs(p[None, :] - p[:, None]) * np.einsum("ml,ln,mln->mn", xa, xa, np.abs(f))
+            worst_scaled = max(worst_scaled, err / np.linalg.norm(terms))
+            if b_z:
+                worst_rel = max(worst_rel, err / np.linalg.norm(want))
+    assert worst_rel <= 1e-14
+    assert worst_scaled <= 1e-15
 
 
 def test_secular_residuals_vanish_identically():
@@ -176,6 +206,26 @@ def test_secular_residuals_match_dense_jump_loop():
         assert np.isclose(got[0], secular_residuals(bohr, BATH, commuting, fmatch)[0],
                           rtol=1e-12, atol=0.0)
         assert secular_residuals(bohr, BATH, rho) == (got[0], 0.0)
+
+
+def test_secular_lamb_half_without_lamb_shift_forms_nothing(monkeypatch):
+    # with fmatch None the Lamb half is 0.0 and no commutator is taken; with
+    # the Lamb shift on it is the commutator of the secular Lam, bitwise
+    from ule import analysis
+
+    eig, ch, bohr, rho_th = baseline_setup(hamiltonian=LADDER)
+    fmatch = matched_f(bohr, BATH)
+    _, lam, _ = _secular_parts(bohr, BATH, fmatch)
+    want = np.linalg.norm(lambshift_on_gibbs_direct(lam, eig.to_eigenbasis(rho_th)))
+    assert secular_residuals(bohr, BATH, rho_th, fmatch)[1] == want
+
+    def no_commutator(*args):
+        raise AssertionError("a Lamb commutator without a Lamb shift")
+
+    monkeypatch.setattr(analysis, "lambshift_on_gibbs_direct", no_commutator)
+    assert _secular_parts(bohr, BATH, None)[1] is None
+    rep = gibbs_residual_report(eig, ch, include_lamb_shift=False)
+    assert rep.secular_lambshift_norm == 0.0
 
 
 def test_secular_residuals_bin_at_rounding_scale():

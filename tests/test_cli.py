@@ -542,9 +542,10 @@ def test_residual_grid_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # at N = 9 the Lamb-shift f table's guard reserves 16 float64 tables
     # over the 512^3 level triples, 17 GB, and physical memory is read as
     # 512 MB; nothing of d^3 cells is built before the exit
-    from ule import generator
+    from ule import analysis, generator
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 29)
-    monkeypatch.setattr(generator.BohrDecomposition, "triple_bins", None)
+    for module in (analysis, generator):
+        monkeypatch.setattr(module, "lamb_shift_eigen", None)
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
     code = main(["residual", "--config", config, "--N", "9", "--ignore_lamb_shift", "false",
                  "--outdir", str(tmp_path)])
@@ -552,6 +553,26 @@ def test_residual_grid_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "512^3 level triples" in err
     assert not (tmp_path / "residuals.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["residual", "spinchain", "evolve", "steady"])
+def test_lamb_shift_beyond_memory_exits_2_before_eigendecompose(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    # the f table's guard needs only d = 2^N, so each chain command runs it
+    # before the eigendecomposition; at N = 10 it reserves 137 GB
+    from ule import cli, generator, spinchain
+
+    def no_eigendecompose(h):
+        raise AssertionError("eigendecompose before the f table's memory guard")
+
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 34)
+    for module in (cli, spinchain):
+        monkeypatch.setattr(module, "eigendecompose", no_eigendecompose)
+    config = os.path.join(ROOT, "demos", "chain_n6.cfg")
+    code = main([command, "--config", config, "--N", "10", "--ignore_lamb_shift", "false",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "1024^3 level triples" in capsys.readouterr().err
 
 
 def residual_lamb_off_in_512_mb(tmp_path, monkeypatch, n):

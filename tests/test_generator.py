@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bohr_double_sum_loop,
     jump_operator_bohr_sum,
     kron_superoperator,
     lamb_shift_bins_unique,
@@ -39,8 +40,8 @@ from ule import (
     three_level_baseline,
 )
 from ule import generator
-from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_f
-from ule.spinchain import chain_channels
+from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_eigen, lamb_shift_f
+from ule.spinchain import bath_coupling_operator, chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -98,8 +99,8 @@ def test_jump_operator_matches_bohr_sum_random_systems():
 
 
 def lamb_shift(eig, channel, quad=QuadratureSpec()):
-    bohr = bohr_decompose(channel.coupling_op, eig)
-    return build_lamb_shift(bohr, lamb_shift_f(bohr, channel.bath, quad))
+    lam_eigen, _ = lamb_shift_eigen(bohr_decompose(channel.coupling_op, eig), channel.bath, quad)
+    return build_lamb_shift(eig, lam_eigen)
 
 
 def test_lamb_shift_trivial_cases():
@@ -187,6 +188,57 @@ def test_lamb_shift_bins_match_unique_oracle(f_numbering):
         assert not np.any(f[~live])
     assert len(f_numbering) == len(systems)
     assert i.size == 19085
+
+
+def double_sum_systems():
+    """Random (H, X) for d = 2..6, and the N = 3 chain, whose degenerate
+    Bohr gaps share bins and whose coupling leaves some gap bins empty."""
+    rng = np.random.default_rng(43)
+    systems = []
+    for d in range(2, 7):
+        x = random_hermitian(rng, d)
+        systems.append((bohr_decompose(x, eigendecompose(random_hermitian(rng, d))), x))
+    eig = eigendecompose(build_chain_hamiltonian(SpinChainSpec(N=3)))
+    x = bath_coupling_operator(1, 3)
+    systems.append((bohr_decompose(x, eig), x))
+    return systems
+
+
+def test_lamb_shift_double_sum_matches_component_loop(monkeypatch):
+    # f replaced by a grid with distinct values in every cell: the sum of
+    # `lamb_shift_eigen` over the level-triple table is sum_ij grid[i, j]
+    # A(w_i) A(w_j), the loop over the A(w) of the oracle
+    rng = np.random.default_rng(7)
+    systems = double_sum_systems()
+    chain = systems[-1][0]
+    gaps = chain.eig.energies[None, :] - chain.eig.energies[:, None]
+    assert chain.nfreq < np.unique(np.round(gaps, 9)).size  # dropped zero bins
+    for bohr, x in systems:
+        w = bohr.frequencies
+        grid = rng.standard_normal((w.size, w.size))
+        monkeypatch.setattr(generator, "f_values", lambda bath, e1, e2, quad: grid[
+            np.searchsorted(w, e1), np.searchsorted(w, e2)])
+        lam_eigen, _ = lamb_shift_eigen(bohr, BATH)
+        got = bohr.eig.from_eigenbasis(lam_eigen)
+        want = bohr_double_sum_loop(bohr, x, grid)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+
+def test_lamb_shift_matched_values_are_f_at_w_minus_w():
+    # fmatch[k] = f(w_k, -w_k), read off the table's triples (m, l, m): it
+    # agrees with `f_values` on the matched pairs within twice the
+    # quadrature target (each value is within its target; the batches
+    # differ), and it is 0 at a frequency no live triple reads
+    quad = QuadratureSpec()
+    for bohr, _ in chain_and_random_systems() + [chain_bohr(4)]:
+        w = bohr.frequencies
+        _, fmatch = lamb_shift_eigen(bohr, BATH, quad)
+        read = np.zeros(w.size, dtype=bool)
+        read[bohr.bin_index[bohr.coupling_eigen != 0]] = True
+        want = f_values(BATH, w, -w, quad)
+        target = np.maximum(2.0 * np.pi * BATH.coupling * quad.atol, quad.rtol * np.abs(want))
+        assert np.all((np.abs(fmatch - want) <= 2.0 * target)[read])
+        assert not np.any(fmatch[~read])
 
 
 def test_lamb_shift_bins_check_grid_memory_first(monkeypatch):

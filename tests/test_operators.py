@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oracles import (
-    bohr_double_sum_loop,
     cluster_gaps_loop,
     jacobi_eigenvalues,
     random_hermitian,
@@ -22,7 +21,7 @@ from ule import (
     hermitize,
     trace_distance,
 )
-from ule.spinchain import bath_coupling_operator, chain_channels
+from ule.spinchain import chain_channels
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -257,36 +256,6 @@ def test_bohr_decompose_memory_on_n6_chain():
         tracemalloc.stop()
     assert bohr.nfreq == 1855
     assert peak < 5e6, f"bohr_decompose peak {peak / 1e6:.1f} MB"
-
-
-def double_sum_systems():
-    """Random (H, X) for d = 2..6, and the N = 3 chain, whose degenerate
-    Bohr gaps share bins and whose coupling leaves some gap bins empty."""
-    rng = np.random.default_rng(43)
-    systems = []
-    for d in range(2, 7):
-        x = random_hermitian(rng, d)
-        systems.append((bohr_decompose(x, eigendecompose(random_hermitian(rng, d))), x))
-    eig = eigendecompose(build_chain_hamiltonian(SpinChainSpec(N=3)))
-    x = bath_coupling_operator(1, 3)
-    systems.append((bohr_decompose(x, eig), x))
-    return systems
-
-
-def test_double_sum_matches_component_loop():
-    rng = np.random.default_rng(7)
-    systems = double_sum_systems()
-    chain = systems[-1][0]
-    gaps = chain.eig.energies[None, :] - chain.eig.energies[:, None]
-    assert chain.nfreq < np.unique(np.round(gaps, 9)).size  # dropped zero bins
-    for bohr, x in systems:
-        # a grid with distinct values in every cell, read on the level triples
-        nf = bohr.nfreq
-        grid = rng.standard_normal((nf, nf)) + 1j * rng.standard_normal((nf, nf))
-        i, j = bohr.triple_bins()
-        got = bohr.double_sum(grid[i, j])
-        want = bohr_double_sum_loop(bohr, x, grid)
-        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_gibbs_infinite_temperature_is_maximally_mixed():
