@@ -12,6 +12,7 @@ import numpy as np
 from ule import (
     BathSpec,
     NoiseChannel,
+    QuadratureSpec,
     bohr_decompose,
     build_lamb_shift,
     build_liouvillian,
@@ -33,7 +34,9 @@ print("Lamb shift (diagonal in the energy basis, so it cannot move the steady st
 lam_eigen, _ = lamb_shift_eigen(bohr, bath)
 print(np.round(build_lamb_shift(eig, lam_eigen).real, 6))
 
-sop = build_liouvillian(eig, [channel], include_lamb_shift=True)
+# the Lamb shift is one argument: the quadrature of its f values (this is
+# the default), or None to leave it out
+sop = build_liouvillian(eig, [channel], lamb_shift=QuadratureSpec())
 
 # relax from the excited state and watch the population decay
 rho0 = eig.projector(1)

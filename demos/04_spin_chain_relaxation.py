@@ -19,6 +19,10 @@ equals fig1b.csv):
 
     ule spinchain --config demos/chain_n6.cfg --outdir out/
     ule steady    --config demos/chain_n6.cfg --outdir out/
+
+The chain runs without the Lamb shift, as the reference run does;
+SpinChainSpec(lamb_shift=QuadratureSpec()) adds it, and so does
+`ignore_lamb_shift = false` in the config, with its `rtol` and `atol`.
 """
 
 from ule import SpinChainSpec, run_relaxation
@@ -26,7 +30,7 @@ from ule.io import write_csv
 
 spec = SpinChainSpec(N=4, B_z=8.0, T1=2.0, gamma1=0.1, gamma2=0.0, Lambda_c=100.0)
 print(f"chain: N = {spec.N}, B_z = {spec.B_z}, T1 = {spec.T1}, "
-      f"gamma1 = {spec.gamma1}, Lamb shift ignored = {spec.ignore_lamb_shift}")
+      f"gamma1 = {spec.gamma1}, Lamb shift on = {spec.lamb_shift is not None}")
 
 result = run_relaxation(spec, samples=200, tol=1e-8)
 

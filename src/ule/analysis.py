@@ -29,11 +29,12 @@ p_n - p_m and p_n (1 - e^(beta (E_n - E_m)/2))^2 = (sqrt p_n - sqrt p_m)^2:
 no exponential of a positive argument, at any T. The Lamb-shift formula
 weights the eigenbasis Lamb shift of `generator.lamb_shift_eigen` by p_n -
 p_m; the dissipator's g(w1) g(w2) separates in l, so its sum is one d x d product.
+Each mismatch is reported with its tolerance, which `ule residual` enforces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .bath import BathSpec, QuadratureSpec, jump_spectral
 from .dynamics import expectation, steady_state
 from .generator import (
     NoiseChannel,
+    _lamb_shift_channels,
     _secular_parts,
     build_jump_operator,
     build_lamb_shift,
@@ -85,17 +87,8 @@ class ResidualReport:
     gamma: float
 
     def rows(self):
-        """(quantity, norm) pairs for tabular output."""
-        return [
-            ("dissipator_direct_norm", self.dissipator_direct_norm),
-            ("dissipator_formula_norm", self.dissipator_formula_norm),
-            ("dissipator_mismatch", self.dissipator_mismatch),
-            ("lambshift_direct_norm", self.lambshift_direct_norm),
-            ("lambshift_formula_norm", self.lambshift_formula_norm),
-            ("lambshift_mismatch", self.lambshift_mismatch),
-            ("secular_dissipator_norm", self.secular_dissipator_norm),
-            ("secular_lambshift_norm", self.secular_lambshift_norm),
-        ]
+        """(quantity, norm) pairs for tabular output: every field but gamma, in order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "gamma"]
 
 
 @dataclass(frozen=True)
@@ -191,21 +184,20 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=No
 
 
 def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
-                          quad: QuadratureSpec = QuadratureSpec(),
-                          include_lamb_shift: bool = True) -> ResidualReport:
+                          lamb_shift: QuadratureSpec | None = QuadratureSpec()) -> ResidualReport:
     """Evaluate all Gibbs residuals for one channel by both routes.
 
     Norms are reported in units of gamma so baselines compare across
-    couplings. With include_lamb_shift false every Lamb-shift entry,
-    including the secular one, is zero and no quadrature runs; otherwise
-    `lamb_shift_eigen` (its memory guard first) gives the Lamb shift both
-    routes read and the matched pairs f(w, -w) of the secular Lamb shift.
+    couplings. With `lamb_shift` None, or at zero coupling, every Lamb-shift
+    entry, including the secular one, is zero and no quadrature runs;
+    otherwise the f table's guard runs first, and `lamb_shift_eigen` gives the
+    Lamb shift both routes read and the secular Lamb shift's f(w, -w).
     """
     bath = channel.bath
     beta = bath.beta
+    with_lamb = _lamb_shift_channels([channel], lamb_shift)
     bohr = bohr_decompose(channel.coupling_op, eig)
-    with_lamb = include_lamb_shift and bath.coupling > 0
-    lam, fmatch = lamb_shift_eigen(bohr, bath, quad) if with_lamb else (None, None)
+    lam, fmatch = lamb_shift_eigen(bohr, bath, lamb_shift) if with_lamb else (None, None)
     rho_th = gibbs_state(eig, beta)
     unit = bath.coupling if bath.coupling > 0 else 1.0
 
@@ -222,8 +214,7 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
         l_formula_norm = frobenius(l_formula)
         l_tol = 1e-6 * max(l_direct_norm, 1e-300)
     else:
-        l_direct_norm = l_formula_norm = l_mismatch = 0.0
-        l_tol = 0.0
+        l_direct_norm = l_formula_norm = l_mismatch = l_tol = 0.0
 
     r8, r9 = secular_residuals(bohr, bath, rho_th, fmatch)
 
@@ -326,7 +317,7 @@ def trend_sweep(system: TrendSystem, temperatures, couplings) -> SweepResult:
             bath = BathSpec(temperature=t, coupling=gam, cutoff=system.cutoff)
             channel = NoiseChannel(coupling_op=system.coupling_op, bath=bath)
             try:
-                sop = build_liouvillian(eig, [channel], include_lamb_shift=False)
+                sop = build_liouvillian(eig, [channel], lamb_shift=None)
                 rho_ss = steady_state(sop).state
                 cells[(t, gam)] = gibbs_deviation(rho_ss, eig, bath.beta,
                                                   observable=system.observable)

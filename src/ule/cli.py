@@ -32,14 +32,13 @@ from .analysis import (
 )
 from .bath import BathSpec, QuadratureSpec, QuadratureError, f_values, jump_spectral
 from .dynamics import PropagationError, SteadyStateError
-from .generator import _require_lamb_shift_memory, _require_memory
+from .generator import _require_memory
 from .io import format_value, write_csv, write_json
-from .operators import eigendecompose
 from .spinchain import (
     SpinChainSpec,
-    build_chain_hamiltonian,
     build_chain_superop,
     chain_channels,
+    chain_eigendecompose,
     chain_steady_state,
     relax_chain,
     run_relaxation,
@@ -121,7 +120,7 @@ CONFIG_SCHEMA = {
     "gamma2": (float, SpinChainSpec.gamma2, _NON_NEGATIVE),
     "Lambda_c": (float, SpinChainSpec.Lambda_c, _POSITIVE),
     "couple_sites": (_parse_sites, SpinChainSpec.couple_sites, None),
-    "ignore_lamb_shift": (_parse_bool, SpinChainSpec.ignore_lamb_shift, None),
+    "ignore_lamb_shift": (_parse_bool, SpinChainSpec.lamb_shift is None, None),
     "rtol": (float, QuadratureSpec.rtol, _POSITIVE),
     "atol": (float, QuadratureSpec.atol, _POSITIVE),
     "t_end": (float, None, _POSITIVE),
@@ -194,7 +193,7 @@ def spec_from_config(cfg: dict) -> SpinChainSpec:
         N=cfg["N"], eta=cfg["eta"], B_z=cfg["B_z"], T1=cfg["T1"], T2=cfg["T2"],
         gamma1=cfg["gamma1"], gamma2=cfg["gamma2"], Lambda_c=cfg["Lambda_c"],
         couple_sites=cfg.get("couple_sites"),
-        ignore_lamb_shift=cfg["ignore_lamb_shift"], quad=quad_from_config(cfg))
+        lamb_shift=None if cfg["ignore_lamb_shift"] else quad_from_config(cfg))
 
 
 # Bytes held per row of a written table (arrays and CSV floats): tracemalloc
@@ -288,15 +287,18 @@ def cmd_residual(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
     channel = chain_channels(spec)[0]
-    if not spec.ignore_lamb_shift and channel.bath.coupling > 0:
-        _require_lamb_shift_memory(2 ** spec.N)  # before the eigendecomposition
-    eig = eigendecompose(build_chain_hamiltonian(spec))
-    report = gibbs_residual_report(eig, channel, spec.quad,
-                                   include_lamb_shift=not spec.ignore_lamb_shift)
+    eig = chain_eigendecompose(spec, [channel])
+    report = gibbs_residual_report(eig, channel, spec.lamb_shift)
     write_csv(_out(args, "residuals.csv"), ["quantity", "norm"], report.rows())
     for name, value in report.rows():
         print(f"{name} = {format_value(value)}")
-    return EXIT_OK
+    table = dict(report.rows())
+    missed = [q for q in ("dissipator_mismatch", "lambshift_mismatch")
+              if not table[q] <= table[f"{q}_tol"]]  # NaN misses too
+    for q in missed:
+        print(f"numerical failure: {q} = {format_value(table[q])} exceeds its "
+              f"tolerance {format_value(table[f'{q}_tol'])}", file=sys.stderr)
+    return EXIT_NUMERICAL if missed else EXIT_OK
 
 
 def cmd_bath(args) -> int:

@@ -11,8 +11,9 @@ with, per noise channel (coupling operator X, bath g and f),
 
 Lam is a Bohr double sum over the level triples (m, l, n), and only this
 module builds, indexes or sums arrays over them: the f table `lamb_shift_f`
-behind `_require_lamb_shift_memory`, summed by `lamb_shift_eigen`, the one
-call `build_liouvillian` and `analysis.gibbs_residual_report` make. The secular
+behind `_require_lamb_shift_memory`, summed by `lamb_shift_eigen`. The Lamb
+shift is one argument, `lamb_shift` (its quadrature, or None), and
+`_lamb_shift_channels` alone picks the channels that get it, guard first. The secular
 generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w) and its
 dissipator come from one construction, `_secular_parts`: in the
 eigenbasis A(w) A(w)^dag, A(w)^dag A(w) and the sandwich A(w) y A(w)^dag
@@ -234,24 +235,28 @@ def build_lamb_shift(eig: EigenDecomposition, lam_eigen) -> np.ndarray:
     return hermitize(lam)
 
 
+def _lamb_shift_channels(channels, lamb_shift: QuadratureSpec | None) -> list:
+    """The channels that get a Lamb shift (`lamb_shift` set, coupling > 0), after its guard."""
+    picked = [ch for ch in channels if lamb_shift is not None and ch.bath.coupling > 0]
+    if picked:
+        _require_lamb_shift_memory(picked[0].coupling_op.shape[0])
+    return picked
+
+
 def build_liouvillian(eig: EigenDecomposition, channels,
-                      quad: QuadratureSpec = QuadratureSpec(),
-                      include_lamb_shift: bool = True) -> Superoperator:
+                      lamb_shift: QuadratureSpec | None = QuadratureSpec()) -> Superoperator:
     """Generator of the master equation for a list of channels.
 
     H_eff = H + sum_c Lam_c and one jump operator per channel, without dense
-    work. With `include_lamb_shift` false, or for a channel with zero
-    coupling (where f vanishes), that channel's Lamb shift is skipped and no
-    quadrature runs.
+    work. With `lamb_shift` None, or for a channel with zero coupling, that
+    channel's Lamb shift is skipped and no quadrature runs; the f table's
+    memory guard runs before any jump is built.
     """
     lam = np.zeros((eig.dim, eig.dim), dtype=complex)
-    jumps = []
-    for ch in channels:
-        jumps.append(build_jump_operator(eig, ch))
-        if include_lamb_shift and ch.bath.coupling > 0:
-            lam_eigen, _ = lamb_shift_eigen(bohr_decompose(ch.coupling_op, eig), ch.bath, quad)
-            lam = lam + build_lamb_shift(eig, lam_eigen)
-    return Superoperator(eig.reconstruct() + lam, jumps)
+    for ch in _lamb_shift_channels(channels, lamb_shift):
+        lam_eigen, _ = lamb_shift_eigen(bohr_decompose(ch.coupling_op, eig), ch.bath, lamb_shift)
+        lam = lam + build_lamb_shift(eig, lam_eigen)
+    return Superoperator(eig.reconstruct() + lam, [build_jump_operator(eig, ch) for ch in channels])
 
 
 def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
@@ -290,15 +295,14 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
 
 
 def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
-                            quad: QuadratureSpec = QuadratureSpec(),
-                            include_lamb_shift: bool = True) -> Superoperator:
+                            lamb_shift: QuadratureSpec | None = QuadratureSpec()) -> Superoperator:
     """Conventional (secular) generator obtained by keeping only matched
     Bohr-frequency pairs.
 
     Dissipator: sum_w (2 pi)^2 gamma g(w)^2 [ A(w) rho A(w)^dag
     - (1/2){A(w)^dag A(w), rho} ]; coherent part: H plus the secular Lamb
-    shift sum_w f(w, -w) A(w) A(-w). The Gibbs state of H is stationary for
-    this generator.
+    shift sum_w f(w, -w) A(w) A(-w), skipped as in `build_liouvillian`. The
+    Gibbs state of H is stationary for this generator.
 
     c_k and the Lamb shift come from `_secular_parts`, the source
     `analysis.secular_residuals` also applies. The generator keeps one dense
@@ -307,7 +311,8 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     it; the Gibbs check never does.
     """
     w = bohr.frequencies
-    fmatch = f_values(channel.bath, w, -w, quad) if include_lamb_shift else None
+    with_lamb = _lamb_shift_channels([channel], lamb_shift)
+    fmatch = f_values(channel.bath, w, -w, lamb_shift) if with_lamb else None
     c, lam, _ = _secular_parts(bohr, channel.bath, fmatch)
     jumps = (c[k] * bohr.component(k) for k in range(bohr.nfreq))
     h = bohr.eig.reconstruct()

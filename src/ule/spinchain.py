@@ -12,20 +12,20 @@ fully polarized product state opposing the field (all spins up, the
 highest Zeeman energy under the +B_z convention) and relaxes; the
 experiment records the z magnetization over time, the steady state of
 the generator, and its deviation from the Gibbs state at the first bath's
-temperature.
+temperature. `chain_eigendecompose` runs the Lamb shift's memory guard first.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import DeviationReport, gibbs_deviation
 from .bath import BathSpec, QuadratureSpec
 from .dynamics import SteadyStateReport, Trajectory, propagate, steady_state
-from .generator import NoiseChannel, _require_lamb_shift_memory, build_liouvillian
+from .generator import NoiseChannel, _lamb_shift_channels, build_liouvillian
 from .operators import EigenDecomposition, eigendecompose
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,8 +41,8 @@ MAX_SITES = 10
 class SpinChainSpec:
     """Parameters of the open-chain experiment.
 
-    couple_sites are 1-based; ignore_lamb_shift defaults on, matching the
-    reference run.
+    couple_sites are 1-based; lamb_shift (the quadrature of its f values)
+    defaults to None, no Lamb shift, matching the reference run.
     """
 
     N: int = 6
@@ -54,8 +54,7 @@ class SpinChainSpec:
     gamma2: float = 0.0
     Lambda_c: float = 100.0
     couple_sites: tuple | None = None
-    ignore_lamb_shift: bool = True
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
+    lamb_shift: QuadratureSpec | None = None
 
     def __post_init__(self):
         if not (2 <= self.N <= MAX_SITES):
@@ -156,15 +155,17 @@ def all_up_state(n_sites: int) -> np.ndarray:
     return rho
 
 
+def chain_eigendecompose(spec: SpinChainSpec, channels) -> EigenDecomposition:
+    """The chain Hamiltonian's eigendecomposition, after the Lamb shift's memory guard."""
+    _lamb_shift_channels(channels, spec.lamb_shift)
+    return eigendecompose(build_chain_hamiltonian(spec))
+
+
 def build_chain_superop(spec: SpinChainSpec):
-    """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator;
-    the Lamb shift's memory guard runs first."""
+    """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator."""
     channels = chain_channels(spec)
-    if not spec.ignore_lamb_shift and any(ch.bath.coupling > 0 for ch in channels):
-        _require_lamb_shift_memory(2 ** spec.N)
-    eig = eigendecompose(build_chain_hamiltonian(spec))
-    return eig, build_liouvillian(eig, channels, spec.quad,
-                                  include_lamb_shift=not spec.ignore_lamb_shift)
+    eig = chain_eigendecompose(spec, channels)
+    return eig, build_liouvillian(eig, channels, spec.lamb_shift)
 
 
 def relax_chain(spec: SpinChainSpec, sop, t_end: float | None = None,

@@ -185,7 +185,7 @@ def test_criterion_3_secular_vanishing(ensemble):
         bath = channel.bath
         fmatch = f_values(bath, bohr.frequencies, -bohr.frequencies, QUAD)
         scale = sum(np.linalg.norm(l) ** 2 for l in
-                    build_secular_generator(bohr, channel, include_lamb_shift=False).jumps)
+                    build_secular_generator(bohr, channel, lamb_shift=None).jumps)
 
         def parts(rho):
             return np.array(secular_residuals(bohr, bath, rho, fmatch)) / scale
@@ -234,7 +234,7 @@ def test_criterion_4_gibbs_non_stationarity():
     rho_th = gibbs_state(eig, bath.beta)
     jump = build_jump_operator(eig, ch)
     baseline_norm = np.linalg.norm(dissipator_on_gibbs_direct(jump, rho_th))
-    sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
+    sop = build_liouvillian(eig, [ch], lamb_shift=None)
     baseline_dist = trace_distance(steady_state(sop).state, rho_th)
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
@@ -290,10 +290,10 @@ def test_criterion_6_dynamics_contracts():
 
     eig_q = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch_q = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
-    sop_q = build_liouvillian(eig_q, [ch_q], include_lamb_shift=False)
+    sop_q = build_liouvillian(eig_q, [ch_q], lamb_shift=None)
     eig_3 = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     ch_3 = NoiseChannel(coupling_op=random_hermitian(rng, 3), bath=bath)
-    sop_3 = build_liouvillian(eig_3, [ch_3], include_lamb_shift=False)
+    sop_3 = build_liouvillian(eig_3, [ch_3], lamb_shift=None)
 
     from ule import propagate
     worst_drift = worst_eig = 0.0

@@ -145,8 +145,8 @@ def test_lambshift_formula_matches_table_oracle_on_chain():
             eig = eigendecompose(build_chain_hamiltonian(spec))
             bohr = bohr_decompose(channel.coupling_op, eig)
             beta = channel.bath.beta
-            f = lamb_shift_f(bohr, channel.bath, spec.quad)
-            lam, _ = lamb_shift_eigen(bohr, channel.bath, spec.quad)
+            f = lamb_shift_f(bohr, channel.bath, QuadratureSpec())
+            lam, _ = lamb_shift_eigen(bohr, channel.bath, QuadratureSpec())
             want = lambshift_on_gibbs_table(bohr, f, beta)
             err = np.linalg.norm(lambshift_on_gibbs_formula(eig, lam, beta) - want)
             p = gibbs_populations(eig, beta)
@@ -224,7 +224,7 @@ def test_secular_lamb_half_without_lamb_shift_forms_nothing(monkeypatch):
 
     monkeypatch.setattr(analysis, "lambshift_on_gibbs_direct", no_commutator)
     assert _secular_parts(bohr, BATH, None)[1] is None
-    rep = gibbs_residual_report(eig, ch, include_lamb_shift=False)
+    rep = gibbs_residual_report(eig, ch, lamb_shift=None)
     assert rep.secular_lambshift_norm == 0.0
 
 
@@ -241,20 +241,21 @@ def test_secular_residuals_bin_at_rounding_scale():
 
 
 def test_residual_report_refuses_before_the_work(monkeypatch):
-    # the f table's memory guard needs only d: it runs before the jump and
-    # both dissipator routes are built
+    # the f table's memory guard needs only d: it runs before the Bohr
+    # decomposition, the jump and both dissipator routes
     from ule import analysis, generator
 
     def no_work(*args, **kwargs):
         raise AssertionError("residual work before the f-table guard")
 
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 20)
-    for name in ("build_jump_operator", "dissipator_on_gibbs_formula", "_secular_parts"):
+    for name in ("bohr_decompose", "build_jump_operator", "dissipator_on_gibbs_formula",
+                 "_secular_parts"):
         monkeypatch.setattr(analysis, name, no_work)
     spec = SpinChainSpec(N=5)
     eig = eigendecompose(build_chain_hamiltonian(spec))
     with pytest.raises(MemoryLimitError, match="32\\^3 level triples"):
-        gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
+        gibbs_residual_report(eig, chain_channels(spec)[0])
 
 
 def test_secular_residuals_memory_on_n8_chain():
@@ -311,7 +312,7 @@ def test_residual_report_fields_consistent():
                                                        rel=1e-9)
     names = [name for name, _ in rep.rows()]
     assert names[0] == "dissipator_direct_norm"
-    assert len(names) == 8
+    assert len(names) == 10
 
 
 @pytest.fixture
@@ -340,7 +341,7 @@ def test_residual_report_evaluates_each_f_pair_once(f_calls):
 
 def test_residual_report_without_lamb_shift(f_calls):
     eig, ch, _, _ = baseline_setup()
-    rep = gibbs_residual_report(eig, ch, include_lamb_shift=False)
+    rep = gibbs_residual_report(eig, ch, lamb_shift=None)
     assert rep.lambshift_direct_norm == 0.0
     assert rep.lambshift_formula_norm == 0.0
     assert rep.secular_lambshift_norm == 0.0
@@ -357,7 +358,7 @@ def test_residual_report_on_chain_with_lamb_shift(monkeypatch):
     monkeypatch.setattr(BohrDecomposition, "component", no_component)
     spec = SpinChainSpec(N=4)
     eig = eigendecompose(build_chain_hamiltonian(spec))
-    rep = gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
+    rep = gibbs_residual_report(eig, chain_channels(spec)[0])
     assert rep.lambshift_direct_norm > 0.0
     assert rep.dissipator_mismatch <= rep.dissipator_mismatch_tol
     assert rep.lambshift_mismatch <= rep.lambshift_mismatch_tol
@@ -372,7 +373,7 @@ def test_residual_routes_agree_on_cold_chain(n_sites, t1):
     # rounding or overflow shows here first; a RuntimeWarning fails the test
     spec = SpinChainSpec(N=n_sites, T1=t1)
     eig = eigendecompose(build_chain_hamiltonian(spec))
-    rep = gibbs_residual_report(eig, chain_channels(spec)[0], spec.quad)
+    rep = gibbs_residual_report(eig, chain_channels(spec)[0])
     assert rep.dissipator_direct_norm > 0.0 and rep.lambshift_direct_norm > 0.0
     assert rep.dissipator_mismatch <= rep.dissipator_mismatch_tol
     assert rep.lambshift_mismatch <= rep.lambshift_mismatch_tol
@@ -384,12 +385,12 @@ def test_chain_n5_with_lamb_shift_end_to_end():
     spec = SpinChainSpec(N=5)
     eig = eigendecompose(build_chain_hamiltonian(spec))
     channels = chain_channels(spec)
-    sop = build_liouvillian(eig, channels, spec.quad, include_lamb_shift=True)
+    sop = build_liouvillian(eig, channels)
     bound = 1e-10 * max(1.0, float(np.max(np.abs(kron_superoperator(sop)))))
     assert sop.trace_preservation_defect() <= bound
     report = steady_state(sop)
     assert report.kernel_dimension == 1
-    rep = gibbs_residual_report(eig, channels[0], spec.quad)
+    rep = gibbs_residual_report(eig, channels[0])
     assert rep.lambshift_direct_norm > 0.0
     assert rep.lambshift_mismatch <= 1e-6 * rep.lambshift_direct_norm
 
@@ -405,7 +406,7 @@ def test_gibbs_deviation_identity():
 def test_gibbs_deviation_qubit_steady_state():
     eig = eigendecompose(np.diag([-0.5, 0.5]).astype(complex))
     ch = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=BATH)
-    sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
+    sop = build_liouvillian(eig, [ch], lamb_shift=None)
     rho_ss = steady_state(sop).state
     dev = gibbs_deviation(rho_ss, eig, BATH.beta)
     assert dev.trace_distance <= 1e-9
@@ -413,7 +414,7 @@ def test_gibbs_deviation_qubit_steady_state():
 
 def test_gibbs_deviation_observable_gap_and_rows():
     eig, ch, _, rho_th = baseline_setup()
-    sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
+    sop = build_liouvillian(eig, [ch], lamb_shift=None)
     rho_ss = steady_state(sop).state
     obs = np.diag([1.0, 0.0, -1.0]).astype(complex)
     dev = gibbs_deviation(rho_ss, eig, BATH.beta, observable=obs)

@@ -38,6 +38,10 @@ from ule.generator import lamb_shift_f
 from ule.spinchain import chain_channels
 
 
+# the default quadrature, under which the chain's Lamb-shift pairs are tested
+QUAD = QuadratureSpec()
+
+
 def make_bath(T=2.0, gamma=0.1, cutoff=100.0):
     return BathSpec(temperature=T, coupling=gamma, cutoff=cutoff)
 
@@ -252,10 +256,10 @@ def test_quadrature_spec_validation():
 def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():
     spec, channel, bohr = chain4_lamb()
     e1, e2 = lamb_shift_pairs_unique(bohr)
-    values = f_values(channel.bath, e1, e2, spec.quad)
-    loop = np.array([f_integral_loop(channel.bath, a, b, spec.quad) for a, b in zip(e1, e2)])
+    values = f_values(channel.bath, e1, e2, QUAD)
+    loop = np.array([f_integral_loop(channel.bath, a, b, QUAD) for a, b in zip(e1, e2)])
     assert e1.size > _CHUNK_PAIRS
-    assert_within_target(values, loop, channel.bath, spec.quad)
+    assert_within_target(values, loop, channel.bath, QUAD)
 
 
 def test_f_values_match_per_pair_loop_on_random_pairs():
@@ -301,12 +305,12 @@ def test_f_values_match_every_pair_oracle_on_chain_lamb_pairs(n_sites):
     # so a permuted input and a rerun are bitwise the same
     spec, channel, bohr = chain_lamb(n_sites)
     e1, e2 = lamb_shift_pairs_unique(bohr)
-    values = f_values(channel.bath, e1, e2, spec.quad)
-    assert_within_target(values, f_values_every_pair(channel.bath, e1, e2, spec.quad),
-                         channel.bath, spec.quad)
+    values = f_values(channel.bath, e1, e2, QUAD)
+    assert_within_target(values, f_values_every_pair(channel.bath, e1, e2, QUAD),
+                         channel.bath, QUAD)
     perm = np.random.default_rng(n_sites).permutation(e1.size)
-    assert np.array_equal(f_values(channel.bath, e1[perm], e2[perm], spec.quad), values[perm])
-    assert np.array_equal(f_values(channel.bath, e1, e2, spec.quad), values)
+    assert np.array_equal(f_values(channel.bath, e1[perm], e2[perm], QUAD), values[perm])
+    assert np.array_equal(f_values(channel.bath, e1, e2, QUAD), values)
 
 
 def test_f_values_match_every_pair_oracle_on_swap_classes():
@@ -367,7 +371,7 @@ def test_lamb_shift_f_is_exactly_swap_symmetric():
     # (-w_j, -w_i) of the pair (w_i, w_j) of the triple (m, l, n)
     spec, channel, bohr = chain4_lamb()
     assert np.array_equal(bohr.frequencies[::-1], -bohr.frequencies)
-    f = lamb_shift_f(bohr, channel.bath, spec.quad)
+    f = lamb_shift_f(bohr, channel.bath, QUAD)
     live = bohr.coupling_eigen != 0
     assert np.array_equal(f != 0.0, live[:, :, None] & live[None, :, :])
     assert np.array_equal(f, f.transpose(2, 1, 0))
@@ -385,7 +389,7 @@ def test_f_values_integrate_each_swap_class_once(monkeypatch):
         return _sum_group_chunk(bath, c, group, s, *args)
 
     monkeypatch.setattr("ule.bath._sum_group_chunk", counting)
-    f_values(channel.bath, e1, e2, spec.quad)
+    f_values(channel.bath, e1, e2, QUAD)
     assert e1.size == 2219
     assert sum(sizes) == 1163
     assert sum(groups) == 64
@@ -429,7 +433,7 @@ def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
     monkeypatch.setattr("ule.bath._sum_group_chunk", chunk_counting)
     monkeypatch.setattr("ule.bath._panel_nodes", node_counting)
     monkeypatch.setattr("ule.bath._pair_panel_sums", entry_counting)
-    f_values(channel.bath, e1, e2, spec.quad)
+    f_values(channel.bath, e1, e2, QUAD)
     monkeypatch.setattr("ule.bath._MAX_DEPTH", 1)
     with pytest.raises(QuadratureError):
         f_values(make_bath(), [0.0, 0.0, 40.0, 2.0], [0.0, 3.0, -30.0, -1.0], STRICT)
@@ -550,14 +554,14 @@ def test_no_entry_lies_below_its_groups_tail_cut(monkeypatch):
 
     monkeypatch.setattr("ule.bath._sum_group_chunk", chunk)
     monkeypatch.setattr("ule.bath._pair_panel_sums", counting)
-    f_values(channel.bath, e1, e2, spec.quad)
+    f_values(channel.bath, e1, e2, QUAD)
     (_, before, after, tail), = cuts
     assert np.array_equal(np.concatenate([lo for _, lo in ranges]), after)
     assert np.all(after > before)
-    assert np.all(tail <= _TAIL_SHARE * spec.quad.atol)
+    assert np.all(tail <= _TAIL_SHARE * QUAD.atol)
     cut_entries = sum(entries)
     entries.clear()
-    f_values_full_range(channel.bath, e1, e2, spec.quad)
+    f_values_full_range(channel.bath, e1, e2, QUAD)
     assert sum(entries) == 165_993
     assert cut_entries < 0.8 * sum(entries)
 
@@ -570,7 +574,7 @@ def test_tail_cut_matches_full_range_oracle(monkeypatch, temperature):
     # keeps its range is bitwise the full range's, mirrors stay bitwise equal
     spec, _, bohr = chain4_lamb()
     bath = make_bath(T=temperature)
-    quad = spec.quad
+    quad = QUAD
     rng = np.random.default_rng(11)
     a, b = rng.uniform(-30.0, 30.0, size=(2, 200))
     w = rng.uniform(0.0, 30.0, size=10)

@@ -221,7 +221,7 @@ def test_residual_subcommand(tmp_path, capsys):
     assert main(["residual", "--config", path, "--outdir", str(out)]) == 0
     lines = (out / "residuals.csv").read_text().splitlines()
     assert lines[0] == "quantity,norm"
-    assert len(lines) == 9
+    assert len(lines) == 11
     quantities = [l.split(",")[0] for l in lines[1:]]
     assert "dissipator_direct_norm" in quantities
     assert "secular_lambshift_norm" in quantities
@@ -229,6 +229,31 @@ def test_residual_subcommand(tmp_path, capsys):
     table = dict(l.split(",") for l in lines[1:])
     assert float(table["lambshift_direct_norm"]) == 0.0
     assert float(table["dissipator_direct_norm"]) > 0.0
+
+
+@pytest.mark.parametrize("formula, quantity, factor, ignore_lamb_shift", [
+    ("dissipator_on_gibbs_formula", "dissipator_mismatch", 1 + 1e-6, "true"),
+    ("dissipator_on_gibbs_formula", "dissipator_mismatch", math.nan, "true"),
+    ("lambshift_on_gibbs_formula", "lambshift_mismatch", 1 + 1e-5, "false"),
+], ids=["dissipator", "dissipator_nan", "lambshift"])
+def test_residual_missed_identity_exits_3(tmp_path, capsys, monkeypatch, formula, quantity,
+                                          factor, ignore_lamb_shift):
+    # a formula route off by 1e-6 relative misses the dissipator's tolerance
+    # (1e-10 of the direct norm), one off by 1e-5 the Lamb shift's (1e-6),
+    # and NaN misses any: residuals.csv is still written, then the run exits
+    # 3 naming the quantity
+    from ule import analysis
+    original = getattr(analysis, formula)
+    monkeypatch.setattr(analysis, formula, lambda *args: factor * original(*args))
+    code = main(["residual", "--config", CHAIN_CFG, "--N", "3",
+                 "--ignore_lamb_shift", ignore_lamb_shift, "--outdir", str(tmp_path)])
+    assert code == 3
+    lines = (tmp_path / "residuals.csv").read_text().splitlines()
+    table = {k: float(v) for k, v in (line.split(",") for line in lines[1:])}
+    assert not table[quantity] <= table[f"{quantity}_tol"]
+    err = capsys.readouterr().err
+    assert (f"{quantity} = {format_value(table[quantity])} exceeds its tolerance "
+            f"{format_value(table[quantity + '_tol'])}") in err
 
 
 def test_sweep_subcommand(tmp_path, capsys):
@@ -559,15 +584,15 @@ def test_residual_grid_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 def test_lamb_shift_beyond_memory_exits_2_before_eigendecompose(tmp_path, capsys, monkeypatch,
                                                                  command):
     # the f table's guard needs only d = 2^N, so each chain command runs it
-    # before the eigendecomposition; at N = 10 it reserves 137 GB
-    from ule import cli, generator, spinchain
+    # in `spinchain.chain_eigendecompose`, before the eigendecomposition; at
+    # N = 10 it reserves 137 GB
+    from ule import generator, spinchain
 
     def no_eigendecompose(h):
         raise AssertionError("eigendecompose before the f table's memory guard")
 
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 34)
-    for module in (cli, spinchain):
-        monkeypatch.setattr(module, "eigendecompose", no_eigendecompose)
+    monkeypatch.setattr(spinchain, "eigendecompose", no_eigendecompose)
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
     code = main([command, "--config", config, "--N", "10", "--ignore_lamb_shift", "false",
                  "--outdir", str(tmp_path)])

@@ -26,6 +26,7 @@ from ule import (
     EigenDecomposition,
     NoiseChannel,
     PropagationError,
+    QuadratureSpec,
     SteadyStateError,
     bohr_decompose,
     build_liouvillian,
@@ -69,11 +70,11 @@ from ule.spinchain import (
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 
 
-def qubit_liouvillian(delta=1.0, include_lamb_shift=False):
+def qubit_liouvillian(delta=1.0, lamb=False):
     eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = NoiseChannel(coupling_op=x, bath=BATH)
-    return eig, build_liouvillian(eig, [ch], include_lamb_shift=include_lamb_shift)
+    return eig, build_liouvillian(eig, [ch], lamb_shift=QuadratureSpec() if lamb else None)
 
 
 def three_level_channel():
@@ -84,12 +85,12 @@ def three_level_channel():
 
 def three_level_liouvillian():
     eig, ch = three_level_channel()
-    return eig, build_liouvillian(eig, [ch], include_lamb_shift=False)
+    return eig, build_liouvillian(eig, [ch], lamb_shift=None)
 
 
 def test_eigenprojector_stationary_under_pure_commutator():
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
-    sop = build_liouvillian(eig, [], include_lamb_shift=False)
+    sop = build_liouvillian(eig, [], lamb_shift=None)
     rho0 = eig.projector(1)
     traj = propagate(sop, rho0, 5.0, np.linspace(0, 5.0, 11), tol=1e-10, keep_states=True)
     for state in traj.states:
@@ -258,7 +259,7 @@ def test_halving_tolerance_tightens_endpoint():
 
 
 def test_steady_state_qubit_is_gibbs():
-    eig, sop = qubit_liouvillian(include_lamb_shift=True)
+    eig, sop = qubit_liouvillian(lamb=True)
     report = steady_state(sop)
     assert report.kernel_dimension == 1
     assert report.residual <= 1e-9 * np.linalg.norm(kron_superoperator(sop))
@@ -275,7 +276,7 @@ def test_steady_state_three_level_differs_from_gibbs():
 
 def test_steady_state_zero_dissipator_flags_multiplicity():
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
-    sop = build_liouvillian(eig, [], include_lamb_shift=False)
+    sop = build_liouvillian(eig, [], lamb_shift=None)
     with pytest.raises(SteadyStateError) as info:
         steady_state(sop)
     assert info.value.kernel_dimension == 3
@@ -290,11 +291,11 @@ def three_level_secular_liouvillian():
 
 
 def lamb_chain_liouvillian(n):
-    return build_chain_superop(SpinChainSpec(N=n, ignore_lamb_shift=False))[1]
+    return build_chain_superop(SpinChainSpec(N=n, lamb_shift=QuadratureSpec()))[1]
 
 
 @pytest.mark.parametrize("build", [
-    lambda: qubit_liouvillian(include_lamb_shift=True)[1],
+    lambda: qubit_liouvillian(lamb=True)[1],
     lambda: three_level_liouvillian()[1],
     three_level_secular_liouvillian,
     lambda: lamb_chain_liouvillian(3),
@@ -332,7 +333,7 @@ def random_ensemble():
                 eig = eigendecompose(random_hermitian(rng, d))
                 bath = BathSpec(temperature=temperature, coupling=coupling, cutoff=100.0)
                 ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=bath)
-                yield build_liouvillian(eig, [ch], include_lamb_shift=lamb)
+                yield build_liouvillian(eig, [ch], lamb_shift=QuadratureSpec() if lamb else None)
 
 
 def test_gmres_matches_bordered_lu_oracle_on_random_ensemble():
@@ -416,7 +417,7 @@ def eps_coupled_liouvillian(eps, lamb=False, pairs=2):
         x[k, k + 1] = x[k + 1, k] = eps
     eig = eigendecompose(np.diag([0.0, *(1.0 + 1.5 * np.arange(d - 1))]).astype(complex))
     return build_liouvillian(eig, [NoiseChannel(coupling_op=x, bath=BATH)],
-                             include_lamb_shift=lamb)
+                             lamb_shift=QuadratureSpec() if lamb else None)
 
 
 @pytest.mark.parametrize("eps, lamb, failure", [
@@ -448,7 +449,7 @@ def test_two_dimensional_kernel_fails_the_certificate(eps, lamb, failure):
     (lambda: build_chain_superop(SpinChainSpec(N=3, B_z=0.0))[1], 1, 4),
     (lambda: build_chain_superop(SpinChainSpec(N=3, eta=0.0))[1], 4, 6),
     (lambda: build_liouvillian(eigendecompose(np.diag([0.0, 0.0, 1.0]).astype(complex)), [],
-                               include_lamb_shift=False), 3, 5),
+                               lamb_shift=None), 3, 5),
     (lambda: build_liouvillian(eigendecompose(np.zeros((3, 3))), []), 3, 9),
 ], ids=["three_weak_pairs", "degenerate_chain", "undamped_chain", "undamped_degenerate_pair",
         "zero_generator"])
@@ -547,7 +548,7 @@ def test_dense_generator_matches_kron_oracle(build):
 
 
 @pytest.mark.parametrize("build, kdim", [
-    (lambda: build_liouvillian(three_level_channel()[0], [], include_lamb_shift=False), 3),
+    (lambda: build_liouvillian(three_level_channel()[0], [], lamb_shift=None), 3),
     (lambda: eps_coupled_liouvillian(0.0), 2),
     (lambda: eps_coupled_liouvillian(0.0, lamb=True), 2),
     (lambda: eps_coupled_liouvillian(1e-8), 2),
@@ -734,7 +735,7 @@ def chain_superop(n, **kwargs):
 ESTIMATE_CASES = {
     **{f"chain{n}{suffix}": (lambda n=n, kwargs=kwargs: [chain_superop(n, **kwargs)], n >= 4)
        for n in range(3, 7)
-       for suffix, kwargs in (("", {}), ("_lamb", {"ignore_lamb_shift": False}),
+       for suffix, kwargs in (("", {}), ("_lamb", {"lamb_shift": QuadratureSpec()}),
                               ("_two_jumps", {"gamma2": 0.05}))},
     "random": (lambda: [random_liouvillian(13)[1]], False),
     "three_level": (lambda: [three_level_liouvillian()[1]], False),
@@ -860,7 +861,7 @@ def test_step_size_underflow_raises_at_its_time():
     bath = BathSpec(temperature=1.0, coupling=1e12, cutoff=100.0)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     sop = build_liouvillian(eig, [NoiseChannel(coupling_op=x, bath=bath)],
-                            include_lamb_shift=False)
+                            lamb_shift=None)
     with pytest.raises(PropagationError, match=r"step size underflow at t = 0\.0") as info:
         propagate(sop, eig.projector(1), 1.0, [0.0, 1.0])
     assert info.value.t_reached == 0.0
@@ -869,7 +870,7 @@ def test_step_size_underflow_raises_at_its_time():
 @pytest.mark.parametrize("n, lamb", [(3, False), (3, True), (4, False)],
                          ids=["chain3", "chain3_lamb", "chain4"])
 def test_propagate_matches_dp5_oracle_on_chain(n, lamb):
-    spec = SpinChainSpec(N=n, ignore_lamb_shift=not lamb)
+    spec = SpinChainSpec(N=n, lamb_shift=QuadratureSpec() if lamb else None)
     _, sop = build_chain_superop(spec)
     # the samples of `relax_chain`, with the states kept
     times = np.linspace(0.0, 50.0 / spec.gamma1, 200)
@@ -980,7 +981,7 @@ def chain_liouvillian(n, **kwargs):
     (lambda: chain_liouvillian(3), 3, 500.0),
     (lambda: lamb_chain_liouvillian(3), 3, 500.0),
     (lambda: chain_liouvillian(4), 4, 500.0),
-    (lambda: chain_liouvillian(4, ignore_lamb_shift=False), 4, 500.0),
+    (lambda: chain_liouvillian(4, lamb_shift=QuadratureSpec()), 4, 500.0),
     (lambda: chain_liouvillian(4, gamma2=0.05), 4, 500.0),
     (three_level_baseline_liouvillian, None, 100.0),
     # the benchmark's chain: 2,696 steps, about 2 s with the oracle

@@ -98,6 +98,12 @@ def test_jump_operator_matches_bohr_sum_random_systems():
         assert np.linalg.norm(l_elem.conj().T - adj) <= 1e-12 * scale
 
 
+def three_level_baseline_system(bath=BATH):
+    system = three_level_baseline()
+    return (eigendecompose(system.hamiltonian),
+            NoiseChannel(coupling_op=system.coupling_op, bath=bath))
+
+
 def lamb_shift(eig, channel, quad=QuadratureSpec()):
     lam_eigen, _ = lamb_shift_eigen(bohr_decompose(channel.coupling_op, eig), channel.bath, quad)
     return build_lamb_shift(eig, lam_eigen)
@@ -256,6 +262,37 @@ def test_lamb_shift_bins_check_grid_memory_first(monkeypatch):
     assert peak < 32 ** 3
 
 
+def test_liouvillian_refuses_lamb_shift_before_any_jump(monkeypatch):
+    # the f table's guard needs only d, so a table that does not fit (16
+    # tables of 3^3 float64 cells against 1 kB) is refused before the first
+    # jump or Bohr decomposition; without the Lamb shift the build runs
+    eig, ch = three_level_baseline_system()
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 10)
+
+    def no_work(*args):
+        raise AssertionError("generator work before the f table's memory guard")
+
+    with monkeypatch.context() as patched:
+        for name in ("build_jump_operator", "bohr_decompose"):
+            patched.setattr(generator, name, no_work)
+        with pytest.raises(MemoryLimitError, match="3\\^3 level triples"):
+            build_liouvillian(eig, [ch])
+    assert len(build_liouvillian(eig, [ch], lamb_shift=None).jumps) == 1
+
+
+def test_secular_generator_zero_coupling_makes_no_f_call(monkeypatch):
+    # f vanishes at zero coupling, so the secular Lamb shift is skipped
+    # there as in `build_liouvillian`: no f_values call and H_eff = H
+    def no_f(*args):
+        raise AssertionError("f_values on a zero-coupling channel")
+
+    monkeypatch.setattr(generator, "f_values", no_f)
+    eig, ch = three_level_baseline_system(BathSpec(temperature=2.0, coupling=0.0, cutoff=100.0))
+    sop = build_secular_generator(bohr_decompose(ch.coupling_op, eig), ch)
+    assert np.array_equal(sop.hamiltonian, hermitize(eig.reconstruct()))
+    assert sop.jumps == []
+
+
 def test_secular_parts_match_loop_oracle():
     # distinct f(w_k, -w_k) for every frequency: Lam_sec must pair each
     # with its own A(w_k) A(-w_k)
@@ -362,7 +399,7 @@ def test_trace_preservation_defect_is_the_anti_hermitian_part():
 
 def test_liouvillian_pure_commutator_spectrum():
     eig, _ = qubit_system(delta=2.0)
-    sop = build_liouvillian(eig, [], include_lamb_shift=False)
+    sop = build_liouvillian(eig, [], lamb_shift=None)
     ev = np.sort_complex(np.linalg.eigvals(kron_superoperator(sop)))
     assert np.allclose(ev.real, 0.0, atol=1e-12)
     assert np.allclose(np.sort(ev.imag), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
@@ -395,7 +432,7 @@ def test_apply_matrix_matches_dense_matrix_on_non_hermitian_inputs():
                        bath=BathSpec(temperature=1.0, coupling=0.05, cutoff=100.0))
     full = build_liouvillian(eig, [ch1])
     secular = build_secular_generator(bohr_decompose(x1, eig), ch1)
-    composed = build_liouvillian(eig, [ch1, ch2], include_lamb_shift=False)
+    composed = build_liouvillian(eig, [ch1, ch2], lamb_shift=None)
     assert len(composed.jumps) == 2
     for sop in (full, secular, composed):
         for _ in range(5):
@@ -410,14 +447,14 @@ def test_liouvillian_trace_preservation():
         d = int(rng.integers(2, 7))
         eig = eigendecompose(random_hermitian(rng, d))
         ch = NoiseChannel(coupling_op=random_hermitian(rng, d), bath=BATH)
-        sop = build_liouvillian(eig, [ch], include_lamb_shift=False)
+        sop = build_liouvillian(eig, [ch], lamb_shift=None)
         assert sop.trace_preservation_defect() <= 1e-10 * max(1.0, np.max(np.abs(kron_superoperator(sop))))
 
 
 def test_lamb_shift_flag_switches_coherent_part():
     eig, ch = qubit_system()
-    with_lamb = build_liouvillian(eig, [ch], include_lamb_shift=True)
-    without = build_liouvillian(eig, [ch], include_lamb_shift=False)
+    with_lamb = build_liouvillian(eig, [ch], lamb_shift=QuadratureSpec())
+    without = build_liouvillian(eig, [ch], lamb_shift=None)
     diff = kron_superoperator(with_lamb) - kron_superoperator(without)
     lam = lamb_shift(eig, ch)
     lam_only = -1j * (np.kron(np.eye(2), lam) - np.kron(lam.T, np.eye(2)))
@@ -429,7 +466,7 @@ def test_secular_zero_coupling_operator():
     bohr = bohr_decompose(np.zeros((2, 2)), eig)
     ch = NoiseChannel(coupling_op=np.zeros((2, 2)), bath=BATH)
     sop = build_secular_generator(bohr, ch)
-    commutator_only = build_liouvillian(eig, [], include_lamb_shift=False)
+    commutator_only = build_liouvillian(eig, [], lamb_shift=None)
     assert np.allclose(kron_superoperator(sop), kron_superoperator(commutator_only), atol=1e-14)
 
 
@@ -441,7 +478,7 @@ def test_secular_matches_full_for_qubit_sigma_x_population_sector():
     eig, ch = qubit_system()
     bohr = bohr_decompose(ch.coupling_op, eig)
     full = build_liouvillian(eig, [ch])
-    secular = build_secular_generator(bohr, ch, include_lamb_shift=True)
+    secular = build_secular_generator(bohr, ch, lamb_shift=QuadratureSpec())
     for pops in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7)):
         rho = eig.basis @ np.diag(pops).astype(complex) @ eig.basis.conj().T
         assert np.allclose(full.apply_matrix(rho), secular.apply_matrix(rho), atol=1e-12)
@@ -466,7 +503,7 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
     rho_th = gibbs_state(eig, BATH.beta)
     secular = build_secular_generator(bohr, ch)
     resid_sec = np.linalg.norm(kron_superoperator(secular) @ vec(rho_th))
-    full = build_liouvillian(eig, [ch], include_lamb_shift=False)
+    full = build_liouvillian(eig, [ch], lamb_shift=None)
     resid_full = np.linalg.norm(kron_superoperator(full) @ vec(rho_th))
     assert resid_sec <= 1e-10
     assert resid_full > 1e-4
@@ -474,19 +511,19 @@ def test_secular_annihilates_gibbs_full_ule_does_not():
 
 def test_channels_compose_identity_and_zero_channel():
     eig, ch = qubit_system()
-    single = build_liouvillian(eig, [ch], include_lamb_shift=False)
+    single = build_liouvillian(eig, [ch], lamb_shift=None)
     dead = NoiseChannel(coupling_op=ch.coupling_op,
                         bath=BathSpec(temperature=1.0, coupling=0.0, cutoff=100.0))
-    double = build_liouvillian(eig, [ch, dead], include_lamb_shift=False)
+    double = build_liouvillian(eig, [ch, dead], lamb_shift=None)
     assert np.max(np.abs(kron_superoperator(single) - kron_superoperator(double))) <= 1e-14
     assert len(double.jumps) == 1
 
 
 def test_channels_compose_two_equal_channels_double_dissipator():
     eig, ch = qubit_system()
-    one = build_liouvillian(eig, [ch], include_lamb_shift=False)
-    two = build_liouvillian(eig, [ch, ch], include_lamb_shift=False)
-    commutator = build_liouvillian(eig, [], include_lamb_shift=False)
+    one = build_liouvillian(eig, [ch], lamb_shift=None)
+    two = build_liouvillian(eig, [ch, ch], lamb_shift=None)
+    commutator = build_liouvillian(eig, [], lamb_shift=None)
     assert np.allclose(kron_superoperator(two) - kron_superoperator(commutator),
                        2.0 * (kron_superoperator(one) - kron_superoperator(commutator)), atol=1e-13)
 
@@ -499,7 +536,7 @@ from ule.spinchain import chain_channels
 spec = ule.SpinChainSpec(N=4)
 channel = chain_channels(spec)[0]
 eig = ule.eigendecompose(ule.build_chain_hamiltonian(spec))
-f = lamb_shift_f(ule.bohr_decompose(channel.coupling_op, eig), channel.bath, spec.quad)
+f = lamb_shift_f(ule.bohr_decompose(channel.coupling_op, eig), channel.bath, ule.QuadratureSpec())
 sys.stdout.buffer.write(f.tobytes())
 """
 
