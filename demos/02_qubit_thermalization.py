@@ -13,7 +13,6 @@ from ule import (
     BathSpec,
     NoiseChannel,
     QuadratureSpec,
-    bohr_decompose,
     build_lamb_shift,
     build_liouvillian,
     eigendecompose,
@@ -29,13 +28,12 @@ eig = eigendecompose(delta * np.diag([-0.5, 0.5]).astype(complex))
 bath = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 channel = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
 
-bohr = bohr_decompose(channel.coupling_op, eig)
 print("Lamb shift (diagonal in the energy basis, so it cannot move the steady state):")
-lam_eigen, _ = lamb_shift_eigen(bohr, bath)
+lam_eigen, _ = lamb_shift_eigen(eig, channel)
 print(np.round(build_lamb_shift(eig, lam_eigen).real, 6))
 
-# the Lamb shift is one argument: the quadrature of its f values (this is
-# the default), or None to leave it out
+# the Lamb shift is one argument: the error target of its w-integral (this
+# is the default), or None to leave it out
 sop = build_liouvillian(eig, [channel], lamb_shift=QuadratureSpec())
 
 # relax from the excited state and watch the population decay

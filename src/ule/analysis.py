@@ -168,7 +168,7 @@ def secular_residuals(bohr: BohrDecomposition, bath: BathSpec, rho_th, fmatch=No
     Returns (||sum_w D[L(w)](rho_th)||, ||[Lam_sec, rho_th]||) for the jumps
     L(w) = 2 pi sqrt(gamma) g(w) A(w) and the Lamb shift
     Lam_sec = sum_w f(w, -w) A(w) A(-w) of `build_secular_generator`, with
-    f(w_k, -w_k) = fmatch[k]; with `fmatch` None the Lamb part is 0.0. The
+    f(E_l - E_m, E_m - E_l) = fmatch[m, l]; with `fmatch` None the Lamb part is 0.0. The
     Gibbs state of H is stationary under the secular generator, so both vanish at
     rounding scale; a Gibbs state of another temperature or Hamiltonian does
     not. `rho_th` is rotated into the eigenbasis once, where `_secular_parts`
@@ -190,14 +190,14 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     Norms are reported in units of gamma so baselines compare across
     couplings. With `lamb_shift` None, or at zero coupling, every Lamb-shift
     entry, including the secular one, is zero and no quadrature runs;
-    otherwise the f table's guard runs first, and `lamb_shift_eigen` gives the
-    Lamb shift both routes read and the secular Lamb shift's f(w, -w).
+    otherwise one `lamb_shift_eigen` gives the Lamb shift both routes read
+    and the secular Lamb shift's f(w, -w).
     """
     bath = channel.bath
     beta = bath.beta
     with_lamb = _lamb_shift_channels([channel], lamb_shift)
     bohr = bohr_decompose(channel.coupling_op, eig)
-    lam, fmatch = lamb_shift_eigen(bohr, bath, lamb_shift) if with_lamb else (None, None)
+    lam, fmatch = lamb_shift_eigen(eig, channel, lamb_shift) if with_lamb else (None, None)
     rho_th = gibbs_state(eig, beta)
     unit = bath.coupling if bath.coupling > 0 else 1.0
 

@@ -1,5 +1,5 @@
 """Bath spectral data for the jump-correlation function g and the
-principal-value integral f feeding the Lamb shift.
+principal-value integral f (`ule bath`; the Lamb shift integrates g itself).
 
 The bath is Ohmic with a Gaussian cutoff and Bose thermal weighting,
 
@@ -90,6 +90,8 @@ class QuadratureSpec:
     h_s(u*) log((c - lo) / (c - u*)) from the group's left end lo, is at
     most atol / 16 for every pair of the group, and that bound is added to
     the pair's error sum. A panel may be halved at most `_MAX_DEPTH` times.
+    `generator.lamb_shift_eigen` reads rtol and atol as a bound on the
+    matrix Lam instead, max(atol, rtol max|Lam|) on its max entry.
     """
 
     rtol: float = 1e-8
@@ -104,7 +106,7 @@ class QuadratureError(RuntimeError):
     """Raised when the adaptive quadrature cannot meet its tolerance.
 
     Carries the best available estimate and its error bound; `pair` is the
-    offending (E1, E2), the first failing pair in input order of a batch.
+    first failing (E1, E2) in input order of an `f_values` batch, else None.
     """
 
     def __init__(self, msg, estimate, error_bound, pair=None):

@@ -34,11 +34,12 @@ from .bath import BathSpec, QuadratureSpec, QuadratureError, f_values, jump_spec
 from .dynamics import PropagationError, SteadyStateError
 from .generator import _require_memory
 from .io import format_value, write_csv, write_json
+from .operators import eigendecompose
 from .spinchain import (
     SpinChainSpec,
+    build_chain_hamiltonian,
     build_chain_superop,
     chain_channels,
-    chain_eigendecompose,
     chain_steady_state,
     relax_chain,
     run_relaxation,
@@ -287,7 +288,7 @@ def cmd_residual(args) -> int:
     cfg = load_config(args)
     spec = spec_from_config(cfg)
     channel = chain_channels(spec)[0]
-    eig = chain_eigendecompose(spec, [channel])
+    eig = eigendecompose(build_chain_hamiltonian(spec))
     report = gibbs_residual_report(eig, channel, spec.lamb_shift)
     write_csv(_out(args, "residuals.csv"), ["quantity", "norm"], report.rows())
     for name, value in report.rows():

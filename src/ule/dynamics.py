@@ -569,12 +569,14 @@ def _kernel_count(superop: Superoperator, failure: str) -> SteadyStateError:
         report, rung_failure = _gmres_steady(superop, labels, borders[:c - c0])
         if rung_failure is None:
             return SteadyStateError(
-                f"steady state is not unique: kernel dimension {c} (certified with {c0} component "
-                f"and {c - c0} random borders{', a generic count' if c > c0 else ''}, rcond "
-                f"{report.rcond:.3e}; one border: {failure})", kernel_dimension=c, report=report)
+                f"steady state is not unique: kernel dimension {c} (certified with {c0} component"
+                f"{'s' * (c0 != 1)} and {c - c0} random border{'s' * (c - c0 != 1)}"
+                f"{', a generic count' if c > c0 else ''}, rcond {report.rcond:.3e}; one border: "
+                f"{failure})", kernel_dimension=c, report=report)
     return SteadyStateError(f"steady-state certificate failed: {failure}; no bordering with {c0} "
-                            f"component and {m} random borders certifies the kernel "
-                            f"({support.size} degenerate level pairs)", kernel_dimension=None)
+                            f"component{'s' * (c0 != 1)} and {m} random border{'s' * (m != 1)} "
+                            f"certifies the kernel ({support.size} degenerate level pairs)",
+                            kernel_dimension=None)
 
 
 def _components(frame) -> np.ndarray:

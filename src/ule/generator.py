@@ -9,18 +9,17 @@ with, per noise channel (coupling operator X, bath g and f),
     L_mn   = 2 pi sqrt(gamma) g(E_n - E_m) X_mn      (eigenbasis elements)
     Lam_mn = sum_l f(E_l - E_m, E_n - E_l) X_ml X_ln
 
-Lam is a Bohr double sum over the level triples (m, l, n), and only this
-module builds, indexes or sums arrays over them: the f table `lamb_shift_f`
-behind `_require_lamb_shift_memory`, summed by `lamb_shift_eigen`. The Lamb
+Lam is a sum over the level triples (m, l, n), and as X is Hermitian one
+w-integral of d x d products, which `lamb_shift_eigen` takes with the
+secular Lamb shift's f(w, -w): nothing is built over the triples. The Lamb
 shift is one argument, `lamb_shift` (its quadrature, or None), and
-`_lamb_shift_channels` alone picks the channels that get it, guard first. The secular
+`_lamb_shift_channels` alone picks the channels that get it. The secular
 generator's jump weights, its Lamb shift sum_w f(w, -w) A(w) A(-w) and its
 dissipator come from one construction, `_secular_parts`: in the
 eigenbasis A(w) A(w)^dag, A(w)^dag A(w) and the sandwich A(w) y A(w)^dag
 of a y that commutes with H couple only levels that share the zero-gap
 bin, so each part is one d x d product masked to those level pairs, with
-f(w, -w) taken as one value per frequency and no A(w) formed;
-`analysis.secular_residuals` applies the same parts to the Gibbs state.
+no A(w) formed; `analysis.secular_residuals` applies them to Gibbs.
 
 A generator is held in one form, :class:`Superoperator`: the Hermitian
 H_eff = H + Lam and the nonzero jump operators. `build_liouvillian` (the
@@ -42,11 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import BathSpec, QuadratureSpec, f_values, jump_spectral
+from .bath import BathSpec, QuadratureError, QuadratureSpec, jump_spectral
 from .operators import (
     BohrDecomposition,
     EigenDecomposition,
-    bohr_decompose,
     frobenius,
     gap_tolerance,
     hermitize,
@@ -176,57 +174,67 @@ def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.nd
     return eig.from_eigenbasis(le)
 
 
-def _require_lamb_shift_memory(d: int) -> None:
-    """MemoryLimitError unless 16 float64 tables over d^3 level triples fit."""
-    # 16 tables of 8 d^3 bytes (134 MB each at N = 8): above the 29 MB of the
-    # interpreter with ule imported, `ule residual` on the chain peaked at
-    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f_values
-    # pairs of about 110 bytes each and the np.unique of 2.0M live codes)
-    _require_memory(16 * 8 * d ** 3, f"Lamb-shift f table over {d}^3 level triples")
-
-
-def lamb_shift_f(bohr: BohrDecomposition, bath: BathSpec,
-                 quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """f(w_i, w_j), i = bin_index[m, l], j = bin_index[l, n], on each (m, l, n) with X_ml X_ln != 0.
-
-    The codes i K + j, K = nfreq, of these live triples go through one
-    `np.unique`, and `f_values` runs once on the sorted distinct pairs;
-    every other triple holds 0. The triple (m, l, m) holds f(w, -w), w =
-    w[bin_index[m, l]]. MemoryLimitError, before anything of d^3 cells is
-    allocated, from `_require_lamb_shift_memory`.
-    """
-    _require_lamb_shift_memory(bohr.dim)
-    i, j = bohr.bin_index[:, :, None], bohr.bin_index[None, :, :]
-    live = bohr.coupling_eigen != 0
-    live = live[:, :, None] & live[None, :, :]
-    pairs, inverse = np.unique((i * bohr.nfreq + j)[live], return_inverse=True)
-    i, j = np.divmod(pairs, bohr.nfreq)
-    f = np.zeros(live.shape)
-    f[live] = f_values(bath, bohr.frequencies[i], bohr.frequencies[j], quad)[inverse]
-    return f
-
-
-def lamb_shift_eigen(bohr: BohrDecomposition, bath: BathSpec,
+def lamb_shift_eigen(eig: EigenDecomposition, channel: NoiseChannel,
                      quad: QuadratureSpec = QuadratureSpec()):
-    """(Lam, fmatch): Lam_mn = sum_l f[m, l, n] X_ml X_ln, the Lamb shift in
-    the eigenbasis, over the table f of :func:`lamb_shift_f`, and fmatch[k] =
-    f(w_k, -w_k) read off its triples (m, l, m) (0 where no live triple
-    reads it), the matched values the secular Lamb shift takes."""
-    f = lamb_shift_f(bohr, bath, quad)
-    xe = bohr.coupling_eigen
-    m, l = np.nonzero(xe)
-    fmatch = np.zeros(bohr.nfreq)
-    fmatch[bohr.bin_index[m, l]] = f[m, l, m]
-    return np.einsum("ml,ln,mln->mn", xe, xe, f), fmatch
+    """(Lam, fmatch) of one channel in the eigenbasis, from one w-integral of d x d products.
+
+    With A(w)_ml = g(w + E_m - E_l) X_ml and X Hermitian, Lam = -2 pi gamma
+    Int_0^inf [A(w) A(w)^dag - A(-w) A(-w)^dag] dw / w; fmatch[m, l] =
+    f(E_l - E_m, E_m - E_l) is that integral of g(w + E_m - E_l)^2. The rule
+    is the offset trapezoid t_k = (k + 1/2) h on w = t + c L (sinh(t/L) -
+    t/L), dw/dt <= 1.2 over the gaps |w| <= S = max|E_m - E_l| where the Bose
+    poles sit 2 pi T off the axis, whose error falls like exp(-4 pi^2 T / h)
+    (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56, 385 (2014)): h =
+    min(1.2 T, Lc / 20), L = max(S / 2, 8 h) (the map loses that rate past
+    h = L / 8), nodes up to w = S + 8 Lc, one Hermitian product per block.
+    The nodes k = 1 mod 3 form the step-3h rule, whence the step-h error
+    D (D / M)^2 + eps sum |terms|, D = max|Lam_h - Lam_3h|, M = max|Lam_h|
+    before the -2 pi gamma: QuadratureError naming T past max(atol, rtol M).
+    """
+    bath, e, d = channel.bath, eig.energies, eig.dim
+    xe = hermitize(eig.to_eigenbasis(channel.coupling_op))
+    xe = xe if np.any(xe.imag) else np.ascontiguousarray(xe.real)
+    span, h = e[-1] - e[0], min(1.2 * bath.temperature, bath.cutoff / 20.0)
+    grade, width = 0.2 / (np.cosh(2.0) - 1.0), max(span / 2.0, 8.0 * h)  # c and L
+    n = 3 * int(np.ceil(width * np.arcsinh((span + 8.0 * bath.cutoff) / (grade * width)) / (3 * h)))
+    block = 3 * max(1, 2 ** 14 // (3 * d * d))  # nodes: 15 at N = 5, 3 from N = 6 (cache-sized)
+    lam = [np.zeros((d, d), dtype=xe.dtype) for _ in range(2)]  # nodes 1 mod 3, the others
+    fmatch, size = np.zeros((d, d)), 0.0
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        t = (start + np.arange(b).reshape(-1, 3).T[[1, 0, 2]].ravel() + 0.5) * h
+        w = t + grade * width * (np.sinh(t / width) - t / width)
+        weight = h * (1.0 + grade * (np.cosh(t / width) - 1.0)) / (4 * np.pi ** 2 * w)
+        x = w[None, :, None] + (e[:, None] - e[None, :])[:, None, :]  # [m, k, l]
+        a = np.maximum(np.abs(x), 1e-300 * bath.temperature)  # at x = 0, even^2 is its limit T
+        even = np.sqrt(a / -np.expm1(-bath.beta * a))
+        # exponents held above -300 keep exp off its slow path (most of the time at T = 0.05)
+        v = x * x * (-0.25 / bath.cutoff ** 2) + 0.5 * bath.beta * np.minimum(x, 0.0)
+        gp = even * np.exp(np.maximum(v, -300.0))  # 2 pi g(w + E_m - E_l)
+        gm = even * np.exp(np.maximum(v - 0.5 * bath.beta * x, -300.0))  # 2 pi g(-w - E_m + E_l)
+        for i, part in enumerate((slice(None, b // 3), slice(b // 3, None))):
+            root = np.sqrt(weight[part])[:, None] * xe[:, None, :]
+            ap, am = (gp[:, part] * root).reshape(d, -1), (gm[:, part] * root).reshape(-1, d)
+            pp, pm = ap @ ap.conj().T, am.conj().T @ am  # A(w) A(w)^dag, A(-w) A(-w)^dag
+            lam[i] += pp - pm
+            size += np.max(pp.diagonal().real + pm.diagonal().real)
+        fmatch += np.einsum("mkl,k->ml", gp ** 2, weight) - np.einsum("mkl,k->lm", gm ** 2, weight)
+    fine, unit = lam[0] + lam[1], -2.0 * np.pi * bath.coupling
+    top, diff = np.max(np.abs(fine)), np.max(np.abs(fine - 3.0 * lam[0]))
+    error = (diff * (diff / top) ** 2 if top else 0.0) + np.finfo(float).eps * size
+    if not error <= max(quad.atol, quad.rtol * top):
+        raise QuadratureError(f"Lamb-shift w rule at T = {bath.temperature:g}, {n} nodes: error "
+                              f"estimate {error:.3e} > target {max(quad.atol, quad.rtol * top):.3e}"
+                              "; loosen rtol or atol", unit * fine, -unit * error)
+    return unit * fine, unit * fmatch
 
 
 def build_lamb_shift(eig: EigenDecomposition, lam_eigen) -> np.ndarray:
     """The Lamb shift in the input basis from its eigenbasis `lam_eigen`.
 
-    Hermiticity follows from the swap symmetry f(E1, E2) = f(-E2, -E1),
-    which holds exactly in the table (the triple (n, l, m) carries the
-    mirror pair of (m, l, n)) because `f_values` integrates one pair per
-    swap class; it is still asserted.
+    Hermiticity follows from each node of `lamb_shift_eigen` adding a
+    Hermitian product A A^dag (exactly, for the real syrk of a real X); it
+    is still asserted.
     """
     lam = eig.from_eigenbasis(lam_eigen)
     defect = frobenius(lam - lam.conj().T)
@@ -236,11 +244,8 @@ def build_lamb_shift(eig: EigenDecomposition, lam_eigen) -> np.ndarray:
 
 
 def _lamb_shift_channels(channels, lamb_shift: QuadratureSpec | None) -> list:
-    """The channels that get a Lamb shift (`lamb_shift` set, coupling > 0), after its guard."""
-    picked = [ch for ch in channels if lamb_shift is not None and ch.bath.coupling > 0]
-    if picked:
-        _require_lamb_shift_memory(picked[0].coupling_op.shape[0])
-    return picked
+    """The channels that get a Lamb shift: `lamb_shift` set and coupling > 0."""
+    return [ch for ch in channels if lamb_shift is not None and ch.bath.coupling > 0]
 
 
 def build_liouvillian(eig: EigenDecomposition, channels,
@@ -249,13 +254,11 @@ def build_liouvillian(eig: EigenDecomposition, channels,
 
     H_eff = H + sum_c Lam_c and one jump operator per channel, without dense
     work. With `lamb_shift` None, or for a channel with zero coupling, that
-    channel's Lamb shift is skipped and no quadrature runs; the f table's
-    memory guard runs before any jump is built.
+    channel's Lamb shift is skipped and no quadrature runs.
     """
     lam = np.zeros((eig.dim, eig.dim), dtype=complex)
     for ch in _lamb_shift_channels(channels, lamb_shift):
-        lam_eigen, _ = lamb_shift_eigen(bohr_decompose(ch.coupling_op, eig), ch.bath, lamb_shift)
-        lam = lam + build_lamb_shift(eig, lam_eigen)
+        lam = lam + build_lamb_shift(eig, lamb_shift_eigen(eig, ch, lamb_shift)[0])
     return Superoperator(eig.reconstruct() + lam, [build_jump_operator(eig, ch) for ch in channels])
 
 
@@ -263,16 +266,16 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
     """(c, Lam, dissipator) of the secular generator of one channel.
 
     The jumps are c_k A(w_k) with c_k = 2 pi sqrt(gamma) g(w_k). Lam =
-    sum_k f(w_k, -w_k) A(w_k) A(w_k)^dag in the eigenbasis reads
-    f(w_k, -w_k) from the length-K vector `fmatch`; with `fmatch` None
-    there is no Lamb shift and Lam is None.
+    sum_k f(w_k, -w_k) A(w_k) A(w_k)^dag in the eigenbasis reads f at the
+    level pair (m, l) from the d x d `fmatch` of `lamb_shift_eigen`; with
+    `fmatch` None there is no Lamb shift and Lam is None.
     `dissipator(y)` is sum_k c_k^2 (A_k y A_k^dag - (1/2){A_k^dag A_k, y})
     for the part of an eigenbasis y that commutes with H.
 
     A product of A(w_k) with the adjoint of the same A(w_k) couples two
     levels only if they share the zero-gap bin: S_mp = [|E_p - E_m| <=
-    `gap_tolerance`]. With J = c at `bin_index` times X and F = `fmatch` at
-    `bin_index`, Lam = S * ((F * X) @ X^dag) and sum_k c_k^2 A_k^dag A_k =
+    `gap_tolerance`]. With J = c at `bin_index` times X, Lam =
+    S * ((fmatch * X) @ X^dag) and sum_k c_k^2 A_k^dag A_k =
     S * (J^dag @ J), and the sandwich of a y supported on S is
     S * (J @ y @ J^dag): three masked d x d products, exact at any N. No
     A(w_k) is formed here; `build_secular_generator` alone forms its jumps
@@ -282,7 +285,7 @@ def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
     c = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, bohr.frequencies)
     energies = bohr.eig.energies
     same = np.abs(energies[None, :] - energies[:, None]) <= gap_tolerance(energies)
-    lam = None if fmatch is None else same * ((fmatch[bohr.bin_index] * xe) @ xe.conj().T)
+    lam = None if fmatch is None else same * ((fmatch * xe) @ xe.conj().T)
     jump = c[bohr.bin_index] * xe
     jump_dag = jump.conj().T
     anti = same * (jump_dag @ jump)
@@ -310,9 +313,8 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     (1.9 GB at N = 7 on the spin chain), because only small systems build
     it; the Gibbs check never does.
     """
-    w = bohr.frequencies
     with_lamb = _lamb_shift_channels([channel], lamb_shift)
-    fmatch = f_values(channel.bath, w, -w, lamb_shift) if with_lamb else None
+    fmatch = lamb_shift_eigen(bohr.eig, channel, lamb_shift)[1] if with_lamb else None
     c, lam, _ = _secular_parts(bohr, channel.bath, fmatch)
     jumps = (c[k] * bohr.component(k) for k in range(bohr.nfreq))
     h = bohr.eig.reconstruct()

@@ -12,7 +12,7 @@ fully polarized product state opposing the field (all spins up, the
 highest Zeeman energy under the +B_z convention) and relaxes; the
 experiment records the z magnetization over time, the steady state of
 the generator, and its deviation from the Gibbs state at the first bath's
-temperature. `chain_eigendecompose` runs the Lamb shift's memory guard first.
+temperature.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import DeviationReport, gibbs_deviation
 from .bath import BathSpec, QuadratureSpec
 from .dynamics import SteadyStateReport, Trajectory, propagate, steady_state
-from .generator import NoiseChannel, _lamb_shift_channels, build_liouvillian
+from .generator import NoiseChannel, build_liouvillian
 from .operators import EigenDecomposition, eigendecompose
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -155,17 +155,10 @@ def all_up_state(n_sites: int) -> np.ndarray:
     return rho
 
 
-def chain_eigendecompose(spec: SpinChainSpec, channels) -> EigenDecomposition:
-    """The chain Hamiltonian's eigendecomposition, after the Lamb shift's memory guard."""
-    _lamb_shift_channels(channels, spec.lamb_shift)
-    return eigendecompose(build_chain_hamiltonian(spec))
-
-
 def build_chain_superop(spec: SpinChainSpec):
     """(eig, sop): the chain Hamiltonian's eigendecomposition and the generator."""
-    channels = chain_channels(spec)
-    eig = chain_eigendecompose(spec, channels)
-    return eig, build_liouvillian(eig, channels, spec.lamb_shift)
+    eig = eigendecompose(build_chain_hamiltonian(spec))
+    return eig, build_liouvillian(eig, chain_channels(spec), spec.lamb_shift)
 
 
 def relax_chain(spec: SpinChainSpec, sop, t_end: float | None = None,

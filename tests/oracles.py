@@ -4,7 +4,7 @@ Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
 dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
 A(w) built here from projector sandwiches of X, never from the bin labels
-or the level-triple sums of `ule.generator`; their bath functions and f
+or the level-triple sums of the table oracle; their bath functions and f
 values come in as arguments. `f_integral_loop` is the per-pair adaptive
 Gauss-Kronrod loop over the folded integrand [h(w) - h(-w)] / w on
 [0, Wmax]; it shares only g and the node table with the library.
@@ -22,15 +22,21 @@ gaps before `ule.operators._cluster_gaps` was vectorized, and
 operators and three d x d products per bond, as `ule.build_chain_hamiltonian`
 did before it embedded one two-site bond operator; both results are bitwise
 the library's.
+`lamb_shift_f` is the f table over the d^3 level triples behind its
+memory guard `_require_lamb_shift_memory`, and `lamb_shift_table` the Lamb
+shift as one d^3 einsum over it with the matched values f(w, -w) read off
+its triples (m, l, m): the table oracle, the library's Lamb shift before
+it became one w-integral of d x d products (`ule.generator.lamb_shift_eigen`).
+The two are different quadratures, so they agree within the table's
+target, and within rounding once the table's target is tight.
 `lamb_shift_bins_unique` gives the distinct frequency-bin pairs of the
-live level triples by the d^3 `np.unique`, the pairs `ule.generator.lamb_shift_f`
-must hand to `f_values`; `lamb_shift_pairs_unique` turns them into
+live level triples by the d^3 `np.unique`, the pairs `lamb_shift_f` must
+hand to `f_values`; `lamb_shift_pairs_unique` turns them into
 frequencies for the tests that need the chain's Lamb pairs. The library's
-Lamb shift carries f on the level triples and both its Gibbs formulas are
-weighted d x d arrays; the loops here take the coefficients as grids over
-the frequency pairs. `lambshift_on_gibbs_table` is the Lamb-shift formula
-as a sum over the table f (p_n - p_m), the form the library's weighted
-eigenbasis Lamb shift replaced.
+Gibbs formulas are weighted d x d arrays; the loops here take the
+coefficients as grids over the frequency pairs. `lambshift_on_gibbs_table`
+is the Lamb-shift formula as a sum over the table f (p_n - p_m), the form
+the library's weighted eigenbasis Lamb shift replaced.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
 integrating-factor machinery of `ule.propagate`. `lawson_propagate_complex`
@@ -82,6 +88,7 @@ from ule import (
     EigenDecomposition,
     PropagationError,
     QuadratureError,
+    QuadratureSpec,
     SteadyStateError,
     SteadyStateReport,
     Trajectory,
@@ -95,6 +102,7 @@ from ule import (
     trace_distance,
 )
 from ule.bath import _WG, _WGK, _XGK
+from ule.generator import _require_memory
 
 
 def omega_max(bath, e1, e2):
@@ -526,6 +534,48 @@ def lamb_shift_pairs_unique(bohr):
     return bohr.frequencies[i], bohr.frequencies[j]
 
 
+def _require_lamb_shift_memory(d: int) -> None:
+    """MemoryLimitError unless 16 float64 tables over d^3 level triples fit."""
+    # 16 tables of 8 d^3 bytes (134 MB each at N = 8): above the 29 MB of the
+    # interpreter with ule imported, `ule residual` on the chain peaked at
+    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f_values
+    # pairs of about 110 bytes each and the np.unique of 2.0M live codes)
+    _require_memory(16 * 8 * d ** 3, f"Lamb-shift f table over {d}^3 level triples")
+
+
+def lamb_shift_f(bohr, bath, quad=QuadratureSpec()):
+    """f(w_i, w_j), i = bin_index[m, l], j = bin_index[l, n], on each (m, l, n) with X_ml X_ln != 0.
+
+    The codes i K + j, K = nfreq, of these live triples go through one
+    `np.unique`, and `f_values` runs once on the sorted distinct pairs;
+    every other triple holds 0. The triple (m, l, m) holds f(w, -w), w =
+    w[bin_index[m, l]]. MemoryLimitError, before anything of d^3 cells is
+    allocated, from `_require_lamb_shift_memory`.
+    """
+    _require_lamb_shift_memory(bohr.dim)
+    i, j = bohr.bin_index[:, :, None], bohr.bin_index[None, :, :]
+    live = bohr.coupling_eigen != 0
+    live = live[:, :, None] & live[None, :, :]
+    pairs, inverse = np.unique((i * bohr.nfreq + j)[live], return_inverse=True)
+    i, j = np.divmod(pairs, bohr.nfreq)
+    f = np.zeros(live.shape)
+    f[live] = f_values(bath, bohr.frequencies[i], bohr.frequencies[j], quad)[inverse]
+    return f
+
+
+def lamb_shift_table(bohr, bath, quad=QuadratureSpec()):
+    """(Lam, fmatch): Lam_mn = sum_l f[m, l, n] X_ml X_ln, the Lamb shift in
+    the eigenbasis, over the table f of `lamb_shift_f`, and fmatch[k] =
+    f(w_k, -w_k) read off its triples (m, l, m) (0 where no live triple
+    reads it)."""
+    f = lamb_shift_f(bohr, bath, quad)
+    xe = bohr.coupling_eigen
+    m, l = np.nonzero(xe)
+    fmatch = np.zeros(bohr.nfreq)
+    fmatch[bohr.bin_index[m, l]] = f[m, l, m]
+    return np.einsum("ml,ln,mln->mn", xe, xe, f), fmatch
+
+
 def lambshift_on_gibbs_loop(bohr, x, beta, rho_th, f_values):
     """Naive loop evaluation of the Lamb-shift Bohr sum on the Gibbs state.
 
@@ -540,7 +590,7 @@ def lambshift_on_gibbs_loop(bohr, x, beta, rho_th, f_values):
 def lambshift_on_gibbs_table(bohr, f, beta):
     """The Lamb-shift formula on the Gibbs state summed over a level-triple
     table: sum_l f[m, l, n] (p_n - p_m) X_ml X_ln, with f the table of
-    `ule.generator.lamb_shift_f`.
+    `lamb_shift_f`.
 
     This is how `ule.lambshift_on_gibbs_formula` took it before it weighted
     the eigenbasis Lamb shift: a second d^3 table f (p_n - p_m) and one

@@ -9,6 +9,7 @@ from oracles import (
     f_integral_loop,
     f_values_every_pair,
     f_values_full_range,
+    lamb_shift_f,
     lamb_shift_pairs_unique,
     trapezoid_pv,
 )
@@ -34,7 +35,6 @@ from ule.bath import (
     _tail_cut,
     _take_rows,
 )
-from ule.generator import lamb_shift_f
 from ule.spinchain import chain_channels
 
 

@@ -563,41 +563,42 @@ def test_gmres_workspace_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert "GB" in err
 
 
-def test_residual_grid_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # at N = 9 the Lamb-shift f table's guard reserves 16 float64 tables
-    # over the 512^3 level triples, 17 GB, and physical memory is read as
-    # 512 MB; nothing of d^3 cells is built before the exit
-    from ule import analysis, generator
+def test_residual_lamb_shift_n9_exits_0_in_512_mb(tmp_path, capsys, monkeypatch):
+    # the Lamb shift's w rule holds a few blocks of d^2 g values where the
+    # level-triple table needed 17 GB at N = 9; with physical memory read as
+    # 512 MB the Lamb-on residual runs and both identities hold
+    from ule import generator
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 29)
-    for module in (analysis, generator):
-        monkeypatch.setattr(module, "lamb_shift_eigen", None)
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
     code = main(["residual", "--config", config, "--N", "9", "--ignore_lamb_shift", "false",
                  "--outdir", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "512^3 level triples" in err
-    assert not (tmp_path / "residuals.csv").exists()
+    assert code == 0
+    lines = (tmp_path / "residuals.csv").read_text().splitlines()
+    table = {k: float(v) for k, v in (line.split(",") for line in lines[1:])}
+    assert table["lambshift_direct_norm"] > 0.0
+    for q in ("dissipator_mismatch", "lambshift_mismatch"):
+        assert table[q] <= table[f"{q}_tol"]
 
 
 @pytest.mark.parametrize("command", ["residual", "spinchain", "evolve", "steady"])
-def test_lamb_shift_beyond_memory_exits_2_before_eigendecompose(tmp_path, capsys, monkeypatch,
-                                                                 command):
-    # the f table's guard needs only d = 2^N, so each chain command runs it
-    # in `spinchain.chain_eigendecompose`, before the eigendecomposition; at
-    # N = 10 it reserves 137 GB
-    from ule import generator, spinchain
+def test_lamb_shift_commands_reach_eigendecompose_at_n10(tmp_path, capsys, monkeypatch, command):
+    # no memory guard sizes the Lamb shift by d^3 (it refused at 137 GB
+    # before): each chain command with the Lamb shift on at N = 10 goes on
+    # to the eigendecomposition, here stopped there
+    from ule import cli, spinchain
 
-    def no_eigendecompose(h):
-        raise AssertionError("eigendecompose before the f table's memory guard")
+    class Reached(Exception):
+        pass
 
-    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 34)
-    monkeypatch.setattr(spinchain, "eigendecompose", no_eigendecompose)
+    def stop(h):
+        raise Reached
+
+    monkeypatch.setattr(cli, "eigendecompose", stop)
+    monkeypatch.setattr(spinchain, "eigendecompose", stop)
     config = os.path.join(ROOT, "demos", "chain_n6.cfg")
-    code = main([command, "--config", config, "--N", "10", "--ignore_lamb_shift", "false",
-                 "--outdir", str(tmp_path)])
-    assert code == 2
-    assert "1024^3 level triples" in capsys.readouterr().err
+    with pytest.raises(Reached):
+        main([command, "--config", config, "--N", "10", "--ignore_lamb_shift", "false",
+              "--outdir", str(tmp_path)])
 
 
 def residual_lamb_off_in_512_mb(tmp_path, monkeypatch, n):
@@ -656,7 +657,7 @@ def test_uncertified_n9_steady_state_counts_its_kernel_and_exits_3(tmp_path, cap
     assert time.perf_counter() - t0 < 30.0
     err = capsys.readouterr().err
     assert "steady state is not unique: kernel dimension 512 " in err
-    assert "(certified with 512 component and 0 random borders, rcond " in err
+    assert "(certified with 512 components and 0 random borders, rcond " in err
     assert re.search(r"one border: rcond \S+ is not above 1e-10\)", err)
 
 
@@ -676,7 +677,7 @@ def test_n9_kernel_beyond_the_border_support_exits_3_promptly(tmp_path, capsys, 
     assert code == 3
     assert time.perf_counter() - t0 < 30.0
     err = capsys.readouterr().err
-    assert (f"no bordering with 512 component and 0 random borders certifies the kernel "
+    assert (f"no bordering with 512 components and 0 random borders certifies the kernel "
             f"({pairs} degenerate level pairs)") in err
     assert "kernel dimension" not in err
 

@@ -6,14 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     bohr_double_sum_loop,
     jump_operator_bohr_sum,
     kron_superoperator,
     lamb_shift_bins_unique,
     lamb_shift_bohr_sum,
+    lamb_shift_f,
     lamb_shift_live_pairs,
     lamb_shift_pairs_unique,
+    lamb_shift_table,
     random_hermitian,
     secular_lamb_shift_loop,
     secular_parts_pairs,
@@ -40,7 +43,8 @@ from ule import (
     three_level_baseline,
 )
 from ule import generator
-from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_eigen, lamb_shift_f
+from ule.bath import QuadratureError
+from ule.generator import MemoryLimitError, _secular_parts, lamb_shift_eigen
 from ule.spinchain import bath_coupling_operator, chain_channels
 
 BATH = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
@@ -105,8 +109,7 @@ def three_level_baseline_system(bath=BATH):
 
 
 def lamb_shift(eig, channel, quad=QuadratureSpec()):
-    lam_eigen, _ = lamb_shift_eigen(bohr_decompose(channel.coupling_op, eig), channel.bath, quad)
-    return build_lamb_shift(eig, lam_eigen)
+    return build_lamb_shift(eig, lamb_shift_eigen(eig, channel, quad)[0])
 
 
 def test_lamb_shift_trivial_cases():
@@ -119,7 +122,8 @@ def test_lamb_shift_trivial_cases():
 
 
 def test_lamb_shift_level_sum_vs_bohr_sum():
-    # two independent summation structures over the same cached f values
+    # the w-integral of d x d products against the Bohr double sum over
+    # f values from `f_values`
     rng = np.random.default_rng(71)
     eig = eigendecompose(np.diag([0.0, 1.0, 3.0]).astype(complex))
     x = random_hermitian(rng, 3).real.astype(complex)  # real symmetric
@@ -152,15 +156,16 @@ def chain_and_random_systems():
 
 @pytest.fixture
 def f_numbering(monkeypatch):
-    """Replace the f kernel behind `lamb_shift_f` by the numbers 1, 2, ...
-    of the pairs it is handed; every (E1, E2) array pair it sees is recorded."""
+    """Replace the f kernel behind the table oracle `lamb_shift_f` by the
+    numbers 1, 2, ... of the pairs it is handed; every (E1, E2) array pair
+    it sees is recorded."""
     calls = []
 
     def numbering(bath, e1, e2, quad):
         calls.append((e1, e2))
         return np.arange(1.0, e1.size + 1.0)
 
-    monkeypatch.setattr(generator, "f_values", numbering)
+    monkeypatch.setattr(oracles, "f_values", numbering)
     return calls
 
 
@@ -212,7 +217,7 @@ def double_sum_systems():
 
 def test_lamb_shift_double_sum_matches_component_loop(monkeypatch):
     # f replaced by a grid with distinct values in every cell: the sum of
-    # `lamb_shift_eigen` over the level-triple table is sum_ij grid[i, j]
+    # the table oracle over the level triples is sum_ij grid[i, j]
     # A(w_i) A(w_j), the loop over the A(w) of the oracle
     rng = np.random.default_rng(7)
     systems = double_sum_systems()
@@ -222,34 +227,39 @@ def test_lamb_shift_double_sum_matches_component_loop(monkeypatch):
     for bohr, x in systems:
         w = bohr.frequencies
         grid = rng.standard_normal((w.size, w.size))
-        monkeypatch.setattr(generator, "f_values", lambda bath, e1, e2, quad: grid[
+        monkeypatch.setattr(oracles, "f_values", lambda bath, e1, e2, quad: grid[
             np.searchsorted(w, e1), np.searchsorted(w, e2)])
-        lam_eigen, _ = lamb_shift_eigen(bohr, BATH)
+        lam_eigen, _ = lamb_shift_table(bohr, BATH)
         got = bohr.eig.from_eigenbasis(lam_eigen)
         want = bohr_double_sum_loop(bohr, x, grid)
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_lamb_shift_matched_values_are_f_at_w_minus_w():
-    # fmatch[k] = f(w_k, -w_k), read off the table's triples (m, l, m): it
-    # agrees with `f_values` on the matched pairs within twice the
-    # quadrature target (each value is within its target; the batches
-    # differ), and it is 0 at a frequency no live triple reads
+    # fmatch[m, l] = f(E_l - E_m, E_m - E_l) from the nodes of the Lamb
+    # shift agrees with `f_values` at that pair within the value's target,
+    # at every level pair, on the chain at N = 3-5 from T1 = 0.05 to 50 and
+    # on the random systems
     quad = QuadratureSpec()
-    for bohr, _ in chain_and_random_systems() + [chain_bohr(4)]:
-        w = bohr.frequencies
-        _, fmatch = lamb_shift_eigen(bohr, BATH, quad)
-        read = np.zeros(w.size, dtype=bool)
-        read[bohr.bin_index[bohr.coupling_eigen != 0]] = True
-        want = f_values(BATH, w, -w, quad)
-        target = np.maximum(2.0 * np.pi * BATH.coupling * quad.atol, quad.rtol * np.abs(want))
-        assert np.all((np.abs(fmatch - want) <= 2.0 * target)[read])
-        assert not np.any(fmatch[~read])
+    systems = [(bohr, BATH) for bohr, _ in chain_and_random_systems()]
+    for n_sites in (3, 4, 5):
+        for t1 in (0.05, 0.2, 20.0, 50.0):
+            bohr, _ = chain_bohr(n_sites)
+            systems.append((bohr, BathSpec(temperature=t1, coupling=0.1, cutoff=100.0)))
+    for bohr, bath in systems:
+        e = bohr.eig.energies
+        gaps = (e[None, :] - e[:, None]).ravel()
+        channel = NoiseChannel(coupling_op=bohr.eig.from_eigenbasis(bohr.coupling_eigen), bath=bath)
+        _, fmatch = lamb_shift_eigen(bohr.eig, channel, quad)
+        want = f_values(bath, gaps, -gaps, quad).reshape(fmatch.shape)
+        target = np.maximum(2.0 * np.pi * bath.coupling * quad.atol, quad.rtol * np.abs(want))
+        assert np.all(np.abs(fmatch - want) <= target)
 
 
 def test_lamb_shift_bins_check_grid_memory_first(monkeypatch):
-    # at N = 5 the f table's guard reserves 16 tables of 32^3 float64 cells,
-    # 4.2 MB; 1 MB is too little, and no array of d^3 cells may exist yet
+    # at N = 5 the table oracle's guard reserves 16 tables of 32^3 float64
+    # cells, 4.2 MB; 1 MB is too little, and no array of d^3 cells may
+    # exist yet
     bohr, _ = chain_bohr(5)
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 20)
     tracemalloc.start()
@@ -262,35 +272,45 @@ def test_lamb_shift_bins_check_grid_memory_first(monkeypatch):
     assert peak < 32 ** 3
 
 
-def test_liouvillian_refuses_lamb_shift_before_any_jump(monkeypatch):
-    # the f table's guard needs only d, so a table that does not fit (16
-    # tables of 3^3 float64 cells against 1 kB) is refused before the first
-    # jump or Bohr decomposition; without the Lamb shift the build runs
+def test_liouvillian_lamb_shift_needs_no_bohr_decomposition(monkeypatch):
+    # the Lamb shift is a w-integral over the exact level gaps: with physical
+    # memory read as 1 kB (no guard sizes it) and no Bohr decomposition,
+    # `build_liouvillian` adds it to H
     eig, ch = three_level_baseline_system()
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 10)
 
     def no_work(*args):
-        raise AssertionError("generator work before the f table's memory guard")
+        raise AssertionError("a Bohr decomposition in the Lamb shift")
 
-    with monkeypatch.context() as patched:
-        for name in ("build_jump_operator", "bohr_decompose"):
-            patched.setattr(generator, name, no_work)
-        with pytest.raises(MemoryLimitError, match="3\\^3 level triples"):
-            build_liouvillian(eig, [ch])
-    assert len(build_liouvillian(eig, [ch], lamb_shift=None).jumps) == 1
+    monkeypatch.setattr("ule.operators._cluster_gaps", no_work)
+    sop = build_liouvillian(eig, [ch])
+    assert np.array_equal(sop.hamiltonian, hermitize(eig.reconstruct() + lamb_shift(eig, ch)))
+    assert np.any(sop.hamiltonian != build_liouvillian(eig, [ch], lamb_shift=None).hamiltonian)
 
 
 def test_secular_generator_zero_coupling_makes_no_f_call(monkeypatch):
     # f vanishes at zero coupling, so the secular Lamb shift is skipped
-    # there as in `build_liouvillian`: no f_values call and H_eff = H
+    # there as in `build_liouvillian`: no Lamb-shift quadrature and H_eff = H
     def no_f(*args):
-        raise AssertionError("f_values on a zero-coupling channel")
+        raise AssertionError("Lamb-shift quadrature on a zero-coupling channel")
 
-    monkeypatch.setattr(generator, "f_values", no_f)
+    monkeypatch.setattr(generator, "lamb_shift_eigen", no_f)
     eig, ch = three_level_baseline_system(BathSpec(temperature=2.0, coupling=0.0, cutoff=100.0))
     sop = build_secular_generator(bohr_decompose(ch.coupling_op, eig), ch)
     assert np.array_equal(sop.hamiltonian, hermitize(eig.reconstruct()))
     assert sop.jumps == []
+
+
+def test_secular_generator_makes_no_f_values_call(monkeypatch):
+    # the secular Lamb shift reads f(w, -w) off the nodes of the Lamb
+    # shift's w rule; `f_values` is not called
+    def no_f(*args):
+        raise AssertionError("f_values in the secular generator")
+
+    monkeypatch.setattr("ule.bath.f_values", no_f)
+    eig, ch = three_level_baseline_system()
+    sop = build_secular_generator(bohr_decompose(ch.coupling_op, eig), ch)
+    assert np.any(sop.hamiltonian != hermitize(eig.reconstruct()))
 
 
 def test_secular_parts_match_loop_oracle():
@@ -302,7 +322,7 @@ def test_secular_parts_match_loop_oracle():
                 baseline.coupling_op)] + chain_and_random_systems()[:1]
     for bohr, x in systems:
         fmatch = rng.standard_normal(bohr.nfreq)
-        c, lam, _ = _secular_parts(bohr, BATH, fmatch)
+        c, lam, _ = _secular_parts(bohr, BATH, fmatch[bohr.bin_index])
         want = secular_lamb_shift_loop(bohr, x, fmatch)
         assert (np.linalg.norm(bohr.eig.from_eigenbasis(lam) - want)
                 <= 1e-12 * np.linalg.norm(want))
@@ -341,7 +361,7 @@ def test_secular_products_match_pair_oracle():
         same = np.abs(energies[:, None] - energies[None, :]) < 1e-9
         y = same * random_hermitian(rng, bohr.dim)
         fmatch = rng.standard_normal(bohr.nfreq)
-        _, lam, dissipator = _secular_parts(bohr, BATH, fmatch)
+        _, lam, dissipator = _secular_parts(bohr, BATH, fmatch[bohr.bin_index])
         want_lam, want_dissipator = secular_parts_pairs(bohr, BATH, fmatch)
         for got, want in ((lam, want_lam), (dissipator(y), want_dissipator(y))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), label
@@ -528,26 +548,81 @@ def test_channels_compose_two_equal_channels_double_dissipator():
                        2.0 * (kron_superoperator(one) - kron_superoperator(commutator)), atol=1e-13)
 
 
-F_TABLE_SCRIPT = """
+LAMB_SHIFT_SCRIPT = """
 import sys
 import ule
-from ule.generator import lamb_shift_f
+from ule.generator import lamb_shift_eigen
 from ule.spinchain import chain_channels
-spec = ule.SpinChainSpec(N=4)
-channel = chain_channels(spec)[0]
-eig = ule.eigendecompose(ule.build_chain_hamiltonian(spec))
-f = lamb_shift_f(ule.bohr_decompose(channel.coupling_op, eig), channel.bath, ule.QuadratureSpec())
-sys.stdout.buffer.write(f.tobytes())
+for n_sites in (3, 4, 5, 6):
+    spec = ule.SpinChainSpec(N=n_sites)
+    eig = ule.eigendecompose(ule.build_chain_hamiltonian(spec))
+    for part in lamb_shift_eigen(eig, chain_channels(spec)[0], ule.QuadratureSpec()):
+        sys.stdout.buffer.write(part.tobytes())
 """
 
 
 def test_lamb_shift_f_identical_across_blas_thread_counts():
-    tables = []
+    # the Lamb shift and its matched f(w, -w) on the chain at N = 3-6: the
+    # w rule's products split no sum across BLAS threads
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-        tables.append(subprocess.run([sys.executable, "-c", F_TABLE_SCRIPT], env=env, check=True,
-                                     capture_output=True, timeout=300).stdout)
-    assert np.count_nonzero(np.frombuffer(tables[0])) > 1000
-    assert tables[0] == tables[1]
+        outputs.append(subprocess.run([sys.executable, "-c", LAMB_SHIFT_SCRIPT], env=env,
+                                      check=True, capture_output=True, timeout=300).stdout)
+    assert len(outputs[0]) == 2 * 8 * sum(4 ** n for n in (3, 4, 5, 6))
+    assert np.count_nonzero(np.frombuffer(outputs[0])) > 1000
+    assert outputs[0] == outputs[1]
+
+
+def chain_system(n_sites, t1):
+    spec = SpinChainSpec(N=n_sites, T1=t1)
+    channel = chain_channels(spec)[0]
+    return eigendecompose(build_chain_hamiltonian(spec)), channel
+
+
+# the table oracle at a target where its own error is below rounding: at
+# its default target it is within 2.6e-14 of max|Lam| on the chain at
+# N = 3-7, except at T1 = 0.2 (3.3e-11 at N = 4), where this one is needed
+TIGHT = QuadratureSpec(rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_sites, temperatures", [
+    (3, (0.05, 0.2, 2.0, 20.0, 50.0)), (4, (0.05, 0.2, 2.0, 20.0, 50.0)),
+    (5, (0.05, 0.2, 2.0, 20.0, 50.0)), (6, (0.05, 0.2, 2.0, 20.0, 50.0)), (7, (2.0,))])
+def test_lamb_shift_matches_table_oracle_on_chain(n_sites, temperatures):
+    # max entry over max entry; the w rule is exactly symmetric for the
+    # chain's real X (one syrk per block)
+    for t1 in temperatures:
+        eig, channel = chain_system(n_sites, t1)
+        lam, _ = lamb_shift_eigen(eig, channel)
+        quad = TIGHT if t1 == 0.2 else QuadratureSpec()
+        want, _ = lamb_shift_table(bohr_decompose(channel.coupling_op, eig), channel.bath, quad)
+        assert np.max(np.abs(lam - want)) <= 1e-12 * np.max(np.abs(want)), t1
+        assert np.array_equal(lam, lam.T)
+
+
+def test_lamb_shift_matches_table_oracle_on_complex_ensemble():
+    # criterion 5's ensemble: 50 complex (H, X), d = 3..6, T in [0.5, 8]
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for trial in range(50):
+        d = 3 + trial % 4
+        bath = BathSpec(temperature=float(rng.uniform(0.5, 8.0)), coupling=0.1, cutoff=100.0)
+        eig = eigendecompose(random_hermitian(rng, d))
+        x = random_hermitian(rng, d)
+        lam, _ = lamb_shift_eigen(eig, NoiseChannel(coupling_op=x, bath=bath))
+        want, _ = lamb_shift_table(bohr_decompose(x, eig), bath, TIGHT)
+        worst = max(worst, np.max(np.abs(lam - want)) / np.max(np.abs(want)))
+    assert worst <= 1e-12
+
+
+def test_lamb_shift_unreachable_target_names_temperature():
+    # no step of the rule meets rtol 1e-30: the rounding of its sum alone
+    # is about 1e-16 of max|Lam|
+    eig, channel = chain_system(3, 0.2)
+    with pytest.raises(QuadratureError, match="T = 0.2, [0-9]+ nodes: error estimate") as err:
+        lamb_shift_eigen(eig, channel, QuadratureSpec(rtol=1e-30, atol=1e-300))
+    assert 0.0 < err.value.error_bound < 1e-12 * np.max(np.abs(err.value.estimate))
+    assert err.value.pair is None
