@@ -14,6 +14,7 @@ from ule import (
     NoiseChannel,
     QuadratureSpec,
     build_lamb_shift,
+    bohr_decompose,
     build_liouvillian,
     eigendecompose,
     gibbs_state,
@@ -29,7 +30,8 @@ bath = BathSpec(temperature=2.0, coupling=0.1, cutoff=100.0)
 channel = NoiseChannel(coupling_op=np.array([[0, 1], [1, 0]], dtype=complex), bath=bath)
 
 print("Lamb shift (diagonal in the energy basis, so it cannot move the steady state):")
-lam_eigen, _ = lamb_shift_eigen(eig, channel)
+xe = bohr_decompose(channel.coupling_op, eig).coupling_eigen  # X in the eigenbasis
+lam_eigen, _ = lamb_shift_eigen(eig, xe, bath)
 print(np.round(build_lamb_shift(eig, lam_eigen).real, 6))
 
 # the Lamb shift is one argument: the error target of its w-integral (this

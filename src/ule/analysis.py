@@ -197,7 +197,8 @@ def gibbs_residual_report(eig: EigenDecomposition, channel: NoiseChannel,
     beta = bath.beta
     with_lamb = _lamb_shift_channels([channel], lamb_shift)
     bohr = bohr_decompose(channel.coupling_op, eig)
-    lam, fmatch = lamb_shift_eigen(eig, channel, lamb_shift) if with_lamb else (None, None)
+    lam, fmatch = (lamb_shift_eigen(eig, bohr.coupling_eigen, bath, lamb_shift) if with_lamb
+                   else (None, None))
     rho_th = gibbs_state(eig, beta)
     unit = bath.coupling if bath.coupling > 0 else 1.0
 

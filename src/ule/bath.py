@@ -1,5 +1,6 @@
-"""Bath spectral data for the jump-correlation function g and the
-principal-value integral f (`ule bath`; the Lamb shift integrates g itself).
+"""Bath spectral data: the jump-correlation amplitude g and the
+principal-value integral f, with the one w rule both f and the Lamb shift
+integrate by.
 
 The bath is Ohmic with a Gaussian cutoff and Bose thermal weighting,
 
@@ -9,39 +10,19 @@ The bath is Ohmic with a Gaussian cutoff and Bose thermal weighting,
 which satisfies the detailed-balance (KMS) relation
 g(-w) = exp(-beta w / 2) g(w) identically in w.
 
-f is the principal-value integral
+f is the principal-value integral, folded onto w > 0,
 
-    f(E1, E2) = -2 pi gamma  PV Int dw  g(w - E1) g(w + E2) / w.
+    f(E1, E2) = -2 pi gamma  PV Int dw  g(w - E1) g(w + E2) / w
+              = -2 pi gamma  Int_0^inf [g(w - E1) g(w + E2) - g(-w - E1) g(-w + E2)] dw / w,
 
-With u = w - E1 it is a Hilbert transform at the Cauchy point c = -E1,
-
-    f(E1, E2) = -2 pi gamma  PV Int du  h_s(u) / (u - c),
-    h_s(u) = g(u) g(u + s),   s = E1 + E2,
-
-so all pairs with one sum s transform the same function h_s. The
-principal value is taken by singularity subtraction, as QUADPACK's QAWC
-does for Cauchy kernels (R. Piessens et al., QUADPACK, Springer 1983):
-
-    PV Int_lo^hi h(u) / (u - c) du
-        = Int_lo^hi [h(u) - h(c)] / (u - c) du + h(c) log((hi - c) / (c - lo)),
-
-whose integrand is smooth through u = c. `f_values` integrates one member
-of each swap class {(E1, E2), (-E2, -E1)} (the mirror is the same
-integral shifted by s) and gathers the classes whose sums agree within
-`_SUM_RTOL` into sum groups. Each group gets one panel set on which h_s is
-evaluated once per node, and each class keeps its own error sum. The
-quadrature is globally adaptive Gauss-Kronrod 7-15 (QUADPACK's GK15 rule)
-with interval halving, run for many classes at once: a shared panel is
-halved when a class that has not converged ranks it among its worst.
-
-A group's range is the union of its classes' [c - Wmax, c + Wmax],
-Wmax = |E1| + |E2| + 8 Lc (`_OMEGA_MAX_PAD`), less its Bose tail. Below
-u = -s both arguments of g in h_s are non-positive, where g increases
-with u, so dropping [lo, u*] moves a class's value by at most
-h_s(u*) log((c - lo) / (c - u*)). The range starts at the innermost
-ladder edge u* whose bound is at most atol / 16 for every class of the
-group, and the bound joins each class's error sum (`_tail_cut`). The
-error budget, rtol and atol, is the only setting (`QuadratureSpec`).
+whose integrand is smooth through w = 0. `f_values` and the Lamb shift of
+`generator.lamb_shift_eigen` take their w-integrals by one rule,
+`graded_rule`: the offset trapezoid on a graded map of w, with g from
+`g_pair`. The integrand is analytic but for the Bose poles 2 pi T off the
+real axis, so the rule converges geometrically in 1 / h, and the nodes
+k = 1 mod 3, the step-3h rule, give an a-posteriori error estimate for
+free. The error budget, rtol and atol, is the only setting
+(`QuadratureSpec`).
 """
 
 from __future__ import annotations
@@ -78,20 +59,13 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error budget for the principal-value quadrature.
+    """Error budget of the w rule (`graded_rule`).
 
-    A pair's target is max(atol, rtol |F|) on its integral F before the
-    -2 pi gamma factor. Wmax = |E1| + |E2| + `_OMEGA_MAX_PAD` * cutoff sets
-    how much of the axis is kept: the range of the pair's sum group holds
-    w in [-Wmax, Wmax], i.e. [c - Wmax, c + Wmax] around the Cauchy point,
-    and may reach further, except that it may start above c - Wmax at a
-    cut u* below u = -s (s = E1 + E2), where h_s increases with u. The cut
-    is made only where the part it drops, at most
-    h_s(u*) log((c - lo) / (c - u*)) from the group's left end lo, is at
-    most atol / 16 for every pair of the group, and that bound is added to
-    the pair's error sum. A panel may be halved at most `_MAX_DEPTH` times.
-    `generator.lamb_shift_eigen` reads rtol and atol as a bound on the
-    matrix Lam instead, max(atol, rtol max|Lam|) on its max entry.
+    One a-posteriori check, from the step-3h rule inside the step-h rule,
+    bounds each result: each f value of `f_values` by max(atol, rtol |F|)
+    on its integral F before the -2 pi gamma factor, and the matrix Lam of
+    `generator.lamb_shift_eigen` by max(atol, rtol max|Lam|) on its max
+    entry.
     """
 
     rtol: float = 1e-8
@@ -103,10 +77,10 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the adaptive quadrature cannot meet its tolerance.
+    """Raised when the w rule's error estimate misses its target.
 
-    Carries the best available estimate and its error bound; `pair` is the
-    first failing (E1, E2) in input order of an `f_values` batch, else None.
+    Carries the computed value and its error estimate; `pair` is the first
+    failing (E1, E2) in input order of an `f_values` batch, else None.
     """
 
     def __init__(self, msg, estimate, error_bound, pair=None):
@@ -157,346 +131,77 @@ def kms_check(bath: BathSpec, samples) -> float:
     return float(np.max(dev / np.maximum(g_plus, 1e-300))) if w.size else 0.0
 
 
-# Gauss-Kronrod 7-15 nodes and weights on [-1, 1]. The embedded Gauss-7
-# rule shares the odd-index nodes, and node 7 is the midpoint; none of the
-# nodes touches the interval endpoints.
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.zeros(15)
-_WG[1::2] = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
 
 
-# Two swap classes whose sums E1 + E2 agree within this relative tolerance
-# share one sum group. The chain's bin representatives do not add exactly;
-# their sums spread by rounding, and the N = 5 and 6 chains give the same
-# 234 and 953 groups at any tolerance from 1e-12 to 1e-10.
-_SUM_RTOL = 1e-12
+def graded_rule(bath: BathSpec, span):
+    """(n, nodes): the graded offset-trapezoid w rule for the span S of the Bose poles.
 
-# Classes per adaptive sweep of `f_values`: whole sum groups, and a group of
-# more classes is cut into runs of this many. The entry arrays grow with
-# the chunk: on the N = 5 chain with the Lamb shift, the peak RSS of
-# `ule residual` was 40.0 MB at 512 classes and 41.6 MB at 1,024, at about
-# the same speed.
-_CHUNK_PAIRS = 512
-
-# Relative rounding error charged to each value of h in h(u) - h(c); it
-# only counts where a node comes close to the Cauchy point c.
-_H_ROUNDING = 16 * np.finfo(float).eps
-
-# Wmax = |E1| + |E2| + _OMEGA_MAX_PAD * cutoff bounds the axis a pair
-# keeps (`QuadratureSpec`); the Gaussian tail beyond Wmax is below e^-32 in
-# relative terms.
-_OMEGA_MAX_PAD = 8.0
-
-# Times a panel may be halved. On the chain's Lamb pairs at N = 4-6 and on
-# 400 random pairs, for T from 0.05 to 50, a cap of 1 gives the values of
-# this one bitwise: no panel is halved twice.
-_MAX_DEPTH = 50
-
-# Share of atol that cutting its sum group's Bose tail may cost a class
-# (`_tail_cut`). The cut drops a quarter of the (class, panel) entries on
-# the chain at T1 = 2 and moves no value by more than 2e-7 of its target.
-_TAIL_SHARE = 1.0 / 16
-
-
-def _sum_groups(sums):
-    """Group label of each of the sorted `sums` and each group's representative.
-
-    Greedy from the smallest: a group takes every sum within `_SUM_RTOL` of
-    its first, which is its representative.
+    The nodes t_k = (k + 1/2) h, k = 0 .. n - 1, map to w = t + c L (sinh(t/L)
+    - t/L) with c = 0.2 / (cosh 2 - 1), so dw/dt <= 1.2 on [0, S], where
+    the poles of the Bose factor sit 2 pi T off the axis; the rule's error
+    falls like exp(-4 pi^2 T / h) (L. N. Trefethen and J. A. C. Weideman,
+    SIAM Rev. 56, 385 (2014)) with h = min(1.2 T, Lc / 20) and L = max(S / 2,
+    8 h) (the map loses that rate past h = L / 8). The nodes reach w = S +
+    8 Lc, past which the Gaussian cutoff leaves less than e^-32, and n is a
+    multiple of 3, so that the nodes k = 1 mod 3 are the step-3h rule.
+    `nodes(k)` gives w and the weight h (dw/dt) / (4 pi^2 w) at the node
+    indices k, the 1 / (4 pi^2) taking the two 2 pi of `g_pair`. `span` and
+    n broadcast against each other, and against k in `nodes`.
     """
-    # the first of each run of equal sums; np.unique would also import
-    # numpy.ma (about 12 ms) for its masked-array check
-    distinct = sums[np.concatenate(([True], sums[1:] != sums[:-1]))]
-    heads = [0]
-    while True:
-        nxt = int(np.searchsorted(distinct, distinct[heads[-1]] * (1.0 + _SUM_RTOL), side="right"))
-        if nxt == distinct.size:
-            break
-        heads.append(nxt)
-    rep = distinct[heads]
-    return np.searchsorted(rep, sums, side="right") - 1, rep
+    h = min(1.2 * bath.temperature, bath.cutoff / 20.0)
+    grade, width = 0.2 / (np.cosh(2.0) - 1.0), np.maximum(span / 2.0, 8.0 * h)  # c and L
+    n = 3 * np.ceil(width * np.arcsinh((span + 8.0 * bath.cutoff) / (grade * width))
+                    / (3 * h)).astype(int)
+
+    def nodes(k):
+        t = (k + 0.5) * h
+        w = t + grade * width * (np.sinh(t / width) - t / width)
+        return w, h * (1.0 + grade * (np.cosh(t / width) - 1.0)) / (4 * np.pi ** 2 * w)
+
+    return n, nodes
 
 
-def _chunks(label):
-    """(start, stop) runs of whole sum groups of at most `_CHUNK_PAIRS` classes.
+def g_pair(bath: BathSpec, x):
+    """(2 pi g(x), 2 pi g(-x)) elementwise, sharing the factor that is even in x.
 
-    `label` is sorted; a group of more than `_CHUNK_PAIRS` classes is cut
-    into runs of that many.
+    2 pi g(+-x) = sqrt(|x| / (1 - exp(-beta |x|))) exp(v), v = -x^2 / (4 Lc^2)
+    + beta min(+-x, 0) / 2 (KMS); at x = 0 the even factor is its limit
+    sqrt(T). Exponents are held above -300: exp below about -708 and
+    products of subnormals are slow, and what the floor adds is below
+    e^-300 of the largest value.
     """
-    cuts = [0]
-    start = 0
-    for stop in (np.flatnonzero(np.diff(label)) + 1).tolist() + [label.size]:
-        if stop - cuts[-1] > _CHUNK_PAIRS and start > cuts[-1]:
-            cuts.append(start)
-        while stop - cuts[-1] > _CHUNK_PAIRS:
-            cuts.append(cuts[-1] + _CHUNK_PAIRS)
-        start = stop
-    if cuts[-1] < label.size:
-        cuts.append(label.size)
-    return zip(cuts[:-1], cuts[1:])
+    a = np.maximum(np.abs(x), 1e-300 * bath.temperature)
+    even = np.sqrt(a / -np.expm1(-bath.beta * a))
+    v = x * x * (-0.25 / bath.cutoff ** 2) + 0.5 * bath.beta * np.minimum(x, 0.0)
+    return (even * np.exp(np.maximum(v, -300.0)),
+            even * np.exp(np.maximum(v - 0.5 * bath.beta * x, -300.0)))
 
 
-def _ladder(bath: BathSpec, span):
-    """Rungs r = r0, 2 r0, 4 r0, ... up to the first at least `span`, r0 = min(2 pi T, Lc)."""
-    r0 = min(2.0 * np.pi * bath.temperature, bath.cutoff)
-    return r0 * 2.0 ** np.arange(int(np.ceil(np.log2(span / r0))) + 1)
-
-
-def _tail_cut(bath: BathSpec, c, lo, group, s, quad: QuadratureSpec):
-    """Left ends of the ranges with their Bose tails cut, and each class's bound.
-
-    Range j starts at lo[j] and serves the classes k with group[k] = j
-    (sorted), all at the sum s[j]: a sum group, or its run in a chunk.
-    Below u = -s both arguments of h_s(u) = g(u) g(u + s) are non-positive,
-    and there g increases with u, as do the Bose weight
-    |w| / (e^(beta |w|) - 1) and the Gaussian for w <= 0. Dropping
-    [lo, u*], u* <= -s, therefore moves the value of a class with Cauchy
-    point c > u* by at most h_s(u*) log((c - lo) / (c - u*)), which is
-    largest at the range's smallest c. The cut u* is the innermost negative
-    ladder edge -s - r0 2^k of `_initial_panels` that lies above lo, at
-    least r0 below every c of the range, and whose bound is at most
-    `_TAIL_SHARE` atol; a range with no such edge keeps lo. Returns (left
-    ends, bounds), the bound 0 for a class whose range keeps lo.
-    """
-    head = np.searchsorted(group, np.arange(s.size))
-    cmin = np.minimum.reduceat(c, head)[:, None]
-    rungs = _ladder(bath, np.max(-s - lo))
-    u = -s[:, None] - rungs
-    g = jump_spectral(bath, np.concatenate([u, u + s[:, None]]))
-    h = g[:s.size] * g[s.size:]
-    inside = (u > lo[:, None]) & (u <= cmin - rungs[0])
-    with np.errstate(divide="ignore", invalid="ignore"):  # outside `inside`, unused
-        bound = h * np.log((cmin - lo[:, None]) / (cmin - u))
-    ok = inside & (bound <= _TAIL_SHARE * quad.atol)
-    cut = ok.any(axis=1)
-    k = np.argmax(ok, axis=1)
-    new_lo = np.where(cut, u[np.arange(s.size), k], lo)
-    tail = np.where(cut[group], h[group, k[group]] * np.log((c - lo[group]) / (c - new_lo[group])),
-                    0.0)
-    return new_lo, tail
-
-
-def _initial_panels(bath: BathSpec, lo, hi, s):
-    """(group, left, right) of the starting panels, ordered by group and left edge.
-
-    Group j spans [lo[j], hi[j]]. Its inner edges are the two points where
-    h_s(u) = g(u) g(u + s), s >= 0, changes character, u = 0 and u = -s, and
-    a ladder on both sides of each: 0 + r and -s - r outward, -r and -s + r
-    inward up to the midpoint, for r = r0, 2 r0, 4 r0, ... with
-    r0 = min(2 pi T, Lc). The poles of the Bose factor at w = 2 pi i k T put
-    a singularity of g at distance 2 pi T from each of the two points, and a
-    GK15 panel converges fast once it keeps about its own half-width away
-    from it; at small T, h also falls off as exp(u / 2T) from u = 0 towards
-    -s, a drop that a panel with no edge near 0 can step over unseen. Lc is
-    the scale of the Gaussian cutoff.
-    """
-    ladder = _ladder(bath, np.max(hi - lo))
-    zero = np.zeros((s.size, 1))
-    s = s[:, None]
-    between = np.where(ladder < 0.5 * s, ladder, np.inf)
-    inner = np.hstack([zero, -s, zero + ladder, -s - ladder, -between, between - s])
-    inner[(inner <= lo[:, None]) | (inner >= hi[:, None])] = np.inf
-    edges = np.sort(np.column_stack([lo, hi, inner]), axis=1)
-    keep = np.isfinite(edges)
-    keep[:, 1:] &= edges[:, 1:] != edges[:, :-1]
-    group, col = np.nonzero(keep)
-    flat = edges[group, col]
-    same = group[1:] == group[:-1]
-    return group[:-1][same], flat[:-1][same], flat[1:][same]
-
-
-def _panel_nodes(bath: BathSpec, a, b, s):
-    """Half-widths, GK15 nodes u and h_s(u) = g(u) g(u + s) of panels [a, b] with sums s."""
-    half = 0.5 * (b - a)
-    u = (0.5 * (a + b))[:, None] + half[:, None] * _XGK
-    g = jump_spectral(bath, np.concatenate([u, u + s[:, None]]))
-    return half, u, g[:a.size] * g[a.size:]
-
-
-def _take_rows(work, k, a, index):
-    """a[index] for a 2-D a, written to a view of work[k], the k-th flat buffer
-    of the list work; a buffer that is short is replaced by one a quarter
-    larger than needed.
-
-    `f_values` hands one list to all its chunks, so the large gathers of
-    `_pair_panel_sums` reuse one allocation instead of each being mapped
-    and unmapped by the C allocator.
-    """
-    n = index.size * a.shape[1]
-    if work[k].size < n:
-        work[k] = np.empty(n + n // 4)
-    # every panel index is in range by construction; the default
-    # mode="raise" would gather into a temporary of the output's size and
-    # copy it over, "clip" writes into the view directly
-    return np.take(a, index, axis=0, out=work[k][:n].reshape(index.size, a.shape[1]),
-                   mode="clip")
-
-
-def _pair_panel_sums(pair, panel, c, hc, half, u, h, work):
-    """Kronrod integrals and error estimates of (h(u) - h(c)) / (u - c) on (pair, panel) entries.
-
-    Pair k has the Cauchy point c[k] and h(c) = hc[k]; panel j the
-    half-width half[j], nodes u[j] and values h[j]. The error is |K15 - G7|
-    plus, on the panel that holds c, the rounding of h(u) - h(c) divided by
-    u - c at each node. That term grows without bound as a node nears c, so
-    such a panel is halved until c sits clear of its nodes; a node exactly
-    at c contributes 0 and an infinite error. Row reductions, not BLAS
-    products, so an entry's sums do not depend on the batch. The two
-    (entries, 15) gathers live in the two buffers of work (`_take_rows`).
-    """
-    y = _take_rows(work, 0, h, panel)
-    y -= hc[pair, None]
-    d = _take_rows(work, 1, u, panel)
-    d -= c[pair, None]
-    holds = np.flatnonzero(np.abs(d[:, 7]) < half[panel])  # node 7 is the midpoint
-    dist = np.abs(d[holds])
-    hit_row, hit_node = np.nonzero(dist == 0.0)
-    d[holds[hit_row], hit_node] = 1.0
-    dist[hit_row, hit_node] = 1.0
-    y /= d
-    y[holds[hit_row], hit_node] = 0.0
-    rounding = np.zeros(pair.size)
-    spread = (np.take(h, panel[holds], axis=0) + hc[pair[holds], None]) / dist
-    rounding[holds] = _H_ROUNDING * half[panel[holds]] * np.einsum("ij,j->i", spread, _WGK)
-    rounding[holds[hit_row]] = np.inf
-    half = half[panel]
-    k15 = half * np.einsum("ij,j->i", y, _WGK)
-    g7 = half * np.einsum("ij,j->i", y, _WG)
-    return k15, np.abs(k15 - g7) + rounding
-
-
-def _sum_group_chunk(bath: BathSpec, c, group, s, lo, hi, tail, quad: QuadratureSpec, work):
-    """Unscaled PV integrals, error sums and failed mask of a chunk of swap classes.
-
-    Class k is PV Int h_s(u) / (u - c[k]) du with s = s[group[k]]; `group`
-    is sorted and numbers the chunk's sum groups 0, 1, ... Group j
-    integrates over [lo[j], hi[j]] on one panel set whose nodes carry the
-    one evaluation of h_s. Class k adds Int (h_s(u) - h_s(c)) / (u - c)
-    over every panel of its group to h_s(c) log((hi - c) / (c - lo)), and
-    tail[k], the bound of its group's Bose-tail cut, to its error sum.
-    Globally adaptive GK15: while a class's error sum exceeds
-    max(atol, rtol |total|), its panels whose error is at least a quarter
-    of its worst are halved, for every live class of the group at once; a
-    panel may be halved at most `_MAX_DEPTH` times. The entries stay ordered
-    by (class, left edge), so the `bincount` totals add each class's panels
-    in one order whatever else is in the chunk; converged classes, and the
-    panels of groups with none left, drop out. Each (class, panel) is
-    evaluated once; work is the gather workspace of `_pair_panel_sums`.
-    Returns (totals, error sums, failed mask).
-    """
-    n = c.size
-    pg, a, b = _initial_panels(bath, lo, hi, s)
-    depth = np.zeros(a.size, dtype=int)
-    half, u, h = _panel_nodes(bath, a, b, s[pg])
-    gc = jump_spectral(bath, np.concatenate([c, c + s[group]]))
-    hc = gc[:n] * gc[n:]
-    log_term = hc * np.log((hi[group] - c) / (c - lo[group]))
-
-    # one entry per class and panel of its group, ordered by (class, left edge)
-    count = np.bincount(pg, minlength=s.size)[group]
-    pair = np.repeat(np.arange(n), count)
-    offset = np.cumsum(count) - count - np.searchsorted(pg, group)
-    panel = np.arange(pair.size) - np.repeat(offset, count)
-    vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
-    active = np.ones(n, dtype=bool)
-    totals = np.zeros(n)
-    total_errs = np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
-
-    while True:
-        total = np.bincount(pair, vals, minlength=n) + log_term
-        total_err = np.bincount(pair, errs, minlength=n) + tail
-        converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
-        worst = np.zeros(n)
-        np.maximum.at(worst, pair, errs)
-        mark = (errs >= 0.25 * worst[pair]) & (depth[panel] < _MAX_DEPTH) & ~converged[pair]
-        stuck = np.bincount(pair, mark, minlength=n) == 0
-        settled = active & (converged | stuck)
-        totals[settled] = total[settled]
-        total_errs[settled] = total_err[settled]
-        failed |= settled & ~converged
-        active &= ~settled
-        if not active.any():
-            break
-
-        # a marked panel becomes its two halves in its own place; the
-        # panels of groups with no live class go
-        split = np.zeros(a.size, dtype=bool)
-        split[panel[mark]] = True
-        live = np.zeros(s.size, dtype=bool)
-        live[group[active]] = True
-        width = live[pg] * (1 + split)
-        moved = np.cumsum(width) - width
-        left = moved[split]
-        mid = 0.5 * (a[split] + b[split])
-        idx = np.repeat(np.arange(a.size), width)
-        pg, a, b, depth, half, u, h = (v[idx] for v in (pg, a, b, depth, half, u, h))
-        b[left] = mid
-        a[left + 1] = mid
-        fresh = np.concatenate([left, left + 1])
-        depth[fresh] += 1
-        half[fresh], u[fresh], h[fresh] = _panel_nodes(bath, a[fresh], b[fresh], s[pg[fresh]])
-
-        # so does each live entry on a halved panel
-        keep = active[pair]
-        pair, panel, vals, errs = pair[keep], panel[keep], vals[keep], errs[keep]
-        halved = split[panel]
-        width = 1 + halved
-        left = (np.cumsum(width) - width)[halved]
-        idx = np.repeat(np.arange(pair.size), width)
-        pair, panel, vals, errs = pair[idx], moved[panel][idx], vals[idx], errs[idx]
-        panel[left + 1] += 1
-        fresh = np.concatenate([left, left + 1])
-        vals[fresh], errs[fresh] = _pair_panel_sums(pair[fresh], panel[fresh], c, hc, half, u, h,
-                                                    work)
-    return totals, total_errs, failed
+# Nodes per block of `f_values` (a multiple of 3) and pairs per block
+_BLOCK = 60
+_ROWS = 2 ** 14 // _BLOCK
 
 
 def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """f(e1[k], e2[k]) = -2 pi gamma PV Int g(w - e1[k]) g(w + e2[k]) / w dw for every k.
 
-    With u = w - E1, f(E1, E2) = -2 pi gamma PV Int h_s(u) / (u - c) du,
-    h_s(u) = g(u) g(u + s), s = E1 + E2 and the Cauchy point c = -E1. The
-    swap mirror (-E2, -E1) is the same integral shifted by s, so each swap
-    class {(E1, E2), (-E2, -E1)} is integrated once, as its member with
-    s >= 0; classes with the same (|s|, c) merge, and so do signed zeros.
-    Classes whose sums agree within `_SUM_RTOL` form a sum group, integrated
-    at its smallest sum on one shared panel set (`_sum_group_chunk`).
+    Folded onto w > 0, F = Int_0^inf [g(w - E1) g(w + E2) - g(-w - E1)
+    g(-w + E2)] dw / w is taken by the `graded_rule` of the pair's own span
+    S = max(|E1|, |E2|), so the node count grows like S / T. Nodes go in
+    blocks of `_BLOCK`, masked past each pair's n, and each pair adds its
+    block's terms by row sums (no BLAS): a value depends on its own pair
+    only, bitwise the same in any batch, any order and under any thread
+    count. The swap mirror (-E2, -E1) multiplies the same two g values in
+    the other order, so the two values are bitwise equal. The nodes k = 1
+    mod 3 form the step-3h rule, whence the error estimate D (D / M)^2 +
+    eps M, D = |F_h - F_3h| and M = sum |terms| the integrand's scale,
+    against max(atol, rtol |F|) (`QuadratureSpec`). Next to a zero of f,
+    where |F| is far below M, D / |F| would inflate the estimate by
+    (M / |F|)^2.
 
-    A value is the integral at its group's representative sum, over the
-    union of its group's ranges, which contains the pair's own w in
-    [-Wmax, Wmax] less a Bose tail whose part the error sum bounds
-    (`QuadratureSpec`). It depends on the other members of its sum group
-    (the representative, the range and the shared panels) and on nothing else;
-    only a group of more than `_CHUNK_PAIRS` classes is cut into runs with
-    panels of their own. So a value may move within its error target when
-    the batch around it changes, while for one set of pairs the values are
-    bitwise the same in any order and on every rerun.
-
-    ValueError if any argument is not finite. QuadratureError, carrying the
-    best estimate, its error bound and `.pair`, if some class cannot meet
-    its tolerance within the subdivision budget; `.pair` is the first input
-    pair, as given, whose class failed, the estimate and bound those of the
-    class.
+    ValueError if the arguments are not two 1-D arrays of one length or any
+    is not finite. QuadratureError, carrying the value, its error bound and
+    `.pair`, the first input pair whose estimate misses its target.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
@@ -508,49 +213,35 @@ def f_values(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) ->
         return np.zeros(e1.size)
     scale = -2.0 * np.pi * bath.coupling
 
-    s = e1 + e2
-    key = np.empty(e1.size, dtype=complex)  # sorts by real part, then imaginary
-    key.real = np.abs(s)
-    key.imag = np.where(s < 0, e2, -e1) + 0.0  # c of the member with s >= 0; -0.0 -> 0.0
-    key, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    c = key.imag.copy()
-    wmax = np.abs(e1[first]) + np.abs(e2[first]) + _OMEGA_MAX_PAD * bath.cutoff
-    label, rep = _sum_groups(key.real)
-    del s, key
-
-    # a sum group, or its run in a chunk, integrates over the union of its
-    # classes' [c - Wmax, c + Wmax] with its Bose tail cut
-    chunks = list(_chunks(label))
-    opens = np.zeros(c.size, dtype=bool)
-    opens[np.flatnonzero(np.diff(label)) + 1] = True
-    opens[[start for start, _ in chunks]] = True
-    head = np.flatnonzero(opens)
-    run = np.cumsum(opens) - 1
-    sums = rep[label[head]]
-    lo, tail = _tail_cut(bath, c, np.minimum.reduceat(c - wmax, head), run, sums, quad)
-    hi = np.maximum.reduceat(c + wmax, head)
-
-    values = np.empty(c.size)
-    errors = np.empty(c.size)
-    failed = np.zeros(c.size, dtype=bool)
-    work = [np.empty(0), np.empty(0)]
-    for start, stop in chunks:
-        chunk = slice(start, stop)
-        runs = slice(run[start], run[stop - 1] + 1)
-        totals, errors[chunk], failed[chunk] = _sum_group_chunk(
-            bath, c[chunk], run[chunk] - run[start], sums[runs], lo[runs], hi[runs], tail[chunk],
-            quad, work)
-        values[chunk] = scale * totals
-    if failed.any():
-        k = np.flatnonzero(failed)
-        k = k[np.argmin(first[k])]
-        target = max(quad.atol, quad.rtol * abs(values[k] / scale))
+    span = np.maximum(np.abs(e1), np.abs(e2))
+    # x = w - E1, w + E2 for g(x) and x = w + E1, w - E2 for g(-x)
+    shift = np.stack([-e1, e2, e1, -e2])[:, :, None]
+    count = graded_rule(bath, span)[0]
+    coarse, rest, size = np.zeros((3, e1.size))
+    # each block lists its nodes k = 1 mod 3 first, then k = 0 and 2 mod 3
+    order = np.arange(_BLOCK).reshape(-1, 3).T[[1, 0, 2]].ravel()
+    for start in range(0, int(count.max()), _BLOCK):
+        live = np.flatnonzero(count > start)
+        for lo in range(0, live.size, _ROWS):
+            rows = live[lo:lo + _ROWS]
+            n, nodes = graded_rule(bath, span[rows, None])
+            w, weight = nodes(start + order)
+            weight[start + order >= n] = 0.0
+            gp, gm = g_pair(bath, w + shift[:, rows])
+            plus, minus = weight * (gp[0] * gp[1]), weight * (gm[2] * gm[3])
+            part = (plus - minus).reshape(rows.size, 3, -1).sum(axis=2)
+            coarse[rows] += part[:, 0]
+            rest[rows] += part[:, 1] + part[:, 2]
+            size[rows] += (plus + minus).sum(axis=1)
+    fine = coarse + rest
+    diff = np.abs(fine - 3.0 * coarse)
+    error = diff * (diff / size) ** 2 + np.finfo(float).eps * size
+    target = np.maximum(quad.atol, quad.rtol * np.abs(fine))
+    if not np.all(error <= target):
+        k = int(np.argmax(~(error <= target)))
         raise QuadratureError(
-            f"adaptive quadrature hit max depth {_MAX_DEPTH} with "
-            f"error {errors[k]:.3e} > target {target:.3e}; loosen rtol or atol",
-            estimate=float(values[k]),
-            error_bound=float(errors[k]) * abs(scale),
-            pair=(float(e1[first[k]]), float(e2[first[k]])),
-        )
-    return values[inverse]
-
+            f"f w rule at T = {bath.temperature:g}, {count[k]} nodes: error estimate "
+            f"{error[k]:.3e} > target {target[k]:.3e}; loosen rtol or atol",
+            estimate=float(scale * fine[k]), error_bound=float(abs(scale) * error[k]),
+            pair=(float(e1[k]), float(e2[k])))
+    return scale * fine

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import BathSpec, QuadratureError, QuadratureSpec, jump_spectral
+from .bath import BathSpec, QuadratureError, QuadratureSpec, g_pair, graded_rule, jump_spectral
 from .operators import (
     BohrDecomposition,
     EigenDecomposition,
@@ -162,56 +162,48 @@ class Superoperator:
         return max_asymmetry(self.hamiltonian)
 
 
+def _jump_from_eigen(eig: EigenDecomposition, xe, bath: BathSpec) -> np.ndarray:
+    """`build_jump_operator` from X already rotated into the eigenbasis, `xe`."""
+    gaps = eig.energies[None, :] - eig.energies[:, None]
+    le = 2.0 * np.pi * np.sqrt(bath.coupling) * jump_spectral(bath, gaps) * xe
+    return eig.from_eigenbasis(le)
+
+
 def build_jump_operator(eig: EigenDecomposition, channel: NoiseChannel) -> np.ndarray:
     """Jump operator with eigenbasis elements 2 pi sqrt(gamma) g(E_n - E_m) X_mn.
 
     Built elementwise from the exact eigenvalue gaps (no binning needed) and
     rotated back to the input basis.
     """
-    xe = eig.to_eigenbasis(channel.coupling_op)
-    gaps = eig.energies[None, :] - eig.energies[:, None]
-    le = 2.0 * np.pi * np.sqrt(channel.bath.coupling) * jump_spectral(channel.bath, gaps) * xe
-    return eig.from_eigenbasis(le)
+    return _jump_from_eigen(eig, eig.to_eigenbasis(channel.coupling_op), channel.bath)
 
 
-def lamb_shift_eigen(eig: EigenDecomposition, channel: NoiseChannel,
+def lamb_shift_eigen(eig: EigenDecomposition, coupling_eigen: np.ndarray, bath: BathSpec,
                      quad: QuadratureSpec = QuadratureSpec()):
     """(Lam, fmatch) of one channel in the eigenbasis, from one w-integral of d x d products.
 
-    With A(w)_ml = g(w + E_m - E_l) X_ml and X Hermitian, Lam = -2 pi gamma
-    Int_0^inf [A(w) A(w)^dag - A(-w) A(-w)^dag] dw / w; fmatch[m, l] =
-    f(E_l - E_m, E_m - E_l) is that integral of g(w + E_m - E_l)^2. The rule
-    is the offset trapezoid t_k = (k + 1/2) h on w = t + c L (sinh(t/L) -
-    t/L), dw/dt <= 1.2 over the gaps |w| <= S = max|E_m - E_l| where the Bose
-    poles sit 2 pi T off the axis, whose error falls like exp(-4 pi^2 T / h)
-    (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56, 385 (2014)): h =
-    min(1.2 T, Lc / 20), L = max(S / 2, 8 h) (the map loses that rate past
-    h = L / 8), nodes up to w = S + 8 Lc, one Hermitian product per block.
-    The nodes k = 1 mod 3 form the step-3h rule, whence the step-h error
+    `coupling_eigen` is the Hermitian X in the eigenbasis of `eig`, as
+    `BohrDecomposition.coupling_eigen` holds it. With A(w)_ml = g(w + E_m -
+    E_l) X_ml, Lam = -2 pi gamma Int_0^inf [A(w) A(w)^dag - A(-w)
+    A(-w)^dag] dw / w; fmatch[m, l] = f(E_l - E_m, E_m - E_l) is that
+    integral of g(w + E_m - E_l)^2. The rule is `bath.graded_rule` for the
+    span S = max|E_m - E_l|, one Hermitian product per block of nodes. The
+    nodes k = 1 mod 3 form the step-3h rule, whence the step-h error
     D (D / M)^2 + eps sum |terms|, D = max|Lam_h - Lam_3h|, M = max|Lam_h|
     before the -2 pi gamma: QuadratureError naming T past max(atol, rtol M).
     """
-    bath, e, d = channel.bath, eig.energies, eig.dim
-    xe = hermitize(eig.to_eigenbasis(channel.coupling_op))
+    e, d = eig.energies, eig.dim
+    xe = coupling_eigen
     xe = xe if np.any(xe.imag) else np.ascontiguousarray(xe.real)
-    span, h = e[-1] - e[0], min(1.2 * bath.temperature, bath.cutoff / 20.0)
-    grade, width = 0.2 / (np.cosh(2.0) - 1.0), max(span / 2.0, 8.0 * h)  # c and L
-    n = 3 * int(np.ceil(width * np.arcsinh((span + 8.0 * bath.cutoff) / (grade * width)) / (3 * h)))
+    n, nodes = graded_rule(bath, e[-1] - e[0])
     block = 3 * max(1, 2 ** 14 // (3 * d * d))  # nodes: 15 at N = 5, 3 from N = 6 (cache-sized)
     lam = [np.zeros((d, d), dtype=xe.dtype) for _ in range(2)]  # nodes 1 mod 3, the others
     fmatch, size = np.zeros((d, d)), 0.0
     for start in range(0, n, block):
         b = min(block, n - start)
-        t = (start + np.arange(b).reshape(-1, 3).T[[1, 0, 2]].ravel() + 0.5) * h
-        w = t + grade * width * (np.sinh(t / width) - t / width)
-        weight = h * (1.0 + grade * (np.cosh(t / width) - 1.0)) / (4 * np.pi ** 2 * w)
-        x = w[None, :, None] + (e[:, None] - e[None, :])[:, None, :]  # [m, k, l]
-        a = np.maximum(np.abs(x), 1e-300 * bath.temperature)  # at x = 0, even^2 is its limit T
-        even = np.sqrt(a / -np.expm1(-bath.beta * a))
-        # exponents held above -300 keep exp off its slow path (most of the time at T = 0.05)
-        v = x * x * (-0.25 / bath.cutoff ** 2) + 0.5 * bath.beta * np.minimum(x, 0.0)
-        gp = even * np.exp(np.maximum(v, -300.0))  # 2 pi g(w + E_m - E_l)
-        gm = even * np.exp(np.maximum(v - 0.5 * bath.beta * x, -300.0))  # 2 pi g(-w - E_m + E_l)
+        w, weight = nodes(start + np.arange(b).reshape(-1, 3).T[[1, 0, 2]].ravel())
+        # 2 pi g(w + E_m - E_l) and 2 pi g(-w - E_m + E_l), [m, k, l]
+        gp, gm = g_pair(bath, w[None, :, None] + (e[:, None] - e[None, :])[:, None, :])
         for i, part in enumerate((slice(None, b // 3), slice(b // 3, None))):
             root = np.sqrt(weight[part])[:, None] * xe[:, None, :]
             ap, am = (gp[:, part] * root).reshape(d, -1), (gm[:, part] * root).reshape(-1, d)
@@ -254,12 +246,17 @@ def build_liouvillian(eig: EigenDecomposition, channels,
 
     H_eff = H + sum_c Lam_c and one jump operator per channel, without dense
     work. With `lamb_shift` None, or for a channel with zero coupling, that
-    channel's Lamb shift is skipped and no quadrature runs.
+    channel's Lamb shift is skipped and no quadrature runs. X is rotated
+    into the eigenbasis once per channel, for its jump and its Lamb shift.
     """
-    lam = np.zeros((eig.dim, eig.dim), dtype=complex)
-    for ch in _lamb_shift_channels(channels, lamb_shift):
-        lam = lam + build_lamb_shift(eig, lamb_shift_eigen(eig, ch, lamb_shift)[0])
-    return Superoperator(eig.reconstruct() + lam, [build_jump_operator(eig, ch) for ch in channels])
+    lam, jumps = np.zeros((eig.dim, eig.dim), dtype=complex), []
+    for ch in channels:
+        xe = eig.to_eigenbasis(ch.coupling_op)
+        jumps.append(_jump_from_eigen(eig, xe, ch.bath))
+        if _lamb_shift_channels([ch], lamb_shift):
+            lam = lam + build_lamb_shift(eig, lamb_shift_eigen(eig, hermitize(xe), ch.bath,
+                                                                 lamb_shift)[0])
+    return Superoperator(eig.reconstruct() + lam, jumps)
 
 
 def _secular_parts(bohr: BohrDecomposition, bath: BathSpec, fmatch):
@@ -314,7 +311,8 @@ def build_secular_generator(bohr: BohrDecomposition, channel: NoiseChannel,
     it; the Gibbs check never does.
     """
     with_lamb = _lamb_shift_channels([channel], lamb_shift)
-    fmatch = lamb_shift_eigen(bohr.eig, channel, lamb_shift)[1] if with_lamb else None
+    fmatch = (lamb_shift_eigen(bohr.eig, bohr.coupling_eigen, channel.bath, lamb_shift)[1]
+              if with_lamb else None)
     c, lam, _ = _secular_parts(bohr, channel.bath, fmatch)
     jumps = (c[k] * bohr.component(k) for k in range(bohr.nfreq))
     h = bohr.eig.reconstruct()

@@ -5,19 +5,27 @@ oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
 dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
 A(w) built here from projector sandwiches of X, never from the bin labels
 or the level-triple sums of the table oracle; their bath functions and f
-values come in as arguments. `f_integral_loop` is the per-pair adaptive
-Gauss-Kronrod loop over the folded integrand [h(w) - h(-w)] / w on
-[0, Wmax]; it shares only g and the node table with the library.
-`folded_adaptive_chunk`
-is the batched form of that loop, the kernel `ule.f_values` ran (on one
-pair per swap class) before it integrated by sum group with singularity
-subtraction, and `f_values_every_pair` runs it on every pair as given.
-The library agrees with both within the quadrature target, not bitwise.
-`f_values_full_range` is `ule.f_values` with each sum group integrated
-over its whole range, the policy before the Bose-tail cut; the cut
-values agree with it within their targets, and bitwise where no cut is
-made. `cluster_gaps_loop` is the per-cluster loop that binned the Bohr
-gaps before `ule.operators._cluster_gaps` was vectorized, and
+values come in as arguments. `f_values_gk15` is the f kernel the library
+ran before its w rule became the graded trapezoid of `ule.bath.graded_rule`:
+globally adaptive Gauss-Kronrod 7-15 (GK15) on the Hilbert-transform form
+with singularity subtraction, one panel set per sum group of swap
+classes, in chunks, with a Bose-tail cut (`_tail_cut`). It is a different
+quadrature from the library's, so the two agree within the quadrature
+target, not bitwise; at rtol 1e-12 it is the reference for `ule.f_values`
+from T = 0.05 to 50, and it gives the f table of `lamb_shift_f`.
+`f_integral_loop` is the per-pair adaptive GK15 loop over the folded
+integrand [h(w) - h(-w)] / w on [0, Wmax]; it shares only g with the
+library. `folded_adaptive_chunk` is the batched form of that loop, the
+kernel the library ran (on one pair per swap class) before it integrated
+by sum group, and `f_values_every_pair` runs it on every pair as given;
+its feature edges resolve the Bose step only at a tight target below T of
+about 0.2 (at the default target on the N = 5 chain's Lamb pairs at
+T = 0.05 it misses its own target by up to 186x). `f_values_full_range`
+is `f_values_gk15` with each sum group integrated over its whole range,
+the policy before the Bose-tail cut; the cut values agree with it within
+their targets, and bitwise where no cut is made. `cluster_gaps_loop` is
+the per-cluster loop that binned the Bohr gaps before
+`ule.operators._cluster_gaps` was vectorized, and
 `chain_hamiltonian_products` builds the chain Hamiltonian from d x d site
 operators and three d x d products per bond, as `ule.build_chain_hamiltonian`
 did before it embedded one two-site bond operator; both results are bitwise
@@ -31,7 +39,7 @@ The two are different quadratures, so they agree within the table's
 target, and within rounding once the table's target is tight.
 `lamb_shift_bins_unique` gives the distinct frequency-bin pairs of the
 live level triples by the d^3 `np.unique`, the pairs `lamb_shift_f` must
-hand to `f_values`; `lamb_shift_pairs_unique` turns them into
+hand to `f_values_gk15`; `lamb_shift_pairs_unique` turns them into
 frequencies for the tests that need the chain's Lamb pairs. The library's
 Gibbs formulas are weighted d x d arrays; the loops here take the
 coefficients as grids over the frequency pairs. `lambshift_on_gibbs_table`
@@ -78,12 +86,12 @@ generator, `thermal_shift_residual` checks the thermal shift identity of a
 Bohr component, and `total_sz` is the chain's total z spin.
 """
 
+import sys
 from unittest import mock
 
 import numpy as np
 from scipy.linalg import lapack
 
-import ule.bath
 from ule import (
     EigenDecomposition,
     PropagationError,
@@ -93,7 +101,6 @@ from ule import (
     SteadyStateReport,
     Trajectory,
     dynamics,
-    f_values,
     hermitize,
     jump_spectral,
     magnetization,
@@ -101,13 +108,413 @@ from ule import (
     steady_state,
     trace_distance,
 )
-from ule.bath import _WG, _WGK, _XGK
+from ule.bath import BathSpec
 from ule.generator import _require_memory
+
+
+# The GK15 f kernel `f_values_gk15` and its helpers, as the library ran them.
+
+# Gauss-Kronrod 7-15 nodes and weights on [-1, 1]. The embedded Gauss-7
+# rule shares the odd-index nodes, and node 7 is the midpoint; none of the
+# nodes touches the interval endpoints.
+_XGK = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0,
+    0.207784955007898, 0.405845151377397, 0.586087235467691,
+    0.741531185599394, 0.864864423359769, 0.949107912342759,
+    0.991455371120813,
+])
+_WGK = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267,
+    0.140653259715525, 0.104790010322250, 0.063092092629979,
+    0.022935322010529,
+])
+_WG = np.zeros(15)
+_WG[1::2] = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469, 0.381830050505119, 0.279705391489277,
+    0.129484966168870,
+])
+
+
+# Two swap classes whose sums E1 + E2 agree within this relative tolerance
+# share one sum group. The chain's bin representatives do not add exactly;
+# their sums spread by rounding, and the N = 5 and 6 chains give the same
+# 234 and 953 groups at any tolerance from 1e-12 to 1e-10.
+_SUM_RTOL = 1e-12
+
+# Classes per adaptive sweep of `f_values_gk15`: whole sum groups, and a group of
+# more classes is cut into runs of this many. The entry arrays grow with
+# the chunk: on the N = 5 chain with the Lamb shift, the peak RSS of
+# `ule residual` was 40.0 MB at 512 classes and 41.6 MB at 1,024, at about
+# the same speed.
+_CHUNK_PAIRS = 512
+
+# Relative rounding error charged to each value of h in h(u) - h(c); it
+# only counts where a node comes close to the Cauchy point c.
+_H_ROUNDING = 16 * np.finfo(float).eps
+
+# Wmax = |E1| + |E2| + _OMEGA_MAX_PAD * cutoff bounds the axis a pair
+# keeps (`QuadratureSpec`); the Gaussian tail beyond Wmax is below e^-32 in
+# relative terms.
+_OMEGA_MAX_PAD = 8.0
+
+# Times a panel may be halved. On the chain's Lamb pairs at N = 4-6 and on
+# 400 random pairs, for T from 0.05 to 50, a cap of 1 gives the values of
+# this one bitwise: no panel is halved twice.
+_MAX_DEPTH = 50
+
+# Share of atol that cutting its sum group's Bose tail may cost a class
+# (`_tail_cut`). The cut drops a quarter of the (class, panel) entries on
+# the chain at T1 = 2 and moves no value by more than 2e-7 of its target.
+_TAIL_SHARE = 1.0 / 16
+
+
+def _sum_groups(sums):
+    """Group label of each of the sorted `sums` and each group's representative.
+
+    Greedy from the smallest: a group takes every sum within `_SUM_RTOL` of
+    its first, which is its representative.
+    """
+    # the first of each run of equal sums; np.unique would also import
+    # numpy.ma (about 12 ms) for its masked-array check
+    distinct = sums[np.concatenate(([True], sums[1:] != sums[:-1]))]
+    heads = [0]
+    while True:
+        nxt = int(np.searchsorted(distinct, distinct[heads[-1]] * (1.0 + _SUM_RTOL), side="right"))
+        if nxt == distinct.size:
+            break
+        heads.append(nxt)
+    rep = distinct[heads]
+    return np.searchsorted(rep, sums, side="right") - 1, rep
+
+
+def _chunks(label):
+    """(start, stop) runs of whole sum groups of at most `_CHUNK_PAIRS` classes.
+
+    `label` is sorted; a group of more than `_CHUNK_PAIRS` classes is cut
+    into runs of that many.
+    """
+    cuts = [0]
+    start = 0
+    for stop in (np.flatnonzero(np.diff(label)) + 1).tolist() + [label.size]:
+        if stop - cuts[-1] > _CHUNK_PAIRS and start > cuts[-1]:
+            cuts.append(start)
+        while stop - cuts[-1] > _CHUNK_PAIRS:
+            cuts.append(cuts[-1] + _CHUNK_PAIRS)
+        start = stop
+    if cuts[-1] < label.size:
+        cuts.append(label.size)
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _ladder(bath: BathSpec, span):
+    """Rungs r = r0, 2 r0, 4 r0, ... up to the first at least `span`, r0 = min(2 pi T, Lc)."""
+    r0 = min(2.0 * np.pi * bath.temperature, bath.cutoff)
+    return r0 * 2.0 ** np.arange(int(np.ceil(np.log2(span / r0))) + 1)
+
+
+def _tail_cut(bath: BathSpec, c, lo, group, s, quad: QuadratureSpec):
+    """Left ends of the ranges with their Bose tails cut, and each class's bound.
+
+    Range j starts at lo[j] and serves the classes k with group[k] = j
+    (sorted), all at the sum s[j]: a sum group, or its run in a chunk.
+    Below u = -s both arguments of h_s(u) = g(u) g(u + s) are non-positive,
+    and there g increases with u, as do the Bose weight
+    |w| / (e^(beta |w|) - 1) and the Gaussian for w <= 0. Dropping
+    [lo, u*], u* <= -s, therefore moves the value of a class with Cauchy
+    point c > u* by at most h_s(u*) log((c - lo) / (c - u*)), which is
+    largest at the range's smallest c. The cut u* is the innermost negative
+    ladder edge -s - r0 2^k of `_initial_panels` that lies above lo, at
+    least r0 below every c of the range, and whose bound is at most
+    `_TAIL_SHARE` atol; a range with no such edge keeps lo. Returns (left
+    ends, bounds), the bound 0 for a class whose range keeps lo.
+    """
+    head = np.searchsorted(group, np.arange(s.size))
+    cmin = np.minimum.reduceat(c, head)[:, None]
+    rungs = _ladder(bath, np.max(-s - lo))
+    u = -s[:, None] - rungs
+    g = jump_spectral(bath, np.concatenate([u, u + s[:, None]]))
+    h = g[:s.size] * g[s.size:]
+    inside = (u > lo[:, None]) & (u <= cmin - rungs[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # outside `inside`, unused
+        bound = h * np.log((cmin - lo[:, None]) / (cmin - u))
+    ok = inside & (bound <= _TAIL_SHARE * quad.atol)
+    cut = ok.any(axis=1)
+    k = np.argmax(ok, axis=1)
+    new_lo = np.where(cut, u[np.arange(s.size), k], lo)
+    tail = np.where(cut[group], h[group, k[group]] * np.log((c - lo[group]) / (c - new_lo[group])),
+                    0.0)
+    return new_lo, tail
+
+
+def _initial_panels(bath: BathSpec, lo, hi, s):
+    """(group, left, right) of the starting panels, ordered by group and left edge.
+
+    Group j spans [lo[j], hi[j]]. Its inner edges are the two points where
+    h_s(u) = g(u) g(u + s), s >= 0, changes character, u = 0 and u = -s, and
+    a ladder on both sides of each: 0 + r and -s - r outward, -r and -s + r
+    inward up to the midpoint, for r = r0, 2 r0, 4 r0, ... with
+    r0 = min(2 pi T, Lc). The poles of the Bose factor at w = 2 pi i k T put
+    a singularity of g at distance 2 pi T from each of the two points, and a
+    GK15 panel converges fast once it keeps about its own half-width away
+    from it; at small T, h also falls off as exp(u / 2T) from u = 0 towards
+    -s, a drop that a panel with no edge near 0 can step over unseen. Lc is
+    the scale of the Gaussian cutoff.
+    """
+    ladder = _ladder(bath, np.max(hi - lo))
+    zero = np.zeros((s.size, 1))
+    s = s[:, None]
+    between = np.where(ladder < 0.5 * s, ladder, np.inf)
+    inner = np.hstack([zero, -s, zero + ladder, -s - ladder, -between, between - s])
+    inner[(inner <= lo[:, None]) | (inner >= hi[:, None])] = np.inf
+    edges = np.sort(np.column_stack([lo, hi, inner]), axis=1)
+    keep = np.isfinite(edges)
+    keep[:, 1:] &= edges[:, 1:] != edges[:, :-1]
+    group, col = np.nonzero(keep)
+    flat = edges[group, col]
+    same = group[1:] == group[:-1]
+    return group[:-1][same], flat[:-1][same], flat[1:][same]
+
+
+def _panel_nodes(bath: BathSpec, a, b, s):
+    """Half-widths, GK15 nodes u and h_s(u) = g(u) g(u + s) of panels [a, b] with sums s."""
+    half = 0.5 * (b - a)
+    u = (0.5 * (a + b))[:, None] + half[:, None] * _XGK
+    g = jump_spectral(bath, np.concatenate([u, u + s[:, None]]))
+    return half, u, g[:a.size] * g[a.size:]
+
+
+def _take_rows(work, k, a, index):
+    """a[index] for a 2-D a, written to a view of work[k], the k-th flat buffer
+    of the list work; a buffer that is short is replaced by one a quarter
+    larger than needed.
+
+    `f_values_gk15` hands one list to all its chunks, so the large gathers of
+    `_pair_panel_sums` reuse one allocation instead of each being mapped
+    and unmapped by the C allocator.
+    """
+    n = index.size * a.shape[1]
+    if work[k].size < n:
+        work[k] = np.empty(n + n // 4)
+    # every panel index is in range by construction; the default
+    # mode="raise" would gather into a temporary of the output's size and
+    # copy it over, "clip" writes into the view directly
+    return np.take(a, index, axis=0, out=work[k][:n].reshape(index.size, a.shape[1]),
+                   mode="clip")
+
+
+def _pair_panel_sums(pair, panel, c, hc, half, u, h, work):
+    """Kronrod integrals and error estimates of (h(u) - h(c)) / (u - c) on (pair, panel) entries.
+
+    Pair k has the Cauchy point c[k] and h(c) = hc[k]; panel j the
+    half-width half[j], nodes u[j] and values h[j]. The error is |K15 - G7|
+    plus, on the panel that holds c, the rounding of h(u) - h(c) divided by
+    u - c at each node. That term grows without bound as a node nears c, so
+    such a panel is halved until c sits clear of its nodes; a node exactly
+    at c contributes 0 and an infinite error. Row reductions, not BLAS
+    products, so an entry's sums do not depend on the batch. The two
+    (entries, 15) gathers live in the two buffers of work (`_take_rows`).
+    """
+    y = _take_rows(work, 0, h, panel)
+    y -= hc[pair, None]
+    d = _take_rows(work, 1, u, panel)
+    d -= c[pair, None]
+    holds = np.flatnonzero(np.abs(d[:, 7]) < half[panel])  # node 7 is the midpoint
+    dist = np.abs(d[holds])
+    hit_row, hit_node = np.nonzero(dist == 0.0)
+    d[holds[hit_row], hit_node] = 1.0
+    dist[hit_row, hit_node] = 1.0
+    y /= d
+    y[holds[hit_row], hit_node] = 0.0
+    rounding = np.zeros(pair.size)
+    spread = (np.take(h, panel[holds], axis=0) + hc[pair[holds], None]) / dist
+    rounding[holds] = _H_ROUNDING * half[panel[holds]] * np.einsum("ij,j->i", spread, _WGK)
+    rounding[holds[hit_row]] = np.inf
+    half = half[panel]
+    k15 = half * np.einsum("ij,j->i", y, _WGK)
+    g7 = half * np.einsum("ij,j->i", y, _WG)
+    return k15, np.abs(k15 - g7) + rounding
+
+
+def _sum_group_chunk(bath: BathSpec, c, group, s, lo, hi, tail, quad: QuadratureSpec, work):
+    """Unscaled PV integrals, error sums and failed mask of a chunk of swap classes.
+
+    Class k is PV Int h_s(u) / (u - c[k]) du with s = s[group[k]]; `group`
+    is sorted and numbers the chunk's sum groups 0, 1, ... Group j
+    integrates over [lo[j], hi[j]] on one panel set whose nodes carry the
+    one evaluation of h_s. Class k adds Int (h_s(u) - h_s(c)) / (u - c)
+    over every panel of its group to h_s(c) log((hi - c) / (c - lo)), and
+    tail[k], the bound of its group's Bose-tail cut, to its error sum.
+    Globally adaptive GK15: while a class's error sum exceeds
+    max(atol, rtol |total|), its panels whose error is at least a quarter
+    of its worst are halved, for every live class of the group at once; a
+    panel may be halved at most `_MAX_DEPTH` times. The entries stay ordered
+    by (class, left edge), so the `bincount` totals add each class's panels
+    in one order whatever else is in the chunk; converged classes, and the
+    panels of groups with none left, drop out. Each (class, panel) is
+    evaluated once; work is the gather workspace of `_pair_panel_sums`.
+    Returns (totals, error sums, failed mask).
+    """
+    n = c.size
+    pg, a, b = _initial_panels(bath, lo, hi, s)
+    depth = np.zeros(a.size, dtype=int)
+    half, u, h = _panel_nodes(bath, a, b, s[pg])
+    gc = jump_spectral(bath, np.concatenate([c, c + s[group]]))
+    hc = gc[:n] * gc[n:]
+    log_term = hc * np.log((hi[group] - c) / (c - lo[group]))
+
+    # one entry per class and panel of its group, ordered by (class, left edge)
+    count = np.bincount(pg, minlength=s.size)[group]
+    pair = np.repeat(np.arange(n), count)
+    offset = np.cumsum(count) - count - np.searchsorted(pg, group)
+    panel = np.arange(pair.size) - np.repeat(offset, count)
+    vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
+    active = np.ones(n, dtype=bool)
+    totals = np.zeros(n)
+    total_errs = np.zeros(n)
+    failed = np.zeros(n, dtype=bool)
+
+    while True:
+        total = np.bincount(pair, vals, minlength=n) + log_term
+        total_err = np.bincount(pair, errs, minlength=n) + tail
+        converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
+        worst = np.zeros(n)
+        np.maximum.at(worst, pair, errs)
+        mark = (errs >= 0.25 * worst[pair]) & (depth[panel] < _MAX_DEPTH) & ~converged[pair]
+        stuck = np.bincount(pair, mark, minlength=n) == 0
+        settled = active & (converged | stuck)
+        totals[settled] = total[settled]
+        total_errs[settled] = total_err[settled]
+        failed |= settled & ~converged
+        active &= ~settled
+        if not active.any():
+            break
+
+        # a marked panel becomes its two halves in its own place; the
+        # panels of groups with no live class go
+        split = np.zeros(a.size, dtype=bool)
+        split[panel[mark]] = True
+        live = np.zeros(s.size, dtype=bool)
+        live[group[active]] = True
+        width = live[pg] * (1 + split)
+        moved = np.cumsum(width) - width
+        left = moved[split]
+        mid = 0.5 * (a[split] + b[split])
+        idx = np.repeat(np.arange(a.size), width)
+        pg, a, b, depth, half, u, h = (v[idx] for v in (pg, a, b, depth, half, u, h))
+        b[left] = mid
+        a[left + 1] = mid
+        fresh = np.concatenate([left, left + 1])
+        depth[fresh] += 1
+        half[fresh], u[fresh], h[fresh] = _panel_nodes(bath, a[fresh], b[fresh], s[pg[fresh]])
+
+        # so does each live entry on a halved panel
+        keep = active[pair]
+        pair, panel, vals, errs = pair[keep], panel[keep], vals[keep], errs[keep]
+        halved = split[panel]
+        width = 1 + halved
+        left = (np.cumsum(width) - width)[halved]
+        idx = np.repeat(np.arange(pair.size), width)
+        pair, panel, vals, errs = pair[idx], moved[panel][idx], vals[idx], errs[idx]
+        panel[left + 1] += 1
+        fresh = np.concatenate([left, left + 1])
+        vals[fresh], errs[fresh] = _pair_panel_sums(pair[fresh], panel[fresh], c, hc, half, u, h,
+                                                    work)
+    return totals, total_errs, failed
+
+
+def f_values_gk15(bath: BathSpec, e1, e2, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """f(e1[k], e2[k]) = -2 pi gamma PV Int g(w - e1[k]) g(w + e2[k]) / w dw for every k.
+
+    With u = w - E1, f(E1, E2) = -2 pi gamma PV Int h_s(u) / (u - c) du,
+    h_s(u) = g(u) g(u + s), s = E1 + E2 and the Cauchy point c = -E1. The
+    swap mirror (-E2, -E1) is the same integral shifted by s, so each swap
+    class {(E1, E2), (-E2, -E1)} is integrated once, as its member with
+    s >= 0; classes with the same (|s|, c) merge, and so do signed zeros.
+    Classes whose sums agree within `_SUM_RTOL` form a sum group, integrated
+    at its smallest sum on one shared panel set (`_sum_group_chunk`).
+
+    A value is the integral at its group's representative sum, over the
+    union of its group's ranges, which contains the pair's own w in
+    [-Wmax, Wmax] less a Bose tail whose part the error sum bounds
+    (`QuadratureSpec`). It depends on the other members of its sum group
+    (the representative, the range and the shared panels) and on nothing else;
+    only a group of more than `_CHUNK_PAIRS` classes is cut into runs with
+    panels of their own. So a value may move within its error target when
+    the batch around it changes, while for one set of pairs the values are
+    bitwise the same in any order and on every rerun.
+
+    ValueError if any argument is not finite. QuadratureError, carrying the
+    best estimate, its error bound and `.pair`, if some class cannot meet
+    its tolerance within the subdivision budget; `.pair` is the first input
+    pair, as given, whose class failed, the estimate and bound those of the
+    class.
+    """
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    if e1.ndim != 1 or e1.shape != e2.shape:
+        raise ValueError("f arguments must be two 1-D arrays of the same length")
+    if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
+        raise ValueError("f arguments must be finite")
+    if bath.coupling == 0.0 or e1.size == 0:
+        return np.zeros(e1.size)
+    scale = -2.0 * np.pi * bath.coupling
+
+    s = e1 + e2
+    key = np.empty(e1.size, dtype=complex)  # sorts by real part, then imaginary
+    key.real = np.abs(s)
+    key.imag = np.where(s < 0, e2, -e1) + 0.0  # c of the member with s >= 0; -0.0 -> 0.0
+    key, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    c = key.imag.copy()
+    wmax = np.abs(e1[first]) + np.abs(e2[first]) + _OMEGA_MAX_PAD * bath.cutoff
+    label, rep = _sum_groups(key.real)
+    del s, key
+
+    # a sum group, or its run in a chunk, integrates over the union of its
+    # classes' [c - Wmax, c + Wmax] with its Bose tail cut
+    chunks = list(_chunks(label))
+    opens = np.zeros(c.size, dtype=bool)
+    opens[np.flatnonzero(np.diff(label)) + 1] = True
+    opens[[start for start, _ in chunks]] = True
+    head = np.flatnonzero(opens)
+    run = np.cumsum(opens) - 1
+    sums = rep[label[head]]
+    lo, tail = _tail_cut(bath, c, np.minimum.reduceat(c - wmax, head), run, sums, quad)
+    hi = np.maximum.reduceat(c + wmax, head)
+
+    values = np.empty(c.size)
+    errors = np.empty(c.size)
+    failed = np.zeros(c.size, dtype=bool)
+    work = [np.empty(0), np.empty(0)]
+    for start, stop in chunks:
+        chunk = slice(start, stop)
+        runs = slice(run[start], run[stop - 1] + 1)
+        totals, errors[chunk], failed[chunk] = _sum_group_chunk(
+            bath, c[chunk], run[chunk] - run[start], sums[runs], lo[runs], hi[runs], tail[chunk],
+            quad, work)
+        values[chunk] = scale * totals
+    if failed.any():
+        k = np.flatnonzero(failed)
+        k = k[np.argmin(first[k])]
+        target = max(quad.atol, quad.rtol * abs(values[k] / scale))
+        raise QuadratureError(
+            f"adaptive quadrature hit max depth {_MAX_DEPTH} with "
+            f"error {errors[k]:.3e} > target {target:.3e}; loosen rtol or atol",
+            estimate=float(values[k]),
+            error_bound=float(errors[k]) * abs(scale),
+            pair=(float(e1[first[k]]), float(e2[first[k]])),
+        )
+    return values[inverse]
 
 
 def omega_max(bath, e1, e2):
     """Wmax = |E1| + |E2| + _OMEGA_MAX_PAD * cutoff, the half-range the quadrature keeps."""
-    return abs(e1) + abs(e2) + ule.bath._OMEGA_MAX_PAD * bath.cutoff
+    return abs(e1) + abs(e2) + _OMEGA_MAX_PAD * bath.cutoff
 
 
 # Pairs per adaptive sweep of `f_values_every_pair`, the chunk size the
@@ -220,13 +627,13 @@ def _adaptive_quadrature(fun, edges, quad):
             return total, total_err
         worst = errs.max()
         split = errs >= 0.25 * worst
-        if not np.any(split & (depth < ule.bath._MAX_DEPTH)):
+        if not np.any(split & (depth < _MAX_DEPTH)):
             raise QuadratureError(
-                f"adaptive quadrature hit max depth {ule.bath._MAX_DEPTH} with "
+                f"adaptive quadrature hit max depth {_MAX_DEPTH} with "
                 f"error {total_err:.3e} > target {target:.3e}",
                 estimate=total, error_bound=total_err,
             )
-        split &= depth < ule.bath._MAX_DEPTH
+        split &= depth < _MAX_DEPTH
         keep = ~split
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[keep], a[split], mid])
@@ -257,7 +664,7 @@ def bose_weight_branches(w, beta):
 
 
 def f_integral_loop(bath, e1, e2, quad):
-    """f(E1, E2) by one adaptive GK15 loop per pair, the form `ule.f_values` batches.
+    """f(E1, E2) by one adaptive GK15 loop per pair, the form `f_values_gk15` batches.
 
     Same folding, feature edges, split rule and targets as the library;
     panel sums use BLAS dot products and each sweep re-sorts the panels.
@@ -353,7 +760,7 @@ def folded_adaptive_chunk(bath, e1, e2, quad):
         converged = total_err <= np.maximum(quad.atol, quad.rtol * np.abs(total))
         worst = np.zeros(n)
         np.maximum.at(worst, pair, errs)
-        split = (errs >= 0.25 * worst[pair]) & (depth < ule.bath._MAX_DEPTH)
+        split = (errs >= 0.25 * worst[pair]) & (depth < _MAX_DEPTH)
         stuck = np.bincount(pair, split, minlength=n) == 0
         settled = active & (converged | stuck)
         totals[settled] = total[settled]
@@ -410,14 +817,14 @@ def _whole_range(bath, c, lo, group, s, quad):
 
 
 def f_values_full_range(bath, e1, e2, quad):
-    """`ule.f_values` with every sum group integrated over its whole range.
+    """`f_values_gk15` with every sum group integrated over its whole range.
 
     The range policy before the Bose-tail cut: the kernel runs with
-    `ule.bath._tail_cut` replaced by one that keeps each group's left end
-    and charges no bound.
+    `_tail_cut` replaced by one that keeps each group's left end and
+    charges no bound.
     """
-    with mock.patch.object(ule.bath, "_tail_cut", _whole_range):
-        return f_values(bath, e1, e2, quad)
+    with mock.patch.object(sys.modules[__name__], "_tail_cut", _whole_range):
+        return f_values_gk15(bath, e1, e2, quad)
 
 
 def cluster_gaps_loop(values, eps):
@@ -538,7 +945,7 @@ def _require_lamb_shift_memory(d: int) -> None:
     """MemoryLimitError unless 16 float64 tables over d^3 level triples fit."""
     # 16 tables of 8 d^3 bytes (134 MB each at N = 8): above the 29 MB of the
     # interpreter with ule imported, `ule residual` on the chain peaked at
-    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f_values
+    # 15.2 of them at N = 6 and 12.8 at N = 7 (at N = 7, 1.26M f
     # pairs of about 110 bytes each and the np.unique of 2.0M live codes)
     _require_memory(16 * 8 * d ** 3, f"Lamb-shift f table over {d}^3 level triples")
 
@@ -547,7 +954,7 @@ def lamb_shift_f(bohr, bath, quad=QuadratureSpec()):
     """f(w_i, w_j), i = bin_index[m, l], j = bin_index[l, n], on each (m, l, n) with X_ml X_ln != 0.
 
     The codes i K + j, K = nfreq, of these live triples go through one
-    `np.unique`, and `f_values` runs once on the sorted distinct pairs;
+    `np.unique`, and `f_values_gk15` runs once on the sorted distinct pairs;
     every other triple holds 0. The triple (m, l, m) holds f(w, -w), w =
     w[bin_index[m, l]]. MemoryLimitError, before anything of d^3 cells is
     allocated, from `_require_lamb_shift_memory`.
@@ -559,7 +966,7 @@ def lamb_shift_f(bohr, bath, quad=QuadratureSpec()):
     pairs, inverse = np.unique((i * bohr.nfreq + j)[live], return_inverse=True)
     i, j = np.divmod(pairs, bohr.nfreq)
     f = np.zeros(live.shape)
-    f[live] = f_values(bath, bohr.frequencies[i], bohr.frequencies[j], quad)[inverse]
+    f[live] = f_values_gk15(bath, bohr.frequencies[i], bohr.frequencies[j], quad)[inverse]
     return f
 
 

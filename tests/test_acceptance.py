@@ -103,7 +103,7 @@ def ensemble():
             bath=bath,
             rho_th=gibbs_state(eig, bath.beta),
             f=lamb_shift_f(bohr, bath, QUAD),
-            lam=lamb_shift_eigen(eig, channel, QUAD)[0],
+            lam=lamb_shift_eigen(eig, bohr.coupling_eigen, bath, QUAD)[0],
         ))
     return systems
 
