@@ -189,22 +189,30 @@ def quad_from_config(cfg: dict) -> QuadratureSpec:
     return QuadratureSpec(rtol=cfg["rtol"], atol=cfg["atol"])
 
 
-def spec_from_config(cfg: dict) -> SpinChainSpec:
-    return SpinChainSpec(
+# Peak of each chain command, Lamb shift (off, on), in complex d x d arrays of 16 d^2
+# bytes, measured at N = 8-11 (README, Sizes); steady's counts the Krylov vectors it writes.
+_PEAK_ARRAYS = {"spinchain": (40, 40), "evolve": (32, 32), "steady": (40, 40), "residual": (19, 28)}
+# Bytes held per row of a written table: tracemalloc read 224-226 per sample
+# or --omega-points point, 322 per --e-list pair at 10^5 pairs; 24% margin.
+_ROW_BYTES = 400
+
+
+def _chain_input(args, sampled: bool = False) -> tuple[dict, SpinChainSpec]:
+    """(cfg, spec) of a chain command, after MemoryLimitError if its peak (its
+    arrays, plus a row per sample if `sampled`) would not fit in memory."""
+    cfg = load_config(args)
+    spec = SpinChainSpec(
         N=cfg["N"], eta=cfg["eta"], B_z=cfg["B_z"], T1=cfg["T1"], T2=cfg["T2"],
         gamma1=cfg["gamma1"], gamma2=cfg["gamma2"], Lambda_c=cfg["Lambda_c"],
         couple_sites=cfg.get("couple_sites"),
         lamb_shift=None if cfg["ignore_lamb_shift"] else quad_from_config(cfg))
-
-
-# Bytes held per row of a written table (arrays and CSV floats): tracemalloc
-# read 220-226 per sample or --omega-points point, ~140 per --e-list pair.
-_ROW_BYTES = 256
-
-
-def _require_rows(key: str, rows: int) -> None:
-    """MemoryLimitError naming `key` if a table of `rows` rows would not fit."""
-    _require_memory(rows * _ROW_BYTES, f"a table of {rows} rows for {key}")
+    arrays = _PEAK_ARRAYS[args.command][spec.lamb_shift is not None]
+    rows = cfg["samples"] if sampled else 0
+    # 2^(2N + 4) bytes an array, the exponent capped where the need is inf anyway
+    need = arrays * 2.0 ** min(2 * spec.N + 4, 1023) + rows * _ROW_BYTES
+    _require_memory(need, f"ule {args.command} at N = {spec.N} ({arrays} arrays of "
+                          f"2^{2 * spec.N + 4} bytes, {rows} rows for samples)")
+    return cfg, spec
 
 
 def _out(args, name: str) -> str:
@@ -214,9 +222,7 @@ def _out(args, name: str) -> str:
 
 
 def cmd_spinchain(args) -> int:
-    cfg = load_config(args)
-    spec = spec_from_config(cfg)
-    _require_rows("samples", cfg["samples"])
+    cfg, spec = _chain_input(args, sampled=True)
     result = run_relaxation(spec, t_end=cfg.get("t_end"),
                             samples=cfg["samples"], tol=cfg["tol"])
     traj, dev = result.trajectory, result.deviation
@@ -255,9 +261,7 @@ def cmd_spinchain(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    cfg = load_config(args)
-    spec = spec_from_config(cfg)
-    _require_rows("samples", cfg["samples"])
+    cfg, spec = _chain_input(args, sampled=True)
     _, sop = build_chain_superop(spec)
     traj = relax_chain(spec, sop, t_end=cfg.get("t_end"),
                        samples=cfg["samples"], tol=cfg["tol"])
@@ -267,8 +271,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    cfg = load_config(args)
-    spec = spec_from_config(cfg)
+    _, spec = _chain_input(args)
     report, dev = chain_steady_state(spec, *build_chain_superop(spec))
     write_csv(_out(args, "steady.csv"), ["n", "E_n", "rho_nn", "rho_nn_th"],
               dev.rows())
@@ -285,8 +288,7 @@ def cmd_steady(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = load_config(args)
-    spec = spec_from_config(cfg)
+    _, spec = _chain_input(args)
     channel = chain_channels(spec)[0]
     eig = eigendecompose(build_chain_hamiltonian(spec))
     report = gibbs_residual_report(eig, channel, spec.lamb_shift)
@@ -306,8 +308,9 @@ def cmd_bath(args) -> int:
     _check("--omega-max", args.omega_max, _POSITIVE)
     _check("--omega-points", args.omega_points, _AT_LEAST_ONE)
     energies = np.array(_parse_list("--e-list", args.e_list))
-    _require_rows("--omega-points", args.omega_points)
-    _require_rows(f"--e-list ({energies.size} energies squared)", energies.size ** 2)
+    pairs = energies.size ** 2
+    _require_memory((args.omega_points + pairs) * _ROW_BYTES, f"ule bath ({args.omega_points} "
+                    f"rows for --omega-points, {pairs} rows for --e-list)")
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
                     cutoff=cfg["Lambda_c"])

@@ -525,8 +525,8 @@ def steady_state(superop: Superoperator) -> SteadyStateReport:
     SteadyStateError with its kernel counted (`_kernel_count`) and, where a
     count certified, a trace-one representative as its report.
 
-    MemoryLimitError (a ValueError) is raised before any solve if the GMRES
-    workspace would not fit.
+    MemoryLimitError (a ValueError) is raised before any solve if all 201
+    Krylov vectors would not fit; a solve writes only those it iterates on.
     """
     d = superop.dim
     _require_memory((GMRES_RESTART + 1) * 8 * d ** 2,

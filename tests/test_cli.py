@@ -363,6 +363,82 @@ def test_tables_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, argv, key):
     assert not out.exists()
 
 
+CHAIN_COMMANDS = [("spinchain", "true"), ("evolve", "true"), ("steady", "true"),
+                  ("residual", "true"), ("residual", "false")]
+CHAIN_IDS = ["spinchain", "evolve", "steady", "residual", "residual_lamb"]
+
+
+class Reached(Exception):
+    pass
+
+
+def refuse_chain_hamiltonian(monkeypatch):
+    """Make building the chain Hamiltonian, the first d^2 allocation of every
+    chain command, raise Reached."""
+    def refuse(spec):
+        raise Reached
+    monkeypatch.setattr("ule.cli.build_chain_hamiltonian", refuse)
+    monkeypatch.setattr("ule.spinchain.build_chain_hamiltonian", refuse)
+
+
+@pytest.mark.parametrize("command, ignore_lamb", CHAIN_COMMANDS, ids=CHAIN_IDS)
+def test_chain_peak_model_refuses_below_its_need(tmp_path, capsys, monkeypatch,
+                                                 command, ignore_lamb):
+    # the model at N = 5: its arrays of 16 d^2 bytes, plus 200 table rows for
+    # the sampled commands; memory read as exactly the need lets the command
+    # through to the Hamiltonian, one byte less exits 2 before it
+    from ule import cli, generator
+    arrays = cli._PEAK_ARRAYS[command][ignore_lamb == "false"]
+    rows = 200 if command in ("spinchain", "evolve") else 0
+    need = arrays * 16 * 4 ** 5 + rows * cli._ROW_BYTES
+    refuse_chain_hamiltonian(monkeypatch)
+    argv = [command, "--config", CHAIN_CFG, "--N", "5", "--ignore_lamb_shift", ignore_lamb,
+            "--outdir", str(tmp_path / "out")]
+    monkeypatch.setattr(generator, "_physical_memory", lambda: need)
+    with pytest.raises(Reached):
+        main(argv)
+    monkeypatch.setattr(generator, "_physical_memory", lambda: need - 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"ule {command} at N = 5 ({arrays} arrays of 2^14 bytes" in err
+    assert f"needs about {need / 1e9:.3g} GB" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", ["13", "14", "2000", "1000000000"])
+@pytest.mark.parametrize("command, ignore_lamb", CHAIN_COMMANDS, ids=CHAIN_IDS)
+def test_chain_beyond_memory_exits_2_at_once(tmp_path, capsys, monkeypatch,
+                                             command, ignore_lamb, n):
+    # physical memory is read as 16 GiB, where N = 13 needs 20-43 GB and one
+    # complex array at N = 14 takes 4.3 GB; the need of a huge N is taken
+    # without forming 4^N, so even N = 10^9 is refused within a second
+    import time
+    from ule import generator
+    monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 34)
+    refuse_chain_hamiltonian(monkeypatch)
+    t0 = time.perf_counter()
+    code = main([command, "--config", CHAIN_CFG, "--N", n, "--ignore_lamb_shift", ignore_lamb,
+                 "--outdir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"config error: ule {command} at N = {n} (" in capsys.readouterr().err
+
+
+def test_bath_table_fits_its_row_bytes(tmp_path):
+    # 317 energies give 100,489 f pairs: the traced peak of the whole command
+    # stays within the rows its memory check reserves
+    from ule import cli
+    energies = ",".join(str(-3.0 + 6.0 * i / 316) for i in range(317))
+    argv = ["bath", "--config", CHAIN_CFG, f"--e-list={energies}", "--outdir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1001 + 317 ** 2) * cli._ROW_BYTES
+
+
 def test_samples_without_states_stay_small(monkeypatch):
     # 20,000 states of 16 x 16 would take 82 MB; physical memory is read as
     # 32 MB, below that, and a run that keeps no states needs neither
@@ -586,9 +662,6 @@ def test_lamb_shift_commands_reach_eigendecompose_at_n10(tmp_path, capsys, monke
     # before): each chain command with the Lamb shift on at N = 10 goes on
     # to the eigendecomposition, here stopped there
     from ule import cli, spinchain
-
-    class Reached(Exception):
-        pass
 
     def stop(h):
         raise Reached
