@@ -1,23 +1,12 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from oracles import (
-    _CHUNK_PAIRS,
-    _TAIL_SHARE,
-    _pair_panel_sums,
-    _panel_nodes,
-    _sum_group_chunk,
-    _tail_cut,
-    _take_rows,
     bose_weight_branches,
-    f_integral_loop,
     f_values_every_pair,
-    f_values_full_range,
-    f_values_gk15,
     lamb_shift_f,
     lamb_shift_pairs_unique,
     trapezoid_pv,
@@ -257,22 +246,13 @@ def test_quadrature_spec_validation():
                 QuadratureSpec(**{name: value})
 
 
-def test_f_values_match_per_pair_loop_on_chain_lamb_pairs():
-    spec, channel, bohr = chain4_lamb()
-    e1, e2 = lamb_shift_pairs_unique(bohr)
-    values = f_values(channel.bath, e1, e2, QUAD)
-    loop = np.array([f_integral_loop(channel.bath, a, b, QUAD) for a, b in zip(e1, e2)])
-    assert e1.size == 2219
-    assert_within_target(values, loop, channel.bath, QUAD)
-
-
 def test_f_values_match_per_pair_loop_on_random_pairs():
     bath = make_bath(T=1.3, gamma=0.2, cutoff=30.0)
     quad = QuadratureSpec()
     rng = np.random.default_rng(41)
     e1, e2 = rng.uniform(-20.0, 20.0, size=(2, 50))
     values = f_values(bath, e1, e2, quad)
-    loop = np.array([f_integral_loop(bath, a, b, quad) for a, b in zip(e1, e2)])
+    loop = np.array([f_values_every_pair(bath, [a], [b], quad)[0] for a, b in zip(e1, e2)])
     assert_within_target(values, loop, bath, quad)
 
 
@@ -311,6 +291,7 @@ def test_f_values_match_every_pair_oracle_on_chain_lamb_pairs(n_sites):
     # rerun are bitwise the same
     spec, channel, bohr = chain_lamb(n_sites)
     e1, e2 = lamb_shift_pairs_unique(bohr)
+    assert e1.size == {4: 2219, 5: 19085}[n_sites]
     values = f_values(channel.bath, e1, e2, QUAD)
     assert_within_target(values, f_values_every_pair(channel.bath, e1, e2, QUAD),
                          channel.bath, QUAD)
@@ -343,13 +324,11 @@ def test_f_values_match_every_pair_oracle_on_swap_classes():
     assert np.unique(values[np.isin(perm, np.arange(2 * a.size + 20, 2 * a.size + 24))]).size == 1
 
 
-def test_f_values_hazards_are_finite_and_within_target(monkeypatch):
-    # for the GK15 oracle, (-16, -16) is the class s = 32, c = -16, which is
-    # the midpoint and so the centre node of its starting panel [-32, 0],
-    # where (h(u) - h(c)) / (u - c) is 0/0; two Cauchy points one ulp apart
-    # (of the N = 5 chain); s = 0, the matched pairs f(w, -w); E1 = 0;
-    # signed zeros. Both the library and the oracle stay finite and within
-    # target; a RuntimeWarning would fail the test.
+def test_f_values_hazards_are_finite_and_within_target():
+    # (-16, -16), whose Cauchy point w = 0 sits mid-range; two Cauchy points
+    # one ulp apart (of the N = 5 chain); s = 0, the matched pairs f(w, -w);
+    # E1 = 0; signed zeros. The library stays finite and within target of
+    # the folded reference; a RuntimeWarning would fail the test.
     bath = make_bath()
     quad = QuadratureSpec()
     near = [25.809016994374950, 25.809016994374954]
@@ -358,21 +337,10 @@ def test_f_values_hazards_are_finite_and_within_target(monkeypatch):
                    0.0, 0.0, -0.0, 0.0, -0.0, 3.0])
     e2 = np.array([-16.0, 16.0, 3.0, 3.0, 1.0, 1.0, -1.0, 2.5, -40.0,
                    1.0, -2.0, 5.0, -0.0, 0.0, -0.0])
-    hits = []
-
-    def recording(pair, panel, c, hc, half, u, h, work):
-        vals, errs = _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
-        hits.extend(c[pair[np.isinf(errs)]].tolist())
-        return vals, errs
-
-    monkeypatch.setattr(oracles, "_pair_panel_sums", recording)
-    reference = f_values_every_pair(bath, e1, e2, quad)
-    for values in (f_values(bath, e1, e2, quad), f_values_gk15(bath, e1, e2, quad)):
-        assert np.all(np.isfinite(values))
-        assert_within_target(values, reference, bath, quad)
-        assert values[0] == values[1]
-    # the exact hit was caught, charged an infinite error and refined away
-    assert hits == [-16.0]
+    values = f_values(bath, e1, e2, quad)
+    assert np.all(np.isfinite(values))
+    assert_within_target(values, f_values_every_pair(bath, e1, e2, quad), bath, quad)
+    assert values[0] == values[1]
 
 
 def test_lamb_shift_f_is_exactly_swap_symmetric():
@@ -386,33 +354,11 @@ def test_lamb_shift_f_is_exactly_swap_symmetric():
     assert np.array_equal(f, f.transpose(2, 1, 0))
 
 
-def test_f_values_integrate_each_swap_class_once(monkeypatch):
-    # the GK15 oracle: 2,219 pairs in 1,163 swap classes and 64 sum groups,
-    # one panel set each
-    spec, channel, bohr = chain4_lamb()
-    e1, e2 = lamb_shift_pairs_unique(bohr)
-    sizes, groups = [], []
-
-    def counting(bath, c, group, s, *args):
-        sizes.append(c.size)
-        groups.append(s.size)
-        return _sum_group_chunk(bath, c, group, s, *args)
-
-    monkeypatch.setattr(oracles, "_sum_group_chunk", counting)
-    f_values_gk15(channel.bath, e1, e2, QUAD)
-    assert e1.size == 2219
-    assert sum(sizes) == 1163
-    assert sum(groups) == 64
-    assert len(sizes) > 1
-    assert max(sizes) <= _CHUNK_PAIRS
-
-
 # Under STRICT, `f_values` meets its target on (0, 0), (2, -1) and (40, -30),
 # with estimates near 2.5e-16 |f|, and misses it on NEAR_ZERO, two pairs
 # within 1e-4 of a zero of f at T = 2, where the rounding of terms of
 # about 1e4 |f| puts the estimate near 5e-11 |f|. With a panel halved at
-# most once (`depth_one`), the GK15 oracle converges on (0, 0) and (2, -1)
-# and not on (40, -30) and (0, 3); the folded loops miss on NEAR_ZERO too.
+# most once (`depth_one`), the folded reference misses on NEAR_ZERO too.
 STRICT = QuadratureSpec(rtol=1e-13, atol=1e-300)
 NEAR_ZERO = ((-120.5, 100.0), (-83.88, 150.0))
 
@@ -420,42 +366,6 @@ NEAR_ZERO = ((-120.5, 100.0), (-83.88, 150.0))
 @pytest.fixture
 def depth_one(monkeypatch):
     monkeypatch.setattr(oracles, "_MAX_DEPTH", 1)
-
-
-def test_adaptive_chunk_sums_no_empty_panel_batch(monkeypatch):
-    # the GK15 oracle: the sweep ends once no class is live instead of
-    # evaluating nothing, g runs once per panel node and each (class,
-    # panel) entry is evaluated once; under STRICT, (40, -30) and (0, 3)
-    # settle by hitting _MAX_DEPTH
-    spec, channel, bohr = chain4_lamb()
-    e1, e2 = lamb_shift_pairs_unique(bohr)
-    panels, entries, chunk = [], [], []
-
-    def chunk_counting(*args):
-        chunk.append(len(chunk))
-        return _sum_group_chunk(*args)
-
-    def node_counting(bath, a, b, s):
-        assert a.size > 0
-        panels.extend(zip([chunk[-1]] * a.size, s.tolist(), a.tolist(), b.tolist()))
-        return _panel_nodes(bath, a, b, s)
-
-    def entry_counting(pair, panel, c, hc, half, u, h, work):
-        assert pair.size > 0
-        entries.extend(zip([chunk[-1]] * pair.size, pair.tolist(), u[panel, 7].tolist(),
-                           half[panel].tolist()))
-        return _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
-
-    monkeypatch.setattr(oracles, "_sum_group_chunk", chunk_counting)
-    monkeypatch.setattr(oracles, "_panel_nodes", node_counting)
-    monkeypatch.setattr(oracles, "_pair_panel_sums", entry_counting)
-    f_values_gk15(channel.bath, e1, e2, QUAD)
-    monkeypatch.setattr(oracles, "_MAX_DEPTH", 1)
-    with pytest.raises(QuadratureError):
-        f_values_gk15(make_bath(), [0.0, 0.0, 40.0, 2.0], [0.0, 3.0, -30.0, -1.0], STRICT)
-    assert len(chunk) > 2
-    assert len(set(panels)) == len(panels)
-    assert len(set(entries)) == len(entries)
 
 
 @pytest.mark.usefixtures("depth_one")
@@ -474,10 +384,10 @@ def test_f_table_failure_names_first_failing_pair_in_input_order(first):
     with pytest.raises(QuadratureError) as alone:
         f_values(bath, [first[0]], [first[1]], STRICT)
     assert (err.estimate, err.error_bound) == (alone.value.estimate, alone.value.error_bound)
-    # the folded loop fails too, with an estimate within its own bound of this one
-    with pytest.raises(QuadratureError) as loop:
-        f_integral_loop(bath, *first, STRICT)
-    assert abs(err.estimate - loop.value.estimate) <= loop.value.error_bound
+    # the folded reference fails too, with an estimate within its own bound of this one
+    with pytest.raises(QuadratureError) as folded:
+        f_values_every_pair(bath, [first[0]], [first[1]], STRICT)
+    assert abs(err.estimate - folded.value.estimate) <= folded.value.error_bound
 
 
 @pytest.mark.usefixtures("depth_one")
@@ -515,151 +425,39 @@ def test_f_values_refuses_arguments_that_do_not_pair(e1, e2):
         f_values(make_bath(), e1, e2)
 
 
-def test_take_rows_gathers_into_the_workspace_without_a_temporary():
-    # the GK15 oracle's gather: 20,000 rows of 15, one gather is 2.4 MB;
-    # numpy's default mode="raise" gathers into a temporary of that size
-    # before copying it out
-    rng = np.random.default_rng(0)
-    a = rng.uniform(size=(3000, 15))
-    index = rng.integers(0, a.shape[0], size=20_000)
-    work = [np.empty(0), np.empty(0)]
-    _take_rows(work, 1, a, index)
-    buffer = work[1]
-    tracemalloc.start()
-    try:
-        got = _take_rows(work, 1, a, index)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert work[1] is buffer
-    assert np.shares_memory(got, buffer)
-    assert np.array_equal(got, a[index])
-    assert peak < got.nbytes // 20
-
-
-def _record_tail_cuts(monkeypatch):
-    """Wrap `_tail_cut`; each call appends (range of each class, lo before, lo after, bounds)."""
-    calls = []
-
-    def recording(bath, c, lo, group, s, quad):
-        new_lo, tail = _tail_cut(bath, c, lo, group, s, quad)
-        calls.append((group, lo, new_lo, tail))
-        return new_lo, tail
-
-    monkeypatch.setattr(oracles, "_tail_cut", recording)
-    return calls
-
-
-def test_no_entry_lies_below_its_groups_tail_cut(monkeypatch):
-    # the GK15 oracle on the N = 5 chain at T1 = 2: every (class, panel)
-    # entry the kernel evaluates lies above its sum group's cut, and the cut
-    # removes about a quarter of the entries of the full range (165,993 of
-    # them)
-    spec, channel, bohr = chain_lamb(5)
-    e1, e2 = lamb_shift_pairs_unique(bohr)
-    cuts = _record_tail_cuts(monkeypatch)
-    ranges, entries = [], []
-
-    def chunk(bath, c, group, s, lo, hi, tail, quad, work):
-        ranges.append((group, lo))
-        return _sum_group_chunk(bath, c, group, s, lo, hi, tail, quad, work)
-
-    def counting(pair, panel, c, hc, half, u, h, work):
-        group, lo = ranges[-1]
-        assert np.all(u[panel, 7] + half[panel] > lo[group[pair]])
-        entries.append(pair.size)
-        return _pair_panel_sums(pair, panel, c, hc, half, u, h, work)
-
-    monkeypatch.setattr(oracles, "_sum_group_chunk", chunk)
-    monkeypatch.setattr(oracles, "_pair_panel_sums", counting)
-    f_values_gk15(channel.bath, e1, e2, QUAD)
-    (_, before, after, tail), = cuts
-    assert np.array_equal(np.concatenate([lo for _, lo in ranges]), after)
-    assert np.all(after > before)
-    assert np.all(tail <= _TAIL_SHARE * QUAD.atol)
-    cut_entries = sum(entries)
-    entries.clear()
-    f_values_full_range(channel.bath, e1, e2, QUAD)
-    assert sum(entries) == 165_993
-    assert cut_entries < 0.8 * sum(entries)
-
-
-@pytest.mark.parametrize("temperature", [0.05, 0.2, 2.0, 20.0, 50.0])
-def test_tail_cut_matches_full_range_oracle(monkeypatch, temperature):
-    # the GK15 oracle on the N = 4 chain's Lamb pairs and random pairs with their mirrors and
-    # some (0, w) pairs, whose range ends where the cut would go: each
-    # value is within its target of the full range, a class whose group
-    # keeps its range is bitwise the full range's, mirrors stay bitwise equal
-    spec, _, bohr = chain4_lamb()
-    bath = make_bath(T=temperature)
-    quad = QUAD
-    rng = np.random.default_rng(11)
-    a, b = rng.uniform(-30.0, 30.0, size=(2, 200))
-    w = rng.uniform(0.0, 30.0, size=10)
-    chain = lamb_shift_pairs_unique(bohr)
-    randoms = (np.concatenate([a, -b, np.zeros(10), -w]), np.concatenate([b, -a, w, np.zeros(10)]))
-    cuts = _record_tail_cuts(monkeypatch)
-    chunks = []
-
-    def recording(*args):
-        out = _sum_group_chunk(*args)
-        chunks.append(out[0])
-        return out
-
-    monkeypatch.setattr(oracles, "_sum_group_chunk", recording)
-    kept = 0
-    for e1, e2 in (chain, randoms):
-        cuts.clear()
-        chunks.clear()
-        values = f_values_gk15(bath, e1, e2, quad)
-        cut = np.concatenate(chunks)
-        chunks.clear()
-        assert_within_target(values, f_values_full_range(bath, e1, e2, quad), bath, quad)
-        full = np.concatenate(chunks)
-        (run, before, after, _), = cuts
-        same = (after == before)[run]
-        assert np.array_equal(cut[same], full[same])
-        assert not same.all()
-        kept += int(same.sum())
-        mirrored = dict(zip(zip(-e2, -e1), values))
-        assert all(mirrored[(x, y)] == v for x, y, v in zip(e1, e2, values))
-    if temperature == 50.0:
-        assert kept > 0
-
-
-# the GK15 oracle at rtol 1e-12, the reference for the w rule of `f_values`
+# the folded reference at rtol 1e-12, the reference for the w rule of `f_values`
 REFERENCE = QuadratureSpec(rtol=1e-12, atol=1e-15)
 
 
-def assert_matches_gk15(bath, e1, e2):
-    """f_values within its target of the GK15 oracle, with at most 20,000 nodes."""
+def assert_matches_reference(bath, e1, e2):
+    """f_values within its target of the folded reference, with at most 20,000 nodes."""
     assert graded_rule(bath, np.maximum(np.abs(e1), np.abs(e2)))[0].max() <= 20_000
-    assert_within_target(f_values(bath, e1, e2, QUAD), f_values_gk15(bath, e1, e2, REFERENCE),
-                         bath, QUAD)
+    assert_within_target(f_values(bath, e1, e2, QUAD),
+                         f_values_every_pair(bath, e1, e2, REFERENCE), bath, QUAD)
 
 
 @pytest.mark.parametrize("temperature", [0.05, 50.0])
-def test_f_values_match_gk15_oracle_on_chain_lamb_pairs(temperature):
-    # at T1 = 0.05 the folded oracle misses its own default target here
+def test_f_values_match_reference_on_chain_lamb_pairs(temperature):
+    # at T1 = 0.05 the folded reference misses its own default target here,
+    # not REFERENCE
     spec, channel, bohr = chain_lamb(4, T1=temperature)
-    assert_matches_gk15(channel.bath, *lamb_shift_pairs_unique(bohr))
+    assert_matches_reference(channel.bath, *lamb_shift_pairs_unique(bohr))
 
 
 @pytest.mark.parametrize("temperature", [0.05, 0.2, 2.0, 20.0, 50.0])
-def test_f_values_match_gk15_oracle_on_random_pairs(temperature):
+def test_f_values_match_reference_on_random_pairs(temperature):
     e1, e2 = np.random.default_rng(29).uniform(-40.0, 40.0, size=(2, 400))
-    assert_matches_gk15(make_bath(T=temperature), e1, e2)
+    assert_matches_reference(make_bath(T=temperature), e1, e2)
 
 
 def test_f_values_meet_the_default_target_next_to_zeros_of_f():
     # within 1e-4 of a zero, |f| is about 1e-4 of the integrand's scale;
     # the estimate's cube is taken relative to that scale, not to |f|, so
     # the default target (atol there) is met instead of missed by 1e3. The
-    # reference is the folded loop: the GK15 oracle stops at an infinite
-    # error sum below atol 1e-12 here, and the dense trapezoid is off by
-    # 2e-11 where its nodes next to w = 0 are not exactly symmetric.
+    # reference is the folded kernel; the dense trapezoid is off by 2e-11
+    # here, where its nodes next to w = 0 are not exactly symmetric.
     bath = make_bath()
     reference = QuadratureSpec(rtol=1e-12, atol=1e-14)
     for e1, e2 in NEAR_ZERO + ((-120.4963852, 100.0), (-159.52, 80.0), (-67.21, 200.0)):
         assert_within_target(f_values(bath, [e1], [e2], QUAD),
-                             f_integral_loop(bath, e1, e2, reference), bath, QUAD)
+                             f_values_every_pair(bath, [e1], [e2], reference), bath, QUAD)

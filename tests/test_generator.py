@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from oracles import (
     lamb_shift_f,
     lamb_shift_live_pairs,
     lamb_shift_pairs_unique,
+    lamb_shift_quad_vec,
     lamb_shift_table,
     random_hermitian,
     secular_lamb_shift_loop,
@@ -166,7 +168,7 @@ def f_numbering(monkeypatch):
         calls.append((e1, e2))
         return np.arange(1.0, e1.size + 1.0)
 
-    monkeypatch.setattr(oracles, "f_values_gk15", numbering)
+    monkeypatch.setattr(oracles, "f_values_every_pair", numbering)
     return calls
 
 
@@ -228,9 +230,9 @@ def test_lamb_shift_double_sum_matches_component_loop(monkeypatch):
     for bohr, x in systems:
         w = bohr.frequencies
         grid = rng.standard_normal((w.size, w.size))
-        monkeypatch.setattr(oracles, "f_values_gk15", lambda bath, e1, e2, quad: grid[
+        monkeypatch.setattr(oracles, "f_values_every_pair", lambda bath, e1, e2, quad: grid[
             np.searchsorted(w, e1), np.searchsorted(w, e2)])
-        lam_eigen, _ = lamb_shift_table(bohr, BATH)
+        lam_eigen = lamb_shift_table(bohr, BATH)
         got = bohr.eig.from_eigenbasis(lam_eigen)
         want = bohr_double_sum_loop(bohr, x, grid)
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
@@ -584,26 +586,48 @@ def chain_system(n_sites, t1):
     return eigendecompose(build_chain_hamiltonian(spec)), channel
 
 
-# the table oracle at a target where its own error is below rounding: at
-# its default target it is within 2.6e-14 of max|Lam| on the chain at
-# N = 3-7, except at T1 = 0.2 (3.3e-11 at N = 4), where this one is needed
-TIGHT = QuadratureSpec(rtol=1e-12, atol=1e-15)
+ALL_T1 = (0.05, 0.2, 2.0, 20.0, 50.0)
 
 
 @pytest.mark.parametrize("n_sites, temperatures", [
-    (3, (0.05, 0.2, 2.0, 20.0, 50.0)), (4, (0.05, 0.2, 2.0, 20.0, 50.0)),
-    (5, (0.05, 0.2, 2.0, 20.0, 50.0)), (6, (0.05, 0.2, 2.0, 20.0, 50.0)), (7, (2.0,))])
-def test_lamb_shift_matches_table_oracle_on_chain(n_sites, temperatures):
+    (3, ALL_T1), (4, ALL_T1), (5, ALL_T1), (6, ALL_T1), (7, ALL_T1), (8, (2.0,))])
+def test_lamb_shift_matches_quad_vec_oracle_on_chain(n_sites, temperatures):
     # max entry over max entry; the w rule is exactly symmetric for the
     # chain's real X (one syrk per block)
     for t1 in temperatures:
         eig, channel = chain_system(n_sites, t1)
-        bohr = bohr_decompose(channel.coupling_op, eig)
-        lam, _ = lamb_shift_eigen(eig, bohr.coupling_eigen, channel.bath)
-        quad = TIGHT if t1 == 0.2 else QuadratureSpec()
-        want, _ = lamb_shift_table(bohr, channel.bath, quad)
+        xe = bohr_decompose(channel.coupling_op, eig).coupling_eigen
+        lam, _ = lamb_shift_eigen(eig, xe, channel.bath)
+        want = lamb_shift_quad_vec(eig, xe, channel.bath)
         assert np.max(np.abs(lam - want)) <= 1e-12 * np.max(np.abs(want)), t1
         assert np.array_equal(lam, lam.T)
+
+
+def test_lamb_shift_quad_vec_oracle_is_independent_and_converged(monkeypatch):
+    # with the library's g_pair, w rule and Lamb shift refusing to run, the
+    # reference still agrees on the N = 4 chain: it shares only
+    # `jump_spectral` and the A A^dag form with the library. An adaptive
+    # run stopped short of its target raises instead of returning.
+    eig, channel = chain_system(4, 2.0)
+    xe = bohr_decompose(channel.coupling_op, eig).coupling_eigen
+    lam, _ = lamb_shift_eigen(eig, xe, channel.bath)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called a library quadrature")
+
+    for name in ("ule.bath.g_pair", "ule.bath.graded_rule", "ule.generator.g_pair",
+                 "ule.generator.graded_rule", "ule.generator.lamb_shift_eigen"):
+        monkeypatch.setattr(name, refuse)
+    want = lamb_shift_quad_vec(eig, xe, channel.bath)
+    assert np.max(np.abs(lam - want)) <= 1e-12 * np.max(np.abs(want))
+    monkeypatch.setattr(oracles, "quad_vec", functools.partial(oracles.quad_vec, limit=2))
+    with pytest.raises(RuntimeError, match="Target precision not reached"):
+        lamb_shift_quad_vec(eig, xe, channel.bath)
+
+
+# the table oracle's f target on the complex ensemble: there its own error
+# is below rounding
+TIGHT = QuadratureSpec(rtol=1e-12, atol=1e-15)
 
 
 def test_lamb_shift_matches_table_oracle_on_complex_ensemble():
@@ -617,7 +641,7 @@ def test_lamb_shift_matches_table_oracle_on_complex_ensemble():
         x = random_hermitian(rng, d)
         bohr = bohr_decompose(x, eig)
         lam, _ = lamb_shift_eigen(eig, bohr.coupling_eigen, bath)
-        want, _ = lamb_shift_table(bohr, bath, TIGHT)
+        want = lamb_shift_table(bohr, bath, TIGHT)
         worst = max(worst, np.max(np.abs(lam - want)) / np.max(np.abs(want)))
     assert worst <= 1e-12
 
