@@ -195,6 +195,9 @@ _PEAK_ARRAYS = {"spinchain": (40, 40), "evolve": (32, 32), "steady": (40, 40), "
 # Bytes held per row of a written table: tracemalloc read 224-226 per sample
 # or --omega-points point, 322 per --e-list pair at 10^5 pairs; 24% margin.
 _ROW_BYTES = 400
+# The block workspace `f_values` holds whatever its pair count: tracemalloc
+# read 5.26 MB beyond 80 bytes a pair from 1,000 pairs up; 24% margin.
+_F_WORKSPACE_BYTES = 6.5e6
 
 
 def _chain_input(args, sampled: bool = False) -> tuple[dict, SpinChainSpec]:
@@ -309,8 +312,9 @@ def cmd_bath(args) -> int:
     _check("--omega-points", args.omega_points, _AT_LEAST_ONE)
     energies = np.array(_parse_list("--e-list", args.e_list))
     pairs = energies.size ** 2
-    _require_memory((args.omega_points + pairs) * _ROW_BYTES, f"ule bath ({args.omega_points} "
-                    f"rows for --omega-points, {pairs} rows for --e-list)")
+    _require_memory((args.omega_points + pairs) * _ROW_BYTES + _F_WORKSPACE_BYTES,
+                    f"ule bath ({args.omega_points} rows for --omega-points, {pairs} rows "
+                    f"for --e-list, the f workspace)")
     cfg = load_config(args, required=BATH_KEYS)
     bath = BathSpec(temperature=cfg["T1"], coupling=cfg["gamma1"],
                     cutoff=cfg["Lambda_c"])

@@ -1,40 +1,43 @@
 """Time evolution under a generator and steady-state extraction.
 
-Propagation is a Lawson (integrating-factor) Runge-Kutta method: the state
-is held in the eigenbasis of H_eff, where the commutator is exact
-elementwise phase rotation, and an adaptive Dormand-Prince 5(4) step
-(fifth-order advance with embedded fourth-order error control) integrates
-only the dissipator in the interaction frame of each step. The step size is
-then set by the dissipation and not by the largest Bohr frequency. Sample
-states between accepted steps come from cubic Hermite interpolation of
-(state, derivative) pairs in the step's rotating frame, rotated back to the
-sample time. Samples stay in the eigenframe; only a kept state is rotated
-back to the input basis.
+Propagation is exponential time differencing: the state is held in the
+eigenbasis of H_eff, where the commutator is the elementwise linear part
+L0 y = -i (E_m - E_n) y_mn, and Krogstad's fourth-order exponential
+Runge-Kutta step (ETDRK4-B; S. Krogstad, J. Comput. Phys. 203, 72 (2005))
+integrates the dissipator D against it. With z = h L0 elementwise, each
+stage multiplies the state and the dissipator's values elementwise by
+phi_k(z), the functions phi_0 = e^z, phi_{k+1}(z) = (phi_k(z) - 1/k!) / z,
+so the coherent part is exact, and a coherence that the populations
+drive, which varies as slowly as they do, costs no steps of its own (S. M.
+Cox and P. C. Matthews, J. Comput. Phys. 176, 430 (2002); M. Hochbruck and
+A. Ostermann, Acta Numerica 19, 209 (2010)). The step size is then set by
+the dissipation and not by the largest Bohr frequency. An order-3 solution embedded in the same
+stages gives the error estimate, and its max norm sets the step. The steps
+divide each sample interval evenly, so every sample is a step end.
 
-Every stage of a step is Hermitian, and `propagate` carries each as one
-real d x d matrix P = Re(y) + Im(y), from which y = (P + P^T)/2 +
-i (P - P^T)/2. The state is therefore Hermitian by construction and is
-never re-Hermitized between steps; the trace, sum diag P, is never
-renormalized, its drift is tracked as a correctness signal. A phase factor
-c + i s acts on P as c P - (s P)^T. When the eigenframe is real, as for the
-spin chain with or without the Lamb shift, the dissipator keeps the
-symmetric and antisymmetric parts apart and acts on P itself in real
-products (`_packed_dissipator`); a complex frame unpacks P for the
-dissipator, `_dissipator` in complex products, and packs the result. The
-derivative at the accepted state is the last stage (first same as last),
-not a seventh dissipator call.
+Every stage is Hermitian, and `propagate` carries each as one real d x d
+matrix P = Re(y) + Im(y), from which y = (P + P^T)/2 + i (P - P^T)/2. The
+state is therefore Hermitian by construction and is never re-Hermitized
+between steps; the trace, sum diag P, is never renormalized, its drift is
+tracked as a correctness signal. Each phi_k(z) has a symmetric real part c
+and an antisymmetric imaginary part s, so it acts on P as c P - (s P)^T
+(`_pair_sum`). When the eigenframe is real, as for the spin chain with or
+without the Lamb shift, the dissipator keeps the symmetric and
+antisymmetric parts apart and acts on P itself in real products
+(`_packed_dissipator`); a complex frame unpacks P for the dissipator,
+`_dissipator` in complex products, and packs the result. The dissipator's
+value at the accepted state is that of the next step's first stage (first
+same as last), so a step makes four dissipator calls.
 
 A step makes only the numpy calls its arithmetic needs, into buffers that
-`propagate` allocates once. The phases of the five distinct nodes come from
-one batched real product into a preallocated stack (`_phases`), and each
-rotation is three ufunc calls with one scratch matrix (`_rotate`). The
+`propagate` allocates once. The nine h-scaled phi pairs of a step size come
+from `_etd_tables` and are rebuilt only when the step size changes. The
 dissipator's workspace contract: `_packed_dissipator(frame)` exposes, as
-apply.input, the block of its workspace that holds P. The forward rotation
-of each stage writes there, and the kernel then skips its copy of P; any
-other input, such as the Krylov vectors of `steady_state`, is copied in,
-with the same result bitwise. The error scale 1 + |y| of an accepted state
-is carried over from the step that produced it, and the sample path runs
-only when a sample is due, with the step's full-step phases.
+apply.input, the block of its workspace that holds P, and never writes it.
+A stage writes its input there, and the kernel then skips its copy of P;
+any other input, such as the Krylov vectors of `steady_state`, is copied
+in, with the same result bitwise. The error scale 1 + |y| of an accepted
+state is carried over from the step that produced it.
 
 The steady state is the trace-one solution of the generator bordered by the
 trace functional, found on the same packed P (`_packed_generator`) by
@@ -114,28 +117,83 @@ class SteadyStateReport:
     estimate_iterations: int
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage is the next first stage).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                             -92097 / 339200, 187 / 2100, 1 / 40])
-# The distinct nonzero nodes _DP_C[1:6] (stages 5 and 6 share c = 1), so each
-# step takes one phase stack, and the node of each stage i = 1..6 in it.
-_DP_NODES = _DP_C[1:6]
-_DP_STAGE_NODE = (0, 1, 2, 3, 4, 4)
-# Row i - 1 combines [y, k_0, ..., k_6] into the input of stage i = 1..6; the
-# last row gives the error estimate. Entries are multiples of h except the
-# leading 1 of the stage rows, which `propagate` sets.
-_DP_ROWS = np.array([[0.0, *a, *[0.0] * (7 - a.size)] for a in _DP_A[1:]] + [[0.0, *_DP_ERR]])
+# Taylor coefficients of phi_k(i theta) = sum_j (i theta)^j / (j + k)!, k = 0..3,
+# for |theta| < 1: entry [i, k] is the pair [(-1)^i / (2i + k)!,
+# (-1)^i / (2i + 1 + k)!], the coefficients of theta^(2i) in the real part and
+# in the imaginary part over theta, highest power first for Horner in theta^2.
+# The first term left out is below 1/19! = 8.2e-18.
+_PHI_SERIES = np.array([[[(-1) ** i / math.factorial(2 * i + p + k) for p in (0, 1)]
+                         for k in range(4)] for i in reversed(range(9))])
+
+
+def _phi_pairs(theta, out):
+    """Write phi_k(i theta) into out[k] as the pair [Re, Im], for k = 0, ...,
+    len(out) - 1 (at most 3), elementwise over the flat real array theta; out
+    has shape (len(out), 2, theta.size).
+
+    phi_0 = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z. Where |theta| < 1
+    the pair is the Taylor series of _PHI_SERIES, which at theta = 0 (the
+    diagonal of a table, and any pair of degenerate levels) is exactly
+    [1/k!, 0]. Elsewhere it is the closed form: [cos, sin] for k = 0, then
+    the recurrence, which for z = i theta reads Re phi_{k+1} = Im phi_k /
+    theta and Im phi_{k+1} = (1/k! - Re phi_k) / theta; each step divides the
+    rounding error by |theta| >= 1. The real part is even in theta and the
+    imaginary part odd.
+    """
+    k = len(out)
+    small = np.abs(theta) < 1.0
+    t = theta[small]
+    x = t * t
+    series = np.zeros((k, 2, t.size))
+    for coef in _PHI_SERIES[:, :k, :, None]:
+        series *= x
+        series += coef
+    series[:, 1] *= t
+    out[..., small] = series
+    large = ~small
+    t = theta[large]
+    re, im = np.cos(t), np.sin(t)
+    for j in range(k):
+        out[j, 0, large] = re
+        out[j, 1, large] = im
+        if j + 1 < k:
+            re, im = im / t, (1.0 / math.factorial(j) - re) / t
+    return out
+
+
+def _etd_tables(gaps, h, out):
+    """Fill out, a (9, 2, d, d) stack, with the pairs [c, s] of the elementwise
+    factors c + i s of an ETDRK4-B step of size h, for z = i h gaps, gaps_mn =
+    E_n - E_m, and return it. In order:
+
+        e^(z/2), (h/2) phi1(z/2), h phi2(z/2), e^z, h phi1(z), 2h phi2(z),
+        h (4 phi3 - phi2), h (phi1 - 3 phi2 + 4 phi3), 2h (phi2 - 2 phi3),
+
+    all of z elementwise (`_phi_pairs`). gaps is antisymmetric, so each c is
+    symmetric and each s antisymmetric, and each acts on a packed P as
+    c P - (s P)^T (`_pair_sum`).
+    """
+    flat = out.reshape(9, 2, -1)
+    theta = (h * gaps).reshape(-1)
+    _phi_pairs(0.5 * theta, flat[0:3])
+    _phi_pairs(theta, flat[3:7])
+    # phi1-3 of z sit in slots 4-6 until each slot takes its weight; one
+    # scratch pair keeps the peak of a fill low
+    p1, p2, p3 = out[4:7]
+    b1, b23 = out[7], out[8]
+    tmp = np.multiply(p3, 4 * h)
+    np.multiply(p2, 2 * h, out=b23)
+    b23 -= tmp
+    np.multiply(p1, h, out=b1)
+    b1 += tmp
+    b1 -= np.multiply(p2, 3 * h, out=tmp)
+    p3 *= 4 * h
+    p3 -= np.multiply(p2, h, out=tmp)
+    out[1] *= 0.5 * h
+    out[2] *= h
+    p1 *= h
+    p2 *= 2 * h
+    return out
 
 
 def _dissipator(frame, y):
@@ -214,72 +272,23 @@ def _moduli_squared(p, out=None, scratch=None):
     return out
 
 
-def _phases(energies, nodes):
-    """fill(h): the phase pairs of tau = nodes * h, a (len(nodes), 2, d, d)
-    stack of [c, s] with c + i s = exp(-i (E_m - E_n) tau), the coherent
-    evolution of element (m, n) over tau.
+def _pair_sum(terms, out, scratch, product=None):
+    """The packing of sum_k (c_k + i s_k) * y_k over terms [((c_k, s_k), p_k)],
+    for the y_k that p_k packs, written to out and returned.
 
-    With a = cos(E tau) and b = sin(E tau), c_mn = a_m a_n + b_m b_n and
-    s_mn = a_m b_n - b_m a_n: one batched real product of the (d, 2)
-    factors (a, b) and (-b, a) by the (2, d) factor [a; b]. c is symmetric
-    and s antisymmetric, to rounding. The diagonal is set to exactly
-    (1, 0): a_m^2 + b_m^2 rounds off 1, and that rounding would otherwise
-    scale the populations at every step. The factors and the stack are
-    allocated once, and each fill overwrites the stack it returns.
+    With c symmetric and s antisymmetric (a pair of `_etd_tables`) the product
+    (c + i s) * y packs as c P + s P^T = c P - (s P)^T, up to the rounding of
+    s, and the sum as sum_k c_k P_k - (sum_k s_k P_k)^T. scratch and product
+    are d x d workspaces, product needed only for more than one term; none of
+    out, scratch and product may be a p_k.
     """
-    d, k = energies.size, len(nodes)
-    tau = np.asarray(nodes, dtype=float)[:, None]
-    x = np.empty((k, d))
-    # rows a, b, -b, a, b: the left factors are rows 0-1 and 2-3, the right
-    # factor rows 3-4, which numpy then takes as a plain product and not by
-    # its slower path for A^T A
-    rows = np.empty((k, 5, d))
-    cos, sin, minus_sin = rows[:, 0], rows[:, 1], rows[:, 2]
-    left = rows[:, :4].reshape(k, 2, 2, d).swapaxes(2, 3)
-    right = rows[:, None, 3:]
-    cos_sin, cos_sin_copy = rows[:, :2], rows[:, 3:]
-    out = np.empty((k, 2, d, d))
-    diagonal = out.reshape(k, 2, d * d)[:, :, ::d + 1]
-    unit = np.array([[1.0], [0.0]])  # the diagonal of each pair
-
-    def fill(h):
-        np.multiply(tau * h, energies, out=x)
-        np.cos(x, out=cos)
-        np.sin(x, out=sin)
-        np.negative(sin, out=minus_sin)
-        cos_sin_copy[...] = cos_sin
-        np.matmul(left, right, out=out)
-        diagonal[...] = unit
-        return out
-    return fill
-
-
-def _rotate(c, s, p, out=None, back=False, scratch=None):
-    """The packing of (c + i s) * y, or of (c - i s) * y when back, for the y
-    that p packs, written to out when given.
-
-    With c symmetric and s antisymmetric (a pair of `_phases`) the product
-    packs as c P + s P^T = c P - (s P)^T, up to the rounding of s; the back
-    rotation flips the sign of s. The diagonal of c + i s is exactly 1, so
-    the populations pass unchanged. scratch, when given, is a d x d
-    workspace for s P; out may be p itself, but neither may be scratch.
-    """
-    s_p = np.multiply(s, p, out=scratch)
-    out = np.multiply(c, p, out=out)
-    if back:
-        return np.add(out, s_p.T, out=out)
-    return np.subtract(out, s_p.T, out=out)
-
-
-def _hermite_eval(t, t0, y0, f0, t1, y1, f1):
-    """Cubic Hermite interpolant through (t0, y0, f0) and (t1, y1, f1)."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+    (c, s), p = terms[0]
+    np.multiply(c, p, out=out)
+    np.multiply(s, p, out=scratch)
+    for (c, s), p in terms[1:]:
+        out += np.multiply(c, p, out=product)
+        scratch += np.multiply(s, p, out=product)
+    return np.subtract(out, scratch.T, out=out)
 
 
 def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
@@ -287,27 +296,49 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
               keep_states: bool = False) -> Trajectory:
     """Integrate drho/dt = generator(rho) from t = 0 to t_end.
 
-    The state y is held in the eigenbasis of H_eff, where the commutator
-    multiplies element (m, n) by -i (E_m - E_n). The Lawson step integrates
-    the interaction-frame state v(t) = exp(+i (E_m - E_n)(t - t_n)) y_mn(t)
-    with the DP5(4) tableau, so each stage applies only the dissipator,
-    between phase factors, and the coherent part is exact at any step size.
-    Every stage is Hermitian, and each is carried as one real d x d matrix
-    P = Re(y) + Im(y) (`_pack`); a phase factor c + i s acts on P as
-    c P - (s P)^T (`_rotate`), and on a real eigenframe the dissipator acts
-    on P in real products (`_packed_dissipator`). The state is Hermitian by
-    construction, so it is never re-Hermitized between steps; its trace,
-    sum diag P, is never renormalized, and its drift from 1 is tracked as a
-    correctness signal.
+    The state y is held in the eigenbasis of H_eff, where the commutator is
+    L0 y = -i (E_m - E_n) y_mn, and each step is Krogstad's ETDRK4-B on
+    y' = L0 y + D(y), D the dissipator. With z = h L0 elementwise, N(.) = D(.)
+    and N1 = N(y):
+
+        U2 = e^(z/2) y + (h/2) phi1(z/2) N1,           N2 = N(U2)
+        U3 = U2 + h phi2(z/2) (N2 - N1),               N3 = N(U3)
+        U4 = e^z y + h phi1(z) N1 + 2h phi2(z) (N3 - N1),   N4 = N(U4)
+        y+ = e^z y + h [(phi1 - 3 phi2 + 4 phi3) N1
+                        + 2 (phi2 - 2 phi3) (N2 + N3) + (4 phi3 - phi2) N4]
+        err = h (4 phi3 - phi2) (N(y+) - N4)
+
+    err is y+ less the order-3 solution built from the same stages; N(y+)
+    is the next step's N1 (first same as last), so a step makes four
+    dissipator calls. The coherent part is exact at any step size. Every
+    stage is Hermitian, and each is carried as one real d x d matrix
+    P = Re(y) + Im(y) (`_pack`); each phi_k(z) acts on P as c P - (s P)^T
+    (`_pair_sum`), and on a real eigenframe the dissipator acts on P in real
+    products (`_packed_dissipator`). The state is Hermitian by construction,
+    so it is never re-Hermitized between steps; its trace, sum diag P, is
+    never renormalized, and its drift from 1 is tracked as a correctness
+    signal.
 
     rho0 must be a d x d matrix of trace 1 (within 1e-12) that passes
     `require_hermitian` (finite, Hermitian within 1e-12 of its largest
     entry); it is Hermitized in the eigenbasis before the first step.
-    sample_times must be a finite 1-D array within [0, t_end]; the
-    trajectory is sampled at exactly those times. The per-step error norm is the RMS over the d^2
-    entries of the interaction-frame error, each scaled by
-    tol * (1 + |component|), so tol, which must be positive and finite, acts
-    as a relative tolerance at unit scale.
+    sample_times must be a finite, non-decreasing 1-D array within
+    [0, t_end]. tol, which must be positive and finite, bounds the max norm
+    of the error estimate: a step is accepted when every entry has
+    |err_mn| <= tol (1 + max(|y_mn|, |y+_mn|)), so tol acts as an absolute
+    tolerance on each entry at unit scale, and the next step size is the
+    last times 0.9 (err / tol)^(-1/4), clipped to [0.2, 5]. The steps divide
+    each interval between samples, and the last one up to t_end, evenly:
+    k = ceil(interval / h) steps of interval / k, the rest of the interval
+    planned anew after a rejected step, so every sample is a step end and
+    is the state there. A sample interval therefore costs at least one step;
+    sampling far more densely than the step size costs one step per sample.
+    The nine phi tables of a step size (`_etd_tables`) are rebuilt only when
+    the step size changes: if k steps of the last size reach the next sample
+    within 1e-13 t_end, as across the equal intervals of np.linspace, they
+    are kept. The error estimate tracks the populations, and so M(t),
+    closely; it underrates the error of coherences that other coherences
+    drive (README, Conventions).
 
     Each observable O (d x d) must pass `require_hermitian` too; it is
     rotated into the eigenframe once, Hermitized and packed. The packing is
@@ -359,40 +390,31 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                         f"storage for {sample_times.size} sampled states of size {d} x {d}")
         sample_vals = [None] * sample_times.size
 
-    energies = eig.energies
+    gaps = eig.energies[None, :] - eig.energies[:, None]  # E_n - E_m: z = i h gaps
     dissipator = _packed_dissipator(frame)
-    y_stage = dissipator.input  # each stage's input, written by the forward rotation
-    # v, then the packed state y and the stages k_0..k_6: a tableau row
-    # [1, h a_i0, ..., h a_i,i-1] times rows[1:] is v, the input of stage i
-    rows = np.empty((_DP_ROWS.shape[1] + 1, d, d))
-    flat_rows = rows.reshape(rows.shape[0], -1)
-    v, y, f = rows[0], rows[1], rows[2]
-    d_stage, scratch, square, y_scale, v_scale, scale = np.empty((6, d, d))
-    ratio = np.empty(d * d)
-    node_phases = _phases(energies, _DP_NODES)
-    phases = node_phases(0.0)  # the node phases of a step, refilled per step
-    sample_phases = _phases(energies, [1.0])
-    coef = np.empty_like(_DP_ROWS)  # h times the tableau, set per step
-    stages = [(coef[i - 1, :i + 1], flat_rows[1:i + 2], *phases[node], rows[i + 2])
-              for i, node in enumerate(_DP_STAGE_NODE, start=1)]
-    flat_v, flat_scale = flat_rows[0], scale.reshape(-1)
-    err_row, err_rows = coef[-1], flat_rows[1:]
+    stage = dissipator.input  # the input of stages 2-4, written in place
+    # y, y+ and N1..N5 of a step, N5 = N(y+); once y+ is formed, the buffers
+    # of N2-N4 hold the error, its scale and their ratio
+    y, y_new, n1, n2, n3, n4, n5, scratch, product, y_scale, new_scale = np.empty((11, d, d))
+    tables = np.empty((9, 2, d, d))
+    e_half, a1, a2, e_full, a3, a4, b4, b1, b23 = tables
+    h_step = None  # the step size of the tables
 
     def unit_scale(p, out):
         """1 + |y_mn| for the y that p packs, written to out."""
-        np.sqrt(_moduli_squared(p, out, square), out=out)
+        np.sqrt(_moduli_squared(p, out, product), out=out)
         out += 1.0
         return out
 
     y[...] = _pack(hermitize(eig.to_eigenbasis(rho0)))
     t = 0.0
-    dissipator(y, f)
+    dissipator(y, n1)
     unit_scale(y, y_scale)
     # initial step from the derivative scale, capped by the span
-    fnorm = math.sqrt(float(np.max(_moduli_squared(f))))
+    fnorm = math.sqrt(float(np.max(_moduli_squared(n1))))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
     min_step = 1e-14 * t_end
-    end_tol = 1e-13 * t_end  # the run stops this close to t_end; its last step takes the rest
+    end_tol = 1e-13 * t_end  # a sample or t_end this close to t is reached
 
     next_sample = 0
     max_drift = 0.0
@@ -409,77 +431,67 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             "completely positive",
             t_reached=t_reached)
 
-    def take_samples(t0, y0, f0, t1, y1, f1):
-        """Take every sample due by t1 from the step (t0, y0, f0) -> (t1, y1, f1),
-        whose full-step phases are phases[-1]; return the next due time."""
-        nonlocal next_sample, min_sample_eig
-        while next_sample < sample_times.size and sample_times[next_sample] <= t1 + end_tol:
-            ts = sample_times[next_sample]
-            if ts <= t0:
-                ys = y0
-            elif ts >= t1:
-                ys = y1
-            else:
-                # interpolate v in the frame rotating from t0, then rotate to ts
-                vs = _hermite_eval(ts, t0, y0, f0, t1, _rotate(*phases[-1], y1, back=True),
-                                   _rotate(*phases[-1], f1, back=True))
-                ys = _rotate(*sample_phases(ts - t0)[0], vs)
-            state = _unpack(ys)
-            wmin = float(np.linalg.eigvalsh(state)[0])
-            if wmin < -1e-6:
-                raise positivity_error(wmin, f"sample t = {ts}", ts)
-            min_sample_eig = min(min_sample_eig, wmin)
-            flat = ys.ravel()
-            for series, vec in packed.values():
-                series[next_sample] = flat @ vec
-            if keep_states:
-                sample_vals[next_sample] = hermitize(eig.from_eigenbasis(state))
-            next_sample += 1
-        return sample_times[next_sample] if next_sample < sample_times.size else np.inf
-
-    next_due = take_samples(0.0, y, f, 0.0, y, f)
+    def take_sample(i, ys):
+        """Record sample i, the state that ys packs."""
+        nonlocal min_sample_eig
+        state = _unpack(ys)
+        wmin = float(np.linalg.eigvalsh(state)[0])
+        if wmin < -1e-6:
+            raise positivity_error(wmin, f"sample t = {sample_times[i]}", sample_times[i])
+        min_sample_eig = min(min_sample_eig, wmin)
+        flat = ys.ravel()
+        for series, vec in packed.values():
+            series[i] = flat @ vec
+        if keep_states:
+            sample_vals[i] = hermitize(eig.from_eigenbasis(state))
 
     while True:
-        remaining = t_end - t
+        while next_sample < sample_times.size and sample_times[next_sample] - t <= end_tol:
+            take_sample(next_sample, y)
+            next_sample += 1
+        t_next = sample_times[next_sample] if next_sample < sample_times.size else t_end
+        remaining = t_next - t
         if remaining <= end_tol:
             break
         if h < min_step:
             raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
-        h_step = min(h, remaining)
-        node_phases(h_step)
-        np.multiply(_DP_ROWS, h_step, out=coef)
-        coef[:-1, 0] = 1.0
-        for row, inputs, c, s, k in stages:
-            np.matmul(row, inputs, out=flat_v)
-            _rotate(c, s, v, y_stage, scratch=scratch)
-            dissipator(y_stage, d_stage)
-            _rotate(c, s, d_stage, k, back=True, scratch=scratch)
-        # the last stage evaluates at the fifth-order solution (_DP_A[6] == _DP_B5)
-        np.maximum(y_scale, unit_scale(v, v_scale), out=scale)
-        np.matmul(err_row, err_rows, out=ratio)
-        ratio /= flat_scale
-        err = math.sqrt(ratio.dot(ratio) / ratio.size) / tol
-
-        if err <= 1.0:
-            # FSAL: the last stage's dissipator is the derivative at the new state
-            t_new = t + h_step
-            if next_due <= t_new + end_tol:
-                next_due = take_samples(t, y, f, t_new, y_stage, d_stage)
-            y[...] = y_stage
-            f[...] = d_stage
-            # the scale of v is that of the new state, to rounding
-            y_scale, v_scale = v_scale, y_scale
-            t = t_new
-            max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
-            diag = y.diagonal()
-            if diag.min() < -1e-6:
-                raise positivity_error(diag.min(), f"t = {t}", t)
-            n_accepted += 1
-            factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        else:
-            n_rejected += 1
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h = h_step * min(5.0, max(0.2, factor))
+        steps = math.ceil(remaining / h)
+        if h_step is None or abs(steps * h_step - remaining) > end_tol:
+            h_step = remaining / steps
+            _etd_tables(gaps, h_step, tables)
+        while steps:
+            _pair_sum([(e_half, y), (a1, n1)], stage, scratch, product)
+            dissipator(stage, n2)
+            _pair_sum([(a2, np.subtract(n2, n1, out=n4))], n5, scratch)
+            stage += n5
+            dissipator(stage, n3)
+            _pair_sum([(e_full, y), (a3, n1), (a4, np.subtract(n3, n1, out=n5))],
+                      stage, scratch, product)
+            dissipator(stage, n4)
+            n2 += n3
+            _pair_sum([(e_full, y), (b1, n1), (b23, n2), (b4, n4)], y_new, scratch, product)
+            dissipator(y_new, n5)
+            error = _pair_sum([(b4, np.subtract(n5, n4, out=n3))], n2, scratch)
+            scale = np.maximum(y_scale, unit_scale(y_new, new_scale), out=n3)
+            ratio = np.sqrt(_moduli_squared(error, n4, product), out=n4)
+            ratio /= scale
+            err = float(ratio.max()) / tol
+            if err <= 1.0:
+                y, y_new = y_new, y
+                n1, n5 = n5, n1
+                y_scale, new_scale = new_scale, y_scale
+                steps -= 1
+                t = t + h_step if steps else t_next
+                max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
+                diag = y.diagonal()
+                if diag.min() < -1e-6:
+                    raise positivity_error(diag.min(), f"t = {t}", t)
+                n_accepted += 1
+            else:
+                n_rejected += 1
+            h = h_step * min(5.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 5.0 * h_step
+            if err > 1.0:
+                break  # plan the rest of the interval anew
 
     stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
                  max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))

@@ -2,7 +2,7 @@
 
 Nothing here may call into the library paths it checks: the eigenvalue
 oracle is a hand-rolled Jacobi iteration, the principal-value oracle is a
-dense symmetric trapezoid sum, and the Bohr-sum oracles are naive loops over
+dense trapezoid sum on a grid mirrored about zero, and the Bohr-sum oracles are naive loops over
 A(w) built here from projector sandwiches of X, never from the bin labels
 or the level-triple sums of the table oracle; their bath functions and f
 values come in as arguments.
@@ -42,10 +42,13 @@ is the Lamb-shift formula as a sum over the table f (p_n - p_m), the form
 the library's weighted eigenbasis Lamb shift replaced.
 `dp5_propagate` is the explicit Dormand-Prince 5(4) propagator on the full generator
 `Superoperator.apply_matrix`, with none of the eigenbasis or
-integrating-factor machinery of `ule.propagate`. `lawson_propagate_complex`
-is that machinery on the complex d x d state, the loop `ule.propagate` ran
-before it carried each Hermitian stage as one real matrix; it reads only
-the eigenframe tuple and multiplies in complex arithmetic. `_bordered_lu_solve` is the dense bordered LU solve with
+exponential machinery of `ule.propagate`. `etd_propagate_complex` is the
+ETDRK4-B loop of `ule.propagate` on the complex d x d state, its phi
+functions from `etd_phis` in complex arithmetic; it reads only the
+eigenframe tuple. `lawson_propagate_complex` is the Lawson
+(integrating-factor) DP5(4) loop on the complex state that `ule.propagate`
+ran before the ETD step replaced it, kept as an independent tight
+reference for M(t). `_bordered_lu_solve` is the dense bordered LU solve with
 its `zgecon` certificate that the GMRES `ule.steady_state` replaced;
 `bordered_lu_steady_state` turns its solution into the trace-one state.
 `exact_estimate_rcond` is the GMRES steady state of `ule.steady_state`
@@ -80,6 +83,8 @@ with `ule.steady_state`, `liouvillian_gap` diagonalizes the dense packed
 generator, `thermal_shift_residual` checks the thermal shift identity of a
 Bohr component, and `total_sz` is the chain's total z spin.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -333,14 +338,15 @@ def jacobi_eigenvalues(h, sweeps=100, tol=1e-14):
 def trapezoid_pv(integrand, singularity_width, omega_max, points=1_000_000):
     """Principal value of Int integrand(w)/w dw over [-omega_max, omega_max].
 
-    Dense trapezoid on a symmetric grid that excludes the singular point
-    symmetrically (even point count, no node at zero).
+    Dense trapezoid on an even number of equally spaced nodes from
+    -omega_max to omega_max, none at zero. The positive half is built and
+    mirrored, so the nodes are exactly symmetric about w = 0 and the
+    singular odd part of integrand(w) / w cancels node by node.
     """
-    w = np.linspace(-omega_max, omega_max, points + (points % 2 == 1))
-    if w.size % 2 == 1:
-        w = np.delete(w, w.size // 2)
-    vals = integrand(w) / w
-    return np.trapezoid(vals, w)
+    n = points + (points % 2 == 1)
+    positive = (np.arange(n // 2) + 0.5) * (2.0 * omega_max / (n - 1))
+    w = np.concatenate([-positive[::-1], positive])
+    return np.trapezoid(integrand(w) / w, w)
 
 
 def bose_weight_branches(w, beta):
@@ -835,14 +841,15 @@ def _hermitian_dissipator(frame, y):
 
 def lawson_propagate_complex(superop, rho0, t_end: float, sample_times,
                              tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
-    """The Lawson DP5(4) loop of `ule.propagate` on the complex d x d state.
+    """The Lawson (integrating-factor) DP5(4) loop that `ule.propagate` ran
+    before its ETD step, on the complex d x d state.
 
-    The same eigenframe, tableau, FSAL, error norm, step controller, sample
-    interpolation and guards, but the state and the stages are complex
-    Hermitian matrices: the phases multiply them elementwise, the dissipator
-    runs in complex products, and each accepted state and derivative is
-    re-Hermitized. The step decisions, and so the accepted and rejected
-    step counts, are those of `ule.propagate` up to rounding.
+    In the eigenframe it integrates the interaction-frame state with the
+    Dormand-Prince 5(4) tableau (FSAL), an RMS error norm over the d^2
+    entries each scaled by tol (1 + |y|), cubic Hermite samples in each
+    step's rotating frame and the same guards; the phases multiply the
+    complex Hermitian stages elementwise, the dissipator runs in complex
+    products, and each accepted state and derivative is re-Hermitized.
     """
     frame = superop._eigenframe
     eig = frame[0]
@@ -931,6 +938,119 @@ def lawson_propagate_complex(superop, rho0, t_end: float, sample_times,
             n_rejected += 1
             factor = max(0.2, 0.9 * err ** -0.2)
         h = h_step * min(5.0, max(0.2, factor))
+
+    obs_series = {name: np.array([float(np.real(np.trace(s @ op))) for s in sample_vals])
+                  for name, op in (observables or {}).items()}
+    stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
+                 max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))
+    return Trajectory(times=sample_times, states=sample_vals,
+                      observables=obs_series, stats=stats)
+
+
+def etd_phis(z):
+    """[phi_0(z), ..., phi_3(z)] elementwise on a complex array z, with
+    phi_0 = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z: by that recurrence
+    in complex arithmetic where |z| >= 1, and by the Taylor series
+    sum_j z^j / (j + k)!, j = 0..24, elsewhere."""
+    phis = np.empty((4,) + z.shape, dtype=complex)
+    small = np.abs(z) < 1.0
+    zl, zs = z[~small], z[small]
+    phis[0][~small] = np.exp(zl)
+    for k in range(3):
+        phis[k + 1][~small] = (phis[k][~small] - 1.0 / math.factorial(k)) / zl
+    for k in range(4):
+        phis[k][small] = sum(zs ** j / math.factorial(j + k) for j in range(25))
+    return phis
+
+
+def etd_propagate_complex(superop, rho0, t_end: float, sample_times,
+                          tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
+    """The ETDRK4-B loop of `ule.propagate` on the complex d x d state.
+
+    The same eigenframe, stages, error estimate, max norm, step controller,
+    even division of the sample intervals, reuse of a step size and guards,
+    but the state and the
+    stages are complex Hermitian matrices: the phi functions come from
+    `etd_phis` in complex arithmetic and multiply them elementwise, the
+    dissipator runs in complex products, and each accepted state and its
+    dissipator value are re-Hermitized. The step decisions, and so the
+    accepted and rejected step counts, are those of `ule.propagate` up to
+    rounding.
+    """
+    frame = superop._eigenframe
+    eig = frame[0]
+    energies = eig.energies
+    sample_times = np.asarray(sample_times, dtype=float)
+    z_unit = -1j * np.subtract.outer(energies, energies)  # z = h z_unit
+
+    def dissipator(y):
+        return _hermitian_dissipator(frame, y)
+
+    y = hermitize(eig.to_eigenbasis(np.asarray(rho0, dtype=complex)))
+    t = 0.0
+    n1 = dissipator(y)
+    fnorm = float(np.max(np.abs(n1)))
+    h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
+    min_step = 1e-14 * t_end
+    end_tol = 1e-13 * t_end
+    h_step = None
+
+    sample_vals: list = [None] * sample_times.size
+    next_sample = 0
+    max_drift = 0.0
+    min_sample_eig = np.inf
+    n_accepted = 0
+    n_rejected = 0
+
+    while True:
+        while next_sample < sample_times.size and sample_times[next_sample] - t <= end_tol:
+            rho = hermitize(eig.from_eigenbasis(y))
+            wmin = float(np.linalg.eigvalsh(rho)[0])
+            if wmin < -1e-6:
+                raise PropagationError(f"positivity violation {wmin:.3e} at sample "
+                                       f"t = {sample_times[next_sample]}",
+                                       t_reached=sample_times[next_sample])
+            min_sample_eig = min(min_sample_eig, wmin)
+            sample_vals[next_sample] = rho
+            next_sample += 1
+        t_next = sample_times[next_sample] if next_sample < sample_times.size else t_end
+        remaining = t_next - t
+        if remaining <= end_tol:
+            break
+        if h < min_step:
+            raise PropagationError(f"step size underflow at t = {t}", t_reached=t)
+        steps = math.ceil(remaining / h)
+        if h_step is None or abs(steps * h_step - remaining) > end_tol:
+            h_step = remaining / steps
+            half, full = etd_phis(0.5 * h_step * z_unit), etd_phis(h_step * z_unit)
+            e_full, phi1, phi2, phi3 = full
+        while steps:
+            u2 = half[0] * y + 0.5 * h_step * half[1] * n1
+            n2 = dissipator(u2)
+            n3 = dissipator(u2 + h_step * half[2] * (n2 - n1))
+            n4 = dissipator(e_full * y + h_step * phi1 * n1 + 2 * h_step * phi2 * (n3 - n1))
+            y_new = e_full * y + h_step * ((phi1 - 3 * phi2 + 4 * phi3) * n1
+                                           + 2 * (phi2 - 2 * phi3) * (n2 + n3)
+                                           + (4 * phi3 - phi2) * n4)
+            n5 = dissipator(y_new)
+            error = h_step * (4 * phi3 - phi2) * (n5 - n4)
+            scale = 1.0 + np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.max(np.abs(error) / scale)) / tol
+            if err <= 1.0:
+                y, n1 = hermitize(y_new), hermitize(n5)
+                steps -= 1
+                t = t + h_step if steps else t_next
+                max_drift = max(max_drift, abs(float(np.real(np.trace(y))) - 1.0))
+                diag = np.real(y.diagonal())
+                if diag.min() < -1e-6:
+                    raise PropagationError(f"positivity violation {diag.min():.3e} at t = {t}",
+                                           t_reached=t)
+                n_accepted += 1
+            else:
+                n_rejected += 1
+            h = h_step * min(5.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 5.0 * h_step
+            if err > 1.0:
+                break
 
     obs_series = {name: np.array([float(np.real(np.trace(s @ op))) for s in sample_vals])
                   for name, op in (observables or {}).items()}

@@ -332,10 +332,10 @@ def test_non_finite_run_settings_exit_2(tmp_path, capsys, monkeypatch, command, 
 def test_sampled_states_beyond_memory_exit_2(monkeypatch):
     # no command keeps states, so the guard is the library's: 20,000 kept
     # states of 256 x 256 take 21 GB, physical memory is read as 8.6 GB,
-    # and propagate raises before the first step (no phase is ever filled)
+    # and propagate raises before the first step (no phi table is ever filled)
     from ule import generator
     monkeypatch.setattr(generator, "_physical_memory", lambda: 2 ** 33)
-    monkeypatch.setattr("ule.dynamics._phases", None)
+    monkeypatch.setattr("ule.dynamics._etd_tables", None)
     _, sop = build_chain_superop(SpinChainSpec(N=8))
     with pytest.raises(MemoryLimitError, match="storage for 20000 sampled states of size "
                                                "256 x 256 needs about 21 GB"):
@@ -437,6 +437,22 @@ def test_bath_table_fits_its_row_bytes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= (1001 + 317 ** 2) * cli._ROW_BYTES
+
+
+@pytest.mark.parametrize("count", [1, 100])
+def test_bath_model_counts_the_f_workspace(tmp_path, count):
+    # at 100 energies the traced peak, 6.3 MB, is the block workspace of
+    # f_values and not the 4.4 MB of rows; the model holds it at any count
+    from ule import cli
+    energies = ",".join(str(-3.0 + 6.0 * i / 99) for i in range(count))
+    argv = ["bath", "--config", CHAIN_CFG, f"--e-list={energies}", "--outdir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1001 + count ** 2) * cli._ROW_BYTES + cli._F_WORKSPACE_BYTES
 
 
 def test_samples_without_states_stay_small(monkeypatch):
