@@ -10,10 +10,12 @@ phi_k(z), the functions phi_0 = e^z, phi_{k+1}(z) = (phi_k(z) - 1/k!) / z,
 so the coherent part is exact, and a coherence that the populations
 drive, which varies as slowly as they do, costs no steps of its own (S. M.
 Cox and P. C. Matthews, J. Comput. Phys. 176, 430 (2002); M. Hochbruck and
-A. Ostermann, Acta Numerica 19, 209 (2010)). The step size is then set by
-the dissipation and not by the largest Bohr frequency. An order-3 solution embedded in the same
-stages gives the error estimate, and its max norm sets the step. The steps
-divide each sample interval evenly, so every sample is a step end.
+A. Ostermann, Acta Numerica 19, 209 (2010)). A coherence that other
+coherences drive sees its drive turn, and the quadrature of that drive sets
+the step size. The error estimate adds the error of the last stage to that of the step's quadrature of D,
+taken from the divided differences of D's values at the nodes of this step
+and the start of the last, and its max norm sets the step. The steps divide
+each sample interval evenly, so every sample is a step end.
 
 Every stage is Hermitian, and `propagate` carries each as one real d x d
 matrix P = Re(y) + Im(y), from which y = (P + P^T)/2 + i (P - P^T)/2. The
@@ -30,14 +32,13 @@ value at the accepted state is that of the next step's first stage (first
 same as last), so a step makes four dissipator calls.
 
 A step makes only the numpy calls its arithmetic needs, into buffers that
-`propagate` allocates once. The nine h-scaled phi pairs of a step size come
+`propagate` allocates once. The ten h-scaled phi pairs of a step size come
 from `_etd_tables` and are rebuilt only when the step size changes. The
 dissipator's workspace contract: `_packed_dissipator(frame)` exposes, as
 apply.input, the block of its workspace that holds P, and never writes it.
 A stage writes its input there, and the kernel then skips its copy of P;
 any other input, such as the Krylov vectors of `steady_state`, is copied
-in, with the same result bitwise. The error scale 1 + |y| of an accepted
-state is carried over from the step that produced it.
+in, with the same result bitwise.
 
 The steady state is the trace-one solution of the generator bordered by the
 trace functional, found on the same packed P (`_packed_generator`) by
@@ -117,78 +118,93 @@ class SteadyStateReport:
     estimate_iterations: int
 
 
-# Taylor coefficients of phi_k(i theta) = sum_j (i theta)^j / (j + k)!, k = 0..3,
-# for |theta| < 1: entry [i, k] is the pair [(-1)^i / (2i + k)!,
-# (-1)^i / (2i + 1 + k)!], the coefficients of theta^(2i) in the real part and
-# in the imaginary part over theta, highest power first for Horner in theta^2.
-# The first term left out is below 1/19! = 8.2e-18.
-_PHI_SERIES = np.array([[[(-1) ** i / math.factorial(2 * i + p + k) for p in (0, 1)]
-                         for k in range(4)] for i in reversed(range(9))])
+# Taylor coefficients of phi_4(i theta) = sum_j (i theta)^j / (j + 4)! for
+# |theta| < 1: row i is the pair [(-1)^i / (2i + 4)!, (-1)^i / (2i + 5)!], the
+# coefficients of theta^(2i) in the real part and in the imaginary part over
+# theta, highest power first for Horner in theta^2. The first term left out
+# is below 1/22! = 8.9e-22.
+_PHI4_SERIES = np.array([[(-1) ** i / math.factorial(2 * i + p + 4) for p in (0, 1)]
+                         for i in reversed(range(9))])
 
 
 def _phi_pairs(theta, out):
     """Write phi_k(i theta) into out[k] as the pair [Re, Im], for k = 0, ...,
-    len(out) - 1 (at most 3), elementwise over the flat real array theta; out
+    len(out) - 1 (at most 4), elementwise over the flat real array theta; out
     has shape (len(out), 2, theta.size).
 
-    phi_0 = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z. Where |theta| < 1
-    the pair is the Taylor series of _PHI_SERIES, which at theta = 0 (the
-    diagonal of a table, and any pair of degenerate levels) is exactly
-    [1/k!, 0]. Elsewhere it is the closed form: [cos, sin] for k = 0, then
-    the recurrence, which for z = i theta reads Re phi_{k+1} = Im phi_k /
-    theta and Im phi_{k+1} = (1/k! - Re phi_k) / theta; each step divides the
-    rounding error by |theta| >= 1. The real part is even in theta and the
-    imaginary part odd.
+    phi_0 = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z. Where |theta| >= 1
+    the pair is the closed form: [cos, sin] for k = 0, then that recurrence,
+    which for z = i theta reads Re phi_{k+1} = Im phi_k / theta and
+    Im phi_{k+1} = (1/k! - Re phi_k) / theta; each step divides the rounding
+    error by |theta|. Where |theta| < 1 phi_4 is its Taylor series
+    (_PHI4_SERIES), and the recurrence runs down from it, phi_k = z phi_{k+1}
+    + 1/k!, each step multiplying the error by |theta|; at theta = 0 (the
+    diagonal of a table, and any pair of degenerate levels) the pair is
+    exactly [1/k!, 0]. The real part is even in theta and the imaginary part
+    odd. Beyond out, the transients are a few arrays of theta's size.
     """
     k = len(out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0 / 0 of theta = 0
+        re, im = np.cos(theta, out=out[0, 0]), np.sin(theta, out=out[0, 1])
+        for j in range(1, k):
+            re, im = (np.divide(im, theta, out=out[j, 0]),
+                      np.subtract(1.0 / math.factorial(j - 1), re, out=out[j, 1]))
+            im /= theta
     small = np.abs(theta) < 1.0
     t = theta[small]
     x = t * t
-    series = np.zeros((k, 2, t.size))
-    for coef in _PHI_SERIES[:, :k, :, None]:
+    series = np.zeros((2, t.size))
+    for coef in _PHI4_SERIES[:, :, None]:
         series *= x
         series += coef
-    series[:, 1] *= t
-    out[..., small] = series
-    large = ~small
-    t = theta[large]
-    re, im = np.cos(t), np.sin(t)
-    for j in range(k):
-        out[j, 0, large] = re
-        out[j, 1, large] = im
-        if j + 1 < k:
-            re, im = im / t, (1.0 / math.factorial(j) - re) / t
+    del x
+    series[1] *= t
+    for j in reversed(range(5)):  # from phi_4 whatever k, so each phi_j is one value
+        if j < 4:
+            im = np.multiply(series[0], t)
+            series[1] *= t
+            np.subtract(1.0 / math.factorial(j), series[1], out=series[0])
+            series[1] = im
+        if j < k:
+            out[j][:, small] = series
     return out
 
 
 def _etd_tables(gaps, h, out):
-    """Fill out, a (9, 2, d, d) stack, with the pairs [c, s] of the elementwise
+    """Fill out, a (10, 2, d, d) stack, with the pairs [c, s] of the elementwise
     factors c + i s of an ETDRK4-B step of size h, for z = i h gaps, gaps_mn =
     E_n - E_m, and return it. In order:
 
         e^(z/2), (h/2) phi1(z/2), h phi2(z/2), e^z, h phi1(z), 2h phi2(z),
         h (4 phi3 - phi2), h (phi1 - 3 phi2 + 4 phi3), 2h (phi2 - 2 phi3),
+        h (6 phi4 - 3 phi3 + phi2 / 2),
 
-    all of z elementwise (`_phi_pairs`). gaps is antisymmetric, so each c is
-    symmetric and each s antisymmetric, and each acts on a packed P as
-    c P - (s P)^T (`_pair_sum`).
+    all of z elementwise (`_phi_pairs`). The last is the weight of the
+    quadrature term of the error estimate (`propagate`). gaps is
+    antisymmetric, so each c is symmetric and each s antisymmetric, and each
+    acts on a packed P as c P - (s P)^T (`_pair_sum`).
     """
-    flat = out.reshape(9, 2, -1)
+    flat = out.reshape(10, 2, -1)
     theta = (h * gaps).reshape(-1)
-    _phi_pairs(0.5 * theta, flat[0:3])
-    _phi_pairs(theta, flat[3:7])
-    # phi1-3 of z sit in slots 4-6 until each slot takes its weight; one
-    # scratch pair keeps the peak of a fill low
-    p1, p2, p3 = out[4:7]
-    b1, b23 = out[7], out[8]
-    tmp = np.multiply(p3, 4 * h)
+    _phi_pairs(theta, flat[3:8])
+    theta *= 0.5
+    _phi_pairs(theta, flat[0:3])
+    del theta
+    # phi1-4 of z sit in slots 4-7 until each slot takes its weight, phi4
+    # first; one scratch pair keeps the peak of a fill low
+    p1, p2, p3, p4 = out[4:8]
+    b4, b1, b23, w3 = out[6:10]
+    tmp = np.multiply(p3, 3 * h)
+    np.multiply(p4, 6 * h, out=w3)
+    w3 -= tmp
+    w3 += np.multiply(p2, 0.5 * h, out=tmp)
     np.multiply(p2, 2 * h, out=b23)
-    b23 -= tmp
+    b23 -= np.multiply(p3, 4 * h, out=tmp)
     np.multiply(p1, h, out=b1)
     b1 += tmp
     b1 -= np.multiply(p2, 3 * h, out=tmp)
-    p3 *= 4 * h
-    p3 -= np.multiply(p2, h, out=tmp)
+    b4 *= 4 * h
+    b4 -= np.multiply(p2, h, out=tmp)
     out[1] *= 0.5 * h
     out[2] *= h
     p1 *= h
@@ -306,10 +322,22 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
         U4 = e^z y + h phi1(z) N1 + 2h phi2(z) (N3 - N1),   N4 = N(U4)
         y+ = e^z y + h [(phi1 - 3 phi2 + 4 phi3) N1
                         + 2 (phi2 - 2 phi3) (N2 + N3) + (4 phi3 - phi2) N4]
-        err = h (4 phi3 - phi2) (N(y+) - N4)
 
-    err is y+ less the order-3 solution built from the same stages; N(y+)
-    is the next step's N1 (first same as last), so a step makes four
+    y+ integrates N along the step by its quadratic through the nodes 0, h/2
+    and h against the weight e^((h - s) L0), so the error estimate has two
+    terms. h (4 phi3 - phi2) (N5 - N4), N5 = N(y+), is the error of the last
+    stage. The other is the error of the quadratic, which a coherence that
+    other coherences drive carries at first order in D, where N5 - N4 does
+    not see it: the cubic term of the interpolant through one more node, the
+    last step's N1 at -b, b the last step's size,
+
+        h (6 phi4 - 3 phi3 + phi2 / 2) h^3 N[-b, 0, h/2, h],
+
+    h^4 (6 phi4 - 3 phi3 + phi2 / 2) being the weighted integral of
+    s (s - h/2) (s - h) and N[...] the divided difference of the values
+    N1, N3, N5 and the last step's N1. The first step has no last step; there
+    the midpoint difference 2h (phi2 - 2 phi3) (N3 - N2) stands in for it.
+    N5 is the next step's N1 (first same as last), so a step makes four
     dissipator calls. The coherent part is exact at any step size. Every
     stage is Hermitian, and each is carried as one real d x d matrix
     P = Re(y) + Im(y) (`_pack`); each phi_k(z) acts on P as c P - (s P)^T
@@ -327,18 +355,18 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
     of the error estimate: a step is accepted when every entry has
     |err_mn| <= tol (1 + max(|y_mn|, |y+_mn|)), so tol acts as an absolute
     tolerance on each entry at unit scale, and the next step size is the
-    last times 0.9 (err / tol)^(-1/4), clipped to [0.2, 5]. The steps divide
+    last times 0.9 (err / tol)^(-1/4), clipped to [0.2, 5]; an estimate that
+    is not finite rejects the step and shrinks it by 0.2. The steps divide
     each interval between samples, and the last one up to t_end, evenly:
     k = ceil(interval / h) steps of interval / k, the rest of the interval
-    planned anew after a rejected step, so every sample is a step end and
-    is the state there. A sample interval therefore costs at least one step;
-    sampling far more densely than the step size costs one step per sample.
-    The nine phi tables of a step size (`_etd_tables`) are rebuilt only when
-    the step size changes: if k steps of the last size reach the next sample
-    within 1e-13 t_end, as across the equal intervals of np.linspace, they
-    are kept. The error estimate tracks the populations, and so M(t),
-    closely; it underrates the error of coherences that other coherences
-    drive (README, Conventions).
+    planned anew after a rejected step and after an accepted one whose next
+    size would cut the steps left by a tenth or more. Every sample is then a
+    step end and is the state there. A sample interval therefore costs at
+    least one step; sampling far more densely than the step size costs one
+    step per sample. The ten phi tables of a step size (`_etd_tables`) are
+    rebuilt only when the step size changes: if k steps of the last size
+    reach the next sample within 1e-13 t_end, as across the equal intervals
+    of np.linspace, they are kept.
 
     Each observable O (d x d) must pass `require_hermitian` too; it is
     rotated into the eigenframe once, Hermitized and packed. The packing is
@@ -392,24 +420,20 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
 
     gaps = eig.energies[None, :] - eig.energies[:, None]  # E_n - E_m: z = i h gaps
     dissipator = _packed_dissipator(frame)
-    stage = dissipator.input  # the input of stages 2-4, written in place
-    # y, y+ and N1..N5 of a step, N5 = N(y+); once y+ is formed, the buffers
-    # of N2-N4 hold the error, its scale and their ratio
-    y, y_new, n1, n2, n3, n4, n5, scratch, product, y_scale, new_scale = np.empty((11, d, d))
-    tables = np.empty((9, 2, d, d))
-    e_half, a1, a2, e_full, a3, a4, b4, b1, b23 = tables
+    stage = dissipator.input  # the input of stages 2-4 and of y+, written in place
+    # y, N1..N5 of a step (N5 = N(y+)), the last step's N1, and the squared
+    # moduli |y_mn|^2 of y; once y+ is formed, the buffers of N2-N4 hold the
+    # error and its scale
+    y, n1, n2, n3, n4, n5, n_last, y_moduli, scratch, product = np.empty((10, d, d))
+    tables = np.empty((10, 2, d, d))
+    e_half, a1, a2, e_full, a3, a4, b4, b1, b23, w3 = tables
     h_step = None  # the step size of the tables
-
-    def unit_scale(p, out):
-        """1 + |y_mn| for the y that p packs, written to out."""
-        np.sqrt(_moduli_squared(p, out, product), out=out)
-        out += 1.0
-        return out
+    h_last = None  # the size of the last accepted step, whose N1 is n_last
 
     y[...] = _pack(hermitize(eig.to_eigenbasis(rho0)))
     t = 0.0
     dissipator(y, n1)
-    unit_scale(y, y_scale)
+    _moduli_squared(y, y_moduli, product)
     # initial step from the derivative scale, capped by the span
     fnorm = math.sqrt(float(np.max(_moduli_squared(n1))))
     h = min(t_end, 1e-2 / fnorm) if fnorm > 0 else t_end
@@ -469,29 +493,52 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
                       stage, scratch, product)
             dissipator(stage, n4)
             n2 += n3
-            _pair_sum([(e_full, y), (b1, n1), (b23, n2), (b4, n4)], y_new, scratch, product)
-            dissipator(y_new, n5)
-            error = _pair_sum([(b4, np.subtract(n5, n4, out=n3))], n2, scratch)
-            scale = np.maximum(y_scale, unit_scale(y_new, new_scale), out=n3)
-            ratio = np.sqrt(_moduli_squared(error, n4, product), out=n4)
-            ratio /= scale
-            err = float(ratio.max()) / tol
-            if err <= 1.0:
-                y, y_new = y_new, y
-                n1, n5 = n5, n1
-                y_scale, new_scale = new_scale, y_scale
-                steps -= 1
-                t = t + h_step if steps else t_next
-                max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
-                diag = y.diagonal()
-                if diag.min() < -1e-6:
-                    raise positivity_error(diag.min(), f"t = {t}", t)
-                n_accepted += 1
+            _pair_sum([(e_full, y), (b1, n1), (b23, n2), (b4, n4)], stage, scratch, product)
+            dissipator(stage, n5)
+            np.subtract(n5, n4, out=n4)
+            if h_last is None:
+                np.subtract(n3, n2, out=n2)
+                n2 += n3  # N3 - N2, as n2 holds N2 + N3
+                quadrature = (b23, n2)
             else:
+                # h^3 N[-b, 0, h/2, h] = c5 N5 + c3 N3 + c1 N1 + c0 N_last, r = b / h
+                r = h_last / h_step
+                q, k = 1.0 / (0.5 + r), 1.0 / (1.0 + r)
+                np.multiply(n5, 2.0 * k, out=n2)
+                n2 += np.multiply(n3, -(4.0 + 2.0 * q) * k, out=scratch)
+                n2 += np.multiply(n1, (2.0 + 2.0 * q + q / r) * k, out=scratch)
+                n2 += np.multiply(n_last, -q / r * k, out=scratch)
+                quadrature = (w3, n2)
+            error = _pair_sum([(b4, n4), quadrature], n3, scratch, product)
+            # 2 (|err_mn| / (1 + max(|y_mn|, |y+_mn|)))^2, in place of the error
+            new_moduli = _moduli_squared(stage, n4, scratch)
+            scale = np.maximum(y_moduli, new_moduli, out=n2)
+            np.sqrt(scale, out=scale)
+            scale += 1.0
+            scale *= scale
+            square = np.multiply(error, error, out=scratch)
+            ratio = np.add(square, square.T, out=error)
+            ratio /= scale
+            err = math.sqrt(0.5 * float(ratio.max())) / tol
+            if not err <= 1.0:
                 n_rejected += 1
-            h = h_step * min(5.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 5.0 * h_step
-            if err > 1.0:
+                # a NaN estimate, from a stage that is not finite, rejects too
+                h = h_step * (0.2 if math.isnan(err) else max(0.2, 0.9 * err ** -0.25))
                 break  # plan the rest of the interval anew
+            y[...] = stage
+            y_moduli, n4 = new_moduli, y_moduli
+            n_last, n1, n5 = n1, n5, n_last
+            h_last = h_step
+            steps -= 1
+            t = t + h_step if steps else t_next
+            max_drift = max(max_drift, abs(float(y.trace()) - 1.0))
+            diag = y.diagonal()
+            if diag.min() < -1e-6:
+                raise positivity_error(diag.min(), f"t = {t}", t)
+            n_accepted += 1
+            h = h_step * min(5.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 5.0 * h_step
+            if steps and math.ceil((t_next - t) / h) <= 0.9 * steps:
+                break  # a larger step: plan the rest of the interval anew
 
     stats = dict(n_accepted=n_accepted, n_rejected=n_rejected,
                  max_trace_drift=max_drift, min_sample_eig=float(min_sample_eig))

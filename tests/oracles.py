@@ -948,17 +948,17 @@ def lawson_propagate_complex(superop, rho0, t_end: float, sample_times,
 
 
 def etd_phis(z):
-    """[phi_0(z), ..., phi_3(z)] elementwise on a complex array z, with
+    """[phi_0(z), ..., phi_4(z)] elementwise on a complex array z, with
     phi_0 = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z: by that recurrence
     in complex arithmetic where |z| >= 1, and by the Taylor series
     sum_j z^j / (j + k)!, j = 0..24, elsewhere."""
-    phis = np.empty((4,) + z.shape, dtype=complex)
+    phis = np.empty((5,) + z.shape, dtype=complex)
     small = np.abs(z) < 1.0
     zl, zs = z[~small], z[small]
     phis[0][~small] = np.exp(zl)
-    for k in range(3):
-        phis[k + 1][~small] = (phis[k][~small] - 1.0 / math.factorial(k)) / zl
     for k in range(4):
+        phis[k + 1][~small] = (phis[k][~small] - 1.0 / math.factorial(k)) / zl
+    for k in range(5):
         phis[k][small] = sum(zs ** j / math.factorial(j + k) for j in range(25))
     return phis
 
@@ -967,15 +967,16 @@ def etd_propagate_complex(superop, rho0, t_end: float, sample_times,
                           tol: float = 1e-8, observables: dict | None = None) -> Trajectory:
     """The ETDRK4-B loop of `ule.propagate` on the complex d x d state.
 
-    The same eigenframe, stages, error estimate, max norm, step controller,
-    even division of the sample intervals, reuse of a step size and guards,
-    but the state and the
-    stages are complex Hermitian matrices: the phi functions come from
-    `etd_phis` in complex arithmetic and multiply them elementwise, the
-    dissipator runs in complex products, and each accepted state and its
-    dissipator value are re-Hermitized. The step decisions, and so the
-    accepted and rejected step counts, are those of `ule.propagate` up to
-    rounding.
+    The same eigenframe, stages, two-term error estimate (the last stage's
+    error and the cubic quadrature term from the last step's N1, or the
+    midpoint difference on the first step), max norm, step controller, even
+    division and re-planning of the sample intervals, reuse of a step size
+    and guards, but the state and the stages are complex Hermitian
+    matrices: the phi functions come from `etd_phis` in complex arithmetic
+    and multiply them elementwise, the dissipator runs in complex products,
+    and each accepted state and its dissipator value are re-Hermitized. The
+    step decisions, and so the accepted and rejected step counts, are those
+    of `ule.propagate` up to rounding.
     """
     frame = superop._eigenframe
     eig = frame[0]
@@ -994,6 +995,7 @@ def etd_propagate_complex(superop, rho0, t_end: float, sample_times,
     min_step = 1e-14 * t_end
     end_tol = 1e-13 * t_end
     h_step = None
+    n_last, h_last = None, None
 
     sample_vals: list = [None] * sample_times.size
     next_sample = 0
@@ -1023,7 +1025,7 @@ def etd_propagate_complex(superop, rho0, t_end: float, sample_times,
         if h_step is None or abs(steps * h_step - remaining) > end_tol:
             h_step = remaining / steps
             half, full = etd_phis(0.5 * h_step * z_unit), etd_phis(h_step * z_unit)
-            e_full, phi1, phi2, phi3 = full
+            e_full, phi1, phi2, phi3, phi4 = full
         while steps:
             u2 = half[0] * y + 0.5 * h_step * half[1] * n1
             n2 = dissipator(u2)
@@ -1034,22 +1036,33 @@ def etd_propagate_complex(superop, rho0, t_end: float, sample_times,
                                            + (4 * phi3 - phi2) * n4)
             n5 = dissipator(y_new)
             error = h_step * (4 * phi3 - phi2) * (n5 - n4)
+            if h_last is None:
+                error += 2 * h_step * (phi2 - 2 * phi3) * (n3 - n2)
+            else:
+                # the cubic term of the interpolant of N through -b, 0, h/2, h
+                b = h_last
+                d012 = 2 * (n5 - 2 * n3 + n1) / h_step ** 2
+                d_012 = (2 * (n3 - n1) / h_step - (n1 - n_last) / b) / (h_step / 2 + b)
+                cubic = (d012 - d_012) / (h_step + b)
+                error += h_step ** 4 * (6 * phi4 - 3 * phi3 + phi2 / 2) * cubic
             scale = 1.0 + np.maximum(np.abs(y), np.abs(y_new))
             err = float(np.max(np.abs(error) / scale)) / tol
-            if err <= 1.0:
-                y, n1 = hermitize(y_new), hermitize(n5)
-                steps -= 1
-                t = t + h_step if steps else t_next
-                max_drift = max(max_drift, abs(float(np.real(np.trace(y))) - 1.0))
-                diag = np.real(y.diagonal())
-                if diag.min() < -1e-6:
-                    raise PropagationError(f"positivity violation {diag.min():.3e} at t = {t}",
-                                           t_reached=t)
-                n_accepted += 1
-            else:
+            if not err <= 1.0:
                 n_rejected += 1
+                h = h_step * (0.2 if math.isnan(err) else max(0.2, 0.9 * err ** -0.25))
+                break
+            n_last, h_last = n1, h_step
+            y, n1 = hermitize(y_new), hermitize(n5)
+            steps -= 1
+            t = t + h_step if steps else t_next
+            max_drift = max(max_drift, abs(float(np.real(np.trace(y))) - 1.0))
+            diag = np.real(y.diagonal())
+            if diag.min() < -1e-6:
+                raise PropagationError(f"positivity violation {diag.min():.3e} at t = {t}",
+                                       t_reached=t)
+            n_accepted += 1
             h = h_step * min(5.0, max(0.2, 0.9 * err ** -0.25)) if err > 0 else 5.0 * h_step
-            if err > 1.0:
+            if steps and math.ceil((t_next - t) / h) <= 0.9 * steps:
                 break
 
     obs_series = {name: np.array([float(np.real(np.trace(s @ op))) for s in sample_vals])

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from types import SimpleNamespace
@@ -1028,19 +1029,98 @@ def test_propagate_matches_complex_etd_oracle_on_complex_frame():
     assert max(np.max(np.abs(a - b)) for a, b in zip(got.states, ref.states)) <= 1e-13
 
 
+@functools.lru_cache(maxsize=1)
+def tight_chain5_magnetization():
+    """M of the benchmark's run from the Lawson DP5(4) loop at tol 1e-12."""
+    sop = chain_liouvillian(5)
+    times = np.linspace(0.0, 500.0, 200)
+    return lawson_propagate_complex(sop, all_up_state(5), 500.0, times, tol=1e-12,
+                                    observables={"M": magnetization(5)}).observables["M"]
+
+
 def test_max_norm_bounds_magnetization_error_on_chain5():
     # the benchmark's run at tol 1e-8 against an independent tight run, the
     # Lawson DP5(4) loop that `propagate` ran before, at tol 1e-12: the max
     # norm holds M within 20 tol (the RMS norm over the d^2 entries of that
-    # loop let it reach 32 tol here)
+    # loop let it reach 32 tol here); 2,028 steps, against the 2,696 that
+    # loop takes at tol 1e-8
     sop = chain_liouvillian(5)
     times = np.linspace(0.0, 500.0, 200)
     m = magnetization(5)
     got = propagate(sop, all_up_state(5), 500.0, times, tol=1e-8, observables={"M": m})
-    tight = lawson_propagate_complex(sop, all_up_state(5), 500.0, times, tol=1e-12,
-                                     observables={"M": m})
-    assert np.max(np.abs(got.observables["M"] - tight.observables["M"])) <= 20 * 1e-8
-    assert got.stats["n_accepted"] <= 1400
+    assert np.max(np.abs(got.observables["M"] - tight_chain5_magnetization())) <= 20 * 1e-8
+    assert got.stats["n_accepted"] <= 2200
+    # one sample at the end re-plans its one interval as the steps grow,
+    # and takes no more steps than the 200 samples
+    single = propagate(sop, all_up_state(5), 500.0, [500.0], tol=1e-8)
+    assert single.stats["n_accepted"] <= got.stats["n_accepted"]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-7])
+def test_state_error_stays_within_tol_per_step_on_chain3(tol):
+    # each step's error is held within tol, coherences included, so the
+    # state at t = 5 is within n_accepted tol of a tight independent run
+    # (the estimate h (4 phi3 - phi2) (N5 - N4) alone underrated the
+    # coherences that other coherences drive tenfold: 7.7e-7 after 54 steps
+    # at tol 1e-8)
+    sop = chain_liouvillian(3)
+    rho0 = all_up_state(3)
+    got = propagate(sop, rho0, 5.0, [5.0], tol=tol, keep_states=True)
+    tight = lawson_propagate_complex(sop, rho0, 5.0, [5.0], tol=1e-12)
+    error = np.max(np.abs(got.states[0] - tight.states[0]))
+    assert error <= got.stats["n_accepted"] * tol
+
+
+def test_loose_tol_runs_through_on_chain5():
+    # tol 1e-6 on the benchmark's chain runs to the end without the -1e-6
+    # positivity guard, as the Lawson loop did, with M within 100 tol of a
+    # tight run
+    sop = chain_liouvillian(5)
+    times = np.linspace(0.0, 500.0, 200)
+    m = magnetization(5)
+    got = propagate(sop, all_up_state(5), 500.0, times, tol=1e-6, observables={"M": m})
+    assert np.max(np.abs(got.observables["M"] - tight_chain5_magnetization())) <= 100 * 1e-6
+    assert got.stats["min_sample_eig"] >= -1e-6
+
+
+def test_non_finite_estimate_rejects_until_underflow(monkeypatch):
+    # a stage that is not finite gives a NaN estimate, which rejects the
+    # step and shrinks it by 0.2 until the step size underflows, in the
+    # packed loop and in its complex twin
+    import oracles
+    calls = 0
+    real = _packed_dissipator
+
+    def poisoned(frame):
+        apply = real(frame)
+
+        def nan_after_first(p, out):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise AssertionError("the step loop does not stop on a NaN estimate")
+            apply(p, out)
+            if calls > 1:
+                out[0, 0] = np.nan
+            return out
+        nan_after_first.input = apply.input
+        return nan_after_first
+
+    monkeypatch.setattr("ule.dynamics._packed_dissipator", poisoned)
+    sop = chain_liouvillian(3)
+    with pytest.raises(PropagationError, match=r"step size underflow at t = 0\.0"):
+        propagate(sop, all_up_state(3), 5.0, [5.0])
+    assert calls < 200
+
+    twin = oracles._hermitian_dissipator
+
+    def nan_twin(frame, y):
+        out = twin(frame, y)
+        out[0, 0] = np.nan
+        return out
+    monkeypatch.setattr(oracles, "_hermitian_dissipator", nan_twin)
+    with pytest.raises(PropagationError, match=r"step size underflow at t = 0\.0"):
+        etd_propagate_complex(sop, all_up_state(3), 5.0, [5.0])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -1052,9 +1132,9 @@ def test_phi_pairs_match_quad_oracle():
     from scipy.integrate import quad
     thetas = np.array([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1 + 1e-9, 1 - 1e-9, -1 - 1e-9,
                        -1 + 1e-9, 5.0, -5.0, 40.0, -40.0, 400.0, -400.0])
-    out = _phi_pairs(thetas, np.empty((4, 2, thetas.size)))
+    out = _phi_pairs(thetas, np.empty((5, 2, thetas.size)))
     assert np.max(np.abs(out[0] - [np.cos(thetas), np.sin(thetas)])) <= 1e-15
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         def poly(u, k=k):
             return (1 - u) ** (k - 1) / math.factorial(k - 1)
         for theta, (re, im) in zip(thetas, out[k].T):
@@ -1062,7 +1142,8 @@ def test_phi_pairs_match_quad_oracle():
             ref_im = quad(poly, 0, 1, weight="sin", wvar=theta, epsabs=1e-17, limit=200)[0]
             assert abs(re - ref_re) <= 1e-15 and abs(im - ref_im) <= 1e-15, (k, theta)
     # theta = 0, the diagonal of every table, is exactly [1/k!, 0]
-    assert np.array_equal(out[:, :, 0], [[1.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1 / 6, 0.0]])
+    assert np.array_equal(out[:, :, 0], [[1.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1 / 6, 0.0],
+                                         [1 / 24, 0.0]])
 
 
 def test_etd_tables_rebuild_only_when_the_step_changes(monkeypatch):
@@ -1160,7 +1241,7 @@ def test_packed_dissipator_workspace_contract(build):
     # bitwise as into a fresh array, and the kernel never writes the block,
     # so the next stage can add to it
     e_half, a1 = _etd_tables(-np.subtract.outer(eig.energies, eig.energies), 0.37,
-                             np.empty((9, 2, d, d)))[:2]
+                             np.empty((10, 2, d, d)))[:2]
     n1 = _pack(random_hermitian(rng, d))
     scratch, product = np.empty((2, d, d))
     terms = [(e_half, p), (a1, n1)]
@@ -1179,7 +1260,7 @@ def test_phase_pairs():
     d = eig.dim
     gaps = -np.subtract.outer(eig.energies, eig.energies)
     for h in (0.1, 0.37, 2.5):
-        tables = _etd_tables(gaps, h, np.empty((9, 2, d, d)))
+        tables = _etd_tables(gaps, h, np.empty((10, 2, d, d)))
         for c, s in tables:
             assert np.max(np.abs(c - c.T)) <= 1e-15 * np.max(np.abs(c))
             assert np.max(np.abs(s + s.T)) <= 1e-15 * np.max(np.abs(c))
@@ -1188,7 +1269,7 @@ def test_phase_pairs():
             assert np.array_equal(s.diagonal(), np.zeros(d))
             ref = np.exp(-1j * np.subtract.outer(eig.energies, eig.energies) * tau)
             assert np.max(np.abs(c + 1j * s - ref)) <= 1e-13
-        half = _etd_tables(gaps, h / 2, np.empty((9, 2, d, d)))
+        half = _etd_tables(gaps, h / 2, np.empty((10, 2, d, d)))
         assert np.array_equal(tables[:3], half[3:6])
 
 
