@@ -159,7 +159,7 @@ def _phi_pairs(theta, out):
         series += coef
     del x
     series[1] *= t
-    for j in reversed(range(5)):  # from phi_4 whatever k, so each phi_j is one value
+    for j in reversed(range(5)):  # from phi_4 whatever k, so phi_j has the same bits for any k
         if j < 4:
             im = np.multiply(series[0], t)
             series[1] *= t
@@ -503,11 +503,11 @@ def propagate(superop: Superoperator, rho0, t_end: float, sample_times,
             else:
                 # h^3 N[-b, 0, h/2, h] = c5 N5 + c3 N3 + c1 N1 + c0 N_last, r = b / h
                 r = h_last / h_step
-                q, k = 1.0 / (0.5 + r), 1.0 / (1.0 + r)
-                np.multiply(n5, 2.0 * k, out=n2)
-                n2 += np.multiply(n3, -(4.0 + 2.0 * q) * k, out=scratch)
-                n2 += np.multiply(n1, (2.0 + 2.0 * q + q / r) * k, out=scratch)
-                n2 += np.multiply(n_last, -q / r * k, out=scratch)
+                q, u = 1.0 / (0.5 + r), 1.0 / (1.0 + r)
+                np.multiply(n5, 2.0 * u, out=n2)
+                n2 += np.multiply(n3, -(4.0 + 2.0 * q) * u, out=scratch)
+                n2 += np.multiply(n1, (2.0 + 2.0 * q + q / r) * u, out=scratch)
+                n2 += np.multiply(n_last, -q / r * u, out=scratch)
                 quadrature = (w3, n2)
             error = _pair_sum([(b4, n4), quadrature], n3, scratch, product)
             # 2 (|err_mn| / (1 + max(|y_mn|, |y+_mn|)))^2, in place of the error
